@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race bench bench-parallel bench-telemetry bench-solve bench-scaling bench-kernels bench-diff fuzz golden profile metrics-demo provenance-demo serve-demo trace-demo health-demo fleet-demo
+.PHONY: build vet test test-short test-race bench bench-parallel bench-telemetry bench-solve bench-scaling bench-diff fuzz golden loc profile metrics-demo provenance-demo serve-demo trace-demo health-demo
 
 build:
 	$(GO) build ./...
@@ -30,9 +30,8 @@ bench-parallel:
 
 # bench-solve measures the prepared-solve engine against the historical
 # rebuild-everything path (closed-loop solve, explore sweep slice, ext-em-mc)
-# plus the multi-RHS serial-vs-batch scaling pairs and the intra-solve
-# kernel workers-1-vs-8 pairs, and renders the fresh-vs-prepared,
-# serial-vs-batch and kernel speedups into BENCH_solve.json.
+# plus the multi-RHS serial-vs-batch scaling pairs, and renders the
+# fresh-vs-prepared and serial-vs-batch speedups into BENCH_solve.json.
 bench-solve:
 	$(GO) test -bench '^BenchmarkSolve' -run '^$$' -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson > BENCH_solve.json
 	@cat BENCH_solve.json
@@ -42,14 +41,6 @@ bench-solve:
 # under -short).
 bench-scaling:
 	$(GO) test -bench '^BenchmarkSolveScale' -run '^$$' -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson
-
-# bench-kernels runs only the intra-solve kernel scaling pairs: the same
-# solve (or kernel) with the kernel worker count at 1 and 8. Results are
-# bit-identical by construction, so the pair ratio is the pure scheduling
-# cost or win at that node count. The 1M-node points are skipped under
-# -short.
-bench-kernels:
-	$(GO) test -bench '^BenchmarkSolveScale.*Workers[18]$$' -run '^$$' -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson
 
 # bench-diff runs a quick (-benchtime=1x -short) solve-bench smoke, renders
 # it with benchjson and gates its fresh-vs-prepared / serial-vs-batch
@@ -66,20 +57,23 @@ bench-telemetry:
 	$(GO) test -bench 'Fig5aTelemetry' -run '^$$' -count 5 .
 
 # fuzz runs every fuzz target for 30s: CSV parsing, job-request decoding,
-# the cache-fingerprint keying contract, batch-vs-serial solver
-# equivalence, and the IC(0) level-schedule topology/bit-equality
-# contract. (`go test -fuzz` takes one target per invocation.)
+# the cache-fingerprint keying contract and batch-vs-serial solver
+# equivalence. (`go test -fuzz` takes one target per invocation.)
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzParseCSV -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 30s
 	$(GO) test ./internal/pdngrid -run '^$$' -fuzz FuzzCacheFingerprint -fuzztime 30s
 	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzBatchSerialEquivalence -fuzztime 30s
-	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzLevelSchedule -fuzztime 30s
 
 # golden regenerates the pinned paper-number snapshots after a deliberate
 # model change.
 golden:
 	$(GO) test ./internal/core -run TestGolden -update
+
+# loc prints the non-test Go line count of the root module (the bench/
+# module excluded), the figure each change reports its net delta against.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 # profile runs a representative sweep (the EM-lifetime figures plus the
 # transient experiment) under the CPU profiler and leaves vsexplore.prof
@@ -153,39 +147,6 @@ health-demo: build
 	curl -s http://localhost:18326/statusz | sed -n '/"convergence"/,/}/p'; \
 	kill -TERM $$pid; wait $$pid
 	./bin/vsreport trend /tmp/voltstack-health-demo/history
-
-# fleet-demo stands up a three-daemon fleet on loopback — one coordinator,
-# two workers that join it — plus a standalone daemon as the oracle, runs
-# the same sweep through both paths and byte-compares the results (the
-# fleet's core contract: sharding must be invisible in the output), then
-# prints the `vsctl fleet` status table and drains everything.
-fleet-demo: build
-	$(GO) build -o bin/vsserved ./cmd/vsserved
-	$(GO) build -o bin/vsctl ./cmd/vsctl
-	rm -rf /tmp/voltstack-fleet-demo && mkdir -p /tmp/voltstack-fleet-demo
-	./bin/vsserved -addr localhost:18327 -role coordinator \
-		-state-dir /tmp/voltstack-fleet-demo/coord-state \
-		-cache-dir /tmp/voltstack-fleet-demo/cache & cpid=$$!; \
-	./bin/vsserved -addr localhost:18328 -role worker -name w1 \
-		-join http://localhost:18327 & w1pid=$$!; \
-	./bin/vsserved -addr localhost:18329 -role worker -name w2 \
-		-join http://localhost:18327 & w2pid=$$!; \
-	./bin/vsserved -addr localhost:18330 & spid=$$!; \
-	export VSSERVED_ADDR=http://localhost:18327; \
-	for i in $$(seq 1 100); do \
-		./bin/vsctl fleet 2>/dev/null | grep -q w2 && break; sleep 0.1; \
-	done; \
-	./bin/vsctl run -sweep -layers 4 -grid 16 -pads 0.25,0.5 \
-		-converters 2,4 -tsvs dense > /tmp/voltstack-fleet-demo/sharded.json; \
-	VSSERVED_ADDR=http://localhost:18330 ./bin/vsctl run -sweep -layers 4 \
-		-grid 16 -pads 0.25,0.5 -converters 2,4 -tsvs dense \
-		> /tmp/voltstack-fleet-demo/standalone.json; \
-	cmp /tmp/voltstack-fleet-demo/sharded.json \
-		/tmp/voltstack-fleet-demo/standalone.json \
-		&& echo "fleet-demo: sharded result byte-identical to standalone"; \
-	./bin/vsctl fleet; \
-	kill -TERM $$w1pid $$w2pid $$spid $$cpid; \
-	wait $$w1pid $$w2pid $$spid $$cpid
 
 # serve-demo starts the evaluation daemon, runs the same job twice through
 # vsctl (the second is a content-addressed cache hit: identical bytes, zero

@@ -154,115 +154,3 @@ func benchAMGBatch(b *testing.B, nx, ny int) {
 
 func BenchmarkSolveScaleAMGPCG1MSerial(b *testing.B) { benchAMGSerial(b, 1000, 1000) }
 func BenchmarkSolveScaleAMGPCG1MBatch(b *testing.B)  { benchAMGBatch(b, 1000, 1000) }
-
-// --- intra-solve kernel scaling pairs ---
-//
-// Each WorkersN pair runs the identical solve (or kernel) with the
-// intra-solve worker count at 1 and 8; the pair ratio is the kernel
-// speedup at that node count. Results are bit-identical by construction
-// (pinned by the sparsetest worker-equivalence properties), so the pairs
-// measure pure scheduling cost/win:
-//
-//	make bench-kernels   # renders kernel pairs into BENCH_solve.json
-
-func reportKernelScale(b *testing.B, nodes, workers int) {
-	b.ReportMetric(float64(nodes), "nodes")
-	b.ReportMetric(float64(workers), "workers")
-}
-
-// benchSpMV measures the row-partitioned parallel SpMV alone on the
-// 1M-node mesh.
-func benchSpMV(b *testing.B, nx, ny, workers int) {
-	if testing.Short() {
-		b.Skip("1M-node mesh")
-	}
-	a := sparsetest.Grid2D(nx, ny, 1e-3)
-	x := sparsetest.RandomRHS(a.N(), 3)
-	y := make([]float64, a.N())
-	a.MulVecW(x, y, workers) // warm: partition cache, pages, goroutine spawn
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVecW(x, y, workers)
-	}
-	reportKernelScale(b, a.N(), workers)
-}
-
-func BenchmarkSolveScaleSpMV1MWorkers1(b *testing.B) { benchSpMV(b, 1000, 1000, 1) }
-func BenchmarkSolveScaleSpMV1MWorkers8(b *testing.B) { benchSpMV(b, 1000, 1000, 8) }
-
-// benchTrisolve measures the level-scheduled IC(0) triangular solve on
-// a 100k-node 3D mesh, whose level sets are wide enough to schedule.
-// One op is 10 applies: a single apply is a few ms, so bundling keeps
-// the -benchtime=1x CI smoke's pair ratio out of scheduler noise.
-func benchTrisolve(b *testing.B, workers int) {
-	a := sparsetest.Grid3D(50, 50, 40, 1e-3)
-	prec, err := sparse.NewIC0(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prec.SetWorkers(workers)
-	r := sparsetest.RandomRHS(a.N(), 5)
-	z := make([]float64, a.N())
-	prec.Apply(r, z) // warm: pages, goroutine spawn
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 10; j++ {
-			prec.Apply(r, z)
-		}
-	}
-	reportKernelScale(b, a.N(), workers)
-}
-
-func BenchmarkSolveScaleTrisolve100kWorkers1(b *testing.B) { benchTrisolve(b, 1) }
-func BenchmarkSolveScaleTrisolve100kWorkers8(b *testing.B) { benchTrisolve(b, 8) }
-
-// benchAMGWorkers measures a full single-RHS AMG-PCG solve on the
-// 1M-node mesh with every kernel (SpMV, blocked reductions, smoother,
-// transfers) at the given worker count.
-func benchAMGWorkers(b *testing.B, nx, ny, workers int) {
-	if testing.Short() {
-		b.Skip("1M-node mesh")
-	}
-	a := sparsetest.Grid2D(nx, ny, 1e-3)
-	rhs := sparsetest.RandomRHS(a.N(), 7)
-	tol, maxIter := 1e-8, 10*a.N()
-	ws := sparse.NewPCGWorkspace(a.N())
-	ws.SetWorkers(workers)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prec, err := sparse.NewAMG(a, sparse.AMGOptions{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := sparse.PCGW(a, rhs, nil, prec, tol, maxIter, ws); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportKernelScale(b, a.N(), workers)
-}
-
-func BenchmarkSolveScaleAMGPCG1MWorkers1(b *testing.B) { benchAMGWorkers(b, 1000, 1000, 1) }
-func BenchmarkSolveScaleAMGPCG1MWorkers8(b *testing.B) { benchAMGWorkers(b, 1000, 1000, 8) }
-
-// benchIC0Budget runs the 8-lane IC(0)-PCG batch under a total worker
-// budget: budget 1 is fully serial, budget 8 composes lane and kernel
-// parallelism. This is the pair the cache-line-padded PCGWorkspace is
-// measured by.
-func benchIC0Budget(b *testing.B, nx, ny, budget int) {
-	a, bs := scalingSystem(b, nx, ny)
-	tol, maxIter := 1e-8, 10*a.N()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prec, err := sparse.NewIC0(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := sparse.PCGBatch(a, bs, nil, prec, tol, maxIter, nil, budget); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportKernelScale(b, a.N(), budget)
-}
-
-func BenchmarkSolveScaleIC0PCG100kWorkers1(b *testing.B) { benchIC0Budget(b, 317, 317, 1) }
-func BenchmarkSolveScaleIC0PCG100kWorkers8(b *testing.B) { benchIC0Budget(b, 317, 317, 8) }

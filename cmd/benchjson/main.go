@@ -13,7 +13,7 @@
 //
 //	benchjson -diff old.json new.json -tolerance 0.30
 //
-// Every Fresh/Prepared, Serial/Batch and Workers1/Workers8 speedup
+// Every Fresh/Prepared and Serial/Batch speedup
 // present in both reports is compared; the exit status is 1 when any
 // speedup regressed by more than the tolerance fraction (default 0.30).
 // Raw ns/op is machine- and load-dependent, so only the speedup ratios —
@@ -71,18 +71,6 @@ type BatchPair struct {
 	Lanes    float64 `json:"lanes,omitempty"`
 }
 
-// KernelPair couples a Workers1 benchmark with its Workers8 twin (the
-// intra-solve kernel scaling pairs): the same solve with the kernel
-// worker count at 1 and 8, bit-identical by construction, so the ratio
-// is the pure kernel speedup.
-type KernelPair struct {
-	Name       string  `json:"name"`
-	Workers1Ns float64 `json:"workers1_ns_per_op"`
-	Workers8Ns float64 `json:"workers8_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-	Nodes      float64 `json:"nodes,omitempty"`
-}
-
 // ProbePair couples a ProbesOff benchmark with its ProbesOn twin (the
 // solver-health pairs): the same solve with the convergence probes
 // disabled and enabled. Overhead is on/off ns (>= 1 when the disabled
@@ -97,31 +85,15 @@ type ProbePair struct {
 	OnAllocs  float64 `json:"probes_on_allocs_per_op,omitempty"`
 }
 
-// FleetPair couples a Standalone benchmark with its Sharded twin (the
-// evaluation-fleet pairs): the same sweep submitted to one daemon and to
-// a coordinator dispatching over loopback workers. On a many-core host
-// the speedup approaches the worker count; on a starved one it degrades
-// toward the dispatch overhead (speedup < 1) — either way the recorded
-// ratio pins the fleet's overhead against regression.
-type FleetPair struct {
-	Name         string  `json:"name"`
-	StandaloneNs float64 `json:"standalone_ns_per_op"`
-	ShardedNs    float64 `json:"sharded_ns_per_op"`
-	Speedup      float64 `json:"speedup"`
-	Points       float64 `json:"points,omitempty"`
-}
-
 // Report is the emitted document.
 type Report struct {
-	GoOS        string       `json:"goos,omitempty"`
-	GoArch      string       `json:"goarch,omitempty"`
-	CPU         string       `json:"cpu,omitempty"`
-	Benchmarks  []Entry      `json:"benchmarks"`
-	Pairs       []Pair       `json:"pairs"`
-	BatchPairs  []BatchPair  `json:"batch_pairs,omitempty"`
-	KernelPairs []KernelPair `json:"kernel_pairs,omitempty"`
-	ProbePairs  []ProbePair  `json:"probe_pairs,omitempty"`
-	FleetPairs  []FleetPair  `json:"fleet_pairs,omitempty"`
+	GoOS       string      `json:"goos,omitempty"`
+	GoArch     string      `json:"goarch,omitempty"`
+	CPU        string      `json:"cpu,omitempty"`
+	Benchmarks []Entry     `json:"benchmarks"`
+	Pairs      []Pair      `json:"pairs"`
+	BatchPairs []BatchPair `json:"batch_pairs,omitempty"`
+	ProbePairs []ProbePair `json:"probe_pairs,omitempty"`
 }
 
 func main() {
@@ -198,10 +170,8 @@ func main() {
 	}
 	fresh, prepared := map[string]*acc{}, map[string]*acc{}
 	serial, batch := map[string]*acc{}, map[string]*acc{}
-	workers1, workers8 := map[string]*acc{}, map[string]*acc{}
 	probesOff, probesOn := map[string]*acc{}, map[string]*acc{}
-	standalone, sharded := map[string]*acc{}, map[string]*acc{}
-	var order, batchOrder, kernelOrder, probeOrder, fleetOrder []string
+	var order, batchOrder, probeOrder []string
 	for _, e := range rep.Benchmarks {
 		switch {
 		case strings.HasSuffix(e.Name, "Fresh"):
@@ -212,18 +182,10 @@ func main() {
 			add(serial, &batchOrder, batch, strings.TrimSuffix(e.Name, "Serial"), e)
 		case strings.HasSuffix(e.Name, "Batch"):
 			add(batch, &batchOrder, serial, strings.TrimSuffix(e.Name, "Batch"), e)
-		case strings.HasSuffix(e.Name, "Workers1"):
-			add(workers1, &kernelOrder, workers8, strings.TrimSuffix(e.Name, "Workers1"), e)
-		case strings.HasSuffix(e.Name, "Workers8"):
-			add(workers8, &kernelOrder, workers1, strings.TrimSuffix(e.Name, "Workers8"), e)
 		case strings.HasSuffix(e.Name, "ProbesOff"):
 			add(probesOff, &probeOrder, probesOn, strings.TrimSuffix(e.Name, "ProbesOff"), e)
 		case strings.HasSuffix(e.Name, "ProbesOn"):
 			add(probesOn, &probeOrder, probesOff, strings.TrimSuffix(e.Name, "ProbesOn"), e)
-		case strings.HasSuffix(e.Name, "Standalone"):
-			add(standalone, &fleetOrder, sharded, strings.TrimSuffix(e.Name, "Standalone"), e)
-		case strings.HasSuffix(e.Name, "Sharded"):
-			add(sharded, &fleetOrder, standalone, strings.TrimSuffix(e.Name, "Sharded"), e)
 		}
 	}
 	for _, stem := range order {
@@ -257,23 +219,6 @@ func main() {
 		}
 		rep.BatchPairs = append(rep.BatchPairs, bp)
 	}
-	for _, stem := range kernelOrder {
-		w1, w8 := workers1[stem], workers8[stem]
-		if w1 == nil || w8 == nil || w1.n == 0 || w8.n == 0 {
-			continue
-		}
-		m1, m8 := w1.sum/float64(w1.n), w8.sum/float64(w8.n)
-		kp := KernelPair{
-			Name:       stem,
-			Workers1Ns: m1,
-			Workers8Ns: m8,
-			Speedup:    m1 / m8,
-		}
-		if w1.metrics != nil {
-			kp.Nodes = w1.metrics["nodes"]
-		}
-		rep.KernelPairs = append(rep.KernelPairs, kp)
-	}
 	for _, stem := range probeOrder {
 		off, on := probesOff[stem], probesOn[stem]
 		if off == nil || on == nil || off.n == 0 || on.n == 0 {
@@ -293,24 +238,6 @@ func main() {
 			pp.OnAllocs = on.metrics["allocs/op"]
 		}
 		rep.ProbePairs = append(rep.ProbePairs, pp)
-	}
-
-	for _, stem := range fleetOrder {
-		sa, sh := standalone[stem], sharded[stem]
-		if sa == nil || sh == nil || sa.n == 0 || sh.n == 0 {
-			continue
-		}
-		am, hm := sa.sum/float64(sa.n), sh.sum/float64(sh.n)
-		fp := FleetPair{
-			Name:         stem,
-			StandaloneNs: am,
-			ShardedNs:    hm,
-			Speedup:      am / hm,
-		}
-		if sa.metrics != nil {
-			fp.Points = sa.metrics["points/op"]
-		}
-		rep.FleetPairs = append(rep.FleetPairs, fp)
 	}
 
 	enc := json.NewEncoder(os.Stdout)
@@ -374,12 +301,6 @@ func runDiff(args []string) int {
 	for _, p := range old.BatchPairs {
 		base["batch/"+p.Name] = speedup{"serial/batch", p.Speedup}
 	}
-	for _, p := range old.KernelPairs {
-		base["kernel/"+p.Name] = speedup{"workers1/workers8", p.Speedup}
-	}
-	for _, p := range old.FleetPairs {
-		base["fleet/"+p.Name] = speedup{"standalone/sharded", p.Speedup}
-	}
 	// Probe pairs gate on the disabled variant's allocs/op (deterministic
 	// per toolchain); the on/off time ratio is expected to hover at ~1.0x
 	// and single-iteration CI smokes put tens of percent of noise on it,
@@ -410,14 +331,6 @@ func runDiff(args []string) int {
 	}
 	for _, p := range cur.BatchPairs {
 		ok = check("batch/"+p.Name, p.Name, p.Speedup) && ok
-		compared++
-	}
-	for _, p := range cur.KernelPairs {
-		ok = check("kernel/"+p.Name, p.Name, p.Speedup) && ok
-		compared++
-	}
-	for _, p := range cur.FleetPairs {
-		ok = check("fleet/"+p.Name, p.Name, p.Speedup) && ok
 		compared++
 	}
 	for _, p := range cur.ProbePairs {

@@ -17,7 +17,6 @@
 //	stats     print a job's resource-attribution JSON (vsctl stats <id>)
 //	health    render a job's solver-health report     (vsctl health <id>)
 //	top       rank all jobs by attributed CPU time
-//	fleet     render a coordinator's fleet status (workers, dispatch tallies)
 //
 // Every invocation mints a W3C trace context and sends it as a
 // traceparent header, so a vsserved running with -trace records the
@@ -52,7 +51,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"voltstack/internal/fleet"
 	"voltstack/internal/server"
 	"voltstack/internal/telemetry"
 )
@@ -61,7 +59,6 @@ func main() {
 	addr := flag.String("addr", defaultAddr(), "vsserved base URL (or VSSERVED_ADDR)")
 	poll := flag.Duration("poll", 200*time.Millisecond, "initial status polling delay for wait/run (grows exponentially)")
 	pollMax := flag.Duration("poll-max", 5*time.Second, "polling delay cap")
-	hedge := flag.Duration("hedge", 0, "hedge idempotent GETs still unanswered after this long (0: off)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -71,7 +68,6 @@ func main() {
 	c := &server.Client{
 		Base:    *addr,
 		Backoff: server.Backoff{Initial: *poll, Max: *pollMax},
-		Hedge:   *hedge,
 		Trace:   telemetry.NewTrace(),
 	}
 	ctx := context.Background()
@@ -127,8 +123,6 @@ func main() {
 		err = withJobID(args, func(id string) error { return cmdHealth(ctx, c, id) })
 	case "top":
 		err = cmdTop(ctx, c)
-	case "fleet":
-		err = cmdFleet(ctx, c)
 	default:
 		fmt.Fprintf(os.Stderr, "vsctl: unknown command %q\n", cmd)
 		usage()
@@ -156,7 +150,6 @@ commands:
   health <id>           render a job's solver-health report (condition
                         estimate, residual curve, detector verdicts)
   top                   rank all jobs by attributed CPU time
-  fleet                 render a coordinator's fleet status
 
 job flags (submit/run):
   -f FILE               raw request JSON ("-": stdin); overrides the rest
@@ -486,44 +479,6 @@ func cmdTop(ctx context.Context, c *server.Client) error {
 			counter("job_solver_iterations_total"),
 			counter("job_points_total")+counter("job_points_replayed_total"),
 			float64(r.stats.AllocBytes)/(1<<20), cache)
-	}
-	return w.Flush()
-}
-
-// cmdFleet renders the coordinator's fleet status document: the worker
-// registry and the dispatch/steal/requeue/cache-tier tallies. Pointing it
-// at a standalone daemon just reports an empty fleet.
-func cmdFleet(ctx context.Context, c *server.Client) error {
-	b, err := c.Get(ctx, "/fleet/v1/status")
-	if err != nil {
-		return err
-	}
-	var st fleet.Status
-	if err := json.Unmarshal(b, &st); err != nil {
-		return fmt.Errorf("fleet status: %v", err)
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintf(w, "role\t%s (build %s)\n", st.Role, st.Build)
-	fmt.Fprintf(w, "units\t%d dispatched, %d stolen, %d requeued, %d failed, %d jobs forwarded\n",
-		st.UnitsDispatched, st.UnitsStolen, st.UnitsRequeued, st.UnitFailures, st.JobsForwarded)
-	fmt.Fprintf(w, "tier\t%d hits, %d misses, %d writes\n", st.TierHits, st.TierMisses, st.TierWrites)
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if len(st.Workers) == 0 {
-		fmt.Println("no workers registered")
-		return nil
-	}
-	w = tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(w, "WORKER\tADDR\tALIVE\tRUNNING\tQUEUED\tINFLIGHT\tDONE\tFAILED\tSTEALS\tLAST BEAT")
-	for _, wk := range st.Workers {
-		alive := "yes"
-		if !wk.Alive {
-			alive = "NO"
-		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			wk.Name, wk.Addr, alive, wk.Running, wk.Queued, wk.UnitsInflight,
-			wk.UnitsDone, wk.UnitsFailed, wk.Steals, wk.LastBeat)
 	}
 	return w.Flush()
 }

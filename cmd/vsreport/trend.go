@@ -83,7 +83,7 @@ func cmdTrend(args []string, jsonOut bool) {
 
 // trendGroupKey merges records that are comparable over time: CLI runs of
 // the same binary recur under one key, while vsserved jobs (unique IDs)
-// pool by kind so a slow job stands out against the fleet's history.
+// pool by kind so a slow job stands out against the history of all jobs.
 func trendGroupKey(r history.Record) string {
 	if r.Kind == "run" && r.ID != "" {
 		return "run/" + r.ID

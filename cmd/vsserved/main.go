@@ -20,12 +20,13 @@
 // SIGINT/SIGTERM drains gracefully — admission stops (new submissions
 // get 503), queued and running jobs finish, then the process exits. A
 // second signal (or -drain-timeout expiring) hard-cancels in-flight
-// jobs; they stay resumable in the journal.
+// jobs; they stay resumable in the journal. The signal handler is
+// installed before the listener opens, so a signal that arrives as soon
+// as the daemon prints its address still drains.
 //
-// With -role, daemons form a fleet: a coordinator accepts the same
-// /v1/jobs API but shards sweep jobs across workers that joined it
-// (-role worker -join URL), sharing one content-addressed cache tier.
-// See internal/fleet for the protocol and the byte-identity contract.
+// Several daemons share results through -cache-dir: the on-disk cache is
+// content-addressed, so a point one daemon computed is served from disk
+// by any other daemon pointed at the same directory.
 package main
 
 import (
@@ -37,21 +38,11 @@ import (
 	"syscall"
 	"time"
 
-	"voltstack/internal/fleet"
 	"voltstack/internal/rescache"
 	"voltstack/internal/server"
 	"voltstack/internal/telemetry"
 	"voltstack/internal/telemetry/history"
 )
-
-// dispatcher adapts an optional coordinator to the engine's Dispatcher
-// seam without smuggling a typed nil into the interface.
-func dispatcher(c *fleet.Coordinator) server.Dispatcher {
-	if c == nil {
-		return nil
-	}
-	return c
-}
 
 func main() {
 	addr := flag.String("addr", "localhost:8324", "listen address for the job API and observability endpoints")
@@ -65,27 +56,8 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "graceful-shutdown budget before in-flight jobs are hard-cancelled")
 	historySegBytes := flag.Int64("history-segment-bytes", 0, "history segment rotation budget in bytes (0: 1 MiB)")
 	historySegments := flag.Int("history-segments", 0, "history segments retained (0: 8)")
-	role := flag.String("role", "standalone", "fleet role: standalone, coordinator, or worker")
-	join := flag.String("join", "", "coordinator base URL a worker joins, e.g. http://host:8324 (worker role only)")
-	advertise := flag.String("advertise", "", "base URL the coordinator dials this worker at (default http://<-addr>)")
-	workerName := flag.String("name", "", "worker name in the coordinator's registry (default the advertise URL)")
-	heartbeat := flag.Duration("heartbeat", 2*time.Second, "worker heartbeat period")
-	workerTimeout := flag.Duration("worker-timeout", 6*time.Second, "coordinator declares a silent worker dead after this long")
-	unitSize := flag.Int("unit-size", 1, "sweep points per dispatched work unit")
-	workerWait := flag.Duration("worker-wait", 10*time.Second, "coordinator waits this long for a live worker before computing locally")
-	unitTimeout := flag.Duration("unit-timeout", 10*time.Minute, "one work unit's round-trip budget before it is re-dispatched")
 	tf := telemetry.RegisterFlags()
 	flag.Parse()
-	switch *role {
-	case "standalone", "coordinator", "worker":
-	default:
-		fmt.Fprintf(os.Stderr, "vsserved: -role must be standalone, coordinator or worker, got %q\n", *role)
-		os.Exit(2)
-	}
-	if *role == "worker" && *join == "" {
-		fmt.Fprintln(os.Stderr, "vsserved: -role worker requires -join")
-		os.Exit(2)
-	}
 
 	// A daemon always records metrics: the /metrics endpoint it exposes
 	// should never silently read zero. Convergence probes ride along: the
@@ -123,16 +95,6 @@ func main() {
 	if hist != nil {
 		fmt.Fprintf(os.Stderr, "vsserved: appending job history under %s\n", tf.History)
 	}
-	var coord *fleet.Coordinator
-	if *role == "coordinator" {
-		coord = fleet.NewCoordinator(cache, fleet.CoordinatorConfig{
-			Registry:    fleet.NewRegistry(*workerTimeout),
-			UnitSize:    *unitSize,
-			WorkerWait:  *workerWait,
-			UnitTimeout: *unitTimeout,
-			History:     hist,
-		})
-	}
 	mgr, err := server.NewManager(server.Config{
 		MaxInFlight: *maxInflight,
 		QueueDepth:  *queueDepth,
@@ -140,52 +102,25 @@ func main() {
 		StateDir:    *stateDir,
 		RetryAfter:  *retryAfter,
 		History:     hist,
-		Dispatcher:  dispatcher(coord),
 	})
 	if err != nil {
 		fail(err)
 	}
-	mux := server.NewHandler(mgr)
-	var agent *fleet.Agent
-	agentCtx, agentStop := context.WithCancel(context.Background())
-	defer agentStop()
-	switch *role {
-	case "coordinator":
-		coord.Mount(mux)
-	case "worker":
-		adv := *advertise
-		if adv == "" {
-			adv = "http://" + *addr
-		}
-		name := *workerName
-		if name == "" {
-			name = adv
-		}
-		agent = fleet.NewAgent(mgr, fleet.AgentConfig{
-			Name:      name,
-			Join:      *join,
-			Advertise: adv,
-			Interval:  *heartbeat,
-		})
-		agent.Mount(mux)
-	}
-	srv, err := server.StartHandler(*addr, mgr, mux)
+	// Catch signals before the listener opens: a client may act on the
+	// "serving" line at once, and a SIGTERM before Notify would kill the
+	// daemon without a drain.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	srv, err := server.Start(*addr, mgr)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "vsserved: serving http://%s/v1/jobs as %s (build %s)\n", srv.Addr(), *role, telemetry.BuildStamp())
+	fmt.Fprintf(os.Stderr, "vsserved: serving http://%s/v1/jobs (build %s)\n", srv.Addr(), telemetry.BuildStamp())
 	if *stateDir != "" {
 		fmt.Fprintf(os.Stderr, "vsserved: journaling job state under %s\n", *stateDir)
 	}
-	if agent != nil {
-		fmt.Fprintf(os.Stderr, "vsserved: joining fleet at %s\n", *join)
-		go agent.Run(agentCtx)
-	}
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
-	agentStop() // stop heartbeating so the coordinator drops us promptly
 	fmt.Fprintf(os.Stderr, "vsserved: %s: draining (budget %s; signal again to force)\n", s, *drainTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

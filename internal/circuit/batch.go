@@ -23,10 +23,8 @@ var (
 // matrix-bearing values (resistances, converters) between entries would
 // desynchronize the lanes from the shared factorization and is not
 // checked. x0s supplies optional per-entry warm starts for the iterative
-// kinds (nil, or length k with nil entries allowed); workers is one budget
-// composed across lanes and intra-solve kernels — up to min(k, workers)
-// lanes run concurrently and each lane's kernels get the remaining factor
-// (< 1 selects the default; see sparse.PCGBatch).
+// kinds (nil, or length k with nil entries allowed); up to min(k, workers)
+// lanes run concurrently (< 1 selects the default; see sparse.PCGBatch).
 //
 // Lane i is bit-identical to calling setRHS(i) followed by Solve(x0s[i]).
 // The returned Solutions share the engine's netlist, so element-level

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 
-	"voltstack/internal/parallel"
 	"voltstack/internal/sparse"
 )
 
@@ -180,25 +179,6 @@ type SolveOptions struct {
 	Solver  SolverKind
 	Tol     float64 // relative residual target for iterative solvers (default 1e-10)
 	MaxIter int     // iteration budget (default 20*n)
-
-	// Workers parallelizes the kernels inside one iterative solve (SpMV,
-	// reductions, IC(0) triangular sweeps, AMG V-cycles). 0 keeps the
-	// historical serial path, > 0 asks for exactly that many workers, and
-	// < 0 selects the machine default (VOLTSTACK_WORKERS, else GOMAXPROCS).
-	// Solutions are bit-identical at every setting.
-	Workers int
-}
-
-// kernelWorkers resolves the Workers knob into a concrete worker count.
-func (o SolveOptions) kernelWorkers() int {
-	switch {
-	case o.Workers > 0:
-		return o.Workers
-	case o.Workers < 0:
-		return parallel.DefaultWorkers()
-	default:
-		return 1
-	}
 }
 
 // directThreshold is the node count below which Auto picks the direct solver.
@@ -414,12 +394,10 @@ func (n *Netlist) Solve(opts SolveOptions) (*Solution, error) {
 		}
 		sol.v = f.Solve(rhs)
 	case PCGIC0, PCGJacobi, PCGAMG:
-		workers := opts.kernelWorkers()
 		var prec sparse.Preconditioner
 		switch kind {
 		case PCGIC0:
 			if ic, err := sparse.NewIC0(a); err == nil {
-				ic.SetWorkers(workers)
 				prec = ic
 			} else {
 				prec = sparse.NewJacobi(a)
@@ -427,7 +405,7 @@ func (n *Netlist) Solve(opts SolveOptions) (*Solution, error) {
 		case PCGAMG:
 			// Mirror the IC(0) discipline: a hierarchy build failure falls
 			// back to Jacobi rather than failing the solve.
-			if mg, err := sparse.NewAMG(a, sparse.AMGOptions{Workers: workers}); err == nil {
+			if mg, err := sparse.NewAMG(a, sparse.AMGOptions{}); err == nil {
 				prec = mg
 			} else {
 				prec = sparse.NewJacobi(a)
@@ -435,9 +413,7 @@ func (n *Netlist) Solve(opts SolveOptions) (*Solution, error) {
 		default:
 			prec = sparse.NewJacobi(a)
 		}
-		ws := sparse.NewPCGWorkspace(nn)
-		ws.SetWorkers(workers)
-		x, res, err := sparse.PCGW(a, rhs, nil, prec, tol, maxIter, ws)
+		x, res, err := sparse.PCG(a, rhs, nil, prec, tol, maxIter)
 		if err != nil {
 			return nil, err
 		}

@@ -166,12 +166,10 @@ func (p *Prepared) compile() error {
 			p.icSym = sym
 		}
 		p.ws = sparse.NewPCGWorkspace(nn)
-		p.ws.SetWorkers(p.opts.kernelWorkers())
 	case PCGJacobi, PCGAMG:
 		// AMG has no symbolic/numeric split: the hierarchy depends on the
 		// matrix values, so it is (re)built whole in refactor.
 		p.ws = sparse.NewPCGWorkspace(nn)
-		p.ws.SetWorkers(p.opts.kernelWorkers())
 	default:
 		return fmt.Errorf("circuit: unknown solver kind %d", p.kind)
 	}
@@ -382,7 +380,6 @@ func (p *Prepared) refactor(sp *telemetry.Span) error {
 		p.icOK = false
 		if p.icSym != nil {
 			if ic, err := p.icSym.Factor(p.a, p.icF); err == nil {
-				ic.SetWorkers(p.opts.kernelWorkers())
 				p.icF = ic
 				p.icOK = true
 			}
@@ -396,7 +393,7 @@ func (p *Prepared) refactor(sp *telemetry.Span) error {
 		// prepared ≡ fresh bit-identical.
 		p.amg, p.amgOK = nil, false
 		spA := sp.Start("amg-build")
-		mg, err := sparse.NewAMG(p.a, sparse.AMGOptions{Workers: p.opts.kernelWorkers()})
+		mg, err := sparse.NewAMG(p.a, sparse.AMGOptions{})
 		spA.End()
 		if err == nil {
 			p.amg = mg

@@ -52,10 +52,9 @@ type Config struct {
 	Converter         sc.Params
 	Control           sc.Control // nil means open loop
 
-	// Solve configures the linear solver, including Solve.Workers, which
-	// parallelizes the kernels inside each iterative solve (SpMV, IC(0)
-	// triangular sweeps, AMG V-cycles). Results are bit-identical at every
-	// worker count.
+	// Solve configures the linear solver: kind, tolerance and iteration
+	// budget. Each solve runs serially; SolveBatchWorkers runs independent
+	// lanes concurrently.
 	Solve circuit.SolveOptions
 
 	// ForceFreshSolve bypasses the prepared-solve engine and rebuilds the

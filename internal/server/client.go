@@ -17,13 +17,8 @@ import (
 	"voltstack/internal/telemetry"
 )
 
-// Client-side retry/hedge instrumentation. No-ops unless telemetry is
-// enabled.
-var (
-	mClientRetries = telemetry.NewCounter("client_retries_total")
-	mClientHedged  = telemetry.NewCounter("client_hedged_requests_total")
-	mClientHedgeW  = telemetry.NewCounter("client_hedge_wins_total")
-)
+// Client-side retry instrumentation. No-op unless telemetry is enabled.
+var mClientRetries = telemetry.NewCounter("client_retries_total")
 
 // Backoff is an exponential polling/retry schedule with jitter. The zero
 // value selects the defaults: 100ms initial, 5s cap, ×2 growth, ±20%
@@ -86,11 +81,6 @@ type Client struct {
 	// exponential with jitter, except that a server Retry-After hint (429
 	// overload, 503 drain) overrides the computed delay for that attempt.
 	Backoff Backoff
-	// Hedge, when positive, races a second identical request against any
-	// idempotent GET still unanswered after this long, taking whichever
-	// response lands first — tail latency insurance when a fleet daemon
-	// is slow or mid-restart. Non-GET requests are never hedged.
-	Hedge time.Duration
 	// Trace, when valid, is sent as a W3C traceparent header on every
 	// request (each with a fresh span ID under the same trace), so the
 	// server's spans join the client's trace end to end.
@@ -158,78 +148,8 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server returned %d: %s", e.StatusCode, e.Message)
 }
 
-// do issues a request, hedging idempotent GETs when Hedge is set.
+// do issues one request; a non-2xx response comes back as an *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
-	if method == http.MethodGet && c.Hedge > 0 {
-		return c.doHedged(ctx, path)
-	}
-	return c.doOnce(ctx, method, path, body)
-}
-
-// doHedged races a second identical GET against the first if it has not
-// answered within the hedge delay (or errored transiently), returning
-// whichever definitive response arrives first. The straggler is reaped
-// in the background; a definitive response from either attempt (success
-// or an API error — both attempts would see the same one) wins
-// immediately.
-func (c *Client) doHedged(ctx context.Context, path string) (*http.Response, error) {
-	type result struct {
-		resp   *http.Response
-		err    error
-		hedged bool
-	}
-	ch := make(chan result, 2)
-	issue := func(hedged bool) {
-		go func() {
-			resp, err := c.doOnce(ctx, http.MethodGet, path, nil)
-			ch <- result{resp, err, hedged}
-		}()
-	}
-	issue(false)
-	inflight, hedgeSent := 1, false
-	timer := time.NewTimer(c.Hedge)
-	defer timer.Stop()
-	for {
-		select {
-		case <-timer.C:
-			if !hedgeSent {
-				hedgeSent = true
-				inflight++
-				mClientHedged.Add(1)
-				issue(true)
-			}
-		case r := <-ch:
-			inflight--
-			var ae *APIError
-			definitive := r.err == nil || errors.As(r.err, &ae)
-			if definitive || inflight == 0 {
-				if inflight > 0 {
-					// Reap the straggler so its connection is reusable.
-					go func() {
-						if s := <-ch; s.resp != nil {
-							io.Copy(io.Discard, s.resp.Body)
-							s.resp.Body.Close()
-						}
-					}()
-				}
-				if r.err == nil && r.hedged {
-					mClientHedgeW.Add(1)
-				}
-				return r.resp, r.err
-			}
-			// Transient failure with the hedge not yet out: send it now
-			// rather than waiting for the timer.
-			if !hedgeSent {
-				hedgeSent = true
-				inflight++
-				mClientHedged.Add(1)
-				issue(true)
-			}
-		}
-	}
-}
-
-func (c *Client) doOnce(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -392,18 +312,6 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 		}
 		delay = b.next(delay)
 	}
-}
-
-// Get fetches an arbitrary API path (hedged like any idempotent GET)
-// and returns the raw response body — the escape hatch for endpoints
-// without a typed helper, e.g. the fleet status document.
-func (c *Client) Get(ctx context.Context, path string) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
 }
 
 // Run submits a job, waits for it and returns its result bytes. A failed

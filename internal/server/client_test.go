@@ -143,58 +143,3 @@ func TestBackoffJitterBounds(t *testing.T) {
 		t.Errorf("jitter disabled: %v, want %v", got, d)
 	}
 }
-
-// TestHedgedGetWins pins the hedge path: when the first GET stalls past
-// the hedge delay, the racing second request's response is returned —
-// well before the stalled one would have answered.
-func TestHedgedGetWins(t *testing.T) {
-	var reqs atomic.Int64
-	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if reqs.Add(1) == 1 {
-			<-release // first attempt stalls until the test ends
-		}
-		json.NewEncoder(w).Encode(JobStatus{ID: "j1", State: StateDone})
-	}))
-	defer srv.Close()
-	defer close(release)
-
-	c := &Client{Base: srv.URL, Hedge: 10 * time.Millisecond}
-	done := make(chan error, 1)
-	go func() {
-		st, err := c.Status(context.Background(), "j1")
-		if err == nil && st.State != StateDone {
-			err = errors.New("unexpected state " + string(st.State))
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("hedged Status: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("hedged GET never returned; hedge did not fire")
-	}
-	if n := reqs.Load(); n != 2 {
-		t.Fatalf("server saw %d requests, want 2 (original + hedge)", n)
-	}
-}
-
-// TestHedgedGetDefinitiveError pins that a definitive API error from
-// either attempt wins immediately — hedging must not mask real errors
-// behind the straggler.
-func TestHedgedGetDefinitiveError(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "no such job"})
-	}))
-	defer srv.Close()
-
-	c := &Client{Base: srv.URL, Hedge: 50 * time.Millisecond}
-	_, err := c.Status(context.Background(), "nope")
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
-		t.Fatalf("err = %v, want 404 APIError", err)
-	}
-}

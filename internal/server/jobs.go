@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -33,8 +32,6 @@ var (
 	mResumed    = telemetry.NewCounter("server_jobs_resumed_total")
 	mJobHits    = telemetry.NewCounter("server_job_cache_hits_total")
 	mReplayed   = telemetry.NewCounter("server_points_replayed_total")
-	mDispatched = telemetry.NewCounter("server_points_dispatched_total")
-	mForwarded  = telemetry.NewCounter("server_jobs_forwarded_total")
 	mRunning    = telemetry.NewGauge("server_jobs_running")
 	mQueueDepth = telemetry.NewGauge("server_queue_depth")
 )
@@ -73,12 +70,6 @@ type Config struct {
 	// (wall/CPU attribution plus the job-scoped solver-health metrics), so
 	// solver behavior stays queryable across daemon lifetimes.
 	History *history.Store
-	// Dispatcher, when set, offloads work to a fleet: sweep points are
-	// sharded across workers and non-shardable jobs forwarded whole. A
-	// dispatcher returning ErrNoWorkers (or delivering only some points)
-	// degrades to local computation — the daemon never depends on the
-	// fleet for correctness, only for throughput.
-	Dispatcher Dispatcher
 
 	// Test seams: invoked at job start (inside the runner, before any
 	// computation) and per completed sweep point. Both may be nil.
@@ -539,11 +530,6 @@ func (m *Manager) RunningJobs() int {
 	return n
 }
 
-// Cache returns the manager's content-addressed result cache. A fleet
-// coordinator serves this same cache as the shared tier, so worker
-// write-throughs and the job engine's per-point lookups see one store.
-func (m *Manager) Cache() *rescache.Cache { return m.cache }
-
 // Drain stops admission, finishes every queued and running job, and
 // returns when the runners are idle. If ctx expires first, in-flight
 // jobs are hard-cancelled (their journal state stays resumable) and
@@ -722,24 +708,6 @@ func newStudy(req JobRequest) *core.Study {
 }
 
 func (m *Manager) compute(ctx context.Context, j *Job) ([]byte, error) {
-	// Non-shardable kinds go to the fleet whole: one worker runs the job
-	// through its own engine (and its own job cache, so re-forwarding is
-	// free). ErrNoWorkers degrades to computing here.
-	if d := m.cfg.Dispatcher; d != nil && j.req.Kind != KindSweep {
-		out, err := d.ForwardJob(ctx, DispatchJob{ID: j.id, Trace: j.trace}, j.req)
-		switch {
-		case err == nil:
-			mForwarded.Add(1)
-			return out, nil
-		case errors.Is(err, ErrNoWorkers):
-			telemetry.Event(slog.LevelWarn, "server: no workers, computing locally",
-				slog.String("job", j.id))
-		case ctx.Err() != nil:
-			return nil, ctx.Err()
-		default:
-			return nil, err
-		}
-	}
 	switch j.req.Kind {
 	case KindExperiment:
 		return m.computeExperiments(ctx, j)
@@ -885,9 +853,9 @@ func (m *Manager) computeSweep(ctx context.Context, j *Job) ([]byte, error) {
 		mReplayed.Add(int64(n))
 	}
 
-	// The checkpoint stream opens before any evaluation — local or
-	// remote — so dispatched deliveries journal exactly like local points
-	// and a coordinator crash mid-dispatch resumes for free.
+	// The checkpoint stream opens before any evaluation, so every fresh
+	// point is journaled as it completes and a crash mid-sweep resumes
+	// from it.
 	var ckptMu sync.Mutex
 	if m.journal != nil {
 		f, err := m.journal.openCheckpoint(j.id)
@@ -916,55 +884,6 @@ func (m *Manager) computeSweep(ctx context.Context, j *Job) ([]byte, error) {
 		}
 		ckptMu.Unlock()
 	}
-
-	// Dispatch phase: shard the points nobody has computed yet across the
-	// fleet. Deliveries land in the per-point cache, the checkpoint stream
-	// and pre — indistinguishable from replayed local work. A dispatcher
-	// error (no workers, every worker died mid-job) leaves the leftovers
-	// to the local merge below, which computes whatever pre is missing.
-	if m.cfg.Dispatcher != nil {
-		var missing []RemotePoint
-		for i := range designs {
-			if _, ok := pre[i]; !ok {
-				missing = append(missing, RemotePoint{Index: i, Key: keys[i]})
-			}
-		}
-		if len(missing) > 0 {
-			var preMu sync.Mutex
-			deliver := func(p RemotePoint, metrics []byte) {
-				if p.Index < 0 || p.Index >= len(designs) {
-					return
-				}
-				var mt explore.Metrics
-				if json.Unmarshal(metrics, &mt) != nil {
-					return
-				}
-				m.cache.Put(p.Key, metrics)
-				checkpoint(p.Index, metrics)
-				preMu.Lock()
-				if _, dup := pre[p.Index]; !dup {
-					pre[p.Index] = &mt
-					j.completed.Add(1)
-					mDispatched.Add(1)
-					scope.Counter("job_points_dispatched_total").Add(1)
-				}
-				preMu.Unlock()
-			}
-			err := m.cfg.Dispatcher.EvaluatePoints(ctx,
-				DispatchJob{ID: j.id, Trace: j.trace}, j.req, missing, deliver)
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-				telemetry.Event(slog.LevelWarn, "server: dispatch incomplete, computing leftovers locally",
-					slog.String("job", j.id), slog.String("error", err.Error()))
-			}
-		}
-	}
-
-	// The merge below re-counts every point (replayed and dispatched ones
-	// included), so reset progress rather than double-count.
-	j.completed.Store(0)
 
 	sp.Precomputed = pre
 	sp.OnPoint = func(i int, mt *explore.Metrics) {

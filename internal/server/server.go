@@ -21,9 +21,7 @@ var (
 )
 
 // NewHandler mounts the v1 API and the telemetry observability endpoints
-// (/metrics /healthz /statusz /debug/pprof) on one mux. The concrete mux
-// is returned so embedders (the fleet coordinator and worker agents) can
-// mount additional routes on the same listener.
+// (/metrics /healthz /statusz /debug/pprof) on one mux.
 func NewHandler(m *Manager) *http.ServeMux {
 	mux := telemetry.NewObservabilityMux()
 	mux.HandleFunc("POST /v1/jobs", instrument(m, "submit", handleSubmit))
@@ -282,18 +280,11 @@ type Server struct {
 
 // Start listens on addr (":0" for an ephemeral port) and serves the API.
 func Start(addr string, m *Manager) (*Server, error) {
-	return StartHandler(addr, m, NewHandler(m))
-}
-
-// StartHandler is Start with a caller-built handler — typically the
-// NewHandler mux with fleet routes mounted on top — so one listener
-// serves the job API and the fleet protocol together.
-func StartHandler(addr string, m *Manager, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: NewHandler(m)}
 	s := &Server{Manager: m, ln: ln, srv: srv}
 	go srv.Serve(ln)
 	return s, nil

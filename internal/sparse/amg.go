@@ -35,13 +35,6 @@ type AMGOptions struct {
 	PreSmooth  int     // weighted-Jacobi sweeps before coarse correction (default 1)
 	PostSmooth int     // sweeps after; keep equal to PreSmooth for symmetry (default 1)
 	Omega      float64 // Jacobi damping factor (default 2/3)
-
-	// Workers parallelizes the hierarchy build (Galerkin products) and the
-	// V-cycle kernels (smoother, restriction, prolongation). Each level is
-	// individually capped by its operator size, so tiny coarse grids run
-	// serially regardless. Results are bit-identical at every worker count
-	// (default 0: serial).
-	Workers int
 }
 
 func (o AMGOptions) withDefaults() AMGOptions {
@@ -73,9 +66,8 @@ type amgLevel struct {
 	agg     []int32
 	nc      int
 	// Aggregate member lists: aggregate g's fine rows are
-	// aggRows[aggPtr[g]:aggPtr[g+1]], ascending. Restriction gathers over
-	// them in exactly the order the historical scatter loop summed, so the
-	// parallel restriction is bit-identical to it.
+	// aggRows[aggPtr[g]:aggPtr[g+1]], ascending. Restriction and the
+	// Galerkin product sum over them in that order.
 	aggPtr  []int32
 	aggRows []int32
 }
@@ -95,19 +87,6 @@ type AMGPrec struct {
 	// iterate and right-hand side (index 0 unused — the finest-level pair
 	// is the caller's r/z), rs the smoothing/restriction residual.
 	xs, bs, rs [][]float64
-	workers    int // V-cycle kernel workers; each level caps by its size
-}
-
-// SetWorkers sets the worker count used inside Apply's V-cycle kernels.
-// Every level additionally caps workers by its own operator size, so the
-// coarse tail of the hierarchy always runs serially. Bit-identical results
-// at every worker count.
-func (p *AMGPrec) SetWorkers(w int) { p.workers = clampWorkers(w) }
-
-// levelWorkers is the per-level worker cap: the configured count bounded
-// by the level's nonzeros so small grids never pay dispatch overhead.
-func (p *AMGPrec) levelWorkers(lvl *amgLevel) int {
-	return capWorkers(p.workers, lvl.a.NNZ(), spmvGrain)
 }
 
 // NewAMG builds the multigrid hierarchy for the SPD matrix a. The matrix
@@ -119,10 +98,9 @@ func NewAMG(a *CSR, opts AMGOptions) (*AMGPrec, error) {
 	defer func() { mPrecondBuilds.Add(1); mPrecondSeconds.Since(t0) }()
 	opts = opts.withDefaults()
 	p := &AMGPrec{opts: opts, ns: []int{a.N()}, nnzs: []int{a.NNZ()}}
-	p.workers = clampWorkers(opts.Workers)
 	cur := a
 	for cur.N() > opts.CoarseSize && len(p.levels)+1 < opts.MaxLevels {
-		lvl, coarseA, err := coarsenPairwise(cur, p.workers)
+		lvl, coarseA, err := coarsenPairwise(cur)
 		if err != nil {
 			return nil, err
 		}
@@ -231,10 +209,8 @@ func (p *AMGPrec) forkScratch() Preconditioner {
 // connection pairing (each unvisited node pairs with its largest-|a_ij|
 // unaggregated neighbor; isolated leftovers become singletons) and returns
 // the level plus the Galerkin coarse operator PᵀAP. A nil level signals
-// that no coarsening progress was possible. The pairing itself is
-// inherently sequential (greedy over a shared visited set) and cheap; the
-// Galerkin product, the expensive half, runs on `workers` workers.
-func coarsenPairwise(a *CSR, workers int) (*amgLevel, *CSR, error) {
+// that no coarsening progress was possible.
+func coarsenPairwise(a *CSR) (*amgLevel, *CSR, error) {
 	n := a.N()
 	invDiag := make([]float64, n)
 	for i, d := range a.Diag() {
@@ -287,98 +263,85 @@ func coarsenPairwise(a *CSR, workers int) (*amgLevel, *CSR, error) {
 		lvl.aggRows[next[g]] = int32(i)
 		next[g]++
 	}
-	return lvl, galerkinProduct(a, lvl, workers), nil
+	return lvl, galerkinProduct(a, lvl), nil
 }
 
 // galerkinProduct computes the coarse operator PᵀAP for piecewise-constant
 // P: entry (i,j,v) of A accumulates into coarse entry (agg[i], agg[j]).
-// Coarse rows are independent — row I is assembled from exactly the fine
-// rows of aggregate I — so they are computed in parallel with a sparse
-// accumulator per worker, two passes (count, then fill) sharing one
+// Coarse row I is assembled from exactly the fine rows of aggregate I with
+// a sparse accumulator, in two passes (count, then fill) sharing one
 // stamp-marked index. The accumulation order within a coarse row is fixed
 // by the structure (member fine rows ascending, entries within each row
-// ascending), never by the schedule, so the operator is bit-identical at
-// every worker count. Explicitly stored zeros of A are skipped, exactly as
-// the historical Builder-based product dropped them.
-func galerkinProduct(a *CSR, lvl *amgLevel, workers int) *CSR {
+// ascending). Explicitly stored zeros of A are skipped, exactly as the
+// historical Builder-based product dropped them.
+func galerkinProduct(a *CSR, lvl *amgLevel) *CSR {
 	nc := lvl.nc
 	agg, aggPtr, aggRows := lvl.agg, lvl.aggPtr, lvl.aggRows
 	rowPtr := make([]int, nc+1)
-	workers = capWorkers(workers, a.NNZ(), spmvGrain)
+	markRow := make([]int32, nc)
+	markPos := make([]int32, nc)
+	for g := range markRow {
+		markRow[g] = -1
+	}
 	// Pass 1: per-coarse-row unique-column counts.
-	parRun(workers, func(w int) {
-		markRow := make([]int32, nc)
-		for g := range markRow {
-			markRow[g] = -1
-		}
-		lo, hi := chunkRange(nc, workers, w)
-		for bigI := lo; bigI < hi; bigI++ {
-			count := 0
-			for t := aggPtr[bigI]; t < aggPtr[bigI+1]; t++ {
-				i := int(aggRows[t])
-				for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-					if a.val[k] == 0 {
-						continue
-					}
-					if bigJ := agg[a.col[k]]; markRow[bigJ] != int32(bigI) {
-						markRow[bigJ] = int32(bigI)
-						count++
-					}
+	for bigI := 0; bigI < nc; bigI++ {
+		count := 0
+		for t := aggPtr[bigI]; t < aggPtr[bigI+1]; t++ {
+			i := int(aggRows[t])
+			for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+				if a.val[k] == 0 {
+					continue
+				}
+				if bigJ := agg[a.col[k]]; markRow[bigJ] != int32(bigI) {
+					markRow[bigJ] = int32(bigI)
+					count++
 				}
 			}
-			rowPtr[bigI+1] = count
 		}
-	})
-	for g := 0; g < nc; g++ {
-		rowPtr[g+1] += rowPtr[g]
+		rowPtr[bigI+1] = rowPtr[bigI] + count
 	}
 	col := make([]int32, rowPtr[nc])
 	val := make([]float64, rowPtr[nc])
 	// Pass 2: accumulate values in encounter order, then sort each row's
 	// (col, val) pairs by column. Sorting moves fully accumulated values —
 	// it cannot change any sum.
-	parRun(workers, func(w int) {
-		markRow := make([]int32, nc)
-		markPos := make([]int32, nc)
-		for g := range markRow {
-			markRow[g] = -1
-		}
-		lo, hi := chunkRange(nc, workers, w)
-		for bigI := lo; bigI < hi; bigI++ {
-			base := rowPtr[bigI]
-			nrow := 0
-			for t := aggPtr[bigI]; t < aggPtr[bigI+1]; t++ {
-				i := int(aggRows[t])
-				for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-					v := a.val[k]
-					if v == 0 {
-						continue
-					}
-					bigJ := agg[a.col[k]]
-					if markRow[bigJ] != int32(bigI) {
-						markRow[bigJ] = int32(bigI)
-						markPos[bigJ] = int32(nrow)
-						col[base+nrow] = bigJ
-						val[base+nrow] = v
-						nrow++
-					} else {
-						val[base+int(markPos[bigJ])] += v
-					}
+	for g := range markRow {
+		markRow[g] = -1
+	}
+	for bigI := 0; bigI < nc; bigI++ {
+		base := rowPtr[bigI]
+		nrow := 0
+		for t := aggPtr[bigI]; t < aggPtr[bigI+1]; t++ {
+			i := int(aggRows[t])
+			for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+				v := a.val[k]
+				if v == 0 {
+					continue
+				}
+				bigJ := agg[a.col[k]]
+				if markRow[bigJ] != int32(bigI) {
+					markRow[bigJ] = int32(bigI)
+					markPos[bigJ] = int32(nrow)
+					col[base+nrow] = bigJ
+					val[base+nrow] = v
+					nrow++
+				} else {
+					val[base+int(markPos[bigJ])] += v
 				}
 			}
-			// Insertion sort by column; coarse rows are short (pairwise
-			// aggregation roughly preserves row degree).
-			for s := base + 1; s < base+nrow; s++ {
-				c, v := col[s], val[s]
-				t := s - 1
-				for t >= base && col[t] > c {
-					col[t+1], val[t+1] = col[t], val[t]
-					t--
-				}
-				col[t+1], val[t+1] = c, v
-			}
 		}
-	})
+		// Insertion sort by column; coarse rows are short (pairwise
+		// aggregation roughly preserves row degree).
+		for s := base + 1; s < base+nrow; s++ {
+			c, v := col[s], val[s]
+			t := s - 1
+			for t >= base && col[t] > c {
+				col[t+1], val[t+1] = col[t], val[t]
+				t--
+			}
+			col[t+1], val[t+1] = c, v
+		}
+	}
 	return &CSR{n: nc, rowPtr: rowPtr, col: col, val: val}
 }
 
@@ -387,34 +350,20 @@ func galerkinProduct(a *CSR, lvl *amgLevel, workers int) *CSR {
 // x += ωD⁻¹(b − Ax) updates. x is fully overwritten.
 func (p *AMGPrec) smoothFromZero(lvl *amgLevel, b, x, r []float64, sweeps int) {
 	w := p.opts.Omega
-	parForElems(p.levelWorkers(lvl), len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] = w * lvl.invDiag[i] * b[i]
-		}
-	})
+	for i := range x {
+		x[i] = w * lvl.invDiag[i] * b[i]
+	}
 	p.smooth(lvl, b, x, r, sweeps-1)
 }
 
 // smooth performs `sweeps` weighted-Jacobi sweeps on the current iterate.
-// The SpMV and the damped-Jacobi update are both element-wise parallel
-// kernels, so the sweep is bit-identical at every worker count.
 func (p *AMGPrec) smooth(lvl *amgLevel, b, x, r []float64, sweeps int) {
-	if sweeps <= 0 {
-		return
-	}
-	mKernelSmooth.Add(1)
-	wk := p.levelWorkers(lvl)
-	if wk > 1 && telemetry.Enabled() && telemetry.TracingEnabled() {
-		defer telemetry.StartSpan(string(spanSmoother)).End()
-	}
 	w := p.opts.Omega
 	for s := 0; s < sweeps; s++ {
-		lvl.a.MulVecW(x, r, wk)
-		parForElems(wk, len(x), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x[i] += w * lvl.invDiag[i] * (b[i] - r[i])
-			}
-		})
+		lvl.a.MulVec(x, r)
+		for i := range x {
+			x[i] += w * lvl.invDiag[i] * (b[i] - r[i])
+		}
 	}
 }
 
@@ -426,36 +375,26 @@ func (p *AMGPrec) vcycle(ell int, b, x []float64) {
 		return
 	}
 	lvl := p.levels[ell]
-	wk := p.levelWorkers(lvl)
 	r := p.rs[ell]
 	p.smoothFromZero(lvl, b, x, r, p.opts.PreSmooth)
 	// Coarse-grid correction: restrict the residual (Pᵀr sums each
-	// aggregate's entries), recurse, prolongate (P copies the aggregate
-	// value to its members) and correct. Restriction gathers each
-	// aggregate's members in ascending fine order — the same sums, in the
-	// same order, as the historical scatter loop — so aggregates can be
-	// computed concurrently without changing a bit.
-	lvl.a.MulVecW(x, r, wk)
-	parSub(b, r, r, wk)
+	// aggregate's entries, members in ascending fine order), recurse,
+	// prolongate (P copies the aggregate value to its members) and correct.
+	lvl.a.MulVec(x, r)
+	Sub(b, r, r)
 	bc := p.bs[ell+1]
-	aggPtr, aggRows := lvl.aggPtr, lvl.aggRows
-	parForElems(wk, len(bc), func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			var s float64
-			for t := aggPtr[g]; t < aggPtr[g+1]; t++ {
-				s += r[aggRows[t]]
-			}
-			bc[g] = s
+	for g := range bc {
+		var s float64
+		for t := lvl.aggPtr[g]; t < lvl.aggPtr[g+1]; t++ {
+			s += r[lvl.aggRows[t]]
 		}
-	})
+		bc[g] = s
+	}
 	xc := p.xs[ell+1]
 	p.vcycle(ell+1, bc, xc)
-	agg := lvl.agg
-	parForElems(wk, len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] += xc[agg[i]]
-		}
-	})
+	for i, g := range lvl.agg {
+		x[i] += xc[g]
+	}
 	p.smooth(lvl, b, x, r, p.opts.PostSmooth)
 }
 

@@ -114,22 +114,6 @@ func (p *IC0Prec) forkScratch() Preconditioner {
 	return &q
 }
 
-// workerSetter is implemented by preconditioners whose Apply has parallel
-// kernels (IC0Prec, AMGPrec). Setting workers never changes results —
-// only how many goroutines compute them.
-type workerSetter interface {
-	SetWorkers(int)
-}
-
-// setPrecWorkers propagates a kernel-worker count into a lane-private
-// preconditioner fork when it supports one; stateless preconditioners
-// (identity, Jacobi) ignore it.
-func setPrecWorkers(p Preconditioner, workers int) {
-	if ws, ok := p.(workerSetter); ok {
-		ws.SetWorkers(workers)
-	}
-}
-
 // forkPreconditioner returns a lane-private view of p whose Apply is safe
 // to run concurrently with other forks: known-stateless preconditioners
 // are returned as-is, scratch-carrying ones are scratch-forked. The second
@@ -153,20 +137,16 @@ func forkPreconditioner(p Preconditioner) (Preconditioner, bool) {
 // nil (every lane cold-starts) or per-lane warm starts (nil entries
 // allowed); ws may be nil (allocated per call).
 //
-// `workers` is one budget composed across two axes: up to min(k, workers)
-// lanes run concurrently, and each lane's internal kernels (SpMV,
-// reductions, triangular sweeps, V-cycles) get the remaining factor —
-// lanes × kernel workers ≤ budget. A batch wider than the budget spends it
-// all on lanes (the historical behavior); a narrow batch on a wide budget
-// spends the surplus inside each solve. workers < 1 selects the
-// parallel-package default (VOLTSTACK_WORKERS or GOMAXPROCS); a
-// preconditioner the package cannot prove concurrency-safe forces serial
-// lanes.
+// Up to min(k, workers) lanes run concurrently; each lane's solve is
+// serial. workers < 1 selects the parallel-package default
+// (VOLTSTACK_WORKERS or GOMAXPROCS); a preconditioner the package cannot
+// prove concurrency-safe forces serial lanes.
 //
 // Lane i is bit-identical to PCGW(a, bs[i], x0s[i], prec, tol, maxIter, …)
-// for every budget. All lanes run to completion even when some fail; the
-// returned error is the lowest-index lane failure (per-lane results and
-// iterates stay valid either way, matching PCGW's breakdown semantics).
+// for every worker count. All lanes run to completion even when some
+// fail; the returned error is the lowest-index lane failure (per-lane
+// results and iterates stay valid either way, matching PCGW's breakdown
+// semantics).
 func PCGBatch(a *CSR, bs, x0s [][]float64, prec Preconditioner, tol float64, maxIter int, ws *PCGBatchWorkspace, workers int) ([][]float64, []CGResult, error) {
 	k := len(bs)
 	batchObserved(k)
@@ -177,55 +157,27 @@ func PCGBatch(a *CSR, bs, x0s [][]float64, prec Preconditioner, tol float64, max
 		ws = &PCGBatchWorkspace{}
 	}
 	n := a.N()
-	budget := workers
-	if budget < 1 {
-		budget = parallel.DefaultWorkers()
+	laneW := workers
+	if laneW < 1 {
+		laneW = parallel.DefaultWorkers()
 	}
-	laneW := budget
-	if k > 0 && k < laneW {
+	if k < laneW {
 		laneW = k
 	}
-	kernelW := 1
-	if laneW > 0 {
-		kernelW = budget / laneW
-	}
 	precs := make([]Preconditioner, k)
-	if laneW <= 1 && kernelW <= 1 {
-		// Fully serial: lanes apply the preconditioner one at a time, so
-		// they can share its scratch; forking would only churn memory (an
-		// AMG fork duplicates a whole grid hierarchy per lane).
-		for i := range precs {
-			precs[i] = prec
-		}
-	} else if laneW <= 1 {
-		// Serial lanes with parallel kernels: one fork serves every lane in
-		// turn. The fork keeps the caller's preconditioner untouched —
-		// setting kernel workers on it would leak this batch's budget into
-		// unrelated serial solves.
-		fork, safe := forkPreconditioner(prec)
-		if !safe {
-			kernelW = 1
-			fork = prec
-		} else {
-			setPrecWorkers(fork, kernelW)
-		}
-		for i := range precs {
-			precs[i] = fork
-		}
-	} else {
-		safe := true
+	safe := laneW > 1
+	if safe {
 		for i := range precs {
 			precs[i], safe = forkPreconditioner(prec)
 		}
-		if safe {
-			for i := range precs {
-				setPrecWorkers(precs[i], kernelW)
-			}
-		} else {
-			laneW, kernelW = 1, 1
-			for i := range precs {
-				precs[i] = prec
-			}
+	}
+	if !safe {
+		// Serial lanes apply the preconditioner one at a time, so they can
+		// share its scratch; forking would only churn memory (an AMG fork
+		// duplicates a whole grid hierarchy per lane).
+		laneW = 1
+		for i := range precs {
+			precs[i] = prec
 		}
 	}
 	xs := make([][]float64, k)
@@ -234,7 +186,6 @@ func PCGBatch(a *CSR, bs, x0s [][]float64, prec Preconditioner, tol float64, max
 	lanes := make([]*PCGWorkspace, k)
 	for i := 0; i < k; i++ {
 		lanes[i] = ws.lane(i, n)
-		lanes[i].SetWorkers(kernelW)
 	}
 	pool := parallel.NewPool(laneW)
 	// Lane failures are collected, not propagated: a breakdown in one lane

@@ -79,20 +79,7 @@ type IC0Prec struct {
 	upper *CSR      // Lᵀ for the backward solve
 	scale []float64 // D^-1/2
 	tmp   []float64
-
-	// Level-scheduled parallel solves: topological row partitions of both
-	// sweeps (structure-only, shared with the symbolic phase) and the
-	// worker count. workers <= 1, or levels too narrow to pay for the
-	// barrier, fall back to the serial sweeps.
-	fwd, bwd *levelSet
-	workers  int
 }
-
-// SetWorkers sets the worker count used by Apply's triangular sweeps.
-// Values below 2 select the serial path. Results are bit-identical at
-// every worker count: level scheduling changes which rows run
-// concurrently, never any row's arithmetic order.
-func (p *IC0Prec) SetWorkers(w int) { p.workers = clampWorkers(w) }
 
 // IC0Symbolic is the structure-only half of NewIC0: the lower-triangle
 // pattern of A, a value map from A's CSR entries into it, a per-row
@@ -107,18 +94,7 @@ type IC0Symbolic struct {
 	diagIdx   []int32 // per-row val index of the diagonal entry in low
 	upper     *CSR    // transpose structure template (values unused)
 	upFromLow []int32 // upper val index -> low val index
-	fwd, bwd  *levelSet
 }
-
-// ForwardLevels returns the level sets of the forward (lower-triangular)
-// sweep: level l lists the rows whose longest dependency chain has length
-// l, so every row's dependencies sit in strictly earlier levels. Exposed
-// for property tests and fuzzing of the schedule.
-func (s *IC0Symbolic) ForwardLevels() [][]int { return s.fwd.levels() }
-
-// BackwardLevels returns the level sets of the backward (upper-triangular)
-// sweep, numbered from the last row down.
-func (s *IC0Symbolic) BackwardLevels() [][]int { return s.bwd.levels() }
 
 // NewIC0 computes an incomplete Cholesky factorization of the SPD matrix a.
 // If the factorization breaks down (non-positive pivot), the diagonal is
@@ -189,11 +165,6 @@ func NewIC0Symbolic(a *CSR) (*IC0Symbolic, error) {
 			s.upFromLow[s.upper.entryIndex(j, i)] = int32(kk)
 		}
 	}
-
-	// Level sets for the scheduled triangular sweeps: structure-only, so
-	// one build serves every refactorization of this pattern.
-	s.fwd = forwardLevels(s.low)
-	s.bwd = backwardLevels(s.upper)
 	return s, nil
 }
 
@@ -221,10 +192,6 @@ func (s *IC0Symbolic) Factor(a *CSR, p *IC0Prec) (*IC0Prec, error) {
 			tmp:   make([]float64, s.n),
 		}
 	}
-	// Attach the schedule (structure-only, shared) so Apply can sweep in
-	// parallel once SetWorkers asks for it; the existing workers setting of
-	// a reused p is preserved across refactorizations.
-	p.fwd, p.bwd = s.fwd, s.bwd
 	attempts := 0
 	var lastErr error
 	for shift := 0.0; shift <= 1.0; {
@@ -351,16 +318,8 @@ func (sym *IC0Symbolic) factorShift(a *CSR, p *IC0Prec, shift float64) error {
 }
 
 // Apply solves (D^1/2 L Lᵀ D^1/2) z = r, the preconditioner in the
-// original (unscaled) variables. With workers > 1 and wide enough level
-// sets, the sweeps run level-scheduled in parallel; per-row arithmetic is
-// identical either way, so the two paths agree bitwise.
+// original (unscaled) variables.
 func (p *IC0Prec) Apply(r, z []float64) {
-	mKernelTrisolve.Add(1)
-	if p.workers > 1 && p.fwd != nil &&
-		p.fwd.avgWidth >= levelMinAvgWidth && p.bwd.avgWidth >= levelMinAvgWidth {
-		p.applyScheduled(r, z)
-		return
-	}
 	n := p.lower.N()
 	y := p.tmp
 	scale := p.scale
@@ -393,49 +352,6 @@ func (p *IC0Prec) Apply(r, z []float64) {
 	}
 }
 
-// applyScheduled is the level-scheduled parallel Apply: each sweep runs on
-// a worker gang that walks the level sets in order with a barrier between
-// levels, so a row only ever reads results from completed levels. Row
-// bodies are verbatim copies of the serial sweeps.
-func (p *IC0Prec) applyScheduled(r, z []float64) {
-	if telemetry.Enabled() {
-		if telemetry.TracingEnabled() {
-			defer telemetry.StartSpan(string(spanTrisolve)).End()
-		}
-		mKernelParallel.Add(1)
-		mKernelWorkers.Set(float64(p.workers))
-		// The gauge reports workers *currently* inside a parallel kernel;
-		// it must drop back to zero when the dispatch drains rather than
-		// advertising the last dispatch forever.
-		defer mKernelWorkers.Set(0)
-	}
-	y := p.tmp
-	scale := p.scale
-	lval, lcol, lptr := p.lower.val, p.lower.col, p.lower.rowPtr
-	p.fwd.sweepLevels(p.workers, func(i int) {
-		s := r[i] * scale[i]
-		lo, hi := lptr[i], lptr[i+1]
-		for k := lo; k < hi-1; k++ {
-			s -= lval[k] * y[lcol[k]]
-		}
-		y[i] = s / lval[hi-1]
-	})
-	uval, ucol, uptr := p.upper.val, p.upper.col, p.upper.rowPtr
-	p.bwd.sweepLevels(p.workers, func(i int) {
-		s := y[i]
-		lo, hi := uptr[i], uptr[i+1]
-		for k := lo + 1; k < hi; k++ {
-			s -= uval[k] * z[ucol[k]]
-		}
-		z[i] = s / uval[lo]
-	})
-	parForElems(p.workers, len(z), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			z[i] *= scale[i]
-		}
-	})
-}
-
 // CGResult reports how an iterative solve went.
 type CGResult struct {
 	Iterations int
@@ -459,8 +375,6 @@ type CGResult struct {
 // between concurrent solves.
 type PCGWorkspace struct {
 	r, z, p, ap []float64
-	partials    []float64 // fixed-block reduction partials (see kernels.go)
-	workers     int       // kernel workers used inside the solve; <=1 serial
 	buf         []float64 // single cache-line-aligned backing allocation
 }
 
@@ -471,8 +385,7 @@ const cacheLineF64 = 8
 // scratch vectors live in one backing allocation, each starting on a
 // 64-byte cache-line boundary with a full guard line between neighbours:
 // concurrent lanes of a batched solve then never false-share a line across
-// workspace vectors, and cores streaming r/z/p/ap inside one solve never
-// ping-pong a boundary line.
+// workspace vectors.
 func NewPCGWorkspace(n int) *PCGWorkspace {
 	stride := (n+cacheLineF64-1)/cacheLineF64*cacheLineF64 + cacheLineF64
 	buf := make([]float64, 4*stride+cacheLineF64)
@@ -485,26 +398,17 @@ func NewPCGWorkspace(n int) *PCGWorkspace {
 		return buf[lo : lo+n : lo+n]
 	}
 	return &PCGWorkspace{
-		r:        vec(0),
-		z:        vec(1),
-		p:        vec(2),
-		ap:       vec(3),
-		partials: make([]float64, numBlocks(n)),
-		workers:  1,
-		buf:      buf,
+		r:   vec(0),
+		z:   vec(1),
+		p:   vec(2),
+		ap:  vec(3),
+		buf: buf,
 	}
 }
 
-// SetWorkers sets the number of workers used by the solve's internal
-// kernels (SpMV, reductions, vector updates). Any value selects the same
-// bit-exact result; values below 2 run serially.
-func (w *PCGWorkspace) SetWorkers(workers int) { w.workers = clampWorkers(workers) }
-
 func (w *PCGWorkspace) resize(n int) {
 	if len(w.r) != n {
-		workers := w.workers
 		*w = *NewPCGWorkspace(n)
-		w.workers = clampWorkers(workers)
 	}
 }
 
@@ -588,14 +492,11 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 		}
 		return result
 	}
-	// Kernel workers for this solve. Every reduction below runs in the
-	// fixed-block order of kernels.go, so the result is bit-identical at
-	// any worker count — including 1, the default.
-	wk := clampWorkers(ws.workers)
+	// Every reduction below runs in the fixed-block order of kernels.go.
 	r := ws.r
-	a.MulVecW(x, r, wk)
-	parSub(b, r, r, wk)
-	normB := math.Sqrt(blockedNormSq(b, wk, ws.partials))
+	a.MulVec(x, r)
+	Sub(b, r, r)
+	normB := math.Sqrt(blockedNormSq(b))
 	if normB == 0 {
 		// b = 0 => x = 0 (or x0 residual already 0)
 		return x, sealOK(CGResult{Iterations: 0, Residual: 0}), nil
@@ -604,9 +505,9 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	z, p, ap := ws.z, ws.p, ws.ap
 	prec.Apply(r, z)
 	copy(p, z)
-	rz := blockedDot(r, z, wk, ws.partials)
+	rz := blockedDot(r, z)
 
-	res := math.Sqrt(blockedNormSq(r, wk, ws.partials)) / normB
+	res := math.Sqrt(blockedNormSq(r)) / normB
 	if rec != nil {
 		rec.record(res)
 	}
@@ -617,8 +518,8 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 		return x, sealOK(CGResult{Iterations: 0, Residual: res}), nil
 	}
 	for it := 1; it <= maxIter; it++ {
-		a.MulVecW(p, ap, wk)
-		pap := blockedDot(p, ap, wk, ws.partials)
+		a.MulVec(p, ap)
+		pap := blockedDot(p, ap)
 		if pap <= 0 || math.IsNaN(pap) {
 			// Breakdown: report the true residual of the current iterate
 			// (recomputed as b − A·x, not the recursively updated estimate
@@ -647,8 +548,8 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 		alpha := rz / pap
 		// Fused iterate/residual update and residual norm: one pass over
 		// the vectors instead of three (Axpy, Axpy, Norm2), reduced in the
-		// fixed-block order so the value is worker-count-invariant.
-		rr := fusedUpdateNormSq(x, p, r, ap, alpha, wk, ws.partials)
+		// fixed-block order.
+		rr := fusedUpdateNormSq(x, p, r, ap, alpha)
 		res = math.Sqrt(rr) / normB
 		if rec != nil {
 			rec.record(res)
@@ -660,13 +561,15 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 			return x, sealOK(CGResult{Iterations: it, Residual: res}), nil
 		}
 		prec.Apply(r, z)
-		rzNew := blockedDot(r, z, wk, ws.partials)
+		rzNew := blockedDot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
 		if probe != nil {
 			probe.betaCoeff(beta)
 		}
-		parXpby(z, beta, p, wk)
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
 	}
 	err := fmt.Errorf("%w: residual %.3e after %d iterations", ErrNoConvergence, res, maxIter)
 	result := CGResult{Iterations: maxIter, Residual: res}

@@ -1,225 +1,35 @@
-// Intra-solve shared-memory parallelism: the kernels inside one solve —
-// SpMV, the vector updates and reductions of PCG, the IC(0) triangular
-// sweeps and the AMG cycle — run on a small per-call worker gang while
-// preserving the package's bit-determinism contract.
-//
-// The contract is worker-count invariance, and it is met by construction:
-//
-//   - Element-wise kernels (axpy, xpby, scaling, subtraction, SpMV rows)
-//     write disjoint output indices and keep each element's arithmetic
-//     order unchanged, so any partition of the index space — and therefore
-//     any worker count — produces bit-identical results.
-//
-//   - Reductions (dot products, norms, the fused iterate/residual/norm
-//     update) are computed in a fixed blocked order: the vector is cut
-//     into vecBlock-sized blocks, each block is summed serially in index
-//     order, and the per-block partials are combined serially in block
-//     order. The block size is a package constant — never a function of
-//     the worker count — so workers only decide *who* computes a partial,
-//     never *what* is summed with what. workers=1 runs the same blocked
-//     arithmetic, which is why serial and parallel results match bitwise.
-//
-//   - Order-sensitive sweeps (the IC(0) triangular solves) are level
-//     scheduled: rows within a dependency level only read results from
-//     earlier levels, so intra-level parallelism cannot change any row's
-//     accumulation order (see levels.go).
-//
-// Worker counts plumb in from circuit.SolveOptions.Workers (and through
-// it pdngrid.Config.Solve.Workers), defaulting to serial; internal/
-// parallel.DefaultWorkers — and with it VOLTSTACK_WORKERS — supplies the
-// machine-sized value when a caller asks for it.
+// Fixed-block reductions for PCG. The dot products, norms and the fused
+// iterate/residual/norm update are summed in a fixed blocked order: the
+// vector is cut into vecBlock-sized blocks, each block is summed in index
+// order, and the per-block partials are combined in block order. For
+// n ≤ vecBlock that is the plain straight loop; for longer vectors the
+// bits depend on the block order, so the block size is a package constant
+// that results (and the goldens) are pinned to.
 package sparse
-
-import (
-	"sync"
-	"time"
-
-	"voltstack/internal/telemetry"
-)
 
 // vecBlock is the fixed reduction block size (in float64 elements). It is
 // deliberately larger than every test-scale system (so single-block
 // reductions reproduce the historical straight-loop arithmetic exactly)
-// while still giving a 1M-node vector 16 independent partials.
+// while a 1M-node vector still sums as 16 partials.
 const vecBlock = 65536
 
-// Minimum work per extra worker before a kernel goes parallel: spawning a
-// goroutine costs ~µs, so tiny kernels (coarse AMG levels, short vectors)
-// stay serial. Units: vector elements or matrix nonzeros.
-const (
-	vecGrain  = 1 << 14 // element-wise and blocked-reduction kernels
-	spmvGrain = 1 << 14 // SpMV nonzeros per worker
-)
-
-// Per-kernel instrumentation: operation counters are cheap enough to count
-// always (one atomic when telemetry is enabled, one load when not); span
-// emission and occupancy sampling only happen for parallel dispatches so
-// serial solves and tight sweeps stay unpolluted.
-var (
-	mKernelSpMV     = telemetry.NewCounter("sparse_kernel_spmv_total")
-	mKernelTrisolve = telemetry.NewCounter("sparse_kernel_trisolve_total")
-	mKernelSmooth   = telemetry.NewCounter("sparse_kernel_smoother_total")
-	mKernelParallel = telemetry.NewCounter("sparse_kernel_parallel_dispatches_total")
-	mKernelWorkers  = telemetry.NewGauge("sparse_kernel_workers")
-)
-
-// clampWorkers normalizes a worker-count knob: anything below 1 is serial.
-func clampWorkers(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
-// capWorkers bounds workers by available work: at least `grain` units per
-// additional worker, and never more workers than units.
-func capWorkers(workers, units, grain int) int {
-	if workers <= 1 || units < 2*grain {
-		return 1
-	}
-	if max := units / grain; workers > max {
-		workers = max
-	}
-	return workers
-}
-
-// parRun invokes fn(0) … fn(workers-1) concurrently — fn(0) on the calling
-// goroutine — and waits for all of them. fn(w) must write only state owned
-// by worker w.
-func parRun(workers int, fn func(w int)) {
-	if workers <= 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	fn(0)
-	wg.Wait()
-}
-
-// kernelSpan names the Chrome-trace spans of the three headline kernels.
-type kernelSpan string
-
-const (
-	spanSpMV     kernelSpan = "sparse.spmv"
-	spanTrisolve kernelSpan = "sparse.trisolve"
-	spanSmoother kernelSpan = "sparse.smoother"
-)
-
-// parRunInstrumented is parRun plus the parallel-dispatch telemetry: a
-// Chrome-trace span named after the kernel (only while tracing is on), the
-// dispatch counter, and a worker-occupancy sample for /statusz. All gates
-// collapse to nothing when telemetry is disabled; the serial path never
-// reaches here.
-func parRunInstrumented(name kernelSpan, workers int, fn func(w int)) {
-	if !telemetry.Enabled() {
-		parRun(workers, fn)
-		return
-	}
-	var sp *telemetry.Span
-	if telemetry.TracingEnabled() {
-		sp = telemetry.StartSpan(string(name))
-	}
-	mKernelParallel.Add(1)
-	mKernelWorkers.Set(float64(workers))
-	var busy int64
-	var busyMu sync.Mutex
-	t0 := time.Now()
-	parRun(workers, func(w int) {
-		w0 := time.Now()
-		fn(w)
-		d := int64(time.Since(w0))
-		busyMu.Lock()
-		busy += d
-		busyMu.Unlock()
-	})
-	wall := time.Since(t0)
-	// Dispatch drained: the live-workers gauge returns to zero (the shape
-	// of the last dispatch stays visible via RecordKernelOccupancy below).
-	mKernelWorkers.Set(0)
-	sp.End()
-	if wall > 0 {
-		telemetry.RecordKernelOccupancy(workers,
-			float64(busy)/(float64(wall)*float64(workers)))
-	}
-}
-
-// chunkRange splits [0, n) into `parts` near-equal contiguous chunks and
-// returns chunk c. Empty chunks are (0, 0)-like with lo == hi.
-func chunkRange(n, parts, c int) (lo, hi int) {
-	lo = c * n / parts
-	hi = (c + 1) * n / parts
-	return lo, hi
-}
-
-// parForElems runs fn over equal contiguous slices of [0, n) on `workers`
-// workers. fn must be element-wise (disjoint writes, per-element order
-// unchanged), which makes the result independent of the partition and
-// therefore of the worker count.
-func parForElems(workers, n int, fn func(lo, hi int)) {
-	workers = capWorkers(workers, n, vecGrain)
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	parRun(workers, func(w int) {
-		lo, hi := chunkRange(n, workers, w)
-		if lo < hi {
-			fn(lo, hi)
-		}
-	})
-}
-
-// numBlocks returns the number of fixed-size reduction blocks covering a
-// vector of length n.
-func numBlocks(n int) int { return (n + vecBlock - 1) / vecBlock }
-
-// blockedReduce fills partials[b] = reduce(block b) for every block —
-// distributing blocks over workers — then combines the partials serially
-// in block order. The combination order is fixed by the block structure,
-// not the schedule, so the result is bit-identical at every worker count.
-func blockedReduce(workers, n int, partials []float64, blockFn func(lo, hi int) float64) float64 {
-	nb := numBlocks(n)
-	if nb <= 1 {
+// blockedReduce sums blockFn over the consecutive vecBlock-sized blocks of
+// [0, n), combining the partials in block order.
+func blockedReduce(n int, blockFn func(lo, hi int) float64) float64 {
+	if n <= vecBlock {
 		return blockFn(0, n)
 	}
-	eval := func(b int) {
-		lo := b * vecBlock
-		hi := lo + vecBlock
-		if hi > n {
-			hi = n
-		}
-		partials[b] = blockFn(lo, hi)
-	}
-	if workers = capWorkers(workers, n, vecGrain); workers == 1 {
-		for b := 0; b < nb; b++ {
-			eval(b)
-		}
-	} else {
-		parRun(workers, func(w int) {
-			lo, hi := chunkRange(nb, workers, w)
-			for b := lo; b < hi; b++ {
-				eval(b)
-			}
-		})
-	}
 	var s float64
-	for b := 0; b < nb; b++ {
-		s += partials[b]
+	for lo := 0; lo < n; lo += vecBlock {
+		s += blockFn(lo, min(lo+vecBlock, n))
 	}
 	return s
 }
 
 // blockedDot is Dot with the fixed-block reduction order. For n ≤ vecBlock
-// it degenerates to the plain serial loop (bit-identical to Dot).
-func blockedDot(x, y []float64, workers int, partials []float64) float64 {
-	return blockedReduce(workers, len(x), partials, func(lo, hi int) float64 {
+// it is the plain serial loop (bit-identical to Dot).
+func blockedDot(x, y []float64) float64 {
+	return blockedReduce(len(x), func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			s += x[i] * y[i]
@@ -229,8 +39,8 @@ func blockedDot(x, y []float64, workers int, partials []float64) float64 {
 }
 
 // blockedNormSq returns ‖x‖² in the fixed-block reduction order.
-func blockedNormSq(x []float64, workers int, partials []float64) float64 {
-	return blockedReduce(workers, len(x), partials, func(lo, hi int) float64 {
+func blockedNormSq(x []float64) float64 {
+	return blockedReduce(len(x), func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			s += x[i] * x[i]
@@ -243,11 +53,10 @@ func blockedNormSq(x []float64, workers int, partials []float64) float64 {
 //
 //	x += alpha·p;  r -= alpha·ap
 //
-// and returns the new ‖r‖² reduced in the fixed-block order. Per-element
-// arithmetic matches the serial fused loop exactly; only the partial-sum
-// grouping is blocked, identically at every worker count.
-func fusedUpdateNormSq(x, p, r, ap []float64, alpha float64, workers int, partials []float64) float64 {
-	return blockedReduce(workers, len(x), partials, func(lo, hi int) float64 {
+// and returns the new ‖r‖² reduced in the fixed-block order, in one pass
+// over the vectors.
+func fusedUpdateNormSq(x, p, r, ap []float64, alpha float64) float64 {
+	return blockedReduce(len(x), func(lo, hi int) float64 {
 		var rr float64
 		for i := lo; i < hi; i++ {
 			x[i] += alpha * p[i]
@@ -256,82 +65,5 @@ func fusedUpdateNormSq(x, p, r, ap []float64, alpha float64, workers int, partia
 			rr += ri * ri
 		}
 		return rr
-	})
-}
-
-// parXpby computes p = z + beta·p element-wise in parallel.
-func parXpby(z []float64, beta float64, p []float64, workers int) {
-	parForElems(workers, len(p), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p[i] = z[i] + beta*p[i]
-		}
-	})
-}
-
-// parSub computes out = x - y element-wise in parallel; out may alias
-// either operand.
-func parSub(x, y, out []float64, workers int) {
-	parForElems(workers, len(out), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = x[i] - y[i]
-		}
-	})
-}
-
-// rowPartition returns nnz-balanced row boundaries for `parts` contiguous
-// row ranges: partition[p] .. partition[p+1] is range p. Boundaries depend
-// only on the sparsity structure (rowPtr), never on matrix values, so the
-// cache stays valid across value restamps; they are computed once per
-// (structure, parts) and cached on the matrix. Access is mutex-guarded
-// because batch lanes share one matrix across goroutines.
-func (m *CSR) rowPartition(parts int) []int32 {
-	m.partMu.Lock()
-	defer m.partMu.Unlock()
-	if p, ok := m.parts[parts]; ok {
-		return p
-	}
-	bounds := make([]int32, parts+1)
-	nnz := len(m.val)
-	row := 0
-	for p := 1; p < parts; p++ {
-		target := nnz * p / parts
-		for row < m.n && m.rowPtr[row] < target {
-			row++
-		}
-		bounds[p] = int32(row)
-	}
-	bounds[parts] = int32(m.n)
-	if m.parts == nil {
-		m.parts = make(map[int][]int32)
-	}
-	m.parts[parts] = bounds
-	return bounds
-}
-
-// MulVecW is MulVec with the row loop distributed over `workers` workers
-// on cached nnz-balanced static row partitions. Each row is computed by
-// exactly one worker with the serial kernel's accumulation order, so the
-// result is bit-identical to MulVec for every worker count.
-func (m *CSR) MulVecW(x, y []float64, workers int) {
-	mKernelSpMV.Add(1)
-	workers = capWorkers(workers, len(m.val), spmvGrain)
-	if workers == 1 {
-		m.MulVec(x, y)
-		return
-	}
-	if len(x) != m.n || len(y) != m.n {
-		panic("sparse: MulVec dimension mismatch")
-	}
-	bounds := m.rowPartition(workers)
-	val, col, ptr := m.val, m.col, m.rowPtr
-	parRunInstrumented(spanSpMV, workers, func(w int) {
-		for i := int(bounds[w]); i < int(bounds[w+1]); i++ {
-			var s float64
-			lo, hi := ptr[i], ptr[i+1]
-			for k := lo; k < hi; k++ {
-				s += val[k] * x[col[k]]
-			}
-			y[i] = s
-		}
 	})
 }

@@ -20,81 +20,45 @@ func bitsEqual(t *testing.T, name string, a, b []float64) {
 	}
 }
 
-func TestMulVecWMatchesSerialBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, a := range []*CSR{gridLaplacian(40, 37, 0.05), randomSPD(60, rng)} {
-		x := randVec(a.N(), rng)
-		want := make([]float64, a.N())
-		a.MulVec(x, want)
-		for _, workers := range []int{1, 2, 8} {
-			got := make([]float64, a.N())
-			a.MulVecW(x, got, workers)
-			bitsEqual(t, "MulVecW", want, got)
-		}
-	}
-}
-
-func TestRowPartitionCoversAllRows(t *testing.T) {
-	a := gridLaplacian(50, 31, 0.1)
-	for _, parts := range []int{1, 2, 3, 8, 16} {
-		bounds := a.rowPartition(parts)
-		if len(bounds) != parts+1 {
-			t.Fatalf("parts=%d: got %d bounds", parts, len(bounds))
-		}
-		if bounds[0] != 0 || int(bounds[parts]) != a.N() {
-			t.Fatalf("parts=%d: bounds do not span [0,%d): %v", parts, a.N(), bounds)
-		}
-		for p := 0; p < parts; p++ {
-			if bounds[p] > bounds[p+1] {
-				t.Fatalf("parts=%d: non-monotone bounds %v", parts, bounds)
-			}
-		}
-		// Cached: a second call must return the identical slice.
-		if again := a.rowPartition(parts); &again[0] != &bounds[0] {
-			t.Errorf("parts=%d: partition not cached", parts)
-		}
-	}
-}
-
-// Blocked reductions must be bit-identical at every worker count, on
-// vectors long enough to span several reduction blocks.
-func TestBlockedReductionsWorkerInvariant(t *testing.T) {
+// Past one block, the reductions must combine per-block partials in block
+// order: an independent straight loop per vecBlock slice, summed in
+// sequence, reproduces them bitwise.
+func TestBlockedReductionsFollowBlockOrder(t *testing.T) {
 	n := 3*vecBlock + 12345
 	rng := rand.New(rand.NewSource(5))
 	x, y := randVec(n, rng), randVec(n, rng)
-	partials := make([]float64, numBlocks(n))
-	dot1 := blockedDot(x, y, 1, partials)
-	nrm1 := blockedNormSq(x, 1, partials)
-	for _, workers := range []int{2, 3, 8} {
-		if d := blockedDot(x, y, workers, partials); math.Float64bits(d) != math.Float64bits(dot1) {
-			t.Errorf("blockedDot workers=%d: %x vs %x", workers, math.Float64bits(d), math.Float64bits(dot1))
+	p, ap := randVec(n, rng), randVec(n, rng)
+	const alpha = 0.37
+
+	var dot, nrm, rr float64
+	wantX := append([]float64(nil), x...)
+	wantR := append([]float64(nil), y...)
+	for lo := 0; lo < n; lo += vecBlock {
+		hi := min(lo+vecBlock, n)
+		var d, s, u float64
+		for i := lo; i < hi; i++ {
+			d += x[i] * y[i]
+			s += x[i] * x[i]
+			wantX[i] += alpha * p[i]
+			wantR[i] -= alpha * ap[i]
+			u += wantR[i] * wantR[i]
 		}
-		if s := blockedNormSq(x, workers, partials); math.Float64bits(s) != math.Float64bits(nrm1) {
-			t.Errorf("blockedNormSq workers=%d differs", workers)
-		}
+		dot, nrm, rr = dot+d, nrm+s, rr+u
 	}
 
-	// Fused update writes x and r: run each worker count on fresh clones.
-	run := func(workers int) ([]float64, []float64, float64) {
-		xc := append([]float64(nil), x...)
-		rc := append([]float64(nil), y...)
-		p := randVec(n, rng)
-		_ = p
-		// Deterministic p/ap derived from the same seed for every call.
-		prng := rand.New(rand.NewSource(77))
-		pv, ap := randVec(n, prng), randVec(n, prng)
-		rr := fusedUpdateNormSq(xc, pv, rc, ap, 0.37, workers, partials)
-		return xc, rc, rr
+	if got := blockedDot(x, y); math.Float64bits(got) != math.Float64bits(dot) {
+		t.Errorf("blockedDot = %x, want %x", math.Float64bits(got), math.Float64bits(dot))
 	}
-	x1, r1, rr1 := run(1)
-	for _, workers := range []int{2, 8} {
-		xw, rw, rrw := run(workers)
-		bitsEqual(t, "fused x", x1, xw)
-		bitsEqual(t, "fused r", r1, rw)
-		if math.Float64bits(rr1) != math.Float64bits(rrw) {
-			t.Errorf("fused rr workers=%d differs", workers)
-		}
+	if got := blockedNormSq(x); math.Float64bits(got) != math.Float64bits(nrm) {
+		t.Errorf("blockedNormSq = %x, want %x", math.Float64bits(got), math.Float64bits(nrm))
 	}
+	gotX := append([]float64(nil), x...)
+	gotR := append([]float64(nil), y...)
+	if got := fusedUpdateNormSq(gotX, p, gotR, ap, alpha); math.Float64bits(got) != math.Float64bits(rr) {
+		t.Errorf("fusedUpdateNormSq = %x, want %x", math.Float64bits(got), math.Float64bits(rr))
+	}
+	bitsEqual(t, "fused x", wantX, gotX)
+	bitsEqual(t, "fused r", wantR, gotR)
 }
 
 // Single-block vectors must reproduce the plain serial loop exactly, so
@@ -102,105 +66,8 @@ func TestBlockedReductionsWorkerInvariant(t *testing.T) {
 func TestBlockedReductionSingleBlockMatchesSerialLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x, y := randVec(1000, rng), randVec(1000, rng)
-	partials := make([]float64, 1)
-	if got, want := blockedDot(x, y, 8, partials), Dot(x, y); math.Float64bits(got) != math.Float64bits(want) {
+	if got, want := blockedDot(x, y), Dot(x, y); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("single-block blockedDot differs from Dot: %g vs %g", got, want)
-	}
-}
-
-func TestLevelSetsAreTopologicalPartition(t *testing.T) {
-	a := gridLaplacian(30, 28, 0.2)
-	sym, err := NewIC0Symbolic(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, lvls [][]int, deps func(i int, dep func(j int))) {
-		level := make([]int, a.N())
-		seen := make([]bool, a.N())
-		total := 0
-		for l, rows := range lvls {
-			for _, i := range rows {
-				if seen[i] {
-					t.Fatalf("%s: row %d appears twice", name, i)
-				}
-				seen[i] = true
-				level[i] = l
-				total++
-			}
-		}
-		if total != a.N() {
-			t.Fatalf("%s: levels cover %d of %d rows", name, total, a.N())
-		}
-		for i := 0; i < a.N(); i++ {
-			deps(i, func(j int) {
-				if level[j] >= level[i] {
-					t.Fatalf("%s: row %d (level %d) depends on row %d (level %d)",
-						name, i, level[i], j, level[j])
-				}
-			})
-		}
-	}
-	check("forward", sym.ForwardLevels(), func(i int, dep func(j int)) {
-		for k := sym.low.rowPtr[i]; k < sym.low.rowPtr[i+1]-1; k++ {
-			dep(int(sym.low.col[k]))
-		}
-	})
-	check("backward", sym.BackwardLevels(), func(i int, dep func(j int)) {
-		for k := sym.upper.rowPtr[i] + 1; k < sym.upper.rowPtr[i+1]; k++ {
-			dep(int(sym.upper.col[k]))
-		}
-	})
-}
-
-// The scheduled triangular solve must agree bitwise with the serial one,
-// forced on regardless of the width heuristic.
-func TestScheduledTrisolveMatchesSerialBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	a := gridLaplacian(40, 35, 0.05)
-	prec, err := NewIC0(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := randVec(a.N(), rng)
-	want := make([]float64, a.N())
-	prec.workers = 1
-	prec.Apply(r, want)
-	for _, workers := range []int{2, 8} {
-		got := make([]float64, a.N())
-		prec.workers = workers
-		prec.applyScheduled(r, got)
-		bitsEqual(t, "scheduled trisolve", want, got)
-	}
-}
-
-// The whole AMG preconditioner — SPA Galerkin build, parallel smoother,
-// gather restriction, prolongation — must be worker-count-invariant.
-func TestAMGWorkersBitInvariant(t *testing.T) {
-	a := gridLaplacian(60, 55, 0.02)
-	rng := rand.New(rand.NewSource(31))
-	r := randVec(a.N(), rng)
-	base, err := NewAMG(a, AMGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, a.N())
-	base.Apply(r, want)
-	for _, workers := range []int{2, 8} {
-		mg, err := NewAMG(a, AMGOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float64, a.N())
-		mg.Apply(r, got)
-		bitsEqual(t, "amg apply", want, got)
-		// The hierarchies themselves must match: same shapes, same coarse
-		// operators bitwise.
-		if len(mg.levels) != len(base.levels) {
-			t.Fatalf("workers=%d: %d levels vs %d", workers, len(mg.levels), len(base.levels))
-		}
-		for l := range mg.levels {
-			bitsEqual(t, "galerkin operator", base.levels[l].a.val, mg.levels[l].a.val)
-		}
 	}
 }
 
@@ -213,66 +80,6 @@ func TestPCGWorkspaceCacheLineAligned(t *testing.T) {
 			}
 			if addr := uintptr(unsafe.Pointer(&v[0])); addr%64 != 0 {
 				t.Errorf("n=%d: %s not 64-byte aligned (addr %% 64 = %d)", n, name, addr%64)
-			}
-		}
-	}
-}
-
-func TestPCGWorkspaceResizePreservesWorkers(t *testing.T) {
-	w := NewPCGWorkspace(10)
-	w.SetWorkers(8)
-	w.resize(20)
-	if w.workers != 8 {
-		t.Errorf("resize reset workers to %d", w.workers)
-	}
-	if len(w.r) != 20 {
-		t.Errorf("resize did not grow: len %d", len(w.r))
-	}
-}
-
-// End-to-end: the full PCG solve (IC0 and AMG preconditioned) must be
-// bit-identical across workspace worker counts.
-func TestPCGWWorkersBitInvariant(t *testing.T) {
-	a := gridLaplacian(45, 44, 0.03)
-	rng := rand.New(rand.NewSource(41))
-	b := randVec(a.N(), rng)
-	for _, kind := range []string{"ic0", "amg", "jacobi"} {
-		mkPrec := func(workers int) Preconditioner {
-			switch kind {
-			case "ic0":
-				p, err := NewIC0(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p.SetWorkers(workers)
-				return p
-			case "amg":
-				p, err := NewAMG(a, AMGOptions{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			default:
-				return NewJacobi(a)
-			}
-		}
-		ws := NewPCGWorkspace(a.N())
-		x1, res1, err1 := PCGW(a, b, nil, mkPrec(1), 1e-10, 10*a.N(), ws)
-		if err1 != nil {
-			t.Fatalf("%s serial: %v", kind, err1)
-		}
-		for _, workers := range []int{2, 8} {
-			wsw := NewPCGWorkspace(a.N())
-			wsw.SetWorkers(workers)
-			xw, resw, errw := PCGW(a, b, nil, mkPrec(workers), 1e-10, 10*a.N(), wsw)
-			if errw != nil {
-				t.Fatalf("%s workers=%d: %v", kind, workers, errw)
-			}
-			bitsEqual(t, kind+" solution", x1, xw)
-			if res1.Iterations != resw.Iterations ||
-				math.Float64bits(res1.Residual) != math.Float64bits(resw.Residual) {
-				t.Errorf("%s workers=%d: result diverged (%d it %g vs %d it %g)",
-					kind, workers, res1.Iterations, res1.Residual, resw.Iterations, resw.Residual)
 			}
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Builder accumulates matrix entries in coordinate (COO) form. Duplicate
@@ -203,12 +202,6 @@ type CSR struct {
 	rowPtr []int
 	col    []int32
 	val    []float64
-
-	// Cached nnz-balanced row partitions for parallel SpMV, keyed by part
-	// count. Structure-only (derived from rowPtr), so value restamps never
-	// invalidate them; guarded because batch lanes share one matrix.
-	partMu sync.Mutex
-	parts  map[int][]int32
 }
 
 // N returns the matrix dimension.

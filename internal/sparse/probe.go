@@ -12,7 +12,7 @@
 //     solver already computed (α, β, the relative residual); every
 //     estimate is derived after the fact from those copies. Results are
 //     byte-identical with probes on or off — sparsetest pins this at the
-//     sparse, circuit and pdngrid levels for kernel workers {1, 2, 8}.
+//     sparse, circuit and pdngrid levels, and across batch lanes.
 //
 //   - Zero-alloc when disabled: one telemetry.ProbesEnabled() load per
 //     solve, a nil check per iteration, no allocation on any path.

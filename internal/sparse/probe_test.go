@@ -83,31 +83,3 @@ func TestEnrichedNonConvergenceError(t *testing.T) {
 		t.Fatalf("capped solve health: %+v", res.Health)
 	}
 }
-
-// TestKernelWorkersGaugeDrains is the stale-gauge regression test for
-// sparse_kernel_workers: after any parallel solve returns, the gauge must
-// read zero — it reports workers currently inside a kernel, not the last
-// dispatch width.
-func TestKernelWorkersGaugeDrains(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
-	a := gridLaplacian(20, 20, 1e-3)
-	n := a.N()
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i%3) - 1
-	}
-	ic0, err := NewIC0(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ic0.SetWorkers(4)
-	ws := NewPCGWorkspace(n)
-	ws.SetWorkers(4)
-	if _, _, err := PCGW(a, b, nil, ic0, 1e-10, 20*n, ws); err != nil {
-		t.Fatal(err)
-	}
-	if v := mKernelWorkers.Value(); v != 0 {
-		t.Fatalf("sparse_kernel_workers = %v after solve, want 0", v)
-	}
-}

@@ -13,102 +13,6 @@ import (
 // PCGBatch must reproduce their serial counterparts exactly. The fuzzer
 // hunts for scheduling- or scratch-sharing-dependent divergence that the
 // fixed-case property tests might not reach.
-// FuzzLevelSchedule fuzzes the IC(0) level-set builder over random SPD
-// structures: the forward and backward level sets must each be a valid
-// topological partition of the triangular dependency patterns (every row
-// in exactly one level, every dependency at a strictly earlier level),
-// and the level-scheduled triangular solve must be bit-identical to the
-// serial sweep. Sizes reach a few thousand rows so random patterns
-// produce levels wide enough to cross the scheduling threshold and the
-// parallel sweep path actually runs.
-func FuzzLevelSchedule(f *testing.F) {
-	f.Add(int64(1), uint16(600), uint8(2), uint8(4))
-	f.Add(int64(42), uint16(2500), uint8(4), uint8(8))
-	f.Add(int64(-7), uint16(40), uint8(1), uint8(2))
-	f.Add(int64(9999), uint16(4000), uint8(6), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, degRaw, wRaw uint8) {
-		n := 1 + int(nRaw)%4000
-		degree := 1 + int(degRaw)%6
-		workers := 2 + int(wRaw)%7
-		a := RandomSPD(n, degree, seed)
-
-		sym, err := sparse.NewIC0Symbolic(a)
-		if err != nil {
-			t.Fatalf("seed=%d n=%d: %v", seed, n, err)
-		}
-
-		// lowerDeps/upperDeps walk the strict triangular pattern of A,
-		// which is exactly the IC(0) factor pattern (no fill).
-		lowerDeps := func(i int, dep func(j int)) {
-			a.Row(i, func(j int, v float64) {
-				if j < i {
-					dep(j)
-				}
-			})
-		}
-		upperDeps := func(i int, dep func(j int)) {
-			a.Row(i, func(j int, v float64) {
-				if j > i {
-					dep(j)
-				}
-			})
-		}
-		check := func(name string, lvls [][]int, deps func(i int, dep func(j int))) {
-			level := make([]int, n)
-			seen := make([]bool, n)
-			total := 0
-			for l, rows := range lvls {
-				if len(rows) == 0 {
-					t.Fatalf("seed=%d n=%d %s: empty level %d", seed, n, name, l)
-				}
-				for _, i := range rows {
-					if i < 0 || i >= n || seen[i] {
-						t.Fatalf("seed=%d n=%d %s: bad or duplicate row %d", seed, n, name, i)
-					}
-					seen[i] = true
-					level[i] = l
-					total++
-				}
-			}
-			if total != n {
-				t.Fatalf("seed=%d n=%d %s: levels cover %d of %d rows", seed, n, name, total, n)
-			}
-			for i := 0; i < n; i++ {
-				deps(i, func(j int) {
-					if level[j] >= level[i] {
-						t.Fatalf("seed=%d n=%d %s: row %d (level %d) depends on row %d (level %d)",
-							seed, n, name, i, level[i], j, level[j])
-					}
-				})
-			}
-		}
-		check("forward", sym.ForwardLevels(), lowerDeps)
-		check("backward", sym.BackwardLevels(), upperDeps)
-
-		// Scheduled apply ≡ serial apply, bitwise.
-		serial, err := sparse.NewIC0(a)
-		if err != nil {
-			t.Fatalf("seed=%d n=%d: %v", seed, n, err)
-		}
-		sched, err := sparse.NewIC0(a)
-		if err != nil {
-			t.Fatalf("seed=%d n=%d: %v", seed, n, err)
-		}
-		sched.SetWorkers(workers)
-		r := RandomRHS(n, seed+2)
-		want := make([]float64, n)
-		got := make([]float64, n)
-		serial.Apply(r, want)
-		sched.Apply(r, got)
-		for j := range want {
-			if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
-				t.Fatalf("apply seed=%d n=%d workers=%d elem=%d: %v vs %v",
-					seed, n, workers, j, want[j], got[j])
-			}
-		}
-	})
-}
-
 func FuzzBatchSerialEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(3), uint8(1))
 	f.Add(int64(42), uint8(60), uint8(8), uint8(2))

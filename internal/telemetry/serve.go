@@ -99,29 +99,6 @@ func RecordAMGHierarchy(levelUnknowns []int, opComplexity float64) {
 	amgMu.Unlock()
 }
 
-// Intra-solve kernel occupancy behind /statusz: the most recent parallel
-// kernel dispatch's worker count and busy fraction (Σ worker busy time /
-// (wall × workers)), recorded by the sparse kernels only for parallel
-// dispatches. Dispatch counts come from the sparse_kernel_* counters.
-var (
-	kernelMu        sync.Mutex
-	kernelWorkers   int
-	kernelOccupancy float64
-)
-
-// RecordKernelOccupancy stores the worker count and occupancy of the most
-// recent parallel sparse-kernel dispatch for /statusz. No-op while process
-// telemetry is disabled.
-func RecordKernelOccupancy(workers int, occupancy float64) {
-	if !std.on.Load() {
-		return
-	}
-	kernelMu.Lock()
-	kernelWorkers = workers
-	kernelOccupancy = occupancy
-	kernelMu.Unlock()
-}
-
 // StatusSnapshot is the /statusz payload: a coarse live view of where a
 // run is, assembled from the metric registry's counters.
 type StatusSnapshot struct {
@@ -144,16 +121,6 @@ type StatusSnapshot struct {
 	AMGLevelUnknowns      []int64 `json:"amg_level_unknowns,omitempty"`
 	AMGOperatorComplexity float64 `json:"amg_operator_complexity,omitempty"`
 
-	// Intra-solve kernel parallelism: cumulative kernel invocations (SpMV,
-	// triangular solves, smoother sweeps), parallel dispatches, and the
-	// worker count / occupancy of the most recent parallel dispatch.
-	KernelSpMV             int64   `json:"kernel_spmv,omitempty"`
-	KernelTrisolves        int64   `json:"kernel_trisolves,omitempty"`
-	KernelSmootherSweeps   int64   `json:"kernel_smoother_sweeps,omitempty"`
-	KernelParallelDispatch int64   `json:"kernel_parallel_dispatches,omitempty"`
-	KernelWorkers          int     `json:"kernel_workers,omitempty"`
-	KernelWorkerOccupancy  float64 `json:"kernel_worker_occupancy,omitempty"`
-
 	// Solver health: cumulative probe reports and detector trips from the
 	// solver_health_* instruments, plus the most recently probed solve's
 	// convergence summary. Populated only while convergence probes are on.
@@ -170,11 +137,6 @@ type StatusSnapshot struct {
 	// Cache is the result cache's per-tier breakdown (memory LRU, disk
 	// spill tier), present once the cache has seen any traffic.
 	Cache *CacheStatus `json:"cache,omitempty"`
-
-	// Fleet aggregates the distributed-evaluation counters (dispatch,
-	// stealing, the shared cache tier), present on daemons participating
-	// in a fleet.
-	Fleet *FleetStatus `json:"fleet,omitempty"`
 }
 
 // CacheStatus is the /statusz view of the result cache, one field per
@@ -190,28 +152,6 @@ type CacheStatus struct {
 	DiskSpills   int64 `json:"disk_spills"`
 	DiskErrors   int64 `json:"disk_errors"`
 	Shared       int64 `json:"singleflight_shared"`
-}
-
-// FleetStatus is the /statusz view of a daemon's fleet activity: the
-// coordinator's dispatch/steal/requeue tallies, the shared cache tier's
-// server- and client-side traffic, and the hedged-retry outcomes of the
-// embedded API client.
-type FleetStatus struct {
-	WorkersAlive    int64 `json:"workers_alive"`
-	Heartbeats      int64 `json:"heartbeats"`
-	UnitsDispatched int64 `json:"units_dispatched"`
-	UnitsStolen     int64 `json:"units_stolen"`
-	UnitsRequeued   int64 `json:"units_requeued"`
-	UnitFailures    int64 `json:"unit_failures"`
-	JobsForwarded   int64 `json:"jobs_forwarded"`
-	TierHits        int64 `json:"tier_hits"`
-	TierMisses      int64 `json:"tier_misses"`
-	TierWrites      int64 `json:"tier_writes"`
-	RemoteHits      int64 `json:"remote_cache_hits"`
-	RemoteMisses    int64 `json:"remote_cache_misses"`
-	RemoteWrites    int64 `json:"remote_cache_writes"`
-	HedgedRequests  int64 `json:"hedged_requests"`
-	HedgeWins       int64 `json:"hedge_wins"`
 }
 
 // Status assembles the current snapshot from the process registry.
@@ -235,14 +175,6 @@ func Status() StatusSnapshot {
 		s.AMGOperatorComplexity = amgOpComplexity
 	}
 	amgMu.Unlock()
-	s.KernelSpMV = std.Counter("sparse_kernel_spmv_total").Value()
-	s.KernelTrisolves = std.Counter("sparse_kernel_trisolve_total").Value()
-	s.KernelSmootherSweeps = std.Counter("sparse_kernel_smoother_total").Value()
-	s.KernelParallelDispatch = std.Counter("sparse_kernel_parallel_dispatches_total").Value()
-	kernelMu.Lock()
-	s.KernelWorkers = kernelWorkers
-	s.KernelWorkerOccupancy = kernelOccupancy
-	kernelMu.Unlock()
 	s.HealthReports = std.Counter("solver_health_reports_total").Value()
 	s.HealthStagnations = std.Counter("solver_health_stagnation_total").Value()
 	s.HealthPlateaus = std.Counter("solver_health_plateau_total").Value()
@@ -265,26 +197,6 @@ func Status() StatusSnapshot {
 	}
 	if cache != (CacheStatus{}) {
 		s.Cache = &cache
-	}
-	fleet := FleetStatus{
-		WorkersAlive:    int64(std.Gauge("fleet_workers_alive").Value()),
-		Heartbeats:      std.Counter("fleet_heartbeats_total").Value(),
-		UnitsDispatched: std.Counter("fleet_units_dispatched_total").Value(),
-		UnitsStolen:     std.Counter("fleet_units_stolen_total").Value(),
-		UnitsRequeued:   std.Counter("fleet_units_requeued_total").Value(),
-		UnitFailures:    std.Counter("fleet_unit_failures_total").Value(),
-		JobsForwarded:   std.Counter("server_jobs_forwarded_total").Value(),
-		TierHits:        std.Counter("fleet_tier_hits_total").Value(),
-		TierMisses:      std.Counter("fleet_tier_misses_total").Value(),
-		TierWrites:      std.Counter("fleet_tier_writes_total").Value(),
-		RemoteHits:      std.Counter("fleet_remote_cache_hits_total").Value(),
-		RemoteMisses:    std.Counter("fleet_remote_cache_misses_total").Value(),
-		RemoteWrites:    std.Counter("fleet_remote_cache_writes_total").Value(),
-		HedgedRequests:  std.Counter("client_hedged_requests_total").Value(),
-		HedgeWins:       std.Counter("client_hedge_wins_total").Value(),
-	}
-	if fleet != (FleetStatus{}) {
-		s.Fleet = &fleet
 	}
 	if s.Active == nil {
 		s.Active = []string{}
