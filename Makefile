@@ -76,11 +76,11 @@ loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 # profile runs a representative sweep (the EM-lifetime figures plus the
-# transient experiment) under the CPU profiler and leaves vsexplore.prof
-# ready for `go tool pprof ./bin/vsexplore vsexplore.prof`.
+# two transient experiments) under the CPU profiler and leaves
+# vsexplore.prof ready for `go tool pprof ./bin/vsexplore vsexplore.prof`.
 profile: build
 	$(GO) build -o bin/vsexplore ./cmd/vsexplore
-	./bin/vsexplore -coarse -exp fig5a,fig5b,fig8 -cpuprofile vsexplore.prof > /dev/null
+	./bin/vsexplore -coarse -exp fig5a,fig5b,fig8,ext-transient,ext-decap-split -cpuprofile vsexplore.prof > /dev/null
 	@echo "wrote vsexplore.prof; inspect with: $(GO) tool pprof ./bin/vsexplore vsexplore.prof"
 
 # metrics-demo runs a small sweep with full telemetry and prints the JSON

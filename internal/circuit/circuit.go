@@ -157,7 +157,8 @@ func (n *Netlist) AddConverter2to1(top, bottom, mid int, rSeries, gPar float64) 
 type SolverKind int
 
 const (
-	// Auto picks Direct for small systems and PCGIC0 for large ones.
+	// Auto picks by node count: Direct up to 4k nodes, PCGIC0 up to 200k,
+	// PCGAMG above. Transient picks DirectSparseND up to 200k instead.
 	Auto SolverKind = iota
 	// Direct uses the RCM-ordered skyline Cholesky factorization.
 	Direct
@@ -313,10 +314,14 @@ type adder interface {
 }
 
 // stampMatrix stamps every matrix-bearing element into b in the canonical
-// element order (resistors, ties, converters, inductors). Both the fresh
-// Solve path and the prepared engine go through this single routine, which
-// is what keeps their assemblies bit-identical.
-func (n *Netlist) stampMatrix(b adder) {
+// element order (resistors, ties, converters, capacitors, inductors). The
+// fresh Solve path, the prepared engine and Transient all go through this
+// single routine, which is what keeps their assemblies bit-identical.
+//
+// dt == 0 stamps the DC matrix: capacitors are open circuits, inductors
+// near-ideal shorts. dt > 0 stamps the backward-Euler step matrix, with
+// the companion conductances C/dt and dt/L.
+func (n *Netlist) stampMatrix(b adder, dt float64) {
 	for _, r := range n.resistors {
 		stampConductance(b, r.a, r.b, r.g)
 	}
@@ -326,10 +331,17 @@ func (n *Netlist) stampMatrix(b adder) {
 	for _, c := range n.converters {
 		stampConverter(b, c)
 	}
-	// DC treatment of dynamic elements: capacitors are open circuits,
-	// inductors near-ideal shorts.
+	if dt > 0 {
+		for _, c := range n.caps {
+			stampConductance(b, c.a, c.b, c.c/dt)
+		}
+	}
 	for _, l := range n.inductors {
-		stampConductance(b, l.a, l.b, 1/RIndDC)
+		g := 1 / RIndDC
+		if dt > 0 {
+			g = dt / l.l
+		}
+		stampConductance(b, l.a, l.b, g)
 	}
 }
 
@@ -361,6 +373,45 @@ func (n *Netlist) stampRHS(rhs []float64) {
 	}
 }
 
+// directSolver is a factored matrix: each SolveTo is one pair of
+// triangular solves.
+type directSolver interface {
+	SolveTo(dst, b []float64)
+}
+
+// factor builds what kind needs to solve a: a direct factor for the direct
+// kinds, a preconditioner for the PCG kinds (exactly one is non-nil). An
+// IC(0) or AMG build failure falls back to Jacobi rather than failing the
+// solve.
+func factor(kind SolverKind, a *sparse.CSR) (directSolver, sparse.Preconditioner, error) {
+	switch kind {
+	case Direct:
+		f, err := sparse.FactorCholesky(a)
+		if err != nil {
+			return nil, nil, wrapSPD(err)
+		}
+		return f, nil, nil
+	case DirectSparseND:
+		f, err := sparse.FactorSparse(a, sparse.OrderND)
+		if err != nil {
+			return nil, nil, wrapSPD(err)
+		}
+		return f, nil, nil
+	case PCGIC0:
+		if ic, err := sparse.NewIC0(a); err == nil {
+			return nil, ic, nil
+		}
+	case PCGAMG:
+		if mg, err := sparse.NewAMG(a, sparse.AMGOptions{}); err == nil {
+			return nil, mg, nil
+		}
+	case PCGJacobi:
+	default:
+		return nil, nil, fmt.Errorf("circuit: unknown solver kind %d", kind)
+	}
+	return nil, sparse.NewJacobi(a), nil
+}
+
 // Solve assembles the conductance matrix and solves for all node voltages.
 func (n *Netlist) Solve(opts SolveOptions) (*Solution, error) {
 	nn := n.numNodes
@@ -371,61 +422,33 @@ func (n *Netlist) Solve(opts SolveOptions) (*Solution, error) {
 		return nil, err
 	}
 	b := sparse.NewBuilder(nn)
-	n.stampMatrix(b)
+	n.stampMatrix(b, 0)
 	rhs := make([]float64, nn)
 	n.stampRHS(rhs)
-
 	a := b.ToCSR()
-	sol := &Solution{net: n}
 
 	kind, tol, maxIter := opts.resolve(nn)
-
-	switch kind {
-	case Direct:
-		f, err := sparse.FactorCholesky(a)
-		if err != nil {
-			return nil, wrapSPD(err)
-		}
-		sol.v = f.Solve(rhs)
-	case DirectSparseND:
-		f, err := sparse.FactorSparse(a, sparse.OrderND)
-		if err != nil {
-			return nil, wrapSPD(err)
-		}
-		sol.v = f.Solve(rhs)
-	case PCGIC0, PCGJacobi, PCGAMG:
-		var prec sparse.Preconditioner
-		switch kind {
-		case PCGIC0:
-			if ic, err := sparse.NewIC0(a); err == nil {
-				prec = ic
-			} else {
-				prec = sparse.NewJacobi(a)
-			}
-		case PCGAMG:
-			// Mirror the IC(0) discipline: a hierarchy build failure falls
-			// back to Jacobi rather than failing the solve.
-			if mg, err := sparse.NewAMG(a, sparse.AMGOptions{}); err == nil {
-				prec = mg
-			} else {
-				prec = sparse.NewJacobi(a)
-			}
-		default:
-			prec = sparse.NewJacobi(a)
-		}
-		x, res, err := sparse.PCG(a, rhs, nil, prec, tol, maxIter)
-		if err != nil {
-			return nil, err
-		}
-		sol.v = x
-		sol.Iterations = res.Iterations
-		sol.Residual = res.Residual
-		sol.ConvTrace = res.Trace
-		sol.Health = res.Health
-	default:
-		return nil, fmt.Errorf("circuit: unknown solver kind %d", kind)
+	direct, prec, err := factor(kind, a)
+	if err != nil {
+		return nil, err
 	}
-	return sol, nil
+	if direct != nil {
+		v := make([]float64, nn)
+		direct.SolveTo(v, rhs)
+		return &Solution{net: n, v: v}, nil
+	}
+	x, res, err := sparse.PCG(a, rhs, nil, prec, tol, maxIter)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{
+		net:        n,
+		v:          x,
+		Iterations: res.Iterations,
+		Residual:   res.Residual,
+		ConvTrace:  res.Trace,
+		Health:     res.Health,
+	}, nil
 }
 
 func stampConductance(b adder, i, j int, g float64) {

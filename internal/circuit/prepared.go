@@ -142,7 +142,7 @@ func (p *Prepared) compile() error {
 		return err
 	}
 	b := sparse.NewBuilder(nn)
-	n.stampMatrix(b)
+	n.stampMatrix(b, 0)
 	// The builder's value stream is exactly what a valueWriter replay would
 	// produce (same Add order, same zero-skip), so the canonical COO value
 	// array is seeded by copy instead of a second stamping pass.
@@ -327,7 +327,7 @@ func (p *Prepared) ensureCurrentSpan(sp *telemetry.Span) error {
 		mPrepRestamps.Add(1)
 		spR := sp.Start("restamp")
 		w := &valueWriter{dst: p.coo}
-		p.net.stampMatrix(w)
+		p.net.stampMatrix(w, 0)
 		if w.bad || w.pos != len(p.coo) {
 			spR.End()
 			// Structure drifted in a way the sentinels missed; rebuild.

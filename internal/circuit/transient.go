@@ -130,6 +130,11 @@ var ErrTransient = errors.New("circuit: transient analysis failed")
 // transient loads follow their functions; capacitors and inductors use
 // companion models. The step matrix is factored once (direct solver) or
 // warm-started (iterative), so long runs are cheap.
+//
+// Under Auto, systems up to amgThreshold nodes use DirectSparseND for both
+// the DC operating point and the step matrix: one nested-dissection factor
+// then serves every step with a pair of triangular solves, and its fill is
+// a fraction of the skyline envelope. Larger systems resolve as Solve does.
 func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResult, error) {
 	if opts.DT <= 0 || opts.Steps <= 0 {
 		return nil, fmt.Errorf("%w: need positive DT and Steps", ErrTransient)
@@ -142,25 +147,28 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 	}
 	nn := n.numNodes
 	dt := opts.DT
+	so := opts.Solve
+	if so.Solver == Auto && nn <= amgThreshold {
+		so.Solver = DirectSparseND
+	}
 
 	// Initial condition.
 	v := make([]float64, nn)
 	if opts.InitDC {
-		dc, err := n.Solve(opts.Solve)
+		dc, err := n.Solve(so)
 		if err != nil {
 			return nil, fmt.Errorf("%w: DC init: %v", ErrTransient, err)
 		}
 		copy(v, dc.v)
 	}
 
-	// Assemble the constant step matrix: conductances + C/dt + dt/L.
+	// The constant step matrix (conductances + C/dt + dt/L) and the
+	// constant part of the right-hand side (rail injections, DC loads).
 	b := sparse.NewBuilder(nn)
+	n.stampMatrix(b, dt)
+	a := b.ToCSR()
 	rhsBase := make([]float64, nn)
-	for _, r := range n.resistors {
-		stampConductance(b, r.a, r.b, r.g)
-	}
 	for _, t := range n.ties {
-		b.Add(t.node, t.node, t.g)
 		rhsBase[t.node] += t.g * t.vRail
 	}
 	for _, l := range n.loads {
@@ -171,60 +179,11 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 			rhsBase[l.to] += l.i
 		}
 	}
-	for _, c := range n.converters {
-		stampConverter(b, c)
-	}
-	for _, c := range n.caps {
-		stampConductance(b, c.a, c.b, c.c/dt)
-	}
-	for _, l := range n.inductors {
-		stampConductance(b, l.a, l.b, dt/l.l)
-	}
-	a := b.ToCSR()
 
-	kind := opts.Solve.Solver
-	if kind == Auto {
-		if nn <= directThreshold {
-			kind = Direct
-		} else {
-			kind = PCGIC0
-		}
-	}
-	var chol interface{ SolveTo(dst, b []float64) }
-	var prec sparse.Preconditioner
-	var err error
-	switch kind {
-	case Direct:
-		chol, err = sparse.FactorCholesky(a)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTransient, err)
-		}
-	case DirectSparseND:
-		chol, err = sparse.FactorSparse(a, sparse.OrderND)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTransient, err)
-		}
-	case PCGIC0:
-		if ic, e := sparse.NewIC0(a); e == nil {
-			prec = ic
-		} else {
-			prec = sparse.NewJacobi(a)
-		}
-	case PCGJacobi:
-		prec = sparse.NewJacobi(a)
-	default:
-		return nil, fmt.Errorf("%w: unknown solver %d", ErrTransient, kind)
-	}
-	tol := opts.Solve.Tol
-	if tol == 0 {
-		tol = 1e-10
-	}
-	maxIter := opts.Solve.MaxIter
-	if maxIter == 0 {
-		maxIter = 20 * nn
-		if maxIter < 1000 {
-			maxIter = 1000
-		}
+	kind, tol, maxIter := so.resolve(nn)
+	direct, prec, err := factor(kind, a)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrTransient, err)
 	}
 
 	// Inductor current state at the operating point: solve from branch
@@ -285,8 +244,8 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 			}
 		}
 
-		if chol != nil {
-			chol.SolveTo(v, rhs)
+		if direct != nil {
+			direct.SolveTo(v, rhs)
 		} else {
 			x, _, err := sparse.PCG(a, rhs, v, prec, tol, maxIter)
 			if err != nil {

@@ -232,19 +232,21 @@ func TestTransientSolverAgreement(t *testing.T) {
 		return n
 	}
 	opts := TransientOptions{DT: 20e-12, Steps: 500, InitDC: true}
-	optsI := opts
-	optsI.Solve = SolveOptions{Solver: PCGIC0, Tol: 1e-12}
-	rd, err := build().Transient(opts, []int{1})
+	ref, err := build().Transient(opts, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := build().Transient(optsI, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range rd.Times {
-		if !units.ApproxEqual(rd.V[0][k], ri.V[0][k], 1e-6, 1e-5) {
-			t.Fatalf("solvers diverge at step %d: %g vs %g", k, rd.V[0][k], ri.V[0][k])
+	for _, kind := range []SolverKind{Auto, Direct, PCGIC0, PCGJacobi, DirectSparseND, PCGAMG} {
+		o := opts
+		o.Solve = SolveOptions{Solver: kind, Tol: 1e-12}
+		r, err := build().Transient(o, []int{1})
+		if err != nil {
+			t.Fatalf("solver %d: %v", kind, err)
+		}
+		for k := range ref.Times {
+			if !units.ApproxEqual(ref.V[0][k], r.V[0][k], 1e-6, 1e-5) {
+				t.Fatalf("solver %d diverges from Auto at step %d: %g vs %g", kind, k, r.V[0][k], ref.V[0][k])
+			}
 		}
 	}
 }

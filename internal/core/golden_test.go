@@ -53,6 +53,38 @@ func TestGoldenTable2(t *testing.T) {
 	checkGolden(t, "table2.json", NewStudy().Coarse().Table2())
 }
 
+// TestGoldenTransientRenders pins the exact text the coarse transient
+// experiments render. Their waveforms come from circuit.Transient, whose
+// solver may move them at the 1e-12 level; the rendered numbers must not
+// move, since SchemaVersion and the cache key assume identical bytes.
+func TestGoldenTransientRenders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second transient runs")
+	}
+	for _, name := range []string{"ext-transient", "ext-decap-split"} {
+		t.Run(name, func(t *testing.T) {
+			got, err := RunExperiment(NewStudy().Coarse(), name, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", "golden", name+".txt")
+			if *updateGolden {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file %s — run `go test ./internal/core -run TestGolden -update` (%v)", path, err)
+			}
+			if got != string(want) {
+				t.Errorf("%s render drifted.\n--- got ---\n%s--- want ---\n%s", name, got, want)
+			}
+		})
+	}
+}
+
 func TestGoldenHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second figure pipeline")

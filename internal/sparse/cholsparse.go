@@ -248,7 +248,15 @@ func (f *SparseChol) NNZ() int {
 
 // Solve returns x with A·x = b.
 func (f *SparseChol) Solve(b []float64) []float64 {
-	if len(b) != f.n {
+	x := make([]float64, f.n)
+	f.SolveTo(x, b)
+	return x
+}
+
+// SolveTo is like Solve but writes into dst (len n); its one allocation is
+// the permuted work vector.
+func (f *SparseChol) SolveTo(dst, b []float64) {
+	if len(b) != f.n || len(dst) != f.n {
 		panic("sparse: Solve dimension mismatch")
 	}
 	y := PermuteVec(f.perm, b)
@@ -272,14 +280,7 @@ func (f *SparseChol) Solve(b []float64) []float64 {
 		}
 		y[j] = s / f.diag[j]
 	}
-	x := make([]float64, f.n)
 	for nw, old := range f.inv {
-		x[old] = y[nw]
+		dst[old] = y[nw]
 	}
-	return x
-}
-
-// SolveTo writes the solution into dst.
-func (f *SparseChol) SolveTo(dst, b []float64) {
-	copy(dst, f.Solve(b))
 }

@@ -275,6 +275,21 @@ func TestSparseCholMultipleSolves(t *testing.T) {
 	}
 }
 
+// TestSparseCholSolveToAllocs pins SolveTo at one allocation per call (the
+// permuted work vector): transient stepping calls it once per time step.
+func TestSparseCholSolveToAllocs(t *testing.T) {
+	a := grid3D(6, 6, 3, 0.2)
+	f, err := FactorSparse(a, OrderND)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bVec := randVec(a.N(), rand.New(rand.NewSource(23)))
+	dst := make([]float64, a.N())
+	if allocs := testing.AllocsPerRun(20, func() { f.SolveTo(dst, bVec) }); allocs > 1 {
+		t.Errorf("SolveTo: %v allocations per call, want <= 1", allocs)
+	}
+}
+
 func TestSparseCholPropertyRandomGrids(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
