@@ -57,13 +57,15 @@ bench-telemetry:
 	$(GO) test -bench 'Fig5aTelemetry' -run '^$$' -count 5 .
 
 # fuzz runs every fuzz target for 30s: CSV parsing, job-request decoding,
-# the cache-fingerprint keying contract and batch-vs-serial solver
-# equivalence. (`go test -fuzz` takes one target per invocation.)
+# the cache-fingerprint keying contract, batch-vs-serial solver
+# equivalence and the EM lifetime kernels against their per-conductor
+# references. (`go test -fuzz` takes one target per invocation.)
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzParseCSV -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 30s
 	$(GO) test ./internal/pdngrid -run '^$$' -fuzz FuzzCacheFingerprint -fuzztime 30s
 	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzBatchSerialEquivalence -fuzztime 30s
+	$(GO) test ./internal/em -run '^$$' -fuzz FuzzGroupMatchesReference -fuzztime 30s
 
 # golden regenerates the pinned paper-number snapshots after a deliberate
 # model change.
@@ -76,12 +78,15 @@ loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 # profile runs a representative sweep (the EM-lifetime figures plus the
-# two transient experiments) under the CPU profiler and leaves
-# vsexplore.prof ready for `go tool pprof ./bin/vsexplore vsexplore.prof`.
+# two transient experiments) and the em-mc benchmark's command (emlife
+# with a Monte Carlo cross-check) under the CPU profiler, leaving
+# vsexplore.prof and emlife.prof for `go tool pprof ./bin/<cmd> <cmd>.prof`.
 profile: build
 	$(GO) build -o bin/vsexplore ./cmd/vsexplore
+	$(GO) build -o bin/emlife ./cmd/emlife
 	./bin/vsexplore -coarse -exp fig5a,fig5b,fig8,ext-transient,ext-decap-split -cpuprofile vsexplore.prof > /dev/null
-	@echo "wrote vsexplore.prof; inspect with: $(GO) tool pprof ./bin/vsexplore vsexplore.prof"
+	./bin/emlife -grid 32 -mc-trials 20000 -cpuprofile emlife.prof > /dev/null
+	@echo "wrote vsexplore.prof and emlife.prof; inspect with: $(GO) tool pprof ./bin/vsexplore vsexplore.prof"
 
 # metrics-demo runs a small sweep with full telemetry and prints the JSON
 # metrics dump (the Prometheus rendering lands next to it as

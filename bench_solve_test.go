@@ -13,6 +13,7 @@
 package voltstack_test
 
 import (
+	"context"
 	"testing"
 
 	"voltstack/internal/circuit"
@@ -123,7 +124,7 @@ func benchExtEMMC(b *testing.B, fresh bool) {
 	var gap float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := s.ExtEMMonteCarlo(2000)
+		r, err := s.ExtEMMonteCarlo(context.Background(), 2000)
 		if err != nil {
 			b.Fatal(err)
 		}

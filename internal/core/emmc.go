@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -28,8 +29,8 @@ type ExtEMMonteCarloResult struct {
 // ExtEMMonteCarlo solves the 8-layer V-S design point (4 conv/core, Few
 // TSV, full power pads) and compares closed-form and Monte Carlo lifetimes
 // for both conductor arrays. Deterministic for a fixed study seed and any
-// worker count.
-func (s *Study) ExtEMMonteCarlo(trials int) (*ExtEMMonteCarloResult, error) {
+// worker count. Cancelling ctx stops the Monte Carlo sampling.
+func (s *Study) ExtEMMonteCarlo(ctx context.Context, trials int) (*ExtEMMonteCarloResult, error) {
 	defer s.observe("ext-em-mc")()
 	if trials < 1 {
 		return nil, fmt.Errorf("core: need at least 1 Monte Carlo trial")
@@ -53,7 +54,7 @@ func (s *Study) ExtEMMonteCarlo(trials int) (*ExtEMMonteCarloResult, error) {
 		if closed, err = g.MedianLifetime(); err != nil {
 			return 0, 0, 0, err
 		}
-		if monte, err = g.SimulateMedianLifetime(trials, s.Seed); err != nil {
+		if monte, err = g.SimulateMedianLifetime(ctx, trials, s.Seed); err != nil {
 			return 0, 0, 0, err
 		}
 		return closed, monte, len(currents), nil

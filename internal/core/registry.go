@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
@@ -140,7 +141,7 @@ var textRunners = map[string]func(*Study) (string, error){
 		return RenderExtThermalEM(r), nil
 	},
 	"ext-em-mc": func(s *Study) (string, error) {
-		r, err := s.ExtEMMonteCarlo(4000)
+		r, err := s.ExtEMMonteCarlo(context.Background(), 4000)
 		if err != nil {
 			return "", err
 		}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"voltstack/internal/units"
 )
@@ -83,20 +82,37 @@ func LognormalCDF(t, t50, sigma float64) float64 {
 	if math.IsInf(t50, 1) {
 		return 0
 	}
-	z := (math.Log(t) - math.Log(t50)) / sigma
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
+	return normalCDF((math.Log(t) - math.Log(t50)) / sigma)
 }
+
+// normalCDF is the standard normal CDF Φ(z).
+func normalCDF(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
 
 // Group models a population of conductors subject to EM wearout, e.g. the
 // power-supply C4 pad array or a TSV array.
+//
+// The stressed conductors are stored as runs of consecutively added equal
+// medians: pdngrid expands each lumped pad or TSV site into that many
+// conductors carrying the same current, several per site. The analytic
+// kernel evaluates its transcendentals once per run and the Monte Carlo
+// a few per trial, not one per conductor, and both return the bits a loop
+// over the individual conductors in insertion order returns (DESIGN §7).
 type Group struct {
 	sigma float64
-	t50s  []float64
+	n     int // conductors added, unstressed ones included
+	runs  []run
+}
+
+// run is a stretch of n consecutively added conductors (unstressed ones
+// between them aside) that share the finite median t50.
+type run struct {
+	t50, logT50 float64
+	n           int
 }
 
 // NewGroup returns an empty group with lognormal shape sigma.
 func NewGroup(sigma float64) *Group {
-	if sigma <= 0 {
+	if !(sigma > 0) {
 		panic(fmt.Sprintf("em: sigma must be positive, got %g", sigma))
 	}
 	return &Group{sigma: sigma}
@@ -105,10 +121,18 @@ func NewGroup(sigma float64) *Group {
 // AddT50 adds a conductor by its median lifetime. Infinite medians
 // (unstressed conductors) are accepted and never contribute to failure.
 func (g *Group) AddT50(t50 float64) {
-	if t50 <= 0 {
+	if !(t50 > 0) {
 		panic(fmt.Sprintf("em: t50 must be positive, got %g", t50))
 	}
-	g.t50s = append(g.t50s, t50)
+	g.n++
+	if math.IsInf(t50, 1) {
+		return
+	}
+	if k := len(g.runs) - 1; k >= 0 && g.runs[k].t50 == t50 {
+		g.runs[k].n++
+		return
+	}
+	g.runs = append(g.runs, run{t50: t50, logT50: math.Log(t50), n: 1})
 }
 
 // AddConductor adds a conductor by its current and temperature using the
@@ -118,18 +142,29 @@ func (g *Group) AddConductor(p BlackParams, current, tempK float64) {
 }
 
 // Len returns the number of conductors in the group.
-func (g *Group) Len() int { return len(g.t50s) }
+func (g *Group) Len() int { return g.n }
 
 // FailureProb returns P(t) = 1 − Π(1 − Fi(t)), computed in log space so
 // large groups do not underflow.
+//
+// Each run's CDF and log1p are evaluated once; its term is then added once
+// per conductor, so the float additions are exactly those of a loop over
+// the conductors. Unstressed conductors contribute log1p(−0) = −0, which
+// leaves the sum unchanged, and are not stored.
 func (g *Group) FailureProb(t float64) float64 {
 	var logSurvival float64
-	for _, t50 := range g.t50s {
-		f := LognormalCDF(t, t50, g.sigma)
-		if f >= 1 {
-			return 1
+	if !(t <= 0) { // nothing has failed by t <= 0; a NaN t gives NaN
+		logT := math.Log(t)
+		for _, r := range g.runs {
+			f := normalCDF((logT - r.logT50) / g.sigma)
+			if f >= 1 {
+				return 1
+			}
+			term := math.Log1p(-f)
+			for k := 0; k < r.n; k++ {
+				logSurvival += term
+			}
 		}
-		logSurvival += math.Log1p(-f)
 	}
 	return -math.Expm1(logSurvival)
 }
@@ -151,10 +186,8 @@ func (g *Group) LifetimeAtProb(prob float64) (float64, error) {
 		return 0, fmt.Errorf("em: probability must be in (0,1), got %g", prob)
 	}
 	minT50 := math.Inf(1)
-	for _, t := range g.t50s {
-		if t < minT50 {
-			minT50 = t
-		}
+	for _, r := range g.runs {
+		minT50 = math.Min(minT50, r.t50)
 	}
 	if math.IsInf(minT50, 1) {
 		return 0, ErrEmptyGroup
@@ -185,34 +218,4 @@ func (g *Group) LifetimeAtProb(prob float64) (float64, error) {
 		}
 	}
 	return math.Sqrt(lo * hi), nil
-}
-
-// WeakestT50 returns the smallest single-conductor median in the group.
-func (g *Group) WeakestT50() float64 {
-	m := math.Inf(1)
-	for _, t := range g.t50s {
-		if t < m {
-			m = t
-		}
-	}
-	return m
-}
-
-// Quantiles returns the q-quantiles of the per-conductor medians (for
-// reporting current-distribution spreads). qs must be in (0,1).
-func (g *Group) Quantiles(qs ...float64) []float64 {
-	sorted := append([]float64(nil), g.t50s...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if len(sorted) == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		idx := q * float64(len(sorted)-1)
-		lo := int(math.Floor(idx))
-		hi := int(math.Ceil(idx))
-		out[i] = units.Lerp(sorted[lo], sorted[hi], idx-float64(lo))
-	}
-	return out
 }

@@ -295,17 +295,6 @@ func TestLifetimeRatioFollowsBlackExponent(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	g := NewGroup(0.4)
-	for _, v := range []float64{10, 20, 30, 40, 50} {
-		g.AddT50(v)
-	}
-	qs := g.Quantiles(0, 0.5, 1)
-	if qs[0] != 10 || qs[1] != 30 || qs[2] != 50 {
-		t.Errorf("quantiles = %v", qs)
-	}
-}
-
 func TestValidateBlackParams(t *testing.T) {
 	good := DefaultC4()
 	if err := good.Validate(); err != nil {

@@ -37,26 +37,28 @@ var (
 // bit-identical for any worker count and any scheduling.
 //
 // Unstressed conductors (infinite medians) never fail and are skipped.
-func (g *Group) SimulateMedianLifetime(trials int, seed int64) (float64, error) {
-	return g.SimulateMedianLifetimeWorkers(trials, seed, 0)
+// Cancelling ctx stops the run between batches of trials and returns
+// ctx's error.
+func (g *Group) SimulateMedianLifetime(ctx context.Context, trials int, seed int64) (float64, error) {
+	return g.simulate(ctx, trials, seed, 0)
 }
 
-// SimulateMedianLifetimeWorkers is SimulateMedianLifetime with an
-// explicit worker count; workers < 1 selects the default. The result is
-// identical for every worker count (see SimulateMedianLifetime).
+// SimulateMedianLifetimeWorkers is SimulateMedianLifetime, run to
+// completion, with an explicit worker count; workers < 1 selects the
+// default. The result is identical for every worker count (see
+// SimulateMedianLifetime).
 func (g *Group) SimulateMedianLifetimeWorkers(trials int, seed int64, workers int) (float64, error) {
-	finite := make([]float64, 0, len(g.t50s))
-	for _, t := range g.t50s {
-		if !math.IsInf(t, 1) {
-			finite = append(finite, t)
-		}
-	}
-	if len(finite) == 0 {
+	return g.simulate(context.Background(), trials, seed, workers)
+}
+
+func (g *Group) simulate(ctx context.Context, trials int, seed int64, workers int) (float64, error) {
+	if len(g.runs) == 0 {
 		return 0, ErrEmptyGroup
 	}
 	if trials < 1 {
 		trials = 1
 	}
+	floor := g.fastFloor()
 	t0 := telemetry.Now()
 	prog := telemetry.NewProgress("em-montecarlo", trials)
 	minima := make([]float64, trials)
@@ -68,23 +70,14 @@ func (g *Group) SimulateMedianLifetimeWorkers(trials int, seed int64, workers in
 	// estimate — it is bit-identical to per-trial dispatch.
 	const trialBatch = 64
 	nBatches := (trials + trialBatch - 1) / trialBatch
-	err := parallel.NewPool(workers).ForEachN(context.Background(), nBatches, func(bi int) error {
+	err := parallel.NewPool(workers).ForEachN(ctx, nBatches, func(bi int) error {
 		lo := bi * trialBatch
 		hi := lo + trialBatch
 		if hi > trials {
 			hi = trials
 		}
 		for tr := lo; tr < hi; tr++ {
-			rng := rand.New(newTrialSource(seed, int64(tr)))
-			first := math.Inf(1)
-			for _, t50 := range finite {
-				// Lognormal draw: t = t50 · exp(σ·Z).
-				t := t50 * math.Exp(g.sigma*rng.NormFloat64())
-				if t < first {
-					first = t
-				}
-			}
-			minima[tr] = first
+			minima[tr] = g.trialMinimum(seed, int64(tr), floor)
 		}
 		prog.Add(hi - lo)
 		return nil
@@ -123,6 +116,81 @@ func (g *Group) SimulateMedianLifetimeWorkers(trials int, seed int64, workers in
 		}
 	}
 	return med, nil
+}
+
+// Fast-pass constants of trialMinimum. keySlack is the log-time margin
+// within which a conductor's product is evaluated; expSafe bounds |σZ|
+// inside the range where math.Exp returns a finite normal float (about
+// −708.4 to 709.4 on amd64). DESIGN §7 derives both.
+const (
+	keySlack = 1e-9
+	expSafe  = 700
+)
+
+// fastFloor returns the smallest fast-pass key trialMinimum accepts:
+// max log t50 − expSafe. The keys need log t50 to within an ulp, which
+// math.Log gives only for normal floats (on amd64 it returns about
+// −709.09 for every subnormal), so a group with a subnormal median gets
+// +Inf: its fast passes are accepted only if they evaluated every product.
+func (g *Group) fastFloor() float64 {
+	minT50, maxLog := math.Inf(1), math.Inf(-1)
+	for _, r := range g.runs {
+		minT50, maxLog = math.Min(minT50, r.t50), math.Max(maxLog, r.logT50)
+	}
+	if minT50 < 0x1p-1022 {
+		return math.Inf(1)
+	}
+	return maxLog - expSafe
+}
+
+// trialMinimum returns trial tr's earliest failure: the smallest
+// t50·exp(σZ) over the stressed conductors in insertion order, each with
+// its own normal draw Z — bit-identical to evaluating every product.
+//
+// The fast pass ranks conductors by the key log t50 + σZ, which needs no
+// exp, and evaluates the product only for a conductor whose key is within
+// keySlack of the smallest key so far, the reference. A skipped
+// conductor's product is then no smaller than the reference's, provided
+// exp(σZ) is a normal float for both. Two checks ensure that: a key
+// becomes the reference only if σZ <= expSafe, and the pass is accepted
+// only if its last reference key is at least floor (see fastFloor), which
+// rules out σZ < −expSafe for every skipped and every reference conductor.
+// A rejected trial is replayed from its stream with an infinite slack,
+// which evaluates every product (its cut is +Inf, or NaN after a −Inf
+// key, and key > cut is never true).
+func (g *Group) trialMinimum(seed, tr int64, floor float64) float64 {
+	if first, ref := g.trialPass(seed, tr, keySlack); ref >= floor {
+		return first
+	}
+	first, _ := g.trialPass(seed, tr, math.Inf(1))
+	return first
+}
+
+// trialPass runs trial tr, evaluating the products of the conductors whose
+// key is within slack of the reference key, and returns the smallest
+// product evaluated and the last reference key (+Inf if none was set).
+func (g *Group) trialPass(seed, tr int64, slack float64) (first, ref float64) {
+	rng := rand.New(newTrialSource(seed, tr))
+	first, ref = math.Inf(1), math.Inf(1)
+	cut := math.Inf(1)
+	for _, r := range g.runs {
+		for k := 0; k < r.n; k++ {
+			// The conversion keeps σZ rounded exactly as exp receives it
+			// (no fused multiply-add into the key).
+			a := float64(g.sigma * rng.NormFloat64())
+			key := r.logT50 + a
+			if key > cut {
+				continue
+			}
+			if t := r.t50 * math.Exp(a); t < first {
+				first = t
+			}
+			if key < ref && a <= expSafe {
+				ref, cut = key, key+slack
+			}
+		}
+	}
+	return first, ref
 }
 
 // splitmix is a SplitMix64 generator (Steele et al., "Fast splittable

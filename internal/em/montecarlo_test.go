@@ -1,6 +1,7 @@
 package em
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestMonteCarloMatchesAnalyticSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := g.SimulateMedianLifetime(20000, 1)
+	mc, err := g.SimulateMedianLifetime(context.Background(), 20000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestMonteCarloMatchesAnalyticGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := g.SimulateMedianLifetime(20000, 7)
+	mc, err := g.SimulateMedianLifetime(context.Background(), 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestMonteCarloSkipsUnstressed(t *testing.T) {
 	g := NewGroup(0.4)
 	g.AddT50(800)
 	g.AddT50(math.Inf(1))
-	mc, err := g.SimulateMedianLifetime(5000, 3)
+	mc, err := g.SimulateMedianLifetime(context.Background(), 5000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +58,11 @@ func TestMonteCarloSkipsUnstressed(t *testing.T) {
 
 func TestMonteCarloEmptyGroup(t *testing.T) {
 	g := NewGroup(0.4)
-	if _, err := g.SimulateMedianLifetime(100, 1); err == nil {
+	if _, err := g.SimulateMedianLifetime(context.Background(), 100, 1); err == nil {
 		t.Error("empty group should error")
 	}
 	g.AddT50(math.Inf(1))
-	if _, err := g.SimulateMedianLifetime(100, 1); err == nil {
+	if _, err := g.SimulateMedianLifetime(context.Background(), 100, 1); err == nil {
 		t.Error("unstressed-only group should error")
 	}
 }
@@ -71,12 +72,12 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	for _, v := range []float64{10, 20, 30} {
 		g.AddT50(v)
 	}
-	a, _ := g.SimulateMedianLifetime(1000, 42)
-	b, _ := g.SimulateMedianLifetime(1000, 42)
+	a, _ := g.SimulateMedianLifetime(context.Background(), 1000, 42)
+	b, _ := g.SimulateMedianLifetime(context.Background(), 1000, 42)
 	if a != b {
 		t.Error("same seed must reproduce")
 	}
-	c, _ := g.SimulateMedianLifetime(1000, 43)
+	c, _ := g.SimulateMedianLifetime(context.Background(), 1000, 43)
 	if a == c {
 		t.Error("different seed should differ")
 	}
@@ -91,8 +92,8 @@ func TestMonteCarloWeakestLinkOrdering(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		large.AddT50(1000)
 	}
-	ms, _ := small.SimulateMedianLifetime(4000, 5)
-	ml, _ := large.SimulateMedianLifetime(4000, 5)
+	ms, _ := small.SimulateMedianLifetime(context.Background(), 4000, 5)
+	ml, _ := large.SimulateMedianLifetime(context.Background(), 4000, 5)
 	if ml >= ms {
 		t.Errorf("larger group should fail sooner: %g vs %g", ml, ms)
 	}
@@ -130,7 +131,7 @@ func TestMonteCarloDefaultMatchesExplicitWorkers(t *testing.T) {
 	g := NewGroup(0.35)
 	g.AddT50(100)
 	g.AddT50(250)
-	a, err := g.SimulateMedianLifetime(501, 9)
+	a, err := g.SimulateMedianLifetime(context.Background(), 501, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestTrialStreamsDecorrelated(t *testing.T) {
 func TestMonteCarloMinimumTrials(t *testing.T) {
 	g := NewGroup(0.4)
 	g.AddT50(100)
-	if _, err := g.SimulateMedianLifetime(0, 1); err != nil {
+	if _, err := g.SimulateMedianLifetime(context.Background(), 0, 1); err != nil {
 		t.Errorf("zero trials should clamp to one: %v", err)
 	}
 }

@@ -490,12 +490,12 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 		j.finished = time.Now()
 		qs := j.queueSpan
 		j.queueSpan = nil
-		close(j.done)
 		j.mu.Unlock()
 		qs.End()
 		mCancelled.Add(1)
 		m.finalizeStats(j)
 		m.saveMeta(j)
+		close(j.done)
 		return j, true
 	}
 	cancel := j.cancel
@@ -688,10 +688,13 @@ func (m *Manager) finish(j *Job, state JobState, result []byte, errMsg string) {
 	j.errMsg = errMsg
 	j.finished = time.Now()
 	j.cancel = nil
-	close(j.done)
 	j.mu.Unlock()
+	// Freeze the stats before announcing completion: a reader woken by
+	// Done must find the final document, not race finalizeStats with a
+	// second, later one.
 	m.finalizeStats(j)
 	m.saveMeta(j)
+	close(j.done)
 }
 
 // newStudy builds the deterministic study a request asks for — the same
@@ -752,7 +755,7 @@ func (m *Manager) computeEMMC(ctx context.Context, j *Job) ([]byte, error) {
 	}
 	s := newStudy(j.req)
 	s.Trace = telemetry.TraceContextFrom(ctx)
-	r, err := s.ExtEMMonteCarlo(j.req.Trials)
+	r, err := s.ExtEMMonteCarlo(ctx, j.req.Trials)
 	if err != nil {
 		return nil, err
 	}

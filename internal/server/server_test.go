@@ -289,6 +289,44 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestCancelRunningEMMC: cancelling an em-mc job stops its Monte Carlo
+// sampling instead of letting it finish the trial budget. A 1,000,000-trial
+// coarse job samples for tens of seconds; cancelled, it must be terminal
+// within 2 s.
+func TestCancelRunningEMMC(t *testing.T) {
+	started := make(chan struct{}, 1)
+	mgr, err := NewManager(Config{
+		MaxInFlight:  1,
+		testJobStart: func(context.Context, *Job) { started <- struct{}{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+
+	j, err := mgr.Submit(JobRequest{Kind: KindEMMC, Trials: 1_000_000, Coarse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	// Let the job solve its PDN and start sampling. The bound below holds
+	// wherever in the job the cancel lands; the pause makes it land in
+	// the sampling loop, past the job's entry check of its context.
+	time.Sleep(300 * time.Millisecond)
+	t0 := time.Now()
+	if _, ok := mgr.Cancel(j.ID()); !ok {
+		t.Fatal("running job unknown to Cancel")
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatalf("em-mc job still running %v after Cancel", time.Since(t0).Round(time.Millisecond))
+	}
+	if st := j.Status(); st.State != StateCancelled {
+		t.Errorf("em-mc job after cancel: state %s, want cancelled", st.State)
+	}
+}
+
 func TestHTTPStatusCodes(t *testing.T) {
 	mgr, err := NewManager(Config{})
 	if err != nil {
