@@ -28,10 +28,9 @@ bench:
 bench-parallel:
 	$(GO) test -bench 'Serial$$|Parallel$$' -run '^$$' .
 
-# bench-solve measures the prepared-solve engine against the historical
-# rebuild-everything path (closed-loop solve, explore sweep slice, ext-em-mc)
-# plus the multi-RHS serial-vs-batch scaling pairs, and renders the
-# fresh-vs-prepared and serial-vs-batch speedups into BENCH_solve.json.
+# bench-solve runs the multi-RHS serial-vs-batch scaling pairs and the
+# solver-health probes-off/on pairs, and renders the serial-vs-batch
+# speedups and probe overheads into BENCH_solve.json.
 bench-solve:
 	$(GO) test -bench '^BenchmarkSolve' -run '^$$' -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson > BENCH_solve.json
 	@cat BENCH_solve.json
@@ -43,9 +42,10 @@ bench-scaling:
 	$(GO) test -bench '^BenchmarkSolveScale' -run '^$$' -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson
 
 # bench-diff runs a quick (-benchtime=1x -short) solve-bench smoke, renders
-# it with benchjson and gates its fresh-vs-prepared / serial-vs-batch
-# speedups against the committed BENCH_solve.json baseline: any speedup
-# more than 30% below the baseline fails. This is the CI regression gate.
+# it with benchjson and gates its serial-vs-batch speedups (and the
+# probes-off allocations) against the committed BENCH_solve.json baseline:
+# any speedup more than 30% below the baseline fails. This is the CI
+# regression gate.
 bench-diff:
 	$(GO) test -bench '^BenchmarkSolve' -benchtime=1x -short -run '^$$' -timeout 20m . | $(GO) run ./cmd/benchjson > bench-smoke.json
 	$(GO) run ./cmd/benchjson -diff BENCH_solve.json bench-smoke.json -tolerance 0.30

@@ -9,6 +9,7 @@
 package voltstack_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -393,7 +394,7 @@ func BenchmarkDesignSpaceExploration(b *testing.B) {
 	space.TSVs = space.TSVs[:2]
 	var front float64
 	for i := 0; i < b.N; i++ {
-		res, err := space.Run()
+		res, err := space.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -437,7 +438,7 @@ func benchExploreSweep(b *testing.B, workers int) {
 	space.Workers = workers
 	var front float64
 	for i := 0; i < b.N; i++ {
-		res, err := space.Run()
+		res, err := space.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

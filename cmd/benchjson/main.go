@@ -1,6 +1,7 @@
 // Command benchjson turns `go test -bench` output on stdin into a JSON
-// report on stdout, pairing Fresh/Prepared benchmark variants and computing
-// their speedups. It backs the `make bench-solve` target:
+// report on stdout, pairing Serial/Batch and ProbesOff/ProbesOn benchmark
+// variants and computing their ratios. It backs the `make bench-solve`
+// target:
 //
 //	go test -bench '^BenchmarkSolve' -run '^$' . | go run ./cmd/benchjson > BENCH_solve.json
 //
@@ -13,9 +14,9 @@
 //
 //	benchjson -diff old.json new.json -tolerance 0.30
 //
-// Every Fresh/Prepared and Serial/Batch speedup
-// present in both reports is compared; the exit status is 1 when any
-// speedup regressed by more than the tolerance fraction (default 0.30).
+// Every Serial/Batch speedup present in both reports is compared; the exit
+// status is 1 when any speedup regressed by more than the tolerance
+// fraction (default 0.30).
 // Raw ns/op is machine- and load-dependent, so only the speedup ratios —
 // which divide that noise out — gate. The ProbesOff/ProbesOn pairs gate
 // on the disabled variant's allocs/op, which is machine-independent: the
@@ -37,10 +38,10 @@ import (
 
 // benchLine matches e.g.
 //
-//	BenchmarkSolveClosedLoopFresh-8   5   252909369 ns/op   10.00 outer-passes
+//	BenchmarkSolveScaleIC0PCG10kBatch-8   4   252596955 ns/op   8.00 lanes
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
-// metricPart matches trailing custom metrics: "10.00 outer-passes".
+// metricPart matches trailing custom metrics: "8.00 lanes".
 var metricPart = regexp.MustCompile(`([\d.eE+-]+) ([\w%/-]+)`)
 
 // Entry is one benchmark result.
@@ -49,14 +50,6 @@ type Entry struct {
 	Iters   int                `json:"iterations"`
 	NsPerOp float64            `json:"ns_per_op"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Pair couples a Fresh benchmark with its Prepared twin.
-type Pair struct {
-	Name       string  `json:"name"`
-	FreshNs    float64 `json:"fresh_ns_per_op"`
-	PreparedNs float64 `json:"prepared_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
 }
 
 // BatchPair couples a Serial benchmark with its Batch twin (the multi-RHS
@@ -91,7 +84,6 @@ type Report struct {
 	GoArch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Entry     `json:"benchmarks"`
-	Pairs      []Pair      `json:"pairs"`
 	BatchPairs []BatchPair `json:"batch_pairs,omitempty"`
 	ProbePairs []ProbePair `json:"probe_pairs,omitempty"`
 }
@@ -143,11 +135,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Pair suffix-twinned variants by common stem: *Fresh with *Prepared
-	// (the prepared-engine pairs) and *Serial with *Batch (the multi-RHS
-	// scaling pairs). When -count ran a benchmark several times, the mean
-	// ns/op of each variant is paired; scaling metrics (nodes, lanes) take
-	// the last reported value.
+	// Pair suffix-twinned variants by common stem: *Serial with *Batch (the
+	// multi-RHS scaling pairs) and *ProbesOff with *ProbesOn (the
+	// solver-health pairs). When -count ran a benchmark several times, the
+	// mean ns/op of each variant is paired; scaling metrics (nodes, lanes)
+	// take the last reported value.
 	type acc struct {
 		sum     float64
 		n       int
@@ -168,16 +160,11 @@ func main() {
 			a.metrics = e.Metrics
 		}
 	}
-	fresh, prepared := map[string]*acc{}, map[string]*acc{}
 	serial, batch := map[string]*acc{}, map[string]*acc{}
 	probesOff, probesOn := map[string]*acc{}, map[string]*acc{}
-	var order, batchOrder, probeOrder []string
+	var batchOrder, probeOrder []string
 	for _, e := range rep.Benchmarks {
 		switch {
-		case strings.HasSuffix(e.Name, "Fresh"):
-			add(fresh, &order, prepared, strings.TrimSuffix(e.Name, "Fresh"), e)
-		case strings.HasSuffix(e.Name, "Prepared"):
-			add(prepared, &order, fresh, strings.TrimSuffix(e.Name, "Prepared"), e)
 		case strings.HasSuffix(e.Name, "Serial"):
 			add(serial, &batchOrder, batch, strings.TrimSuffix(e.Name, "Serial"), e)
 		case strings.HasSuffix(e.Name, "Batch"):
@@ -187,19 +174,6 @@ func main() {
 		case strings.HasSuffix(e.Name, "ProbesOn"):
 			add(probesOn, &probeOrder, probesOff, strings.TrimSuffix(e.Name, "ProbesOn"), e)
 		}
-	}
-	for _, stem := range order {
-		f, p := fresh[stem], prepared[stem]
-		if f == nil || p == nil || f.n == 0 || p.n == 0 {
-			continue
-		}
-		fm, pm := f.sum/float64(f.n), p.sum/float64(p.n)
-		rep.Pairs = append(rep.Pairs, Pair{
-			Name:       stem,
-			FreshNs:    fm,
-			PreparedNs: pm,
-			Speedup:    fm / pm,
-		})
 	}
 	for _, stem := range batchOrder {
 		s, bt := serial[stem], batch[stem]
@@ -290,16 +264,9 @@ func runDiff(args []string) int {
 		return 2
 	}
 
-	type speedup struct {
-		kind string
-		old  float64
-	}
-	base := map[string]speedup{}
-	for _, p := range old.Pairs {
-		base["pair/"+p.Name] = speedup{"fresh/prepared", p.Speedup}
-	}
+	base := map[string]float64{}
 	for _, p := range old.BatchPairs {
-		base["batch/"+p.Name] = speedup{"serial/batch", p.Speedup}
+		base[p.Name] = p.Speedup
 	}
 	// Probe pairs gate on the disabled variant's allocs/op (deterministic
 	// per toolchain); the on/off time ratio is expected to hover at ~1.0x
@@ -309,28 +276,24 @@ func runDiff(args []string) int {
 	for _, p := range old.ProbePairs {
 		baseProbeAllocs["probes/"+p.Name] = p.OffAllocs
 	}
-	check := func(key, name string, now float64) bool {
-		b, ok := base[key]
-		if !ok || b.old <= 0 {
+	check := func(name string, now float64) bool {
+		was, ok := base[name]
+		if !ok || was <= 0 {
 			fmt.Printf("NEW    %-40s speedup %.2fx (no baseline)\n", name, now)
 			return true
 		}
-		floor := b.old * (1 - tol)
+		floor := was * (1 - tol)
 		if now < floor {
 			fmt.Printf("REGRESS %-40s speedup %.2fx -> %.2fx (floor %.2fx at %.0f%% tolerance)\n",
-				name, b.old, now, floor, 100*tol)
+				name, was, now, floor, 100*tol)
 			return false
 		}
-		fmt.Printf("OK     %-40s speedup %.2fx -> %.2fx\n", name, b.old, now)
+		fmt.Printf("OK     %-40s speedup %.2fx -> %.2fx\n", name, was, now)
 		return true
 	}
 	ok, compared := true, 0
-	for _, p := range cur.Pairs {
-		ok = check("pair/"+p.Name, p.Name, p.Speedup) && ok
-		compared++
-	}
 	for _, p := range cur.BatchPairs {
-		ok = check("batch/"+p.Name, p.Name, p.Speedup) && ok
+		ok = check(p.Name, p.Speedup) && ok
 		compared++
 	}
 	for _, p := range cur.ProbePairs {

@@ -290,7 +290,6 @@ func cmdEvaluate(ctx context.Context, c *server.Client, args []string) error {
 	converters := fs.Int("converters", 4, "converters per core (vs only)")
 	imbalance := fs.Float64("imbalance", 0.65, "workload imbalance in [0,1]")
 	grid := fs.Int("grid", 16, "PDN mesh resolution NxN")
-	workers := fs.Int("workers", 0, "evaluation concurrency (0: server default)")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
@@ -303,9 +302,6 @@ func cmdEvaluate(ctx context.Context, c *server.Client, args []string) error {
 	q.Set("converters", strconv.Itoa(*converters))
 	q.Set("imbalance", strconv.FormatFloat(*imbalance, 'g', -1, 64))
 	q.Set("grid", strconv.Itoa(*grid))
-	if *workers > 0 {
-		q.Set("workers", strconv.Itoa(*workers))
-	}
 	out, err := c.Evaluate(ctx, q)
 	if err != nil {
 		return err

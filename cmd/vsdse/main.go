@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -51,7 +52,7 @@ func main() {
 	space.Workers = *workers
 
 	start := time.Now()
-	res, err := space.Run()
+	res, err := space.Run(context.Background())
 	if err != nil {
 		fail(1, err)
 	}

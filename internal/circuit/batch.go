@@ -6,8 +6,6 @@
 package circuit
 
 import (
-	"fmt"
-
 	"voltstack/internal/sparse"
 	"voltstack/internal/telemetry"
 )
@@ -22,23 +20,19 @@ var (
 // mutate only RHS-bearing state (load currents, rail voltages) — changing
 // matrix-bearing values (resistances, converters) between entries would
 // desynchronize the lanes from the shared factorization and is not
-// checked. x0s supplies optional per-entry warm starts for the iterative
-// kinds (nil, or length k with nil entries allowed); up to min(k, workers)
-// lanes run concurrently (< 1 selects the default; see sparse.PCGBatch).
+// checked. Lanes start cold and run concurrently on a pool of
+// parallel.DefaultWorkers.
 //
-// Lane i is bit-identical to calling setRHS(i) followed by Solve(x0s[i]).
+// Lane i is bit-identical to calling setRHS(i) followed by Solve(nil, nil).
 // The returned Solutions share the engine's netlist, so element-level
 // queries (LoadPower, TieCurrent, …) on Solutions[i] read whatever element
 // values the netlist holds at query time: re-apply entry i's values (or
 // query immediately inside a setRHS-style loop) before using them. The
 // voltage vectors themselves are private per lane.
-func (p *Prepared) SolveBatch(k int, setRHS func(i int), x0s [][]float64, workers int) ([]*Solution, error) {
+func (p *Prepared) SolveBatch(k int, setRHS func(i int)) ([]*Solution, error) {
 	mPrepBatchSolves.Add(1)
 	mPrepBatchLanes.Add(int64(k))
-	if x0s != nil && len(x0s) != k {
-		panic(fmt.Sprintf("circuit: SolveBatch warm-start count %d, want %d", len(x0s), k))
-	}
-	if err := p.ensureCurrent(); err != nil {
+	if err := p.ensureCurrent(nil); err != nil {
 		return nil, err
 	}
 	n := p.net
@@ -59,42 +53,28 @@ func (p *Prepared) SolveBatch(k int, setRHS func(i int), x0s [][]float64, worker
 		rhss[i] = append([]float64(nil), p.rhs...)
 	}
 
-	switch p.kind {
-	case Direct:
-		for i, x := range p.skyF.SolveBatchWorkers(rhss, workers) {
+	if d := p.direct(); d != nil {
+		for i, x := range d.SolveBatchWorkers(rhss, 0) {
 			sols[i] = &Solution{net: n, v: x}
 		}
-	case DirectSparseND:
-		for i, x := range p.ndF.SolveBatchWorkers(rhss, workers) {
-			sols[i] = &Solution{net: n, v: x}
+		return sols, nil
+	}
+	if p.bws == nil {
+		p.bws = sparse.NewPCGBatchWorkspace(nn, k)
+	}
+	xs, results, err := sparse.PCGBatch(p.a, rhss, nil, p.preconditioner(), p.tol, p.maxIter, p.bws, 0)
+	if err != nil {
+		return nil, err
+	}
+	for i, x := range xs {
+		sols[i] = &Solution{
+			net:        n,
+			v:          x,
+			Iterations: results[i].Iterations,
+			Residual:   results[i].Residual,
+			ConvTrace:  results[i].Trace,
+			Health:     results[i].Health,
 		}
-	case PCGIC0, PCGJacobi, PCGAMG:
-		if p.bws == nil {
-			p.bws = sparse.NewPCGBatchWorkspace(nn, k)
-		}
-		if x0s != nil {
-			for _, x0 := range x0s {
-				if x0 != nil {
-					mPrepWarmStarts.Add(1)
-				}
-			}
-		}
-		xs, results, err := sparse.PCGBatch(p.a, rhss, x0s, p.preconditioner(), p.tol, p.maxIter, p.bws, workers)
-		if err != nil {
-			return nil, err
-		}
-		for i, x := range xs {
-			sols[i] = &Solution{
-				net:        n,
-				v:          x,
-				Iterations: results[i].Iterations,
-				Residual:   results[i].Residual,
-				ConvTrace:  results[i].Trace,
-				Health:     results[i].Health,
-			}
-		}
-	default:
-		return nil, fmt.Errorf("circuit: unknown solver kind %d", p.kind)
 	}
 	return sols, nil
 }

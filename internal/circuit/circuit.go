@@ -315,8 +315,9 @@ type adder interface {
 
 // stampMatrix stamps every matrix-bearing element into b in the canonical
 // element order (resistors, ties, converters, capacitors, inductors). The
-// fresh Solve path, the prepared engine and Transient all go through this
-// single routine, which is what keeps their assemblies bit-identical.
+// prepared engine's compile and its value restamps both go through this
+// single routine, which is what keeps a restamp bit-identical to a cold
+// assembly.
 //
 // dt == 0 stamps the DC matrix: capacitors are open circuits, inductors
 // near-ideal shorts. dt > 0 stamps the backward-Euler step matrix, with
@@ -373,82 +374,15 @@ func (n *Netlist) stampRHS(rhs []float64) {
 	}
 }
 
-// directSolver is a factored matrix: each SolveTo is one pair of
-// triangular solves.
-type directSolver interface {
-	SolveTo(dst, b []float64)
-}
-
-// factor builds what kind needs to solve a: a direct factor for the direct
-// kinds, a preconditioner for the PCG kinds (exactly one is non-nil). An
-// IC(0) or AMG build failure falls back to Jacobi rather than failing the
-// solve.
-func factor(kind SolverKind, a *sparse.CSR) (directSolver, sparse.Preconditioner, error) {
-	switch kind {
-	case Direct:
-		f, err := sparse.FactorCholesky(a)
-		if err != nil {
-			return nil, nil, wrapSPD(err)
-		}
-		return f, nil, nil
-	case DirectSparseND:
-		f, err := sparse.FactorSparse(a, sparse.OrderND)
-		if err != nil {
-			return nil, nil, wrapSPD(err)
-		}
-		return f, nil, nil
-	case PCGIC0:
-		if ic, err := sparse.NewIC0(a); err == nil {
-			return nil, ic, nil
-		}
-	case PCGAMG:
-		if mg, err := sparse.NewAMG(a, sparse.AMGOptions{}); err == nil {
-			return nil, mg, nil
-		}
-	case PCGJacobi:
-	default:
-		return nil, nil, fmt.Errorf("circuit: unknown solver kind %d", kind)
-	}
-	return nil, sparse.NewJacobi(a), nil
-}
-
-// Solve assembles the conductance matrix and solves for all node voltages.
+// Solve assembles the conductance matrix and solves for all node voltages:
+// Compile plus one cold solve. Use Compile directly to solve the same
+// network repeatedly.
 func (n *Netlist) Solve(opts SolveOptions) (*Solution, error) {
-	nn := n.numNodes
-	if nn == 0 {
-		return &Solution{net: n}, nil
-	}
-	if err := n.CheckConnectivity(); err != nil {
-		return nil, err
-	}
-	b := sparse.NewBuilder(nn)
-	n.stampMatrix(b, 0)
-	rhs := make([]float64, nn)
-	n.stampRHS(rhs)
-	a := b.ToCSR()
-
-	kind, tol, maxIter := opts.resolve(nn)
-	direct, prec, err := factor(kind, a)
+	p, err := n.Compile(opts)
 	if err != nil {
 		return nil, err
 	}
-	if direct != nil {
-		v := make([]float64, nn)
-		direct.SolveTo(v, rhs)
-		return &Solution{net: n, v: v}, nil
-	}
-	x, res, err := sparse.PCG(a, rhs, nil, prec, tol, maxIter)
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{
-		net:        n,
-		v:          x,
-		Iterations: res.Iterations,
-		Residual:   res.Residual,
-		ConvTrace:  res.Trace,
-		Health:     res.Health,
-	}, nil
+	return p.Solve(nil, nil)
 }
 
 func stampConductance(b adder, i, j int, g float64) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"voltstack/internal/parallel"
 	"voltstack/internal/sparse"
 )
 
@@ -175,23 +176,24 @@ func TestSolversMatchDenseReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Compile: %v", name, err)
 			}
-			psol, err := prep.Solve(nil)
+			psol, err := prep.Solve(nil, nil)
 			if err != nil {
 				t.Fatalf("%s: Prepared.Solve: %v", name, err)
 			}
 			mustMatchReference(t, name+" Prepared.Solve", want[0], psol.Voltages())
 
-			for _, workers := range []int{1, 3} {
+			for _, workers := range []string{"1", "3"} {
+				t.Setenv(parallel.EnvWorkers, workers)
 				sols, err := prep.SolveBatch(oracleLanes, func(lane int) {
 					for i, l := range c.loads {
 						prep.SetLoad(ids[i], l.amps[lane])
 					}
-				}, nil, workers)
+				})
 				if err != nil {
-					t.Fatalf("%s: SolveBatch workers=%d: %v", name, workers, err)
+					t.Fatalf("%s: SolveBatch workers=%s: %v", name, workers, err)
 				}
 				for lane, s := range sols {
-					mustMatchReference(t, fmt.Sprintf("%s SolveBatch workers=%d lane %d", name, workers, lane),
+					mustMatchReference(t, fmt.Sprintf("%s SolveBatch workers=%s lane %d", name, workers, lane),
 						want[lane], s.Voltages())
 				}
 			}

@@ -1,17 +1,19 @@
-// Prepared-solve engine: the structure-dependent work of Netlist.Solve —
-// connectivity check, COO→CSR assembly with duplicate merging, fill-reducing
-// ordering, and symbolic factorization / preconditioner pattern analysis —
-// is hoisted into Netlist.Compile and done once. Repeat solves then restamp
-// only element values (a linear pass with no sorting or allocation),
-// numerically refactor on the cached symbolic structure, reuse PCG scratch
-// vectors, and may warm-start from a previous solution.
+// Prepared-solve engine: every circuit solve runs here. The
+// structure-dependent work — connectivity check, COO→CSR assembly with
+// duplicate merging, fill-reducing ordering, and symbolic factorization /
+// preconditioner pattern analysis — is done once in Netlist.Compile.
+// Repeat solves then restamp only element values (a linear pass with no
+// sorting or allocation), numerically refactor on the cached symbolic
+// structure, reuse PCG scratch vectors, and may warm-start from a previous
+// solution. Netlist.Solve is Compile plus one solve, and Transient compiles
+// its backward-Euler step matrix the same way.
 //
-// Determinism contract: with a nil warm start, Prepared.Solve produces a
-// Solution bit-identical to a fresh Netlist.Solve on the same netlist and
-// options. This holds because both paths share stampMatrix/stampRHS, the
-// value restamp replays the exact accumulation order of CSR assembly
-// (sparse.AssemblyMap), and every numeric refactor reproduces the
-// from-scratch factorization arithmetic exactly.
+// Determinism contract: with a nil warm start, a reused engine's Solve is
+// bit-identical to a cold engine compiled from the same netlist and
+// options. This holds because the value restamp replays the exact
+// accumulation order of CSR assembly (sparse.AssemblyMap), and every
+// numeric refactor reproduces the from-scratch factorization arithmetic
+// exactly.
 package circuit
 
 import (
@@ -65,6 +67,7 @@ func (w *valueWriter) Add(i, j int, v float64) {
 type Prepared struct {
 	net     *Netlist
 	opts    SolveOptions
+	dt      float64 // 0: the DC matrix; > 0: the backward-Euler step matrix
 	kind    SolverKind
 	tol     float64
 	maxIter int
@@ -107,9 +110,6 @@ func (n *Netlist) Compile(opts SolveOptions) (*Prepared, error) {
 	return p, nil
 }
 
-// Netlist returns the netlist this engine was compiled from.
-func (p *Prepared) Netlist() *Netlist { return p.net }
-
 // Voltages exposes the solved node-voltage vector, indexed by node id
 // (ground is not included — it is identically 0). Treat it as read-only:
 // it backs the Solution's V queries. Its main use is feeding one solve's
@@ -142,7 +142,7 @@ func (p *Prepared) compile() error {
 		return err
 	}
 	b := sparse.NewBuilder(nn)
-	n.stampMatrix(b, 0)
+	n.stampMatrix(b, p.dt)
 	// The builder's value stream is exactly what a valueWriter replay would
 	// produce (same Add order, same zero-skip), so the canonical COO value
 	// array is seeded by copy instead of a second stamping pass.
@@ -160,8 +160,7 @@ func (p *Prepared) compile() error {
 		}
 		p.ndSym = sym
 	case PCGIC0:
-		// A structural IC(0) failure means the fresh path would fall back
-		// to Jacobi on every solve; the prepared path mirrors that.
+		// A structural IC(0) failure falls back to Jacobi on every solve.
 		if sym, err := sparse.NewIC0Symbolic(p.a); err == nil {
 			p.icSym = sym
 		}
@@ -241,25 +240,16 @@ func (p *Prepared) SetConverter(id ConverterID, rSeries, gPar float64) {
 	}
 }
 
-// InvalidateValues marks all element values as changed. Call it after
-// mutating the netlist directly instead of through the Set* methods.
-func (p *Prepared) InvalidateValues() { p.valsDirty = true }
-
 // Solve solves the network with the current element values. x0, if
 // non-nil, is a warm-start voltage vector (length NumNodes) used by the
 // iterative solver kinds; direct kinds ignore it. With x0 == nil the
-// returned Solution is bit-identical to a fresh Netlist.Solve.
-func (p *Prepared) Solve(x0 []float64) (*Solution, error) {
-	return p.SolveSpan(nil, x0)
-}
-
-// SolveSpan is Solve with an optional parent trace span: the restamp,
-// factor (including AMG hierarchy rebuilds) and PCG phases are recorded as
-// child spans of sp. A nil sp (tracing off) adds no work and no
-// allocations, and the solve result is identical either way.
-func (p *Prepared) SolveSpan(sp *telemetry.Span, x0 []float64) (*Solution, error) {
+// returned Solution is bit-identical to a cold engine's. sp, if non-nil,
+// parents trace spans for the restamp, factor (including AMG hierarchy
+// rebuilds) and PCG phases; tracing adds no work when sp is nil, and the
+// result is identical either way.
+func (p *Prepared) Solve(sp *telemetry.Span, x0 []float64) (*Solution, error) {
 	mPrepSolves.Add(1)
-	if err := p.ensureCurrentSpan(sp); err != nil {
+	if err := p.ensureCurrent(sp); err != nil {
 		return nil, err
 	}
 	n := p.net
@@ -273,42 +263,34 @@ func (p *Prepared) SolveSpan(sp *telemetry.Span, x0 []float64) (*Solution, error
 	n.stampRHS(p.rhs)
 
 	sol := &Solution{net: n}
-	switch p.kind {
-	case Direct:
-		sol.v = p.skyF.Solve(p.rhs)
-	case DirectSparseND:
-		sol.v = p.ndF.Solve(p.rhs)
-	case PCGIC0, PCGJacobi, PCGAMG:
-		prec := p.preconditioner()
-		if x0 != nil {
-			mPrepWarmStarts.Add(1)
-		}
-		spPCG := sp.Start("pcg")
-		x, res, err := sparse.PCGW(p.a, p.rhs, x0, prec, p.tol, p.maxIter, p.ws)
-		spPCG.End()
-		if err != nil {
-			return nil, err
-		}
-		sol.v = x
-		sol.Iterations = res.Iterations
-		sol.Residual = res.Residual
-		sol.ConvTrace = res.Trace
-		sol.Health = res.Health
-	default:
-		return nil, fmt.Errorf("circuit: unknown solver kind %d", p.kind)
+	if d := p.direct(); d != nil {
+		sol.v = make([]float64, nn)
+		d.SolveTo(sol.v, p.rhs)
+		return sol, nil
 	}
+	if x0 != nil {
+		mPrepWarmStarts.Add(1)
+	}
+	spPCG := sp.Start("pcg")
+	x, res, err := sparse.PCGW(p.a, p.rhs, x0, p.preconditioner(), p.tol, p.maxIter, p.ws)
+	spPCG.End()
+	if err != nil {
+		return nil, err
+	}
+	sol.v = x
+	sol.Iterations = res.Iterations
+	sol.Residual = res.Residual
+	sol.ConvTrace = res.Trace
+	sol.Health = res.Health
 	return sol, nil
 }
 
 // ensureCurrent brings the engine in sync with the netlist: recompile on
 // structure drift, restamp matrix values if dirty, and renew the numeric
 // factorization. After it returns nil the cached factor matches the
-// netlist's current matrix-bearing values.
-func (p *Prepared) ensureCurrent() error { return p.ensureCurrentSpan(nil) }
-
-// ensureCurrentSpan is ensureCurrent with the restamp and factor phases
-// recorded as child spans of sp (nil-safe).
-func (p *Prepared) ensureCurrentSpan(sp *telemetry.Span) error {
+// netlist's current matrix-bearing values. The restamp and factor phases
+// are recorded as child spans of sp (nil-safe).
+func (p *Prepared) ensureCurrent(sp *telemetry.Span) error {
 	if p.structureChanged() {
 		mPrepRecompiles.Add(1)
 		if telemetry.EventsEnabled() {
@@ -327,7 +309,7 @@ func (p *Prepared) ensureCurrentSpan(sp *telemetry.Span) error {
 		mPrepRestamps.Add(1)
 		spR := sp.Start("restamp")
 		w := &valueWriter{dst: p.coo}
-		p.net.stampMatrix(w, 0)
+		p.net.stampMatrix(w, p.dt)
 		if w.bad || w.pos != len(p.coo) {
 			spR.End()
 			// Structure drifted in a way the sentinels missed; rebuild.
@@ -388,9 +370,8 @@ func (p *Prepared) refactor(sp *telemetry.Span) error {
 			p.jac = sparse.NewJacobi(p.a)
 		}
 	case PCGAMG:
-		// The hierarchy is value-dependent, so it is rebuilt from the
-		// restamped matrix — exactly what the fresh path computes, keeping
-		// prepared ≡ fresh bit-identical.
+		// The hierarchy is value-dependent, so it is rebuilt whole from
+		// the restamped matrix, exactly as a cold engine builds it.
 		p.amg, p.amgOK = nil, false
 		spA := sp.Start("amg-build")
 		mg, err := sparse.NewAMG(p.a, sparse.AMGOptions{})
@@ -404,6 +385,25 @@ func (p *Prepared) refactor(sp *telemetry.Span) error {
 		}
 	case PCGJacobi:
 		p.jac = sparse.NewJacobi(p.a)
+	}
+	return nil
+}
+
+// directSolver is a factored matrix: each solve is one pair of triangular
+// solves, and a batch runs its lanes on the worker pool.
+type directSolver interface {
+	SolveTo(dst, b []float64)
+	SolveBatchWorkers(bs [][]float64, workers int) [][]float64
+}
+
+// direct returns the current factor of a direct kind, or nil for the
+// iterative kinds.
+func (p *Prepared) direct() directSolver {
+	switch p.kind {
+	case Direct:
+		return p.skyF
+	case DirectSparseND:
+		return p.ndF
 	}
 	return nil
 }

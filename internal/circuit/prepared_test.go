@@ -10,21 +10,25 @@ import (
 // allKinds are the concrete solver kinds plus Auto.
 var allKinds = []SolverKind{Auto, Direct, DirectSparseND, PCGIC0, PCGJacobi}
 
-func sameSolution(t *testing.T, label string, fresh, prep *Solution, nn int) {
+// sameSolution asserts a reused engine's solution (got) is bit-identical to
+// a cold engine's (want).
+func sameSolution(t *testing.T, label string, want, got *Solution, nn int) {
 	t.Helper()
-	if fresh.Iterations != prep.Iterations {
-		t.Fatalf("%s: iterations %d vs %d", label, fresh.Iterations, prep.Iterations)
+	if want.Iterations != got.Iterations {
+		t.Fatalf("%s: iterations %d vs %d", label, want.Iterations, got.Iterations)
 	}
-	if math.Float64bits(fresh.Residual) != math.Float64bits(prep.Residual) {
-		t.Fatalf("%s: residual %v vs %v", label, fresh.Residual, prep.Residual)
+	if math.Float64bits(want.Residual) != math.Float64bits(got.Residual) {
+		t.Fatalf("%s: residual %v vs %v", label, want.Residual, got.Residual)
 	}
 	for i := 0; i < nn; i++ {
-		if math.Float64bits(fresh.V(i)) != math.Float64bits(prep.V(i)) {
-			t.Fatalf("%s: node %d: %v vs %v (bitwise)", label, i, fresh.V(i), prep.V(i))
+		if math.Float64bits(want.V(i)) != math.Float64bits(got.V(i)) {
+			t.Fatalf("%s: node %d: %v vs %v (bitwise)", label, i, want.V(i), got.V(i))
 		}
 	}
 }
 
+// TestPreparedMatchesFreshAllKinds: Netlist.Solve compiles a fresh (cold)
+// engine per call; repeat solves on one engine must match it bit for bit.
 func TestPreparedMatchesFreshAllKinds(t *testing.T) {
 	for _, kind := range allKinds {
 		rng := rand.New(rand.NewSource(42))
@@ -40,7 +44,7 @@ func TestPreparedMatchesFreshAllKinds(t *testing.T) {
 		}
 		// Repeat solves must all match (factor reuse does not drift).
 		for rep := 0; rep < 3; rep++ {
-			got, err := p.Solve(nil)
+			got, err := p.Solve(nil, nil)
 			if err != nil {
 				t.Fatalf("kind %d rep %d: prepared: %v", kind, rep, err)
 			}
@@ -52,7 +56,7 @@ func TestPreparedMatchesFreshAllKinds(t *testing.T) {
 func TestPreparedSettersMatchFresh(t *testing.T) {
 	// After changing converter values, load currents, tie rails, and a
 	// resistor through the prepared engine, the solve must be bit-identical
-	// to a fresh netlist built with the new values.
+	// to a fresh engine compiled from the mutated netlist.
 	for _, kind := range []SolverKind{Direct, DirectSparseND, PCGIC0, PCGJacobi} {
 		rng := rand.New(rand.NewSource(7))
 		n := randomStackNetwork(rng)
@@ -61,7 +65,7 @@ func TestPreparedSettersMatchFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Solve(nil); err != nil {
+		if _, err := p.Solve(nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Perturb every element class.
@@ -77,7 +81,7 @@ func TestPreparedSettersMatchFresh(t *testing.T) {
 		}
 		p.SetResistor(ResistorID(0), 1/n.resistors[0].g*2)
 
-		got, err := p.Solve(nil)
+		got, err := p.Solve(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +95,7 @@ func TestPreparedSettersMatchFresh(t *testing.T) {
 
 func TestPreparedRestampProperty(t *testing.T) {
 	// Random conductance perturbations through the setters keep the
-	// prepared solve bit-identical to a from-scratch solve.
+	// reused engine bit-identical to a freshly compiled one.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomStackNetwork(rng)
@@ -111,7 +115,7 @@ func TestPreparedRestampProperty(t *testing.T) {
 					p.SetConverter(ConverterID(id), 0.3+rng.Float64(), rng.Float64()*1e-3)
 				}
 			}
-			got, err := p.Solve(nil)
+			got, err := p.Solve(nil, nil)
 			if err != nil {
 				return false
 			}
@@ -134,21 +138,22 @@ func TestPreparedRestampProperty(t *testing.T) {
 
 func TestPreparedGParZeroTransitionRecompiles(t *testing.T) {
 	// Driving a converter's parasitic shunt to zero removes matrix entries;
-	// the engine must detect the structure change and still match fresh.
+	// the engine must detect the structure change and still match a fresh
+	// compile.
 	rng := rand.New(rand.NewSource(3))
 	n := randomStackNetwork(rng)
 	p, err := n.Compile(SolveOptions{Solver: Direct})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Solve(nil); err != nil {
+	if _, err := p.Solve(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for id := range n.converters {
 		c := n.converters[id]
 		p.SetConverter(ConverterID(id), 1/c.gSeries, 0)
 	}
-	got, err := p.Solve(nil)
+	got, err := p.Solve(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +168,7 @@ func TestPreparedGParZeroTransitionRecompiles(t *testing.T) {
 		c := n.converters[id]
 		p.SetConverter(ConverterID(id), 1/c.gSeries, 1e-4)
 	}
-	got, err = p.Solve(nil)
+	got, err = p.Solve(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +186,14 @@ func TestPreparedTopologyGrowthRecompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Solve(nil); err != nil {
+	if _, err := p.Solve(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Add a node and elements out-of-band.
 	nd := n.Node()
 	n.AddResistor(nd, 0, 0.5)
 	n.AddLoad(nd, Ground, 0.1)
-	got, err := p.Solve(nil)
+	got, err := p.Solve(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +214,7 @@ func TestPreparedWarmStartConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := p.Solve(nil)
+	cold, err := p.Solve(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +222,7 @@ func TestPreparedWarmStartConverges(t *testing.T) {
 	for i := range x0 {
 		x0[i] = cold.V(i)
 	}
-	warm, err := p.Solve(x0)
+	warm, err := p.Solve(nil, x0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +242,7 @@ func TestPreparedEmptyNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Solve(nil)
+	s, err := p.Solve(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,13 +128,14 @@ var ErrTransient = errors.New("circuit: transient analysis failed")
 // Transient integrates the network with backward Euler at fixed step DT,
 // recording the given probe nodes. Static loads keep their DC values;
 // transient loads follow their functions; capacitors and inductors use
-// companion models. The step matrix is factored once (direct solver) or
-// warm-started (iterative), so long runs are cheap.
+// companion models. The step matrix is compiled and factored once on a
+// prepared engine; every step then costs one pair of triangular solves
+// (direct kinds) or one PCG solve warm-started from the previous step.
 //
 // Under Auto, systems up to amgThreshold nodes use DirectSparseND for both
 // the DC operating point and the step matrix: one nested-dissection factor
-// then serves every step with a pair of triangular solves, and its fill is
-// a fraction of the skyline envelope. Larger systems resolve as Solve does.
+// then serves every step, and its fill is a fraction of the skyline
+// envelope. Larger systems resolve as Solve does.
 func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResult, error) {
 	if opts.DT <= 0 || opts.Steps <= 0 {
 		return nil, fmt.Errorf("%w: need positive DT and Steps", ErrTransient)
@@ -164,9 +165,15 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 
 	// The constant step matrix (conductances + C/dt + dt/L) and the
 	// constant part of the right-hand side (rail injections, DC loads).
-	b := sparse.NewBuilder(nn)
-	n.stampMatrix(b, dt)
-	a := b.ToCSR()
+	eng := &Prepared{net: n, opts: so, dt: dt}
+	err := eng.compile()
+	if err == nil {
+		err = eng.ensureCurrent(nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrTransient, err)
+	}
+	direct := eng.direct()
 	rhsBase := make([]float64, nn)
 	for _, t := range n.ties {
 		rhsBase[t.node] += t.g * t.vRail
@@ -178,12 +185,6 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		if l.to != Ground {
 			rhsBase[l.to] += l.i
 		}
-	}
-
-	kind, tol, maxIter := so.resolve(nn)
-	direct, prec, err := factor(kind, a)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTransient, err)
 	}
 
 	// Inductor current state at the operating point: solve from branch
@@ -244,10 +245,12 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 			}
 		}
 
-		if direct != nil {
+		switch {
+		case nn == 0: // nothing to solve; an empty engine holds no factor
+		case direct != nil:
 			direct.SolveTo(v, rhs)
-		} else {
-			x, _, err := sparse.PCG(a, rhs, v, prec, tol, maxIter)
+		default:
+			x, _, err := sparse.PCGW(eng.a, rhs, v, eng.preconditioner(), eng.tol, eng.maxIter, eng.ws)
 			if err != nil {
 				return nil, fmt.Errorf("%w: step %d: %v", ErrTransient, step, err)
 			}

@@ -268,3 +268,18 @@ func TestDCSolveWithDynamicElements(t *testing.T) {
 		t.Errorf("V(b) = %g, want ~0.5 (inductor ~ short)", s.V(b))
 	}
 }
+
+// An empty network has nothing to integrate: the run still records every
+// time point, with no probe waveforms.
+func TestTransientEmptyNetlist(t *testing.T) {
+	for _, kind := range []SolverKind{Auto, Direct, DirectSparseND, PCGIC0} {
+		opts := TransientOptions{DT: 1e-9, Steps: 3, InitDC: true, Solve: SolveOptions{Solver: kind}}
+		r, err := New().Transient(opts, nil)
+		if err != nil {
+			t.Fatalf("kind %d: %v", kind, err)
+		}
+		if len(r.Times) != 4 || len(r.V) != 0 {
+			t.Fatalf("kind %d: %d time points and %d waveforms, want 4 and 0", kind, len(r.Times), len(r.V))
+		}
+	}
+}

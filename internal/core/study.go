@@ -63,11 +63,6 @@ type Study struct {
 	// same values for every worker count.
 	Workers int
 
-	// ForceFreshSolve disables the prepared-solve engine on every PDN the
-	// study builds, restoring the rebuild-everything baseline (used by the
-	// fresh-vs-prepared benchmark pairs and equivalence tests).
-	ForceFreshSolve bool
-
 	// Trace, when valid, annotates each experiment driver's trace span
 	// with the request's W3C trace context, so a served job's driver spans
 	// join the submitter's trace. The zero value (the default) leaves the
@@ -111,7 +106,6 @@ func (s *Study) RegularPDN(layers int, tsv pdngrid.TSVTopology, padFrac float64)
 		Params:           s.Params,
 		TSV:              tsv,
 		PadPowerFraction: padFrac,
-		ForceFreshSolve:  s.ForceFreshSolve,
 	})
 }
 
@@ -126,7 +120,6 @@ func (s *Study) VoltageStackedPDN(layers, convPerCore int, tsv pdngrid.TSVTopolo
 		PadPowerFraction:  padFrac,
 		ConvertersPerCore: convPerCore,
 		Converter:         s.Converter,
-		ForceFreshSolve:   s.ForceFreshSolve,
 	})
 }
 

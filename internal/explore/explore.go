@@ -82,11 +82,6 @@ type Space struct {
 	// VOLTSTACK_WORKERS). Results are identical for every worker count.
 	Workers int
 
-	// ForceFreshSolve disables the per-PDN prepared-solve engine and
-	// rebuilds every network from scratch — the pre-caching baseline, kept
-	// for benchmarking and equivalence tests.
-	ForceFreshSolve bool
-
 	// OnPoint, when non-nil, is invoked once per design point as its
 	// evaluation completes — with the point's index in Designs() order and
 	// its raw (pre-normalization) metrics — so a caller can checkpoint
@@ -144,18 +139,11 @@ func (s Space) Designs() []Design {
 	return out
 }
 
-// Evaluate computes the metrics of one design. Lifetimes are normalized
-// by the caller (Run normalizes to the best value in the space).
-func (s Space) Evaluate(d Design) (*Metrics, error) {
-	return s.EvaluateContext(context.Background(), d)
-}
-
-// EvaluateContext is Evaluate with a context carrying the trace spans and
-// per-job telemetry scope the solver layers annotate (see telemetry
-// WithTraceContext/WithScope). The context does not affect the computed
-// metrics.
-func (s Space) EvaluateContext(ctx context.Context, d Design) (*Metrics, error) {
-	cfg := pdngrid.Config{
+// PDNConfig returns the PDN configuration that Evaluate solves for design
+// d. Its CacheFingerprint is therefore the PDN part of a design point's
+// cache key.
+func (s Space) PDNConfig(d Design) pdngrid.Config {
+	return pdngrid.Config{
 		Kind:              d.Kind,
 		Layers:            s.Layers,
 		Chip:              s.Chip,
@@ -164,8 +152,16 @@ func (s Space) EvaluateContext(ctx context.Context, d Design) (*Metrics, error) 
 		PadPowerFraction:  d.PadPowerFraction,
 		ConvertersPerCore: d.ConvertersPerCore,
 		Converter:         s.Converter,
-		ForceFreshSolve:   s.ForceFreshSolve,
 	}
+}
+
+// Evaluate computes the metrics of one design. Lifetimes are normalized
+// by the caller (Run normalizes to the best value in the space). ctx
+// carries the trace spans and per-job telemetry scope the solver layers
+// annotate (see telemetry WithTraceContext/WithScope); it does not affect
+// the computed metrics.
+func (s Space) Evaluate(ctx context.Context, d Design) (*Metrics, error) {
+	cfg := s.PDNConfig(d)
 	p, err := pdngrid.New(cfg)
 	if err != nil {
 		return nil, err
@@ -243,13 +239,9 @@ type Result struct {
 // Designs are evaluated concurrently on a pool of s.Workers workers, but
 // the result is deterministic: Points keeps the Designs() enumeration
 // order and the Pareto set is byte-identical to a serial (Workers=1) run.
-func (s Space) Run() (*Result, error) {
-	return s.RunContext(context.Background())
-}
-
-// RunContext is Run with cancellation: a cancelled ctx stops dispatching
-// design evaluations and returns the context's error.
-func (s Space) RunContext(ctx context.Context) (*Result, error) {
+// A cancelled ctx stops dispatching design evaluations and returns the
+// context's error.
+func (s Space) Run(ctx context.Context) (*Result, error) {
 	sp := telemetry.StartSpanCtx(ctx, "explore.Run")
 	defer sp.End()
 	scope := telemetry.ScopeFrom(ctx)
@@ -271,7 +263,7 @@ func (s Space) RunContext(ctx context.Context) (*Result, error) {
 		if scope != nil {
 			tJob = time.Now()
 		}
-		m, err := s.EvaluateContext(ctx, d)
+		m, err := s.Evaluate(ctx, d)
 		if err != nil {
 			return nil, fmt.Errorf("explore: %s: %v", d.Name(), err)
 		}

@@ -51,7 +51,7 @@ func TestDesignNames(t *testing.T) {
 
 func TestEvaluateSingleDesign(t *testing.T) {
 	s := smallSpace()
-	m, err := s.Evaluate(Design{
+	m, err := s.Evaluate(context.Background(), Design{
 		Kind:              pdngrid.VoltageStacked,
 		TSV:               pdngrid.FewTSV(),
 		PadPowerFraction:  0.5,
@@ -79,7 +79,7 @@ func TestEvaluateSingleDesign(t *testing.T) {
 
 func TestRunSpace(t *testing.T) {
 	s := smallSpace()
-	res, err := s.Run()
+	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRunWorkerEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		s := base
 		s.Workers = workers
-		res, err := s.Run()
+		res, err := s.Run(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -138,21 +138,6 @@ func TestRunWorkerEquivalence(t *testing.T) {
 	}
 	if len(ref.Points) == 0 {
 		t.Fatal("empty serial reference")
-	}
-
-	// The prepared-solve engine must not change a single bit versus the
-	// rebuild-everything baseline, at any worker count.
-	for _, workers := range []int{1, 2, 8} {
-		s := base
-		s.Workers = workers
-		s.ForceFreshSolve = true
-		res, err := s.Run()
-		if err != nil {
-			t.Fatalf("fresh workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(res, ref) {
-			t.Errorf("ForceFreshSolve workers=%d result differs from prepared run", workers)
-		}
 	}
 }
 
@@ -180,7 +165,7 @@ func TestRunOnPointCallback(t *testing.T) {
 			seen[i] = true
 			mu.Unlock()
 		}
-		if _, err := s.Run(); err != nil {
+		if _, err := s.Run(context.Background()); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got := calls.Load(); got != int64(n) {
@@ -212,7 +197,7 @@ func TestRunPrecomputed(t *testing.T) {
 		raw[i] = &cp
 		mu.Unlock()
 	}
-	ref, err := s1.Run()
+	ref, err := s1.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +209,7 @@ func TestRunPrecomputed(t *testing.T) {
 	s2 := base
 	s2.Chip = nil
 	s2.Precomputed = copyMetricsMap(raw)
-	res, err := s2.Run()
+	res, err := s2.Run(context.Background())
 	if err != nil {
 		t.Fatalf("precomputed run evaluated a design: %v", err)
 	}
@@ -241,7 +226,7 @@ func TestRunPrecomputed(t *testing.T) {
 			s3.Precomputed[i] = m
 		}
 	}
-	res3, err := s3.Run()
+	res3, err := s3.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +244,12 @@ func copyMetricsMap(in map[int]*Metrics) map[int]*Metrics {
 	return out
 }
 
-func TestRunContextCancelled(t *testing.T) {
+func TestRunCancelled(t *testing.T) {
 	s := smallSpace()
 	s.Params.GridNx, s.Params.GridNy = 8, 8
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.RunContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := s.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -273,7 +258,7 @@ func TestVSOnParetoFront(t *testing.T) {
 	// The paper's thesis in DSE form: at least one voltage-stacked design
 	// must be Pareto-efficient (its lifetime and off-chip-current wins
 	// cannot all be matched by regular designs).
-	res, err := smallSpace().Run()
+	res, err := smallSpace().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +279,7 @@ func TestInfeasibleDesignsDropped(t *testing.T) {
 	s := smallSpace()
 	s.Imbalance = 1.0
 	s.ConverterCount = []int{2}
-	res, err := s.Run()
+	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +311,7 @@ func TestLowPadVSOnFront(t *testing.T) {
 	// near-unchanged lifetime, the paper's Sec. 5.1 argument.
 	s := smallSpace()
 	s.PadFractions = []float64{0.25, 1.0}
-	res, err := s.Run()
+	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

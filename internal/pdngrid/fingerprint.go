@@ -13,9 +13,7 @@ import "voltstack/internal/sc"
 // the architecture (kind, layers, chip), the electrical parameters
 // (Params, TSV topology, pad allocation), the converter model when one is
 // in the circuit, the control policy, and the linear-solver options
-// (solver kind, tolerance, iteration budget, fresh-solve / warm-start
-// toggles — warm starts change closed-loop results at the bit level, so
-// they are key material, not an implementation detail).
+// (solver kind, tolerance, iteration budget).
 //
 // Fields that cannot affect results (the prepared-engine cache state, the
 // worker count of a surrounding sweep) are deliberately absent, so cache
@@ -40,8 +38,6 @@ func (c Config) CacheFingerprint() map[string]any {
 			"tol":      c.Solve.Tol,
 			"max_iter": c.Solve.MaxIter,
 		},
-		"force_fresh_solve": c.ForceFreshSolve,
-		"no_warm_start":     c.NoWarmStart,
 	}
 	// The converter only exists in the voltage-stacked circuit; keying the
 	// regular PDN on converter parameters would miss cache hits for no

@@ -23,10 +23,9 @@ type fuzzTuple struct {
 	Solver   circuit.SolverKind
 	Tol      float64
 	Closed   bool
-	NoWarm   bool
 }
 
-func deriveTuple(kindRaw, layersRaw, gridRaw, nConvRaw, solverRaw uint8, padRaw, fswRaw, tolRaw uint16, closed, noWarm bool) fuzzTuple {
+func deriveTuple(kindRaw, layersRaw, gridRaw, nConvRaw, solverRaw uint8, padRaw, fswRaw, tolRaw uint16, closed bool) fuzzTuple {
 	return fuzzTuple{
 		Kind:     Kind(int(kindRaw) % 2),
 		Layers:   1 + int(layersRaw)%8,
@@ -37,7 +36,6 @@ func deriveTuple(kindRaw, layersRaw, gridRaw, nConvRaw, solverRaw uint8, padRaw,
 		Solver:   circuit.SolverKind(int(solverRaw) % 6),
 		Tol:      1e-10 * float64(1+tolRaw%1000),
 		Closed:   closed,
-		NoWarm:   noWarm,
 	}
 }
 
@@ -54,7 +52,6 @@ func (ft fuzzTuple) config() Config {
 	if ft.Closed {
 		cfg.Control = sc.ClosedLoop{}
 	}
-	cfg.NoWarmStart = ft.NoWarm
 	return cfg
 }
 
@@ -65,7 +62,7 @@ func (ft fuzzTuple) config() Config {
 func sameLogicalConfig(a, b fuzzTuple) bool {
 	if a.Kind != b.Kind || a.Layers != b.Layers || a.GridNx != b.GridNx ||
 		a.PadFrac != b.PadFrac || a.Solver != b.Solver || a.Tol != b.Tol ||
-		a.Closed != b.Closed || a.NoWarm != b.NoWarm {
+		a.Closed != b.Closed {
 		return false
 	}
 	if a.Kind == VoltageStacked && (a.NConv != b.NConv || a.FSwScale != b.FSwScale) {
@@ -80,17 +77,17 @@ func sameLogicalConfig(a, b fuzzTuple) bool {
 // cache's correctness rests on exactly these two properties — a collision
 // serves a wrong result, an instability misses every warm cache).
 func FuzzCacheFingerprint(f *testing.F) {
-	f.Add(uint8(1), uint8(4), uint8(0), uint8(4), uint8(0), uint16(400), uint16(100), uint16(99), false, false,
-		uint8(1), uint8(4), uint8(0), uint8(4), uint8(0), uint16(400), uint16(100), uint16(99), false, false)
-	f.Add(uint8(0), uint8(2), uint8(5), uint8(1), uint8(2), uint16(100), uint16(50), uint16(1), true, false,
-		uint8(1), uint8(2), uint8(5), uint8(1), uint8(2), uint16(100), uint16(50), uint16(1), true, false)
-	f.Add(uint8(1), uint8(7), uint8(28), uint8(7), uint8(5), uint16(899), uint16(399), uint16(999), true, true,
-		uint8(1), uint8(7), uint8(28), uint8(7), uint8(4), uint16(899), uint16(399), uint16(999), true, true)
+	f.Add(uint8(1), uint8(4), uint8(0), uint8(4), uint8(0), uint16(400), uint16(100), uint16(99), false,
+		uint8(1), uint8(4), uint8(0), uint8(4), uint8(0), uint16(400), uint16(100), uint16(99), false)
+	f.Add(uint8(0), uint8(2), uint8(5), uint8(1), uint8(2), uint16(100), uint16(50), uint16(1), true,
+		uint8(1), uint8(2), uint8(5), uint8(1), uint8(2), uint16(100), uint16(50), uint16(1), true)
+	f.Add(uint8(1), uint8(7), uint8(28), uint8(7), uint8(5), uint16(899), uint16(399), uint16(999), true,
+		uint8(1), uint8(7), uint8(28), uint8(7), uint8(4), uint16(899), uint16(399), uint16(999), true)
 	f.Fuzz(func(t *testing.T,
-		aKind, aLayers, aGrid, aNConv, aSolver uint8, aPad, aFsw, aTol uint16, aClosed, aNoWarm bool,
-		bKind, bLayers, bGrid, bNConv, bSolver uint8, bPad, bFsw, bTol uint16, bClosed, bNoWarm bool) {
-		ta := deriveTuple(aKind, aLayers, aGrid, aNConv, aSolver, aPad, aFsw, aTol, aClosed, aNoWarm)
-		tb := deriveTuple(bKind, bLayers, bGrid, bNConv, bSolver, bPad, bFsw, bTol, bClosed, bNoWarm)
+		aKind, aLayers, aGrid, aNConv, aSolver uint8, aPad, aFsw, aTol uint16, aClosed bool,
+		bKind, bLayers, bGrid, bNConv, bSolver uint8, bPad, bFsw, bTol uint16, bClosed bool) {
+		ta := deriveTuple(aKind, aLayers, aGrid, aNConv, aSolver, aPad, aFsw, aTol, aClosed)
+		tb := deriveTuple(bKind, bLayers, bGrid, bNConv, bSolver, bPad, bFsw, bTol, bClosed)
 
 		encA1, err := rescache.CanonicalJSON(ta.config().CacheFingerprint())
 		if err != nil {

@@ -44,8 +44,6 @@ func TestCacheFingerprintSensitivity(t *testing.T) {
 		"solver":     func(c *Config) { c.Solve.Solver = circuit.Direct },
 		"tol":        func(c *Config) { c.Solve.Tol = 1e-6 },
 		"maxiter":    func(c *Config) { c.Solve.MaxIter = 7 },
-		"fresh":      func(c *Config) { c.ForceFreshSolve = true },
-		"warmstart":  func(c *Config) { c.NoWarmStart = true },
 		"control":    func(c *Config) { c.Control = sc.ClosedLoop{} },
 		"vdd":        func(c *Config) { c.Params.Vdd = 0.9 },
 	}

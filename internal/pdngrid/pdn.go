@@ -53,20 +53,9 @@ type Config struct {
 	Control           sc.Control // nil means open loop
 
 	// Solve configures the linear solver: kind, tolerance and iteration
-	// budget. Each solve runs serially; SolveBatchWorkers runs independent
-	// lanes concurrently.
+	// budget. Each solve runs serially; SolveBatch runs independent lanes
+	// concurrently.
 	Solve circuit.SolveOptions
-
-	// ForceFreshSolve bypasses the prepared-solve engine and rebuilds the
-	// network from scratch on every (outer) solve — the historical slow
-	// path, kept as a benchmarking baseline and an equivalence oracle.
-	ForceFreshSolve bool
-	// NoWarmStart disables warm-starting closed-loop outer iterations from
-	// the previous iterate. With it set, the prepared path is bit-identical
-	// to ForceFreshSolve even in closed loop; without it, iterative solvers
-	// converge in fewer iterations to the same tolerance (results then agree
-	// to solver tolerance rather than bitwise).
-	NoWarmStart bool
 }
 
 // Validate checks the configuration.

@@ -9,7 +9,7 @@ import (
 )
 
 // bitsEq compares floats bitwise, so even a sign-of-zero or last-ulp drift
-// between the fresh and prepared paths fails loudly.
+// between a reused and a cold engine fails loudly.
 func bitsEq(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
@@ -27,138 +27,138 @@ func sliceBitsEq(a, b []float64) bool {
 }
 
 // sameResult asserts two Results are bit-identical in every field.
-func sameResult(t *testing.T, label string, fresh, prep *Result) {
+func sameResult(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	fail := func(field string) {
-		t.Fatalf("%s: field %s differs between fresh and prepared", label, field)
+		t.Fatalf("%s: field %s differs", label, field)
 	}
 	switch {
-	case !bitsEq(fresh.MaxIRDropFrac, prep.MaxIRDropFrac):
+	case !bitsEq(want.MaxIRDropFrac, got.MaxIRDropFrac):
 		fail("MaxIRDropFrac")
-	case !bitsEq(fresh.MaxRiseFrac, prep.MaxRiseFrac):
+	case !bitsEq(want.MaxRiseFrac, got.MaxRiseFrac):
 		fail("MaxRiseFrac")
-	case fresh.WorstLayer != prep.WorstLayer:
+	case want.WorstLayer != got.WorstLayer:
 		fail("WorstLayer")
-	case !sliceBitsEq(fresh.PadCurrents, prep.PadCurrents):
+	case !sliceBitsEq(want.PadCurrents, got.PadCurrents):
 		fail("PadCurrents")
-	case !sliceBitsEq(fresh.TSVCurrents, prep.TSVCurrents):
+	case !sliceBitsEq(want.TSVCurrents, got.TSVCurrents):
 		fail("TSVCurrents")
-	case !bitsEq(fresh.InputPower, prep.InputPower):
+	case !bitsEq(want.InputPower, got.InputPower):
 		fail("InputPower")
-	case !bitsEq(fresh.LoadPower, prep.LoadPower):
+	case !bitsEq(want.LoadPower, got.LoadPower):
 		fail("LoadPower")
-	case !bitsEq(fresh.ConverterLoss, prep.ConverterLoss):
+	case !bitsEq(want.ConverterLoss, got.ConverterLoss):
 		fail("ConverterLoss")
-	case !bitsEq(fresh.WireLoss, prep.WireLoss):
+	case !bitsEq(want.WireLoss, got.WireLoss):
 		fail("WireLoss")
-	case !bitsEq(fresh.Efficiency, prep.Efficiency):
+	case !bitsEq(want.Efficiency, got.Efficiency):
 		fail("Efficiency")
-	case !sliceBitsEq(fresh.ConverterCurrents, prep.ConverterCurrents):
+	case !sliceBitsEq(want.ConverterCurrents, got.ConverterCurrents):
 		fail("ConverterCurrents")
-	case !bitsEq(fresh.MaxConverterCurrent, prep.MaxConverterCurrent):
+	case !bitsEq(want.MaxConverterCurrent, got.MaxConverterCurrent):
 		fail("MaxConverterCurrent")
-	case fresh.OverLimit != prep.OverLimit:
+	case want.OverLimit != got.OverLimit:
 		fail("OverLimit")
-	case fresh.SolverIterations != prep.SolverIterations:
-		t.Fatalf("%s: SolverIterations %d vs %d", label, fresh.SolverIterations, prep.SolverIterations)
-	case !bitsEq(fresh.SolverResidual, prep.SolverResidual):
+	case want.SolverIterations != got.SolverIterations:
+		t.Fatalf("%s: SolverIterations %d vs %d", label, want.SolverIterations, got.SolverIterations)
+	case !bitsEq(want.SolverResidual, got.SolverResidual):
 		fail("SolverResidual")
-	case fresh.OuterIterations != prep.OuterIterations:
-		t.Fatalf("%s: OuterIterations %d vs %d", label, fresh.OuterIterations, prep.OuterIterations)
-	case fresh.TotalSolverIterations != prep.TotalSolverIterations:
-		t.Fatalf("%s: TotalSolverIterations %d vs %d", label, fresh.TotalSolverIterations, prep.TotalSolverIterations)
+	case want.OuterIterations != got.OuterIterations:
+		t.Fatalf("%s: OuterIterations %d vs %d", label, want.OuterIterations, got.OuterIterations)
+	case want.TotalSolverIterations != got.TotalSolverIterations:
+		t.Fatalf("%s: TotalSolverIterations %d vs %d", label, want.TotalSolverIterations, got.TotalSolverIterations)
 	}
-	if len(fresh.TSVLayers) != len(prep.TSVLayers) {
+	if len(want.TSVLayers) != len(got.TSVLayers) {
 		fail("TSVLayers")
 	}
-	for i := range fresh.TSVLayers {
-		if fresh.TSVLayers[i] != prep.TSVLayers[i] {
+	for i := range want.TSVLayers {
+		if want.TSVLayers[i] != got.TSVLayers[i] {
 			fail("TSVLayers")
 		}
 	}
-	if len(fresh.CellVoltages) != len(prep.CellVoltages) {
+	if len(want.CellVoltages) != len(got.CellVoltages) {
 		fail("CellVoltages")
 	}
-	for l := range fresh.CellVoltages {
-		if !sliceBitsEq(fresh.CellVoltages[l], prep.CellVoltages[l]) {
+	for l := range want.CellVoltages {
+		if !sliceBitsEq(want.CellVoltages[l], got.CellVoltages[l]) {
 			fail("CellVoltages")
 		}
 	}
 }
 
-// solvePair solves the same scenario twice — through the prepared engine
-// (default path) and through the historical rebuild-everything path — on two
-// independent PDNs, and returns (fresh, prepared).
-func solvePair(t *testing.T, cfg Config, acts [][]float64) (*Result, *Result) {
-	t.Helper()
-	freshCfg := cfg
-	freshCfg.ForceFreshSolve = true
-	fresh := mustSolve(t, freshCfg, acts)
-	prep := mustSolve(t, cfg, acts)
-	return fresh, prep
+// energyImbalance is the relative power-accounting residual of a result:
+// input power minus load power and every loss, over input power.
+func energyImbalance(r *Result) float64 {
+	return math.Abs(r.InputPower-r.LoadPower-r.ConverterLoss-r.WireLoss) / r.InputPower
 }
 
-var preparedKinds = []circuit.SolverKind{
-	circuit.Auto, circuit.Direct, circuit.DirectSparseND, circuit.PCGIC0, circuit.PCGJacobi,
-}
-
-// TestPreparedMatchesFreshOpenLoop is the PDN-level equivalence contract:
-// for both architectures and every solver kind, the prepared engine's
-// open-loop result is bit-identical to the fresh path's.
-func TestPreparedMatchesFreshOpenLoop(t *testing.T) {
+// TestSolverKindsMatchSparseND holds every solver kind to two references
+// that share no code with it: the nested-dissection sparse Cholesky solve
+// of the same PDN (every cell voltage within 1e-7 V) and energy
+// conservation (input power = load power + losses to 1e-10 relative).
+func TestSolverKindsMatchSparseND(t *testing.T) {
 	cfgs := map[string]Config{
 		"regular": regularCfg(3, SparseTSV()),
 		"stacked": vsCfg(3, 4),
 	}
+	kinds := []circuit.SolverKind{
+		circuit.Auto, circuit.Direct, circuit.PCGIC0, circuit.PCGJacobi, circuit.PCGAMG,
+	}
+	acts := InterleavedActivities(3, 16, 0.5)
 	for name, cfg := range cfgs {
-		acts := InterleavedActivities(3, 16, 0.5)
-		for _, kind := range preparedKinds {
+		cfg.Solve = circuit.SolveOptions{Solver: circuit.DirectSparseND}
+		ref := mustSolve(t, cfg, acts)
+		if e := energyImbalance(ref); e > 1e-10 {
+			t.Errorf("%s sparse-ND: energy imbalance %.3g", name, e)
+		}
+		for _, kind := range kinds {
 			cfg.Solve = circuit.SolveOptions{Solver: kind}
-			fresh, prep := solvePair(t, cfg, acts)
-			sameResult(t, name, fresh, prep)
+			got := mustSolve(t, cfg, acts)
+			var worst float64
+			for l := range ref.CellVoltages {
+				for c, v := range ref.CellVoltages[l] {
+					worst = math.Max(worst, math.Abs(got.CellVoltages[l][c]-v))
+				}
+			}
+			if worst > 1e-7 {
+				t.Errorf("%s kind %d: cell voltages %.3g V from sparse-ND", name, kind, worst)
+			}
+			if e := energyImbalance(got); e > 1e-10 {
+				t.Errorf("%s kind %d: energy imbalance %.3g", name, kind, e)
+			}
 		}
 	}
 }
 
-// TestPreparedMatchesFreshClosedLoop covers the outer-iteration loop: with
-// warm starts disabled the prepared path must replay the fresh path's
-// per-pass arithmetic exactly, including the converter-frequency updates.
-func TestPreparedMatchesFreshClosedLoop(t *testing.T) {
-	for _, kind := range []circuit.SolverKind{circuit.Direct, circuit.PCGIC0} {
-		cfg := vsCfg(3, 4)
-		cfg.Control = sc.ClosedLoop{}
-		cfg.NoWarmStart = true
-		cfg.Solve = circuit.SolveOptions{Solver: kind, Tol: 1e-10}
-		acts := InterleavedActivities(3, 16, 0.5)
-		fresh, prep := solvePair(t, cfg, acts)
-		if prep.OuterIterations < 2 {
-			t.Fatalf("kind %d: closed loop converged in %d outer passes, want >= 2", kind, prep.OuterIterations)
-		}
-		sameResult(t, "closed-loop", fresh, prep)
-	}
-}
-
-// TestPreparedWarmStartClosedLoop checks the default closed-loop path (warm
-// starts on): the converged answer must agree with the fresh path to the
-// outer loop's own convergence tolerance (1e-4 on converter currents — warm
-// starts change the iterate trajectory, so the loop may settle a few ulps of
-// that band apart), and the warm-started outer passes must not need more
-// total linear-solver iterations than the cold-start baseline.
+// TestPreparedWarmStartClosedLoop checks closed-loop control on the
+// warm-started iterative path against the direct path, which never
+// warm-starts. Both must run more than one outer pass and settle on the
+// same operating point to within the outer loop's tolerance band, and the
+// warm-started passes must on average cost fewer PCG iterations than the
+// cold first pass (the open-loop solve at nominal frequency).
 func TestPreparedWarmStartClosedLoop(t *testing.T) {
 	cfg := vsCfg(3, 4)
-	cfg.Control = sc.ClosedLoop{}
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-10}
 	acts := InterleavedActivities(3, 16, 0.5)
-	fresh, warm := solvePair(t, cfg, acts)
-	if math.Abs(fresh.MaxIRDropFrac-warm.MaxIRDropFrac) > 1e-5 {
-		t.Errorf("warm-start noise drifted: %g vs %g", warm.MaxIRDropFrac, fresh.MaxIRDropFrac)
+	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-10}
+	cold := mustSolve(t, cfg, acts)
+	cfg.Control = sc.ClosedLoop{}
+	warm := mustSolve(t, cfg, acts)
+	cfg.Solve = circuit.SolveOptions{Solver: circuit.DirectSparseND}
+	ref := mustSolve(t, cfg, acts)
+	for name, r := range map[string]*Result{"pcg": warm, "sparse-nd": ref} {
+		if r.OuterIterations < 2 {
+			t.Fatalf("%s: closed loop ran %d outer passes, want >= 2", name, r.OuterIterations)
+		}
 	}
-	if math.Abs(fresh.Efficiency-warm.Efficiency) > 1e-5 {
-		t.Errorf("warm-start efficiency drifted: %g vs %g", warm.Efficiency, fresh.Efficiency)
+	if math.Abs(ref.MaxIRDropFrac-warm.MaxIRDropFrac) > 1e-5 {
+		t.Errorf("warm-start noise drifted: %g vs %g", warm.MaxIRDropFrac, ref.MaxIRDropFrac)
 	}
-	if warm.TotalSolverIterations > fresh.TotalSolverIterations {
-		t.Errorf("warm starts cost iterations: %d vs cold %d",
-			warm.TotalSolverIterations, fresh.TotalSolverIterations)
+	if math.Abs(ref.Efficiency-warm.Efficiency) > 1e-5 {
+		t.Errorf("warm-start efficiency drifted: %g vs %g", warm.Efficiency, ref.Efficiency)
+	}
+	if warm.TotalSolverIterations >= warm.OuterIterations*cold.SolverIterations {
+		t.Errorf("warm starts saved nothing: %d iterations over %d passes, cold pass %d",
+			warm.TotalSolverIterations, warm.OuterIterations, cold.SolverIterations)
 	}
 }
 

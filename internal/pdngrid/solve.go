@@ -122,13 +122,12 @@ func InterleavedActivities(layers, cores int, imbalance float64) [][]float64 {
 // Solve builds the MNA network for the given per-layer, per-core activity
 // factors and solves it. activities must be Layers x NumCores.
 //
-// By default the solve runs on a prepared engine cached on the PDN: the
-// network is assembled and symbolically analyzed once, then every solve —
-// including closed-loop outer iterations and subsequent Solve calls — only
-// restamps changed element values, refactors numerically on the cached
-// structure, and (in closed loop) warm-starts the iterative solver from
-// the previous outer iterate. Cfg.ForceFreshSolve restores the historical
-// rebuild-everything path.
+// The solve runs on a prepared engine cached on the PDN: the network is
+// assembled and symbolically analyzed once, then every solve — including
+// closed-loop outer iterations and subsequent Solve calls — only restamps
+// changed element values, refactors numerically on the cached structure,
+// and (in closed loop) warm-starts the iterative solver from the previous
+// outer iterate.
 func (p *PDN) Solve(activities [][]float64) (*Result, error) {
 	return p.SolveContext(context.Background(), activities)
 }
@@ -137,33 +136,130 @@ func (p *PDN) Solve(activities [][]float64) (*Result, error) {
 // trace ID and solver effort is attributed to the context's job scope (see
 // telemetry.Scope). The solve result is byte-identical with or without a
 // trace or scope attached.
+//
+// Open loop is one pass. Closed loop iterates the solve with
+// per-converter frequencies tracking the previous pass's output currents,
+// warm-starting each pass from the previous pass's voltages; warm starts
+// change only the iterative solver's trajectory, not the converged answer
+// beyond solver tolerance.
 func (p *PDN) SolveContext(ctx context.Context, activities [][]float64) (*Result, error) {
 	cfg := p.Cfg
 	loads, err := p.rasterizeLoads(activities)
 	if err != nil {
 		return nil, err
 	}
-
-	// Converter frequencies: open loop uses the nominal frequency; closed
-	// loop iterates the solve with per-converter frequencies tracking the
-	// previous iterate's output currents.
-	nConv := p.ConverterCount()
-	freqs := make([]float64, nConv)
-	for i := range freqs {
-		freqs[i] = cfg.Converter.FSw
-	}
+	freqs := p.nominalFreqs()
 	ctrl := cfg.Control
 	maxOuter := 1
-	if ctrl != nil {
-		if _, open := ctrl.(sc.OpenLoop); !open {
-			maxOuter = 10
-		}
+	if closedLoop(cfg) {
+		maxOuter = 10
 	}
 
-	if cfg.ForceFreshSolve {
-		return p.solveFresh(ctx, loads, freqs, ctrl, maxOuter)
+	sp := telemetry.StartSpanCtx(ctx, "pdngrid.solve")
+	defer sp.End()
+	scope := telemetry.ScopeFrom(ctx)
+
+	eng, err := p.engineFor(sp, loads, freqs)
+	if err != nil {
+		return nil, err
 	}
-	return p.solvePrepared(ctx, loads, freqs, ctrl, maxOuter)
+	defer p.putEngine(eng)
+
+	var res *Result
+	var prevJ, x0 []float64
+	var outerDeltas []float64 // per-pass max relative converter-current change (recorder on)
+	recording := telemetry.FlightRecorderEnabled()
+	totalIters := 0
+	outerDone := 0
+	firstIters := 0
+	didConverge := maxOuter == 1
+	lastDelta := 0.0
+	for outer := 0; outer < maxOuter; outer++ {
+		if outer > 0 {
+			eng.applyConverters(cfg, freqs)
+		}
+		spS := sp.Start("linear-solve")
+		var tJob time.Time
+		if scope != nil {
+			tJob = time.Now()
+		}
+		tS := telemetry.Now()
+		sol, err := eng.prep.Solve(spS, x0)
+		mSolveSeconds.Since(tS)
+		spS.End()
+		if err != nil {
+			return nil, solveFailure(outer, eng.asm.net.NumNodes(), x0 != nil, outerDeltas, err)
+		}
+		mSolves.Add(1)
+		mNodesHist.Observe(float64(eng.asm.net.NumNodes()))
+		if scope != nil {
+			recordJobSolve(scope, spS, time.Since(tJob).Seconds(), sol)
+		}
+
+		res = p.extractResult(eng.asm, sol)
+		totalIters += res.SolverIterations
+		if outer == 0 {
+			firstIters = res.SolverIterations
+		} else if saved := int64(firstIters - res.SolverIterations); saved > 0 {
+			mWarmIterSaved.Add(saved)
+		}
+		outerDone++
+		if maxOuter == 1 {
+			break
+		}
+		// Update per-converter frequencies from the solved currents.
+		converged := prevJ != nil
+		lastDelta = 0
+		for i, j := range res.ConverterCurrents {
+			freqs[i] = ctrl.Freq(cfg.Converter, j)
+			if prevJ != nil {
+				d := math.Abs(j - prevJ[i])
+				if rel := d / (math.Abs(j) + 1e-6); rel > lastDelta {
+					lastDelta = rel
+				}
+				if d > 1e-4*(math.Abs(j)+1e-6) {
+					converged = false
+				}
+			}
+		}
+		if recording && prevJ != nil {
+			outerDeltas = append(outerDeltas, lastDelta)
+		}
+		if converged {
+			didConverge = true
+			break
+		}
+		prevJ = append(prevJ[:0], res.ConverterCurrents...)
+		x0 = sol.Voltages()
+	}
+	if !didConverge {
+		outerStall(outerDone, lastDelta)
+	}
+	res.OuterIterations = outerDone
+	res.TotalSolverIterations = totalIters
+	mOuterIters.Add(int64(outerDone))
+	scope.Counter("job_outer_iterations_total").Add(int64(outerDone))
+	return res, nil
+}
+
+// closedLoop reports whether cfg's converters run under a frequency
+// controller (anything but nil or sc.OpenLoop).
+func closedLoop(cfg Config) bool {
+	if cfg.Control == nil {
+		return false
+	}
+	_, open := cfg.Control.(sc.OpenLoop)
+	return !open
+}
+
+// nominalFreqs returns every converter at the configured switching
+// frequency, the open-loop operating point and the closed loop's start.
+func (p *PDN) nominalFreqs() []float64 {
+	freqs := make([]float64, p.ConverterCount())
+	for i := range freqs {
+		freqs[i] = p.Cfg.Converter.FSw
+	}
+	return freqs
 }
 
 // recordJobSolve attributes one linear solve to the job scope: per-job
@@ -253,58 +349,6 @@ func (p *PDN) rasterizeLoads(activities [][]float64) ([][]float64, error) {
 	return loads, nil
 }
 
-// solveFresh is the historical solve loop: every outer pass rebuilds the
-// netlist, re-sorts the assembly, reorders and refactors from scratch.
-func (p *PDN) solveFresh(ctx context.Context, loads [][]float64, freqs []float64, ctrl sc.Control, maxOuter int) (*Result, error) {
-	cfg := p.Cfg
-	var res *Result
-	var prevJ []float64
-	totalIters := 0
-	outerDone := 0
-	didConverge := maxOuter == 1
-	lastDelta := 0.0
-	for outer := 0; outer < maxOuter; outer++ {
-		var err error
-		res, err = p.solveOnce(ctx, loads, freqs, outer)
-		if err != nil {
-			return nil, err
-		}
-		totalIters += res.SolverIterations
-		outerDone++
-		if maxOuter == 1 {
-			break
-		}
-		// Update per-converter frequencies from the solved currents.
-		converged := prevJ != nil
-		lastDelta = 0
-		for i, j := range res.ConverterCurrents {
-			freqs[i] = ctrl.Freq(cfg.Converter, j)
-			if prevJ != nil {
-				d := math.Abs(j - prevJ[i])
-				if rel := d / (math.Abs(j) + 1e-6); rel > lastDelta {
-					lastDelta = rel
-				}
-				if d > 1e-4*(math.Abs(j)+1e-6) {
-					converged = false
-				}
-			}
-		}
-		if converged {
-			didConverge = true
-			break
-		}
-		prevJ = append(prevJ[:0], res.ConverterCurrents...)
-	}
-	if !didConverge {
-		outerStall(outerDone, lastDelta)
-	}
-	res.OuterIterations = outerDone
-	res.TotalSolverIterations = totalIters
-	mOuterIters.Add(int64(outerDone))
-	telemetry.ScopeFrom(ctx).Counter("job_outer_iterations_total").Add(int64(outerDone))
-	return res, nil
-}
-
 // engine pairs one assembled network with its compiled solve plan.
 type engine struct {
 	asm  *assembled
@@ -334,123 +378,33 @@ func (e *engine) applyConverters(cfg Config, freqs []float64) {
 	}
 }
 
-// solvePrepared runs the solve (and any closed-loop outer iterations) on
-// the PDN's cached prepared engine, building it on the first call. With a
-// cold start and no warm starts the results are bit-identical to
-// solveFresh; warm starts change only the iterative-solver trajectory, not
-// the sparsity structure or the converged answer beyond solver tolerance.
-func (p *PDN) solvePrepared(ctx context.Context, loads [][]float64, freqs []float64, ctrl sc.Control, maxOuter int) (*Result, error) {
-	cfg := p.Cfg
-
-	sp := telemetry.StartSpanCtx(ctx, "pdngrid.solve")
-	defer sp.End()
-	scope := telemetry.ScopeFrom(ctx)
-
+// engineFor takes the PDN's cached engine and writes this call's loads and
+// converter frequencies into it, or assembles and compiles a new engine
+// when none is parked (the first call, or a concurrent caller holds it).
+// The caller returns the engine with putEngine.
+func (p *PDN) engineFor(sp *telemetry.Span, loads [][]float64, freqs []float64) (*engine, error) {
+	tA := telemetry.Now()
 	eng := p.takeEngine()
 	if eng == nil {
 		spA := sp.Start("assemble")
-		tA := telemetry.Now()
 		asm := p.assemble(loads, freqs, nil)
-		prep, err := asm.net.Compile(cfg.Solve)
+		prep, err := asm.net.Compile(p.Cfg.Solve)
 		mAssembleSeconds.Since(tA)
 		spA.End()
 		if err != nil {
 			return nil, fmt.Errorf("pdngrid: %w", err)
 		}
-		eng = &engine{asm: asm, prep: prep}
 		mEngineBuilds.Add(1)
-	} else {
-		// Structure is shared across calls; only values differ.
-		mEngineReuses.Add(1)
-		spA := sp.Start("restamp")
-		tA := telemetry.Now()
-		eng.applyLoads(loads, p.nCells)
-		eng.applyConverters(cfg, freqs)
-		mAssembleSeconds.Since(tA)
-		spA.End()
+		return &engine{asm: asm, prep: prep}, nil
 	}
-	defer p.putEngine(eng)
-
-	warm := !cfg.NoWarmStart
-	var res *Result
-	var prevJ, x0 []float64
-	var outerDeltas []float64 // per-pass max relative converter-current change (recorder on)
-	recording := telemetry.FlightRecorderEnabled()
-	totalIters := 0
-	outerDone := 0
-	firstIters := 0
-	didConverge := maxOuter == 1
-	lastDelta := 0.0
-	for outer := 0; outer < maxOuter; outer++ {
-		if outer > 0 {
-			eng.applyConverters(cfg, freqs)
-		}
-		spS := sp.Start("linear-solve")
-		var tJob time.Time
-		if scope != nil {
-			tJob = time.Now()
-		}
-		tS := telemetry.Now()
-		sol, err := eng.prep.SolveSpan(spS, x0)
-		mSolveSeconds.Since(tS)
-		spS.End()
-		if err != nil {
-			return nil, solveFailure(outer, eng.asm.net.NumNodes(), x0 != nil, outerDeltas, err)
-		}
-		mSolves.Add(1)
-		mNodesHist.Observe(float64(eng.asm.net.NumNodes()))
-		if scope != nil {
-			recordJobSolve(scope, spS, time.Since(tJob).Seconds(), sol)
-		}
-
-		res = p.extractResult(eng.asm, sol)
-		totalIters += res.SolverIterations
-		if outer == 0 {
-			firstIters = res.SolverIterations
-		} else if warm {
-			if saved := int64(firstIters - res.SolverIterations); saved > 0 {
-				mWarmIterSaved.Add(saved)
-			}
-		}
-		outerDone++
-		if maxOuter == 1 {
-			break
-		}
-		// Update per-converter frequencies from the solved currents.
-		converged := prevJ != nil
-		lastDelta = 0
-		for i, j := range res.ConverterCurrents {
-			freqs[i] = ctrl.Freq(cfg.Converter, j)
-			if prevJ != nil {
-				d := math.Abs(j - prevJ[i])
-				if rel := d / (math.Abs(j) + 1e-6); rel > lastDelta {
-					lastDelta = rel
-				}
-				if d > 1e-4*(math.Abs(j)+1e-6) {
-					converged = false
-				}
-			}
-		}
-		if recording && prevJ != nil {
-			outerDeltas = append(outerDeltas, lastDelta)
-		}
-		if converged {
-			didConverge = true
-			break
-		}
-		prevJ = append(prevJ[:0], res.ConverterCurrents...)
-		if warm {
-			x0 = sol.Voltages()
-		}
-	}
-	if !didConverge {
-		outerStall(outerDone, lastDelta)
-	}
-	res.OuterIterations = outerDone
-	res.TotalSolverIterations = totalIters
-	mOuterIters.Add(int64(outerDone))
-	scope.Counter("job_outer_iterations_total").Add(int64(outerDone))
-	return res, nil
+	// Structure is shared across calls; only values differ.
+	mEngineReuses.Add(1)
+	spA := sp.Start("restamp")
+	eng.applyLoads(loads, p.nCells)
+	eng.applyConverters(p.Cfg, freqs)
+	mAssembleSeconds.Since(tA)
+	spA.End()
+	return eng, nil
 }
 
 // dynSpec adds dynamic elements for transient analysis.
@@ -653,42 +607,8 @@ func (p *PDN) assemble(loads [][]float64, freqs []float64, dyn *dynSpec) *assemb
 	return a
 }
 
-func (p *PDN) solveOnce(ctx context.Context, loads [][]float64, freqs []float64, outer int) (*Result, error) {
-	cfg := p.Cfg
-
-	sp := telemetry.StartSpanCtx(ctx, "pdngrid.solve")
-	defer sp.End()
-	scope := telemetry.ScopeFrom(ctx)
-
-	spA := sp.Start("assemble")
-	tA := telemetry.Now()
-	asm := p.assemble(loads, freqs, nil)
-	mAssembleSeconds.Since(tA)
-	spA.End()
-
-	spS := sp.Start("linear-solve")
-	var tJob time.Time
-	if scope != nil {
-		tJob = time.Now()
-	}
-	tS := telemetry.Now()
-	sol, err := asm.net.Solve(cfg.Solve)
-	mSolveSeconds.Since(tS)
-	spS.End()
-	if err != nil {
-		return nil, solveFailure(outer, asm.net.NumNodes(), false, nil, err)
-	}
-	mSolves.Add(1)
-	mNodesHist.Observe(float64(asm.net.NumNodes()))
-	if scope != nil {
-		recordJobSolve(scope, spS, time.Since(tJob).Seconds(), sol)
-	}
-
-	return p.extractResult(asm, sol), nil
-}
-
 // extractResult derives all scenario metrics from a solved network. It is
-// shared by the fresh and prepared paths, so a bit-identical Solution
+// shared by the serial and batched paths, so a bit-identical Solution
 // yields a bit-identical Result.
 func (p *PDN) extractResult(asm *assembled, sol *circuit.Solution) *Result {
 	cfg := p.Cfg

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"voltstack/internal/sc"
 	"voltstack/internal/telemetry"
 )
 
@@ -25,31 +24,20 @@ var (
 // bit-identical to) calling Solve on each entry in order. Entry i of the
 // batch must be Layers x NumCores like Solve's argument.
 func (p *PDN) SolveBatch(batch [][][]float64) ([]*Result, error) {
-	return p.solveBatch(context.Background(), batch, 0)
+	return p.SolveBatchContext(context.Background(), batch)
 }
 
 // SolveBatchContext is SolveBatch with a context for trace-span and
 // job-scope propagation (see SolveContext).
-func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Result, error) {
-	return p.solveBatch(ctx, batch, 0)
-}
-
-// SolveBatchWorkers is SolveBatch with the independent solve lanes
-// distributed over a pool of the given size (< 1 selects the default).
 //
-// The batched fast path applies in open loop on the prepared engine: the
-// matrix is identical across entries (loads are RHS-only), so one
-// restamp+refactor serves all lanes and each lane is bit-identical to a
-// serial Solve of its entry for any worker count. Closed-loop control and
-// ForceFreshSolve fall back to serial Solve calls per entry — closed-loop
-// outer iterations give every entry a distinct converter operating point
-// (a distinct matrix), which has no shared factorization to amortize.
-func (p *PDN) SolveBatchWorkers(batch [][][]float64, workers int) ([]*Result, error) {
-	return p.solveBatch(context.Background(), batch, workers)
-}
-
-func (p *PDN) solveBatch(ctx context.Context, batch [][][]float64, workers int) ([]*Result, error) {
-	cfg := p.Cfg
+// In open loop the matrix is identical across entries (loads are
+// RHS-only), so one restamp+refactor serves all lanes, which run on a pool
+// of parallel.DefaultWorkers; each lane is bit-identical to a serial Solve
+// of its entry for any worker count. Closed-loop control falls back to
+// serial Solve calls per entry: its outer iterations give every entry a
+// distinct converter operating point (a distinct matrix), which has no
+// shared factorization to amortize.
+func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Result, error) {
 	k := len(batch)
 	if k == 0 {
 		return nil, nil
@@ -57,13 +45,7 @@ func (p *PDN) solveBatch(ctx context.Context, batch [][][]float64, workers int) 
 	mBatchSolves.Add(1)
 	mBatchLanes.Add(int64(k))
 
-	closedLoop := false
-	if cfg.Control != nil {
-		if _, open := cfg.Control.(sc.OpenLoop); !open {
-			closedLoop = true
-		}
-	}
-	if cfg.ForceFreshSolve || closedLoop {
+	if closedLoop(p.Cfg) {
 		out := make([]*Result, k)
 		for i, acts := range batch {
 			r, err := p.SolveContext(ctx, acts)
@@ -83,10 +65,6 @@ func (p *PDN) solveBatch(ctx context.Context, batch [][][]float64, workers int) 
 		}
 		loads[i] = ld
 	}
-	freqs := make([]float64, p.ConverterCount())
-	for i := range freqs {
-		freqs[i] = cfg.Converter.FSw
-	}
 
 	sp := telemetry.StartSpanCtx(ctx, "pdngrid.solve-batch")
 	defer sp.End()
@@ -94,26 +72,9 @@ func (p *PDN) solveBatch(ctx context.Context, batch [][][]float64, workers int) 
 	scope.Counter("job_batch_solves_total").Add(1)
 	scope.Counter("job_batch_lanes_total").Add(int64(k))
 
-	eng := p.takeEngine()
-	if eng == nil {
-		spA := sp.Start("assemble")
-		tA := telemetry.Now()
-		asm := p.assemble(loads[0], freqs, nil)
-		prep, err := asm.net.Compile(cfg.Solve)
-		mAssembleSeconds.Since(tA)
-		spA.End()
-		if err != nil {
-			return nil, fmt.Errorf("pdngrid: %w", err)
-		}
-		eng = &engine{asm: asm, prep: prep}
-		mEngineBuilds.Add(1)
-	} else {
-		mEngineReuses.Add(1)
-		spA := sp.Start("restamp")
-		tA := telemetry.Now()
-		eng.applyConverters(cfg, freqs)
-		mAssembleSeconds.Since(tA)
-		spA.End()
+	eng, err := p.engineFor(sp, loads[0], p.nominalFreqs())
+	if err != nil {
+		return nil, err
 	}
 	defer p.putEngine(eng)
 
@@ -125,7 +86,7 @@ func (p *PDN) solveBatch(ctx context.Context, batch [][][]float64, workers int) 
 	tS := telemetry.Now()
 	sols, err := eng.prep.SolveBatch(k, func(i int) {
 		eng.applyLoads(loads[i], p.nCells)
-	}, nil, workers)
+	})
 	mSolveSeconds.Since(tS)
 	spS.End()
 	if err != nil {

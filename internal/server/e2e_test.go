@@ -189,7 +189,7 @@ func TestE2ESweepResumeAfterKill(t *testing.T) {
 	norm := req
 	norm.Normalize()
 	sp := buildSpace(norm)
-	direct, err := sp.Run()
+	direct, err := sp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

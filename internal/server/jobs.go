@@ -16,7 +16,6 @@ import (
 
 	"voltstack/internal/core"
 	"voltstack/internal/explore"
-	"voltstack/internal/pdngrid"
 	"voltstack/internal/rescache"
 	"voltstack/internal/telemetry"
 	"voltstack/internal/telemetry/history"
@@ -781,21 +780,11 @@ func buildSpace(req JobRequest) explore.Space {
 }
 
 // pointKey is the content address of one design point's raw metrics: the
-// full solver-affecting PDN fingerprint plus the evaluation conditions.
+// fingerprint of the PDN configuration the evaluation solves plus the
+// evaluation conditions.
 func pointKey(sp explore.Space, d explore.Design) (string, error) {
-	cfg := pdngrid.Config{
-		Kind:              d.Kind,
-		Layers:            sp.Layers,
-		Chip:              sp.Chip,
-		Params:            sp.Params,
-		TSV:               d.TSV,
-		PadPowerFraction:  d.PadPowerFraction,
-		ConvertersPerCore: d.ConvertersPerCore,
-		Converter:         sp.Converter,
-		ForceFreshSolve:   sp.ForceFreshSolve,
-	}
 	return rescache.Key("sweep-point", SchemaVersion, telemetry.BuildStamp(), map[string]any{
-		"pdn":       cfg.CacheFingerprint(),
+		"pdn":       sp.PDNConfig(d).CacheFingerprint(),
 		"imbalance": sp.Imbalance,
 		"em_tsv":    sp.EMTsv,
 		"em_c4":     sp.EMC4,
@@ -903,7 +892,7 @@ func (m *Manager) computeSweep(ctx context.Context, j *Job) ([]byte, error) {
 		}
 	}
 
-	res, err := sp.RunContext(ctx)
+	res, err := sp.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -921,7 +910,7 @@ func (m *Manager) EvaluateDesign(ctx context.Context, sp explore.Space, d explor
 		return nil, err
 	}
 	val, _, err := m.cache.Do(key, func() ([]byte, error) {
-		mt, err := sp.EvaluateContext(ctx, d)
+		mt, err := sp.Evaluate(ctx, d)
 		if err != nil {
 			return nil, err
 		}

@@ -182,7 +182,6 @@ func handleCancel(m *Manager, w http.ResponseWriter, r *http.Request) {
 //	converters    converters per core, V-S only (default 4)
 //	imbalance     workload point in [0,1] (default 0.65)
 //	grid          mesh resolution NxN (default 16)
-//	workers       evaluation concurrency (default GOMAXPROCS)
 func handleEvaluate(m *Manager, w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	bad := func(field, format string, args ...any) {
@@ -232,17 +231,11 @@ func handleEvaluate(m *Manager, w http.ResponseWriter, r *http.Request) {
 		bad("grid", "must be an integer in [4, 256]")
 		return
 	}
-	workers, err := intParam(q.Get("workers"), 0)
-	if err != nil || workers < 0 || workers > 256 {
-		bad("workers", "must be an integer in [0, 256]")
-		return
-	}
 
 	sp := explore.DefaultSpace()
 	sp.Layers = layers
 	sp.Imbalance = imbalance
 	sp.Params.GridNx, sp.Params.GridNy = grid, grid
-	sp.Workers = workers
 	d := explore.Design{Kind: kind, TSV: mkTSV(), PadPowerFraction: padFrac}
 	if kind == pdngrid.VoltageStacked {
 		d.ConvertersPerCore = converters

@@ -452,7 +452,7 @@ func TestEvaluateEndpoint(t *testing.T) {
 	sp.Imbalance = 0.65
 	sp.Params.GridNx, sp.Params.GridNy = 8, 8
 	d := explore.Design{Kind: pdngrid.VoltageStacked, TSV: pdngrid.DenseTSV(), PadPowerFraction: 0.5, ConvertersPerCore: 2}
-	m, err := sp.Evaluate(d)
+	m, err := sp.Evaluate(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}

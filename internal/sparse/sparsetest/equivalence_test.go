@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"voltstack/internal/circuit"
+	"voltstack/internal/parallel"
 	"voltstack/internal/pdngrid"
 	"voltstack/internal/power"
 	"voltstack/internal/sc"
@@ -165,9 +166,9 @@ func vsTestConfig(kind circuit.SolverKind, ctrl sc.Control) pdngrid.Config {
 }
 
 // TestPDNSolveBatchMatchesSerialEverywhere is the system-level property:
-// PDN.SolveBatchWorkers ≡ serial PDN.Solve per entry, bitwise, across all
-// solver kinds × open/closed loop × workers 1/2/8. The serial oracle runs
-// on its own PDN instance so engine caching cannot couple the two paths.
+// PDN.SolveBatch ≡ serial PDN.Solve per entry, bitwise, across all solver
+// kinds × open/closed loop × lane widths 1/2/8. The serial oracle runs on
+// its own PDN instance so engine caching cannot couple the two paths.
 func TestPDNSolveBatchMatchesSerialEverywhere(t *testing.T) {
 	cores := power.Example16Core().NumCores()
 	batch := [][][]float64{
@@ -199,18 +200,19 @@ func TestPDNSolveBatchMatchesSerialEverywhere(t *testing.T) {
 					t.Fatalf("%s/%s serial entry %d: %v", kname, lname, i, err)
 				}
 			}
-			for _, workers := range []int{1, 2, 8} {
+			for _, workers := range []string{"1", "2", "8"} {
+				t.Setenv(parallel.EnvWorkers, workers)
 				batched, err := pdngrid.New(vsTestConfig(kind, ctrl))
 				if err != nil {
 					t.Fatal(err)
 				}
-				rs, err := batched.SolveBatchWorkers(batch, workers)
+				rs, err := batched.SolveBatch(batch)
 				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", kname, lname, workers, err)
+					t.Fatalf("%s/%s workers=%s: %v", kname, lname, workers, err)
 				}
 				for i := range batch {
 					pdnResultsBitEqual(t,
-						fmt.Sprintf("%s/%s workers=%d entry %d", kname, lname, workers, i),
+						fmt.Sprintf("%s/%s workers=%s entry %d", kname, lname, workers, i),
 						refs[i], rs[i])
 				}
 			}
@@ -218,44 +220,10 @@ func TestPDNSolveBatchMatchesSerialEverywhere(t *testing.T) {
 	}
 }
 
-// TestPDNSolveBatchForceFreshFallback: ForceFreshSolve disables the
-// prepared engine, so SolveBatch must take the serial fallback — and
-// still match a serial oracle bitwise.
-func TestPDNSolveBatchForceFreshFallback(t *testing.T) {
-	cores := power.Example16Core().NumCores()
-	batch := [][][]float64{
-		pdngrid.UniformActivities(3, cores, 1),
-		pdngrid.InterleavedActivities(3, cores, 0.65),
-	}
-	cfg := vsTestConfig(circuit.PCGIC0, nil)
-	cfg.ForceFreshSolve = true
-	serial, err := pdngrid.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := make([]*pdngrid.Result, len(batch))
-	for i, acts := range batch {
-		if refs[i], err = serial.Solve(acts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batched, err := pdngrid.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := batched.SolveBatchWorkers(batch, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		pdnResultsBitEqual(t, fmt.Sprintf("force-fresh entry %d", i), refs[i], rs[i])
-	}
-}
-
 // TestCircuitSolveBatchMatchesPreparedSerial pins the circuit layer
-// directly: Prepared.SolveBatch lane i ≡ setRHS(i)+Prepared.Solve, and
-// both ≡ the fresh Netlist.Solve, for a netlist with per-lane load
-// variation.
+// directly: Prepared.SolveBatch lane i ≡ setRHS(i)+Prepared.Solve on the
+// reused engine, and both ≡ Netlist.Solve (a cold engine) on a netlist
+// built with lane i's loads, for a netlist with per-lane load variation.
 func TestCircuitSolveBatchMatchesPreparedSerial(t *testing.T) {
 	const nx, ny, k = 12, 12, 6
 	amps := func(lane, load int) float64 { return 0.005 * float64(lane*7+load+1) }
@@ -301,27 +269,28 @@ func TestCircuitSolveBatchMatchesPreparedSerial(t *testing.T) {
 		refs := make([][]float64, k)
 		for i := 0; i < k; i++ {
 			setLane(i)
-			sol, err := prep.Solve(nil)
+			sol, err := prep.Solve(nil, nil)
 			if err != nil {
 				t.Fatalf("kind %d serial lane %d: %v", kind, i, err)
 			}
 			refs[i] = append([]float64(nil), sol.Voltages()...)
 
-			// Oracle: the fresh path on an identical netlist.
-			fnet, _ := build(i)
-			fsol, err := fnet.Solve(circuit.SolveOptions{Solver: kind})
+			// Oracle: a cold engine on an identical netlist.
+			cnet, _ := build(i)
+			csol, err := cnet.Solve(circuit.SolveOptions{Solver: kind})
 			if err != nil {
-				t.Fatalf("kind %d fresh lane %d: %v", kind, i, err)
+				t.Fatalf("kind %d cold lane %d: %v", kind, i, err)
 			}
-			mustBitEqual(t, fmt.Sprintf("kind %d fresh-vs-prepared lane %d", kind, i), fsol.Voltages(), refs[i])
+			mustBitEqual(t, fmt.Sprintf("kind %d cold-vs-reused lane %d", kind, i), csol.Voltages(), refs[i])
 		}
-		for _, workers := range []int{1, 2, 8} {
-			sols, err := prep.SolveBatch(k, setLane, nil, workers)
+		for _, workers := range []string{"1", "2", "8"} {
+			t.Setenv(parallel.EnvWorkers, workers)
+			sols, err := prep.SolveBatch(k, setLane)
 			if err != nil {
-				t.Fatalf("kind %d workers %d: %v", kind, workers, err)
+				t.Fatalf("kind %d workers %s: %v", kind, workers, err)
 			}
 			for i := range sols {
-				mustBitEqual(t, fmt.Sprintf("kind %d workers %d lane %d", kind, workers, i), refs[i], sols[i].Voltages())
+				mustBitEqual(t, fmt.Sprintf("kind %d workers %s lane %d", kind, workers, i), refs[i], sols[i].Voltages())
 			}
 		}
 	}
