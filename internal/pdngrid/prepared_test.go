@@ -130,6 +130,36 @@ func TestSolverKindsMatchSparseND(t *testing.T) {
 	}
 }
 
+// TestPreparedMatchesFreshClosedLoop covers the outer-iteration loop on a
+// reused engine: after the PDN has solved another activity pattern, a
+// closed-loop solve (converter-frequency updates and warm-started passes
+// included) must be bit-identical to the same solve on a fresh PDN, whose
+// engine is cold.
+func TestPreparedMatchesFreshClosedLoop(t *testing.T) {
+	for _, kind := range []circuit.SolverKind{circuit.Direct, circuit.PCGIC0} {
+		cfg := vsCfg(3, 4)
+		cfg.Control = sc.ClosedLoop{}
+		cfg.Solve = circuit.SolveOptions{Solver: kind, Tol: 1e-10}
+		acts := InterleavedActivities(3, 16, 0.5)
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Solve(UniformActivities(3, 16, 1)); err != nil {
+			t.Fatalf("kind %d: %v", kind, err)
+		}
+		prep, err := p.Solve(acts)
+		if err != nil {
+			t.Fatalf("kind %d: %v", kind, err)
+		}
+		fresh := mustSolve(t, cfg, acts)
+		if fresh.OuterIterations < 2 {
+			t.Fatalf("kind %d: closed loop converged in %d outer passes, want >= 2", kind, fresh.OuterIterations)
+		}
+		sameResult(t, "closed-loop", fresh, prep)
+	}
+}
+
 // TestPreparedWarmStartClosedLoop checks closed-loop control on the
 // warm-started iterative path against the direct path, which never
 // warm-starts. Both must run more than one outer pass and settle on the
