@@ -209,14 +209,6 @@ func solveVS8(b *testing.B, solver circuit.SolverKind, grid int) *pdngrid.Result
 	return r
 }
 
-// BenchmarkAblationSolverDirect measures the skyline-Cholesky direct
-// solver on the 8-layer system (16x16 mesh keeps factorization tractable).
-func BenchmarkAblationSolverDirect(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		solveVS8(b, circuit.Direct, 16)
-	}
-}
-
 // BenchmarkAblationSolverPCGIC0 measures IC(0)-preconditioned CG.
 func BenchmarkAblationSolverPCGIC0(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -134,7 +134,6 @@ func main() {
 			"over_limit":          r.OverLimit,
 			"solver_iterations":   r.SolverIterations,
 			"solver_residual":     r.SolverResidual,
-			"outer_iterations":    r.OuterIterations,
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -163,8 +162,8 @@ func main() {
 	fmt.Printf("pad currents (mA):  %s\n", statLine(r.PadCurrents))
 	fmt.Printf("TSV currents (mA):  %s\n", statLine(r.TSVCurrents))
 	if r.SolverIterations > 0 {
-		fmt.Printf("solver: %d PCG iterations (residual %.2e) over %d outer pass(es)\n",
-			r.TotalSolverIterations, r.SolverResidual, r.OuterIterations)
+		fmt.Printf("solver: %d PCG iterations (residual %.2e)\n",
+			r.SolverIterations, r.SolverResidual)
 	}
 
 	if *showMap {

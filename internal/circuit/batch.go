@@ -23,7 +23,7 @@ var (
 // checked. Lanes start cold and run concurrently on a pool of
 // parallel.DefaultWorkers.
 //
-// Lane i is bit-identical to calling setRHS(i) followed by Solve(nil, nil).
+// Lane i is bit-identical to calling setRHS(i) followed by Solve(nil).
 // The returned Solutions share the engine's netlist, so element-level
 // queries (LoadPower, TieCurrent, …) on Solutions[i] read whatever element
 // values the netlist holds at query time: re-apply entry i's values (or
@@ -53,8 +53,8 @@ func (p *Prepared) SolveBatch(k int, setRHS func(i int)) ([]*Solution, error) {
 		rhss[i] = append([]float64(nil), p.rhs...)
 	}
 
-	if d := p.direct(); d != nil {
-		for i, x := range d.SolveBatchWorkers(rhss, 0) {
+	if p.ndF != nil {
+		for i, x := range p.ndF.SolveBatchWorkers(rhss, 0) {
 			sols[i] = &Solution{net: n, v: x}
 		}
 		return sols, nil

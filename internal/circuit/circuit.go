@@ -157,17 +157,16 @@ func (n *Netlist) AddConverter2to1(top, bottom, mid int, rSeries, gPar float64) 
 type SolverKind int
 
 const (
-	// Auto picks by node count: Direct up to 4k nodes, PCGIC0 up to 200k,
-	// PCGAMG above. Transient picks DirectSparseND up to 200k instead.
+	// Auto picks by node count: DirectSparseND up to 4k nodes, PCGIC0 up
+	// to 200k, PCGAMG above. Transient picks DirectSparseND up to 200k
+	// instead.
 	Auto SolverKind = iota
-	// Direct uses the RCM-ordered skyline Cholesky factorization.
-	Direct
 	// PCGIC0 uses conjugate gradients with an IC(0) preconditioner.
 	PCGIC0
 	// PCGJacobi uses conjugate gradients with a Jacobi preconditioner.
 	PCGJacobi
-	// DirectSparseND uses the general sparse Cholesky factorization with
-	// nested-dissection ordering — lower memory than Direct on 3D meshes.
+	// DirectSparseND uses the sparse Cholesky factorization with
+	// nested-dissection ordering.
 	DirectSparseND
 	// PCGAMG uses conjugate gradients with an aggregation-based algebraic
 	// multigrid preconditioner — near-mesh-independent iteration counts on
@@ -182,7 +181,8 @@ type SolveOptions struct {
 	MaxIter int     // iteration budget (default 20*n)
 }
 
-// directThreshold is the node count below which Auto picks the direct solver.
+// directThreshold is the largest node count for which Auto picks the
+// direct solver.
 const directThreshold = 4000
 
 // amgThreshold is the node count above which Auto switches from IC(0) to
@@ -276,7 +276,7 @@ func (o SolveOptions) resolve(nn int) (kind SolverKind, tol float64, maxIter int
 	if kind == Auto {
 		switch {
 		case nn <= directThreshold:
-			kind = Direct
+			kind = DirectSparseND
 		case nn <= amgThreshold:
 			kind = PCGIC0
 		default:
@@ -382,7 +382,7 @@ func (n *Netlist) Solve(opts SolveOptions) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Solve(nil, nil)
+	return p.Solve(nil)
 }
 
 func stampConductance(b adder, i, j int, g float64) {

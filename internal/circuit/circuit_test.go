@@ -239,7 +239,7 @@ func TestEnergyBalanceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomStackNetwork(rng)
-		s, err := n.Solve(SolveOptions{Solver: Direct})
+		s, err := n.Solve(SolveOptions{Solver: DirectSparseND})
 		if err != nil {
 			return false
 		}
@@ -253,11 +253,11 @@ func TestEnergyBalanceProperty(t *testing.T) {
 func TestSolversAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	n := randomStackNetwork(rng)
-	sd, err := n.Solve(SolveOptions{Solver: Direct})
+	sd, err := n.Solve(SolveOptions{Solver: DirectSparseND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []SolverKind{PCGIC0, PCGJacobi, DirectSparseND} {
+	for _, kind := range []SolverKind{PCGIC0, PCGJacobi} {
 		si, err := n.Solve(SolveOptions{Solver: kind, Tol: 1e-12})
 		if err != nil {
 			t.Fatalf("solver %d: %v", kind, err)
@@ -270,12 +270,36 @@ func TestSolversAgree(t *testing.T) {
 	}
 }
 
+// TestSolveOptionsResolve pins the node counts at which Auto switches
+// solver kind, and that an explicit kind passes through at any size.
+func TestSolveOptionsResolve(t *testing.T) {
+	cases := []struct {
+		solver SolverKind
+		nodes  int
+		want   SolverKind
+	}{
+		{Auto, 1, DirectSparseND},
+		{Auto, 4000, DirectSparseND},
+		{Auto, 4001, PCGIC0},
+		{Auto, 200_000, PCGIC0},
+		{Auto, 200_001, PCGAMG},
+		{PCGJacobi, 1, PCGJacobi},
+		{DirectSparseND, 200_001, DirectSparseND},
+		{PCGAMG, 4000, PCGAMG},
+	}
+	for _, c := range cases {
+		if got, _, _ := (SolveOptions{Solver: c.solver}).resolve(c.nodes); got != c.want {
+			t.Errorf("kind %d at %d nodes resolves to %d, want %d", c.solver, c.nodes, got, c.want)
+		}
+	}
+}
+
 func TestFloatingNodeError(t *testing.T) {
 	n := New()
 	a := n.Node()
 	_ = n.Node() // floating node, never connected
 	n.AddRailTie(a, 1, 1)
-	if _, err := n.Solve(SolveOptions{Solver: Direct}); err == nil {
+	if _, err := n.Solve(SolveOptions{Solver: DirectSparseND}); err == nil {
 		t.Error("expected floating-node error")
 	}
 }

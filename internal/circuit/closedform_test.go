@@ -17,8 +17,7 @@ import (
 // expected values here come from that recurrence alone.
 
 var allSolvers = []circuit.SolverKind{
-	circuit.Auto, circuit.Direct, circuit.PCGIC0, circuit.PCGJacobi,
-	circuit.DirectSparseND, circuit.PCGAMG,
+	circuit.Auto, circuit.PCGIC0, circuit.PCGJacobi, circuit.DirectSparseND, circuit.PCGAMG,
 }
 
 // backwardEuler returns X·(1 − (1+dt/tau)^−k).

@@ -4,16 +4,15 @@
 // preconditioner pattern analysis — is done once in Netlist.Compile.
 // Repeat solves then restamp only element values (a linear pass with no
 // sorting or allocation), numerically refactor on the cached symbolic
-// structure, reuse PCG scratch vectors, and may warm-start from a previous
-// solution. Netlist.Solve is Compile plus one solve, and Transient compiles
-// its backward-Euler step matrix the same way.
+// structure, and reuse PCG scratch vectors. Netlist.Solve is Compile plus
+// one solve, and Transient compiles its backward-Euler step matrix the same
+// way.
 //
-// Determinism contract: with a nil warm start, a reused engine's Solve is
-// bit-identical to a cold engine compiled from the same netlist and
-// options. This holds because the value restamp replays the exact
-// accumulation order of CSR assembly (sparse.AssemblyMap), and every
-// numeric refactor reproduces the from-scratch factorization arithmetic
-// exactly.
+// Determinism contract: a reused engine's Solve is bit-identical to a cold
+// engine compiled from the same netlist and options. This holds because
+// the value restamp replays the exact accumulation order of CSR assembly
+// (sparse.AssemblyMap), and every numeric refactor reproduces the
+// from-scratch factorization arithmetic exactly.
 package circuit
 
 import (
@@ -32,7 +31,6 @@ var (
 	mPrepRecompiles = telemetry.NewCounter("circuit_prepared_recompiles_total")
 	mPrepSolves     = telemetry.NewCounter("circuit_prepared_solves_total")
 	mPrepRestamps   = telemetry.NewCounter("circuit_prepared_restamps_total")
-	mPrepWarmStarts = telemetry.NewCounter("circuit_prepared_warm_starts_total")
 )
 
 // valueWriter replays the stamping sequence into a flat COO value stream,
@@ -82,19 +80,19 @@ type Prepared struct {
 	a   *sparse.CSR
 	rhs []float64
 
-	// Per-kind cached symbolic structures, factors, and scratch.
-	skySym *sparse.SkylineSymbolic
-	skyF   *sparse.SkylineChol
-	ndSym  *sparse.SparseCholSymbolic
-	ndF    *sparse.SparseChol
-	icSym  *sparse.IC0Symbolic
-	icF    *sparse.IC0Prec
-	icOK   bool
-	amg    *sparse.AMGPrec
-	amgOK  bool
-	jac    *sparse.JacobiPrec
-	ws     *sparse.PCGWorkspace
-	bws    *sparse.PCGBatchWorkspace // lazily built by SolveBatch
+	// Per-kind cached symbolic structures, factors, and scratch. ndF is
+	// the current factor of the direct kind and nil for the iterative
+	// kinds.
+	ndSym *sparse.SparseCholSymbolic
+	ndF   *sparse.SparseChol
+	icSym *sparse.IC0Symbolic
+	icF   *sparse.IC0Prec
+	icOK  bool
+	amg   *sparse.AMGPrec
+	amgOK bool
+	jac   *sparse.JacobiPrec
+	ws    *sparse.PCGWorkspace
+	bws   *sparse.PCGBatchWorkspace // lazily built by SolveBatch
 
 	valsDirty bool // element values changed since last restamp
 	factored  bool // current factorization matches current values
@@ -112,8 +110,7 @@ func (n *Netlist) Compile(opts SolveOptions) (*Prepared, error) {
 
 // Voltages exposes the solved node-voltage vector, indexed by node id
 // (ground is not included — it is identically 0). Treat it as read-only:
-// it backs the Solution's V queries. Its main use is feeding one solve's
-// result into the next Prepared.Solve as a warm start.
+// it backs the Solution's V queries.
 func (s *Solution) Voltages() []float64 { return s.v }
 
 func (p *Prepared) compile() error {
@@ -127,7 +124,6 @@ func (p *Prepared) compile() error {
 		p.parActive[i] = c.gPar > 0
 	}
 	p.kind, p.tol, p.maxIter = p.opts.resolve(nn)
-	p.skySym, p.skyF = nil, nil
 	p.ndSym, p.ndF = nil, nil
 	p.icSym, p.icF, p.icOK = nil, nil, false
 	p.amg, p.amgOK = nil, false
@@ -151,8 +147,6 @@ func (p *Prepared) compile() error {
 	p.rhs = make([]float64, nn)
 
 	switch p.kind {
-	case Direct:
-		p.skySym = sparse.NewSkylineSymbolic(p.a)
 	case DirectSparseND:
 		sym, err := sparse.NewSparseCholSymbolic(p.a, sparse.OrderND)
 		if err != nil {
@@ -240,14 +234,12 @@ func (p *Prepared) SetConverter(id ConverterID, rSeries, gPar float64) {
 	}
 }
 
-// Solve solves the network with the current element values. x0, if
-// non-nil, is a warm-start voltage vector (length NumNodes) used by the
-// iterative solver kinds; direct kinds ignore it. With x0 == nil the
-// returned Solution is bit-identical to a cold engine's. sp, if non-nil,
-// parents trace spans for the restamp, factor (including AMG hierarchy
-// rebuilds) and PCG phases; tracing adds no work when sp is nil, and the
-// result is identical either way.
-func (p *Prepared) Solve(sp *telemetry.Span, x0 []float64) (*Solution, error) {
+// Solve solves the network with the current element values; the result is
+// bit-identical to a cold engine's. sp, if non-nil, parents trace spans for
+// the restamp, factor (including AMG hierarchy rebuilds) and PCG phases;
+// tracing adds no work when sp is nil, and the result is identical either
+// way.
+func (p *Prepared) Solve(sp *telemetry.Span) (*Solution, error) {
 	mPrepSolves.Add(1)
 	if err := p.ensureCurrent(sp); err != nil {
 		return nil, err
@@ -257,22 +249,16 @@ func (p *Prepared) Solve(sp *telemetry.Span, x0 []float64) (*Solution, error) {
 	if nn == 0 {
 		return &Solution{net: n}, nil
 	}
-	if x0 != nil && len(x0) != nn {
-		panic(fmt.Sprintf("circuit: warm start length %d, want %d nodes", len(x0), nn))
-	}
 	n.stampRHS(p.rhs)
 
 	sol := &Solution{net: n}
-	if d := p.direct(); d != nil {
+	if p.ndF != nil {
 		sol.v = make([]float64, nn)
-		d.SolveTo(sol.v, p.rhs)
+		p.ndF.SolveTo(sol.v, p.rhs)
 		return sol, nil
 	}
-	if x0 != nil {
-		mPrepWarmStarts.Add(1)
-	}
 	spPCG := sp.Start("pcg")
-	x, res, err := sparse.PCGW(p.a, p.rhs, x0, p.preconditioner(), p.tol, p.maxIter, p.ws)
+	x, res, err := sparse.PCGW(p.a, p.rhs, nil, p.preconditioner(), p.tol, p.maxIter, p.ws)
 	spPCG.End()
 	if err != nil {
 		return nil, err
@@ -346,12 +332,6 @@ func (p *Prepared) ensureCurrent(sp *telemetry.Span) error {
 // parents the AMG hierarchy-rebuild span.
 func (p *Prepared) refactor(sp *telemetry.Span) error {
 	switch p.kind {
-	case Direct:
-		f, err := p.skySym.Refactor(p.a, p.skyF)
-		if err != nil {
-			return wrapSPD(err)
-		}
-		p.skyF = f
 	case DirectSparseND:
 		f, err := p.ndSym.Refactor(p.a, p.ndF)
 		if err != nil {
@@ -385,25 +365,6 @@ func (p *Prepared) refactor(sp *telemetry.Span) error {
 		}
 	case PCGJacobi:
 		p.jac = sparse.NewJacobi(p.a)
-	}
-	return nil
-}
-
-// directSolver is a factored matrix: each solve is one pair of triangular
-// solves, and a batch runs its lanes on the worker pool.
-type directSolver interface {
-	SolveTo(dst, b []float64)
-	SolveBatchWorkers(bs [][]float64, workers int) [][]float64
-}
-
-// direct returns the current factor of a direct kind, or nil for the
-// iterative kinds.
-func (p *Prepared) direct() directSolver {
-	switch p.kind {
-	case Direct:
-		return p.skyF
-	case DirectSparseND:
-		return p.ndF
 	}
 	return nil
 }

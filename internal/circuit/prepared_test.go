@@ -8,7 +8,7 @@ import (
 )
 
 // allKinds are the concrete solver kinds plus Auto.
-var allKinds = []SolverKind{Auto, Direct, DirectSparseND, PCGIC0, PCGJacobi}
+var allKinds = []SolverKind{Auto, DirectSparseND, PCGIC0, PCGJacobi}
 
 // sameSolution asserts a reused engine's solution (got) is bit-identical to
 // a cold engine's (want).
@@ -44,7 +44,7 @@ func TestPreparedMatchesFreshAllKinds(t *testing.T) {
 		}
 		// Repeat solves must all match (factor reuse does not drift).
 		for rep := 0; rep < 3; rep++ {
-			got, err := p.Solve(nil, nil)
+			got, err := p.Solve(nil)
 			if err != nil {
 				t.Fatalf("kind %d rep %d: prepared: %v", kind, rep, err)
 			}
@@ -57,7 +57,7 @@ func TestPreparedSettersMatchFresh(t *testing.T) {
 	// After changing converter values, load currents, tie rails, and a
 	// resistor through the prepared engine, the solve must be bit-identical
 	// to a fresh engine compiled from the mutated netlist.
-	for _, kind := range []SolverKind{Direct, DirectSparseND, PCGIC0, PCGJacobi} {
+	for _, kind := range []SolverKind{DirectSparseND, PCGIC0, PCGJacobi} {
 		rng := rand.New(rand.NewSource(7))
 		n := randomStackNetwork(rng)
 		opts := SolveOptions{Solver: kind}
@@ -65,7 +65,7 @@ func TestPreparedSettersMatchFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Solve(nil, nil); err != nil {
+		if _, err := p.Solve(nil); err != nil {
 			t.Fatal(err)
 		}
 		// Perturb every element class.
@@ -81,7 +81,7 @@ func TestPreparedSettersMatchFresh(t *testing.T) {
 		}
 		p.SetResistor(ResistorID(0), 1/n.resistors[0].g*2)
 
-		got, err := p.Solve(nil, nil)
+		got, err := p.Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestPreparedRestampProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomStackNetwork(rng)
-		opts := SolveOptions{Solver: Direct}
+		opts := SolveOptions{Solver: DirectSparseND}
 		p, err := n.Compile(opts)
 		if err != nil {
 			return false
@@ -115,7 +115,7 @@ func TestPreparedRestampProperty(t *testing.T) {
 					p.SetConverter(ConverterID(id), 0.3+rng.Float64(), rng.Float64()*1e-3)
 				}
 			}
-			got, err := p.Solve(nil, nil)
+			got, err := p.Solve(nil)
 			if err != nil {
 				return false
 			}
@@ -142,22 +142,22 @@ func TestPreparedGParZeroTransitionRecompiles(t *testing.T) {
 	// compile.
 	rng := rand.New(rand.NewSource(3))
 	n := randomStackNetwork(rng)
-	p, err := n.Compile(SolveOptions{Solver: Direct})
+	p, err := n.Compile(SolveOptions{Solver: DirectSparseND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Solve(nil, nil); err != nil {
+	if _, err := p.Solve(nil); err != nil {
 		t.Fatal(err)
 	}
 	for id := range n.converters {
 		c := n.converters[id]
 		p.SetConverter(ConverterID(id), 1/c.gSeries, 0)
 	}
-	got, err := p.Solve(nil, nil)
+	got, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := n.Solve(SolveOptions{Solver: Direct})
+	fresh, err := n.Solve(SolveOptions{Solver: DirectSparseND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestPreparedGParZeroTransitionRecompiles(t *testing.T) {
 		c := n.converters[id]
 		p.SetConverter(ConverterID(id), 1/c.gSeries, 1e-4)
 	}
-	got, err = p.Solve(nil, nil)
+	got, err = p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err = n.Solve(SolveOptions{Solver: Direct})
+	fresh, err = n.Solve(SolveOptions{Solver: DirectSparseND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,58 +182,26 @@ func TestPreparedGParZeroTransitionRecompiles(t *testing.T) {
 func TestPreparedTopologyGrowthRecompiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := randomStackNetwork(rng)
-	p, err := n.Compile(SolveOptions{Solver: Direct})
+	p, err := n.Compile(SolveOptions{Solver: DirectSparseND})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Solve(nil, nil); err != nil {
+	if _, err := p.Solve(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Add a node and elements out-of-band.
 	nd := n.Node()
 	n.AddResistor(nd, 0, 0.5)
 	n.AddLoad(nd, Ground, 0.1)
-	got, err := p.Solve(nil, nil)
+	got, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := n.Solve(SolveOptions{Solver: Direct})
+	fresh, err := n.Solve(SolveOptions{Solver: DirectSparseND})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSolution(t, "growth", fresh, got, n.NumNodes())
-}
-
-func TestPreparedWarmStartConverges(t *testing.T) {
-	// A warm start from the exact solution must converge immediately (0
-	// iterations) and still return that solution.
-	rng := rand.New(rand.NewSource(9))
-	n := randomStackNetwork(rng)
-	opts := SolveOptions{Solver: PCGIC0}
-	p, err := n.Compile(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := p.Solve(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := make([]float64, n.NumNodes())
-	for i := range x0 {
-		x0[i] = cold.V(i)
-	}
-	warm, err := p.Solve(nil, x0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Iterations > cold.Iterations {
-		t.Fatalf("warm start took %d iterations, cold %d", warm.Iterations, cold.Iterations)
-	}
-	for i := 0; i < n.NumNodes(); i++ {
-		if math.Abs(warm.V(i)-cold.V(i)) > 1e-8 {
-			t.Fatalf("warm solution drifted at node %d: %v vs %v", i, warm.V(i), cold.V(i))
-		}
-	}
 }
 
 func TestPreparedEmptyNetlist(t *testing.T) {
@@ -242,7 +210,7 @@ func TestPreparedEmptyNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Solve(nil, nil)
+	s, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestSuperposition(t *testing.T) {
 			if i2 != 0 {
 				n.AddLoad(nodes[len(nodes)-1], Ground, i2)
 			}
-			s, err := n.Solve(SolveOptions{Solver: Direct})
+			s, err := n.Solve(SolveOptions{Solver: DirectSparseND})
 			if err != nil {
 				return nil
 			}
@@ -89,7 +89,7 @@ func TestReciprocity(t *testing.T) {
 		probe := func(inject, measure int) float64 {
 			n, nodes := buildFixed(seed)
 			n.AddLoad(Ground, nodes[inject], 1) // inject 1 A
-			s, err := n.Solve(SolveOptions{Solver: Direct})
+			s, err := n.Solve(SolveOptions{Solver: DirectSparseND})
 			if err != nil {
 				return 0
 			}
@@ -115,7 +115,7 @@ func TestCurrentScalingLinearity(t *testing.T) {
 			for i := 1; i < len(nodes); i++ {
 				n.AddLoad(nodes[i], Ground, scale*rng.Float64())
 			}
-			s, err := n.Solve(SolveOptions{Solver: Direct})
+			s, err := n.Solve(SolveOptions{Solver: DirectSparseND})
 			if err != nil {
 				return nil, nil
 			}
@@ -144,7 +144,7 @@ func TestConverterNetworkStillPassive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomStackNetwork(rng)
-		s, err := n.Solve(SolveOptions{Solver: Direct})
+		s, err := n.Solve(SolveOptions{Solver: DirectSparseND})
 		if err != nil {
 			return false
 		}

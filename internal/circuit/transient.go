@@ -134,8 +134,7 @@ var ErrTransient = errors.New("circuit: transient analysis failed")
 //
 // Under Auto, systems up to amgThreshold nodes use DirectSparseND for both
 // the DC operating point and the step matrix: one nested-dissection factor
-// then serves every step, and its fill is a fraction of the skyline
-// envelope. Larger systems resolve as Solve does.
+// then serves every step. Larger systems resolve as Solve does.
 func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResult, error) {
 	if opts.DT <= 0 || opts.Steps <= 0 {
 		return nil, fmt.Errorf("%w: need positive DT and Steps", ErrTransient)
@@ -173,7 +172,7 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTransient, err)
 	}
-	direct := eng.direct()
+	direct := eng.ndF
 	rhsBase := make([]float64, nn)
 	for _, t := range n.ties {
 		rhsBase[t.node] += t.g * t.vRail

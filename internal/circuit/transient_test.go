@@ -236,7 +236,7 @@ func TestTransientSolverAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []SolverKind{Auto, Direct, PCGIC0, PCGJacobi, DirectSparseND, PCGAMG} {
+	for _, kind := range []SolverKind{Auto, PCGIC0, PCGJacobi, DirectSparseND, PCGAMG} {
 		o := opts
 		o.Solve = SolveOptions{Solver: kind, Tol: 1e-12}
 		r, err := build().Transient(o, []int{1})
@@ -272,7 +272,7 @@ func TestDCSolveWithDynamicElements(t *testing.T) {
 // An empty network has nothing to integrate: the run still records every
 // time point, with no probe waveforms.
 func TestTransientEmptyNetlist(t *testing.T) {
-	for _, kind := range []SolverKind{Auto, Direct, DirectSparseND, PCGIC0} {
+	for _, kind := range []SolverKind{Auto, DirectSparseND, PCGIC0} {
 		opts := TransientOptions{DT: 1e-9, Steps: 3, InitDC: true, Solve: SolveOptions{Solver: kind}}
 		r, err := New().Transient(opts, nil)
 		if err != nil {

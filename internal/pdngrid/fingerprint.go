@@ -12,8 +12,8 @@ import "voltstack/internal/sc"
 // every configuration field that can change a solve's numerical result:
 // the architecture (kind, layers, chip), the electrical parameters
 // (Params, TSV topology, pad allocation), the converter model when one is
-// in the circuit, the control policy, and the linear-solver options
-// (solver kind, tolerance, iteration budget).
+// in the circuit, and the linear-solver options (solver kind, tolerance,
+// iteration budget).
 //
 // Fields that cannot affect results (the prepared-engine cache state, the
 // worker count of a surrounding sweep) are deliberately absent, so cache
@@ -21,10 +21,6 @@ import "voltstack/internal/sc"
 // rescache.CanonicalJSON (or hash it via rescache.Key) — plain
 // encoding/json does not guarantee cross-version byte stability.
 func (c Config) CacheFingerprint() map[string]any {
-	control := "open-loop"
-	if c.Control != nil {
-		control = c.Control.Name()
-	}
 	fp := map[string]any{
 		"kind":               c.Kind.String(),
 		"layers":             c.Layers,
@@ -32,7 +28,6 @@ func (c Config) CacheFingerprint() map[string]any {
 		"params":             c.Params,
 		"tsv":                c.TSV,
 		"pad_power_fraction": c.PadPowerFraction,
-		"control":            control,
 		"solve": map[string]any{
 			"solver":   int(c.Solve.Solver),
 			"tol":      c.Solve.Tol,

@@ -41,10 +41,9 @@ func TestCacheFingerprintSensitivity(t *testing.T) {
 		"pads":       func(c *Config) { c.PadPowerFraction = 1.0 },
 		"converters": func(c *Config) { c.ConvertersPerCore = 8 },
 		"fsw":        func(c *Config) { c.Converter.FSw *= 2 },
-		"solver":     func(c *Config) { c.Solve.Solver = circuit.Direct },
+		"solver":     func(c *Config) { c.Solve.Solver = circuit.DirectSparseND },
 		"tol":        func(c *Config) { c.Solve.Tol = 1e-6 },
 		"maxiter":    func(c *Config) { c.Solve.MaxIter = 7 },
-		"control":    func(c *Config) { c.Control = sc.ClosedLoop{} },
 		"vdd":        func(c *Config) { c.Params.Vdd = 0.9 },
 	}
 	for name, mutate := range mutations {

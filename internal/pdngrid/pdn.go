@@ -50,7 +50,6 @@ type Config struct {
 	// on every intermediate rail, uniformly distributed within the core.
 	ConvertersPerCore int
 	Converter         sc.Params
-	Control           sc.Control // nil means open loop
 
 	// Solve configures the linear solver: kind, tolerance and iteration
 	// budget. Each solve runs serially; SolveBatch runs independent lanes

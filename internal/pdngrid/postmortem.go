@@ -3,8 +3,7 @@
 // 3.2e-03 after 400 iterations") rarely says why. With the flight recorder
 // on, the failed linear solve carries its residual trajectory
 // (sparse.TraceFromError); this file packages that trajectory together with
-// the PDN-level context (outer pass, node count, warm-start origin,
-// closed-loop convergence deltas) into a JSON artifact written through
+// the PDN's node count into a JSON artifact written through
 // telemetry.DumpPostmortem, and emits a structured event pointing at it.
 package pdngrid
 
@@ -19,13 +18,7 @@ import (
 // SolvePostmortem is the JSON artifact describing one failed PDN solve.
 type SolvePostmortem struct {
 	Stage string `json:"stage"` // "linear-solve"
-	// OuterPass is the closed-loop pass (0-based) the failure happened in.
-	OuterPass int  `json:"outer_pass"`
-	Nodes     int  `json:"nodes"`
-	WarmStart bool `json:"warm_start"` // solve started from the previous outer iterate
-	// OuterDeltas holds the max relative converter-current change after
-	// each completed outer pass (closed loop only, recorder on only).
-	OuterDeltas []float64 `json:"outer_deltas,omitempty"`
+	Nodes int    `json:"nodes"`
 	// SolveTrace is the failed linear solve's residual trajectory, present
 	// when the flight recorder was on.
 	SolveTrace *sparse.SolveTrace `json:"solve_trace,omitempty"`
@@ -35,39 +28,23 @@ type SolvePostmortem struct {
 // solveFailure wraps a linear-solve error with pdngrid context, emits the
 // failure event, and — when a post-mortem directory is configured — dumps
 // the artifact and appends its path to the error message.
-func solveFailure(outer, nodes int, warm bool, deltas []float64, err error) error {
+func solveFailure(nodes int, err error) error {
 	if telemetry.EventsEnabled() {
 		telemetry.Event(slog.LevelError, "pdngrid: linear solve failed",
-			slog.Int("outer_pass", outer),
 			slog.Int("nodes", nodes),
-			slog.Bool("warm_start", warm),
 			slog.String("error", err.Error()))
 	}
 	wrapped := fmt.Errorf("pdngrid: %w", err)
 	if telemetry.PostmortemEnabled() {
 		pm := &SolvePostmortem{
-			Stage:       "linear-solve",
-			OuterPass:   outer,
-			Nodes:       nodes,
-			WarmStart:   warm,
-			OuterDeltas: deltas,
-			SolveTrace:  sparse.TraceFromError(err),
-			Error:       err.Error(),
+			Stage:      "linear-solve",
+			Nodes:      nodes,
+			SolveTrace: sparse.TraceFromError(err),
+			Error:      err.Error(),
 		}
 		if path, derr := telemetry.DumpPostmortem("pdngrid-solve", pm); derr == nil && path != "" {
 			wrapped = fmt.Errorf("pdngrid: %w (post-mortem: %s)", err, path)
 		}
 	}
 	return wrapped
-}
-
-// outerStall reports a closed-loop frequency iteration that exhausted its
-// pass budget without the converter currents settling.
-func outerStall(passes int, lastDelta float64) {
-	mOuterStalls.Add(1)
-	if telemetry.EventsEnabled() {
-		telemetry.Event(slog.LevelWarn, "pdngrid: closed-loop outer iteration stalled",
-			slog.Int("passes", passes),
-			slog.Float64("last_max_rel_delta", lastDelta))
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"voltstack/internal/circuit"
-	"voltstack/internal/sc"
 )
 
 // bitsEq compares floats bitwise, so even a sign-of-zero or last-ulp drift
@@ -63,8 +62,6 @@ func sameResult(t *testing.T, label string, want, got *Result) {
 		t.Fatalf("%s: SolverIterations %d vs %d", label, want.SolverIterations, got.SolverIterations)
 	case !bitsEq(want.SolverResidual, got.SolverResidual):
 		fail("SolverResidual")
-	case want.OuterIterations != got.OuterIterations:
-		t.Fatalf("%s: OuterIterations %d vs %d", label, want.OuterIterations, got.OuterIterations)
 	case want.TotalSolverIterations != got.TotalSolverIterations:
 		t.Fatalf("%s: TotalSolverIterations %d vs %d", label, want.TotalSolverIterations, got.TotalSolverIterations)
 	}
@@ -102,7 +99,7 @@ func TestSolverKindsMatchSparseND(t *testing.T) {
 		"stacked": vsCfg(3, 4),
 	}
 	kinds := []circuit.SolverKind{
-		circuit.Auto, circuit.Direct, circuit.PCGIC0, circuit.PCGJacobi, circuit.PCGAMG,
+		circuit.Auto, circuit.PCGIC0, circuit.PCGJacobi, circuit.PCGAMG,
 	}
 	acts := InterleavedActivities(3, 16, 0.5)
 	for name, cfg := range cfgs {
@@ -130,92 +127,33 @@ func TestSolverKindsMatchSparseND(t *testing.T) {
 	}
 }
 
-// TestPreparedMatchesFreshClosedLoop covers the outer-iteration loop on a
-// reused engine: after the PDN has solved another activity pattern, a
-// closed-loop solve (converter-frequency updates and warm-started passes
-// included) must be bit-identical to the same solve on a fresh PDN, whose
-// engine is cold.
-func TestPreparedMatchesFreshClosedLoop(t *testing.T) {
-	for _, kind := range []circuit.SolverKind{circuit.Direct, circuit.PCGIC0} {
-		cfg := vsCfg(3, 4)
-		cfg.Control = sc.ClosedLoop{}
-		cfg.Solve = circuit.SolveOptions{Solver: kind, Tol: 1e-10}
-		acts := InterleavedActivities(3, 16, 0.5)
-		p, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Solve(UniformActivities(3, 16, 1)); err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
-		}
-		prep, err := p.Solve(acts)
-		if err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
-		}
-		fresh := mustSolve(t, cfg, acts)
-		if fresh.OuterIterations < 2 {
-			t.Fatalf("kind %d: closed loop converged in %d outer passes, want >= 2", kind, fresh.OuterIterations)
-		}
-		sameResult(t, "closed-loop", fresh, prep)
-	}
-}
-
-// TestPreparedWarmStartClosedLoop checks closed-loop control on the
-// warm-started iterative path against the direct path, which never
-// warm-starts. Both must run more than one outer pass and settle on the
-// same operating point to within the outer loop's tolerance band, and the
-// warm-started passes must on average cost fewer PCG iterations than the
-// cold first pass (the open-loop solve at nominal frequency).
-func TestPreparedWarmStartClosedLoop(t *testing.T) {
-	cfg := vsCfg(3, 4)
-	acts := InterleavedActivities(3, 16, 0.5)
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-10}
-	cold := mustSolve(t, cfg, acts)
-	cfg.Control = sc.ClosedLoop{}
-	warm := mustSolve(t, cfg, acts)
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.DirectSparseND}
-	ref := mustSolve(t, cfg, acts)
-	for name, r := range map[string]*Result{"pcg": warm, "sparse-nd": ref} {
-		if r.OuterIterations < 2 {
-			t.Fatalf("%s: closed loop ran %d outer passes, want >= 2", name, r.OuterIterations)
-		}
-	}
-	if math.Abs(ref.MaxIRDropFrac-warm.MaxIRDropFrac) > 1e-5 {
-		t.Errorf("warm-start noise drifted: %g vs %g", warm.MaxIRDropFrac, ref.MaxIRDropFrac)
-	}
-	if math.Abs(ref.Efficiency-warm.Efficiency) > 1e-5 {
-		t.Errorf("warm-start efficiency drifted: %g vs %g", warm.Efficiency, ref.Efficiency)
-	}
-	if warm.TotalSolverIterations >= warm.OuterIterations*cold.SolverIterations {
-		t.Errorf("warm starts saved nothing: %d iterations over %d passes, cold pass %d",
-			warm.TotalSolverIterations, warm.OuterIterations, cold.SolverIterations)
-	}
-}
-
 // TestPreparedEngineReuseAcrossActivityPatterns drives one PDN through a
-// sequence of different activity patterns. Every solve after the first hits
-// the cached engine, whose results must not depend on what was solved
-// before: each must be bit-identical to a solve on a pristine PDN.
+// sequence of different activity patterns, for the direct kind and for
+// IC(0)-PCG. Every solve after the first hits the cached engine, whose
+// results must not depend on what was solved before: each must be
+// bit-identical to a solve on a pristine PDN.
 func TestPreparedEngineReuseAcrossActivityPatterns(t *testing.T) {
-	cfg := vsCfg(3, 4)
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-10}
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	patterns := [][][]float64{
 		InterleavedActivities(3, 16, 0.5),
 		UniformActivities(3, 16, 1),
 		InterleavedActivities(3, 16, 0.9),
 		InterleavedActivities(3, 16, 0.5), // repeat of the first
 	}
-	for i, acts := range patterns {
-		got, err := p.Solve(acts)
+	for _, kind := range []circuit.SolverKind{circuit.DirectSparseND, circuit.PCGIC0} {
+		cfg := vsCfg(3, 4)
+		cfg.Solve = circuit.SolveOptions{Solver: kind, Tol: 1e-10}
+		p, err := New(cfg)
 		if err != nil {
-			t.Fatalf("pattern %d: %v", i, err)
+			t.Fatal(err)
 		}
-		want := mustSolve(t, cfg, acts) // pristine PDN, cold engine
-		sameResult(t, "reuse", want, got)
+		for i, acts := range patterns {
+			got, err := p.Solve(acts)
+			if err != nil {
+				t.Fatalf("kind %d pattern %d: %v", kind, i, err)
+			}
+			want := mustSolve(t, cfg, acts) // pristine PDN, cold engine
+			sameResult(t, "reuse", want, got)
+		}
 	}
 }
 
@@ -223,7 +161,7 @@ func TestPreparedEngineReuseAcrossActivityPatterns(t *testing.T) {
 // engine reuse, where only load values change between solves.
 func TestPreparedRegularReuse(t *testing.T) {
 	cfg := regularCfg(3, SparseTSV())
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.Direct}
+	cfg.Solve = circuit.SolveOptions{Solver: circuit.DirectSparseND}
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,18 +17,13 @@ import (
 // be measured against. No-ops unless telemetry is enabled.
 var (
 	mSolves          = telemetry.NewCounter("pdngrid_solves_total")
-	mOuterIters      = telemetry.NewCounter("pdngrid_outer_iterations_total")
 	mAssembleSeconds = telemetry.NewHistogram("pdngrid_assemble_seconds")
 	mSolveSeconds    = telemetry.NewHistogram("pdngrid_linear_solve_seconds")
 	mNodesHist       = telemetry.NewHistogram("pdngrid_nodes")
 	// Prepared-engine cache effectiveness: builds are structure-cache
-	// misses, reuses are hits; warm-start savings estimate how many PCG
-	// iterations the previous-iterate starts avoided (versus the cold
-	// first pass of the same closed-loop solve).
-	mEngineBuilds  = telemetry.NewCounter("pdngrid_engine_builds_total")
-	mEngineReuses  = telemetry.NewCounter("pdngrid_engine_reuses_total")
-	mWarmIterSaved = telemetry.NewCounter("pdngrid_warmstart_iterations_saved_total")
-	mOuterStalls   = telemetry.NewCounter("pdngrid_outer_stalls_total")
+	// misses, reuses are hits.
+	mEngineBuilds = telemetry.NewCounter("pdngrid_engine_builds_total")
+	mEngineReuses = telemetry.NewCounter("pdngrid_engine_reuses_total")
 )
 
 // Result holds the solved state of one PDN scenario.
@@ -65,12 +60,10 @@ type Result struct {
 
 	// Linear solve diagnostics, propagated from sparse.CGResult via
 	// circuit.Solution so callers and tests can assert convergence effort.
-	SolverIterations int     // iterative-solver iterations of the final linear solve (0 for direct solvers)
-	SolverResidual   float64 // final relative residual ‖b−Ax‖₂/‖b‖₂ of the final linear solve
-	// OuterIterations counts closed-loop converter-frequency passes (1 in
-	// open loop); TotalSolverIterations sums the linear-solver iterations
-	// over all of them.
-	OuterIterations       int
+	SolverIterations int     // iterative-solver iterations of the linear solve (0 for direct solvers)
+	SolverResidual   float64 // final relative residual ‖b−Ax‖₂/‖b‖₂ of the linear solve
+	// TotalSolverIterations equals SolverIterations: every solve is one
+	// linear solve.
 	TotalSolverIterations int
 }
 
@@ -123,11 +116,9 @@ func InterleavedActivities(layers, cores int, imbalance float64) [][]float64 {
 // factors and solves it. activities must be Layers x NumCores.
 //
 // The solve runs on a prepared engine cached on the PDN: the network is
-// assembled and symbolically analyzed once, then every solve — including
-// closed-loop outer iterations and subsequent Solve calls — only restamps
-// changed element values, refactors numerically on the cached structure,
-// and (in closed loop) warm-starts the iterative solver from the previous
-// outer iterate.
+// assembled and symbolically analyzed once, then every later Solve call
+// only writes the new load currents, which leave the matrix unchanged, so
+// the cached factorization or preconditioner is reused as is.
 func (p *PDN) Solve(activities [][]float64) (*Result, error) {
 	return p.SolveContext(context.Background(), activities)
 }
@@ -135,131 +126,42 @@ func (p *PDN) Solve(activities [][]float64) (*Result, error) {
 // SolveContext is Solve with a context: trace spans inherit the context's
 // trace ID and solver effort is attributed to the context's job scope (see
 // telemetry.Scope). The solve result is byte-identical with or without a
-// trace or scope attached.
-//
-// Open loop is one pass. Closed loop iterates the solve with
-// per-converter frequencies tracking the previous pass's output currents,
-// warm-starting each pass from the previous pass's voltages; warm starts
-// change only the iterative solver's trajectory, not the converged answer
-// beyond solver tolerance.
+// trace or scope attached. Converters run open loop at their configured
+// switching frequency, so every solve is one linear solve.
 func (p *PDN) SolveContext(ctx context.Context, activities [][]float64) (*Result, error) {
-	cfg := p.Cfg
 	loads, err := p.rasterizeLoads(activities)
 	if err != nil {
 		return nil, err
-	}
-	freqs := p.nominalFreqs()
-	ctrl := cfg.Control
-	maxOuter := 1
-	if closedLoop(cfg) {
-		maxOuter = 10
 	}
 
 	sp := telemetry.StartSpanCtx(ctx, "pdngrid.solve")
 	defer sp.End()
 	scope := telemetry.ScopeFrom(ctx)
 
-	eng, err := p.engineFor(sp, loads, freqs)
+	eng, err := p.engineFor(sp, loads)
 	if err != nil {
 		return nil, err
 	}
 	defer p.putEngine(eng)
 
-	var res *Result
-	var prevJ, x0 []float64
-	var outerDeltas []float64 // per-pass max relative converter-current change (recorder on)
-	recording := telemetry.FlightRecorderEnabled()
-	totalIters := 0
-	outerDone := 0
-	firstIters := 0
-	didConverge := maxOuter == 1
-	lastDelta := 0.0
-	for outer := 0; outer < maxOuter; outer++ {
-		if outer > 0 {
-			eng.applyConverters(cfg, freqs)
-		}
-		spS := sp.Start("linear-solve")
-		var tJob time.Time
-		if scope != nil {
-			tJob = time.Now()
-		}
-		tS := telemetry.Now()
-		sol, err := eng.prep.Solve(spS, x0)
-		mSolveSeconds.Since(tS)
-		spS.End()
-		if err != nil {
-			return nil, solveFailure(outer, eng.asm.net.NumNodes(), x0 != nil, outerDeltas, err)
-		}
-		mSolves.Add(1)
-		mNodesHist.Observe(float64(eng.asm.net.NumNodes()))
-		if scope != nil {
-			recordJobSolve(scope, spS, time.Since(tJob).Seconds(), sol)
-		}
-
-		res = p.extractResult(eng.asm, sol)
-		totalIters += res.SolverIterations
-		if outer == 0 {
-			firstIters = res.SolverIterations
-		} else if saved := int64(firstIters - res.SolverIterations); saved > 0 {
-			mWarmIterSaved.Add(saved)
-		}
-		outerDone++
-		if maxOuter == 1 {
-			break
-		}
-		// Update per-converter frequencies from the solved currents.
-		converged := prevJ != nil
-		lastDelta = 0
-		for i, j := range res.ConverterCurrents {
-			freqs[i] = ctrl.Freq(cfg.Converter, j)
-			if prevJ != nil {
-				d := math.Abs(j - prevJ[i])
-				if rel := d / (math.Abs(j) + 1e-6); rel > lastDelta {
-					lastDelta = rel
-				}
-				if d > 1e-4*(math.Abs(j)+1e-6) {
-					converged = false
-				}
-			}
-		}
-		if recording && prevJ != nil {
-			outerDeltas = append(outerDeltas, lastDelta)
-		}
-		if converged {
-			didConverge = true
-			break
-		}
-		prevJ = append(prevJ[:0], res.ConverterCurrents...)
-		x0 = sol.Voltages()
+	spS := sp.Start("linear-solve")
+	var tJob time.Time
+	if scope != nil {
+		tJob = time.Now()
 	}
-	if !didConverge {
-		outerStall(outerDone, lastDelta)
+	tS := telemetry.Now()
+	sol, err := eng.prep.Solve(spS)
+	mSolveSeconds.Since(tS)
+	spS.End()
+	if err != nil {
+		return nil, solveFailure(eng.asm.net.NumNodes(), err)
 	}
-	res.OuterIterations = outerDone
-	res.TotalSolverIterations = totalIters
-	mOuterIters.Add(int64(outerDone))
-	scope.Counter("job_outer_iterations_total").Add(int64(outerDone))
-	return res, nil
-}
-
-// closedLoop reports whether cfg's converters run under a frequency
-// controller (anything but nil or sc.OpenLoop).
-func closedLoop(cfg Config) bool {
-	if cfg.Control == nil {
-		return false
+	mSolves.Add(1)
+	mNodesHist.Observe(float64(eng.asm.net.NumNodes()))
+	if scope != nil {
+		recordJobSolve(scope, spS, time.Since(tJob).Seconds(), sol)
 	}
-	_, open := cfg.Control.(sc.OpenLoop)
-	return !open
-}
-
-// nominalFreqs returns every converter at the configured switching
-// frequency, the open-loop operating point and the closed loop's start.
-func (p *PDN) nominalFreqs() []float64 {
-	freqs := make([]float64, p.ConverterCount())
-	for i := range freqs {
-		freqs[i] = p.Cfg.Converter.FSw
-	}
-	return freqs
+	return p.extractResult(eng.asm, sol), nil
 }
 
 // recordJobSolve attributes one linear solve to the job scope: per-job
@@ -364,30 +266,16 @@ func (e *engine) applyLoads(loads [][]float64, nCells int) {
 	}
 }
 
-// applyConverters writes the converter operating point for the given
-// per-converter switching frequencies into the engine.
-func (e *engine) applyConverters(cfg Config, freqs []float64) {
-	for i, id := range e.asm.convIDs {
-		f := cfg.Converter.FSw
-		if len(freqs) > 0 {
-			f = freqs[i]
-		}
-		rs := cfg.Converter.RSeries(f)
-		gPar := cfg.Converter.ParasiticShuntG(f, 2*cfg.Params.Vdd)
-		e.prep.SetConverter(id, rs, gPar)
-	}
-}
-
-// engineFor takes the PDN's cached engine and writes this call's loads and
-// converter frequencies into it, or assembles and compiles a new engine
-// when none is parked (the first call, or a concurrent caller holds it).
-// The caller returns the engine with putEngine.
-func (p *PDN) engineFor(sp *telemetry.Span, loads [][]float64, freqs []float64) (*engine, error) {
+// engineFor takes the PDN's cached engine and writes this call's loads
+// into it, or assembles and compiles a new engine when none is parked (the
+// first call, or a concurrent caller holds it). The caller returns the
+// engine with putEngine.
+func (p *PDN) engineFor(sp *telemetry.Span, loads [][]float64) (*engine, error) {
 	tA := telemetry.Now()
 	eng := p.takeEngine()
 	if eng == nil {
 		spA := sp.Start("assemble")
-		asm := p.assemble(loads, freqs, nil)
+		asm := p.assemble(loads, nil)
 		prep, err := asm.net.Compile(p.Cfg.Solve)
 		mAssembleSeconds.Since(tA)
 		spA.End()
@@ -397,11 +285,10 @@ func (p *PDN) engineFor(sp *telemetry.Span, loads [][]float64, freqs []float64) 
 		mEngineBuilds.Add(1)
 		return &engine{asm: asm, prep: prep}, nil
 	}
-	// Structure is shared across calls; only values differ.
+	// Structure is shared across calls; only load values differ.
 	mEngineReuses.Add(1)
 	spA := sp.Start("restamp")
 	eng.applyLoads(loads, p.nCells)
-	eng.applyConverters(p.Cfg, freqs)
 	mAssembleSeconds.Since(tA)
 	spA.End()
 	return eng, nil
@@ -433,7 +320,7 @@ type assembled struct {
 
 // assemble builds the full MNA network for the scenario. dyn may be nil
 // (pure DC network).
-func (p *PDN) assemble(loads [][]float64, freqs []float64, dyn *dynSpec) *assembled {
+func (p *PDN) assemble(loads [][]float64, dyn *dynSpec) *assembled {
 	cfg := p.Cfg
 	prm := cfg.Params
 	nx, ny := prm.GridNx, prm.GridNy
@@ -585,22 +472,16 @@ func (p *PDN) assemble(loads [][]float64, freqs []float64, dyn *dynSpec) *assemb
 		// top terminal on rail k+1 (layer k's Vdd mesh), bottom on rail
 		// k-1 (layer k-1's ground mesh), output on rail k (layer k-1's
 		// Vdd mesh, TSV-tied to layer k's ground mesh).
-		ci := 0
+		rs := cfg.Converter.RSeries(cfg.Converter.FSw)
+		gPar := cfg.Converter.ParasiticShuntG(cfg.Converter.FSw, 2*prm.Vdd)
 		for k := 1; k < L; k++ {
 			for _, cell := range p.convCell {
-				f := cfg.Converter.FSw
-				if len(freqs) > 0 {
-					f = freqs[ci]
-				}
-				rs := cfg.Converter.RSeries(f)
-				gPar := cfg.Converter.ParasiticShuntG(f, 2*prm.Vdd)
 				id := net.AddConverter2to1(
 					node(k, 0, cell),   // top: rail k+1
 					node(k-1, 1, cell), // bottom: rail k-1
 					node(k-1, 0, cell), // mid: rail k
 					rs, gPar)
 				*convIDs = append(*convIDs, id)
-				ci++
 			}
 		}
 	}
@@ -620,7 +501,6 @@ func (p *PDN) extractResult(asm *assembled, sol *circuit.Solution) *Result {
 	res := &Result{
 		SolverIterations:      sol.Iterations,
 		SolverResidual:        sol.Residual,
-		OuterIterations:       1,
 		TotalSolverIterations: sol.Iterations,
 	}
 
@@ -728,10 +608,6 @@ func RegularSCEfficiency(cfg Config, imbalance float64) (float64, error) {
 	if cfg.ConvertersPerCore < 1 {
 		return 0, fmt.Errorf("pdngrid: baseline needs converters")
 	}
-	ctrl := cfg.Control
-	if ctrl == nil {
-		ctrl = sc.OpenLoop{}
-	}
 	vdd := cfg.Params.Vdd
 	core := cfg.Chip.Core
 	nCores := cfg.Chip.NumCores()
@@ -740,7 +616,7 @@ func RegularSCEfficiency(cfg Config, imbalance float64) (float64, error) {
 		act := interleavedActivity(l, imbalance)
 		pCore := core.Total(act, vdd, core.FClk)
 		iConv := pCore / vdd / float64(cfg.ConvertersPerCore)
-		op := sc.Evaluate(cfg.Converter, ctrl, 2*vdd, iConv)
+		op := sc.Evaluate(cfg.Converter, sc.OpenLoop{}, 2*vdd, iConv)
 		// Each converter delivers POut at its drooped output and draws the
 		// ideal-transformer power plus parasitics from the 2·Vdd rail.
 		nConv := float64(nCores * cfg.ConvertersPerCore)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"voltstack/internal/circuit"
-	"voltstack/internal/sc"
 )
 
 // TestConvergenceStatsPropagated asserts that the sparse-solver convergence
@@ -21,28 +20,8 @@ func TestConvergenceStatsPropagated(t *testing.T) {
 	if r.SolverResidual <= 0 || r.SolverResidual > tol {
 		t.Errorf("final residual %g, want in (0, %g]", r.SolverResidual, tol)
 	}
-	if r.OuterIterations != 1 {
-		t.Errorf("open-loop solve took %d outer passes, want 1", r.OuterIterations)
-	}
 	if r.TotalSolverIterations != r.SolverIterations {
-		t.Errorf("single pass: total %d != final %d", r.TotalSolverIterations, r.SolverIterations)
-	}
-}
-
-// TestConvergenceStatsClosedLoop checks the accumulation across closed-loop
-// converter-frequency passes: the total must cover at least two passes and
-// strictly exceed the final pass alone.
-func TestConvergenceStatsClosedLoop(t *testing.T) {
-	cfg := vsCfg(3, 4)
-	cfg.Control = sc.ClosedLoop{}
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-10}
-	r := mustSolve(t, cfg, InterleavedActivities(3, 16, 0.5))
-	if r.OuterIterations < 2 {
-		t.Errorf("closed loop converged in %d outer passes, want >= 2", r.OuterIterations)
-	}
-	if r.TotalSolverIterations <= r.SolverIterations {
-		t.Errorf("total iterations %d should exceed final-pass iterations %d",
-			r.TotalSolverIterations, r.SolverIterations)
+		t.Errorf("total %d != final %d", r.TotalSolverIterations, r.SolverIterations)
 	}
 }
 
@@ -50,12 +29,9 @@ func TestConvergenceStatsClosedLoop(t *testing.T) {
 // zero iterative effort and zero residual bookkeeping burden.
 func TestConvergenceStatsDirect(t *testing.T) {
 	cfg := regularCfg(3, SparseTSV())
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.Direct}
+	cfg.Solve = circuit.SolveOptions{Solver: circuit.DirectSparseND}
 	r := mustSolve(t, cfg, UniformActivities(3, 16, 1))
-	if r.SolverIterations != 0 {
-		t.Errorf("direct solve reported %d iterations, want 0", r.SolverIterations)
-	}
-	if r.OuterIterations != 1 || r.TotalSolverIterations != 0 {
-		t.Errorf("direct solve: outer %d total %d, want 1/0", r.OuterIterations, r.TotalSolverIterations)
+	if r.SolverIterations != 0 || r.TotalSolverIterations != 0 {
+		t.Errorf("direct solve reported %d/%d iterations, want 0/0", r.SolverIterations, r.TotalSolverIterations)
 	}
 }

@@ -20,9 +20,9 @@ var (
 )
 
 // SolveBatch solves the PDN once per activity matrix in the batch and
-// returns one Result per entry, equivalent to (and in open loop
-// bit-identical to) calling Solve on each entry in order. Entry i of the
-// batch must be Layers x NumCores like Solve's argument.
+// returns one Result per entry, bit-identical to calling Solve on each
+// entry in order. Entry i of the batch must be Layers x NumCores like
+// Solve's argument.
 func (p *PDN) SolveBatch(batch [][][]float64) ([]*Result, error) {
 	return p.SolveBatchContext(context.Background(), batch)
 }
@@ -30,13 +30,10 @@ func (p *PDN) SolveBatch(batch [][][]float64) ([]*Result, error) {
 // SolveBatchContext is SolveBatch with a context for trace-span and
 // job-scope propagation (see SolveContext).
 //
-// In open loop the matrix is identical across entries (loads are
-// RHS-only), so one restamp+refactor serves all lanes, which run on a pool
-// of parallel.DefaultWorkers; each lane is bit-identical to a serial Solve
-// of its entry for any worker count. Closed-loop control falls back to
-// serial Solve calls per entry: its outer iterations give every entry a
-// distinct converter operating point (a distinct matrix), which has no
-// shared factorization to amortize.
+// The matrix is identical across entries (loads are RHS-only), so one
+// restamp+refactor serves all lanes, which run on a pool of
+// parallel.DefaultWorkers; each lane is bit-identical to a serial Solve of
+// its entry for any worker count.
 func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Result, error) {
 	k := len(batch)
 	if k == 0 {
@@ -44,18 +41,6 @@ func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Re
 	}
 	mBatchSolves.Add(1)
 	mBatchLanes.Add(int64(k))
-
-	if closedLoop(p.Cfg) {
-		out := make([]*Result, k)
-		for i, acts := range batch {
-			r, err := p.SolveContext(ctx, acts)
-			if err != nil {
-				return nil, fmt.Errorf("pdngrid: batch entry %d: %w", i, err)
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
 
 	loads := make([][][]float64, k)
 	for i, acts := range batch {
@@ -72,7 +57,7 @@ func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Re
 	scope.Counter("job_batch_solves_total").Add(1)
 	scope.Counter("job_batch_lanes_total").Add(int64(k))
 
-	eng, err := p.engineFor(sp, loads[0], p.nominalFreqs())
+	eng, err := p.engineFor(sp, loads[0])
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +75,7 @@ func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Re
 	mSolveSeconds.Since(tS)
 	spS.End()
 	if err != nil {
-		return nil, solveFailure(0, eng.asm.net.NumNodes(), false, nil, err)
+		return nil, solveFailure(eng.asm.net.NumNodes(), err)
 	}
 
 	out := make([]*Result, k)
@@ -103,7 +88,6 @@ func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Re
 		mSolves.Add(1)
 		mNodesHist.Observe(float64(eng.asm.net.NumNodes()))
 	}
-	mOuterIters.Add(int64(k))
 	if scope != nil {
 		// One attribution record for the whole batched linear solve: the
 		// lanes share a restamp/factor, so per-lane wall time is not
@@ -114,7 +98,6 @@ func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Re
 			totalIters += r.SolverIterations
 		}
 		scope.Counter("job_pdn_solves_total").Add(int64(k))
-		scope.Counter("job_outer_iterations_total").Add(int64(k))
 		scope.Counter("job_solver_iterations_total").Add(int64(totalIters))
 		scope.Histogram("job_linear_solve_seconds").Observe(secs)
 		ex := telemetry.Exemplar{

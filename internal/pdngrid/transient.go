@@ -103,11 +103,6 @@ func (p *PDN) SolveTransient(tc TransientConfig) (*TransientResult, error) {
 	rest := scaleAt(tc.RestActivity)
 	step := scaleAt(tc.StepActivity)
 
-	nConv := p.ConverterCount()
-	freqs := make([]float64, nConv)
-	for i := range freqs {
-		freqs[i] = cfg.Converter.FSw
-	}
 	cellArea := p.raster.Die.W * p.raster.Die.H / float64(p.nCells)
 	dyn := &dynSpec{
 		scale: func(t float64) float64 {
@@ -119,7 +114,7 @@ func (p *PDN) SolveTransient(tc TransientConfig) (*TransientResult, error) {
 		decapPerCell: tc.DecapPerArea * cellArea,
 		pkgL:         tc.PkgL,
 	}
-	asm := p.assemble(loads, freqs, dyn)
+	asm := p.assemble(loads, dyn)
 
 	// Probes: the central cell of every core tile, on both meshes of
 	// every layer.

@@ -219,8 +219,6 @@ func (p Params) Area() float64 {
 type Control interface {
 	// Freq returns the switching frequency for a given load current.
 	Freq(p Params, iLoad float64) float64
-	// Name identifies the policy in reports.
-	Name() string
 }
 
 // OpenLoop keeps the switching frequency constant at the nominal value —
@@ -230,12 +228,9 @@ type OpenLoop struct{}
 // Freq returns the nominal frequency regardless of load.
 func (OpenLoop) Freq(p Params, _ float64) float64 { return p.FSw }
 
-// Name returns "open-loop".
-func (OpenLoop) Name() string { return "open-loop" }
-
-// ClosedLoop modulates switching frequency proportionally to load current
-// (validated in Fig. 3a; flagged as future work for system studies, and
-// provided here as an extension).
+// ClosedLoop modulates switching frequency proportionally to load current:
+// the converter-level policy Fig. 3a validates (the paper leaves its
+// system-level use to future work).
 type ClosedLoop struct {
 	// FloorFraction is the minimum frequency as a fraction of nominal
 	// (the modulator cannot stall the clock entirely). Default 0.02.
@@ -251,9 +246,6 @@ func (c ClosedLoop) Freq(p Params, iLoad float64) float64 {
 	frac := math.Abs(iLoad) / p.MaxLoad
 	return p.FSw * units.Clamp(frac, floor, 1)
 }
-
-// Name returns "closed-loop".
-func (ClosedLoop) Name() string { return "closed-loop" }
 
 // OperatingPoint is the evaluated state of a converter at one load level.
 type OperatingPoint struct {

@@ -29,8 +29,8 @@ import (
 
 // SchemaVersion identifies the job-request JSON layout and is folded into
 // every cache key, so a schema change can never replay results recorded
-// under different semantics.
-const SchemaVersion = 1
+// under different semantics. DESIGN.md §11 says what each bump changed.
+const SchemaVersion = 2
 
 // Job kinds.
 const (

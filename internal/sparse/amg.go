@@ -4,8 +4,8 @@
 // unsmoothed pairwise aggregation: greedy strongest-neighbor pairing builds
 // the aggregates, the Galerkin triple product PᵀAP builds each coarse
 // operator (SPD whenever A is, since P has full column rank), and one
-// symmetric V-cycle — equal weighted-Jacobi pre/post sweeps around a direct
-// skyline solve on the coarsest level — serves as the preconditioner
+// symmetric V-cycle — equal weighted-Jacobi pre/post sweeps around a sparse
+// Cholesky solve on the coarsest level — serves as the preconditioner
 // application. Equal sweep counts keep M⁻¹ symmetric positive definite,
 // which PCG requires; ω = 2/3 damps the upper half of the Jacobi spectrum
 // safely because λmax(D⁻¹A) ≤ 2 for weakly diagonally dominant A.
@@ -79,7 +79,7 @@ type amgLevel struct {
 // itself but scratch forks may run in parallel.
 type AMGPrec struct {
 	levels []*amgLevel
-	coarse *SkylineChol
+	coarse *SparseChol
 	opts   AMGOptions
 	ns     []int // unknowns per level, finest first, coarsest last
 	nnzs   []int // operator nonzeros per level, finest first
@@ -112,7 +112,7 @@ func NewAMG(a *CSR, opts AMGOptions) (*AMGPrec, error) {
 		p.nnzs = append(p.nnzs, coarseA.NNZ())
 		cur = coarseA
 	}
-	f, err := FactorCholesky(cur)
+	f, err := FactorSparse(cur, OrderND)
 	if err != nil {
 		return nil, fmt.Errorf("sparse: AMG coarse factorization (n=%d): %w", cur.N(), err)
 	}

@@ -32,41 +32,16 @@ func batchObserved(lanes int) {
 	mBatchHist.Observe(float64(lanes))
 }
 
-// SolveBatch solves A·x_i = b_i for every right-hand side using this
-// factorization, serially. Column i is bit-identical to Solve(bs[i]).
-func (f *SkylineChol) SolveBatch(bs [][]float64) [][]float64 {
-	return f.SolveBatchWorkers(bs, 1)
-}
-
-// SolveBatchWorkers is SolveBatch with the independent triangular solves
-// distributed over a pool of the given size (< 1 selects the default).
-// The factor is only read, so lanes are safe to run concurrently, and
-// results are bit-identical for every worker count.
-func (f *SkylineChol) SolveBatchWorkers(bs [][]float64, workers int) [][]float64 {
-	batchObserved(len(bs))
-	xs := make([][]float64, len(bs))
-	pool := parallel.NewPool(workers)
-	// Solve never fails; ForEachN's error path is unreachable here.
-	_ = pool.ForEachN(context.Background(), len(bs), func(i int) error {
-		xs[i] = f.Solve(bs[i])
-		return nil
-	})
-	return xs
-}
-
-// SolveBatch solves A·x_i = b_i for every right-hand side using this
-// factorization, serially. Column i is bit-identical to Solve(bs[i]).
-func (f *SparseChol) SolveBatch(bs [][]float64) [][]float64 {
-	return f.SolveBatchWorkers(bs, 1)
-}
-
-// SolveBatchWorkers is SolveBatch on a worker pool; see
-// SkylineChol.SolveBatchWorkers for the concurrency and determinism
-// contract.
+// SolveBatchWorkers solves A·x_i = b_i for every right-hand side using this
+// factorization, with the independent triangular solves distributed over a
+// pool of the given size (< 1 selects the default). The factor is only
+// read, so lanes are safe to run concurrently, and column i is
+// bit-identical to Solve(bs[i]) for every worker count.
 func (f *SparseChol) SolveBatchWorkers(bs [][]float64, workers int) [][]float64 {
 	batchObserved(len(bs))
 	xs := make([][]float64, len(bs))
 	pool := parallel.NewPool(workers)
+	// Solve never fails; ForEachN's error path is unreachable here.
 	_ = pool.ForEachN(context.Background(), len(bs), func(i int) error {
 		xs[i] = f.Solve(bs[i])
 		return nil

@@ -27,22 +27,6 @@ func sameVecBits(t *testing.T, name string, a, b []float64) {
 	}
 }
 
-func TestSkylineSolveBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := gridLaplacian(17, 13, 1e-3)
-	f, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := randBatch(a.N(), 9, rng)
-	for _, workers := range []int{1, 2, 8} {
-		xs := f.SolveBatchWorkers(bs, workers)
-		for i := range bs {
-			sameVecBits(t, "skyline lane", f.Solve(bs[i]), xs[i])
-		}
-	}
-}
-
 func TestSparseCholSolveBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := gridLaplacian(14, 14, 1e-3)

@@ -1,9 +1,14 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrNotPositiveDefinite is returned when a Cholesky factorization
+// encounters a non-positive pivot.
+var ErrNotPositiveDefinite = errors.New("sparse: matrix is not positive definite")
 
 // Ordering selects the fill-reducing permutation used by SparseChol.
 type Ordering int
@@ -12,16 +17,13 @@ const (
 	// OrderND is nested dissection — the best choice for mesh-like
 	// graphs (PDN and thermal grids).
 	OrderND Ordering = iota
-	// OrderRCMChol uses reverse Cuthill-McKee.
-	OrderRCMChol
 	// OrderNatural factors in the given order.
 	OrderNatural
 )
 
 // SparseChol is a general sparse Cholesky factorization A = L·Lᵀ with
-// fill-in, computed up-looking (row by row) using the elimination tree —
-// unlike SkylineChol it stores only structural nonzeros plus fill, which
-// is dramatically less than the envelope for 3D meshes.
+// fill-in, computed up-looking (row by row) using the elimination tree. It
+// stores only the structural nonzeros plus fill.
 type SparseChol struct {
 	n    int
 	perm []int // old -> new
@@ -69,8 +71,6 @@ func NewSparseCholSymbolic(a *CSR, ord Ordering) (*SparseCholSymbolic, error) {
 	switch ord {
 	case OrderND:
 		perm = NestedDissection(a)
-	case OrderRCMChol:
-		perm = RCM(a)
 	case OrderNatural:
 		perm = make([]int, n)
 		for i := range perm {

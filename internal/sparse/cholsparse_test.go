@@ -106,16 +106,22 @@ func TestPostOrderIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSparseCholAgainstSkyline(t *testing.T) {
+// TestSparseCholAgainstDenseLU checks the sparse factorization under each
+// ordering against a pivoted dense LU solve, which shares no code with it.
+func TestSparseCholAgainstDenseLU(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, ord := range []Ordering{OrderND, OrderRCMChol, OrderNatural} {
+	for _, ord := range []Ordering{OrderND, OrderNatural} {
 		a := gridLaplacian(12, 9, 0.2)
 		bVec := randVec(a.N(), rng)
-		ref, err := FactorCholesky(a)
+		d := NewDense(a.N())
+		for i := 0; i < a.N(); i++ {
+			a.Row(i, func(j int, v float64) { d.Set(i, j, v) })
+		}
+		lu, err := d.LU()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ref.Solve(bVec)
+		want := lu.Solve(bVec)
 		f, err := FactorSparse(a, ord)
 		if err != nil {
 			t.Fatalf("ordering %d: %v", ord, err)
@@ -245,19 +251,6 @@ func TestNDReducesFillVersusNatural(t *testing.T) {
 	}
 }
 
-func TestSparseCholBeatsSkylineStorage(t *testing.T) {
-	// On a 3D grid the skyline envelope is far larger than the true fill.
-	a := grid3D(14, 14, 5, 0.1)
-	f, err := FactorSparse(a, OrderND)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := EnvelopeSize(a.Permute(RCM(a))) + a.N()
-	if f.NNZ() >= env {
-		t.Errorf("sparse fill %d should beat the RCM envelope %d", f.NNZ(), env)
-	}
-}
-
 func TestSparseCholMultipleSolves(t *testing.T) {
 	a := gridLaplacian(10, 10, 0.5)
 	f, err := FactorSparse(a, OrderND)
@@ -303,15 +296,6 @@ func TestSparseCholPropertyRandomGrids(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkSkylineChol3DGrid(b *testing.B) {
-	a := grid3D(16, 16, 8, 0.1)
-	for i := 0; i < b.N; i++ {
-		if _, err := FactorCholesky(a); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// Dense is a small row-major dense matrix used by the transient circuit
-// simulator, where systems have only a handful of nodes.
+// Dense is a small row-major dense matrix used by the switch-level
+// converter simulators, where systems have only a handful of nodes.
 type Dense struct {
 	n int
 	a []float64

@@ -1,9 +1,9 @@
 // Package sparse implements the sparse and dense linear algebra needed for
 // power-delivery-network simulation: coordinate-format assembly, compressed
-// sparse row storage, reverse Cuthill-McKee ordering, a skyline Cholesky
-// direct solver, conjugate-gradient iterative solvers with Jacobi and
-// incomplete-Cholesky preconditioning, and a small dense LU for transient
-// circuit simulation.
+// sparse row storage, a nested-dissection-ordered sparse Cholesky direct
+// solver, conjugate-gradient iterative solvers with Jacobi,
+// incomplete-Cholesky and algebraic-multigrid preconditioning, and a small
+// dense LU for switch-level converter simulation.
 //
 // All solvers target the symmetric positive definite conductance matrices
 // produced by modified nodal analysis of resistive PDNs.

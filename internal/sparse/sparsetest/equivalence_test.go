@@ -1,8 +1,8 @@
 // Cross-solver equivalence properties: every batch API must be
-// bit-identical to its serial counterpart for every solver kind, loop
-// mode, and worker count, and the AMG preconditioner must be
-// residual-equivalent to IC(0) where both converge — and still converge
-// where IC(0)'s iteration count blows past its cap.
+// bit-identical to its serial counterpart for every solver kind and worker
+// count, and the AMG preconditioner must be residual-equivalent to IC(0)
+// where both converge — and still converge where IC(0)'s iteration count
+// blows past its cap.
 package sparsetest
 
 import (
@@ -52,7 +52,7 @@ func matrices() map[string]*sparse.CSR {
 }
 
 // TestBatchSerialBitEqualityAcrossSolvers is the sparse-level property:
-// SolveBatch/PCGBatch lane i ≡ serial Solve/PCG of RHS i, bitwise, for
+// SolveBatchWorkers/PCGBatch lane i ≡ serial Solve/PCG of RHS i, bitwise, for
 // every factorization and preconditioner at workers 1, 2 and 8.
 func TestBatchSerialBitEqualityAcrossSolvers(t *testing.T) {
 	const k = 8
@@ -61,10 +61,6 @@ func TestBatchSerialBitEqualityAcrossSolvers(t *testing.T) {
 		bs := RandomBatch(n, k, 1000)
 		tol, maxIter := 1e-10, 20*n
 
-		sky, err := sparse.FactorCholesky(a)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
 		nd, err := sparse.FactorSparse(a, sparse.OrderND)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -81,11 +77,7 @@ func TestBatchSerialBitEqualityAcrossSolvers(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			prefix := fmt.Sprintf("%s workers=%d", label, workers)
 
-			xs := sky.SolveBatchWorkers(bs, workers)
-			for i := range bs {
-				mustBitEqual(t, prefix+" skyline", sky.Solve(bs[i]), xs[i])
-			}
-			xs = nd.SolveBatchWorkers(bs, workers)
+			xs := nd.SolveBatchWorkers(bs, workers)
 			for i := range bs {
 				mustBitEqual(t, prefix+" sparse-chol", nd.Solve(bs[i]), xs[i])
 			}
@@ -146,7 +138,7 @@ func pdnResultsBitEqual(t *testing.T, name string, a, b *pdngrid.Result) {
 	}
 }
 
-func vsTestConfig(kind circuit.SolverKind, ctrl sc.Control) pdngrid.Config {
+func vsTestConfig(kind circuit.SolverKind) pdngrid.Config {
 	conv := sc.Default28nm()
 	conv.Cap = sc.Trench
 	prm := pdngrid.DefaultParams()
@@ -160,15 +152,14 @@ func vsTestConfig(kind circuit.SolverKind, ctrl sc.Control) pdngrid.Config {
 		PadPowerFraction:  0.5,
 		ConvertersPerCore: 2,
 		Converter:         conv,
-		Control:           ctrl,
 		Solve:             circuit.SolveOptions{Solver: kind},
 	}
 }
 
 // TestPDNSolveBatchMatchesSerialEverywhere is the system-level property:
 // PDN.SolveBatch ≡ serial PDN.Solve per entry, bitwise, across all solver
-// kinds × open/closed loop × lane widths 1/2/8. The serial oracle runs on
-// its own PDN instance so engine caching cannot couple the two paths.
+// kinds × lane widths 1/2/8. The serial oracle runs on its own PDN
+// instance so engine caching cannot couple the two paths.
 func TestPDNSolveBatchMatchesSerialEverywhere(t *testing.T) {
 	cores := power.Example16Core().NumCores()
 	batch := [][][]float64{
@@ -178,43 +169,36 @@ func TestPDNSolveBatchMatchesSerialEverywhere(t *testing.T) {
 		pdngrid.InterleavedActivities(3, cores, 0.2),
 	}
 	kinds := map[string]circuit.SolverKind{
-		"direct":      circuit.Direct,
 		"sparse-chol": circuit.DirectSparseND,
 		"pcg-ic0":     circuit.PCGIC0,
 		"pcg-jacobi":  circuit.PCGJacobi,
 		"pcg-amg":     circuit.PCGAMG,
 	}
-	loops := map[string]sc.Control{
-		"open":   nil,
-		"closed": sc.ClosedLoop{},
-	}
 	for kname, kind := range kinds {
-		for lname, ctrl := range loops {
-			serial, err := pdngrid.New(vsTestConfig(kind, ctrl))
+		serial, err := pdngrid.New(vsTestConfig(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := make([]*pdngrid.Result, len(batch))
+		for i, acts := range batch {
+			if refs[i], err = serial.Solve(acts); err != nil {
+				t.Fatalf("%s serial entry %d: %v", kname, i, err)
+			}
+		}
+		for _, workers := range []string{"1", "2", "8"} {
+			t.Setenv(parallel.EnvWorkers, workers)
+			batched, err := pdngrid.New(vsTestConfig(kind))
 			if err != nil {
 				t.Fatal(err)
 			}
-			refs := make([]*pdngrid.Result, len(batch))
-			for i, acts := range batch {
-				if refs[i], err = serial.Solve(acts); err != nil {
-					t.Fatalf("%s/%s serial entry %d: %v", kname, lname, i, err)
-				}
+			rs, err := batched.SolveBatch(batch)
+			if err != nil {
+				t.Fatalf("%s workers=%s: %v", kname, workers, err)
 			}
-			for _, workers := range []string{"1", "2", "8"} {
-				t.Setenv(parallel.EnvWorkers, workers)
-				batched, err := pdngrid.New(vsTestConfig(kind, ctrl))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rs, err := batched.SolveBatch(batch)
-				if err != nil {
-					t.Fatalf("%s/%s workers=%s: %v", kname, lname, workers, err)
-				}
-				for i := range batch {
-					pdnResultsBitEqual(t,
-						fmt.Sprintf("%s/%s workers=%s entry %d", kname, lname, workers, i),
-						refs[i], rs[i])
-				}
+			for i := range batch {
+				pdnResultsBitEqual(t,
+					fmt.Sprintf("%s workers=%s entry %d", kname, workers, i),
+					refs[i], rs[i])
 			}
 		}
 	}
@@ -255,7 +239,7 @@ func TestCircuitSolveBatchMatchesPreparedSerial(t *testing.T) {
 		return net, loads
 	}
 
-	for _, kind := range []circuit.SolverKind{circuit.Direct, circuit.DirectSparseND, circuit.PCGIC0, circuit.PCGJacobi, circuit.PCGAMG} {
+	for _, kind := range []circuit.SolverKind{circuit.DirectSparseND, circuit.PCGIC0, circuit.PCGJacobi, circuit.PCGAMG} {
 		net, loads := build(0)
 		prep, err := net.Compile(circuit.SolveOptions{Solver: kind})
 		if err != nil {
@@ -269,7 +253,7 @@ func TestCircuitSolveBatchMatchesPreparedSerial(t *testing.T) {
 		refs := make([][]float64, k)
 		for i := 0; i < k; i++ {
 			setLane(i)
-			sol, err := prep.Solve(nil, nil)
+			sol, err := prep.Solve(nil)
 			if err != nil {
 				t.Fatalf("kind %d serial lane %d: %v", kind, i, err)
 			}

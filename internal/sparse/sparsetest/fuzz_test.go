@@ -9,8 +9,9 @@ import (
 
 // FuzzBatchSerialEquivalence fuzzes the batch-equals-serial bit-equality
 // contract over the generator space: for any (seed, size, lane count,
-// worker count), a skyline SolveBatch and a Jacobi-preconditioned
-// PCGBatch must reproduce their serial counterparts exactly. The fuzzer
+// worker count), a nested-dissection sparse Cholesky SolveBatchWorkers and
+// a Jacobi-preconditioned PCGBatch must reproduce their serial counterparts
+// exactly. The fuzzer
 // hunts for scheduling- or scratch-sharing-dependent divergence that the
 // fixed-case property tests might not reach.
 func FuzzBatchSerialEquivalence(f *testing.F) {
@@ -25,7 +26,7 @@ func FuzzBatchSerialEquivalence(f *testing.F) {
 		a := RandomSPD(n, 3, seed)
 		bs := RandomBatch(n, k, seed+1)
 
-		chol, err := sparse.FactorCholesky(a)
+		chol, err := sparse.FactorSparse(a, sparse.OrderND)
 		if err != nil {
 			t.Fatalf("seed=%d n=%d: %v", seed, n, err)
 		}
@@ -34,7 +35,7 @@ func FuzzBatchSerialEquivalence(f *testing.F) {
 			ref := chol.Solve(bs[i])
 			for j := range ref {
 				if math.Float64bits(ref[j]) != math.Float64bits(xs[i][j]) {
-					t.Fatalf("skyline seed=%d n=%d k=%d workers=%d lane=%d elem=%d: %v vs %v",
+					t.Fatalf("sparse-chol seed=%d n=%d k=%d workers=%d lane=%d elem=%d: %v vs %v",
 						seed, n, k, workers, i, j, ref[j], xs[i][j])
 				}
 			}

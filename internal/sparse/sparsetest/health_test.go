@@ -185,7 +185,7 @@ func TestProbesDoNotPerturbSystemSolves(t *testing.T) {
 
 	var refPDN *pdngrid.Result
 	mkPDN := func() *pdngrid.PDN {
-		pdn, err := pdngrid.New(vsTestConfig(circuit.PCGIC0, nil))
+		pdn, err := pdngrid.New(vsTestConfig(circuit.PCGIC0))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,8 +34,8 @@ type SolveTrace struct {
 	MaxIter        int     `json:"max_iter"`
 	Preconditioner string  `json:"preconditioner"`
 	// WarmStart records whether the solve started from a caller-provided
-	// iterate (closed-loop outer passes warm-start from the previous one)
-	// rather than from zero.
+	// iterate (transient steps warm-start from the previous step) rather
+	// than from zero.
 	WarmStart bool `json:"warm_start"`
 
 	Iterations    int     `json:"iterations"`

@@ -3,9 +3,8 @@
 // "what exactly happened and when" — leveled, machine-parseable JSON-lines
 // records emitted from the numerical core at the moments that matter for
 // diagnosing a failed or degraded run: PCG breakdowns and non-convergence,
-// IC(0) diagonal-shift retries, prepared-engine recompiles, closed-loop
-// outer-pass stalls, thermal-infeasibility rejections and Monte Carlo trial
-// anomalies.
+// IC(0) diagonal-shift retries, prepared-engine recompiles,
+// thermal-infeasibility rejections and Monte Carlo trial anomalies.
 //
 // The log follows the same disabled-cost contract as the metric registry:
 // it is off by default and call sites guard every emission with

@@ -1,9 +1,8 @@
 // Flight-recorder and post-mortem plumbing. The recorder itself lives next
-// to the numerics (sparse keeps per-iteration PCG residual rings, pdngrid
-// keeps per-outer-pass convergence deltas); this file holds the process-wide
-// gate those recorders consult and the artifact writer that turns a failed
-// solve's trajectory into a JSON file a human (or vsreport) can open after
-// the process is gone.
+// to the numerics (sparse keeps per-iteration PCG residual rings); this
+// file holds the process-wide gate that recorder consults and the artifact
+// writer that turns a failed solve's trajectory into a JSON file a human
+// (or vsreport) can open after the process is gone.
 //
 // Like every other gate in this package, recording is off by default and
 // costs one atomic load per solve when disabled; the per-iteration ring
@@ -25,7 +24,7 @@ var (
 )
 
 // EnableFlightRecorder turns on trajectory recording in the numerical core
-// (PCG residual rings, outer-pass deltas). Recorders capture into
+// (PCG residual rings). Recorders capture into
 // per-solve buffers attached to returned errors; nothing is written to
 // disk unless a post-mortem directory is also configured.
 func EnableFlightRecorder() { recorderOn.Store(true) }

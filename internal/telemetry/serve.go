@@ -108,7 +108,6 @@ type StatusSnapshot struct {
 	ExperimentsDone int64 `json:"experiments_done"`
 	PointsEvaluated int64 `json:"points_evaluated"`
 	PDNSolves       int64 `json:"pdn_solves"`
-	OuterIterations int64 `json:"outer_iterations"`
 	PCGIterations   int64 `json:"pcg_iterations"`
 	PCGNonConverged int64 `json:"pcg_nonconverged"`
 	MCTrials        int64 `json:"mc_trials"`
@@ -162,7 +161,6 @@ func Status() StatusSnapshot {
 		ExperimentsDone: std.Counter("core_experiments_total").Value(),
 		PointsEvaluated: std.Counter("explore_points_total").Value(),
 		PDNSolves:       std.Counter("pdngrid_solves_total").Value(),
-		OuterIterations: std.Counter("pdngrid_outer_iterations_total").Value(),
 		PCGIterations:   std.Counter("sparse_pcg_iterations_total").Value(),
 		PCGNonConverged: std.Counter("sparse_pcg_nonconverged_total").Value(),
 		MCTrials:        std.Counter("em_mc_trials_total").Value(),
