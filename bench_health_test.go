@@ -33,13 +33,13 @@ func benchHealthProbes(b *testing.B, on bool) {
 	defer telemetry.DisableConvergenceProbes()
 	// Warm-up: workspace buffers and the IC(0) schedule are steady-state
 	// costs, not part of the per-solve comparison.
-	if _, _, err := sparse.PCGW(a, rhs, nil, ic0, 1e-10, 20*n, ws); err != nil {
+	if _, _, err := sparse.PCG(a, rhs, nil, ic0, 1e-10, 20*n, ws); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sparse.PCGW(a, rhs, nil, ic0, 1e-10, 20*n, ws); err != nil {
+		if _, _, err := sparse.PCG(a, rhs, nil, ic0, 1e-10, 20*n, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

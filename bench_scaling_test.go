@@ -44,7 +44,7 @@ func benchIC0Serial(b *testing.B, nx, ny int) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := sparse.PCG(a, rhs, nil, prec, tol, maxIter); err != nil {
+			if _, _, err := sparse.PCG(a, rhs, nil, prec, tol, maxIter, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -125,7 +125,7 @@ func benchAMGSerial(b *testing.B, nx, ny int) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := sparse.PCG(a, rhs, nil, prec, tol, maxIter); err != nil {
+			if _, _, err := sparse.PCG(a, rhs, nil, prec, tol, maxIter, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -55,8 +55,11 @@ type converter struct {
 	gPar             float64 // parasitic shunt across (top, bottom)
 }
 
-// Netlist is a mutable network description. Allocate nodes with Node, add
-// elements, then call Solve (DC) or Transient.
+// Netlist is a network description. Allocate nodes with Node, add
+// elements, then call Solve (DC), Transient, or Compile for repeated
+// solves. After Compile only load currents may change (Prepared.SetLoad);
+// a netlist that gains nodes or elements makes the engine's solves return
+// ErrNetlistChanged.
 type Netlist struct {
 	numNodes   int
 	resistors  []resistor
@@ -306,23 +309,13 @@ func wrapSPD(err error) error {
 	return err
 }
 
-// adder receives matrix stamps. *sparse.Builder implements it for
-// assembly; the prepared-solve engine substitutes a value-only writer to
-// restamp without rebuilding structure.
-type adder interface {
-	Add(i, j int, v float64)
-}
-
 // stampMatrix stamps every matrix-bearing element into b in the canonical
-// element order (resistors, ties, converters, capacitors, inductors). The
-// prepared engine's compile and its value restamps both go through this
-// single routine, which is what keeps a restamp bit-identical to a cold
-// assembly.
+// element order (resistors, ties, converters, capacitors, inductors).
 //
 // dt == 0 stamps the DC matrix: capacitors are open circuits, inductors
 // near-ideal shorts. dt > 0 stamps the backward-Euler step matrix, with
 // the companion conductances C/dt and dt/L.
-func (n *Netlist) stampMatrix(b adder, dt float64) {
+func (n *Netlist) stampMatrix(b *sparse.Builder, dt float64) {
 	for _, r := range n.resistors {
 		stampConductance(b, r.a, r.b, r.g)
 	}
@@ -385,7 +378,7 @@ func (n *Netlist) Solve(opts SolveOptions) (*Solution, error) {
 	return p.Solve(nil)
 }
 
-func stampConductance(b adder, i, j int, g float64) {
+func stampConductance(b *sparse.Builder, i, j int, g float64) {
 	if i != Ground {
 		b.Add(i, i, g)
 	}
@@ -400,7 +393,7 @@ func stampConductance(b adder, i, j int, g float64) {
 
 // stampConverter adds G·vvᵀ over (top, bottom, mid) with v = (1/2, 1/2, -1),
 // plus the parasitic shunt across (top, bottom).
-func stampConverter(b adder, c converter) {
+func stampConverter(b *sparse.Builder, c converter) {
 	nodes := [3]int{c.top, c.bottom, c.mid}
 	coef := [3]float64{0.5, 0.5, -1}
 	for i := 0; i < 3; i++ {

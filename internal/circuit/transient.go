@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"voltstack/internal/sparse"
 )
 
 // CapID identifies a capacitor.
@@ -164,15 +162,10 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 
 	// The constant step matrix (conductances + C/dt + dt/L) and the
 	// constant part of the right-hand side (rail injections, DC loads).
-	eng := &Prepared{net: n, opts: so, dt: dt}
-	err := eng.compile()
-	if err == nil {
-		err = eng.ensureCurrent(nil)
-	}
+	eng, err := n.compile(so, dt)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTransient, err)
 	}
-	direct := eng.ndF
 	rhsBase := make([]float64, nn)
 	for _, t := range n.ties {
 		rhsBase[t.node] += t.g * t.vRail
@@ -244,12 +237,8 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 			}
 		}
 
-		switch {
-		case nn == 0: // nothing to solve; an empty engine holds no factor
-		case direct != nil:
-			direct.SolveTo(v, rhs)
-		default:
-			x, _, err := sparse.PCGW(eng.a, rhs, v, eng.preconditioner(), eng.tol, eng.maxIter, eng.ws)
+		if nn > 0 {
+			x, _, err := eng.solve(nil, rhs, v)
 			if err != nil {
 				return nil, fmt.Errorf("%w: step %d: %v", ErrTransient, step, err)
 			}

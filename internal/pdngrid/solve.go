@@ -116,9 +116,10 @@ func InterleavedActivities(layers, cores int, imbalance float64) [][]float64 {
 // factors and solves it. activities must be Layers x NumCores.
 //
 // The solve runs on a prepared engine cached on the PDN: the network is
-// assembled and symbolically analyzed once, then every later Solve call
-// only writes the new load currents, which leave the matrix unchanged, so
-// the cached factorization or preconditioner is reused as is.
+// assembled once and factored (or its preconditioner built) on the first
+// solve; every later Solve call only writes the new load currents, which
+// restamp the right-hand side and leave the matrix and its factor
+// unchanged.
 func (p *PDN) Solve(activities [][]float64) (*Result, error) {
 	return p.SolveContext(context.Background(), activities)
 }
@@ -285,7 +286,8 @@ func (p *PDN) engineFor(sp *telemetry.Span, loads [][]float64) (*engine, error) 
 		mEngineBuilds.Add(1)
 		return &engine{asm: asm, prep: prep}, nil
 	}
-	// Structure is shared across calls; only load values differ.
+	// The matrix is shared across calls; only the load currents, which
+	// enter the right-hand side, differ.
 	mEngineReuses.Add(1)
 	spA := sp.Start("restamp")
 	eng.applyLoads(loads, p.nCells)

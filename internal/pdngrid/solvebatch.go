@@ -2,8 +2,7 @@
 // Sweep evaluation and Monte Carlo layers solve the same placed PDN under
 // different load vectors; since loads are RHS-only elements (the network
 // structure stamps every cell's load unconditionally), a whole batch
-// shares one structure compile, one value restamp, and one numeric
-// factorization or preconditioner.
+// shares one compiled matrix and one factorization or preconditioner.
 package pdngrid
 
 import (
@@ -30,10 +29,10 @@ func (p *PDN) SolveBatch(batch [][][]float64) ([]*Result, error) {
 // SolveBatchContext is SolveBatch with a context for trace-span and
 // job-scope propagation (see SolveContext).
 //
-// The matrix is identical across entries (loads are RHS-only), so one
-// restamp+refactor serves all lanes, which run on a pool of
-// parallel.DefaultWorkers; each lane is bit-identical to a serial Solve of
-// its entry for any worker count.
+// The matrix is identical across entries (loads are RHS-only), so the
+// engine's one factor or preconditioner serves all lanes, which run on a
+// pool of parallel.DefaultWorkers; each lane is bit-identical to a serial
+// Solve of its entry for any worker count.
 func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Result, error) {
 	k := len(batch)
 	if k == 0 {
@@ -90,7 +89,7 @@ func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Re
 	}
 	if scope != nil {
 		// One attribution record for the whole batched linear solve: the
-		// lanes share a restamp/factor, so per-lane wall time is not
+		// lanes share one factor, so per-lane wall time is not
 		// separable — the batch solve is the meaningful unit.
 		secs := time.Since(tJob).Seconds()
 		totalIters := 0

@@ -53,7 +53,7 @@ func TestAMGPreconditionedCGConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, res, err := PCG(a, b, nil, p, 1e-10, 200)
+	x, res, err := PCG(a, b, nil, p, 1e-10, 200, nil)
 	if err != nil {
 		t.Fatalf("AMG-PCG failed: %v (iters=%d res=%g)", err, res.Iterations, res.Residual)
 	}

@@ -5,7 +5,7 @@
 // lets independent lanes run on the worker pool.
 //
 // Determinism contract: lane i of every batch API is bit-identical to the
-// corresponding serial call (Solve / PCGW) on the same inputs, for any
+// corresponding serial call (Solve / PCG) on the same inputs, for any
 // worker count. Lanes never share mutable state: direct triangular solves
 // only read the factor, and each PCG lane owns its workspace plus a
 // scratch-forked preconditioner that shares factor values but not scratch.
@@ -117,10 +117,10 @@ func forkPreconditioner(p Preconditioner) (Preconditioner, bool) {
 // (VOLTSTACK_WORKERS or GOMAXPROCS); a preconditioner the package cannot
 // prove concurrency-safe forces serial lanes.
 //
-// Lane i is bit-identical to PCGW(a, bs[i], x0s[i], prec, tol, maxIter, …)
+// Lane i is bit-identical to PCG(a, bs[i], x0s[i], prec, tol, maxIter, …)
 // for every worker count. All lanes run to completion even when some
 // fail; the returned error is the lowest-index lane failure (per-lane
-// results and iterates stay valid either way, matching PCGW's breakdown
+// results and iterates stay valid either way, matching PCG's breakdown
 // semantics).
 func PCGBatch(a *CSR, bs, x0s [][]float64, prec Preconditioner, tol float64, maxIter int, ws *PCGBatchWorkspace, workers int) ([][]float64, []CGResult, error) {
 	k := len(bs)
@@ -170,7 +170,7 @@ func PCGBatch(a *CSR, bs, x0s [][]float64, prec Preconditioner, tol float64, max
 		if x0s != nil {
 			x0 = x0s[i]
 		}
-		xs[i], results[i], errs[i] = PCGW(a, bs[i], x0, precs[i], tol, maxIter, lanes[i])
+		xs[i], results[i], errs[i] = PCG(a, bs[i], x0, precs[i], tol, maxIter, lanes[i])
 		return nil
 	})
 	for _, err := range errs {

@@ -68,7 +68,7 @@ func TestPCGBatchMatchesSerial(t *testing.T) {
 		ref := make([][]float64, len(bs))
 		refRes := make([]CGResult, len(bs))
 		for i := range bs {
-			x, res, err := PCG(a, bs[i], nil, prec, 1e-10, 10*n)
+			x, res, err := PCG(a, bs[i], nil, prec, 1e-10, 10*n, nil)
 			if err != nil {
 				t.Fatalf("%s serial lane %d: %v", name, i, err)
 			}
@@ -105,7 +105,7 @@ func TestPCGBatchWarmStartsMatchSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range bs {
-			ref, _, err := PCG(a, bs[i], x0s[i], prec, 1e-10, 10*n)
+			ref, _, err := PCG(a, bs[i], x0s[i], prec, 1e-10, 10*n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestPCGBreakdownIterationCountMatchesFusedPath(t *testing.T) {
 	// reports (computed from the it−1 iterate). Breakdown on the very first
 	// iteration must report 0 iterations: the returned x is still x0.
 	a := indefinite2x2()
-	x, res, err := CG(a, []float64{1, -1}, nil, 1e-12, 50)
+	x, res, err := PCG(a, []float64{1, -1}, nil, nil, 1e-12, 50, nil)
 	if err == nil {
 		t.Fatal("expected breakdown on indefinite matrix")
 	}

@@ -81,13 +81,10 @@ type IC0Prec struct {
 	tmp   []float64
 }
 
-// IC0Symbolic is the structure-only half of NewIC0: the lower-triangle
+// ic0Symbolic is the structural phase of NewIC0: the lower-triangle
 // pattern of A, a value map from A's CSR entries into it, a per-row
 // diagonal-index table, and the transpose pattern with its placement map.
-// It is computed once per sparsity structure; Factor then produces the
-// preconditioner for any matrix with that structure without rebuilding the
-// pattern, re-sorting, or rediscovering diagonals.
-type IC0Symbolic struct {
+type ic0Symbolic struct {
 	n         int
 	low       *CSR    // lower-triangle structure template (values unused)
 	lowMap    []int32 // A's CSR entry k -> low val index, or -1 (upper part)
@@ -102,22 +99,21 @@ type IC0Symbolic struct {
 // factorization retried; an error is returned only if even a large shift
 // fails.
 func NewIC0(a *CSR) (*IC0Prec, error) {
-	sym, err := NewIC0Symbolic(a)
+	sym, err := analyzeIC0(a)
 	if err != nil {
 		return nil, err
 	}
-	return sym.Factor(a, nil)
+	return sym.factor(a)
 }
 
-// NewIC0Symbolic performs the structural phase of NewIC0. It fails only on
+// analyzeIC0 performs the structural phase of NewIC0. It fails only on
 // a structurally missing diagonal entry.
-func NewIC0Symbolic(a *CSR) (*IC0Symbolic, error) {
-	symbolicBuilt()
+func analyzeIC0(a *CSR) (*ic0Symbolic, error) {
 	n := a.N()
-	s := &IC0Symbolic{n: n}
+	s := &ic0Symbolic{n: n}
 
 	// Lower-triangle structure. Builder entries are unique here, so value
-	// placement during Factor is pure assignment.
+	// placement during factor is pure assignment.
 	lb := NewBuilder(n)
 	for i := 0; i < n; i++ {
 		a.Row(i, func(j int, _ float64) {
@@ -168,29 +164,17 @@ func NewIC0Symbolic(a *CSR) (*IC0Symbolic, error) {
 	return s, nil
 }
 
-// N returns the system dimension.
-func (s *IC0Symbolic) N() int { return s.n }
-
-// Factor numerically builds the preconditioner for a, which must share the
-// sparsity structure of the symbolic phase. When p is non-nil its storage
-// is reused; otherwise a new IC0Prec is allocated. Breakdown triggers the
-// same diagonal-shift retry ladder as NewIC0. The result is bit-identical
-// to NewIC0 on the same values.
-func (s *IC0Symbolic) Factor(a *CSR, p *IC0Prec) (*IC0Prec, error) {
+// factor numerically builds the preconditioner for a, the matrix the
+// symbolic phase analyzed. Breakdown triggers the diagonal-shift retry
+// ladder described at NewIC0.
+func (s *ic0Symbolic) factor(a *CSR) (*IC0Prec, error) {
 	t0 := telemetry.Now()
 	defer func() { mPrecondBuilds.Add(1); mPrecondSeconds.Since(t0) }()
-	rt0 := refactorStart()
-	defer refactorEnd(rt0)
-	if a.N() != s.n || a.NNZ() != len(s.lowMap) {
-		return nil, fmt.Errorf("sparse: IC(0) Factor: matrix structure does not match symbolic phase")
-	}
-	if p == nil {
-		p = &IC0Prec{
-			lower: &CSR{n: s.n, rowPtr: s.low.rowPtr, col: s.low.col, val: make([]float64, s.low.NNZ())},
-			upper: &CSR{n: s.n, rowPtr: s.upper.rowPtr, col: s.upper.col, val: make([]float64, s.upper.NNZ())},
-			scale: make([]float64, s.n),
-			tmp:   make([]float64, s.n),
-		}
+	p := &IC0Prec{
+		lower: &CSR{n: s.n, rowPtr: s.low.rowPtr, col: s.low.col, val: make([]float64, s.low.NNZ())},
+		upper: &CSR{n: s.n, rowPtr: s.upper.rowPtr, col: s.upper.col, val: make([]float64, s.upper.NNZ())},
+		scale: make([]float64, s.n),
+		tmp:   make([]float64, s.n),
 	}
 	attempts := 0
 	var lastErr error
@@ -233,7 +217,7 @@ func (s *IC0Symbolic) Factor(a *CSR, p *IC0Prec) (*IC0Prec, error) {
 // factorShift is one factorization attempt at a given diagonal shift,
 // writing into p's storage. The arithmetic sequence matches the historical
 // from-scratch tryIC0 exactly.
-func (sym *IC0Symbolic) factorShift(a *CSR, p *IC0Prec, shift float64) error {
+func (sym *ic0Symbolic) factorShift(a *CSR, p *IC0Prec, shift float64) error {
 	n := sym.n
 	// Symmetric Jacobi scaling: factor D^-1/2 A D^-1/2, which has a unit
 	// diagonal and bounded off-diagonal magnitudes.
@@ -413,17 +397,13 @@ func (w *PCGWorkspace) resize(n int) {
 }
 
 // PCG solves A x = b for SPD A using the preconditioned conjugate gradient
-// method. x0 may be nil (zero initial guess). The solve stops when the
-// relative residual drops below tol or maxIter iterations elapse.
-func PCG(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int) ([]float64, CGResult, error) {
-	return PCGW(a, b, x0, prec, tol, maxIter, nil)
-}
-
-// PCGW is PCG with an optional caller-owned scratch workspace; ws may be
-// nil, in which case scratch is allocated per call. Results are
-// bit-identical regardless of workspace reuse (every scratch vector is
-// fully overwritten before use).
-func PCGW(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int, ws *PCGWorkspace) ([]float64, CGResult, error) {
+// method. x0 may be nil (zero initial guess) and prec nil (no
+// preconditioning). ws is an optional caller-owned scratch workspace; nil
+// allocates scratch per call. Results are bit-identical regardless of
+// workspace reuse (every scratch vector is fully overwritten before use).
+// The solve stops when the relative residual drops below tol or maxIter
+// iterations elapse.
+func PCG(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int, ws *PCGWorkspace) ([]float64, CGResult, error) {
 	x, res, err := pcg(a, b, x0, prec, tol, maxIter, ws)
 	mPCGSolves.Add(1)
 	mPCGIterations.Add(int64(res.Iterations))
@@ -582,9 +562,4 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 		result.Trace = &rec.trace
 	}
 	return x, result, err
-}
-
-// CG is PCG without preconditioning.
-func CG(a *CSR, b, x0 []float64, tol float64, maxIter int) ([]float64, CGResult, error) {
-	return PCG(a, b, x0, IdentityPrec{}, tol, maxIter)
 }

@@ -34,19 +34,15 @@ type SparseChol struct {
 	colVal [][]float64 // matching values
 }
 
-// SparseCholSymbolic is the structure-only half of FactorSparse: the
-// fill-reducing permutation, the permuted lower-triangle structure with a
-// value map from the original matrix, the elimination tree, and the
-// per-row factor patterns (including fill). It is computed once per
-// sparsity structure; Refactor then numerically factors any matrix with
-// that structure, skipping ordering, permutation and symbolic analysis.
-type SparseCholSymbolic struct {
+// cholSymbolic is the structural phase of FactorSparse: the
+// fill-reducing permutation, the permuted lower triangle of the matrix,
+// the elimination tree, and the per-row factor patterns (including fill).
+type cholSymbolic struct {
 	n    int
 	perm []int
 	inv  []int
 
-	low    *CSR    // permuted lower triangle (values are scratch)
-	lowMap []int32 // original CSR entry -> low val index, or -1
+	low *CSR // permuted lower triangle; factor fills in the values
 
 	patPtr []int32 // row i's factor pattern is pattern[patPtr[i]:patPtr[i+1]]
 	patRow []int32 // concatenated patterns, topological order per row
@@ -56,16 +52,15 @@ type SparseCholSymbolic struct {
 // FactorSparse computes the sparse Cholesky factorization of the SPD
 // matrix a under the given ordering.
 func FactorSparse(a *CSR, ord Ordering) (*SparseChol, error) {
-	sym, err := NewSparseCholSymbolic(a, ord)
+	sym, err := analyzeChol(a, ord)
 	if err != nil {
 		return nil, err
 	}
-	return sym.Refactor(a, nil)
+	return sym.factor(a)
 }
 
-// NewSparseCholSymbolic performs the symbolic phase of FactorSparse.
-func NewSparseCholSymbolic(a *CSR, ord Ordering) (*SparseCholSymbolic, error) {
-	symbolicBuilt()
+// analyzeChol performs the symbolic phase of FactorSparse.
+func analyzeChol(a *CSR, ord Ordering) (*cholSymbolic, error) {
 	n := a.N()
 	var perm []int
 	switch ord {
@@ -79,10 +74,10 @@ func NewSparseCholSymbolic(a *CSR, ord Ordering) (*SparseCholSymbolic, error) {
 	default:
 		return nil, fmt.Errorf("sparse: unknown ordering %d", ord)
 	}
-	s := &SparseCholSymbolic{n: n, perm: perm, inv: InvertPerm(perm)}
+	s := &cholSymbolic{n: n, perm: perm, inv: InvertPerm(perm)}
 
-	// Permuted lower-triangle structure, plus the map placing original
-	// values into it (entries are unique, so placement is assignment).
+	// Permuted lower-triangle structure. Every stored entry of a keeps its
+	// slot, zeros included, so the structure does not depend on values.
 	lb := NewBuilder(n)
 	for i := 0; i < n; i++ {
 		pi := perm[i]
@@ -93,20 +88,6 @@ func NewSparseCholSymbolic(a *CSR, ord Ordering) (*SparseCholSymbolic, error) {
 		})
 	}
 	s.low = lb.ToCSR()
-	s.lowMap = make([]int32, a.NNZ())
-	k := 0
-	for i := 0; i < n; i++ {
-		pi := perm[i]
-		a.Row(i, func(j int, _ float64) {
-			pj := perm[j]
-			if pj <= pi {
-				s.lowMap[k] = int32(s.low.entryIndex(pi, pj))
-			} else {
-				s.lowMap[k] = -1
-			}
-			k++
-		})
-	}
 
 	// Elimination tree and per-row factor patterns (with fill), stored in
 	// the exact topological order the numeric phase consumes them in.
@@ -165,43 +146,34 @@ func (m *CSR) entryIndex(i, j int) int {
 	return -1
 }
 
-// N returns the system dimension.
-func (s *SparseCholSymbolic) N() int { return s.n }
-
-// Refactor numerically factors a, which must share the sparsity structure
-// of the symbolic phase. When f is non-nil its column storage is reused;
-// otherwise a new SparseChol is allocated. The result is bit-identical to
-// FactorSparse on the same values.
-func (s *SparseCholSymbolic) Refactor(a *CSR, f *SparseChol) (*SparseChol, error) {
-	t0 := refactorStart()
-	defer refactorEnd(t0)
-	if a.N() != s.n || a.NNZ() != len(s.lowMap) {
-		return nil, fmt.Errorf("sparse: Refactor: matrix structure does not match symbolic phase")
-	}
+// factor is the numeric phase of FactorSparse on a, the matrix the
+// symbolic phase analyzed.
+func (s *cholSymbolic) factor(a *CSR) (*SparseChol, error) {
 	n := s.n
-	if f == nil {
-		f = &SparseChol{
-			n:      n,
-			perm:   s.perm,
-			inv:    s.inv,
-			diag:   make([]float64, n),
-			colRow: s.colRow,
-			colVal: make([][]float64, n),
-		}
-		for j := 0; j < n; j++ {
-			f.colVal[j] = make([]float64, len(s.colRow[j]))
-		}
+	f := &SparseChol{
+		n:      n,
+		perm:   s.perm,
+		inv:    s.inv,
+		diag:   make([]float64, n),
+		colRow: s.colRow,
+		colVal: make([][]float64, n),
 	}
-	// Place the matrix values into the permuted lower triangle.
+	for j := 0; j < n; j++ {
+		f.colVal[j] = make([]float64, len(s.colRow[j]))
+	}
+	// Place a's values into the permuted lower triangle (entries are
+	// unique, so placement is assignment).
 	low := s.low
-	for k, m := range s.lowMap {
-		if m >= 0 {
-			low.val[m] = a.val[k]
-		}
+	for i := 0; i < n; i++ {
+		pi := s.perm[i]
+		a.Row(i, func(j int, v float64) {
+			if pj := s.perm[j]; pj <= pi {
+				low.val[low.entryIndex(pi, pj)] = v
+			}
+		})
 	}
 
-	// Up-looking numeric factorization over the cached patterns; the
-	// arithmetic sequence matches the from-scratch FactorSparse exactly.
+	// Up-looking numeric factorization over the symbolic patterns.
 	x := make([]float64, n)
 	cnt := make([]int32, n) // filled prefix of each factor column
 	for i := 0; i < n; i++ {

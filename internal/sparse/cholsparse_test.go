@@ -83,29 +83,6 @@ func TestEliminationTreeArrow(t *testing.T) {
 	}
 }
 
-func TestPostOrderIsPermutation(t *testing.T) {
-	a := gridLaplacian(7, 5, 1)
-	parent := EliminationTree(a.Lower())
-	post := PostOrder(parent)
-	seen := make([]bool, len(post))
-	for _, v := range post {
-		if v < 0 || v >= len(post) || seen[v] {
-			t.Fatal("postorder is not a permutation")
-		}
-		seen[v] = true
-	}
-	// Children appear before parents.
-	pos := make([]int, len(post))
-	for i, v := range post {
-		pos[v] = i
-	}
-	for v, p := range parent {
-		if p != -1 && pos[v] > pos[p] {
-			t.Errorf("node %d appears after its parent %d", v, p)
-		}
-	}
-}
-
 // TestSparseCholAgainstDenseLU checks the sparse factorization under each
 // ordering against a pivoted dense LU solve, which shares no code with it.
 func TestSparseCholAgainstDenseLU(t *testing.T) {

@@ -29,18 +29,6 @@ func (d *Dense) Set(i, j int, v float64) { d.a[i*d.n+j] = v }
 // Add accumulates v into entry (i, j).
 func (d *Dense) Add(i, j int, v float64) { d.a[i*d.n+j] += v }
 
-// Zero clears all entries in place.
-func (d *Dense) Zero() {
-	for i := range d.a {
-		d.a[i] = 0
-	}
-}
-
-// Clone returns a deep copy.
-func (d *Dense) Clone() *Dense {
-	return &Dense{n: d.n, a: append([]float64(nil), d.a...)}
-}
-
 // MulVec computes y = D*x.
 func (d *Dense) MulVec(x, y []float64) {
 	for i := 0; i < d.n; i++ {
@@ -55,10 +43,9 @@ func (d *Dense) MulVec(x, y []float64) {
 
 // DenseLU is an LU factorization with partial pivoting.
 type DenseLU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // LU factors the matrix with partial pivoting. The receiver is unmodified.
@@ -69,7 +56,6 @@ func (d *Dense) LU() (*DenseLU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Pivot search.
 		p, maxAbs := k, math.Abs(lu[k*n+k])
@@ -86,7 +72,6 @@ func (d *Dense) LU() (*DenseLU, error) {
 				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -97,7 +82,7 @@ func (d *Dense) LU() (*DenseLU, error) {
 			}
 		}
 	}
-	return &DenseLU{n: n, lu: lu, piv: piv, sign: sign}, nil
+	return &DenseLU{n: n, lu: lu, piv: piv}, nil
 }
 
 // Solve returns x with A x = b.
@@ -124,13 +109,4 @@ func (f *DenseLU) Solve(b []float64) []float64 {
 		x[i] = s / f.lu[i*n+i]
 	}
 	return x
-}
-
-// Det returns the determinant from the factorization.
-func (f *DenseLU) Det() float64 {
-	det := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		det *= f.lu[i*f.n+i]
-	}
-	return det
 }

@@ -58,41 +58,3 @@ func etreeReach(a *CSR, i int, parent []int, mark []int, stack []int) []int {
 	})
 	return stack[top:]
 }
-
-// PostOrder returns a postordering of the forest given by parent, useful
-// for supernode detection and column counts.
-func PostOrder(parent []int) []int {
-	n := len(parent)
-	// Build child lists (reverse order preserved by prepending).
-	head := make([]int, n)
-	next := make([]int, n)
-	for i := range head {
-		head[i] = -1
-	}
-	for i := n - 1; i >= 0; i-- {
-		if parent[i] != -1 {
-			next[i] = head[parent[i]]
-			head[parent[i]] = i
-		}
-	}
-	post := make([]int, 0, n)
-	stack := make([]int, 0, n)
-	for root := 0; root < n; root++ {
-		if parent[root] != -1 {
-			continue
-		}
-		stack = append(stack, root)
-		for len(stack) > 0 {
-			node := stack[len(stack)-1]
-			child := head[node]
-			if child == -1 {
-				post = append(post, node)
-				stack = stack[:len(stack)-1]
-			} else {
-				head[node] = next[child]
-				stack = append(stack, child)
-			}
-		}
-	}
-	return post
-}

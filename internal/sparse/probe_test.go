@@ -69,7 +69,7 @@ func TestEnrichedNonConvergenceError(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%5) - 2
 	}
-	_, res, err := PCG(a, b, nil, NewJacobi(a), 1e-14, 3)
+	_, res, err := PCG(a, b, nil, NewJacobi(a), 1e-14, 3, nil)
 	if err == nil {
 		t.Fatal("expected non-convergence at maxIter=3")
 	}

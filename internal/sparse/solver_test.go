@@ -44,7 +44,7 @@ func TestCGUnpreconditioned(t *testing.T) {
 	a := gridLaplacian(12, 12, 0.5)
 	rng := rand.New(rand.NewSource(5))
 	bVec := randVec(a.N(), rng)
-	x, res, err := CG(a, bVec, nil, 1e-10, 10000)
+	x, res, err := PCG(a, bVec, nil, nil, 1e-10, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestPCGJacobiFasterOnScaledSystem(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	bVec := randVec(n, rng)
 
-	_, plain, errPlain := CG(a, bVec, nil, 1e-10, 5000)
-	xj, jac, errJac := PCG(a, bVec, nil, NewJacobi(a), 1e-10, 5000)
+	_, plain, errPlain := PCG(a, bVec, nil, nil, 1e-10, 5000, nil)
+	xj, jac, errJac := PCG(a, bVec, nil, NewJacobi(a), 1e-10, 5000, nil)
 	if errJac != nil {
 		t.Fatalf("jacobi: %v", errJac)
 	}
@@ -90,14 +90,14 @@ func TestPCGIC0OnLaplacian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, resIC, err := PCG(a, bVec, nil, ic, 1e-10, 5000)
+	x, resIC, err := PCG(a, bVec, nil, ic, 1e-10, 5000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := residual(a, x, bVec); r > 1e-6 {
 		t.Errorf("IC0 residual = %g", r)
 	}
-	_, resCG, err := CG(a, bVec, nil, 1e-10, 20000)
+	_, resCG, err := PCG(a, bVec, nil, nil, 1e-10, 20000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPCGAgreesWithCholesky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xi, _, err := PCG(a, bVec, nil, ic, 1e-12, 5000)
+	xi, _, err := PCG(a, bVec, nil, ic, 1e-12, 5000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPCGAgreesWithCholesky(t *testing.T) {
 
 func TestPCGZeroRHS(t *testing.T) {
 	a := gridLaplacian(5, 5, 1)
-	x, res, err := CG(a, make([]float64, a.N()), nil, 1e-12, 100)
+	x, res, err := PCG(a, make([]float64, a.N()), nil, nil, 1e-12, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +146,12 @@ func TestPCGWarmStart(t *testing.T) {
 	a := gridLaplacian(10, 10, 0.5)
 	rng := rand.New(rand.NewSource(31))
 	bVec := randVec(a.N(), rng)
-	xCold, cold, err := CG(a, bVec, nil, 1e-10, 10000)
+	xCold, cold, err := PCG(a, bVec, nil, nil, 1e-10, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm start from the exact solution should converge immediately.
-	_, warm, err := CG(a, bVec, xCold, 1e-8, 10000)
+	_, warm, err := PCG(a, bVec, xCold, nil, 1e-8, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestPCGNonConvergenceReported(t *testing.T) {
 	a := gridLaplacian(20, 20, 1e-6)
 	rng := rand.New(rand.NewSource(37))
 	bVec := randVec(a.N(), rng)
-	_, _, err := CG(a, bVec, nil, 1e-14, 2)
+	_, _, err := PCG(a, bVec, nil, nil, 1e-14, 2, nil)
 	if err == nil {
 		t.Error("expected ErrNoConvergence with 2-iteration budget")
 	}
@@ -189,10 +189,6 @@ func TestDenseLUKnown(t *testing.T) {
 			t.Errorf("x = %v, want %v", x, want)
 			break
 		}
-	}
-	// det([[2,1,1],[4,-6,0],[-2,7,2]]) = -16
-	if math.Abs(lu.Det()-(-16)) > 1e-9 {
-		t.Errorf("det = %g, want -16", lu.Det())
 	}
 }
 
@@ -231,19 +227,5 @@ func TestDenseLURandomRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: x[%d] = %g, want %g", trial, i, x[i], xTrue[i])
 			}
 		}
-	}
-}
-
-func TestDenseCloneIndependent(t *testing.T) {
-	d := NewDense(2)
-	d.Set(0, 0, 1)
-	c := d.Clone()
-	c.Set(0, 0, 5)
-	if d.At(0, 0) != 1 {
-		t.Error("Clone shares storage")
-	}
-	d.Zero()
-	if d.At(0, 0) != 0 {
-		t.Error("Zero failed")
 	}
 }

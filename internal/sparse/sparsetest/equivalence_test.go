@@ -87,7 +87,7 @@ func TestBatchSerialBitEqualityAcrossSolvers(t *testing.T) {
 					t.Fatalf("%s %s: %v", prefix, pname, err)
 				}
 				for i := range bs {
-					ref, refRes, err := sparse.PCG(a, bs[i], nil, prec, tol, maxIter)
+					ref, refRes, err := sparse.PCG(a, bs[i], nil, prec, tol, maxIter, nil)
 					if err != nil {
 						t.Fatalf("%s %s serial: %v", prefix, pname, err)
 					}
@@ -298,11 +298,11 @@ func TestAMGvsIC0ResidualEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		xIC, resIC, err := sparse.PCG(a, b, nil, ic0, tol, 20*n)
+		xIC, resIC, err := sparse.PCG(a, b, nil, ic0, tol, 20*n, nil)
 		if err != nil {
 			t.Fatalf("%s ic0: %v", label, err)
 		}
-		xMG, resMG, err := sparse.PCG(a, b, nil, amg, tol, 20*n)
+		xMG, resMG, err := sparse.PCG(a, b, nil, amg, tol, 20*n, nil)
 		if err != nil {
 			t.Fatalf("%s amg: %v", label, err)
 		}
@@ -338,7 +338,7 @@ func TestAMGConvergesWhereIC0ExceedsCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, resIC, errIC := sparse.PCG(a, b, nil, ic0, tol, cap)
+	_, resIC, errIC := sparse.PCG(a, b, nil, ic0, tol, cap, nil)
 	if !errors.Is(errIC, sparse.ErrNoConvergence) {
 		t.Fatalf("expected IC(0)-PCG to exceed its %d-iteration cap, got err=%v res=%+v", cap, errIC, resIC)
 	}
@@ -346,7 +346,7 @@ func TestAMGConvergesWhereIC0ExceedsCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, resMG, err := sparse.PCG(a, b, nil, amg, tol, cap)
+	x, resMG, err := sparse.PCG(a, b, nil, amg, tol, cap, nil)
 	if err != nil {
 		t.Fatalf("AMG-PCG failed within the same cap: %v (%+v)", err, resMG)
 	}

@@ -48,7 +48,7 @@ func FuzzBatchSerialEquivalence(f *testing.F) {
 			t.Fatalf("pcg batch seed=%d n=%d: %v", seed, n, err)
 		}
 		for i := range bs {
-			ref, refRes, err := sparse.PCG(a, bs[i], nil, jac, tol, maxIter)
+			ref, refRes, err := sparse.PCG(a, bs[i], nil, jac, tol, maxIter, nil)
 			if err != nil {
 				t.Fatalf("pcg serial seed=%d n=%d lane=%d: %v", seed, n, i, err)
 			}

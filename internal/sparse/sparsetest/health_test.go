@@ -56,7 +56,7 @@ func withProbes(on bool, f func()) {
 }
 
 // TestProbesDoNotPerturbSparseSolves is the sparse-level half of the
-// probes-don't-perturb contract: PCGW and PCGBatch with probes on are
+// probes-don't-perturb contract: PCG and PCGBatch with probes on are
 // bit-identical to probes off for every matrix, preconditioner and
 // batch worker count — and the probed solves actually carry a health
 // report.
@@ -75,7 +75,7 @@ func TestProbesDoNotPerturbSparseSolves(t *testing.T) {
 				var refRes sparse.CGResult
 				withProbes(false, func() {
 					var err error
-					refX, refRes, err = sparse.PCGW(a, b, nil, precFor(t, kind, a), tol, maxIter, sparse.NewPCGWorkspace(n))
+					refX, refRes, err = sparse.PCG(a, b, nil, precFor(t, kind, a), tol, maxIter, sparse.NewPCGWorkspace(n))
 					if err != nil {
 						t.Fatalf("%s probes-off: %v", name, err)
 					}
@@ -85,7 +85,7 @@ func TestProbesDoNotPerturbSparseSolves(t *testing.T) {
 				}
 
 				withProbes(true, func() {
-					x, res, err := sparse.PCGW(a, b, nil, precFor(t, kind, a), tol, maxIter, sparse.NewPCGWorkspace(n))
+					x, res, err := sparse.PCG(a, b, nil, precFor(t, kind, a), tol, maxIter, sparse.NewPCGWorkspace(n))
 					if err != nil {
 						t.Fatalf("%s probes-on: %v", name, err)
 					}
@@ -117,7 +117,7 @@ func TestProbesDoNotPerturbSparseSolves(t *testing.T) {
 						var wantRes sparse.CGResult
 						withProbes(false, func() {
 							var err error
-							wantX, wantRes, err = sparse.PCG(a, bs[i], nil, precFor(t, kind, a), tol, maxIter)
+							wantX, wantRes, err = sparse.PCG(a, bs[i], nil, precFor(t, kind, a), tol, maxIter, nil)
 							if err != nil {
 								t.Fatalf("%s lane %d probes-off: %v", name, i, err)
 							}
@@ -226,7 +226,7 @@ func TestConditionEstimateKnownSpectrum(t *testing.T) {
 		a := DiagSPD(tc.n, tc.lo, tc.hi)
 		b := RandomRHS(tc.n, 7)
 		withProbes(true, func() {
-			_, res, err := sparse.PCG(a, b, nil, nil, 1e-12, 10*tc.n)
+			_, res, err := sparse.PCG(a, b, nil, nil, 1e-12, 10*tc.n, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -249,7 +249,7 @@ func TestConditionEstimateKnownSpectrum(t *testing.T) {
 }
 
 // TestProbesZeroAllocWhenDisabled pins the disabled-probe cost at zero
-// extra allocations. A warmed-workspace PCGW solve allocates exactly one
+// extra allocations. A warmed-workspace PCG solve allocates exactly one
 // thing, the returned x (the fixed-block reduction closures stay on the
 // stack), so the probe structures (ring buffers, Lanczos coefficient
 // slices) would blow the budget the moment anything allocated before
@@ -261,7 +261,7 @@ func TestProbesZeroAllocWhenDisabled(t *testing.T) {
 	prec := sparse.NewJacobi(a)
 	ws := sparse.NewPCGWorkspace(n)
 	solve := func() {
-		if _, _, err := sparse.PCGW(a, b, nil, prec, 1e-8, 10*n, ws); err != nil {
+		if _, _, err := sparse.PCG(a, b, nil, prec, 1e-8, 10*n, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func TestProbesZeroAllocWhenDisabled(t *testing.T) {
 	// solve records a report (the probe may allocate; that is the cost
 	// the gate exists to avoid).
 	withProbes(true, func() {
-		_, res, err := sparse.PCGW(a, b, nil, prec, 1e-8, 10*n, ws)
+		_, res, err := sparse.PCG(a, b, nil, prec, 1e-8, 10*n, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

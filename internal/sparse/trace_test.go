@@ -66,7 +66,7 @@ func TestPCGNonConvergenceAttachesTrace(t *testing.T) {
 		b[i] = float64(i%7) - 3
 	}
 	const maxIter = 5
-	_, res, err := PCG(a, b, nil, nil, 1e-14, maxIter)
+	_, res, err := PCG(a, b, nil, nil, 1e-14, maxIter, nil)
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("errors.Is(ErrNoConvergence) lost through the trace wrapper: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestPCGNonConvergenceAttachesTrace(t *testing.T) {
 
 	// Warm-started solve records its origin.
 	x0 := make([]float64, a.N())
-	_, _, err = PCG(a, b, x0, nil, 1e-14, maxIter)
+	_, _, err = PCG(a, b, x0, nil, 1e-14, maxIter, nil)
 	if tr := TraceFromError(err); tr == nil || !tr.WarmStart {
 		t.Error("warm start not recorded")
 	}
@@ -118,7 +118,7 @@ func TestPCGTraceOffByDefault(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%7) - 3
 	}
-	_, _, err := PCG(a, b, nil, nil, 1e-14, 3)
+	_, _, err := PCG(a, b, nil, nil, 1e-14, 3, nil)
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("want non-convergence, got %v", err)
 	}
@@ -132,7 +132,7 @@ func TestPCGBreakdownTrace(t *testing.T) {
 	defer telemetry.DisableFlightRecorder()
 
 	// b chosen so pᵀAp = bᵀAb = -2 < 0 on the very first iteration.
-	_, _, err := PCG(indefinite2x2(), []float64{1, -1}, nil, IdentityPrec{}, 1e-12, 50)
+	_, _, err := PCG(indefinite2x2(), []float64{1, -1}, nil, IdentityPrec{}, 1e-12, 50, nil)
 	if err == nil {
 		t.Fatal("indefinite solve succeeded")
 	}

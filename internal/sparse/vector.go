@@ -14,23 +14,6 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Axpy computes y += a*x in place.
-func Axpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("sparse: Axpy dimension mismatch")
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
-}
-
-// Scale multiplies x by a in place.
-func Scale(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
 	var s float64

@@ -3,7 +3,7 @@
 // "what exactly happened and when" — leveled, machine-parseable JSON-lines
 // records emitted from the numerical core at the moments that matter for
 // diagnosing a failed or degraded run: PCG breakdowns and non-convergence,
-// IC(0) diagonal-shift retries, prepared-engine recompiles,
+// IC(0) diagonal-shift retries, PDN solve failures,
 // thermal-infeasibility rejections and Monte Carlo trial anomalies.
 //
 // The log follows the same disabled-cost contract as the metric registry:
