@@ -5,7 +5,7 @@
 //
 //	emlife [-layers N] [-tsv dense|sparse|few] [-padfrac F] [-grid N] [-workers N]
 //	       [-mc-trials N] [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR]
-//	       [-pprof ADDR] [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR] [-progress]
+//	       [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR] [-progress]
 //
 // The regular and voltage-stacked scenarios are solved concurrently.
 // -mc-trials additionally cross-checks each analytic lifetime with the
@@ -43,7 +43,7 @@ func main() {
 		os.Exit(1)
 	}
 	// fail routes error exits through flush: os.Exit skips deferred calls,
-	// and flush is what restores stdout, stops the servers and writes the
+	// and flush is what restores stdout, stops the server and writes the
 	// manifest with the failure recorded.
 	fail := func(code int, err error) {
 		tf.RunManifest().SetExitError(err)

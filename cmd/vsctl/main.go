@@ -363,35 +363,30 @@ func cmdHealth(ctx context.Context, c *server.Client, id string) error {
 		return err
 	}
 
-	// Residual curve: the slowest solve's exemplar carries the probe's
-	// per-iteration residual timeline (head + tail; long solves elide the
-	// middle, which the iteration numbering makes visible).
+	// Residual curve: the slowest solve's exemplar carries one probed
+	// solve's residual timeline (head + tail; long solves elide the
+	// middle, which the step numbering makes visible). A batch exemplar's
+	// Iterations sums its lanes, so the header takes the drawn solve's
+	// step count from the timeline itself.
 	for _, ex := range st.Exemplars {
 		if len(ex.Residuals) == 0 {
 			continue
 		}
 		fmt.Printf("\nresidual curve (slowest probed solve: %d iterations, %.3fs):\n",
-			ex.Iterations, ex.Value)
-		printResidualCurve(ex.Residuals, ex.Iterations)
+			ex.ResidualIteration(len(ex.Residuals)-1), ex.Value)
+		printResidualCurve(ex)
 		break
 	}
 	return nil
 }
 
-// printResidualCurve draws residuals on a log10 scale, one bar per sampled
-// iteration, at most 24 rows. res[0] is the initial residual; when the
-// probe elided the middle of a long solve, the tail rows are numbered from
-// the end so the gap is explicit.
-func printResidualCurve(res []float64, iters int) {
+// printResidualCurve draws an exemplar's residuals on a log10 scale, one
+// bar per sampled step, at most 24 rows. Rows carry the solver step of
+// each residual, so the middle the probe elided from a long solve shows
+// as a gap in the numbering.
+func printResidualCurve(ex telemetry.Exemplar) {
 	const maxRows, width = 24, 40
-	idx := make([]int, len(res))
-	for i := range res {
-		idx[i] = i
-		if iters+1 > len(res) && i >= len(res)/2 {
-			// Head+tail window: the second half holds the final iterations.
-			idx[i] = iters + 1 - (len(res) - i)
-		}
-	}
+	res := ex.Residuals
 	step := 1
 	if len(res) > maxRows {
 		step = (len(res) + maxRows - 1) / maxRows
@@ -418,10 +413,10 @@ func printResidualCurve(res []float64, iters int) {
 			frac = 1
 		}
 		n := int(frac*float64(width) + 0.5)
-		fmt.Printf("  iter %6d  %10.3e  |%s\n", idx[i], res[i], strings.Repeat("#", n))
+		fmt.Printf("  iter %6d  %10.3e  |%s\n", ex.ResidualIteration(i), res[i], strings.Repeat("#", n))
 	}
 	if last := len(res) - 1; (len(res)-1)%step != 0 {
-		fmt.Printf("  iter %6d  %10.3e  |\n", idx[last], res[last])
+		fmt.Printf("  iter %6d  %10.3e  |\n", ex.ResidualIteration(last), res[last])
 	}
 }
 

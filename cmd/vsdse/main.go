@@ -6,7 +6,7 @@
 // Usage:
 //
 //	vsdse [-layers N] [-imbalance F] [-grid N] [-all]
-//	      [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR] [-pprof ADDR]
+//	      [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR]
 //	      [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR] [-progress]
 package main
 
@@ -36,7 +36,7 @@ func main() {
 		os.Exit(1)
 	}
 	// fail routes error exits through flush: os.Exit skips deferred calls,
-	// and flush is what restores stdout, stops the servers and writes the
+	// and flush is what restores stdout, stops the server and writes the
 	// manifest with the failure recorded.
 	fail := func(code int, err error) {
 		tf.RunManifest().SetExitError(err)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	vsexplore [-exp all|table1|table2|fig3a|fig3b|fig5a|fig5b|fig6|fig7|fig8|thermal|headlines] [-coarse] [-workers N]
-//	          [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR] [-pprof ADDR]
+//	          [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR]
 //	          [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR] [-progress]
 //
 // -coarse runs the PDN experiments on a 16x16 mesh (seconds instead of
@@ -49,7 +49,7 @@ func main() {
 		os.Exit(1)
 	}
 	// fail routes error exits through flush: os.Exit skips deferred calls,
-	// and flush is what restores stdout, stops the servers and writes the
+	// and flush is what restores stdout, stops the server and writes the
 	// manifest with the failure recorded.
 	fail := func(code int, err error) {
 		tf.RunManifest().SetExitError(err)

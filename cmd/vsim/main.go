@@ -5,7 +5,7 @@
 //
 //	vsim [-kind regular|vs] [-layers N] [-tsv dense|sparse|few]
 //	     [-conv N] [-padfrac F] [-imbalance F] [-grid N]
-//	     [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR] [-pprof ADDR]
+//	     [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR]
 //	     [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR]
 package main
 
@@ -48,7 +48,7 @@ func main() {
 		}
 	}()
 	// fail routes error exits through flush: os.Exit skips deferred calls,
-	// and flush is what restores stdout, stops the servers and writes the
+	// and flush is what restores stdout, stops the server and writes the
 	// manifest with the failure recorded.
 	fail := func(code int, err error) {
 		tf.RunManifest().SetExitError(err)

@@ -73,7 +73,6 @@ func (p *Prepared) SolveBatch(k int, setRHS func(i int)) ([]*Solution, error) {
 			v:          x,
 			Iterations: results[i].Iterations,
 			Residual:   results[i].Residual,
-			ConvTrace:  results[i].Trace,
 			Health:     results[i].Health,
 		}
 	}

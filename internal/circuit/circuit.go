@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"voltstack/internal/sparse"
+	"voltstack/internal/telemetry"
 )
 
 // Ground is the reference node. Its potential is exactly 0.
@@ -206,13 +207,11 @@ type Solution struct {
 	// Stats from the linear solve.
 	Iterations int
 	Residual   float64
-	// ConvTrace is the solver's per-iteration convergence trajectory,
-	// populated only while the flight recorder is on; nil otherwise.
-	ConvTrace *sparse.SolveTrace
-	// Health is the solver-health report (condition estimate, detector
-	// verdicts), populated only while convergence probes are on; nil
-	// otherwise. Voltages are byte-identical either way.
-	Health *sparse.ConvergenceReport
+	// Health is the solve's convergence report (residual trajectory,
+	// condition estimate, detector verdicts), populated only while
+	// convergence probes are on; nil otherwise. Voltages are
+	// byte-identical either way.
+	Health *telemetry.ConvergenceReport
 }
 
 // CheckConnectivity verifies that every node has a conductive path to

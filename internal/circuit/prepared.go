@@ -141,7 +141,6 @@ func (p *Prepared) Solve(sp *telemetry.Span) (*Solution, error) {
 		v:          x,
 		Iterations: res.Iterations,
 		Residual:   res.Residual,
-		ConvTrace:  res.Trace,
 		Health:     res.Health,
 	}, nil
 }

@@ -109,17 +109,6 @@ func (r *TransientResult) MinV(p int) float64 {
 	return m
 }
 
-// MaxV returns the maximum of probe p over the run.
-func (r *TransientResult) MaxV(p int) float64 {
-	m := math.Inf(-1)
-	for _, v := range r.V[p] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // ErrTransient wraps transient-analysis failures.
 var ErrTransient = errors.New("circuit: transient analysis failed")
 

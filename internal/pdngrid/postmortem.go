@@ -1,8 +1,8 @@
 // Solve-failure post-mortems. When a PDN solve dies — PCG breakdown,
 // non-convergence, factorization failure — the error alone ("residual
-// 3.2e-03 after 400 iterations") rarely says why. With the flight recorder
-// on, the failed linear solve carries its residual trajectory
-// (sparse.TraceFromError); this file packages that trajectory together with
+// 3.2e-03 after 400 iterations") rarely says why. With convergence probes
+// on, the failed linear solve carries its convergence report
+// (sparse.ReportFromError); this file packages that report together with
 // the PDN's node count into a JSON artifact written through
 // telemetry.DumpPostmortem, and emits a structured event pointing at it.
 package pdngrid
@@ -19,10 +19,10 @@ import (
 type SolvePostmortem struct {
 	Stage string `json:"stage"` // "linear-solve"
 	Nodes int    `json:"nodes"`
-	// SolveTrace is the failed linear solve's residual trajectory, present
-	// when the flight recorder was on.
-	SolveTrace *sparse.SolveTrace `json:"solve_trace,omitempty"`
-	Error      string             `json:"error"`
+	// Convergence is the failed linear solve's convergence report, present
+	// when convergence probes were on.
+	Convergence *telemetry.ConvergenceReport `json:"convergence,omitempty"`
+	Error       string                       `json:"error"`
 }
 
 // solveFailure wraps a linear-solve error with pdngrid context, emits the
@@ -37,10 +37,10 @@ func solveFailure(nodes int, err error) error {
 	wrapped := fmt.Errorf("pdngrid: %w", err)
 	if telemetry.PostmortemEnabled() {
 		pm := &SolvePostmortem{
-			Stage:      "linear-solve",
-			Nodes:      nodes,
-			SolveTrace: sparse.TraceFromError(err),
-			Error:      err.Error(),
+			Stage:       "linear-solve",
+			Nodes:       nodes,
+			Convergence: sparse.ReportFromError(err),
+			Error:       err.Error(),
 		}
 		if path, derr := telemetry.DumpPostmortem("pdngrid-solve", pm); derr == nil && path != "" {
 			wrapped = fmt.Errorf("pdngrid: %w (post-mortem: %s)", err, path)

@@ -16,13 +16,13 @@ import (
 // TestSolveFailureWritesPostmortem forces a PCG non-convergence (two
 // iterations against a 1e-16 target) and checks the whole failure path: the
 // returned error still matches ErrNoConvergence, names the artifact, and
-// the artifact holds the residual trajectory of exactly the failed solve.
+// the artifact holds the convergence report of exactly the failed solve.
 func TestSolveFailureWritesPostmortem(t *testing.T) {
 	dir := t.TempDir()
 	telemetry.SetPostmortemDir(dir)
 	defer func() {
 		telemetry.SetPostmortemDir("")
-		telemetry.DisableFlightRecorder()
+		telemetry.DisableConvergenceProbes()
 	}()
 
 	cfg := vsCfg(3, 4)
@@ -63,26 +63,29 @@ func TestSolveFailureWritesPostmortem(t *testing.T) {
 	if pm.Error == "" {
 		t.Error("artifact lacks the error string")
 	}
-	tr := pm.SolveTrace
-	if tr == nil {
-		t.Fatal("artifact lacks the solve trace")
+	c := pm.Convergence
+	if c == nil {
+		t.Fatal("artifact lacks the convergence report")
 	}
-	if tr.Kind != "pcg" || tr.MaxIter != 2 {
-		t.Errorf("trace kind=%q max_iter=%d, want pcg/2", tr.Kind, tr.MaxIter)
+	if c.Kind != "pcg" || c.MaxIter != 2 || c.Converged {
+		t.Errorf("report kind=%q max_iter=%d converged=%v, want pcg/2/false", c.Kind, c.MaxIter, c.Converged)
 	}
 	// Iteration 0 plus both budgeted iterations.
-	if len(tr.Residuals) != 3 {
-		t.Errorf("trajectory has %d points, want 3", len(tr.Residuals))
+	if len(c.Residuals) != 3 {
+		t.Errorf("trajectory has %d points, want 3", len(c.Residuals))
 	}
-	if tr.FinalResidual <= 1e-16 {
-		t.Errorf("final residual %g claims convergence", tr.FinalResidual)
+	if c.FinalResidual <= 1e-16 {
+		t.Errorf("final residual %g claims convergence", c.FinalResidual)
+	}
+	if c.CondEstimate <= 0 {
+		t.Errorf("cond_estimate = %g, want the Lanczos estimate of the two steps", c.CondEstimate)
 	}
 }
 
 // TestSolvePostmortemOffByDefault pins that an un-flagged failing run gets
 // the plain error: no artifact path, no files, no trace allocation.
 func TestSolvePostmortemOffByDefault(t *testing.T) {
-	if telemetry.PostmortemEnabled() || telemetry.FlightRecorderEnabled() {
+	if telemetry.PostmortemEnabled() || telemetry.ProbesEnabled() {
 		t.Fatal("post-mortem machinery enabled at test entry")
 	}
 	cfg := vsCfg(3, 4)
@@ -98,7 +101,7 @@ func TestSolvePostmortemOffByDefault(t *testing.T) {
 	if strings.Contains(err.Error(), "post-mortem") {
 		t.Errorf("artifact path in error with the gate off: %v", err)
 	}
-	if sparse.TraceFromError(err) != nil {
-		t.Error("trace attached with the flight recorder off")
+	if sparse.ReportFromError(err) != nil {
+		t.Error("report attached with the probes off")
 	}
 }

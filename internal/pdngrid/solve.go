@@ -8,7 +8,6 @@ import (
 
 	"voltstack/internal/circuit"
 	"voltstack/internal/sc"
-	"voltstack/internal/sparse"
 	"voltstack/internal/telemetry"
 )
 
@@ -160,46 +159,49 @@ func (p *PDN) SolveContext(ctx context.Context, activities [][]float64) (*Result
 	mSolves.Add(1)
 	mNodesHist.Observe(float64(eng.asm.net.NumNodes()))
 	if scope != nil {
-		recordJobSolve(scope, spS, time.Since(tJob).Seconds(), sol)
+		recordJobSolves(scope, spS, time.Since(tJob).Seconds(), []*circuit.Solution{sol})
 	}
 	return p.extractResult(eng.asm, sol), nil
 }
 
-// recordJobSolve attributes one linear solve to the job scope: per-job
-// counters and latency histogram, plus an exemplar keyed to the solve's
-// trace span with convergence evidence (iterations, residual, and — when
-// the flight recorder is on — the per-iteration residual timeline).
-func recordJobSolve(scope *telemetry.Scope, sp *telemetry.Span, secs float64, sol *circuit.Solution) {
-	if scope == nil {
-		return
+// recordJobSolves attributes one linear solve — a single solve or a whole
+// batch — to the job scope: per-job counters, the latency histogram, the
+// last lane's residual, and one exemplar keyed to the solve's trace span
+// with convergence evidence. The lanes of a batch share one factor, so
+// per-lane wall time is not separable and the batch is the timed unit;
+// the exemplar sums the lanes' iterations and carries the first probed
+// lane's residual timeline.
+func recordJobSolves(scope *telemetry.Scope, sp *telemetry.Span, secs float64, sols []*circuit.Solution) {
+	iters := 0
+	for _, sol := range sols {
+		iters += sol.Iterations
 	}
-	scope.Counter("job_pdn_solves_total").Add(1)
-	scope.Counter("job_solver_iterations_total").Add(int64(sol.Iterations))
+	last := sols[len(sols)-1].Residual
+	scope.Counter("job_pdn_solves_total").Add(int64(len(sols)))
+	scope.Counter("job_solver_iterations_total").Add(int64(iters))
 	scope.Histogram("job_linear_solve_seconds").Observe(secs)
-	scope.Gauge("job_solver_residual_last").Set(sol.Residual)
+	scope.Gauge("job_solver_residual_last").Set(last)
 	ex := telemetry.Exemplar{
 		Metric:     "job_linear_solve_seconds",
 		Value:      secs,
-		Iterations: sol.Iterations,
-		Residual:   sol.Residual,
+		Iterations: iters,
+		Residual:   last,
 	}
 	if tc := sp.TraceContext(); tc.Valid() {
 		ex.TraceID, ex.SpanID = tc.TraceIDString(), tc.SpanIDString()
 	}
-	if sol.ConvTrace != nil {
-		ex.Residuals = sol.ConvTrace.Residuals
+	for _, sol := range sols {
+		recordJobHealth(scope, &ex, sol.Health)
 	}
-	recordJobHealth(scope, &ex, sol.Health)
 	scope.RecordExemplar(ex)
 }
 
-// recordJobHealth attributes one probed solve's health report to the job
-// scope: the job's stats document (and through it `vsctl health`) carries
-// the last probed solve's condition estimate, reduction factor and detector
-// trips, and the exemplar picks up the residual timeline when the flight
-// recorder did not already supply one. Nil h (probes off, or a direct
-// solve) is a no-op.
-func recordJobHealth(scope *telemetry.Scope, ex *telemetry.Exemplar, h *sparse.ConvergenceReport) {
+// recordJobHealth attributes one probed solve's convergence report to the
+// job scope: the job's stats document (and through it `vsctl health`)
+// carries the last probed solve's condition estimate, reduction factor and
+// detector trips, and the exemplar picks up the report's residual timeline
+// if it has none yet. Nil h (probes off, or a direct solve) is a no-op.
+func recordJobHealth(scope *telemetry.Scope, ex *telemetry.Exemplar, h *telemetry.ConvergenceReport) {
 	if h == nil {
 		return
 	}
@@ -222,7 +224,7 @@ func recordJobHealth(scope *telemetry.Scope, ex *telemetry.Exemplar, h *sparse.C
 		scope.Counter("job_health_degradation_total").Add(1)
 	}
 	if ex.Residuals == nil {
-		ex.Residuals = h.Residuals
+		ex.Residuals, ex.ResidualsDropped = h.Residuals, h.ResidualsDropped
 	}
 }
 

@@ -88,33 +88,7 @@ func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Re
 		mNodesHist.Observe(float64(eng.asm.net.NumNodes()))
 	}
 	if scope != nil {
-		// One attribution record for the whole batched linear solve: the
-		// lanes share one factor, so per-lane wall time is not
-		// separable — the batch solve is the meaningful unit.
-		secs := time.Since(tJob).Seconds()
-		totalIters := 0
-		for _, r := range out {
-			totalIters += r.SolverIterations
-		}
-		scope.Counter("job_pdn_solves_total").Add(int64(k))
-		scope.Counter("job_solver_iterations_total").Add(int64(totalIters))
-		scope.Histogram("job_linear_solve_seconds").Observe(secs)
-		ex := telemetry.Exemplar{
-			Metric:     "job_linear_solve_seconds",
-			Value:      secs,
-			Iterations: totalIters,
-			Residual:   out[k-1].SolverResidual,
-		}
-		if tc := spS.TraceContext(); tc.Valid() {
-			ex.TraceID, ex.SpanID = tc.TraceIDString(), tc.SpanIDString()
-		}
-		// Per-lane health attribution: every probed lane counts toward the
-		// job's report/detector totals, and the exemplar carries the first
-		// probed lane's residual timeline.
-		for _, sol := range sols {
-			recordJobHealth(scope, &ex, sol.Health)
-		}
-		scope.RecordExemplar(ex)
+		recordJobSolves(scope, spS, time.Since(tJob).Seconds(), sols)
 	}
 	return out, nil
 }

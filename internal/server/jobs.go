@@ -516,19 +516,6 @@ func (m *Manager) Draining() bool { return m.draining.Load() }
 // QueueDepth returns (queued, capacity).
 func (m *Manager) QueueDepth() (int, int) { return len(m.queue), cap(m.queue) }
 
-// RunningJobs counts jobs currently executing on a runner.
-func (m *Manager) RunningJobs() int {
-	n := 0
-	for _, j := range m.Jobs() {
-		j.mu.Lock()
-		if j.state == StateRunning {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
-}
-
 // Drain stops admission, finishes every queued and running job, and
 // returns when the runners are idle. If ctx expires first, in-flight
 // jobs are hard-cancelled (their journal state stays resumable) and

@@ -124,7 +124,6 @@ func NewAMG(a *CSR, opts AMGOptions) (*AMGPrec, error) {
 	mAMGLastLevels.Set(float64(st.Levels))
 	mAMGLastCoarseN.Set(float64(st.CoarseN))
 	mAMGOpComplexity.Set(st.OperatorComplexity)
-	telemetry.RecordAMGHierarchy(p.ns, st.OperatorComplexity)
 	if telemetry.EventsEnabled() {
 		telemetry.Event(slog.LevelInfo, "sparse: AMG hierarchy built",
 			slog.Int("levels", st.Levels),

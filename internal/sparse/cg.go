@@ -341,17 +341,12 @@ type CGResult struct {
 	Iterations int
 	Residual   float64 // final relative residual ‖b−Ax‖₂/‖b‖₂
 
-	// Trace is the per-iteration convergence trajectory, populated only
-	// while the flight recorder is enabled (on both success and failure);
-	// nil otherwise. Exposing it on success is what lets per-job exemplars
-	// attach a residual timeline to slow-but-converged solves.
-	Trace *SolveTrace
-
-	// Health is the solver-health report (bounded residual/α/β history,
-	// Lanczos condition estimate, detector verdicts), populated only while
-	// convergence probes are enabled; nil otherwise. Probes never perturb
-	// the solve: x, Iterations and Residual are byte-identical either way.
-	Health *ConvergenceReport
+	// Health is the convergence report (bounded residual history, Lanczos
+	// condition estimate, detector verdicts), populated on success and
+	// failure while convergence probes are enabled; nil otherwise. Probes
+	// never perturb the solve: x, Iterations and Residual are
+	// byte-identical either way.
+	Health *telemetry.ConvergenceReport
 }
 
 // PCGWorkspace holds the scratch vectors of a PCG solve so repeated solves
@@ -441,16 +436,10 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	} else {
 		ws.resize(n)
 	}
-	// Flight recorder: one gate check per solve; per-iteration cost is a
-	// nil check when off.
-	var rec *traceRecorder
-	if flightRecorderOn() {
-		rec = newTraceRecorder("pcg", a, x0, prec, tol, maxIter)
-	}
-	// Convergence probe: same discipline (one gate check per solve, nil
-	// check per iteration, zero alloc when off). The probe only copies
-	// scalars the solve computed anyway, so results are bit-identical with
-	// the gate on or off.
+	// Convergence probe: one gate check per solve, a nil check per
+	// iteration, zero alloc when off. The probe only copies scalars the
+	// solve computed anyway, so results are bit-identical with the gate on
+	// or off.
 	var probe *convProbe
 	if probesOn() {
 		probe = newConvProbe(a, prec, tol, maxIter)
@@ -460,13 +449,9 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	if x0 != nil {
 		copy(x, x0)
 	}
-	// sealOK attaches the sealed convergence trace and health report to a
-	// successful result when the recorder/probe are on; a no-op (and no
-	// allocation) otherwise.
+	// sealOK attaches the sealed convergence report to a successful result
+	// when the probe is on; a no-op (and no allocation) otherwise.
 	sealOK := func(result CGResult) CGResult {
-		if rec != nil {
-			result.Trace = rec.seal(result)
-		}
 		if probe != nil {
 			result.Health = probe.seal(result, true)
 		}
@@ -488,9 +473,6 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	rz := blockedDot(r, z)
 
 	res := math.Sqrt(blockedNormSq(r)) / normB
-	if rec != nil {
-		rec.record(res)
-	}
 	if probe != nil {
 		probe.record(res)
 	}
@@ -514,14 +496,8 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 			result := CGResult{Iterations: it - 1, Residual: res}
 			if probe != nil {
 				probe.record(res)
-				result.Health = probe.seal(result, false)
-				err = probe.enrich(err)
-			}
-			if rec != nil {
-				rec.record(res)
-				rec.trace.BreakdownIter = it
-				err = rec.finish(result, err)
-				result.Trace = &rec.trace
+				probe.report.BreakdownIter = it
+				result, err = probe.fail(result, err)
 			}
 			return x, result, err
 		}
@@ -531,9 +507,6 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 		// fixed-block order.
 		rr := fusedUpdateNormSq(x, p, r, ap, alpha)
 		res = math.Sqrt(rr) / normB
-		if rec != nil {
-			rec.record(res)
-		}
 		if probe != nil {
 			probe.iter(alpha, res)
 		}
@@ -554,12 +527,7 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	err := fmt.Errorf("%w: residual %.3e after %d iterations", ErrNoConvergence, res, maxIter)
 	result := CGResult{Iterations: maxIter, Residual: res}
 	if probe != nil {
-		result.Health = probe.seal(result, false)
-		err = probe.enrich(err)
-	}
-	if rec != nil {
-		err = rec.finish(result, err)
-		result.Trace = &rec.trace
+		result, err = probe.fail(result, err)
 	}
 	return x, result, err
 }

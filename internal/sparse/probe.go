@@ -1,12 +1,14 @@
 // Convergence probes: opt-in per-solve analytics that turn the PCG
-// iteration stream into a health report — the bounded residual/α/β
-// history, extreme-eigenvalue and condition-number estimates from the CG
-// Lanczos tridiagonal (zero extra matvecs), per-cycle AMG reduction
-// factors, and detectors for stagnation, plateau and preconditioner
-// degradation.
+// iteration stream into a telemetry.ConvergenceReport — the bounded
+// residual history, extreme-eigenvalue and condition-number estimates
+// from the CG Lanczos tridiagonal (zero extra matvecs), per-cycle AMG
+// reduction factors, and detectors for stagnation, plateau and
+// preconditioner degradation. A failed probed solve returns its report
+// attached to the error (ProbeError), so the caller — typically pdngrid —
+// can dump a post-mortem artifact of exactly the solve that failed.
 //
-// The contract mirrors the flight recorder's, but is stricter because the
-// probe also does numerics of its own at seal time:
+// The probe also does numerics of its own at seal time, so its contract
+// is strict:
 //
 //   - Probes never perturb solver arithmetic. They only *read* scalars the
 //     solver already computed (α, β, the relative residual); every
@@ -30,6 +32,7 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -50,13 +53,12 @@ var (
 	mHealthReduction   = telemetry.NewGauge("solver_health_reduction_factor")
 )
 
-// Probe bounds. The residual ring reuses the flight recorder's shape
-// (head + circular tail); the Lanczos coefficient buffer keeps the first
-// probeLanczosCap (α, β) pairs — Ritz extremes are driven by the leading
-// coefficients, so a prefix estimates κ without unbounded growth.
+// Probe bounds. The residual ring keeps telemetry.ResidualHeadLen leading
+// and telemetry.ResidualTailLen trailing residuals; the Lanczos
+// coefficient buffer keeps the first probeLanczosCap (α, β) pairs — Ritz
+// extremes are driven by the leading coefficients, so a prefix estimates
+// κ without unbounded growth.
 const (
-	probeHeadLen    = traceHeadLen
-	probeTailLen    = traceTailLen
 	probeLanczosCap = 512
 
 	// Detector windows/thresholds (see detect): trailing window length,
@@ -71,65 +73,13 @@ const (
 	degradationFactor = 0.95
 )
 
-// AMGReport is the per-hierarchy slice of a convergence report, present
-// when the solve ran under an AMG preconditioner: the hierarchy shape
-// complexities plus the trailing per-cycle residual reduction factors
-// (each PCG iteration applies exactly one V-cycle).
-type AMGReport struct {
-	Levels             int     `json:"levels"`
-	OperatorComplexity float64 `json:"operator_complexity"`
-	GridComplexity     float64 `json:"grid_complexity"`
-	// CycleReductions holds ‖r_k‖/‖r_{k-1}‖ for the last recorded
-	// iterations (bounded by probeWindow × 2).
-	CycleReductions []float64 `json:"cycle_reductions,omitempty"`
-}
-
-// ConvergenceReport is the solver-health record of one probed solve. It
-// marshals directly into the per-job stats document, the history store
-// and `vsctl health` output.
-type ConvergenceReport struct {
-	Kind           string  `json:"kind"` // "pcg"
-	N              int     `json:"n"`
-	Preconditioner string  `json:"preconditioner"`
-	Tol            float64 `json:"tol"`
-	MaxIter        int     `json:"max_iter"`
-
-	Iterations    int     `json:"iterations"`
-	FinalResidual float64 `json:"final_residual"`
-	Converged     bool    `json:"converged"`
-
-	// Spectral estimates from the first LanczosDim CG coefficients; zero
-	// when the solve ended before any iteration completed.
-	LambdaMin    float64 `json:"lambda_min,omitempty"`
-	LambdaMax    float64 `json:"lambda_max,omitempty"`
-	CondEstimate float64 `json:"cond_estimate,omitempty"`
-	LanczosDim   int     `json:"lanczos_dim,omitempty"`
-
-	// ReductionFactor is the geometric-mean per-iteration residual
-	// reduction over the whole solve ((r_final/r_0)^(1/iterations)).
-	ReductionFactor float64 `json:"reduction_factor,omitempty"`
-
-	// Residuals is the bounded relative-residual trajectory in iteration
-	// order (index 0 = initial residual), with up to ResidualsDropped
-	// middle iterations elided between head and tail.
-	Residuals        []float64 `json:"residuals"`
-	ResidualsDropped int       `json:"residuals_dropped,omitempty"`
-
-	// Detector verdicts over the recorded trajectory.
-	Stagnation  bool `json:"stagnation,omitempty"`
-	Plateau     bool `json:"plateau,omitempty"`
-	Degradation bool `json:"precond_degradation,omitempty"`
-
-	AMG *AMGReport `json:"amg,omitempty"`
-}
-
 // probesOn is a local alias so the hot path reads naturally.
 func probesOn() bool { return telemetry.ProbesEnabled() }
 
 // convProbe accumulates one solve's convergence stream. Created only when
 // the probe gate is on at solve entry; all methods are cheap appends.
 type convProbe struct {
-	report ConvergenceReport
+	report telemetry.ConvergenceReport
 	prec   Preconditioner
 
 	head []float64
@@ -143,7 +93,7 @@ type convProbe struct {
 
 func newConvProbe(a *CSR, prec Preconditioner, tol float64, maxIter int) *convProbe {
 	return &convProbe{
-		report: ConvergenceReport{
+		report: telemetry.ConvergenceReport{
 			Kind:           "pcg",
 			N:              a.N(),
 			Preconditioner: precName(prec),
@@ -151,22 +101,22 @@ func newConvProbe(a *CSR, prec Preconditioner, tol float64, maxIter int) *convPr
 			MaxIter:        maxIter,
 		},
 		prec: prec,
-		head: make([]float64, 0, probeHeadLen),
+		head: make([]float64, 0, telemetry.ResidualHeadLen),
 	}
 }
 
 // record appends one relative residual (iteration 0 before the loop, then
-// once per iteration — the same cadence as the flight recorder).
+// once per iteration).
 func (p *convProbe) record(res float64) {
-	if len(p.head) < probeHeadLen {
+	if len(p.head) < telemetry.ResidualHeadLen {
 		p.head = append(p.head, res)
 		return
 	}
 	if p.tail == nil {
-		p.tail = make([]float64, probeTailLen)
+		p.tail = make([]float64, telemetry.ResidualTailLen)
 	}
 	p.tail[p.pos] = res
-	p.pos = (p.pos + 1) % probeTailLen
+	p.pos = (p.pos + 1) % telemetry.ResidualTailLen
 	p.n++
 }
 
@@ -191,10 +141,10 @@ func (p *convProbe) betaCoeff(beta float64) {
 func (p *convProbe) residuals() ([]float64, int) {
 	out := append([]float64(nil), p.head...)
 	dropped := 0
-	if p.n > probeTailLen {
-		dropped = p.n - probeTailLen
-		for i := 0; i < probeTailLen; i++ {
-			out = append(out, p.tail[(p.pos+i)%probeTailLen])
+	if p.n > telemetry.ResidualTailLen {
+		dropped = p.n - telemetry.ResidualTailLen
+		for i := 0; i < telemetry.ResidualTailLen; i++ {
+			out = append(out, p.tail[(p.pos+i)%telemetry.ResidualTailLen])
 		}
 	} else {
 		out = append(out, p.tail[:p.n]...)
@@ -203,10 +153,10 @@ func (p *convProbe) residuals() ([]float64, int) {
 }
 
 // seal finalizes the probe into its report: spectral estimates, reduction
-// factor, detector verdicts, AMG diagnostics; then publishes the health
-// summary to telemetry (metrics, /statusz state, structured events).
+// factor, detector verdicts, AMG diagnostics; then publishes the report
+// to telemetry (metrics, /statusz state, structured events).
 // Call exactly once per solve, on every exit path.
-func (p *convProbe) seal(res CGResult, converged bool) *ConvergenceReport {
+func (p *convProbe) seal(res CGResult, converged bool) *telemetry.ConvergenceReport {
 	r := &p.report
 	r.Iterations = res.Iterations
 	r.FinalResidual = res.Residual
@@ -231,7 +181,7 @@ func (p *convProbe) seal(res CGResult, converged bool) *ConvergenceReport {
 	p.detect(r)
 	if mg, ok := p.prec.(*AMGPrec); ok {
 		st := mg.Stats()
-		amg := &AMGReport{
+		amg := &telemetry.AMGReport{
 			Levels:             st.Levels,
 			OperatorComplexity: st.OperatorComplexity,
 			GridComplexity:     st.GridComplexity,
@@ -265,7 +215,7 @@ func (p *convProbe) seal(res CGResult, converged bool) *ConvergenceReport {
 //     (early factor < degradationEarly) but the trailing window is slow
 //     (late factor > degradationFactor) — the preconditioner matched the
 //     easy part of the spectrum and lost effectiveness.
-func (p *convProbe) detect(r *ConvergenceReport) {
+func (p *convProbe) detect(r *telemetry.ConvergenceReport) {
 	rs := r.Residuals
 	if len(rs) < probeWindow+1 || r.Converged {
 		return
@@ -294,10 +244,10 @@ func (p *convProbe) detect(r *ConvergenceReport) {
 }
 
 // publish pushes the sealed report into the telemetry surfaces: the
-// solver_health_* instruments, the most-recent-health slot behind
+// solver_health_* instruments, the most-recent-report slot behind
 // /statusz, and (when the event log is on) one structured event per
 // tripped detector.
-func (p *convProbe) publish(r *ConvergenceReport) {
+func (p *convProbe) publish(r *telemetry.ConvergenceReport) {
 	mHealthReports.Add(1)
 	if r.CondEstimate > 0 {
 		mHealthCond.Set(r.CondEstimate)
@@ -314,21 +264,7 @@ func (p *convProbe) publish(r *ConvergenceReport) {
 	if r.Degradation {
 		mHealthDegradation.Add(1)
 	}
-	telemetry.RecordSolverHealth(telemetry.SolverHealth{
-		Kind:            r.Kind,
-		N:               r.N,
-		Preconditioner:  r.Preconditioner,
-		Iterations:      r.Iterations,
-		FinalResidual:   r.FinalResidual,
-		Converged:       r.Converged,
-		LambdaMin:       r.LambdaMin,
-		LambdaMax:       r.LambdaMax,
-		CondEstimate:    r.CondEstimate,
-		ReductionFactor: r.ReductionFactor,
-		Stagnation:      r.Stagnation,
-		Plateau:         r.Plateau,
-		Degradation:     r.Degradation,
-	})
+	telemetry.RecordSolverHealth(r)
 	if telemetry.EventsEnabled() {
 		if r.Stagnation {
 			telemetry.Event(slog.LevelWarn, "sparse: solver stagnation detected",
@@ -353,30 +289,68 @@ func (p *convProbe) publish(r *ConvergenceReport) {
 	}
 }
 
-// enrich appends the convergence tail and condition estimate to a solver
-// failure, so post-mortems carry the evidence. Wrapping preserves
-// errors.Is/As against the underlying cause.
-func (p *convProbe) enrich(err error) error {
-	if err == nil {
-		return nil
-	}
-	r := &p.report
-	rs := r.Residuals
-	k := len(rs) - 8
-	if k < 0 {
-		k = 0
-	}
+// fail seals the probe of a failed solve and attaches its report to both
+// the result and the error.
+func (p *convProbe) fail(res CGResult, err error) (CGResult, error) {
+	res.Health = p.seal(res, false)
+	return res, &ProbeError{Err: err, Report: res.Health}
+}
+
+// ProbeError is the error of a failed probed solve: the solver error plus
+// the solve's convergence report. Its message appends the recent
+// residuals and the condition estimate, so the first log line carries the
+// evidence; Unwrap keeps errors.Is/As working against the cause
+// (ErrNoConvergence, the SPD breakdown error, ...).
+type ProbeError struct {
+	Err    error
+	Report *telemetry.ConvergenceReport
+}
+
+func (e *ProbeError) Error() string {
+	rs := e.Report.Residuals
 	var b strings.Builder
-	for i, v := range rs[k:] {
+	b.WriteString(e.Err.Error())
+	b.WriteString(" [probe: recent residuals ")
+	for i, v := range rs[max(len(rs)-8, 0):] {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
 		fmt.Fprintf(&b, "%.3e", v)
 	}
-	if r.CondEstimate > 0 {
-		return fmt.Errorf("%w [probe: recent residuals %s; κ≈%.3g]", err, b.String(), r.CondEstimate)
+	if e.Report.CondEstimate > 0 {
+		fmt.Fprintf(&b, "; κ≈%.3g", e.Report.CondEstimate)
 	}
-	return fmt.Errorf("%w [probe: recent residuals %s]", err, b.String())
+	b.WriteByte(']')
+	return b.String()
+}
+
+// Unwrap exposes the underlying solver error.
+func (e *ProbeError) Unwrap() error { return e.Err }
+
+// ReportFromError returns the convergence report attached to err, or nil
+// when err carries none (probes off, or not a solver error).
+func ReportFromError(err error) *telemetry.ConvergenceReport {
+	var pe *ProbeError
+	if errors.As(err, &pe) {
+		return pe.Report
+	}
+	return nil
+}
+
+// precName labels a preconditioner for reports.
+func precName(p Preconditioner) string {
+	switch p.(type) {
+	case IdentityPrec, *IdentityPrec:
+		return "identity"
+	case *JacobiPrec:
+		return "jacobi"
+	case *IC0Prec:
+		return "ic0"
+	case *AMGPrec:
+		return "amg"
+	default:
+		return "custom"
+	}
 }
 
 // lanczosExtremes maps the CG coefficient stream onto the Lanczos

@@ -1,9 +1,15 @@
 package sparse
 
 import (
+	"bytes"
+	"errors"
+	"log/slog"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"voltstack/internal/telemetry"
 )
 
 // residual returns ‖b − A x‖∞.
@@ -227,5 +233,56 @@ func TestDenseLURandomRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: x[%d] = %g, want %g", trial, i, x[i], xTrue[i])
 			}
 		}
+	}
+}
+
+// indefinite2x2 is symmetric with eigenvalues 3 and -1: PCG breaks down on
+// it (pᵀAp < 0) and IC(0) cannot factor it at any shift in the ladder.
+func indefinite2x2() *CSR {
+	b := NewBuilder(2)
+	b.Add(0, 0, 1)
+	b.Add(1, 1, 1)
+	b.AddSym(0, 1, 2)
+	return b.ToCSR()
+}
+
+func TestIC0ShiftExhaustion(t *testing.T) {
+	_, err := NewIC0(indefinite2x2())
+	if err == nil {
+		t.Fatal("IC(0) factored an indefinite matrix")
+	}
+	if !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("errors.Is(ErrNotPositiveDefinite) lost: %v", err)
+	}
+	if !strings.Contains(err.Error(), "breakdown persists after") {
+		t.Errorf("exhaustion error lacks shift count: %v", err)
+	}
+	if !strings.Contains(err.Error(), "row") {
+		t.Errorf("exhaustion error lacks the failing row: %v", err)
+	}
+}
+
+// TestIC0ShiftRecoveryEvent checks the shift ladder rescues a borderline
+// matrix and reports it through the structured event log.
+func TestIC0ShiftRecoveryEvent(t *testing.T) {
+	var buf bytes.Buffer
+	telemetry.EnableEventLog(&buf, slog.LevelInfo)
+	defer telemetry.DisableEventLog()
+
+	// Slightly indefinite: unit diagonal with off-diagonal 1.01; a small
+	// diagonal shift (the 1.6e-2 rung) makes it factorable.
+	b := NewBuilder(2)
+	b.Add(0, 0, 1)
+	b.Add(1, 1, 1)
+	b.AddSym(0, 1, 1.01)
+	p, err := NewIC0(b.ToCSR())
+	if err != nil {
+		t.Fatalf("shift ladder failed to rescue: %v", err)
+	}
+	if p == nil {
+		t.Fatal("nil preconditioner")
+	}
+	if !strings.Contains(buf.String(), "diagonal shift applied") {
+		t.Errorf("no shift event emitted:\n%s", buf.String())
 	}
 }

@@ -24,11 +24,10 @@ type Flags struct {
 	Metrics    string // -metrics:    JSON dump path (+ ".prom" Prometheus dump) on exit
 	Trace      string // -trace:      Chrome trace_event JSON path on exit
 	Events     string // -events:     structured JSON-lines event log ("stderr" or a path)
-	Pprof      string // -pprof:      observability listen address (pprof + /metrics /healthz /statusz)
-	Serve      string // -serve:      same server; also enables live metrics collection
+	Serve      string // -serve:      observability listen address (pprof + /metrics /healthz /statusz); enables live metrics collection
 	CPUProfile string // -cpuprofile: pprof CPU profile path, captured for the whole run
 	Manifest   string // -manifest:   run provenance manifest JSON path on exit
-	Postmortem string // -postmortem: directory for solver post-mortem artifacts (enables the flight recorder)
+	Postmortem string // -postmortem: directory for solver post-mortem artifacts (enables convergence probes)
 	Probes     bool   // -probes:     per-solve convergence analytics (condition estimates, detectors)
 	History    string // -history:    append a per-run telemetry/convergence snapshot to the history store in this directory
 	Progress   bool   // -progress:   periodic stderr progress lines for long runs
@@ -38,7 +37,7 @@ type Flags struct {
 	HistoryOptions history.Options
 
 	manifest *Manifest
-	servers  []*Server
+	server   *Server
 	history  *history.Store
 }
 
@@ -55,11 +54,10 @@ func RegisterFlags() *Flags {
 	flag.StringVar(&f.Metrics, "metrics", "", "write a metrics dump on exit: JSON at this path, Prometheus text at path+\".prom\"")
 	flag.StringVar(&f.Trace, "trace", "", "write a Chrome trace_event JSON timing trace on exit (load in chrome://tracing or Perfetto)")
 	flag.StringVar(&f.Events, "events", "", "write a structured JSON-lines event log to this path (\"stderr\" or \"-\" for stderr)")
-	flag.StringVar(&f.Pprof, "pprof", "", "serve the observability endpoint (pprof, /metrics, /healthz, /statusz) on this address (e.g. localhost:6060)")
-	flag.StringVar(&f.Serve, "serve", "", "serve the live observability endpoint on this address and collect metrics for mid-run scraping")
+	flag.StringVar(&f.Serve, "serve", "", "serve the live observability endpoint (pprof, /metrics, /healthz, /statusz) on this address (e.g. localhost:6060) and collect metrics for mid-run scraping")
 	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
 	flag.StringVar(&f.Manifest, "manifest", "", "write a run provenance manifest (flags, seeds, VCS stamp, output hashes) to this path on exit")
-	flag.StringVar(&f.Postmortem, "postmortem", "", "write solver post-mortem JSON artifacts into this directory on failures (enables the numerical flight recorder)")
+	flag.StringVar(&f.Postmortem, "postmortem", "", "write solver post-mortem JSON artifacts into this directory on failures (enables convergence probes)")
 	flag.BoolVar(&f.Probes, "probes", false, "enable per-solve convergence probes (condition estimates, stagnation/plateau detectors); results are byte-identical either way")
 	flag.StringVar(&f.History, "history", "", "append a per-run telemetry/convergence snapshot to the history store in this directory (enables metrics and probes)")
 	flag.BoolVar(&f.Progress, "progress", true, "print periodic stderr progress lines for long sweeps and Monte Carlo runs")
@@ -71,20 +69,15 @@ func RegisterFlags() *Flags {
 // all Manifest methods are nil-safe, so no call site needs a conditional.
 func (f *Flags) RunManifest() *Manifest { return f.manifest }
 
-// ServeAddr returns the bound address of the first observability server
-// (useful when -serve was given ":0"), or "" when none is running.
-func (f *Flags) ServeAddr() string {
-	if len(f.servers) == 0 {
-		return ""
-	}
-	return f.servers[0].Addr()
-}
+// ServeAddr returns the bound address of the observability server (useful
+// when -serve was given ":0"), or "" when none is running.
+func (f *Flags) ServeAddr() string { return f.server.Addr() }
 
 // Init applies the parsed flags: enables the metric registry, tracer,
-// event log, progress reporter and flight recorder as requested, starts
-// the observability server(s), the CPU profile and the provenance
-// manifest. It returns a flush function that must run before the process
-// exits to stop profiling, shut the servers down and write every dump;
+// event log, progress reporter and convergence probes as requested, starts
+// the observability server, the CPU profile and the provenance manifest.
+// It returns a flush function that must run before the process exits to
+// stop profiling, shut the server down and write every dump;
 // flush is never nil, idempotent (the second call is a no-op returning
 // nil), and safe to call when nothing was enabled.
 //
@@ -158,25 +151,16 @@ func (f *Flags) Init() (flush func() error, err error) {
 		undo = append(undo, func() { pprof.StopCPUProfile(); cpuFile.Close() })
 	}
 
-	// One observability server per distinct address; -serve and -pprof on
-	// the same address share a single listener. Handlers live on a private
-	// mux (never http.DefaultServeMux) and the listener is closed by flush,
-	// so repeated Init calls in one process neither panic on duplicate
-	// pprof registration nor leak sockets.
-	addrs := []string{}
+	// Handlers live on a private mux (never http.DefaultServeMux) and the
+	// listener is closed by flush, so repeated Init calls in one process
+	// neither panic on duplicate pprof registration nor leak sockets.
 	if f.Serve != "" {
-		addrs = append(addrs, f.Serve)
-	}
-	if f.Pprof != "" && f.Pprof != f.Serve {
-		addrs = append(addrs, f.Pprof)
-	}
-	for _, addr := range addrs {
-		srv, err := StartServer(addr)
+		srv, err := StartServer(f.Serve)
 		if err != nil {
 			return fail(err)
 		}
-		f.servers = append(f.servers, srv)
-		undo = append(undo, func() { srv.Close() })
+		f.server = srv
+		undo = append(undo, func() { srv.Close(); f.server = nil })
 		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (/metrics /healthz /statusz /debug/pprof)\n", srv.Addr())
 	}
 
@@ -234,12 +218,10 @@ func (f *Flags) Init() (flush func() error, err error) {
 				}
 				f.history = nil
 			}
-			for _, srv := range f.servers {
-				if err := srv.Close(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-					errs = append(errs, err)
-				}
+			if err := f.server.Close(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				errs = append(errs, err)
 			}
-			f.servers = nil
+			f.server = nil
 			if f.manifest != nil {
 				if err := f.manifest.WriteFile(f.Manifest); err != nil {
 					errs = append(errs, err)
@@ -263,7 +245,7 @@ func runHistoryRecord() history.Record {
 	for name, v := range snap.Gauges {
 		vals[name] = v
 	}
-	if h, ok := LastSolverHealth(); ok {
+	if h := LastSolverHealth(); h != nil {
 		vals["health_iterations"] = float64(h.Iterations)
 		vals["health_final_residual"] = h.FinalResidual
 		if h.CondEstimate > 0 {

@@ -20,7 +20,7 @@ func cleanupGlobals(t *testing.T) {
 		DisableProgress()
 		DisableEventLog()
 		SetPostmortemDir("")
-		DisableFlightRecorder()
+		DisableConvergenceProbes()
 		statusOn.Store(false)
 	})
 }
@@ -71,16 +71,16 @@ func TestInitAddressInUse(t *testing.T) {
 	defer ln.Close()
 
 	f := &Flags{
-		Pprof:      ln.Addr().String(),
+		Serve:      ln.Addr().String(),
 		CPUProfile: filepath.Join(t.TempDir(), "cpu.out"),
 	}
 	flush, err := f.Init()
 	if err == nil {
 		flush()
-		t.Fatal("Init bound an already-bound -pprof address")
+		t.Fatal("Init bound an already-bound -serve address")
 	}
-	if len(f.servers) != 0 {
-		t.Errorf("failed Init left %d server(s) registered", len(f.servers))
+	if f.server != nil {
+		t.Error("failed Init left its server registered")
 	}
 	if err := flush(); err != nil {
 		t.Errorf("flush after failed Init: %v", err)

@@ -1,20 +1,17 @@
 // Solver-health plumbing: the process-wide gate for the convergence
-// probes that live next to the numerics in internal/sparse, and the
-// most-recent-health snapshot behind /statusz's convergence section and
-// the per-run history record.
+// probes that live next to the numerics in internal/sparse, the
+// ConvergenceReport record each probed solve produces, and the
+// most-recent-report slot behind /statusz's convergence section and the
+// per-run history record.
 //
-// The probes follow the flight-recorder discipline exactly: off by
-// default, one atomic load per solve when disabled, and — because they
-// only *read* values the solver already computed — guaranteed not to
-// perturb solver arithmetic. Results are byte-identical with the gate on
-// or off; sparsetest pins that contract at the sparse, circuit and
-// pdngrid levels.
+// The probes are off by default and cost one atomic load per solve when
+// disabled. Because they only *read* values the solver already computed,
+// they never perturb solver arithmetic: results are byte-identical with
+// the gate on or off, and sparsetest pins that contract at the sparse,
+// circuit and pdngrid levels.
 package telemetry
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 var probesOn atomic.Bool
 
@@ -33,72 +30,83 @@ func DisableConvergenceProbes() { probesOn.Store(false) }
 // a nil check and no allocation happens.
 func ProbesEnabled() bool { return probesOn.Load() }
 
-// SolverHealth is the cross-package health summary of one iterative
-// solve, produced by the sparse convergence probe and consumed by
-// /statusz, the per-job stats document and the history store. Plain data
-// so telemetry need not import sparse (which imports telemetry).
-type SolverHealth struct {
+// Residual ring bounds of a ConvergenceReport: the first ResidualHeadLen
+// residuals are always kept (the early trajectory shows the
+// preconditioner quality), the rest go through a circular buffer so the
+// final ResidualTailLen are kept too (the tail shows the stagnation or
+// divergence that killed the solve). Everything between is counted in
+// ResidualsDropped, so even a 10⁵-iteration solve stays a few KB.
+const (
+	ResidualHeadLen = 32
+	ResidualTailLen = 256
+)
+
+// AMGReport is the per-hierarchy slice of a convergence report, present
+// when the solve ran under an AMG preconditioner: the hierarchy shape
+// complexities plus the trailing per-cycle residual reduction factors
+// (each PCG iteration applies exactly one V-cycle).
+type AMGReport struct {
+	Levels             int     `json:"levels"`
+	OperatorComplexity float64 `json:"operator_complexity"`
+	GridComplexity     float64 `json:"grid_complexity"`
+	// CycleReductions holds ‖r_k‖/‖r_{k-1}‖ for the trailing iterations
+	// of the recorded trajectory (at most 31).
+	CycleReductions []float64 `json:"cycle_reductions,omitempty"`
+}
+
+// ConvergenceReport is the convergence record of one probed iterative
+// solve, built by the sparse probe and read by every surface: the solve
+// result, job-scope instruments and exemplars, /statusz, the history run
+// record, post-mortem artifacts and the solver error. It lives here, not
+// in sparse, because telemetry cannot import sparse (which imports
+// telemetry).
+type ConvergenceReport struct {
 	Kind           string  `json:"kind"` // "pcg"
 	N              int     `json:"n"`
 	Preconditioner string  `json:"preconditioner"`
-	Iterations     int     `json:"iterations"`
-	FinalResidual  float64 `json:"final_residual"`
-	Converged      bool    `json:"converged"`
+	Tol            float64 `json:"tol"`
+	MaxIter        int     `json:"max_iter"`
 
-	// Spectral estimates from the CG Lanczos tridiagonal (zero extra
-	// matvecs): extreme Ritz values of M⁻¹A and their ratio κ. Zero when
-	// the solve was too short to estimate.
+	Iterations    int     `json:"iterations"`
+	FinalResidual float64 `json:"final_residual"`
+	Converged     bool    `json:"converged"`
+	// BreakdownIter is the iteration at which pᵀAp lost positivity, 0 when
+	// the solve ended by convergence or iteration budget.
+	BreakdownIter int `json:"breakdown_iter,omitempty"`
+
+	// Spectral estimates from the first LanczosDim CG coefficients; zero
+	// when the solve ended before any iteration completed.
 	LambdaMin    float64 `json:"lambda_min,omitempty"`
 	LambdaMax    float64 `json:"lambda_max,omitempty"`
 	CondEstimate float64 `json:"cond_estimate,omitempty"`
+	LanczosDim   int     `json:"lanczos_dim,omitempty"`
 
 	// ReductionFactor is the geometric-mean per-iteration residual
-	// reduction ‖r_k‖/‖r_{k-1}‖ over the recorded trajectory (1 = no
-	// progress, smaller is faster).
+	// reduction over the whole solve ((r_final/r_0)^(1/iterations)).
 	ReductionFactor float64 `json:"reduction_factor,omitempty"`
 
-	// Detector verdicts (see sparse: stagnation = no net progress over
-	// the trailing window, plateau = reduction factor near 1 while above
-	// tolerance, degradation = the trailing window converges much slower
-	// than the leading one).
+	// Residuals is the bounded relative-residual trajectory in iteration
+	// order (index 0 = initial residual), with up to ResidualsDropped
+	// middle iterations elided between head and tail.
+	Residuals        []float64 `json:"residuals,omitempty"`
+	ResidualsDropped int       `json:"residuals_dropped,omitempty"`
+
+	// Detector verdicts over the recorded trajectory.
 	Stagnation  bool `json:"stagnation,omitempty"`
 	Plateau     bool `json:"plateau,omitempty"`
 	Degradation bool `json:"precond_degradation,omitempty"`
+
+	AMG *AMGReport `json:"amg,omitempty"`
 }
 
-// Most-recent solver health behind /statusz. Written by the sparse probe
-// at solve end (so only while probes are on), read by Status() and the
-// CLI history writer.
-var (
-	healthMu    sync.Mutex
-	lastHealth  SolverHealth
-	healthSeen  bool
-	healthCount int64
-)
+// lastHealth is the most recently probed solve's report, behind /statusz
+// and the CLI history writer. Reports are never mutated once published.
+var lastHealth atomic.Pointer[ConvergenceReport]
 
-// RecordSolverHealth stores the health summary of the most recently
-// probed solve. Called by the sparse convergence probe; cheap enough to
-// take unconditionally there (one mutex per solve, never per iteration).
-func RecordSolverHealth(h SolverHealth) {
-	healthMu.Lock()
-	lastHealth = h
-	healthSeen = true
-	healthCount++
-	healthMu.Unlock()
-}
+// RecordSolverHealth stores the report of the most recently probed solve.
+// Called by the sparse convergence probe once per solve.
+func RecordSolverHealth(r *ConvergenceReport) { lastHealth.Store(r) }
 
-// LastSolverHealth returns the most recently recorded solve health and
-// whether any solve has been probed in this process.
-func LastSolverHealth() (SolverHealth, bool) {
-	healthMu.Lock()
-	defer healthMu.Unlock()
-	return lastHealth, healthSeen
-}
-
-// SolverHealthCount returns how many probed solves have reported health
-// so far in this process.
-func SolverHealthCount() int64 {
-	healthMu.Lock()
-	defer healthMu.Unlock()
-	return healthCount
-}
+// LastSolverHealth returns the most recently recorded report, or nil when
+// no solve has been probed in this process.
+func LastSolverHealth() *ConvergenceReport { return lastHealth.Load() }

@@ -34,9 +34,6 @@ func EnableProgress(interval time.Duration) {
 // DisableProgress turns progress reporting back off.
 func DisableProgress() { progressOn.Store(false) }
 
-// ProgressEnabled reports whether progress reporting is on.
-func ProgressEnabled() bool { return progressOn.Load() }
-
 // SetProgressWriter redirects progress lines (default os.Stderr); a nil w
 // restores the default. For tests.
 func SetProgressWriter(w io.Writer) {

@@ -63,9 +63,8 @@ func (s *Scope) Exemplars() *ExemplarStore {
 	return s.ex
 }
 
-// RecordExemplar stores e in the scope (top-K by value per metric) and
-// mirrors it into the process exemplar store. Empty trace fields are filled
-// from the scope's own trace context. No-op on nil.
+// RecordExemplar stores e in the scope (top-K by value per metric). Empty
+// trace fields are filled from the scope's own trace context. No-op on nil.
 func (s *Scope) RecordExemplar(e Exemplar) {
 	if s == nil {
 		return
@@ -75,7 +74,6 @@ func (s *Scope) RecordExemplar(e Exemplar) {
 		e.SpanID = s.tc.SpanIDString()
 	}
 	s.ex.Record(e)
-	stdExemplars.Record(e)
 }
 
 type scopeCtxKey struct{}
@@ -98,16 +96,28 @@ func ScopeFrom(ctx context.Context) *Scope {
 // Exemplar links one extreme observation (a slow solve, a long queue wait)
 // to the exact trace span that produced it, with enough solver evidence
 // attached to diagnose it without re-running: iteration count, final
-// residual, and — when the flight recorder was on — the per-iteration
-// residual timeline.
+// residual, and — when convergence probes were on — one solve's residual
+// timeline, copied with its dropped count from that solve's
+// ConvergenceReport.
 type Exemplar struct {
-	Metric     string    `json:"metric"`
-	Value      float64   `json:"value"`
-	TraceID    string    `json:"trace_id,omitempty"`
-	SpanID     string    `json:"span_id,omitempty"`
-	Iterations int       `json:"iterations,omitempty"`
-	Residual   float64   `json:"residual,omitempty"`
-	Residuals  []float64 `json:"residuals,omitempty"`
+	Metric           string    `json:"metric"`
+	Value            float64   `json:"value"`
+	TraceID          string    `json:"trace_id,omitempty"`
+	SpanID           string    `json:"span_id,omitempty"`
+	Iterations       int       `json:"iterations,omitempty"`
+	Residual         float64   `json:"residual,omitempty"`
+	Residuals        []float64 `json:"residuals,omitempty"`
+	ResidualsDropped int       `json:"residuals_dropped,omitempty"`
+}
+
+// ResidualIteration returns the solver step of Residuals[i]. The head of
+// the ring holds steps 0…ResidualHeadLen−1; past it, the ResidualsDropped
+// elided steps shift the numbering.
+func (e Exemplar) ResidualIteration(i int) int {
+	if i < ResidualHeadLen {
+		return i
+	}
+	return i + e.ResidualsDropped
 }
 
 // ExemplarStore keeps, per metric, the top-K exemplars by Value. Safe for
@@ -164,9 +174,3 @@ func (s *ExemplarStore) Snapshot() []Exemplar {
 	}
 	return out
 }
-
-// stdExemplars is the process-wide exemplar store, surfaced on /statusz.
-var stdExemplars = NewExemplarStore(scopeExemplarCap)
-
-// ProcessExemplars returns the process-wide exemplar store.
-func ProcessExemplars() *ExemplarStore { return stdExemplars }

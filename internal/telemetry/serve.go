@@ -1,6 +1,6 @@
 // Live HTTP introspection: a small observability server every binary can
-// expose with -serve (and that -pprof now also uses). Unlike the -metrics
-// dump-on-exit path, these endpoints answer mid-run:
+// expose with -serve. Unlike the -metrics dump-on-exit path, these
+// endpoints answer mid-run:
 //
 //	/metrics      Prometheus text exposition of the live registry
 //	/healthz      liveness probe ({"status":"ok"} + uptime)
@@ -73,32 +73,6 @@ func activeTaskNames() []string {
 	return names
 }
 
-// AMG hierarchy tracker behind /statusz: the most recent hierarchy built
-// by sparse.NewAMG (level sizes and operator complexity), recorded only
-// while the process registry is enabled. Rebuild counts come from the
-// sparse_amg_builds_total counter.
-var (
-	amgMu            sync.Mutex
-	amgLevelUnknowns []int64
-	amgOpComplexity  float64
-)
-
-// RecordAMGHierarchy stores the shape of the most recently built AMG
-// hierarchy for /statusz. No-op while process telemetry is disabled.
-func RecordAMGHierarchy(levelUnknowns []int, opComplexity float64) {
-	if !std.on.Load() {
-		return
-	}
-	sizes := make([]int64, len(levelUnknowns))
-	for i, n := range levelUnknowns {
-		sizes[i] = int64(n)
-	}
-	amgMu.Lock()
-	amgLevelUnknowns = sizes
-	amgOpComplexity = opComplexity
-	amgMu.Unlock()
-}
-
 // StatusSnapshot is the /statusz payload: a coarse live view of where a
 // run is, assembled from the metric registry's counters.
 type StatusSnapshot struct {
@@ -112,26 +86,19 @@ type StatusSnapshot struct {
 	PCGNonConverged int64 `json:"pcg_nonconverged"`
 	MCTrials        int64 `json:"mc_trials"`
 
-	// AMG preconditioner hierarchy: rebuild count plus the shape of the
-	// most recent hierarchy (finest → coarsest unknowns per level and the
-	// operator-complexity ratio Σ level nnz / finest nnz).
-	AMGRebuilds           int64   `json:"amg_rebuilds"`
-	AMGLevels             int     `json:"amg_levels,omitempty"`
-	AMGLevelUnknowns      []int64 `json:"amg_level_unknowns,omitempty"`
-	AMGOperatorComplexity float64 `json:"amg_operator_complexity,omitempty"`
+	// AMGRebuilds counts AMG preconditioner hierarchy builds; the shape of
+	// the hierarchy behind the last probed solve is Convergence.AMG.
+	AMGRebuilds int64 `json:"amg_rebuilds"`
 
 	// Solver health: cumulative probe reports and detector trips from the
 	// solver_health_* instruments, plus the most recently probed solve's
-	// convergence summary. Populated only while convergence probes are on.
-	HealthReports      int64         `json:"solver_health_reports,omitempty"`
-	HealthStagnations  int64         `json:"solver_health_stagnations,omitempty"`
-	HealthPlateaus     int64         `json:"solver_health_plateaus,omitempty"`
-	HealthDegradations int64         `json:"solver_health_degradations,omitempty"`
-	Convergence        *SolverHealth `json:"convergence,omitempty"`
-
-	// Exemplars link the slowest observed solves back to their (trace ID,
-	// span ID) with convergence evidence attached.
-	Exemplars []Exemplar `json:"exemplars,omitempty"`
+	// convergence report without its residual trajectory. Populated only
+	// while convergence probes are on.
+	HealthReports      int64              `json:"solver_health_reports,omitempty"`
+	HealthStagnations  int64              `json:"solver_health_stagnations,omitempty"`
+	HealthPlateaus     int64              `json:"solver_health_plateaus,omitempty"`
+	HealthDegradations int64              `json:"solver_health_degradations,omitempty"`
+	Convergence        *ConvergenceReport `json:"convergence,omitempty"`
 
 	// Cache is the result cache's per-tier breakdown (memory LRU, disk
 	// spill tier), present once the cache has seen any traffic.
@@ -166,21 +133,16 @@ func Status() StatusSnapshot {
 		MCTrials:        std.Counter("em_mc_trials_total").Value(),
 		AMGRebuilds:     std.Counter("sparse_amg_builds_total").Value(),
 	}
-	amgMu.Lock()
-	if len(amgLevelUnknowns) > 0 {
-		s.AMGLevels = len(amgLevelUnknowns)
-		s.AMGLevelUnknowns = append([]int64(nil), amgLevelUnknowns...)
-		s.AMGOperatorComplexity = amgOpComplexity
-	}
-	amgMu.Unlock()
 	s.HealthReports = std.Counter("solver_health_reports_total").Value()
 	s.HealthStagnations = std.Counter("solver_health_stagnation_total").Value()
 	s.HealthPlateaus = std.Counter("solver_health_plateau_total").Value()
 	s.HealthDegradations = std.Counter("solver_health_precond_degradation_total").Value()
-	if h, ok := LastSolverHealth(); ok {
-		s.Convergence = &h
+	if h := LastSolverHealth(); h != nil {
+		// A copy without the trajectory keeps the live endpoint small.
+		c := *h
+		c.Residuals, c.ResidualsDropped = nil, 0
+		s.Convergence = &c
 	}
-	s.Exemplars = stdExemplars.Snapshot()
 	cache := CacheStatus{
 		MemHits:      std.Counter("rescache_mem_hits_total").Value(),
 		MemMisses:    std.Counter("rescache_mem_misses_total").Value(),

@@ -77,9 +77,6 @@ func EnableTracing() *Tracer {
 // record into the tracer they were started on.
 func DisableTracing() { stdTracer.Store(nil) }
 
-// TracingEnabled reports whether a process tracer is installed.
-func TracingEnabled() bool { return stdTracer.Load() != nil }
-
 // StartSpan opens a root span on the process tracer; returns nil (a valid
 // no-op span) when tracing is disabled.
 func StartSpan(name string) *Span {

@@ -178,7 +178,7 @@ func TestScopeLayering(t *testing.T) {
 		t.Error("histogram write did not propagate to the process registry")
 	}
 
-	// Exemplars inherit the scope's trace identity and mirror process-wide.
+	// Exemplars inherit the scope's trace identity.
 	scope.RecordExemplar(Exemplar{Metric: hname, Value: 0.25, Iterations: 7})
 	exs := scope.Exemplars().Snapshot()
 	if len(exs) != 1 || exs[0].TraceID != tc.TraceIDString() || exs[0].Iterations != 7 {
@@ -245,6 +245,31 @@ func BenchmarkParseTraceparent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseTraceparent(h); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestExemplarResidualIteration numbers a residual timeline by solver
+// step: verbatim when nothing was dropped, and past the ring's head
+// shifted by the dropped count when the middle was elided.
+func TestExemplarResidualIteration(t *testing.T) {
+	full := Exemplar{Residuals: make([]float64, 203)}
+	for i := range full.Residuals {
+		if got := full.ResidualIteration(i); got != i {
+			t.Fatalf("nothing dropped: entry %d numbered %d", i, got)
+		}
+	}
+	const dropped = 700
+	ring := Exemplar{Residuals: make([]float64, 288), ResidualsDropped: dropped}
+	for i, want := range map[int]int{
+		0:                   0,
+		ResidualHeadLen - 1: ResidualHeadLen - 1,
+		ResidualHeadLen:     ResidualHeadLen + dropped,
+		143:                 143 + dropped,
+		287:                 287 + dropped,
+	} {
+		if got := ring.ResidualIteration(i); got != want {
+			t.Errorf("middle dropped: entry %d numbered %d, want %d", i, got, want)
 		}
 	}
 }
