@@ -23,6 +23,10 @@ import (
 	"voltstack/internal/telemetry"
 )
 
+// coarse returns a study on the 16x16 mesh. Benchmarks of drivers that
+// solve PDN points call it inside the b.N loop: a study solves each
+// distinct point once, so a reused study would time memo hits from the
+// second iteration on.
 func coarse() *core.Study { return core.NewStudy().Coarse() }
 
 // BenchmarkTable1Params regenerates the PDN parameter table.
@@ -87,9 +91,9 @@ func BenchmarkFig3bOpenLoopValidation(b *testing.B) {
 
 // BenchmarkFig5aTSVLifetime regenerates the TSV EM-lifetime figure.
 func BenchmarkFig5aTSVLifetime(b *testing.B) {
-	s := coarse()
 	var gap float64
 	for i := 0; i < b.N; i++ {
+		s := coarse()
 		fig, err := s.Fig5a()
 		if err != nil {
 			b.Fatal(err)
@@ -106,9 +110,9 @@ func BenchmarkFig5aTSVLifetime(b *testing.B) {
 
 // BenchmarkFig5bC4Lifetime regenerates the C4 EM-lifetime figure.
 func BenchmarkFig5bC4Lifetime(b *testing.B) {
-	s := coarse()
 	var gap float64
 	for i := 0; i < b.N; i++ {
+		s := coarse()
 		fig, err := s.Fig5b()
 		if err != nil {
 			b.Fatal(err)
@@ -125,9 +129,9 @@ func BenchmarkFig5bC4Lifetime(b *testing.B) {
 
 // BenchmarkFig6NoiseSweep regenerates the IR-drop-vs-imbalance figure.
 func BenchmarkFig6NoiseSweep(b *testing.B) {
-	s := coarse()
 	var vs100 float64
 	for i := 0; i < b.N; i++ {
+		s := coarse()
 		fig, err := s.Fig6()
 		if err != nil {
 			b.Fatal(err)
@@ -151,9 +155,9 @@ func BenchmarkFig7WorkloadBoxplot(b *testing.B) {
 
 // BenchmarkFig8Efficiency regenerates the power-efficiency figure.
 func BenchmarkFig8Efficiency(b *testing.B) {
-	s := coarse()
 	var margin float64
 	for i := 0; i < b.N; i++ {
+		s := coarse()
 		fig, err := s.Fig8()
 		if err != nil {
 			b.Fatal(err)
@@ -252,9 +256,9 @@ func BenchmarkAblationMesh16(b *testing.B) {
 // BenchmarkAblationConverterPlacement sweeps converters-per-core, the
 // placement-granularity tradeoff of Sec. 5.2.
 func BenchmarkAblationConverterPlacement(b *testing.B) {
-	s := coarse()
 	var spread float64
 	for i := 0; i < b.N; i++ {
+		s := coarse()
 		pts2, err := s.VSSweep(2, []float64{0.4})
 		if err != nil {
 			b.Fatal(err)
@@ -337,9 +341,9 @@ func BenchmarkExtElectrothermal(b *testing.B) {
 // BenchmarkExtTraceNoise runs the quasi-static Markov-trace noise study
 // (extension).
 func BenchmarkExtTraceNoise(b *testing.B) {
-	s := coarse()
 	var p95 float64
 	for i := 0; i < b.N; i++ {
+		s := coarse()
 		r, err := s.ExtTraceNoise(30)
 		if err != nil {
 			b.Fatal(err)
@@ -406,9 +410,9 @@ func BenchmarkDesignSpaceExploration(b *testing.B) {
 // The results are identical in both modes — only the wall clock moves.
 
 func benchFig5a(b *testing.B, workers int) {
-	s := coarse()
-	s.Workers = workers
 	for i := 0; i < b.N; i++ {
+		s := coarse()
+		s.Workers = workers
 		if _, err := s.Fig5a(); err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"voltstack/internal/parallel"
 	"voltstack/internal/pdngrid"
 )
 
@@ -29,7 +31,8 @@ type ExtDecapSplitResult struct {
 // (8 converters' worth, ~24 % of a core) and sweeps how much of it goes
 // to converters versus trench decoupling capacitance, evaluating both
 // noise mechanisms: DC imbalance noise and transient load-step droop.
-// The stacks are kept at 4 layers so the transient solves stay fast.
+// The stacks are kept at 4 layers so the transient solves stay fast, and
+// the four splits run concurrently on the study's pool.
 func (s *Study) ExtDecapSplit(steps int) (*ExtDecapSplitResult, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("core: need at least 1 transient step")
@@ -47,7 +50,8 @@ func (s *Study) ExtDecapSplit(steps int) (*ExtDecapSplitResult, error) {
 	base := pdngrid.DefaultTransient()
 	base.Steps = steps
 
-	for _, nConv := range []int{8, 6, 4, 2} {
+	// The four splits are independent runs; each row lands at its index.
+	rows, err := parallel.Map(context.Background(), s.pool(), []int{8, 6, 4, 2}, func(_ int, nConv int) (DecapSplitRow, error) {
 		spare := budget - float64(nConv)*convArea
 		// Spare area becomes trench decap spread over the core.
 		extraDecap := spare * s.Converter.Cap.Density() / coreArea // F/m² of die
@@ -56,24 +60,28 @@ func (s *Study) ExtDecapSplit(steps int) (*ExtDecapSplitResult, error) {
 
 		p, err := s.VoltageStackedPDN(layers, nConv, pdngrid.FewTSV(), 0.5)
 		if err != nil {
-			return nil, err
+			return DecapSplitRow{}, err
 		}
 		dc, err := solveInterleaved(p, imbalance)
 		if err != nil {
-			return nil, err
+			return DecapSplitRow{}, err
 		}
 		tr, err := p.SolveTransient(tc)
 		if err != nil {
-			return nil, err
+			return DecapSplitRow{}, err
 		}
-		res.Rows = append(res.Rows, DecapSplitRow{
+		return DecapSplitRow{
 			Converters:    nConv,
 			DecapAreaPct:  100 * spare / coreArea,
 			DecapPerMM2:   tc.DecapPerArea * 1e9 / 1e6,
 			DCNoisePct:    100 * dc.MaxIRDropFrac,
 			FirstDroopPct: 100 * tr.WorstDroopFrac,
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.Rows = rows
 	return res, nil
 }
 

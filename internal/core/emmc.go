@@ -31,7 +31,6 @@ type ExtEMMonteCarloResult struct {
 // for both conductor arrays. Deterministic for a fixed study seed and any
 // worker count. Cancelling ctx stops the Monte Carlo sampling.
 func (s *Study) ExtEMMonteCarlo(ctx context.Context, trials int) (*ExtEMMonteCarloResult, error) {
-	defer s.observe("ext-em-mc")()
 	if trials < 1 {
 		return nil, fmt.Errorf("core: need at least 1 Monte Carlo trial")
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"sync"
 
 	"voltstack/internal/floorplan"
 	"voltstack/internal/parallel"
@@ -54,7 +55,6 @@ type Table2Row struct {
 // Table2 returns the three TSV topologies with their computed area
 // overheads.
 func (s *Study) Table2() []Table2Row {
-	defer s.observe("table2")()
 	var rows []Table2Row
 	for _, t := range []pdngrid.TSVTopology{pdngrid.DenseTSV(), pdngrid.SparseTSV(), pdngrid.FewTSV()} {
 		rows = append(rows, Table2Row{
@@ -80,7 +80,6 @@ type Fig3Point struct {
 
 // fig3 runs the validation at the given loads under the given control.
 func (s *Study) fig3(ctrl sc.Control, loadsMA []float64) ([]Fig3Point, error) {
-	defer s.observe("fig3")()
 	const vin = 2.0 // two stacked 1 V loads
 	var out []Fig3Point
 	for _, mA := range loadsMA {
@@ -135,40 +134,30 @@ type Fig5 struct {
 // topology. Pads are fully allocated to power (the paper's 32 Vdd pads
 // per core). All values are normalized to the 2-layer V-S point.
 func (s *Study) Fig5a() (*Fig5, error) {
-	defer s.observe("fig5a")()
 	const padFrac = 1.0
 	layers := s.scanLayers()
 	type scenario struct {
-		label string
-		build func(l int) (*pdngrid.PDN, error)
+		label  string
+		config func(l int) pdngrid.Config
 	}
 	scenarios := []scenario{
-		{"Reg. PDN, Dense TSV", func(l int) (*pdngrid.PDN, error) { return s.RegularPDN(l, pdngrid.DenseTSV(), padFrac) }},
-		{"Reg. PDN, Sparse TSV", func(l int) (*pdngrid.PDN, error) { return s.RegularPDN(l, pdngrid.SparseTSV(), padFrac) }},
-		{"Reg. PDN, Few TSV", func(l int) (*pdngrid.PDN, error) { return s.RegularPDN(l, pdngrid.FewTSV(), padFrac) }},
-		{"V-S PDN, Few TSV", func(l int) (*pdngrid.PDN, error) { return s.VoltageStackedPDN(l, 4, pdngrid.FewTSV(), padFrac) }},
+		{"Reg. PDN, Dense TSV", func(l int) pdngrid.Config { return s.regularConfig(l, pdngrid.DenseTSV(), padFrac) }},
+		{"Reg. PDN, Sparse TSV", func(l int) pdngrid.Config { return s.regularConfig(l, pdngrid.SparseTSV(), padFrac) }},
+		{"Reg. PDN, Few TSV", func(l int) pdngrid.Config { return s.regularConfig(l, pdngrid.FewTSV(), padFrac) }},
+		{"V-S PDN, Few TSV", func(l int) pdngrid.Config { return s.vsConfig(l, 4, pdngrid.FewTSV(), padFrac) }},
 	}
 
 	// Flatten the scenario × layer grid, plus the normalization base (the
-	// 2-layer V-S point) at index 0, into independent solves for the
-	// worker pool; every task builds its own PDN.
-	type task struct{ si, layer int }
-	tasks := []task{{3, 2}}
-	for si := range scenarios {
+	// 2-layer V-S point, which the memo shares with its series point) at
+	// index 0, into independent tasks for the worker pool.
+	tasks := []pdngrid.Config{scenarios[3].config(2)}
+	for _, sc := range scenarios {
 		for _, l := range layers {
-			tasks = append(tasks, task{si, l})
+			tasks = append(tasks, sc.config(l))
 		}
 	}
-	lives, err := parallel.Map(context.Background(), s.pool(), tasks, func(_ int, tk task) (float64, error) {
-		p, err := scenarios[tk.si].build(tk.layer)
-		if err != nil {
-			return 0, err
-		}
-		r, err := solveUniform(p)
-		if err != nil {
-			return 0, err
-		}
-		return s.TSVLifetime(r)
+	lives, err := parallel.Map(context.Background(), s.pool(), tasks, func(_ int, cfg pdngrid.Config) (float64, error) {
+		return s.uniformTSVLifetime(cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -195,28 +184,23 @@ func (s *Study) Fig5a() (*Fig5, error) {
 // with 25 %. TSV topology is fixed (Few) since the C4 array's EM
 // robustness is insensitive to it. Normalized to the 2-layer V-S point.
 func (s *Study) Fig5b() (*Fig5, error) {
-	defer s.observe("fig5b")()
 	layers := s.scanLayers()
 	fracs := []float64{0.25, 0.5, 0.75, 1.0}
 
 	// Flatten every series point, plus the normalization base (2-layer
-	// V-S at 25 %) at index 0, into independent solves.
-	type task struct {
-		kind   pdngrid.Kind
-		layers int
-		frac   float64
-	}
-	tasks := []task{{pdngrid.VoltageStacked, 2, 0.25}}
+	// V-S at 25 %, which the memo shares with its series point) at
+	// index 0, into independent tasks.
+	tasks := []pdngrid.Config{s.vsConfig(2, 4, pdngrid.FewTSV(), 0.25)}
 	for _, frac := range fracs {
 		for _, l := range layers {
-			tasks = append(tasks, task{pdngrid.Regular, l, frac})
+			tasks = append(tasks, s.regularConfig(l, pdngrid.FewTSV(), frac))
 		}
 	}
 	for _, l := range layers {
-		tasks = append(tasks, task{pdngrid.VoltageStacked, l, 0.25})
+		tasks = append(tasks, s.vsConfig(l, 4, pdngrid.FewTSV(), 0.25))
 	}
-	lives, err := parallel.Map(context.Background(), s.pool(), tasks, func(_ int, tk task) (float64, error) {
-		return s.c4LifetimeAt(tk.kind, tk.layers, tk.frac)
+	lives, err := parallel.Map(context.Background(), s.pool(), tasks, func(_ int, cfg pdngrid.Config) (float64, error) {
+		return s.uniformC4Lifetime(cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -244,24 +228,6 @@ func (s *Study) Fig5b() (*Fig5, error) {
 	return fig, nil
 }
 
-func (s *Study) c4LifetimeAt(kind pdngrid.Kind, layers int, padFrac float64) (float64, error) {
-	var p *pdngrid.PDN
-	var err error
-	if kind == pdngrid.Regular {
-		p, err = s.RegularPDN(layers, pdngrid.FewTSV(), padFrac)
-	} else {
-		p, err = s.VoltageStackedPDN(layers, 4, pdngrid.FewTSV(), padFrac)
-	}
-	if err != nil {
-		return 0, err
-	}
-	r, err := solveUniform(p)
-	if err != nil {
-		return 0, err
-	}
-	return s.C4Lifetime(r)
-}
-
 // ---------------------------------------------------------------- Fig. 6/8
 
 // VSSweepPoint is one (converter count, imbalance) operating point of the
@@ -275,25 +241,31 @@ type VSSweepPoint struct {
 }
 
 // VSSweep sweeps workload imbalance for one converter allocation on the
-// deepest stack. The sweep points are solved concurrently: Solve never
-// mutates the built PDN, so the points share one network description.
+// deepest stack. Each point is solved at most once per study; the points
+// missing from the memo are solved concurrently on one PDN, built on the
+// first miss (Solve never mutates it).
 func (s *Study) VSSweep(convPerCore int, imbalances []float64) ([]VSSweepPoint, error) {
-	p, err := s.VoltageStackedPDN(s.MaxLayers, convPerCore, pdngrid.FewTSV(), 0.5)
-	if err != nil {
-		return nil, err
-	}
+	cfg := s.vsConfig(s.MaxLayers, convPerCore, pdngrid.FewTSV(), 0.5)
+	fp := cfg.CacheFingerprint()
+	build := sync.OnceValues(func() (*pdngrid.PDN, error) { return pdngrid.New(cfg) })
 	return parallel.Map(context.Background(), s.pool(), imbalances, func(_ int, imb float64) (VSSweepPoint, error) {
-		r, err := solveInterleaved(p, imb)
-		if err != nil {
-			return VSSweepPoint{}, err
-		}
-		return VSSweepPoint{
-			Imbalance:  imb,
-			MaxIRPct:   100 * r.MaxIRDropFrac,
-			Efficiency: r.Efficiency,
-			MaxConvMA:  r.MaxConverterCurrent / units.Milliampere,
-			OverLimit:  r.OverLimit,
-		}, nil
+		return memo(s, []any{"vs-sweep-point", fp, "interleaved", imb}, func() (VSSweepPoint, error) {
+			p, err := build()
+			if err != nil {
+				return VSSweepPoint{}, err
+			}
+			r, err := solveInterleaved(p, imb)
+			if err != nil {
+				return VSSweepPoint{}, err
+			}
+			return VSSweepPoint{
+				Imbalance:  imb,
+				MaxIRPct:   100 * r.MaxIRDropFrac,
+				Efficiency: r.Efficiency,
+				MaxConvMA:  r.MaxConverterCurrent / units.Milliampere,
+				OverLimit:  r.OverLimit,
+			}, nil
+		})
 	})
 }
 
@@ -315,7 +287,6 @@ var Fig6ConvCounts = []int{2, 4, 6, 8}
 // V-S PDN (Few TSV, 2-8 converters/core) against the regular PDN's
 // worst-case lines for the three TSV topologies.
 func (s *Study) Fig6() (*Fig6, error) {
-	defer s.observe("fig6")()
 	imbs := imbalanceAxis()
 	fig := &Fig6{
 		Imbalances:   imbs,
@@ -339,15 +310,7 @@ func (s *Study) Fig6() (*Fig6, error) {
 	}
 	topos := []pdngrid.TSVTopology{pdngrid.DenseTSV(), pdngrid.SparseTSV(), pdngrid.FewTSV()}
 	lines, err := parallel.Map(context.Background(), s.pool(), topos, func(_ int, tsv pdngrid.TSVTopology) (float64, error) {
-		p, err := s.RegularPDN(s.MaxLayers, tsv, 0.5)
-		if err != nil {
-			return 0, err
-		}
-		r, err := solveUniform(p)
-		if err != nil {
-			return 0, err
-		}
-		return 100 * r.MaxIRDropFrac, nil
+		return s.uniformMaxIRPct(s.regularConfig(s.MaxLayers, tsv, 0.5))
 	})
 	if err != nil {
 		return nil, err
@@ -380,7 +343,6 @@ type Fig8 struct {
 // Fig8 evaluates system power efficiency vs. imbalance for the V-S PDN at
 // 2-8 converters per core and for the regular-PDN-with-SC baseline.
 func (s *Study) Fig8() (*Fig8, error) {
-	defer s.observe("fig8")()
 	imbs := imbalanceAxis()[1:] // the paper's x-axis starts at 10%
 	fig := &Fig8{Imbalances: imbs, VS: map[int][]float64{}}
 	for _, n := range Fig6ConvCounts {
@@ -437,7 +399,6 @@ type Fig7 struct {
 
 // Fig7 evaluates the synthetic Parsec populations.
 func (s *Study) Fig7() *Fig7 {
-	defer s.observe("fig7")()
 	suite := s.Workloads()
 	fig := &Fig7{
 		AverageMaxImbalance: suite.AverageMaxImbalance(),
@@ -465,7 +426,6 @@ type ThermalCheck struct {
 
 // Thermal runs the stack feasibility check.
 func (s *Study) Thermal() (*ThermalCheck, error) {
-	defer s.observe("thermal")()
 	die := s.Chip.Die()
 	cfg := thermal.DefaultConfig(die, 8)
 	fp, err := s.Chip.Floorplan()
@@ -529,10 +489,11 @@ type Headlines struct {
 
 // Headlines computes the summary claims from the underlying experiments.
 // Its four independent inputs — Fig. 5a, Fig. 5b, the fine-grained
-// imbalance sweep and the dense-PDN reference solve — run concurrently on
+// imbalance sweep and the dense-PDN reference line — run concurrently on
 // the study's pool; each is itself deterministic, so so is the summary.
+// They go through the study's memo, so after Fig. 5a, Fig. 5b and Fig. 6
+// only the two sweep points off Fig. 6's axis (55 % and 65 %) are solved.
 func (s *Study) Headlines() (*Headlines, error) {
-	defer s.observe("headlines")()
 	h := &Headlines{}
 
 	// Fine-grained imbalance sweep for the crossover and the 65% delta.
@@ -546,17 +507,9 @@ func (s *Study) Headlines() (*Headlines, error) {
 		func() (err error) { f5a, err = s.Fig5a(); return },
 		func() (err error) { f5b, err = s.Fig5b(); return },
 		func() (err error) { pts, err = s.VSSweep(8, imbs); return },
-		func() error {
-			pDense, err := s.RegularPDN(s.MaxLayers, pdngrid.DenseTSV(), 0.5)
-			if err != nil {
-				return err
-			}
-			rDense, err := solveUniform(pDense)
-			if err != nil {
-				return err
-			}
-			dense = 100 * rDense.MaxIRDropFrac
-			return nil
+		func() (err error) {
+			dense, err = s.uniformMaxIRPct(s.regularConfig(s.MaxLayers, pdngrid.DenseTSV(), 0.5))
+			return
 		},
 	)
 	if err != nil {

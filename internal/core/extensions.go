@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"voltstack/internal/parallel"
 	"voltstack/internal/pdngrid"
 	"voltstack/internal/sc"
 	"voltstack/internal/sched"
@@ -31,7 +33,8 @@ type ExtTransientResult struct {
 }
 
 // ExtTransient runs the load-step comparison on 4-layer stacks (kept
-// moderate so the run stays interactive).
+// moderate so the run stays interactive). Its three transient runs go
+// concurrently on the study's pool.
 func (s *Study) ExtTransient() (*ExtTransientResult, error) {
 	const layers = 4
 	tc := pdngrid.DefaultTransient()
@@ -41,22 +44,20 @@ func (s *Study) ExtTransient() (*ExtTransientResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rr, err := reg.SolveTransient(tc)
-	if err != nil {
-		return nil, err
-	}
 	vs, err := s.VoltageStackedPDN(layers, 8, pdngrid.FewTSV(), 0.5)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := vs.SolveTransient(tc)
-	if err != nil {
-		return nil, err
-	}
-
 	big := tc
 	big.DecapPerArea *= 4
-	rrBig, err := reg.SolveTransient(big)
+
+	// The three runs are independent; SolveTransient only reads the PDN.
+	var rr, rv, rrBig *pdngrid.TransientResult
+	err = parallel.Go(context.Background(), s.pool(),
+		func() (err error) { rr, err = reg.SolveTransient(tc); return },
+		func() (err error) { rv, err = vs.SolveTransient(tc); return },
+		func() (err error) { rrBig, err = reg.SolveTransient(big); return },
+	)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+
+	"voltstack/internal/telemetry"
 )
 
 // Experiment registry: the canonical name → driver mapping behind both
@@ -207,6 +209,14 @@ var csvRunners = map[string]func(*Study) (string, error){
 	},
 }
 
+// Experiment instrumentation: how many experiments ran and how long each
+// took, with one core.<name> trace span per experiment. No-ops unless
+// telemetry is enabled.
+var (
+	mExperiments       = telemetry.NewCounter("core_experiments_total")
+	mExperimentSeconds = telemetry.NewHistogram("core_experiment_seconds")
+)
+
 // ExperimentNames returns every registered experiment in canonical order.
 // The returned slice is fresh; callers may mutate it.
 func ExperimentNames() []string {
@@ -236,7 +246,9 @@ func CSVExperimentNames() []string {
 }
 
 // RunExperiment runs one named experiment driver on s and returns its
-// rendered output — the exact bytes vsexplore prints for it.
+// rendered output — the exact bytes vsexplore prints for it. Each run
+// opens one core.<name> span (annotated with s.Trace) and task, and
+// counts once in core_experiments_total.
 func RunExperiment(s *Study, name string, csv bool) (string, error) {
 	runners := textRunners
 	if csv {
@@ -249,5 +261,14 @@ func RunExperiment(s *Study, name string, csv bool) (string, error) {
 		}
 		return "", fmt.Errorf("core: unknown experiment %q", name)
 	}
+	sp := telemetry.StartSpanTrace("core."+name, s.Trace)
+	t0 := telemetry.Now()
+	telemetry.TaskStart("core." + name)
+	defer func() {
+		telemetry.TaskEnd("core." + name)
+		mExperiments.Add(1)
+		mExperimentSeconds.Since(t0)
+		sp.End()
+	}()
 	return run(s)
 }

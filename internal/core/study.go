@@ -8,40 +8,18 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"voltstack/internal/em"
 	"voltstack/internal/parallel"
 	"voltstack/internal/pdngrid"
 	"voltstack/internal/power"
+	"voltstack/internal/rescache"
 	"voltstack/internal/sc"
 	"voltstack/internal/telemetry"
 	"voltstack/internal/units"
 	"voltstack/internal/workload"
 )
-
-// Experiment-driver instrumentation: how many figure/table drivers ran and
-// how long each took, with one trace span per driver. No-ops unless
-// telemetry is enabled.
-var (
-	mExperiments       = telemetry.NewCounter("core_experiments_total")
-	mExperimentSeconds = telemetry.NewHistogram("core_experiment_seconds")
-)
-
-// observe opens a span and timer for one experiment driver; the returned
-// func ends both:
-//
-//	defer s.observe("fig5a")()
-func (s *Study) observe(name string) func() {
-	sp := telemetry.StartSpanTrace("core."+name, s.Trace)
-	t0 := telemetry.Now()
-	telemetry.TaskStart("core." + name)
-	return func() {
-		telemetry.TaskEnd("core." + name)
-		mExperiments.Add(1)
-		mExperimentSeconds.Since(t0)
-		sp.End()
-	}
-}
 
 // Study holds the shared configuration of a cross-layer exploration.
 // NewStudy returns the paper's setup; fields may be overridden before
@@ -68,6 +46,10 @@ type Study struct {
 	// join the submitter's trace. The zero value (the default) leaves the
 	// spans unannotated; results are identical either way.
 	Trace telemetry.TraceContext
+
+	// memo holds the small records derived from PDN solves, so that each
+	// distinct point is solved once per study (see memo).
+	memo memoTable
 }
 
 // NewStudy returns the paper's configuration: the 16-core A9-class layer,
@@ -99,19 +81,27 @@ func (s *Study) Coarse() *Study {
 
 // RegularPDN builds a regular-PDN scenario.
 func (s *Study) RegularPDN(layers int, tsv pdngrid.TSVTopology, padFrac float64) (*pdngrid.PDN, error) {
-	return pdngrid.New(pdngrid.Config{
+	return pdngrid.New(s.regularConfig(layers, tsv, padFrac))
+}
+
+// VoltageStackedPDN builds a V-S scenario with the study's converter.
+func (s *Study) VoltageStackedPDN(layers, convPerCore int, tsv pdngrid.TSVTopology, padFrac float64) (*pdngrid.PDN, error) {
+	return pdngrid.New(s.vsConfig(layers, convPerCore, tsv, padFrac))
+}
+
+func (s *Study) regularConfig(layers int, tsv pdngrid.TSVTopology, padFrac float64) pdngrid.Config {
+	return pdngrid.Config{
 		Kind:             pdngrid.Regular,
 		Layers:           layers,
 		Chip:             s.Chip,
 		Params:           s.Params,
 		TSV:              tsv,
 		PadPowerFraction: padFrac,
-	})
+	}
 }
 
-// VoltageStackedPDN builds a V-S scenario with the study's converter.
-func (s *Study) VoltageStackedPDN(layers, convPerCore int, tsv pdngrid.TSVTopology, padFrac float64) (*pdngrid.PDN, error) {
-	return pdngrid.New(pdngrid.Config{
+func (s *Study) vsConfig(layers, convPerCore int, tsv pdngrid.TSVTopology, padFrac float64) pdngrid.Config {
+	return pdngrid.Config{
 		Kind:              pdngrid.VoltageStacked,
 		Layers:            layers,
 		Chip:              s.Chip,
@@ -120,6 +110,105 @@ func (s *Study) VoltageStackedPDN(layers, convPerCore int, tsv pdngrid.TSVTopolo
 		PadPowerFraction:  padFrac,
 		ConvertersPerCore: convPerCore,
 		Converter:         s.Converter,
+	}
+}
+
+// memoTable is a Study's single-flight memo. The zero value is ready to
+// use.
+type memoTable struct {
+	mu      sync.Mutex
+	entries map[string]*memoEntry
+}
+
+type memoEntry struct {
+	done chan struct{} // closed once val and err are set
+	val  any
+	err  error
+}
+
+// memo returns f's value for the content address of keyParts, calling f
+// at most once per key and study: concurrent callers of a key wait for
+// the first caller's result. A failed call is not kept, so the next
+// caller retries.
+//
+// keyParts must hold everything the value depends on. For a PDN point
+// that is rescache.Key(tag, cfg.CacheFingerprint(), activity pattern,
+// derivation inputs), so a Study field changed between calls can never
+// return a stale value. Values must stay small (a sweep point, a
+// lifetime, an IR-drop line): the memo lives as long as the study, and a
+// *pdngrid.Result would keep every node voltage alive with it. Because a
+// reused engine gives the same bits as a cold one, which caller computes
+// a point cannot change its value.
+func memo[T any](s *Study, keyParts []any, f func() (T, error)) (T, error) {
+	var zero T
+	key, err := rescache.Key(keyParts...)
+	if err != nil {
+		return zero, err
+	}
+	t := &s.memo
+	t.mu.Lock()
+	if e, ok := t.entries[key]; ok {
+		t.mu.Unlock()
+		<-e.done
+		if e.err != nil {
+			return zero, e.err
+		}
+		return e.val.(T), nil
+	}
+	if t.entries == nil {
+		t.entries = map[string]*memoEntry{}
+	}
+	e := &memoEntry{done: make(chan struct{})}
+	t.entries[key] = e
+	t.mu.Unlock()
+
+	v, err := f()
+	e.val, e.err = v, err
+	if err != nil {
+		t.mu.Lock()
+		delete(t.entries, key)
+		t.mu.Unlock()
+	}
+	close(e.done)
+	return v, err
+}
+
+// uniformPoint solves cfg's scenario with every layer fully active, at
+// most once per study and derivation, and returns derive's number from
+// the result. tag names the derivation and in holds its inputs besides
+// cfg.
+func (s *Study) uniformPoint(cfg pdngrid.Config, tag string, in any, derive func(*pdngrid.Result) (float64, error)) (float64, error) {
+	return memo(s, []any{tag, cfg.CacheFingerprint(), "uniform", in}, func() (float64, error) {
+		p, err := pdngrid.New(cfg)
+		if err != nil {
+			return 0, err
+		}
+		r, err := solveUniform(p)
+		if err != nil {
+			return 0, err
+		}
+		return derive(r)
+	})
+}
+
+// uniformTSVLifetime is the TSV-array lifetime of cfg's scenario at full
+// activity. cfg carries the study's Params, so the key covers the
+// temperature the lifetime is evaluated at.
+func (s *Study) uniformTSVLifetime(cfg pdngrid.Config) (float64, error) {
+	return s.uniformPoint(cfg, "tsv-lifetime", s.EMTsv, s.TSVLifetime)
+}
+
+// uniformC4Lifetime is the C4-array lifetime of cfg's scenario at full
+// activity.
+func (s *Study) uniformC4Lifetime(cfg pdngrid.Config) (float64, error) {
+	return s.uniformPoint(cfg, "c4-lifetime", s.EMC4, s.C4Lifetime)
+}
+
+// uniformMaxIRPct is the max on-chip IR drop (% Vdd) of cfg's scenario
+// at full activity: the regular PDN's worst-case line.
+func (s *Study) uniformMaxIRPct(cfg pdngrid.Config) (float64, error) {
+	return s.uniformPoint(cfg, "max-ir", nil, func(r *pdngrid.Result) (float64, error) {
+		return 100 * r.MaxIRDropFrac, nil
 	})
 }
 

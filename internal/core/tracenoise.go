@@ -66,15 +66,10 @@ func (s *Study) ExtTraceNoise(steps int) (*ExtTraceNoiseResult, error) {
 	q := func(f float64) float64 { return droops[int(f*float64(len(droops)-1))] }
 	res.P50, res.P95, res.Max = q(0.5), q(0.95), droops[len(droops)-1]
 
-	reg, err := s.RegularPDN(layers, pdngrid.DenseTSV(), 0.5)
+	res.RegularWorstPct, err = s.uniformMaxIRPct(s.regularConfig(layers, pdngrid.DenseTSV(), 0.5))
 	if err != nil {
 		return nil, err
 	}
-	rr, err := solveUniform(reg)
-	if err != nil {
-		return nil, err
-	}
-	res.RegularWorstPct = 100 * rr.MaxIRDropFrac
 	below := 0
 	for _, d := range droops {
 		if d < res.RegularWorstPct {

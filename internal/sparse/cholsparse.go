@@ -29,9 +29,13 @@ type SparseChol struct {
 	perm []int // old -> new
 	inv  []int // new -> old
 
+	// Below-diagonal entries in compressed sparse columns: column j's
+	// rows and values are colRow/colVal[colPtr[j]:colPtr[j+1]], rows
+	// ascending.
 	diag   []float64
-	colRow [][]int32   // below-diagonal rows per column
-	colVal [][]float64 // matching values
+	colPtr []int32
+	colRow []int32
+	colVal []float64
 }
 
 // cholSymbolic is the structural phase of FactorSparse: the
@@ -46,7 +50,8 @@ type cholSymbolic struct {
 
 	patPtr []int32 // row i's factor pattern is pattern[patPtr[i]:patPtr[i+1]]
 	patRow []int32 // concatenated patterns, topological order per row
-	colRow [][]int32
+	colPtr []int32 // factor column structure, as in SparseChol
+	colRow []int32
 }
 
 // FactorSparse computes the sparse Cholesky factorization of the SPD
@@ -111,13 +116,17 @@ func analyzeChol(a *CSR, ord Ordering) (*cholSymbolic, error) {
 	// Factor column structure: column j holds every row i whose pattern
 	// contains j, in ascending row order (the order the numeric phase
 	// emits them).
-	s.colRow = make([][]int32, n)
+	s.colPtr = make([]int32, n+1)
 	for j := 0; j < n; j++ {
-		s.colRow[j] = make([]int32, 0, counts[j])
+		s.colPtr[j+1] = s.colPtr[j] + counts[j]
 	}
+	s.colRow = make([]int32, s.colPtr[n])
+	next := counts // reused as each column's fill cursor
+	copy(next, s.colPtr[:n])
 	for i := 0; i < n; i++ {
 		for _, j := range s.patRow[s.patPtr[i]:s.patPtr[i+1]] {
-			s.colRow[j] = append(s.colRow[j], int32(i))
+			s.colRow[next[j]] = int32(i)
+			next[j]++
 		}
 	}
 	return s, nil
@@ -155,11 +164,9 @@ func (s *cholSymbolic) factor(a *CSR) (*SparseChol, error) {
 		perm:   s.perm,
 		inv:    s.inv,
 		diag:   make([]float64, n),
+		colPtr: s.colPtr,
 		colRow: s.colRow,
-		colVal: make([][]float64, n),
-	}
-	for j := 0; j < n; j++ {
-		f.colVal[j] = make([]float64, len(s.colRow[j]))
+		colVal: make([]float64, len(s.colRow)),
 	}
 	// Place a's values into the permuted lower triangle (entries are
 	// unique, so placement is assignment).
@@ -189,13 +196,14 @@ func (s *cholSymbolic) factor(a *CSR) (*SparseChol, error) {
 			j := int(j32)
 			lij := x[j] / f.diag[j]
 			x[j] = 0
-			rows := s.colRow[j][:cnt[j]]
-			vals := f.colVal[j]
+			lo, fill := f.colPtr[j], f.colPtr[j]+cnt[j]
+			rows := f.colRow[lo:fill]
+			vals := f.colVal[lo:fill]
 			for k := range rows {
 				x[rows[k]] -= vals[k] * lij
 			}
 			d -= lij * lij
-			f.colVal[j][cnt[j]] = lij
+			f.colVal[fill] = lij
 			cnt[j]++
 		}
 		if d <= 0 || math.IsNaN(d) {
@@ -210,13 +218,7 @@ func (s *cholSymbolic) factor(a *CSR) (*SparseChol, error) {
 func (f *SparseChol) N() int { return f.n }
 
 // NNZ returns the number of stored factor entries including the diagonal.
-func (f *SparseChol) NNZ() int {
-	total := f.n
-	for _, c := range f.colRow {
-		total += len(c)
-	}
-	return total
-}
+func (f *SparseChol) NNZ() int { return f.n + len(f.colRow) }
 
 // Solve returns x with A·x = b.
 func (f *SparseChol) Solve(b []float64) []float64 {
@@ -235,8 +237,9 @@ func (f *SparseChol) SolveTo(dst, b []float64) {
 	// Forward: L y' = y (column-oriented sweep).
 	for j := 0; j < f.n; j++ {
 		y[j] /= f.diag[j]
-		rows := f.colRow[j]
-		vals := f.colVal[j]
+		lo, hi := f.colPtr[j], f.colPtr[j+1]
+		rows := f.colRow[lo:hi]
+		vals := f.colVal[lo:hi]
 		yj := y[j]
 		for k := range rows {
 			y[rows[k]] -= vals[k] * yj
@@ -244,8 +247,9 @@ func (f *SparseChol) SolveTo(dst, b []float64) {
 	}
 	// Backward: Lᵀ x' = y'.
 	for j := f.n - 1; j >= 0; j-- {
-		rows := f.colRow[j]
-		vals := f.colVal[j]
+		lo, hi := f.colPtr[j], f.colPtr[j+1]
+		rows := f.colRow[lo:hi]
+		vals := f.colVal[lo:hi]
 		s := y[j]
 		for k := range rows {
 			s -= vals[k] * y[rows[k]]
