@@ -129,29 +129,31 @@ trace-demo: build
 	@echo "trace: load /tmp/voltstack-trace-demo/trace.json in https://ui.perfetto.dev"
 
 # health-demo exercises the solver-health observability path end to end:
-# the daemon (convergence probes always on) journals per-job snapshots into
-# a persistent history store, vsctl renders a finished job's health report
-# (condition estimate, residual curve, detector verdicts), /statusz serves
-# the live convergence section, and after the drain vsreport trend analyzes
-# the accumulated history for iteration/conditioning regressions.
+# the daemon (convergence probes always on) runs a PCG-sized sweep, vsctl
+# renders the finished job's health report (condition estimate, residual
+# curve, detector verdicts) and /statusz serves the live convergence
+# section. A restarted daemon on the same state dir runs the same sweep
+# again, and vsreport trend reads both jobs' frozen stats from the journal
+# and compares their iterations and conditioning.
 health-demo: build
 	$(GO) build -o bin/vsserved ./cmd/vsserved
 	$(GO) build -o bin/vsctl ./cmd/vsctl
 	$(GO) build -o bin/vsreport ./cmd/vsreport
 	rm -rf /tmp/voltstack-health-demo && mkdir -p /tmp/voltstack-health-demo
-	./bin/vsserved -addr localhost:18326 \
-		-state-dir /tmp/voltstack-health-demo/state \
-		-history /tmp/voltstack-health-demo/history & pid=$$!; \
 	export VSSERVED_ADDR=http://localhost:18326; \
-	for i in $$(seq 1 100); do ./bin/vsctl list >/dev/null 2>&1 && break; sleep 0.1; done; \
-	./bin/vsctl run -sweep -layers 8 -grid 24 -pads 0.5 -converters 4 -tsvs dense > /dev/null; \
-	./bin/vsctl run -sweep -layers 8 -grid 24 -pads 0.25 -converters 4 -tsvs dense > /dev/null; \
-	id=$$(./bin/vsctl list | grep -o '"id": "[^"]*"' | head -1 | cut -d'"' -f4); \
-	./bin/vsctl health $$id; \
-	echo "statusz convergence:"; \
-	curl -s http://localhost:18326/statusz | sed -n '/"convergence"/,/}/p'; \
-	kill -TERM $$pid; wait $$pid
-	./bin/vsreport trend /tmp/voltstack-health-demo/history
+	for run in 1 2; do \
+		./bin/vsserved -addr localhost:18326 -state-dir /tmp/voltstack-health-demo/state & pid=$$!; \
+		for i in $$(seq 1 100); do ./bin/vsctl list >/dev/null 2>&1 && break; sleep 0.1; done; \
+		./bin/vsctl run -sweep -layers 8 -grid 24 -pads 0.5 -converters 4 -tsvs dense > /dev/null; \
+		if [ $$run = 1 ]; then \
+			id=$$(./bin/vsctl list | grep -o '"id": "[^"]*"' | head -1 | cut -d'"' -f4); \
+			./bin/vsctl health $$id; \
+			echo "statusz convergence:"; \
+			curl -s http://localhost:18326/statusz | sed -n '/"convergence"/,/}/p'; \
+		fi; \
+		kill -TERM $$pid; wait $$pid; \
+	done
+	./bin/vsreport trend /tmp/voltstack-health-demo/state
 
 # serve-demo starts the evaluation daemon, runs the same job twice through
 # vsctl (the second is a content-addressed cache hit: identical bytes, zero

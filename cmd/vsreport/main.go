@@ -1,6 +1,6 @@
 // Command vsreport inspects and compares run provenance manifests written
-// by the other binaries' -manifest flag, and analyzes persistent telemetry
-// history stores for solver-health trends.
+// by the other binaries' -manifest flag, and follows solver-health trends
+// across finished daemon jobs and CLI runs.
 //
 // Usage:
 //
@@ -8,9 +8,9 @@
 //	vsreport A.json B.json       diff two manifests: config delta, metric
 //	                             delta, and per-output hash match/mismatch
 //	vsreport -json A.json B.json emit the structured diff as JSON
-//	vsreport trend DIR           analyze a history store (vsserved -history,
-//	                             CLI -history): per-group iteration and
-//	                             conditioning trends, regressions flagged
+//	vsreport trend PATH...       per-group iteration and conditioning trends,
+//	                             regressions flagged; a directory is read as
+//	                             a vsserved -state-dir, a file as a manifest
 //
 // The exit status of a two-manifest diff reflects reproducibility: 0 when
 // every output present in both runs hashed identically, 1 on any mismatch,
@@ -68,7 +68,7 @@ func main() {
 			os.Exit(1)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: vsreport [-json] MANIFEST [MANIFEST]\n       vsreport trend [-json] [flags] HISTORY-DIR")
+		fmt.Fprintln(os.Stderr, "usage: vsreport [-json] MANIFEST [MANIFEST]\n       vsreport trend [-json] [flags] STATE-DIR|MANIFEST...")
 		os.Exit(2)
 	}
 }

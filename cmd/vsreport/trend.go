@@ -1,18 +1,21 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
+	"strings"
+	"time"
 
-	"voltstack/internal/telemetry/history"
+	"voltstack/internal/server"
+	"voltstack/internal/telemetry"
 )
 
-// trackedMetric is one solver-health quantity the trend report follows
-// through a history store. Each record may carry the quantity under any of
-// several keys (vsserved job snapshots flatten the job registry; CLI run
-// snapshots use health_* names), so lookup is by preference order.
+// trackedMetric is one solver-health quantity the trend report follows.
+// A job's stats registry and a run manifest's metrics carry it under
+// different names, so lookup takes the first key present.
 type trackedMetric struct {
 	name string
 	keys []string
@@ -39,102 +42,162 @@ type trendGroup struct {
 }
 
 type trendReport struct {
-	Dir        string       `json:"dir"`
-	Records    int          `json:"records"`
-	Groups     []trendGroup `json:"groups"`
-	Regressed  bool         `json:"regressed"`
-	iterThresh float64
-	condThresh float64
+	Sources   []string     `json:"sources"`
+	Records   int          `json:"records"`
+	Groups    []trendGroup `json:"groups"`
+	Regressed bool         `json:"regressed"`
 }
 
-// cmdTrend analyzes a history store: it groups records by producer, tracks
-// iteration counts and condition estimates over time, and flags the latest
-// snapshot as a regression when it exceeds the median of the prior ones by
-// the configured factor. Exit: 0 clean, 1 regression, 2 usage/read error.
+// trendRecord is one finished unit of work: a daemon job or a CLI run.
+// Records of one group did the same work, so their solver effort is
+// comparable.
+type trendRecord struct {
+	group string
+	t     time.Time
+	reg   telemetry.RegistrySnapshot
+}
+
+// cmdTrend reads solver-health records from vsserved state directories
+// and run manifests, groups records that did the same work, and flags a
+// group's latest record as a regression when a tracked metric exceeds
+// the median of the prior ones by the configured factor. Exit: 0 clean,
+// 1 regression, 2 usage/read error.
 func cmdTrend(args []string, jsonOut bool) {
 	fs := flag.NewFlagSet("trend", flag.ExitOnError)
 	iterThresh := fs.Float64("iter-threshold", 1.20, "flag a regression when latest iterations exceed the prior median by this factor")
 	condThresh := fs.Float64("cond-threshold", 1.50, "flag a regression when the latest condition estimate exceeds the prior median by this factor")
-	buckets := fs.Int("buckets", 8, "downsample each group's iteration timeline to this many buckets for display (0: off)")
 	jsonFlag := fs.Bool("json", false, "emit the trend report as JSON")
 	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: vsreport trend [-json] [-iter-threshold X] [-cond-threshold X] [-buckets N] HISTORY-DIR")
+	if fs.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: vsreport trend [-json] [-iter-threshold X] [-cond-threshold X] STATE-DIR|MANIFEST...")
 		os.Exit(2)
 	}
-	dir := fs.Arg(0)
-	recs, err := history.Read(dir)
+	rep, err := trend(fs.Args(), *iterThresh, *condThresh)
 	if err != nil {
 		fatal(err)
 	}
-	if len(recs) == 0 {
-		fatal(fmt.Errorf("no history records under %s", dir))
-	}
-	rep := buildTrend(dir, recs, *iterThresh, *condThresh)
 	if jsonOut || *jsonFlag {
 		emitJSON(rep)
 	} else {
-		renderTrend(rep, recs, *buckets)
+		renderTrend(rep)
 	}
 	if rep.Regressed {
 		os.Exit(1)
 	}
 }
 
-// trendGroupKey merges records that are comparable over time: CLI runs of
-// the same binary recur under one key, while vsserved jobs (unique IDs)
-// pool by kind so a slow job stands out against the history of all jobs.
-func trendGroupKey(r history.Record) string {
-	if r.Kind == "run" && r.ID != "" {
-		return "run/" + r.ID
+// trend loads every path and builds the report. A directory is read as a
+// vsserved state dir, a file as a run manifest.
+func trend(paths []string, iterThresh, condThresh float64) (*trendReport, error) {
+	var recs []trendRecord
+	for _, p := range paths {
+		st, err := os.Stat(p)
+		if err != nil {
+			return nil, err
+		}
+		var got []trendRecord
+		if st.IsDir() {
+			got, err = jobRecords(p)
+		} else {
+			got, err = runRecord(p)
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, got...)
 	}
-	if r.Kind == "" {
-		return "(unknown)"
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("no finished jobs or runs in %s", strings.Join(paths, ", "))
 	}
-	return r.Kind
+	return buildTrend(paths, recs, iterThresh, condThresh), nil
 }
 
-var trackedMetrics = []trackedMetric{
-	{name: "iterations", keys: []string{"health_iterations", "job_solver_iterations_total", "sparse_pcg_iterations_total"}},
-	{name: "cond_estimate", keys: []string{"health_cond_estimate", "job_health_cond_estimate"}},
-	{name: "reduction_factor", keys: []string{"health_reduction_factor", "job_health_reduction_factor"}, threshold: 0},
+// jobRecords reads a state dir's terminal jobs. A job's group is its
+// request identity, so the same request compares against itself across
+// daemon restarts and builds.
+func jobRecords(stateDir string) ([]trendRecord, error) {
+	jobs, err := server.ReadJournal(stateDir)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]trendRecord, len(jobs))
+	for i, j := range jobs {
+		req, err := json.Marshal(j.Request)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = trendRecord{group: "job " + string(req), t: j.FinishedAt, reg: j.Stats.Registry}
+	}
+	return out, nil
 }
 
-func pickValue(r history.Record, keys []string) (float64, bool) {
+// runRecord reads one run manifest. A run's group is its binary plus every
+// flag but the observability ones.
+func runRecord(path string) ([]trendRecord, error) {
+	m, err := telemetry.LoadManifest(path)
+	if err != nil {
+		return nil, err
+	}
+	t, err := time.Parse(time.RFC3339, m.StartTime)
+	if err != nil {
+		return nil, fmt.Errorf("manifest %s: start_time: %w", path, err)
+	}
+	var reg telemetry.RegistrySnapshot
+	if len(m.Metrics) > 0 {
+		if err := json.Unmarshal(m.Metrics, &reg); err != nil {
+			return nil, fmt.Errorf("manifest %s: metrics: %w", path, err)
+		}
+	}
+	work := map[string]string{}
+	for name, v := range m.Flags {
+		if !telemetry.IsObservabilityFlag(name) {
+			work[name] = v
+		}
+	}
+	flags, err := json.Marshal(work)
+	if err != nil {
+		return nil, err
+	}
+	return []trendRecord{{group: m.Binary + " " + string(flags), t: t, reg: reg}}, nil
+}
+
+func pickValue(reg telemetry.RegistrySnapshot, keys []string) (float64, bool) {
 	for _, k := range keys {
-		if v, ok := r.Values[k]; ok {
+		if v, ok := reg.Counters[k]; ok {
+			return float64(v), true
+		}
+		if v, ok := reg.Gauges[k]; ok {
 			return v, true
 		}
 	}
 	return 0, false
 }
 
-func buildTrend(dir string, recs []history.Record, iterThresh, condThresh float64) *trendReport {
-	sorted := append([]history.Record(nil), recs...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].T < sorted[b].T })
-	byGroup := map[string][]history.Record{}
+// buildTrend orders recs by time (ties keep their input order), groups
+// them in order of first appearance and judges each tracked metric.
+func buildTrend(sources []string, recs []trendRecord, iterThresh, condThresh float64) *trendReport {
+	sorted := append([]trendRecord(nil), recs...)
+	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].t.Before(sorted[b].t) })
+	byGroup := map[string][]trendRecord{}
 	var order []string
 	for _, r := range sorted {
-		k := trendGroupKey(r)
-		if _, seen := byGroup[k]; !seen {
-			order = append(order, k)
+		if _, seen := byGroup[r.group]; !seen {
+			order = append(order, r.group)
 		}
-		byGroup[k] = append(byGroup[k], r)
+		byGroup[r.group] = append(byGroup[r.group], r)
 	}
-	rep := &trendReport{Dir: dir, Records: len(recs), iterThresh: iterThresh, condThresh: condThresh}
+	tracked := []trackedMetric{
+		{"iterations", []string{"job_solver_iterations_total", "sparse_pcg_iterations_total"}, iterThresh},
+		{"cond_estimate", []string{"job_health_cond_estimate", "solver_health_cond_estimate"}, condThresh},
+		{"reduction_factor", []string{"job_health_reduction_factor", "solver_health_reduction_factor"}, 0},
+	}
+	rep := &trendReport{Sources: sources, Records: len(recs)}
 	for _, k := range order {
 		group := trendGroup{Group: k, Records: len(byGroup[k])}
-		for _, tm := range trackedMetrics {
-			thresh := tm.threshold
-			switch tm.name {
-			case "iterations":
-				thresh = iterThresh
-			case "cond_estimate":
-				thresh = condThresh
-			}
+		for _, tm := range tracked {
 			var series []float64
 			for _, r := range byGroup[k] {
-				if v, ok := pickValue(r, tm.keys); ok && v > 0 {
+				if v, ok := pickValue(r.reg, tm.keys); ok && v > 0 {
 					series = append(series, v)
 				}
 			}
@@ -149,9 +212,9 @@ func buildTrend(dir string, recs []history.Record, iterThresh, condThresh float6
 				Median:    med,
 				Latest:    latest,
 				Ratio:     latest / med,
-				Threshold: thresh,
+				Threshold: tm.threshold,
 			}
-			if thresh > 0 && m.Ratio > thresh {
+			if tm.threshold > 0 && m.Ratio > tm.threshold {
 				m.Regression = true
 				rep.Regressed = true
 			}
@@ -172,17 +235,12 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-func renderTrend(rep *trendReport, recs []history.Record, buckets int) {
+func renderTrend(rep *trendReport) {
 	gplural := "s"
 	if len(rep.Groups) == 1 {
 		gplural = ""
 	}
-	fmt.Printf("history: %d records under %s (%d group%s)\n", rep.Records, rep.Dir, len(rep.Groups), gplural)
-	byGroup := map[string][]history.Record{}
-	for _, r := range recs {
-		k := trendGroupKey(r)
-		byGroup[k] = append(byGroup[k], r)
-	}
+	fmt.Printf("trend: %d records from %s (%d group%s)\n", rep.Records, strings.Join(rep.Sources, ", "), len(rep.Groups), gplural)
 	for _, g := range rep.Groups {
 		plural := "s"
 		if g.Records == 1 {
@@ -203,36 +261,10 @@ func renderTrend(rep *trendReport, recs []history.Record, buckets int) {
 			fmt.Printf("  %-18s prior median %.6g, latest %.6g (x%.3f)  %s\n",
 				m.Metric, m.Median, m.Latest, m.Ratio, verdict)
 		}
-		if buckets > 0 {
-			printIterTimeline(byGroup[g.Group], buckets)
-		}
 	}
 	if rep.Regressed {
 		fmt.Printf("\nverdict: REGRESSION\n")
 	} else {
 		fmt.Printf("\nverdict: ok\n")
 	}
-}
-
-// printIterTimeline shows the group's iteration series downsampled to the
-// display budget, so a drift is visible at a glance without dumping every
-// record.
-func printIterTimeline(recs []history.Record, buckets int) {
-	iterKeys := trackedMetrics[0].keys
-	var with []history.Record
-	for _, r := range recs {
-		if v, ok := pickValue(r, iterKeys); ok && v > 0 {
-			with = append(with, history.Record{T: r.T, Kind: r.Kind, ID: r.ID,
-				Values: map[string]float64{"iterations": v}})
-		}
-	}
-	if len(with) < 2 {
-		return
-	}
-	ds := history.Downsample(with, buckets)
-	fmt.Printf("  iteration timeline (%d records -> %d buckets):", len(with), len(ds))
-	for _, r := range ds {
-		fmt.Printf(" %.0f", r.Values["iterations"])
-	}
-	fmt.Println()
 }

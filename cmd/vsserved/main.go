@@ -27,6 +27,11 @@
 // Several daemons share results through -cache-dir: the on-disk cache is
 // content-addressed, so a point one daemon computed is served from disk
 // by any other daemon pointed at the same directory.
+//
+// Metrics and convergence probes are always on. Each terminal job's
+// stats document, frozen into the -state-dir journal, carries its solver
+// iterations and condition estimate; `vsreport trend STATE-DIR` compares
+// them across jobs and daemon restarts.
 package main
 
 import (
@@ -41,7 +46,6 @@ import (
 	"voltstack/internal/rescache"
 	"voltstack/internal/server"
 	"voltstack/internal/telemetry"
-	"voltstack/internal/telemetry/history"
 )
 
 func main() {
@@ -54,8 +58,6 @@ func main() {
 	queueDepth := flag.Int("queue", 8, "queued-job bound; submissions beyond it get 429")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint attached to 429 rejections")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "graceful-shutdown budget before in-flight jobs are hard-cancelled")
-	historySegBytes := flag.Int64("history-segment-bytes", 0, "history segment rotation budget in bytes (0: 1 MiB)")
-	historySegments := flag.Int("history-segments", 0, "history segments retained (0: 8)")
 	tf := telemetry.RegisterFlags()
 	flag.Parse()
 
@@ -65,13 +67,6 @@ func main() {
 	// live, and the probes are guaranteed not to perturb results.
 	telemetry.Enable()
 	telemetry.EnableConvergenceProbes()
-	// The daemon shares the -history store of the common flag set: Init
-	// opens it, the job manager appends one record per finished job, and
-	// the telemetry flush appends the daemon's own run record on exit.
-	tf.HistoryOptions = history.Options{
-		SegmentBytes: *historySegBytes,
-		MaxSegments:  *historySegments,
-	}
 	flush, err := tf.Init()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vsserved:", err)
@@ -91,17 +86,12 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	hist := tf.HistoryStore()
-	if hist != nil {
-		fmt.Fprintf(os.Stderr, "vsserved: appending job history under %s\n", tf.History)
-	}
 	mgr, err := server.NewManager(server.Config{
 		MaxInFlight: *maxInflight,
 		QueueDepth:  *queueDepth,
 		Cache:       cache,
 		StateDir:    *stateDir,
 		RetryAfter:  *retryAfter,
-		History:     hist,
 	})
 	if err != nil {
 		fail(err)

@@ -190,10 +190,11 @@ type SolveOptions struct {
 const directThreshold = 4000
 
 // amgThreshold is the node count above which Auto switches from IC(0) to
-// AMG preconditioning: IC(0)'s iteration count grows with mesh diameter
-// while the multigrid V-cycle keeps it near-constant, and past a few
-// hundred thousand nodes that crossover dominates the higher per-iteration
-// cost of the V-cycle.
+// AMG preconditioning. IC(0)'s iteration count grows with mesh diameter
+// while the multigrid V-cycle keeps it near-constant, but the threshold
+// is not a measured crossover: on PDN meshes AMG has won per solve from
+// 4k nodes in one measurement and lost at 6k in another. Which kind wins
+// depends on mesh shape and right-hand sides per factor (DESIGN.md §12).
 const amgThreshold = 200_000
 
 // ErrFloating is returned when the network has no DC path from some node to

@@ -18,7 +18,6 @@ import (
 	"voltstack/internal/explore"
 	"voltstack/internal/rescache"
 	"voltstack/internal/telemetry"
-	"voltstack/internal/telemetry/history"
 )
 
 // Service metrics. No-ops unless telemetry is enabled.
@@ -65,10 +64,6 @@ type Config struct {
 	StateDir string
 	// RetryAfter is the hint attached to overload rejections (default 1s).
 	RetryAfter time.Duration
-	// History, when set, receives one timestamped record per terminal job
-	// (wall/CPU attribution plus the job-scoped solver-health metrics), so
-	// solver behavior stays queryable across daemon lifetimes.
-	History *history.Store
 
 	// Test seams: invoked at job start (inside the runner, before any
 	// computation) and per completed sweep point. Both may be nil.
@@ -334,12 +329,17 @@ func parseRFC3339(s string) time.Time {
 }
 
 // jobCacheKey is the job's content address: schema version, code version
-// and the normalized request, minus fields that cannot change the result
-// (Workers only tunes concurrency; every output is worker-count
-// invariant).
+// and the request's identity.
 func jobCacheKey(req JobRequest) (string, error) {
-	req.Workers = 0
-	return rescache.Key("voltstack-job", SchemaVersion, telemetry.BuildStamp(), req)
+	return rescache.Key("voltstack-job", SchemaVersion, telemetry.BuildStamp(), req.identity())
+}
+
+// identity is the part of a normalized request that decides its result:
+// all of it but Workers, which only tunes concurrency (every output is
+// worker-count invariant).
+func (r JobRequest) identity() JobRequest {
+	r.Workers = 0
+	return r
 }
 
 // totalFor is the number of progress units a request will produce.

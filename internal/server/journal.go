@@ -3,11 +3,14 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 )
 
 // The journal persists job state under <stateDir>/jobs:
@@ -21,7 +24,8 @@ import (
 // leaves a torn file; the checkpoint is append-only JSONL, and a torn
 // final line (the crash window) is dropped on load — that point is simply
 // re-evaluated. On restart, jobs whose persisted state is non-terminal
-// are re-enqueued in their original submission order.
+// are re-enqueued in their original submission order. ReadJournal reads
+// the terminal jobs back without a Manager.
 
 type persistedJob struct {
 	ID        string     `json:"id"`
@@ -175,4 +179,47 @@ func (j *journal) saveStats(id string, data []byte) error {
 
 func (j *journal) loadStats(id string) ([]byte, error) {
 	return os.ReadFile(j.statsPath(id))
+}
+
+// JournaledJob is one terminal job read back from a state directory.
+type JournaledJob struct {
+	ID string
+	// Request is the request's identity: normalized, with Workers
+	// cleared, so equal requests mean equal work across builds.
+	Request    JobRequest
+	FinishedAt time.Time
+	// Stats is the job's frozen stats document.
+	Stats JobStats
+}
+
+// ReadJournal returns each terminal job journaled under stateDir that has
+// a frozen stats document, ordered by finished_at. Queued and running
+// jobs, and terminal jobs finished by a build that froze no stats, are
+// skipped. It only reads, so it is safe beside a running daemon.
+func ReadJournal(stateDir string) ([]JournaledJob, error) {
+	jn := &journal{dir: filepath.Join(stateDir, "jobs")}
+	persisted, err := jn.load()
+	if err != nil {
+		return nil, fmt.Errorf("server: read journal: %w", err)
+	}
+	var out []JournaledJob
+	for _, p := range persisted {
+		if !p.State.Terminal() {
+			continue
+		}
+		b, err := jn.loadStats(p.ID)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("server: read journal: %w", err)
+		}
+		jj := JournaledJob{ID: p.ID, Request: p.Request.identity(), FinishedAt: parseRFC3339(p.FinishedAt)}
+		if err := json.Unmarshal(b, &jj.Stats); err != nil {
+			return nil, fmt.Errorf("server: journal %s stats: %w", p.ID, err)
+		}
+		out = append(out, jj)
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].FinishedAt.Before(out[b].FinishedAt) })
+	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"voltstack/internal/telemetry"
-	"voltstack/internal/telemetry/history"
 )
 
 // JobStats is the per-job resource-attribution document served by
@@ -114,8 +113,7 @@ func totalAlloc() uint64 {
 // finalizeStats freezes the job's stats document at a terminal
 // transition and journals it so the exact bytes survive a restart.
 func (m *Manager) finalizeStats(j *Job) {
-	doc := m.statsDoc(j, true)
-	b, err := json.MarshalIndent(doc, "", "  ")
+	b, err := json.MarshalIndent(m.statsDoc(j, true), "", "  ")
 	if err != nil {
 		return
 	}
@@ -129,38 +127,6 @@ func (m *Manager) finalizeStats(j *Job) {
 				slog.String("job", j.id), slog.String("error", werr.Error()))
 		}
 	}
-	m.appendHistory(j, doc)
-}
-
-// appendHistory writes the terminal job's snapshot into the persistent
-// history store: run attribution plus the job-scoped solver-health and
-// solver-effort instruments, flattened to the store's numeric schema.
-func (m *Manager) appendHistory(j *Job, doc JobStats) {
-	if m.cfg.History == nil {
-		return
-	}
-	vals := map[string]float64{
-		"queue_wait_seconds": doc.QueueWaitSeconds,
-		"wall_seconds":       doc.WallSeconds,
-		"cpu_seconds":        doc.CPUSeconds,
-		"alloc_bytes":        float64(doc.AllocBytes),
-	}
-	for name, v := range doc.Registry.Counters {
-		vals[name] = float64(v)
-	}
-	for name, v := range doc.Registry.Gauges {
-		vals[name] = v
-	}
-	err := m.cfg.History.Append(history.Record{
-		T:      time.Now().UnixMilli(),
-		Kind:   "job",
-		ID:     j.id,
-		Values: vals,
-	})
-	if err != nil {
-		telemetry.Event(slog.LevelWarn, "server: history append failed",
-			slog.String("job", j.id), slog.String("error", err.Error()))
-	}
 }
 
 // Stats returns the job's stats document: the frozen journal bytes for a
@@ -170,6 +136,13 @@ func (m *Manager) Stats(j *Job) ([]byte, error) {
 	terminal, stats := j.state.Terminal(), j.stats
 	j.mu.Unlock()
 	if terminal {
+		// A job finishing in this process turns terminal before its stats
+		// freeze and closes Done after: wait, so the read below cannot
+		// freeze a second, different document.
+		<-j.done
+		j.mu.Lock()
+		stats = j.stats
+		j.mu.Unlock()
 		if stats != nil {
 			return stats, nil
 		}

@@ -11,9 +11,6 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"sync"
-	"time"
-
-	"voltstack/internal/telemetry/history"
 )
 
 // Flags is the shared observability flag set of the cmd/ binaries. Every
@@ -29,40 +26,43 @@ type Flags struct {
 	Manifest   string // -manifest:   run provenance manifest JSON path on exit
 	Postmortem string // -postmortem: directory for solver post-mortem artifacts (enables convergence probes)
 	Probes     bool   // -probes:     per-solve convergence analytics (condition estimates, detectors)
-	History    string // -history:    append a per-run telemetry/convergence snapshot to the history store in this directory
 	Progress   bool   // -progress:   periodic stderr progress lines for long runs
-
-	// HistoryOptions bounds the -history store (segment rotation size,
-	// retention count). Set before Init; the zero value means defaults.
-	HistoryOptions history.Options
 
 	manifest *Manifest
 	server   *Server
-	history  *history.Store
 }
-
-// HistoryStore returns the open history store when -history was given, or
-// nil. Long-running binaries (vsserved) use it to append their own records
-// — per-job snapshots — alongside the per-run record flush writes; the
-// store stays open until the flush returned by Init runs.
-func (f *Flags) HistoryStore() *history.Store { return f.history }
 
 // RegisterFlags registers the observability flags on the default flag set.
 // Call before flag.Parse.
-func RegisterFlags() *Flags {
+func RegisterFlags() *Flags { return registerFlags(flag.CommandLine) }
+
+func registerFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	flag.StringVar(&f.Metrics, "metrics", "", "write a metrics dump on exit: JSON at this path, Prometheus text at path+\".prom\"")
-	flag.StringVar(&f.Trace, "trace", "", "write a Chrome trace_event JSON timing trace on exit (load in chrome://tracing or Perfetto)")
-	flag.StringVar(&f.Events, "events", "", "write a structured JSON-lines event log to this path (\"stderr\" or \"-\" for stderr)")
-	flag.StringVar(&f.Serve, "serve", "", "serve the live observability endpoint (pprof, /metrics, /healthz, /statusz) on this address (e.g. localhost:6060) and collect metrics for mid-run scraping")
-	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
-	flag.StringVar(&f.Manifest, "manifest", "", "write a run provenance manifest (flags, seeds, VCS stamp, output hashes) to this path on exit")
-	flag.StringVar(&f.Postmortem, "postmortem", "", "write solver post-mortem JSON artifacts into this directory on failures (enables convergence probes)")
-	flag.BoolVar(&f.Probes, "probes", false, "enable per-solve convergence probes (condition estimates, stagnation/plateau detectors); results are byte-identical either way")
-	flag.StringVar(&f.History, "history", "", "append a per-run telemetry/convergence snapshot to the history store in this directory (enables metrics and probes)")
-	flag.BoolVar(&f.Progress, "progress", true, "print periodic stderr progress lines for long sweeps and Monte Carlo runs")
+	fs.StringVar(&f.Metrics, "metrics", "", "write a metrics dump on exit: JSON at this path, Prometheus text at path+\".prom\"")
+	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace_event JSON timing trace on exit (load in chrome://tracing or Perfetto)")
+	fs.StringVar(&f.Events, "events", "", "write a structured JSON-lines event log to this path (\"stderr\" or \"-\" for stderr)")
+	fs.StringVar(&f.Serve, "serve", "", "serve the live observability endpoint (pprof, /metrics, /healthz, /statusz) on this address (e.g. localhost:6060) and collect metrics for mid-run scraping")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
+	fs.StringVar(&f.Manifest, "manifest", "", "write a run provenance manifest (flags, seeds, VCS stamp, output hashes) to this path on exit")
+	fs.StringVar(&f.Postmortem, "postmortem", "", "write solver post-mortem JSON artifacts into this directory on failures (enables convergence probes)")
+	fs.BoolVar(&f.Probes, "probes", false, "enable per-solve convergence probes (condition estimates, stagnation/plateau detectors); results are byte-identical either way")
+	fs.BoolVar(&f.Progress, "progress", true, "print periodic stderr progress lines for long sweeps and Monte Carlo runs")
 	return f
 }
+
+// observabilityFlags is a flag set holding only the flags RegisterFlags
+// registers.
+var observabilityFlags = sync.OnceValue(func() *flag.FlagSet {
+	fs := flag.NewFlagSet("observability", flag.ContinueOnError)
+	registerFlags(fs)
+	return fs
+})
+
+// IsObservabilityFlag reports whether name is one of the flags
+// RegisterFlags registers. Their values are output paths and switches
+// that never change solver work, so the rest of a manifest's Flags names
+// the work a run did.
+func IsObservabilityFlag(name string) bool { return observabilityFlags().Lookup(name) != nil }
 
 // RunManifest returns the provenance manifest of the current run, or nil
 // when -manifest is off. Binaries use it to attach seeds and extra outputs;
@@ -84,9 +84,9 @@ func (f *Flags) ServeAddr() string { return f.server.Addr() }
 // On error, everything partially started is torn down before returning,
 // so a failed Init leaks no listener, goroutine or profile.
 func (f *Flags) Init() (flush func() error, err error) {
-	if f.Metrics != "" || f.Serve != "" || f.Manifest != "" || f.History != "" {
+	if f.Metrics != "" || f.Serve != "" || f.Manifest != "" {
 		// -serve needs live counters to scrape; a manifest embeds the final
-		// snapshot; a history record flattens the final counters.
+		// snapshot.
 		Enable()
 	}
 	if f.Trace != "" {
@@ -98,9 +98,7 @@ func (f *Flags) Init() (flush func() error, err error) {
 	if f.Postmortem != "" {
 		SetPostmortemDir(f.Postmortem)
 	}
-	if f.Probes || f.History != "" {
-		// A history snapshot without convergence analytics would miss the
-		// fields the trend report exists to track.
+	if f.Probes {
 		EnableConvergenceProbes()
 	}
 
@@ -128,14 +126,6 @@ func (f *Flags) Init() (flush func() error, err error) {
 			eventFile.Close()
 		}
 		return noopFlush, err
-	}
-
-	if f.History != "" {
-		f.history, err = history.Open(f.History, f.HistoryOptions)
-		if err != nil {
-			return fail(fmt.Errorf("telemetry: history: %w", err))
-		}
-		undo = append(undo, func() { f.history.Close(); f.history = nil })
 	}
 
 	var cpuFile *os.File
@@ -209,15 +199,6 @@ func (f *Flags) Init() (flush func() error, err error) {
 					errs = append(errs, err)
 				}
 			}
-			if f.history != nil {
-				if err := f.history.Append(runHistoryRecord()); err != nil {
-					errs = append(errs, err)
-				}
-				if err := f.history.Close(); err != nil {
-					errs = append(errs, err)
-				}
-				f.history = nil
-			}
 			if err := f.server.Close(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				errs = append(errs, err)
 			}
@@ -231,38 +212,6 @@ func (f *Flags) Init() (flush func() error, err error) {
 		return errors.Join(errs...)
 	}
 	return flush, nil
-}
-
-// runHistoryRecord flattens the run's final process registry — counters,
-// gauges, and the last solver-health report — into one history record, the
-// CLI-side counterpart of vsserved's per-job snapshots.
-func runHistoryRecord() history.Record {
-	snap := std.Snapshot()
-	vals := make(map[string]float64, len(snap.Counters)+len(snap.Gauges)+8)
-	for name, v := range snap.Counters {
-		vals[name] = float64(v)
-	}
-	for name, v := range snap.Gauges {
-		vals[name] = v
-	}
-	if h := LastSolverHealth(); h != nil {
-		vals["health_iterations"] = float64(h.Iterations)
-		vals["health_final_residual"] = h.FinalResidual
-		if h.CondEstimate > 0 {
-			vals["health_cond_estimate"] = h.CondEstimate
-			vals["health_lambda_min"] = h.LambdaMin
-			vals["health_lambda_max"] = h.LambdaMax
-		}
-		if h.ReductionFactor > 0 {
-			vals["health_reduction_factor"] = h.ReductionFactor
-		}
-	}
-	return history.Record{
-		T:      time.Now().UnixMilli(),
-		Kind:   "run",
-		ID:     binaryName(),
-		Values: vals,
-	}
 }
 
 // binaryName returns the invoking binary's base name for the manifest.

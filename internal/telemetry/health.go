@@ -1,8 +1,7 @@
 // Solver-health plumbing: the process-wide gate for the convergence
 // probes that live next to the numerics in internal/sparse, the
 // ConvergenceReport record each probed solve produces, and the
-// most-recent-report slot behind /statusz's convergence section and the
-// per-run history record.
+// most-recent-report slot behind /statusz's convergence section.
 //
 // The probes are off by default and cost one atomic load per solve when
 // disabled. Because they only *read* values the solver already computed,
@@ -56,8 +55,8 @@ type AMGReport struct {
 
 // ConvergenceReport is the convergence record of one probed iterative
 // solve, built by the sparse probe and read by every surface: the solve
-// result, job-scope instruments and exemplars, /statusz, the history run
-// record, post-mortem artifacts and the solver error. It lives here, not
+// result, job-scope instruments and exemplars, /statusz, post-mortem
+// artifacts and the solver error. It lives here, not
 // in sparse, because telemetry cannot import sparse (which imports
 // telemetry).
 type ConvergenceReport struct {
@@ -99,8 +98,8 @@ type ConvergenceReport struct {
 	AMG *AMGReport `json:"amg,omitempty"`
 }
 
-// lastHealth is the most recently probed solve's report, behind /statusz
-// and the CLI history writer. Reports are never mutated once published.
+// lastHealth is the most recently probed solve's report, behind /statusz.
+// Reports are never mutated once published.
 var lastHealth atomic.Pointer[ConvergenceReport]
 
 // RecordSolverHealth stores the report of the most recently probed solve.

@@ -288,21 +288,17 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// WriteFile finalizes the manifest and writes it to path. Nil-safe: a nil
-// manifest writes nothing.
+// WriteFile finalizes the manifest and writes it to path through a temp
+// file and rename, so a failed write leaves any earlier file at path
+// whole. Nil-safe: a nil manifest writes nothing.
 func (m *Manifest) WriteFile(path string) error {
 	if m == nil || path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writeFileWith(path, m.WriteJSON); err != nil {
 		return fmt.Errorf("telemetry: manifest: %w", err)
 	}
-	if err := m.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("telemetry: manifest: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // LoadManifest reads a manifest JSON file written by WriteFile.

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -150,6 +151,39 @@ func TestManifestOutputHashing(t *testing.T) {
 	}
 	if got.Schema != ManifestSchemaVersion {
 		t.Errorf("schema = %d", got.Schema)
+	}
+}
+
+// TestManifestWriteFailureKeepsOld pins the atomic write: a manifest
+// whose encoding fails must leave the earlier file at its path whole and
+// no temp file beside it, because vsreport reads that file back.
+func TestManifestWriteFailureKeepsOld(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.json")
+	if err := NewManifest("test").WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := NewManifest("test")
+	bad.Metrics = json.RawMessage("{")
+	if err := bad.WriteFile(path); err == nil {
+		t.Fatal("manifest with invalid metrics written without error")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("failed write changed the manifest:\nbefore: %s\nafter:  %s", before, after)
+	}
+	if _, err := LoadManifest(path); err != nil {
+		t.Errorf("earlier manifest no longer loads: %v", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("failed write left files behind: %v", ents)
 	}
 }
 
