@@ -1,12 +1,13 @@
-// Node-count scaling pairs for the multi-RHS batch solvers. Each scenario
-// solves the same 8 right-hand sides twice: the Serial variant pays the
-// full per-RHS cost (factorization or preconditioner build + solve, the
-// pattern of a caller without the batch API), the Batch variant sets up
-// once and runs all lanes through SolveBatch/PCGBatch. The pair ratio is
-// the amortization win at that node count:
+// Node-count scaling pairs for multi-RHS solves on one factor. Each
+// scenario solves the same 8 right-hand sides twice: the Serial variant
+// pays the full per-RHS cost (factorization or preconditioner build +
+// solve, the pattern of a caller that rebuilds per right-hand side), the
+// Batch variant sets up once and solves every right-hand side against that
+// one factor or preconditioner in a plain loop. The pair ratio is the
+// amortization win at that node count:
 //
 //	go test -bench '^BenchmarkSolveScale' -run '^$' .
-//	make bench-scaling   # renders serial/batch pairs into BENCH_solve.json
+//	make bench-scaling   # renders the serial/batch pairs
 //
 // The curve spans 10k to 1M nodes on the PDN-shaped meshes from
 // internal/sparse/sparsetest; the 1M AMG point is skipped under -short.
@@ -61,8 +62,10 @@ func benchIC0Batch(b *testing.B, nx, ny int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := sparse.PCGBatch(a, bs, nil, prec, tol, maxIter, nil, 1); err != nil {
-			b.Fatal(err)
+		for _, rhs := range bs {
+			if _, _, err := sparse.PCG(a, rhs, nil, prec, tol, maxIter, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	reportScale(b, a.N())
@@ -99,7 +102,9 @@ func benchCholBatch(b *testing.B, nx, ny int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		f.SolveBatchWorkers(bs, 1)
+		for _, rhs := range bs {
+			f.Solve(rhs)
+		}
 	}
 	reportScale(b, a.N())
 }
@@ -145,8 +150,10 @@ func benchAMGBatch(b *testing.B, nx, ny int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := sparse.PCGBatch(a, bs, nil, prec, tol, maxIter, nil, 1); err != nil {
-			b.Fatal(err)
+		for _, rhs := range bs {
+			if _, _, err := sparse.PCG(a, rhs, nil, prec, tol, maxIter, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	reportScale(b, a.N())

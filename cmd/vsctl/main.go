@@ -363,17 +363,15 @@ func cmdHealth(ctx context.Context, c *server.Client, id string) error {
 		return err
 	}
 
-	// Residual curve: the slowest solve's exemplar carries one probed
-	// solve's residual timeline (head + tail; long solves elide the
-	// middle, which the step numbering makes visible). A batch exemplar's
-	// Iterations sums its lanes, so the header takes the drawn solve's
-	// step count from the timeline itself.
+	// Residual curve: the slowest probed solve's exemplar carries its
+	// residual timeline (head + tail; long solves elide the middle, which
+	// the step numbering makes visible).
 	for _, ex := range st.Exemplars {
 		if len(ex.Residuals) == 0 {
 			continue
 		}
 		fmt.Printf("\nresidual curve (slowest probed solve: %d iterations, %.3fs):\n",
-			ex.ResidualIteration(len(ex.Residuals)-1), ex.Value)
+			ex.Iterations, ex.Value)
 		printResidualCurve(ex)
 		break
 	}

@@ -58,9 +58,9 @@ type converter struct {
 
 // Netlist is a network description. Allocate nodes with Node, add
 // elements, then call Solve (DC), Transient, or Compile for repeated
-// solves. After Compile only load currents may change (Prepared.SetLoad);
-// a netlist that gains nodes or elements makes the engine's solves return
-// ErrNetlistChanged.
+// solves. A compiled engine takes its load currents per solve; a netlist
+// that gains nodes or elements after Compile makes the engine's solves
+// return ErrNetlistChanged.
 type Netlist struct {
 	numNodes   int
 	resistors  []resistor
@@ -203,8 +203,9 @@ var ErrFloating = errors.New("circuit: network has floating nodes (no path to gr
 
 // Solution holds solved node voltages and provides element-level queries.
 type Solution struct {
-	net *Netlist
-	v   []float64
+	net   *Netlist
+	loads []float64 // the solve's load currents, indexed by LoadID
+	v     []float64
 	// Stats from the linear solve.
 	Iterations int
 	Residual   float64
@@ -339,21 +340,19 @@ func (n *Netlist) stampMatrix(b *sparse.Builder, dt float64) {
 	}
 }
 
-// stampRHS writes the right-hand side (rail injections, DC loads, and the
-// t=0 value of transient loads) into rhs, zeroing it first.
-func (n *Netlist) stampRHS(rhs []float64) {
-	for i := range rhs {
-		rhs[i] = 0
-	}
+// stampRHS adds the right-hand side (rail injections, DC loads drawing
+// loads[k] amperes for LoadID(k), and the t=0 value of transient loads)
+// into the zeroed rhs.
+func (n *Netlist) stampRHS(rhs, loads []float64) {
 	for _, t := range n.ties {
 		rhs[t.node] += t.g * t.vRail
 	}
-	for _, l := range n.loads {
+	for k, l := range n.loads {
 		if l.from != Ground {
-			rhs[l.from] -= l.i
+			rhs[l.from] -= loads[k]
 		}
 		if l.to != Ground {
-			rhs[l.to] += l.i
+			rhs[l.to] += loads[k]
 		}
 	}
 	for _, tl := range n.tloads {
@@ -367,15 +366,24 @@ func (n *Netlist) stampRHS(rhs []float64) {
 	}
 }
 
-// Solve assembles the conductance matrix and solves for all node voltages:
-// Compile plus one cold solve. Use Compile directly to solve the same
-// network repeatedly.
+// Solve assembles the conductance matrix and solves for all node voltages
+// at the netlist's own load currents: Compile plus one cold solve. Use
+// Compile directly to solve the same network repeatedly.
 func (n *Netlist) Solve(opts SolveOptions) (*Solution, error) {
-	p, err := n.Compile(opts)
+	p, err := n.Compile(opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p.Solve(nil)
+	return p.Solve(n.loadCurrents(), nil)
+}
+
+// loadCurrents returns the netlist's own load currents, indexed by LoadID.
+func (n *Netlist) loadCurrents() []float64 {
+	loads := make([]float64, len(n.loads))
+	for k, l := range n.loads {
+		loads[k] = l.i
+	}
+	return loads
 }
 
 func stampConductance(b *sparse.Builder, i, j int, g float64) {
@@ -461,10 +469,10 @@ func (s *Solution) LoadVoltage(id LoadID) float64 {
 	return s.V(l.from) - s.V(l.to)
 }
 
-// LoadPower returns the power absorbed by the identified load.
+// LoadPower returns the power absorbed by the identified load at the
+// current it drew in this solve.
 func (s *Solution) LoadPower(id LoadID) float64 {
-	l := s.net.loads[id]
-	return l.i * s.LoadVoltage(id)
+	return s.loads[id] * s.LoadVoltage(id)
 }
 
 // TotalLoadPower sums the power absorbed by all loads.

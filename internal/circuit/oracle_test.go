@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -42,7 +43,7 @@ type oracleCase struct {
 	loads     []oracleLoad
 }
 
-// oracleLanes is the right-hand-side count of the batched solves.
+// oracleLanes is the number of load-current sets per case.
 const oracleLanes = 3
 
 // randomOracleCase draws a connected network of 2 to 60 nodes: a random
@@ -82,8 +83,18 @@ func randomOracleCase(seed int64) oracleCase {
 	return c
 }
 
+// laneLoads returns the case's load currents at the given lane, indexed
+// by LoadID.
+func (c oracleCase) laneLoads(lane int) []float64 {
+	amps := make([]float64, len(c.loads))
+	for i, l := range c.loads {
+		amps[i] = l.amps[lane]
+	}
+	return amps
+}
+
 // netlist builds the case with every load at its lane-0 value.
-func (c oracleCase) netlist() (*Netlist, []LoadID) {
+func (c oracleCase) netlist() *Netlist {
 	n := New()
 	n.Nodes(c.nodes)
 	for _, r := range c.resistors {
@@ -92,11 +103,10 @@ func (c oracleCase) netlist() (*Netlist, []LoadID) {
 	for _, t := range c.ties {
 		n.AddRailTie(t.node, t.ohms, t.volts)
 	}
-	ids := make([]LoadID, len(c.loads))
-	for i, l := range c.loads {
-		ids[i] = n.AddLoad(l.from, l.to, l.amps[0])
+	for _, l := range c.loads {
+		n.AddLoad(l.from, l.to, l.amps[0])
 	}
-	return n, ids
+	return n
 }
 
 // reference solves the nodal equations of the case, loads at the given
@@ -164,37 +174,40 @@ func TestSolversMatchDenseReference(t *testing.T) {
 			opts := SolveOptions{Solver: kind, Tol: 1e-13}
 			name := fmt.Sprintf("seed %d (%d nodes) kind %d", seed, c.nodes, kind)
 
-			net, _ := c.netlist()
+			net := c.netlist()
 			sol, err := net.Solve(opts)
 			if err != nil {
 				t.Fatalf("%s: Netlist.Solve: %v", name, err)
 			}
 			mustMatchReference(t, name+" Netlist.Solve", want[0], sol.Voltages())
 
-			net, ids := c.netlist()
-			prep, err := net.Compile(opts)
+			prep, err := net.Compile(opts, nil)
 			if err != nil {
 				t.Fatalf("%s: Compile: %v", name, err)
 			}
-			psol, err := prep.Solve(nil)
+			psol, err := prep.Solve(c.laneLoads(0), nil)
 			if err != nil {
 				t.Fatalf("%s: Prepared.Solve: %v", name, err)
 			}
 			mustMatchReference(t, name+" Prepared.Solve", want[0], psol.Voltages())
 
-			for _, workers := range []string{"1", "3"} {
-				t.Setenv(parallel.EnvWorkers, workers)
-				sols, err := prep.SolveBatch(oracleLanes, func(lane int) {
-					for i, l := range c.loads {
-						prep.SetLoad(ids[i], l.amps[lane])
-					}
+			// Every lane's loads, solved by goroutines sharing the engine.
+			for _, workers := range []int{1, 2, 8} {
+				sols := make([]*Solution, oracleLanes)
+				errs := make([]error, oracleLanes)
+				_ = parallel.NewPool(workers).ForEachN(context.Background(), oracleLanes, func(lane int) error {
+					sols[lane], errs[lane] = prep.Solve(c.laneLoads(lane), nil)
+					return nil
 				})
-				if err != nil {
-					t.Fatalf("%s: SolveBatch workers=%s: %v", name, workers, err)
-				}
 				for lane, s := range sols {
-					mustMatchReference(t, fmt.Sprintf("%s SolveBatch workers=%s lane %d", name, workers, lane),
-						want[lane], s.Voltages())
+					label := fmt.Sprintf("%s concurrent workers=%d lane %d", name, workers, lane)
+					if errs[lane] != nil {
+						t.Fatalf("%s: %v", label, errs[lane])
+					}
+					mustMatchReference(t, label, want[lane], s.Voltages())
+					if e := s.EnergyBalanceError(); e > 1e-9 {
+						t.Fatalf("%s: energy balance error %.3g", label, e)
+					}
 				}
 			}
 		}

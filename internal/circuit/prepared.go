@@ -1,15 +1,16 @@
 // Prepared-solve engine: every circuit solve runs here. Netlist.Compile
-// checks connectivity and assembles the CSR matrix; the first solve builds
-// the factor or preconditioner (fill-reducing ordering, symbolic and
-// numeric phases together). After that the matrix and factor never
-// change: a later solve restamps only the right-hand side from the
-// netlist's current load currents and reuses the factor and PCG scratch.
-// Netlist.Solve is Compile plus one solve, and Transient compiles its
-// backward-Euler step matrix the same way.
+// checks connectivity, assembles the CSR matrix and builds the factor or
+// preconditioner (fill-reducing ordering, symbolic and numeric phases
+// together). After that the engine never changes: each solve stamps the
+// right-hand side from the load currents it is given and solves against
+// the stored factor. Netlist.Solve is Compile plus one solve with the
+// netlist's own load currents, and Transient compiles its backward-Euler
+// step matrix the same way.
 //
-// Determinism contract: a reused engine's Solve is bit-identical to a cold
-// engine compiled from the same netlist and options, because both solve
-// against the same matrix and factor and Solve always starts PCG from zero.
+// Determinism contract: a solve on a shared engine is bit-identical to a
+// cold engine compiled from the same netlist and options, whatever other
+// solves run before or beside it, because both solve against the same
+// matrix and factor and Solve always starts PCG from zero.
 package circuit
 
 import (
@@ -31,11 +32,11 @@ var (
 // netlist has gained nodes or elements since Compile; compile it again.
 var ErrNetlistChanged = errors.New("circuit: netlist gained nodes or elements after Compile")
 
-// Prepared is a compiled solve plan for one Netlist. Its matrix is fixed
-// at Compile and its factor or preconditioner at the first solve; between
-// solves only load currents may change (SetLoad).
+// Prepared is a compiled solve plan for one Netlist: its matrix and its
+// factor or preconditioner, both fixed at Compile. Load currents are an
+// argument of each solve, not engine state.
 //
-// A Prepared is not safe for concurrent use.
+// A Prepared is safe for concurrent use: solves only read it.
 type Prepared struct {
 	net     *Netlist
 	kind    SolverKind
@@ -46,22 +47,20 @@ type Prepared struct {
 	nNodes int
 	counts [7]int
 
-	a   *sparse.CSR
-	rhs []float64
-
-	// Built by the first solve, then read-only: ndF is the factor of the
-	// direct kind, prec the preconditioner of the iterative kinds.
+	a *sparse.CSR
+	// ndF is the factor of the direct kind, prec the preconditioner of
+	// the iterative kinds.
 	ndF  *sparse.SparseChol
 	prec sparse.Preconditioner
-
-	ws  *sparse.PCGWorkspace
-	bws *sparse.PCGBatchWorkspace // lazily built by SolveBatch
 }
 
-// Compile checks the netlist's connectivity and assembles its DC
-// conductance matrix into a Prepared engine for repeated solves.
-func (n *Netlist) Compile(opts SolveOptions) (*Prepared, error) {
-	return n.compile(opts, 0)
+// Compile checks the netlist's connectivity, assembles its DC conductance
+// matrix and builds the factor or preconditioner into a Prepared engine
+// for repeated solves. sp, if non-nil, parents a "factor" trace span
+// (with an "amg-build" child for the AMG kind); tracing adds no work when
+// sp is nil.
+func (n *Netlist) Compile(opts SolveOptions, sp *telemetry.Span) (*Prepared, error) {
+	return n.compile(opts, 0, sp)
 }
 
 // Voltages exposes the solved node-voltage vector, indexed by node id
@@ -70,8 +69,8 @@ func (n *Netlist) Compile(opts SolveOptions) (*Prepared, error) {
 func (s *Solution) Voltages() []float64 { return s.v }
 
 // compile assembles the DC matrix (dt == 0) or the backward-Euler step
-// matrix (dt > 0).
-func (n *Netlist) compile(opts SolveOptions, dt float64) (*Prepared, error) {
+// matrix (dt > 0) and factors it.
+func (n *Netlist) compile(opts SolveOptions, dt float64, sp *telemetry.Span) (*Prepared, error) {
 	mPrepCompiles.Add(1)
 	nn := n.numNodes
 	p := &Prepared{net: n, nNodes: nn, counts: n.elementCounts()}
@@ -85,13 +84,8 @@ func (n *Netlist) compile(opts SolveOptions, dt float64) (*Prepared, error) {
 	b := sparse.NewBuilder(nn)
 	n.stampMatrix(b, dt)
 	p.a = b.ToCSR()
-	p.rhs = make([]float64, nn)
-	switch p.kind {
-	case DirectSparseND:
-	case PCGIC0, PCGJacobi, PCGAMG:
-		p.ws = sparse.NewPCGWorkspace(nn)
-	default:
-		return nil, fmt.Errorf("circuit: unknown solver kind %d", p.kind)
+	if err := p.factor(sp); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -112,32 +106,33 @@ func (p *Prepared) checkTopology() error {
 	return nil
 }
 
-// SetLoad changes the identified load's current draw (RHS-only).
-func (p *Prepared) SetLoad(id LoadID, amps float64) {
-	p.net.loads[id].i = amps
-}
-
-// Solve solves the network with the current load currents; the result is
-// bit-identical to a cold engine's. sp, if non-nil, parents trace spans for
-// the factor (first solve only, including an AMG hierarchy build) and PCG
-// phases; tracing adds no work when sp is nil, and the result is identical
-// either way.
-func (p *Prepared) Solve(sp *telemetry.Span) (*Solution, error) {
+// Solve solves the network with loads[k] amperes drawn by the load
+// LoadID(k); the result is bit-identical to a cold engine's. The returned
+// Solution keeps loads for its power queries, so the caller must not
+// modify it afterwards. sp, if non-nil, parents a "pcg" trace span for
+// the iterative kinds; tracing adds no work when sp is nil, and the
+// result is identical either way.
+func (p *Prepared) Solve(loads []float64, sp *telemetry.Span) (*Solution, error) {
 	mPrepSolves.Add(1)
 	if err := p.checkTopology(); err != nil {
 		return nil, err
 	}
 	n := p.net
-	if p.nNodes == 0 {
-		return &Solution{net: n}, nil
+	if len(loads) != len(n.loads) {
+		return nil, fmt.Errorf("circuit: %d load currents for %d loads", len(loads), len(n.loads))
 	}
-	n.stampRHS(p.rhs)
-	x, res, err := p.solve(sp, p.rhs, nil)
+	if p.nNodes == 0 {
+		return &Solution{net: n, loads: loads}, nil
+	}
+	rhs := make([]float64, p.nNodes)
+	n.stampRHS(rhs, loads)
+	x, res, err := p.solve(sp, rhs, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Solution{
 		net:        n,
+		loads:      loads,
 		v:          x,
 		Iterations: res.Iterations,
 		Residual:   res.Residual,
@@ -145,28 +140,22 @@ func (p *Prepared) Solve(sp *telemetry.Span) (*Solution, error) {
 	}, nil
 }
 
-// solve returns x with A·x = b, building the factor or preconditioner
-// first if this is the engine's first solve. The iterative kinds start
-// from x0 (nil: zero); the direct factor ignores it.
-func (p *Prepared) solve(sp *telemetry.Span, b, x0 []float64) ([]float64, sparse.CGResult, error) {
-	if err := p.factor(sp); err != nil {
-		return nil, sparse.CGResult{}, err
-	}
+// solve returns x with A·x = b. The iterative kinds start from x0 (nil:
+// zero) and run on scratch ws (nil: allocated per call); the direct
+// factor ignores both.
+func (p *Prepared) solve(sp *telemetry.Span, b, x0 []float64, ws *sparse.PCGWorkspace) ([]float64, sparse.CGResult, error) {
 	if p.ndF != nil {
 		return p.ndF.Solve(b), sparse.CGResult{}, nil
 	}
 	spPCG := sp.Start("pcg")
 	defer spPCG.End()
-	return sparse.PCG(p.a, b, x0, p.prec, p.tol, p.maxIter, p.ws)
+	return sparse.PCG(p.a, b, x0, p.prec, p.tol, p.maxIter, ws)
 }
 
 // factor builds the factor (direct kind) or preconditioner (iterative
-// kinds) once, inside a "factor" child span of sp (nil-safe). IC(0) and
-// AMG build failures fall back to Jacobi.
+// kinds) inside a "factor" child span of sp (nil-safe). IC(0) and AMG
+// build failures fall back to Jacobi.
 func (p *Prepared) factor(sp *telemetry.Span) error {
-	if p.ndF != nil || p.prec != nil {
-		return nil
-	}
 	spF := sp.Start("factor")
 	defer spF.End()
 	switch p.kind {
@@ -193,6 +182,8 @@ func (p *Prepared) factor(sp *telemetry.Span) error {
 		}
 	case PCGJacobi:
 		p.prec = sparse.NewJacobi(p.a)
+	default:
+		return fmt.Errorf("circuit: unknown solver kind %d", p.kind)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"voltstack/internal/sparse"
 )
 
 // CapID identifies a capacitor.
@@ -151,9 +153,13 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 
 	// The constant step matrix (conductances + C/dt + dt/L) and the
 	// constant part of the right-hand side (rail injections, DC loads).
-	eng, err := n.compile(so, dt)
+	eng, err := n.compile(so, dt, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTransient, err)
+	}
+	var ws *sparse.PCGWorkspace // one workspace for the serial PCG steps
+	if eng.prec != nil {
+		ws = sparse.NewPCGWorkspace(nn)
 	}
 	rhsBase := make([]float64, nn)
 	for _, t := range n.ties {
@@ -227,7 +233,7 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		}
 
 		if nn > 0 {
-			x, _, err := eng.solve(nil, rhs, v)
+			x, _, err := eng.solve(nil, rhs, v, ws)
 			if err != nil {
 				return nil, fmt.Errorf("%w: step %d: %v", ErrTransient, step, err)
 			}

@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"voltstack/internal/telemetry"
 )
 
 // tinyStudy shrinks the mesh and stack so a figure driver runs in
@@ -33,6 +35,31 @@ func TestHeadlinesWorkerEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(h, ref) {
 			t.Errorf("workers=%d Headlines differ from serial run:\n got %+v\nwant %+v", workers, h, ref)
+		}
+	}
+}
+
+// TestEngineBuildsWorkerEquivalence: every PDN builds its one engine
+// however many workers solve it, so Fig. 6 and Headlines build as many
+// engines at workers 2 and 8 as at 1.
+func TestEngineBuildsWorkerEquivalence(t *testing.T) {
+	telemetry.Enable()
+	builds := telemetry.NewCounter("pdngrid_engine_builds_total")
+	for _, name := range []string{"fig6", "headlines"} {
+		var ref int64
+		for _, workers := range []int{1, 2, 8} {
+			s := tinyStudy()
+			s.Workers = workers
+			before := builds.Value()
+			if _, err := runDriver(s, name); err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			n := builds.Value() - before
+			if workers == 1 {
+				ref = n
+			} else if n != ref {
+				t.Errorf("%s built %d engines at workers=%d, %d at workers=1", name, n, workers, ref)
+			}
 		}
 	}
 }

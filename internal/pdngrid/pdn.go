@@ -52,8 +52,8 @@ type Config struct {
 	Converter         sc.Params
 
 	// Solve configures the linear solver: kind, tolerance and iteration
-	// budget. Each solve runs serially; SolveBatch runs independent lanes
-	// concurrently.
+	// budget. Each solve runs serially against the PDN's one shared
+	// engine; SolveBatch runs its entries concurrently.
 	Solve circuit.SolveOptions
 }
 
@@ -108,31 +108,12 @@ type PDN struct {
 	tsvSites []lumpSite // per-boundary TSV sites (same placement each boundary)
 	convCell []int      // converter host cells (per core × ConvertersPerCore)
 
-	// Prepared-engine cache: every Solve on this PDN shares one sparsity
-	// structure, so the compiled engine is parked here between calls. Take
-	// and put-back under the mutex keeps concurrent Solve calls safe (a
-	// second caller simply builds its own engine; the spare is dropped).
-	engMu sync.Mutex
-	eng   *engine
-}
-
-// takeEngine removes the cached engine, if any, for exclusive use.
-func (p *PDN) takeEngine() *engine {
-	p.engMu.Lock()
-	defer p.engMu.Unlock()
-	e := p.eng
-	p.eng = nil
-	return e
-}
-
-// putEngine parks an engine for the next Solve. If the slot is already
-// occupied (a concurrent call returned first) the engine is dropped.
-func (p *PDN) putEngine(e *engine) {
-	p.engMu.Lock()
-	defer p.engMu.Unlock()
-	if p.eng == nil {
-		p.eng = e
-	}
+	// The compiled engine: every Solve on this PDN shares one sparsity
+	// structure and one factor, so the first solve builds the engine and
+	// every solve, concurrent or not, reads it.
+	engOnce sync.Once
+	eng     *engine
+	engErr  error
 }
 
 // New validates the configuration and computes all placements.

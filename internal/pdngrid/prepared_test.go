@@ -2,9 +2,11 @@ package pdngrid
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"voltstack/internal/circuit"
+	"voltstack/internal/telemetry"
 )
 
 // bitsEq compares floats bitwise, so even a sign-of-zero or last-ulp drift
@@ -177,11 +179,12 @@ func TestPreparedRegularReuse(t *testing.T) {
 	}
 }
 
-// TestPreparedConcurrentSolves hammers one PDN from several goroutines
-// (exercising the engine take/put-back path) and checks every result is
-// bit-identical to a serial reference. Run under -race this also proves the
-// cache handoff is data-race free.
+// TestPreparedConcurrentSolves hammers one PDN from several goroutines,
+// all reading its one engine, and checks every result is bit-identical to
+// a serial reference and that the PDN built exactly one engine. Run under
+// -race this also proves the shared engine is data-race free.
 func TestPreparedConcurrentSolves(t *testing.T) {
+	telemetry.Enable()
 	cfg := vsCfg(3, 2)
 	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-10}
 	acts := InterleavedActivities(3, 16, 0.5)
@@ -194,6 +197,7 @@ func TestPreparedConcurrentSolves(t *testing.T) {
 	results := make([]*Result, workers)
 	errs := make([]error, workers)
 	done := make(chan int, workers)
+	before := mEngineBuilds.Value()
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			results[w], errs[w] = p.Solve(acts)
@@ -203,10 +207,45 @@ func TestPreparedConcurrentSolves(t *testing.T) {
 	for i := 0; i < workers; i++ {
 		<-done
 	}
+	if n := mEngineBuilds.Value() - before; n != 1 {
+		t.Errorf("%d concurrent callers built %d engines, want 1", workers, n)
+	}
 	for w := 0; w < workers; w++ {
 		if errs[w] != nil {
 			t.Fatalf("worker %d: %v", w, errs[w])
 		}
 		sameResult(t, "concurrent", want, results[w])
+	}
+}
+
+// TestStaticLoadLayout pins the load order that rasterizeLoads and the
+// engine share: load k sits between the Vdd and ground meshes of layer
+// k / nCells, cell k % nCells.
+func TestStaticLoadLayout(t *testing.T) {
+	cfg := vsCfg(3, 2)
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := p.engine(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	loads := make([]float64, cfg.Layers*p.nCells)
+	for k := range loads {
+		loads[k] = 0.01 * rng.Float64()
+	}
+	sol, err := eng.prep.Solve(loads, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := eng.asm.node
+	for k := range loads {
+		l, c := k/p.nCells, k%p.nCells
+		want := sol.V(node(l, 0, c)) - sol.V(node(l, 1, c))
+		if got := sol.LoadVoltage(circuit.LoadID(k)); !bitsEq(got, want) {
+			t.Fatalf("load %d: voltage %v, want layer %d cell %d's %v", k, got, l, c, want)
+		}
 	}
 }

@@ -19,10 +19,8 @@ var (
 	mAssembleSeconds = telemetry.NewHistogram("pdngrid_assemble_seconds")
 	mSolveSeconds    = telemetry.NewHistogram("pdngrid_linear_solve_seconds")
 	mNodesHist       = telemetry.NewHistogram("pdngrid_nodes")
-	// Prepared-engine cache effectiveness: builds are structure-cache
-	// misses, reuses are hits.
+	// Engine builds: one per PDN that is solved at all.
 	mEngineBuilds = telemetry.NewCounter("pdngrid_engine_builds_total")
-	mEngineReuses = telemetry.NewCounter("pdngrid_engine_reuses_total")
 )
 
 // Result holds the solved state of one PDN scenario.
@@ -114,11 +112,10 @@ func InterleavedActivities(layers, cores int, imbalance float64) [][]float64 {
 // Solve builds the MNA network for the given per-layer, per-core activity
 // factors and solves it. activities must be Layers x NumCores.
 //
-// The solve runs on a prepared engine cached on the PDN: the network is
-// assembled once and factored (or its preconditioner built) on the first
-// solve; every later Solve call only writes the new load currents, which
-// restamp the right-hand side and leave the matrix and its factor
-// unchanged.
+// Every solve on a PDN runs on its one engine: the first solve assembles
+// the network and builds its factor or preconditioner, and every solve,
+// concurrent or not, stamps its own load currents into a right-hand side
+// and solves against that factor. Solve is safe for concurrent use.
 func (p *PDN) Solve(activities [][]float64) (*Result, error) {
 	return p.SolveContext(context.Background(), activities)
 }
@@ -129,6 +126,27 @@ func (p *PDN) Solve(activities [][]float64) (*Result, error) {
 // trace or scope attached. Converters run open loop at their configured
 // switching frequency, so every solve is one linear solve.
 func (p *PDN) SolveContext(ctx context.Context, activities [][]float64) (*Result, error) {
+	s, err := p.solve(ctx, activities)
+	if err != nil {
+		return nil, err
+	}
+	if scope := telemetry.ScopeFrom(ctx); scope != nil {
+		recordJobSolves(scope, s.sp, s.secs, s.sol)
+	}
+	return s.res, nil
+}
+
+// solved is one finished PDN solve plus what its job-scope attribution
+// needs.
+type solved struct {
+	res  *Result
+	sol  *circuit.Solution
+	sp   *telemetry.Span // the linear-solve span
+	secs float64         // linear-solve wall time, measured under a job scope only
+}
+
+// solve rasterizes one activity matrix and solves it on the PDN's engine.
+func (p *PDN) solve(ctx context.Context, activities [][]float64) (*solved, error) {
 	loads, err := p.rasterizeLoads(activities)
 	if err != nil {
 		return nil, err
@@ -136,21 +154,19 @@ func (p *PDN) SolveContext(ctx context.Context, activities [][]float64) (*Result
 
 	sp := telemetry.StartSpanCtx(ctx, "pdngrid.solve")
 	defer sp.End()
-	scope := telemetry.ScopeFrom(ctx)
-
-	eng, err := p.engineFor(sp, loads)
+	eng, err := p.engine(sp)
 	if err != nil {
 		return nil, err
 	}
-	defer p.putEngine(eng)
 
 	spS := sp.Start("linear-solve")
 	var tJob time.Time
-	if scope != nil {
+	scoped := telemetry.ScopeFrom(ctx) != nil
+	if scoped {
 		tJob = time.Now()
 	}
 	tS := telemetry.Now()
-	sol, err := eng.prep.Solve(spS)
+	sol, err := eng.prep.Solve(loads, spS)
 	mSolveSeconds.Since(tS)
 	spS.End()
 	if err != nil {
@@ -158,49 +174,40 @@ func (p *PDN) SolveContext(ctx context.Context, activities [][]float64) (*Result
 	}
 	mSolves.Add(1)
 	mNodesHist.Observe(float64(eng.asm.net.NumNodes()))
-	if scope != nil {
-		recordJobSolves(scope, spS, time.Since(tJob).Seconds(), []*circuit.Solution{sol})
+	s := &solved{res: p.extractResult(eng.asm, sol), sol: sol, sp: spS}
+	if scoped {
+		s.secs = time.Since(tJob).Seconds()
 	}
-	return p.extractResult(eng.asm, sol), nil
+	return s, nil
 }
 
-// recordJobSolves attributes one linear solve — a single solve or a whole
-// batch — to the job scope: per-job counters, the latency histogram, the
-// last lane's residual, and one exemplar keyed to the solve's trace span
-// with convergence evidence. The lanes of a batch share one factor, so
-// per-lane wall time is not separable and the batch is the timed unit;
-// the exemplar sums the lanes' iterations and carries the first probed
-// lane's residual timeline.
-func recordJobSolves(scope *telemetry.Scope, sp *telemetry.Span, secs float64, sols []*circuit.Solution) {
-	iters := 0
-	for _, sol := range sols {
-		iters += sol.Iterations
-	}
-	last := sols[len(sols)-1].Residual
-	scope.Counter("job_pdn_solves_total").Add(int64(len(sols)))
-	scope.Counter("job_solver_iterations_total").Add(int64(iters))
+// recordJobSolves attributes one linear solve to the job scope: per-job
+// counters, the latency histogram, the residual gauge, and one exemplar
+// keyed to the solve's trace span with its convergence evidence. Every
+// field of the exemplar belongs to this one solve.
+func recordJobSolves(scope *telemetry.Scope, sp *telemetry.Span, secs float64, sol *circuit.Solution) {
+	scope.Counter("job_pdn_solves_total").Add(1)
+	scope.Counter("job_solver_iterations_total").Add(int64(sol.Iterations))
 	scope.Histogram("job_linear_solve_seconds").Observe(secs)
-	scope.Gauge("job_solver_residual_last").Set(last)
+	scope.Gauge("job_solver_residual_last").Set(sol.Residual)
 	ex := telemetry.Exemplar{
 		Metric:     "job_linear_solve_seconds",
 		Value:      secs,
-		Iterations: iters,
-		Residual:   last,
+		Iterations: sol.Iterations,
+		Residual:   sol.Residual,
 	}
 	if tc := sp.TraceContext(); tc.Valid() {
 		ex.TraceID, ex.SpanID = tc.TraceIDString(), tc.SpanIDString()
 	}
-	for _, sol := range sols {
-		recordJobHealth(scope, &ex, sol.Health)
-	}
+	recordJobHealth(scope, &ex, sol.Health)
 	scope.RecordExemplar(ex)
 }
 
 // recordJobHealth attributes one probed solve's convergence report to the
 // job scope: the job's stats document (and through it `vsctl health`)
 // carries the last probed solve's condition estimate, reduction factor and
-// detector trips, and the exemplar picks up the report's residual timeline
-// if it has none yet. Nil h (probes off, or a direct solve) is a no-op.
+// detector trips, and the exemplar carries the report's residual
+// timeline. Nil h (probes off, or a direct solve) is a no-op.
 func recordJobHealth(scope *telemetry.Scope, ex *telemetry.Exemplar, h *telemetry.ConvergenceReport) {
 	if h == nil {
 		return
@@ -223,20 +230,20 @@ func recordJobHealth(scope *telemetry.Scope, ex *telemetry.Exemplar, h *telemetr
 	if h.Degradation {
 		scope.Counter("job_health_degradation_total").Add(1)
 	}
-	if ex.Residuals == nil {
-		ex.Residuals, ex.ResidualsDropped = h.Residuals, h.ResidualsDropped
-	}
+	ex.Residuals, ex.ResidualsDropped = h.Residuals, h.ResidualsDropped
 }
 
-// rasterizeLoads converts per-layer, per-core activity factors into
-// per-layer, per-cell load currents at nominal Vdd. activities must be
-// Layers x NumCores.
-func (p *PDN) rasterizeLoads(activities [][]float64) ([][]float64, error) {
+// rasterizeLoads converts per-layer, per-core activity factors into the
+// engine's load vector: the current at nominal Vdd of every cell, layer by
+// layer, so load k is layer k / nCells, cell k % nCells (the order
+// assemble adds the static loads in). activities must be Layers x
+// NumCores.
+func (p *PDN) rasterizeLoads(activities [][]float64) ([]float64, error) {
 	cfg := p.Cfg
 	if len(activities) != cfg.Layers {
 		return nil, fmt.Errorf("pdngrid: need %d layers of activities, got %d", cfg.Layers, len(activities))
 	}
-	loads := make([][]float64, cfg.Layers)
+	loads := make([]float64, 0, cfg.Layers*p.nCells)
 	for l := range activities {
 		pm, err := cfg.Chip.PowerMap(activities[l])
 		if err != nil {
@@ -246,10 +253,9 @@ func (p *PDN) rasterizeLoads(activities [][]float64) ([][]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i := range cells {
-			cells[i] /= cfg.Params.Vdd // watts -> amperes at nominal Vdd
+		for _, w := range cells {
+			loads = append(loads, w/cfg.Params.Vdd) // watts -> amperes at nominal Vdd
 		}
-		loads[l] = cells
 	}
 	return loads, nil
 }
@@ -260,46 +266,35 @@ type engine struct {
 	prep *circuit.Prepared
 }
 
-// applyLoads writes this call's per-cell load currents into the engine.
-func (e *engine) applyLoads(loads [][]float64, nCells int) {
-	for l := range loads {
-		for c, amps := range loads[l] {
-			e.prep.SetLoad(e.asm.loadIDs[l*nCells+c], amps)
-		}
-	}
+// engine returns the PDN's one engine, building it on first use inside
+// the first caller's span sp. A failed build returns the same error to
+// every caller.
+func (p *PDN) engine(sp *telemetry.Span) (*engine, error) {
+	p.engOnce.Do(func() { p.eng, p.engErr = p.buildEngine(sp) })
+	return p.eng, p.engErr
 }
 
-// engineFor takes the PDN's cached engine and writes this call's loads
-// into it, or assembles and compiles a new engine when none is parked (the
-// first call, or a concurrent caller holds it). The caller returns the
-// engine with putEngine.
-func (p *PDN) engineFor(sp *telemetry.Span, loads [][]float64) (*engine, error) {
+// buildEngine assembles the static network at zero load and compiles it.
+// Its "assemble" span and pdngrid_assemble_seconds cover stamping, CSR
+// assembly and, in the "factor" child span, the factor or preconditioner
+// build.
+func (p *PDN) buildEngine(sp *telemetry.Span) (*engine, error) {
 	tA := telemetry.Now()
-	eng := p.takeEngine()
-	if eng == nil {
-		spA := sp.Start("assemble")
-		asm := p.assemble(loads, nil)
-		prep, err := asm.net.Compile(p.Cfg.Solve)
-		mAssembleSeconds.Since(tA)
-		spA.End()
-		if err != nil {
-			return nil, fmt.Errorf("pdngrid: %w", err)
-		}
-		mEngineBuilds.Add(1)
-		return &engine{asm: asm, prep: prep}, nil
-	}
-	// The matrix is shared across calls; only the load currents, which
-	// enter the right-hand side, differ.
-	mEngineReuses.Add(1)
-	spA := sp.Start("restamp")
-	eng.applyLoads(loads, p.nCells)
+	spA := sp.Start("assemble")
+	defer spA.End()
+	asm := p.assemble(nil)
+	prep, err := asm.net.Compile(p.Cfg.Solve, spA)
 	mAssembleSeconds.Since(tA)
-	spA.End()
-	return eng, nil
+	if err != nil {
+		return nil, fmt.Errorf("pdngrid: %w", err)
+	}
+	mEngineBuilds.Add(1)
+	return &engine{asm: asm, prep: prep}, nil
 }
 
 // dynSpec adds dynamic elements for transient analysis.
 type dynSpec struct {
+	cellAmps     []float64               // load current per mesh cell, the same on every layer
 	scale        func(t float64) float64 // load scaling over time
 	decapPerCell float64                 // on-die decap per mesh cell per layer (F)
 	pkgL         float64                 // package inductance per polarity (H)
@@ -317,14 +312,13 @@ type assembled struct {
 	tvRes    []circuit.ResistorID
 	tvRefs   []lumpRef
 	convIDs  []circuit.ConverterID
-	loadIDs  []circuit.LoadID // static DC path only: one per layer×cell
 	vddBoard int
 	gndBoard int
 }
 
 // assemble builds the full MNA network for the scenario. dyn may be nil
-// (pure DC network).
-func (p *PDN) assemble(loads [][]float64, dyn *dynSpec) *assembled {
+// (pure DC network, every load at 0 A).
+func (p *PDN) assemble(dyn *dynSpec) *assembled {
 	cfg := p.Cfg
 	prm := cfg.Params
 	nx, ny := prm.GridNx, prm.GridNy
@@ -355,32 +349,28 @@ func (p *PDN) assemble(loads [][]float64, dyn *dynSpec) *assembled {
 		}
 	}
 
-	// Loads: per cell, between the layer's Vdd and ground meshes. With a
-	// dynamic spec the loads follow amps·scale(t); on-die decoupling
-	// capacitance sits in parallel with every cell load. On the static DC
-	// path every cell gets a load element even at 0 A (a zero source is
-	// electrically inert and bit-neutral in the RHS) so the network
-	// structure is invariant across activity patterns — the prepared
-	// engine then reuses one compiled structure for all of them.
+	// Loads: per cell, between the layer's Vdd and ground meshes. The DC
+	// network gets a 0 A load element for every cell, layer by layer, so
+	// load k is layer k / nCells, cell k % nCells: each solve passes its
+	// currents in that order. With a dynamic spec the loads follow
+	// amps·scale(t); on-die decoupling capacitance sits in parallel with
+	// every cell load.
 	for l := 0; l < L; l++ {
-		for c, amps := range loads[l] {
-			if dyn != nil {
-				if amps > 0 {
-					if dyn.scale != nil {
-						base := amps
-						net.AddTransientLoad(node(l, 0, c), node(l, 1, c), func(t float64) float64 {
-							return base * dyn.scale(t)
-						})
-					} else {
-						net.AddLoad(node(l, 0, c), node(l, 1, c), amps)
-					}
+		for c := 0; c < nCells; c++ {
+			vdd, gnd := node(l, 0, c), node(l, 1, c)
+			if dyn == nil {
+				net.AddLoad(vdd, gnd, 0)
+				continue
+			}
+			if amps := dyn.cellAmps[c]; amps > 0 {
+				if dyn.scale != nil {
+					net.AddTransientLoad(vdd, gnd, func(t float64) float64 { return amps * dyn.scale(t) })
+				} else {
+					net.AddLoad(vdd, gnd, amps)
 				}
-				if dyn.decapPerCell > 0 {
-					net.AddCapacitor(node(l, 0, c), node(l, 1, c), dyn.decapPerCell)
-				}
-			} else {
-				id := net.AddLoad(node(l, 0, c), node(l, 1, c), amps)
-				a.loadIDs = append(a.loadIDs, id)
+			}
+			if dyn.decapPerCell > 0 {
+				net.AddCapacitor(vdd, gnd, dyn.decapPerCell)
 			}
 		}
 	}
@@ -492,9 +482,8 @@ func (p *PDN) assemble(loads [][]float64, dyn *dynSpec) *assembled {
 	return a
 }
 
-// extractResult derives all scenario metrics from a solved network. It is
-// shared by the serial and batched paths, so a bit-identical Solution
-// yields a bit-identical Result.
+// extractResult derives all scenario metrics from a solved network, so a
+// bit-identical Solution yields a bit-identical Result.
 func (p *PDN) extractResult(asm *assembled, sol *circuit.Solution) *Result {
 	cfg := p.Cfg
 	prm := cfg.Params

@@ -38,11 +38,10 @@ func TestConvergenceStatsDirect(t *testing.T) {
 	}
 }
 
-// TestBatchJobAttribution: a probed 2-lane batch is one timed solve in
-// the job scope. Its exemplar sums both lanes' iterations, but the
-// residual timeline belongs to one lane, so ResidualIteration must number
-// it up to that lane's step count, not the sum. The batch also sets
-// job_solver_residual_last like a single solve.
+// TestBatchJobAttribution: each entry of a probed 2-entry batch is its
+// own solve in the job scope, attributed in entry order once both finish.
+// Every field of an exemplar belongs to one solve: its iterations, its
+// residual, and a residual timeline numbered up to its own step count.
 func TestBatchJobAttribution(t *testing.T) {
 	telemetry.EnableConvergenceProbes()
 	defer telemetry.DisableConvergenceProbes()
@@ -62,21 +61,34 @@ func TestBatchJobAttribution(t *testing.T) {
 	if got := scope.Counter("job_pdn_solves_total").Value(); got != 2 {
 		t.Errorf("job_pdn_solves_total = %d, want 2", got)
 	}
+	if got := scope.Histogram("job_linear_solve_seconds").Count(); got != 2 {
+		t.Errorf("job_linear_solve_seconds has %d observations, want 2", got)
+	}
 	if got := scope.Gauge("job_solver_residual_last").Value(); got != out[1].SolverResidual {
-		t.Errorf("job_solver_residual_last = %g, want the last lane's %g", got, out[1].SolverResidual)
+		t.Errorf("job_solver_residual_last = %g, want entry 1's %g", got, out[1].SolverResidual)
 	}
 	exs := scope.Exemplars().Snapshot()
-	if len(exs) != 1 {
-		t.Fatalf("got %d exemplars, want 1 for the batch", len(exs))
+	if len(exs) != 2 {
+		t.Fatalf("got %d exemplars, want one per entry", len(exs))
 	}
-	ex := exs[0]
-	if want := out[0].SolverIterations + out[1].SolverIterations; ex.Iterations != want {
-		t.Errorf("exemplar iterations = %d, want the lane sum %d", ex.Iterations, want)
-	}
-	if len(ex.Residuals) == 0 {
-		t.Fatal("exemplar carries no residual timeline")
-	}
-	if got := ex.ResidualIteration(len(ex.Residuals) - 1); got != out[0].SolverIterations {
-		t.Errorf("timeline ends at step %d, want lane 0's %d", got, out[0].SolverIterations)
+	seen := map[int]bool{}
+	for _, ex := range exs {
+		i := 0
+		if ex.Residual == out[1].SolverResidual {
+			i = 1
+		}
+		if seen[i] || ex.Residual != out[i].SolverResidual {
+			t.Fatalf("exemplar residual %g matches no unclaimed entry", ex.Residual)
+		}
+		seen[i] = true
+		if ex.Iterations != out[i].SolverIterations {
+			t.Errorf("entry %d exemplar iterations = %d, want %d", i, ex.Iterations, out[i].SolverIterations)
+		}
+		if len(ex.Residuals) == 0 {
+			t.Fatalf("entry %d exemplar carries no residual timeline", i)
+		}
+		if got := ex.ResidualIteration(len(ex.Residuals) - 1); got != out[i].SolverIterations {
+			t.Errorf("entry %d timeline ends at step %d, want %d", i, got, out[i].SolverIterations)
+		}
 	}
 }

@@ -1,21 +1,16 @@
-// Batched PDN solves: many activity patterns against one prepared engine.
-// Sweep evaluation and Monte Carlo layers solve the same placed PDN under
-// different load vectors; since loads are RHS-only elements (the network
-// structure stamps every cell's load unconditionally), a whole batch
-// shares one compiled matrix and one factorization or preconditioner.
+// Batched PDN solves: many activity patterns against the PDN's one
+// engine. Sweep evaluation solves the same placed PDN under different
+// load vectors; loads are right-hand-side only, so every entry is an
+// ordinary solve against the shared factor or preconditioner, and the
+// entries run concurrently.
 package pdngrid
 
 import (
 	"context"
 	"fmt"
-	"time"
 
+	"voltstack/internal/parallel"
 	"voltstack/internal/telemetry"
-)
-
-var (
-	mBatchSolves = telemetry.NewCounter("pdngrid_batch_solves_total")
-	mBatchLanes  = telemetry.NewCounter("pdngrid_batch_lanes_total")
 )
 
 // SolveBatch solves the PDN once per activity matrix in the batch and
@@ -29,66 +24,32 @@ func (p *PDN) SolveBatch(batch [][][]float64) ([]*Result, error) {
 // SolveBatchContext is SolveBatch with a context for trace-span and
 // job-scope propagation (see SolveContext).
 //
-// The matrix is identical across entries (loads are RHS-only), so the
-// engine's one factor or preconditioner serves all lanes, which run on a
-// pool of parallel.DefaultWorkers; each lane is bit-identical to a serial
-// Solve of its entry for any worker count.
+// The entries run concurrently on a pool of parallel.DefaultWorkers, each
+// one an ordinary solve on the PDN's engine, so each Result is
+// bit-identical to a serial Solve of its entry for any worker count. The
+// job scope attributes every entry as its own solve, in entry order, once
+// all have finished. On failure the lowest-index failed entry's error is
+// returned.
 func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Result, error) {
-	k := len(batch)
-	if k == 0 {
-		return nil, nil
-	}
-	mBatchSolves.Add(1)
-	mBatchLanes.Add(int64(k))
-
-	loads := make([][][]float64, k)
-	for i, acts := range batch {
-		ld, err := p.rasterizeLoads(acts)
+	done := make([]*solved, len(batch))
+	err := parallel.NewPool(0).ForEachN(ctx, len(batch), func(i int) error {
+		s, err := p.solve(ctx, batch[i])
 		if err != nil {
-			return nil, fmt.Errorf("pdngrid: batch entry %d: %w", i, err)
+			return fmt.Errorf("pdngrid: batch entry %d: %w", i, err)
 		}
-		loads[i] = ld
-	}
-
-	sp := telemetry.StartSpanCtx(ctx, "pdngrid.solve-batch")
-	defer sp.End()
-	scope := telemetry.ScopeFrom(ctx)
-	scope.Counter("job_batch_solves_total").Add(1)
-	scope.Counter("job_batch_lanes_total").Add(int64(k))
-
-	eng, err := p.engineFor(sp, loads[0])
+		done[i] = s
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer p.putEngine(eng)
-
-	spS := sp.Start("linear-solve")
-	var tJob time.Time
-	if scope != nil {
-		tJob = time.Now()
-	}
-	tS := telemetry.Now()
-	sols, err := eng.prep.SolveBatch(k, func(i int) {
-		eng.applyLoads(loads[i], p.nCells)
-	})
-	mSolveSeconds.Since(tS)
-	spS.End()
-	if err != nil {
-		return nil, solveFailure(eng.asm.net.NumNodes(), err)
-	}
-
-	out := make([]*Result, k)
-	for i, sol := range sols {
-		// Element-level queries in extractResult (LoadPower, …) read live
-		// netlist values, so entry i's loads must be active while its
-		// Result is derived.
-		eng.applyLoads(loads[i], p.nCells)
-		out[i] = p.extractResult(eng.asm, sol)
-		mSolves.Add(1)
-		mNodesHist.Observe(float64(eng.asm.net.NumNodes()))
-	}
-	if scope != nil {
-		recordJobSolves(scope, spS, time.Since(tJob).Seconds(), sols)
+	out := make([]*Result, len(batch))
+	scope := telemetry.ScopeFrom(ctx)
+	for i, s := range done {
+		if scope != nil {
+			recordJobSolves(scope, s.sp, s.secs, s.sol)
+		}
+		out[i] = s.res
 	}
 	return out, nil
 }

@@ -91,10 +91,6 @@ func (p *PDN) SolveTransient(tc TransientConfig) (*TransientResult, error) {
 	for i := range cells {
 		cells[i] /= cfg.Params.Vdd
 	}
-	loads := make([][]float64, cfg.Layers)
-	for l := range loads {
-		loads[l] = cells
-	}
 
 	// Map activity to a load-current scale. Leakage persists at rest:
 	// scale = leak + (1-leak)·activity with the chip's leakage fraction.
@@ -105,6 +101,7 @@ func (p *PDN) SolveTransient(tc TransientConfig) (*TransientResult, error) {
 
 	cellArea := p.raster.Die.W * p.raster.Die.H / float64(p.nCells)
 	dyn := &dynSpec{
+		cellAmps: cells,
 		scale: func(t float64) float64 {
 			if t > 0 {
 				return step
@@ -114,7 +111,7 @@ func (p *PDN) SolveTransient(tc TransientConfig) (*TransientResult, error) {
 		decapPerCell: tc.DecapPerArea * cellArea,
 		pkgL:         tc.PkgL,
 	}
-	asm := p.assemble(loads, dyn)
+	asm := p.assemble(dyn)
 
 	// Probes: the central cell of every core tile, on both meshes of
 	// every layer.

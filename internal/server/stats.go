@@ -13,8 +13,8 @@ import (
 // JobStats is the per-job resource-attribution document served by
 // GET /v1/jobs/{id}/stats: wall/CPU time and allocations charged to the
 // job, queue wait, the job-scoped instrument registry (solver iterations,
-// residuals, batch-lane occupancy, point cache hits, …) and the exemplars
-// linking the job's slowest solves back to (trace ID, span ID) evidence.
+// residuals, point cache hits, …) and the exemplars linking the job's
+// slowest solves back to (trace ID, span ID) evidence.
 //
 // While the job runs the document is a live snapshot (Final=false); once
 // the job reaches a terminal state the document is frozen, journaled next

@@ -76,7 +76,8 @@ type amgLevel struct {
 // V-cycle on the hierarchy. The hierarchy (levels, coarse factor) is
 // immutable and shared by forks; the per-level scratch vectors are owned
 // per instance, so a single AMGPrec must not Apply concurrently with
-// itself but scratch forks may run in parallel.
+// itself. PCG runs every solve on its own scratch fork, so concurrent
+// PCG solves may share one AMGPrec.
 type AMGPrec struct {
 	levels []*amgLevel
 	coarse *SparseChol
@@ -197,7 +198,8 @@ func (p *AMGPrec) allocScratch() {
 }
 
 // forkScratch returns a view sharing the immutable hierarchy but owning
-// fresh V-cycle scratch, so forks can Apply concurrently.
+// fresh V-cycle scratch, so forks can Apply concurrently. PCG takes one
+// per solve.
 func (p *AMGPrec) forkScratch() Preconditioner {
 	q := *p
 	q.allocScratch()

@@ -78,7 +78,6 @@ type IC0Prec struct {
 	lower *CSR      // L of the scaled matrix, diagonal stored last per row
 	upper *CSR      // Lᵀ for the backward solve
 	scale []float64 // D^-1/2
-	tmp   []float64
 }
 
 // ic0Symbolic is the structural phase of NewIC0: the lower-triangle
@@ -174,7 +173,6 @@ func (s *ic0Symbolic) factor(a *CSR) (*IC0Prec, error) {
 		lower: &CSR{n: s.n, rowPtr: s.low.rowPtr, col: s.low.col, val: make([]float64, s.low.NNZ())},
 		upper: &CSR{n: s.n, rowPtr: s.upper.rowPtr, col: s.upper.col, val: make([]float64, s.upper.NNZ())},
 		scale: make([]float64, s.n),
-		tmp:   make([]float64, s.n),
 	}
 	attempts := 0
 	var lastErr error
@@ -302,29 +300,31 @@ func (sym *ic0Symbolic) factorShift(a *CSR, p *IC0Prec, shift float64) error {
 }
 
 // Apply solves (D^1/2 L Lᵀ D^1/2) z = r, the preconditioner in the
-// original (unscaled) variables.
+// original (unscaled) variables. r and z must not overlap. Apply only
+// reads the factor, so concurrent calls with distinct z are safe.
 func (p *IC0Prec) Apply(r, z []float64) {
 	n := p.lower.N()
-	y := p.tmp
 	scale := p.scale
-	// Forward: L y = D^-1/2 r. Rows of L are sorted, so the diagonal (whose
-	// presence the symbolic phase guarantees) is each row's last entry; the
-	// off-diagonal accumulation order matches the branch-per-entry original
-	// exactly, keeping the solve bit-identical.
+	// Forward: L y = D^-1/2 r, with y stored in z. Rows of L are sorted,
+	// so the diagonal (whose presence the symbolic phase guarantees) is
+	// each row's last entry; the off-diagonal accumulation order matches
+	// the branch-per-entry original exactly, keeping the solve
+	// bit-identical.
 	lval, lcol, lptr := p.lower.val, p.lower.col, p.lower.rowPtr
 	for i := 0; i < n; i++ {
 		s := r[i] * scale[i]
 		lo, hi := lptr[i], lptr[i+1]
 		for k := lo; k < hi-1; k++ {
-			s -= lval[k] * y[lcol[k]]
+			s -= lval[k] * z[lcol[k]]
 		}
-		y[i] = s / lval[hi-1]
+		z[i] = s / lval[hi-1]
 	}
-	// Backward: Lᵀ w = y, then z = D^-1/2 w. Rows of upper are sorted,
+	// Backward: Lᵀ w = y in place (row i reads y[i] and the already
+	// solved w[j], j > i), then z = D^-1/2 w. Rows of upper are sorted,
 	// diagonal first.
 	uval, ucol, uptr := p.upper.val, p.upper.col, p.upper.rowPtr
 	for i := n - 1; i >= 0; i-- {
-		s := y[i]
+		s := z[i]
 		lo, hi := uptr[i], uptr[i+1]
 		for k := lo + 1; k < hi; k++ {
 			s -= uval[k] * z[ucol[k]]
@@ -363,8 +363,8 @@ const cacheLineF64 = 8
 // NewPCGWorkspace returns a workspace for n-dimensional solves. All four
 // scratch vectors live in one backing allocation, each starting on a
 // 64-byte cache-line boundary with a full guard line between neighbours:
-// concurrent lanes of a batched solve then never false-share a line across
-// workspace vectors.
+// concurrent solves then never false-share a line across workspace
+// vectors.
 func NewPCGWorkspace(n int) *PCGWorkspace {
 	stride := (n+cacheLineF64-1)/cacheLineF64*cacheLineF64 + cacheLineF64
 	buf := make([]float64, 4*stride+cacheLineF64)
@@ -398,6 +398,10 @@ func (w *PCGWorkspace) resize(n int) {
 // workspace reuse (every scratch vector is fully overwritten before use).
 // The solve stops when the relative residual drops below tol or maxIter
 // iterations elapse.
+//
+// Concurrent PCG calls may share a, b, x0 and any preconditioner of this
+// package, but not ws: the preconditioners only read their factors, and
+// an AMG V-cycle runs on scratch private to the solve.
 func PCG(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int, ws *PCGWorkspace) ([]float64, CGResult, error) {
 	x, res, err := pcg(a, b, x0, prec, tol, maxIter, ws)
 	mPCGSolves.Add(1)
@@ -428,8 +432,11 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	if len(b) != n {
 		panic("sparse: PCG dimension mismatch")
 	}
-	if prec == nil {
+	switch q := prec.(type) {
+	case nil:
 		prec = IdentityPrec{}
+	case *AMGPrec:
+		prec = q.forkScratch()
 	}
 	if ws == nil {
 		ws = NewPCGWorkspace(n)

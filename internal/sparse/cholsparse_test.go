@@ -284,3 +284,23 @@ func BenchmarkSparseCholND3DGrid(b *testing.B) {
 		}
 	}
 }
+
+// TestSparseCholSolveBatchMatchesSerial: a batch of right-hand sides
+// solved by 1, 2 and 8 goroutines sharing one factor is bit-identical to
+// serial solves of each right-hand side.
+func TestSparseCholSolveBatchMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a := gridLaplacian(14, 14, 1e-3)
+	f, err := FactorSparse(a, OrderND)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := randBatch(a.N(), 9, rng)
+	for _, workers := range []int{1, 2, 8} {
+		xs := make([][]float64, len(bs))
+		concurrently(workers, len(bs), func(i int) { xs[i] = f.Solve(bs[i]) })
+		for i := range bs {
+			sameFloats(t, "sparse-chol lane", f.Solve(bs[i]), xs[i])
+		}
+	}
+}

@@ -1,9 +1,12 @@
 package sparse
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+
+	"voltstack/internal/parallel"
 )
 
 // cooEntry is a (row, col) slot of a deterministic COO insertion sequence.
@@ -113,5 +116,141 @@ func TestPCGBreakdownReportsCurrentResidual(t *testing.T) {
 	want := Norm2(ax) / Norm2(rhs)
 	if math.Float64bits(want) != math.Float64bits(res.Residual) {
 		t.Fatalf("breakdown residual %v does not match recomputed %v", res.Residual, want)
+	}
+}
+
+func randBatch(n, k int, rng *rand.Rand) [][]float64 {
+	bs := make([][]float64, k)
+	for i := range bs {
+		bs[i] = randVec(n, rng)
+	}
+	return bs
+}
+
+// concurrently runs fn(0) … fn(k-1) on the given number of goroutines,
+// which share everything fn closes over, and waits for all of them.
+func concurrently(workers, k int, fn func(i int)) {
+	_ = parallel.NewPool(workers).ForEachN(context.Background(), k, func(i int) error {
+		fn(i)
+		return nil
+	})
+}
+
+// TestPCGBatchMatchesSerial: a batch of right-hand sides solved by 1, 2
+// and 8 goroutines sharing one matrix and one preconditioner is
+// bit-identical, x and CGResult, to serial solves of each right-hand side.
+func TestPCGBatchMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := gridLaplacian(20, 15, 1e-3)
+	n := a.N()
+	bs := randBatch(n, 9, rng)
+
+	ic0, err := NewIC0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	amg, err := NewAMG(a, AMGOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	precs := map[string]Preconditioner{
+		"identity": IdentityPrec{},
+		"jacobi":   NewJacobi(a),
+		"ic0":      ic0,
+		"amg":      amg,
+	}
+	for name, prec := range precs {
+		// Serial reference lanes.
+		ref := make([][]float64, len(bs))
+		refRes := make([]CGResult, len(bs))
+		for i := range bs {
+			x, res, err := PCG(a, bs[i], nil, prec, 1e-10, 10*n, nil)
+			if err != nil {
+				t.Fatalf("%s serial lane %d: %v", name, i, err)
+			}
+			ref[i], refRes[i] = x, res
+		}
+		for _, workers := range []int{1, 2, 8} {
+			xs := make([][]float64, len(bs))
+			results := make([]CGResult, len(bs))
+			errs := make([]error, len(bs))
+			concurrently(workers, len(bs), func(i int) {
+				xs[i], results[i], errs[i] = PCG(a, bs[i], nil, prec, 1e-10, 10*n, NewPCGWorkspace(n))
+			})
+			for i := range bs {
+				if errs[i] != nil {
+					t.Fatalf("%s workers=%d lane %d: %v", name, workers, i, errs[i])
+				}
+				sameFloats(t, name+" lane", ref[i], xs[i])
+				if results[i] != refRes[i] {
+					t.Fatalf("%s workers=%d lane %d: result %+v vs serial %+v",
+						name, workers, i, results[i], refRes[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPCGBatchWarmStartsMatchSerial: goroutines sharing one
+// preconditioner, each passing its own warm start x0 (nil included),
+// match serial solves from the same x0.
+func TestPCGBatchWarmStartsMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	a := gridLaplacian(12, 12, 1e-3)
+	n := a.N()
+	bs := randBatch(n, 5, rng)
+	x0s := randBatch(n, 5, rng)
+	x0s[2] = nil // nil warm-start entries must be allowed
+	prec := NewJacobi(a)
+	for _, workers := range []int{1, 2, 8} {
+		xs := make([][]float64, len(bs))
+		results := make([]CGResult, len(bs))
+		errs := make([]error, len(bs))
+		concurrently(workers, len(bs), func(i int) {
+			xs[i], results[i], errs[i] = PCG(a, bs[i], x0s[i], prec, 1e-10, 10*n, nil)
+		})
+		for i := range bs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			ref, refRes, err := PCG(a, bs[i], x0s[i], prec, 1e-10, 10*n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFloats(t, "warm lane", ref, xs[i])
+			if results[i] != refRes {
+				t.Fatalf("workers=%d lane %d: result %+v vs serial %+v", workers, i, results[i], refRes)
+			}
+		}
+	}
+}
+
+func TestPCGBreakdownIterationCountMatchesFusedPath(t *testing.T) {
+	// Regression: the breakdown path used to report iteration `it` although
+	// that iteration performed no x-update, disagreeing with the fused-norm
+	// path (which counts only completed updates) and with the residual it
+	// reports (computed from the it−1 iterate). Breakdown on the very first
+	// iteration must report 0 iterations: the returned x is still x0.
+	a := indefinite2x2()
+	x, res, err := PCG(a, []float64{1, -1}, nil, nil, 1e-12, 50, nil)
+	if err == nil {
+		t.Fatal("expected breakdown on indefinite matrix")
+	}
+	if res.Iterations != 0 {
+		t.Fatalf("first-iteration breakdown reported %d iterations, want 0", res.Iterations)
+	}
+	// x must be the (zero) initial iterate, consistent with the count…
+	for i, v := range x {
+		if v != 0 {
+			t.Fatalf("x[%d] = %g, want untouched initial guess", i, v)
+		}
+	}
+	// …and the reported residual must be the true residual of that iterate.
+	rhs := []float64{1, -1}
+	ax := make([]float64, 2)
+	a.MulVec(x, ax)
+	Sub(rhs, ax, ax)
+	if want := Norm2(ax) / Norm2(rhs); math.Float64bits(want) != math.Float64bits(res.Residual) {
+		t.Fatalf("breakdown residual %v does not match iterate residual %v", res.Residual, want)
 	}
 }

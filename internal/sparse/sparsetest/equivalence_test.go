@@ -1,11 +1,13 @@
-// Cross-solver equivalence properties: every batch API must be
-// bit-identical to its serial counterpart for every solver kind and worker
-// count, and the AMG preconditioner must be residual-equivalent to IC(0)
-// where both converge — and still converge where IC(0)'s iteration count
-// blows past its cap.
+// Cross-solver equivalence properties: solves run concurrently against one
+// shared factor, preconditioner or engine must be bit-identical to their
+// serial counterparts for every solver kind and goroutine count, and the
+// AMG preconditioner must be residual-equivalent to IC(0) where both
+// converge — and still converge where IC(0)'s iteration count blows past
+// its cap.
 package sparsetest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -51,9 +53,20 @@ func matrices() map[string]*sparse.CSR {
 	}
 }
 
-// TestBatchSerialBitEqualityAcrossSolvers is the sparse-level property:
-// SolveBatchWorkers/PCGBatch lane i ≡ serial Solve/PCG of RHS i, bitwise, for
-// every factorization and preconditioner at workers 1, 2 and 8.
+// concurrently runs fn(0) … fn(k-1) on the given number of goroutines,
+// which share everything fn closes over, and waits for all of them.
+func concurrently(workers, k int, fn func(i int)) {
+	_ = parallel.NewPool(workers).ForEachN(context.Background(), k, func(i int) error {
+		fn(i)
+		return nil
+	})
+}
+
+// TestBatchSerialBitEqualityAcrossSolvers is the sparse-level property: a
+// batch of right-hand sides solved by 1, 2 and 8 goroutines sharing one
+// factorization or preconditioner ≡ serial Solve/PCG of each right-hand
+// side, bitwise in x and CGResult, for the nested-dissection factor and
+// the identity, Jacobi, IC(0) and AMG preconditioners.
 func TestBatchSerialBitEqualityAcrossSolvers(t *testing.T) {
 	const k = 8
 	for label, a := range matrices() {
@@ -73,20 +86,28 @@ func TestBatchSerialBitEqualityAcrossSolvers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		precs := map[string]sparse.Preconditioner{
+			"identity": sparse.IdentityPrec{}, "jacobi": sparse.NewJacobi(a), "ic0": ic0, "amg": amg,
+		}
 
 		for _, workers := range []int{1, 2, 8} {
 			prefix := fmt.Sprintf("%s workers=%d", label, workers)
 
-			xs := nd.SolveBatchWorkers(bs, workers)
+			xs := make([][]float64, k)
+			concurrently(workers, k, func(i int) { xs[i] = nd.Solve(bs[i]) })
 			for i := range bs {
 				mustBitEqual(t, prefix+" sparse-chol", nd.Solve(bs[i]), xs[i])
 			}
-			for pname, prec := range map[string]sparse.Preconditioner{"ic0": ic0, "amg": amg, "jacobi": sparse.NewJacobi(a)} {
-				xs, results, err := sparse.PCGBatch(a, bs, nil, prec, tol, maxIter, nil, workers)
-				if err != nil {
-					t.Fatalf("%s %s: %v", prefix, pname, err)
-				}
+			for pname, prec := range precs {
+				results := make([]sparse.CGResult, k)
+				errs := make([]error, k)
+				concurrently(workers, k, func(i int) {
+					xs[i], results[i], errs[i] = sparse.PCG(a, bs[i], nil, prec, tol, maxIter, nil)
+				})
 				for i := range bs {
+					if errs[i] != nil {
+						t.Fatalf("%s %s lane %d: %v", prefix, pname, i, errs[i])
+					}
 					ref, refRes, err := sparse.PCG(a, bs[i], nil, prec, tol, maxIter, nil)
 					if err != nil {
 						t.Fatalf("%s %s serial: %v", prefix, pname, err)
@@ -205,15 +226,15 @@ func TestPDNSolveBatchMatchesSerialEverywhere(t *testing.T) {
 }
 
 // TestCircuitSolveBatchMatchesPreparedSerial pins the circuit layer
-// directly: Prepared.SolveBatch lane i ≡ setRHS(i)+Prepared.Solve on the
-// reused engine, and both ≡ Netlist.Solve (a cold engine) on a netlist
-// built with lane i's loads, for a netlist with per-lane load variation.
+// directly: for every solver kind, lane i's load currents solved by 1, 2
+// and 8 goroutines sharing one Prepared engine ≡ Netlist.Solve (a cold
+// engine) on a netlist built with lane i's loads.
 func TestCircuitSolveBatchMatchesPreparedSerial(t *testing.T) {
 	const nx, ny, k = 12, 12, 6
 	amps := func(lane, load int) float64 { return 0.005 * float64(lane*7+load+1) }
 	// build constructs the test mesh with lane's load currents baked in
-	// (lane 0 is also the template the prepared engine compiles from).
-	build := func(lane int) (*circuit.Netlist, []circuit.LoadID) {
+	// (lane 0 is also the template the shared engine compiles from).
+	build := func(lane int) (*circuit.Netlist, []float64) {
 		net := circuit.New()
 		nodes := net.Nodes(nx * ny)
 		idx := func(x, y int) int { return nodes[y*nx+x] }
@@ -229,52 +250,47 @@ func TestCircuitSolveBatchMatchesPreparedSerial(t *testing.T) {
 		}
 		net.AddRailTie(idx(0, 0), 0.01, 1.0)
 		net.AddRailTie(idx(nx-1, ny-1), 0.01, 1.0)
-		var loads []circuit.LoadID
+		var loads []float64
 		for y := 2; y < ny; y += 3 {
 			for x := 2; x < nx; x += 3 {
-				li := len(loads)
-				loads = append(loads, net.AddLoad(idx(x, y), circuit.Ground, amps(lane, li)))
+				loads = append(loads, amps(lane, len(loads)))
+				net.AddLoad(idx(x, y), circuit.Ground, loads[len(loads)-1])
 			}
 		}
 		return net, loads
 	}
 
 	for _, kind := range []circuit.SolverKind{circuit.DirectSparseND, circuit.PCGIC0, circuit.PCGJacobi, circuit.PCGAMG} {
-		net, loads := build(0)
-		prep, err := net.Compile(circuit.SolveOptions{Solver: kind})
+		net, _ := build(0)
+		prep, err := net.Compile(circuit.SolveOptions{Solver: kind}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		setLane := func(i int) {
-			for li, id := range loads {
-				prep.SetLoad(id, amps(i, li))
-			}
-		}
-		refs := make([][]float64, k)
-		for i := 0; i < k; i++ {
-			setLane(i)
-			sol, err := prep.Solve(nil)
-			if err != nil {
-				t.Fatalf("kind %d serial lane %d: %v", kind, i, err)
-			}
-			refs[i] = append([]float64(nil), sol.Voltages()...)
-
-			// Oracle: a cold engine on an identical netlist.
-			cnet, _ := build(i)
-			csol, err := cnet.Solve(circuit.SolveOptions{Solver: kind})
-			if err != nil {
+		refs := make([]*circuit.Solution, k)
+		lanes := make([][]float64, k)
+		for i := range refs {
+			// Oracle: a cold engine on a netlist holding lane i's loads.
+			var cnet *circuit.Netlist
+			cnet, lanes[i] = build(i)
+			if refs[i], err = cnet.Solve(circuit.SolveOptions{Solver: kind}); err != nil {
 				t.Fatalf("kind %d cold lane %d: %v", kind, i, err)
 			}
-			mustBitEqual(t, fmt.Sprintf("kind %d cold-vs-reused lane %d", kind, i), csol.Voltages(), refs[i])
 		}
-		for _, workers := range []string{"1", "2", "8"} {
-			t.Setenv(parallel.EnvWorkers, workers)
-			sols, err := prep.SolveBatch(k, setLane)
-			if err != nil {
-				t.Fatalf("kind %d workers %s: %v", kind, workers, err)
-			}
+		for _, workers := range []int{1, 2, 8} {
+			sols := make([]*circuit.Solution, k)
+			errs := make([]error, k)
+			concurrently(workers, k, func(i int) { sols[i], errs[i] = prep.Solve(lanes[i], nil) })
 			for i := range sols {
-				mustBitEqual(t, fmt.Sprintf("kind %d workers %s lane %d", kind, workers, i), refs[i], sols[i].Voltages())
+				name := fmt.Sprintf("kind %d workers %d lane %d", kind, workers, i)
+				if errs[i] != nil {
+					t.Fatalf("%s: %v", name, errs[i])
+				}
+				mustBitEqual(t, name, refs[i].Voltages(), sols[i].Voltages())
+				if sols[i].Iterations != refs[i].Iterations ||
+					math.Float64bits(sols[i].Residual) != math.Float64bits(refs[i].Residual) ||
+					math.Float64bits(sols[i].TotalLoadPower()) != math.Float64bits(refs[i].TotalLoadPower()) {
+					t.Fatalf("%s: iterations/residual/load power differ from the cold engine's", name)
+				}
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Solver-health probe properties: enabling the convergence probes must
 // not perturb a single bit of any solve at any layer (sparse, circuit,
-// pdngrid) or batch lane count, the condition estimates must agree with the
+// pdngrid) or goroutine count, the condition estimates must agree with the
 // known spectrum of closed-form test systems, and a disabled probe must
 // cost zero allocations.
 package sparsetest
@@ -56,10 +56,10 @@ func withProbes(on bool, f func()) {
 }
 
 // TestProbesDoNotPerturbSparseSolves is the sparse-level half of the
-// probes-don't-perturb contract: PCG and PCGBatch with probes on are
-// bit-identical to probes off for every matrix, preconditioner and
-// batch worker count — and the probed solves actually carry a health
-// report.
+// probes-don't-perturb contract: PCG with probes on, serial or run by
+// goroutines sharing one preconditioner, is bit-identical to probes off
+// for every matrix, preconditioner and goroutine count — and the probed
+// solves actually carry a health report.
 func TestProbesDoNotPerturbSparseSolves(t *testing.T) {
 	const k = 4
 	for label, a := range matrices() {
@@ -108,11 +108,17 @@ func TestProbesDoNotPerturbSparseSolves(t *testing.T) {
 						t.Fatalf("%s: bad spectrum estimate: %+v", name, h)
 					}
 
-					xs, results, err := sparse.PCGBatch(a, bs, nil, precFor(t, kind, a), tol, maxIter, nil, workers)
-					if err != nil {
-						t.Fatalf("%s batch probes-on: %v", name, err)
-					}
+					prec := precFor(t, kind, a)
+					xs := make([][]float64, k)
+					results := make([]sparse.CGResult, k)
+					errs := make([]error, k)
+					concurrently(workers, k, func(i int) {
+						xs[i], results[i], errs[i] = sparse.PCG(a, bs[i], nil, prec, tol, maxIter, nil)
+					})
 					for i := range bs {
+						if errs[i] != nil {
+							t.Fatalf("%s lane %d probes-on: %v", name, i, errs[i])
+						}
 						var wantX []float64
 						var wantRes sparse.CGResult
 						withProbes(false, func() {
@@ -122,7 +128,7 @@ func TestProbesDoNotPerturbSparseSolves(t *testing.T) {
 								t.Fatalf("%s lane %d probes-off: %v", name, i, err)
 							}
 						})
-						mustBitEqual(t, fmt.Sprintf("%s batch lane %d", name, i), wantX, xs[i])
+						mustBitEqual(t, fmt.Sprintf("%s concurrent lane %d", name, i), wantX, xs[i])
 						if results[i].Iterations != wantRes.Iterations ||
 							math.Float64bits(results[i].Residual) != math.Float64bits(wantRes.Residual) {
 							t.Fatalf("%s lane %d perturbed: %+v vs %+v", name, i, results[i], wantRes)
