@@ -4,7 +4,7 @@
 // Usage:
 //
 //	emlife [-layers N] [-tsv dense|sparse|few] [-padfrac F] [-grid N] [-workers N]
-//	       [-mc-trials N] [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR]
+//	       [-mc-trials N] [-metrics PATH] [-trace PATH] [-serve ADDR]
 //	       [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR] [-progress]
 //
 // The regular and voltage-stacked scenarios are solved concurrently.

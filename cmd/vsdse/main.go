@@ -6,7 +6,7 @@
 // Usage:
 //
 //	vsdse [-layers N] [-imbalance F] [-grid N] [-all]
-//	      [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR]
+//	      [-metrics PATH] [-trace PATH] [-serve ADDR]
 //	      [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR] [-progress]
 package main
 

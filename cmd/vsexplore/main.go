@@ -4,7 +4,7 @@
 // Usage:
 //
 //	vsexplore [-exp all|table1|table2|fig3a|fig3b|fig5a|fig5b|fig6|fig7|fig8|thermal|headlines] [-coarse] [-workers N]
-//	          [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR]
+//	          [-metrics PATH] [-trace PATH] [-serve ADDR]
 //	          [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR] [-progress]
 //
 // -coarse runs the PDN experiments on a 16x16 mesh (seconds instead of

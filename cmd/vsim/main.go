@@ -5,7 +5,7 @@
 //
 //	vsim [-kind regular|vs] [-layers N] [-tsv dense|sparse|few]
 //	     [-conv N] [-padfrac F] [-imbalance F] [-grid N]
-//	     [-metrics PATH] [-trace PATH] [-events PATH] [-serve ADDR]
+//	     [-metrics PATH] [-trace PATH] [-serve ADDR]
 //	     [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR]
 package main
 

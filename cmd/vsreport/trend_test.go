@@ -102,8 +102,9 @@ func TestTrendStateDir(t *testing.T) {
 }
 
 // writeManifest writes a run manifest of vsim with the given -grid, start
-// time and PCG iteration total.
-func writeManifest(t *testing.T, path, grid string, start time.Time, iterations int64) {
+// time and PCG iteration total. Each of extraFlags is recorded unset, the
+// way a manifest records every flag its binary registered.
+func writeManifest(t *testing.T, path, grid string, start time.Time, iterations int64, extraFlags ...string) {
 	t.Helper()
 	metrics, err := json.Marshal(telemetry.RegistrySnapshot{
 		Counters: map[string]int64{"sparse_pcg_iterations_total": iterations},
@@ -117,6 +118,9 @@ func writeManifest(t *testing.T, path, grid string, start time.Time, iterations 
 		Flags:     map[string]string{"grid": grid, "layers": "8", "manifest": path, "probes": "true"},
 		StartTime: start.Format(time.RFC3339),
 		Metrics:   metrics,
+	}
+	for _, name := range extraFlags {
+		m.Flags[name] = ""
 	}
 	b, err := json.Marshal(&m)
 	if err != nil {
@@ -157,6 +161,24 @@ func TestTrendManifests(t *testing.T) {
 	}
 	if m := metric(t, rep.Groups[0], "iterations"); !m.Regression || !rep.Regressed {
 		t.Errorf("iterations 400 → 600 not flagged: %+v", m)
+	}
+}
+
+// TestTrendRetiredFlags pins that a run recorded while -pprof and -events
+// still existed stays in the group of an otherwise equal newer run: a new
+// build still compares against old runs.
+func TestTrendRetiredFlags(t *testing.T) {
+	dir := t.TempDir()
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	old, cur := filepath.Join(dir, "old.json"), filepath.Join(dir, "new.json")
+	writeManifest(t, old, "16", t0, 400, "pprof", "events")
+	writeManifest(t, cur, "16", t0.Add(time.Minute), 400)
+	rep, err := trend([]string{old, cur}, 1.2, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Groups) != 1 || rep.Groups[0].Records != 2 {
+		t.Fatalf("groups = %+v, want one group of 2 records", rep.Groups)
 	}
 }
 

@@ -8,14 +8,16 @@
 //	vsserved [-addr HOST:PORT] [-state-dir DIR] [-cache-dir DIR]
 //	         [-cache-entries N] [-cache-bytes N] [-max-inflight N]
 //	         [-queue N] [-retry-after D] [-drain-timeout D]
-//	         [-metrics PATH] [-trace PATH] [-events PATH] [-manifest PATH] ...
+//	         [-metrics PATH] [-trace PATH] [-manifest PATH] ...
 //
 // The API listener also serves the observability endpoints (/metrics,
 // /healthz, /statusz, /debug/pprof), so the daemon's server_* and
 // rescache_* metrics are always one curl away. With -state-dir, job
 // state is journaled: completed results survive a restart and jobs
 // interrupted mid-run resume from their checkpoints, replaying finished
-// sweep points bit-identically instead of recomputing them.
+// sweep points bit-identically instead of recomputing them. A journal
+// write that fails leaves the job running, counts in
+// server_journal_write_errors_total and logs a stderr line naming the job.
 //
 // SIGINT/SIGTERM drains gracefully — admission stops (new submissions
 // get 503), queued and running jobs finish, then the process exits. A

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 	"strings"
 
 	"voltstack/internal/floorplan"
-	"voltstack/internal/telemetry"
 	"voltstack/internal/thermal"
 )
 
@@ -151,13 +149,6 @@ func (s *Study) ExtElectrothermal(layers int) (*ExtElectrothermalResult, error) 
 		}
 		prevHot = r.MaxC
 		temps = coreTemps(r)
-	}
-	if !res.Converged && telemetry.EventsEnabled() {
-		telemetry.Event(slog.LevelWarn, "core: electrothermal fixed point did not converge (thermal runaway)",
-			slog.Int("layers", layers),
-			slog.Int("iterations", res.Iterations),
-			slog.Float64("hotspot_c", res.CoupledHotspotC),
-			slog.Float64("leakage_amplification", res.LeakageAmplification))
 	}
 	return res, nil
 }

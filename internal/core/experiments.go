@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"sync"
 
@@ -12,7 +11,6 @@ import (
 	"voltstack/internal/pdngrid"
 	"voltstack/internal/sc"
 	"voltstack/internal/spice"
-	"voltstack/internal/telemetry"
 	"voltstack/internal/thermal"
 	"voltstack/internal/units"
 	"voltstack/internal/workload"
@@ -448,11 +446,6 @@ func (s *Study) Thermal() (*ThermalCheck, error) {
 	n, err := thermal.MaxLayersUnder(cfg, cells, 100, 16)
 	if err != nil {
 		return nil, err
-	}
-	if n < s.MaxLayers && telemetry.EventsEnabled() {
-		telemetry.Event(slog.LevelWarn, "core: thermal infeasibility below study depth",
-			slog.Int("max_layers_under_100c", n),
-			slog.Int("study_max_layers", s.MaxLayers))
 	}
 	maps := make([][]float64, 8)
 	for i := range maps {

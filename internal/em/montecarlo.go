@@ -2,7 +2,6 @@ package em
 
 import (
 	"context"
-	"log/slog"
 	"math"
 	"math/rand"
 	"sort"
@@ -99,21 +98,6 @@ func (g *Group) simulate(ctx context.Context, trials int, seed int64, workers in
 	med := minima[mid]
 	if len(minima)%2 == 0 {
 		med = (minima[mid-1] + minima[mid]) / 2
-	}
-	if telemetry.EventsEnabled() {
-		// Anomaly check: a worst trial more than ~6σ below the median of
-		// minima (or non-physical) means a conductor drew an implausible
-		// lifetime — usually a sign of corrupted currents or parameters
-		// rather than honest sampling noise.
-		worst := minima[0]
-		limit := med / math.Exp(6*g.sigma)
-		if math.IsNaN(worst) || worst <= 0 || worst < limit {
-			telemetry.Event(slog.LevelWarn, "em: anomalous Monte Carlo trial",
-				slog.Float64("worst_minimum", worst),
-				slog.Float64("median", med),
-				slog.Float64("sigma", g.sigma),
-				slog.Int("trials", trials))
-		}
 	}
 	return med, nil
 }

@@ -3,6 +3,7 @@ package em
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"voltstack/internal/units"
@@ -164,5 +165,45 @@ func TestMonteCarloMinimumTrials(t *testing.T) {
 	g.AddT50(100)
 	if _, err := g.SimulateMedianLifetime(context.Background(), 0, 1); err != nil {
 		t.Errorf("zero trials should clamp to one: %v", err)
+	}
+}
+
+// TestMonteCarloTrialMinimaPlausible is an oracle on the sampled trial
+// minima themselves: every minimum is a positive number, and the worst
+// lies no more than 6σ (in log-lifetime) below the median of minima. A
+// worse tail means a conductor drew an implausible lifetime, which points
+// at corrupted medians or a broken stream rather than sampling noise.
+func TestMonteCarloTrialMinimaPlausible(t *testing.T) {
+	const sigma = 0.4
+	trials := 20000
+	if testing.Short() {
+		trials = 2000
+	}
+	for _, c := range []struct {
+		name string
+		t50s []float64
+	}{
+		{"realistic", realisticMedians()},
+		{"single", []float64{1000}},
+	} {
+		g := NewGroup(sigma)
+		for _, v := range c.t50s {
+			g.AddT50(v)
+		}
+		floor := g.fastFloor()
+		minima := make([]float64, trials)
+		for tr := range minima {
+			m := g.trialMinimum(1, int64(tr), floor)
+			if math.IsNaN(m) || m <= 0 {
+				t.Fatalf("%s: trial %d minimum = %v, want > 0", c.name, tr, m)
+			}
+			minima[tr] = m
+		}
+		sort.Float64s(minima)
+		med, worst := minima[trials/2], minima[0]
+		if worst < med*math.Exp(-6*sigma) {
+			t.Errorf("%s: worst minimum %g is %.2fσ below the median %g, want within 6σ",
+				c.name, worst, math.Log(med/worst)/sigma, med)
+		}
 	}
 }

@@ -243,9 +243,9 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// TestKernelsMatchReferenceRealistic covers the shape the studies produce:
-// thousands of conductors in lumped runs at the paper's σ = 0.4.
-func TestKernelsMatchReferenceRealistic(t *testing.T) {
+// realisticMedians is the shape the studies produce: thousands of
+// conductors in 800 lumped sites, each site's conductors sharing a median.
+func realisticMedians() []float64 {
 	rng := rand.New(rand.NewSource(3))
 	var t50s []float64
 	for site := 0; site < 800; site++ {
@@ -254,7 +254,13 @@ func TestKernelsMatchReferenceRealistic(t *testing.T) {
 			t50s = append(t50s, v)
 		}
 	}
-	checkAgainstReference(t, 0.4, t50s, 1, []int{1000}, []int{2})
+	return t50s
+}
+
+// TestKernelsMatchReferenceRealistic covers the shape the studies produce
+// at the paper's σ = 0.4.
+func TestKernelsMatchReferenceRealistic(t *testing.T) {
+	checkAgainstReference(t, 0.4, realisticMedians(), 1, []int{1000}, []int{2})
 }
 
 // TestKernelsMatchReferenceEdges pins groups at the ends of the float

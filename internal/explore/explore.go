@@ -8,7 +8,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"sort"
 	"time"
@@ -293,11 +292,6 @@ func (s Space) Run(ctx context.Context) (*Result, error) {
 	for _, m := range metrics {
 		if !m.Feasible {
 			res.Dropped++
-			if telemetry.EventsEnabled() {
-				telemetry.Event(slog.LevelWarn, "explore: design rejected (converter rating violated)",
-					slog.String("design", m.Design.Name()),
-					slog.Float64("max_ir_drop_pct", m.MaxIRDropPct))
-			}
 			continue
 		}
 		res.Points = append(res.Points, m)

@@ -4,12 +4,11 @@
 // on, the failed linear solve carries its convergence report
 // (sparse.ReportFromError); this file packages that report together with
 // the PDN's node count into a JSON artifact written through
-// telemetry.DumpPostmortem, and emits a structured event pointing at it.
+// telemetry.DumpPostmortem.
 package pdngrid
 
 import (
 	"fmt"
-	"log/slog"
 
 	"voltstack/internal/sparse"
 	"voltstack/internal/telemetry"
@@ -25,15 +24,10 @@ type SolvePostmortem struct {
 	Error       string                       `json:"error"`
 }
 
-// solveFailure wraps a linear-solve error with pdngrid context, emits the
-// failure event, and — when a post-mortem directory is configured — dumps
-// the artifact and appends its path to the error message.
+// solveFailure wraps a linear-solve error with pdngrid context and — when
+// a post-mortem directory is configured — dumps the artifact and appends
+// its path to the error message.
 func solveFailure(nodes int, err error) error {
-	if telemetry.EventsEnabled() {
-		telemetry.Event(slog.LevelError, "pdngrid: linear solve failed",
-			slog.Int("nodes", nodes),
-			slog.String("error", err.Error()))
-	}
 	wrapped := fmt.Errorf("pdngrid: %w", err)
 	if telemetry.PostmortemEnabled() {
 		pm := &SolvePostmortem{

@@ -11,18 +11,12 @@ import (
 )
 
 // Cache instrumentation. No-ops unless telemetry is enabled. The
-// aggregate counters (rescache_hits_total counts memory hits,
-// rescache_misses_total counts full both-tier misses) predate the
-// per-tier set and keep their meanings; the rescache_mem_* /
-// rescache_disk_* counters break every lookup down by tier, so the
-// memory hit ratio, the disk tier's contribution and the spill rate are
-// each readable on their own (and in /statusz).
+// rescache_mem_* / rescache_disk_* counters break every lookup down by
+// tier, so the memory hit ratio, the disk tier's contribution and the
+// spill rate are each readable on their own (and in /statusz);
+// rescache_misses_total counts the lookups that missed both tiers.
 var (
-	mHits        = telemetry.NewCounter("rescache_hits_total")
-	mDiskHits    = telemetry.NewCounter("rescache_disk_hits_total")
 	mMisses      = telemetry.NewCounter("rescache_misses_total")
-	mEvictions   = telemetry.NewCounter("rescache_evictions_total")
-	mDiskWrites  = telemetry.NewCounter("rescache_disk_writes_total")
 	mDiskErrors  = telemetry.NewCounter("rescache_disk_errors_total")
 	mShared      = telemetry.NewCounter("rescache_singleflight_shared_total")
 	mMemBytes    = telemetry.NewGauge("rescache_mem_bytes")
@@ -35,6 +29,7 @@ var (
 	mMemHits    = telemetry.NewCounter("rescache_mem_hits_total")
 	mMemMisses  = telemetry.NewCounter("rescache_mem_misses_total")
 	mMemEvicts  = telemetry.NewCounter("rescache_mem_evictions_total")
+	mDiskHits   = telemetry.NewCounter("rescache_disk_hits_total")
 	mDiskMisses = telemetry.NewCounter("rescache_disk_misses_total")
 	mDiskSpills = telemetry.NewCounter("rescache_disk_spills_total")
 )
@@ -121,7 +116,6 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.ll.MoveToFront(el)
 		val := el.Value.(*entry).val
 		c.mu.Unlock()
-		mHits.Add(1)
 		mMemHits.Add(1)
 		return val, true
 	}
@@ -146,7 +140,6 @@ func (c *Cache) Put(key string, val []byte) {
 		if err := c.writeDisk(key, val); err != nil {
 			mDiskErrors.Add(1)
 		} else {
-			mDiskWrites.Add(1)
 			mDiskSpills.Add(1)
 		}
 	}
@@ -170,7 +163,6 @@ func (c *Cache) putMem(key string, val []byte) {
 		c.ll.Remove(back)
 		delete(c.items, e.key)
 		c.bytes -= int64(len(e.val))
-		mEvictions.Add(1)
 		mMemEvicts.Add(1)
 	}
 	mMemBytes.Set(float64(c.bytes))

@@ -7,7 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"log/slog"
+	"log"
 	"os"
 	"sort"
 	"sync"
@@ -32,6 +32,8 @@ var (
 	mReplayed   = telemetry.NewCounter("server_points_replayed_total")
 	mRunning    = telemetry.NewGauge("server_jobs_running")
 	mQueueDepth = telemetry.NewGauge("server_queue_depth")
+
+	mJournalWriteErrors = telemetry.NewCounter("server_journal_write_errors_total")
 )
 
 // ErrDraining rejects submissions while the manager is shutting down.
@@ -554,9 +556,17 @@ func (m *Manager) saveMeta(j *Job) {
 		return
 	}
 	if err := m.journal.saveMeta(j.persisted()); err != nil {
-		telemetry.Event(slog.LevelWarn, "server: journal write failed",
-			slog.String("job", j.id), slog.String("error", err.Error()))
+		journalWriteFailed(j.id, "metadata", err)
 	}
+}
+
+// journalWriteFailed reports a failed journal write of one job: what
+// names the file (metadata, result, checkpoint or stats). The job keeps
+// running on its in-memory state; what the write would have persisted is
+// lost to a restart.
+func journalWriteFailed(id, what string, err error) {
+	mJournalWriteErrors.Add(1)
+	log.Printf("server: job %s: journal %s write failed: %v", id, what, err)
 }
 
 func (m *Manager) runLoop() {
@@ -642,8 +652,7 @@ func (m *Manager) runJob(j *Job) {
 		j.completed.Store(int64(j.total))
 		if m.journal != nil {
 			if werr := m.journal.saveResult(j.id, val); werr != nil {
-				telemetry.Event(slog.LevelWarn, "server: result write failed",
-					slog.String("job", j.id), slog.String("error", werr.Error()))
+				journalWriteFailed(j.id, "result", werr)
 			}
 		}
 		m.finish(j, StateDone, val, "")
@@ -857,8 +866,7 @@ func (m *Manager) computeSweep(ctx context.Context, j *Job) ([]byte, error) {
 		j.mu.Unlock()
 		if f != nil {
 			if _, werr := f.Write(line); werr != nil {
-				telemetry.Event(slog.LevelWarn, "server: checkpoint write failed",
-					slog.String("job", j.id), slog.String("error", werr.Error()))
+				journalWriteFailed(j.id, "checkpoint", werr)
 			}
 		}
 		ckptMu.Unlock()

@@ -1,10 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"log"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"voltstack/internal/rescache"
 	"voltstack/internal/telemetry"
 )
 
@@ -72,5 +79,60 @@ func TestReadJournal(t *testing.T) {
 
 	if _, err := ReadJournal(t.TempDir()); err == nil {
 		t.Error("a directory with no journal read without error")
+	}
+}
+
+// TestJournalWriteFailuresReported pins that a journal the daemon cannot
+// write is visible: the job still finishes, and every failed write bumps
+// server_journal_write_errors_total and logs a line naming the job and
+// the file it lost.
+func TestJournalWriteFailuresReported(t *testing.T) {
+	telemetry.Enable()
+	stateDir := t.TempDir()
+	cache, err := rescache.New(rescache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := NewManager(Config{Cache: cache, StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	// Swap the jobs directory for a regular file: every journal write
+	// then fails with ENOTDIR, even for root.
+	jobs := filepath.Join(stateDir, "jobs")
+	if err := os.RemoveAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobs, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	before := mJournalWriteErrors.Value()
+	j, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}, Coarse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never terminated")
+	}
+
+	if st := j.Status(); st.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
+	}
+	if n := mJournalWriteErrors.Value() - before; n < 3 {
+		t.Errorf("server_journal_write_errors_total grew by %d, want >= 3", n)
+	}
+	logged := buf.String()
+	for _, what := range []string{"metadata", "result", "stats"} {
+		if want := "job " + j.ID() + ": journal " + what + " write failed"; !strings.Contains(logged, want) {
+			t.Errorf("log lacks %q:\n%s", want, logged)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"time"
 
@@ -123,8 +122,7 @@ func (m *Manager) finalizeStats(j *Job) {
 	j.mu.Unlock()
 	if m.journal != nil {
 		if werr := m.journal.saveStats(j.id, b); werr != nil {
-			telemetry.Event(slog.LevelWarn, "server: stats write failed",
-				slog.String("job", j.id), slog.String("error", werr.Error()))
+			journalWriteFailed(j.id, "stats", werr)
 		}
 	}
 }

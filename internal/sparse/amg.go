@@ -13,7 +13,6 @@ package sparse
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 
 	"voltstack/internal/telemetry"
@@ -125,13 +124,6 @@ func NewAMG(a *CSR, opts AMGOptions) (*AMGPrec, error) {
 	mAMGLastLevels.Set(float64(st.Levels))
 	mAMGLastCoarseN.Set(float64(st.CoarseN))
 	mAMGOpComplexity.Set(st.OperatorComplexity)
-	if telemetry.EventsEnabled() {
-		telemetry.Event(slog.LevelInfo, "sparse: AMG hierarchy built",
-			slog.Int("levels", st.Levels),
-			slog.Int("finest_n", p.ns[0]),
-			slog.Int("coarse_n", st.CoarseN),
-			slog.Float64("operator_complexity", st.OperatorComplexity))
-	}
 	return p, nil
 }
 

@@ -3,7 +3,6 @@ package sparse
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"unsafe"
 
@@ -181,13 +180,6 @@ func (s *ic0Symbolic) factor(a *CSR) (*IC0Prec, error) {
 		if err == nil {
 			if shift > 0 {
 				mIC0Shifts.Add(int64(attempts))
-				if telemetry.EventsEnabled() {
-					telemetry.Event(slog.LevelWarn, "sparse: IC(0) diagonal shift applied",
-						slog.Float64("shift", shift),
-						slog.Int("attempts", attempts),
-						slog.Int("n", s.n),
-						slog.String("breakdown", lastErr.Error()))
-				}
 			}
 			return p, nil
 		}
@@ -203,12 +195,6 @@ func (s *ic0Symbolic) factor(a *CSR) (*IC0Prec, error) {
 		}
 	}
 	mIC0Shifts.Add(int64(attempts))
-	if telemetry.EventsEnabled() {
-		telemetry.Event(slog.LevelError, "sparse: IC(0) breakdown persists under diagonal shifting",
-			slog.Int("attempts", attempts),
-			slog.Int("n", s.n),
-			slog.String("breakdown", lastErr.Error()))
-	}
 	return nil, fmt.Errorf("sparse: IC(0) breakdown persists after %d diagonal shifts: %w", attempts, lastErr)
 }
 
@@ -410,19 +396,6 @@ func PCG(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	mPCGLastResidual.Set(res.Residual)
 	if errors.Is(err, ErrNoConvergence) {
 		mPCGNoConverge.Add(1)
-	}
-	if err != nil && telemetry.EventsEnabled() {
-		msg := "sparse: PCG breakdown"
-		if errors.Is(err, ErrNoConvergence) {
-			msg = "sparse: PCG did not converge"
-		}
-		telemetry.Event(slog.LevelError, msg,
-			slog.Int("n", a.N()),
-			slog.Int("nnz", a.NNZ()),
-			slog.Int("iterations", res.Iterations),
-			slog.Float64("residual", res.Residual),
-			slog.Float64("tol", tol),
-			slog.Int("max_iter", maxIter))
 	}
 	return x, res, err
 }

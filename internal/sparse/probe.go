@@ -34,7 +34,6 @@ package sparse
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"strings"
 
@@ -42,8 +41,7 @@ import (
 )
 
 // Solver-health instrumentation. Counters/gauges are process-registry
-// no-ops unless telemetry is enabled; the detectors additionally emit
-// structured events when the event log is on.
+// no-ops unless telemetry is enabled.
 var (
 	mHealthReports     = telemetry.NewCounter("solver_health_reports_total")
 	mHealthStagnation  = telemetry.NewCounter("solver_health_stagnation_total")
@@ -154,7 +152,7 @@ func (p *convProbe) residuals() ([]float64, int) {
 
 // seal finalizes the probe into its report: spectral estimates, reduction
 // factor, detector verdicts, AMG diagnostics; then publishes the report
-// to telemetry (metrics, /statusz state, structured events).
+// to telemetry (metrics, /statusz state).
 // Call exactly once per solve, on every exit path.
 func (p *convProbe) seal(res CGResult, converged bool) *telemetry.ConvergenceReport {
 	r := &p.report
@@ -244,9 +242,8 @@ func (p *convProbe) detect(r *telemetry.ConvergenceReport) {
 }
 
 // publish pushes the sealed report into the telemetry surfaces: the
-// solver_health_* instruments, the most-recent-report slot behind
-// /statusz, and (when the event log is on) one structured event per
-// tripped detector.
+// solver_health_* instruments and the most-recent-report slot behind
+// /statusz.
 func (p *convProbe) publish(r *telemetry.ConvergenceReport) {
 	mHealthReports.Add(1)
 	if r.CondEstimate > 0 {
@@ -265,28 +262,6 @@ func (p *convProbe) publish(r *telemetry.ConvergenceReport) {
 		mHealthDegradation.Add(1)
 	}
 	telemetry.RecordSolverHealth(r)
-	if telemetry.EventsEnabled() {
-		if r.Stagnation {
-			telemetry.Event(slog.LevelWarn, "sparse: solver stagnation detected",
-				slog.Int("n", r.N), slog.String("preconditioner", r.Preconditioner),
-				slog.Int("iterations", r.Iterations),
-				slog.Float64("residual", r.FinalResidual),
-				slog.Float64("cond_estimate", r.CondEstimate))
-		}
-		if r.Plateau {
-			telemetry.Event(slog.LevelWarn, "sparse: solver convergence plateau",
-				slog.Int("n", r.N), slog.String("preconditioner", r.Preconditioner),
-				slog.Int("iterations", r.Iterations),
-				slog.Float64("reduction_factor", r.ReductionFactor),
-				slog.Float64("cond_estimate", r.CondEstimate))
-		}
-		if r.Degradation {
-			telemetry.Event(slog.LevelWarn, "sparse: preconditioner degradation detected",
-				slog.Int("n", r.N), slog.String("preconditioner", r.Preconditioner),
-				slog.Int("iterations", r.Iterations),
-				slog.Float64("cond_estimate", r.CondEstimate))
-		}
-	}
 }
 
 // fail seals the probe of a failed solve and attaches its report to both

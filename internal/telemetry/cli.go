@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -15,12 +14,11 @@ import (
 
 // Flags is the shared observability flag set of the cmd/ binaries. Every
 // binary registers the same flags so a user can attach metrics, tracing,
-// structured event logging, profiling, provenance recording and live
-// introspection to any entry point the same way.
+// profiling, provenance recording and live introspection to any entry
+// point the same way.
 type Flags struct {
 	Metrics    string // -metrics:    JSON dump path (+ ".prom" Prometheus dump) on exit
 	Trace      string // -trace:      Chrome trace_event JSON path on exit
-	Events     string // -events:     structured JSON-lines event log ("stderr" or a path)
 	Serve      string // -serve:      observability listen address (pprof + /metrics /healthz /statusz); enables live metrics collection
 	CPUProfile string // -cpuprofile: pprof CPU profile path, captured for the whole run
 	Manifest   string // -manifest:   run provenance manifest JSON path on exit
@@ -40,7 +38,6 @@ func registerFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Metrics, "metrics", "", "write a metrics dump on exit: JSON at this path, Prometheus text at path+\".prom\"")
 	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace_event JSON timing trace on exit (load in chrome://tracing or Perfetto)")
-	fs.StringVar(&f.Events, "events", "", "write a structured JSON-lines event log to this path (\"stderr\" or \"-\" for stderr)")
 	fs.StringVar(&f.Serve, "serve", "", "serve the live observability endpoint (pprof, /metrics, /healthz, /statusz) on this address (e.g. localhost:6060) and collect metrics for mid-run scraping")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
 	fs.StringVar(&f.Manifest, "manifest", "", "write a run provenance manifest (flags, seeds, VCS stamp, output hashes) to this path on exit")
@@ -59,10 +56,12 @@ var observabilityFlags = sync.OnceValue(func() *flag.FlagSet {
 })
 
 // IsObservabilityFlag reports whether name is one of the flags
-// RegisterFlags registers. Their values are output paths and switches
-// that never change solver work, so the rest of a manifest's Flags names
-// the work a run did.
-func IsObservabilityFlag(name string) bool { return observabilityFlags().Lookup(name) != nil }
+// RegisterFlags registers, or the retired -pprof or -events, which older
+// manifests still record. None changes solver work, so the rest of a
+// manifest's Flags names the work a run did, and old runs group with new.
+func IsObservabilityFlag(name string) bool {
+	return name == "pprof" || name == "events" || observabilityFlags().Lookup(name) != nil
+}
 
 // RunManifest returns the provenance manifest of the current run, or nil
 // when -manifest is off. Binaries use it to attach seeds and extra outputs;
@@ -74,7 +73,7 @@ func (f *Flags) RunManifest() *Manifest { return f.manifest }
 func (f *Flags) ServeAddr() string { return f.server.Addr() }
 
 // Init applies the parsed flags: enables the metric registry, tracer,
-// event log, progress reporter and convergence probes as requested, starts
+// progress reporter and convergence probes as requested, starts
 // the observability server, the CPU profile and the provenance manifest.
 // It returns a flush function that must run before the process exits to
 // stop profiling, shut the server down and write every dump;
@@ -102,28 +101,11 @@ func (f *Flags) Init() (flush func() error, err error) {
 		EnableConvergenceProbes()
 	}
 
-	var eventFile *os.File
-	if f.Events != "" {
-		var w io.Writer = os.Stderr
-		if f.Events != "stderr" && f.Events != "-" {
-			eventFile, err = os.Create(f.Events)
-			if err != nil {
-				return noopFlush, fmt.Errorf("telemetry: events: %w", err)
-			}
-			w = eventFile
-		}
-		EnableEventLog(w, slog.LevelInfo)
-	}
-
 	// Failure unwinding: every started resource pushes an undo.
 	var undo []func()
 	fail := func(err error) (func() error, error) {
 		for i := len(undo) - 1; i >= 0; i-- {
 			undo[i]()
-		}
-		if eventFile != nil {
-			DisableEventLog()
-			eventFile.Close()
 		}
 		return noopFlush, err
 	}
@@ -168,9 +150,6 @@ func (f *Flags) Init() (flush func() error, err error) {
 		if f.Trace != "" {
 			f.manifest.AddOutputFile("trace", f.Trace)
 		}
-		if eventFile != nil {
-			f.manifest.AddOutputFile("events", f.Events)
-		}
 	}
 
 	var once sync.Once
@@ -190,12 +169,6 @@ func (f *Flags) Init() (flush func() error, err error) {
 			}
 			if f.Trace != "" {
 				if err := writeFileWith(f.Trace, WriteTrace); err != nil {
-					errs = append(errs, err)
-				}
-			}
-			if eventFile != nil {
-				DisableEventLog()
-				if err := eventFile.Close(); err != nil {
 					errs = append(errs, err)
 				}
 			}
@@ -219,13 +192,7 @@ func binaryName() string {
 	if len(os.Args) == 0 {
 		return "unknown"
 	}
-	name := os.Args[0]
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '/' || name[i] == '\\' {
-			return name[i+1:]
-		}
-	}
-	return name
+	return filepath.Base(os.Args[0])
 }
 
 func noopFlush() error { return nil }

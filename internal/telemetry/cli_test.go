@@ -18,7 +18,6 @@ func cleanupGlobals(t *testing.T) {
 		Disable()
 		DisableTracing()
 		DisableProgress()
-		DisableEventLog()
 		SetPostmortemDir("")
 		DisableConvergenceProbes()
 		statusOn.Store(false)
@@ -155,7 +154,6 @@ func TestInitDumpsAndManifest(t *testing.T) {
 	dir := t.TempDir()
 	f := &Flags{
 		Metrics:  filepath.Join(dir, "metrics.json"),
-		Events:   filepath.Join(dir, "events.jsonl"),
 		Manifest: filepath.Join(dir, "manifest.json"),
 	}
 	flush, err := f.Init()
@@ -169,7 +167,7 @@ func TestInitDumpsAndManifest(t *testing.T) {
 	if err := flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"metrics.json", "metrics.json.prom", "events.jsonl", "manifest.json"} {
+	for _, name := range []string{"metrics.json", "metrics.json.prom", "manifest.json"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing dump %s: %v", name, err)
 		}

@@ -36,7 +36,7 @@ const ManifestSchemaVersion = 1
 // ManifestOutput records one output artifact of a run.
 type ManifestOutput struct {
 	// Name identifies the artifact role ("stdout", "metrics", "trace",
-	// "events", ...). Path is empty for streams that are not files.
+	// ...). Path is empty for streams that are not files.
 	Name   string `json:"name"`
 	Path   string `json:"path,omitempty"`
 	SHA256 string `json:"sha256"`
