@@ -59,13 +59,15 @@ bench-telemetry:
 
 # fuzz runs every fuzz target for 30s: CSV parsing, job-request decoding,
 # the cache-fingerprint keying contract, concurrent-vs-serial solver
-# equivalence and the EM lifetime kernels against their per-conductor
-# references. (`go test -fuzz` takes one target per invocation.)
+# equivalence, nested dissection's dense-row (hub) rule and the EM
+# lifetime kernels against their per-conductor references. (`go test
+# -fuzz` takes one target per invocation.)
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzParseCSV -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 30s
 	$(GO) test ./internal/pdngrid -run '^$$' -fuzz FuzzCacheFingerprint -fuzztime 30s
 	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzConcurrentSerialEquivalence -fuzztime 30s
+	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzNDHubOrdering -fuzztime 30s
 	$(GO) test ./internal/em -run '^$$' -fuzz FuzzGroupMatchesReference -fuzztime 30s
 
 # golden regenerates the pinned paper-number snapshots after a deliberate

@@ -310,6 +310,14 @@ func wrapSPD(err error) error {
 	return err
 }
 
+// Matrix assembles the matrix every solve factors: the DC conductance
+// matrix for dt == 0, the backward-Euler step matrix for dt > 0.
+func (n *Netlist) Matrix(dt float64) *sparse.CSR {
+	b := sparse.NewBuilder(n.numNodes)
+	n.stampMatrix(b, dt)
+	return b.ToCSR()
+}
+
 // stampMatrix stamps every matrix-bearing element into b in the canonical
 // element order (resistors, ties, converters, capacitors, inductors).
 //

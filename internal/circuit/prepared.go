@@ -81,9 +81,7 @@ func (n *Netlist) compile(opts SolveOptions, dt float64, sp *telemetry.Span) (*P
 	if err := n.CheckConnectivity(); err != nil {
 		return nil, err
 	}
-	b := sparse.NewBuilder(nn)
-	n.stampMatrix(b, dt)
-	p.a = b.ToCSR()
+	p.a = n.Matrix(dt)
 	if err := p.factor(sp); err != nil {
 		return nil, err
 	}

@@ -232,7 +232,10 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 			}
 		}
 
-		if nn > 0 {
+		// A direct factor solves straight into v; PCG warm-starts from v.
+		if eng.ndF != nil {
+			eng.ndF.SolveTo(v, rhs)
+		} else if nn > 0 {
 			x, _, err := eng.solve(nil, rhs, v, ws)
 			if err != nil {
 				return nil, fmt.Errorf("%w: step %d: %v", ErrTransient, step, err)

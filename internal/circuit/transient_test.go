@@ -251,6 +251,36 @@ func TestTransientSolverAgreement(t *testing.T) {
 	}
 }
 
+// TestTransientDirectStepAllocs pins a direct-factor step at one
+// allocation, the factor's permuted work vector: each step solves
+// straight into the state vector. Doubling the step count adds one
+// allocation per extra step, plus the amortized growth of the recorded
+// waveform.
+func TestTransientDirectStepAllocs(t *testing.T) {
+	n := New()
+	nodes := n.Nodes(64)
+	n.AddRailTie(nodes[0], 1e-3, 1.0)
+	for i, v := range nodes {
+		n.AddCapacitor(v, Ground, 1e-9)
+		if i > 0 {
+			n.AddResistor(nodes[i-1], v, 0.1)
+		}
+	}
+	n.AddTransientLoad(nodes[63], Ground, func(tm float64) float64 { return 0.1 })
+	run := func(steps int) float64 {
+		opts := TransientOptions{DT: 1e-11, Steps: steps, Solve: SolveOptions{Solver: DirectSparseND}}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := n.Transient(opts, []int{nodes[63]}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const steps = 512
+	if perStep := (run(2*steps) - run(steps)) / steps; perStep > 1.1 {
+		t.Errorf("%.2f allocations per transient step, want 1", perStep)
+	}
+}
+
 func TestDCSolveWithDynamicElements(t *testing.T) {
 	// DC treats caps as open and inductors as shorts.
 	n := New()

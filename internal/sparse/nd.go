@@ -9,6 +9,14 @@ import "sort"
 // the separator is numbered last. Mesh-like graphs (PDN grids, thermal
 // stacks) get near-optimal fill. The returned slice maps old index i to
 // new index perm[i].
+//
+// Dense rows are numbered last, after the dissected rest, in ascending
+// index order: a vertex whose off-diagonal degree exceeds
+// max(32, 8·(nnz/n + 1)) is left out of the graph before dissecting (the
+// dense-row rule of AMD: Amestoy, Davis & Duff, SIMAX 1996; ACM TOMS
+// Alg. 837). In a PDN these are the two package nodes, each tied to every
+// C4 pad; left in, they put every pad two hops from every other, so the
+// BFS level structures come out shallow and the separators large.
 func NestedDissection(a *CSR) []int {
 	n := a.N()
 	nd := &ndState{
@@ -21,8 +29,23 @@ func NestedDissection(a *CSR) []int {
 	for i := range nd.inSet {
 		nd.inSet[i] = -1
 	}
-	// Handle each connected component.
+	// Marking the dense rows seen keeps every traversal out of them.
 	seen := make([]bool, n)
+	var dense []int
+	limit := max(32, 8*(a.NNZ()/max(n, 1)+1))
+	for v := 0; v < n; v++ {
+		deg := 0
+		a.Row(v, func(j int, _ float64) {
+			if j != v {
+				deg++
+			}
+		})
+		if deg > limit {
+			seen[v] = true
+			dense = append(dense, v)
+		}
+	}
+	// Handle each connected component.
 	for v := 0; v < n; v++ {
 		if seen[v] {
 			continue
@@ -30,6 +53,7 @@ func NestedDissection(a *CSR) []int {
 		comp := nd.collectComponent(v, seen)
 		nd.dissect(comp)
 	}
+	nd.ordered = append(nd.ordered, dense...)
 	perm := make([]int, n)
 	for newIdx, old := range nd.ordered {
 		perm[old] = newIdx
