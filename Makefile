@@ -80,14 +80,15 @@ golden:
 loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
-# profile runs a representative sweep (the EM-lifetime figures plus the
-# two transient experiments) and the em-mc benchmark's command (emlife
-# with a Monte Carlo cross-check) under the CPU profiler, leaving
-# vsexplore.prof and emlife.prof for `go tool pprof ./bin/<cmd> <cmd>.prof`.
+# profile runs the paper-coarse benchmark's command (every experiment on
+# the coarse mesh, here on one worker so the profile reads as a serial
+# cost breakdown) and the em-mc benchmark's command (emlife with a Monte
+# Carlo cross-check) under the CPU profiler, leaving vsexplore.prof and
+# emlife.prof for `go tool pprof ./bin/<cmd> <cmd>.prof`.
 profile: build
 	$(GO) build -o bin/vsexplore ./cmd/vsexplore
 	$(GO) build -o bin/emlife ./cmd/emlife
-	./bin/vsexplore -coarse -exp fig5a,fig5b,fig8,ext-transient,ext-decap-split -cpuprofile vsexplore.prof > /dev/null
+	./bin/vsexplore -coarse -exp all -workers 1 -cpuprofile vsexplore.prof > /dev/null
 	./bin/emlife -grid 32 -mc-trials 20000 -cpuprofile emlife.prof > /dev/null
 	@echo "wrote vsexplore.prof and emlife.prof; inspect with: $(GO) tool pprof ./bin/vsexplore vsexplore.prof"
 

@@ -161,9 +161,11 @@ func (n *Netlist) AddConverter2to1(top, bottom, mid int, rSeries, gPar float64) 
 type SolverKind int
 
 const (
-	// Auto picks by node count: DirectSparseND up to 4k nodes, PCGIC0 up
-	// to 200k, PCGAMG above. Transient picks DirectSparseND up to 200k
-	// instead.
+	// Auto picks by node count and by SolveOptions.RHS, the right-hand
+	// sides that will share the engine: DirectSparseND up to a node edge
+	// that grows with RHS (directRule: 4,000 nodes for fewer than 10, up
+	// to 200k for 1,000 or more), PCGIC0 above it up to 200k nodes, and
+	// PCGAMG beyond.
 	Auto SolverKind = iota
 	// PCGIC0 uses conjugate gradients with an IC(0) preconditioner.
 	PCGIC0
@@ -183,18 +185,43 @@ type SolveOptions struct {
 	Solver  SolverKind
 	Tol     float64 // relative residual target for iterative solvers (default 1e-10)
 	MaxIter int     // iteration budget (default 20*n)
+	// RHS is the number of right-hand sides the caller will solve against
+	// one compiled engine (0 means 1). Only Auto reads it: a factor shared
+	// by more solves pays for its setup on larger networks.
+	RHS int
 }
 
-// directThreshold is the largest node count for which Auto picks the
-// direct solver.
-const directThreshold = 4000
+// directRule is Auto's direct-solver edge: with at least rhs right-hand
+// sides per engine, networks of up to nodes nodes are factored with
+// DirectSparseND. Against IC(0)-PCG, the factor's extra setup pays back
+// after 4–7 solves on 4k–8k-node PDN meshes and after about 8 on
+// 16k-node ones, where a warm ND solve is 10× faster (DESIGN.md §12).
+var directRule = [...]struct{ rhs, nodes int }{
+	{1, 4_000},           // a lone solve: setup decides
+	{10, 8_194},          // 32×32×4 PDN; a Fig. 6 sweep solves 11
+	{100, 16_386},        // 32×32×8 PDN; ext-trace-noise solves 100
+	{1000, amgThreshold}, // transients: one factor serves every step
+}
+
+// directNodes is the largest network Auto factors directly when rhs
+// right-hand sides share the engine.
+func directNodes(rhs int) int {
+	nodes := directRule[0].nodes
+	for _, r := range directRule[1:] {
+		if rhs >= r.rhs {
+			nodes = r.nodes
+		}
+	}
+	return nodes
+}
 
 // amgThreshold is the node count above which Auto switches from IC(0) to
-// AMG preconditioning. IC(0)'s iteration count grows with mesh diameter
-// while the multigrid V-cycle keeps it near-constant, but the threshold
-// is not a measured crossover: on PDN meshes AMG has won per solve from
-// 4k nodes in one measurement and lost at 6k in another. Which kind wins
-// depends on mesh shape and right-hand sides per factor (DESIGN.md §12).
+// AMG preconditioning, and the largest network Auto factors directly
+// (with 1,000 or more right-hand sides). IC(0)'s iteration count grows
+// with mesh diameter while the multigrid V-cycle keeps it near-constant,
+// but the threshold is not a measured crossover: on PDN meshes AMG has
+// won per warm solve at every size measured from 4,098 nodes up in one
+// measurement and lost at 6k in another (DESIGN.md §12).
 const amgThreshold = 200_000
 
 // ErrFloating is returned when the network has no DC path from some node to
@@ -274,12 +301,19 @@ func (n *Netlist) CheckConnectivity() error {
 	return nil
 }
 
+// Kind returns the solver kind o selects for an nn-node system: Solver,
+// or for Auto the kind its node count and RHS pick.
+func (o SolveOptions) Kind(nn int) SolverKind {
+	kind, _, _ := o.resolve(nn)
+	return kind
+}
+
 // resolve fills in the defaults of SolveOptions for an nn-node system.
 func (o SolveOptions) resolve(nn int) (kind SolverKind, tol float64, maxIter int) {
 	kind = o.Solver
 	if kind == Auto {
 		switch {
-		case nn <= directThreshold:
+		case nn <= directNodes(o.RHS):
 			kind = DirectSparseND
 		case nn <= amgThreshold:
 			kind = PCGIC0
@@ -313,9 +347,26 @@ func wrapSPD(err error) error {
 // Matrix assembles the matrix every solve factors: the DC conductance
 // matrix for dt == 0, the backward-Euler step matrix for dt > 0.
 func (n *Netlist) Matrix(dt float64) *sparse.CSR {
+	var m entryCount
+	n.stampMatrix(&m, dt)
 	b := sparse.NewBuilder(n.numNodes)
+	b.Grow(int(m))
 	n.stampMatrix(b, dt)
 	return b.ToCSR()
+}
+
+// stamper receives matrix entries: a *sparse.Builder, or an entryCount
+// that sizes one first.
+type stamper interface{ Add(i, j int, v float64) }
+
+// entryCount counts the entries a sparse.Builder would keep (it drops
+// zeros).
+type entryCount int
+
+func (c *entryCount) Add(_, _ int, v float64) {
+	if v != 0 {
+		*c++
+	}
 }
 
 // stampMatrix stamps every matrix-bearing element into b in the canonical
@@ -324,7 +375,7 @@ func (n *Netlist) Matrix(dt float64) *sparse.CSR {
 // dt == 0 stamps the DC matrix: capacitors are open circuits, inductors
 // near-ideal shorts. dt > 0 stamps the backward-Euler step matrix, with
 // the companion conductances C/dt and dt/L.
-func (n *Netlist) stampMatrix(b *sparse.Builder, dt float64) {
+func (n *Netlist) stampMatrix(b stamper, dt float64) {
 	for _, r := range n.resistors {
 		stampConductance(b, r.a, r.b, r.g)
 	}
@@ -394,7 +445,7 @@ func (n *Netlist) loadCurrents() []float64 {
 	return loads
 }
 
-func stampConductance(b *sparse.Builder, i, j int, g float64) {
+func stampConductance(b stamper, i, j int, g float64) {
 	if i != Ground {
 		b.Add(i, i, g)
 	}
@@ -409,7 +460,7 @@ func stampConductance(b *sparse.Builder, i, j int, g float64) {
 
 // stampConverter adds G·vvᵀ over (top, bottom, mid) with v = (1/2, 1/2, -1),
 // plus the parasitic shunt across (top, bottom).
-func stampConverter(b *sparse.Builder, c converter) {
+func stampConverter(b stamper, c converter) {
 	nodes := [3]int{c.top, c.bottom, c.mid}
 	coef := [3]float64{0.5, 0.5, -1}
 	for i := 0; i < 3; i++ {

@@ -271,25 +271,43 @@ func TestSolversAgree(t *testing.T) {
 }
 
 // TestSolveOptionsResolve pins the node counts at which Auto switches
-// solver kind, and that an explicit kind passes through at any size.
+// solver kind, on both sides of every edge of the right-hand-side rule,
+// and that an explicit kind passes through at any size and RHS.
 func TestSolveOptionsResolve(t *testing.T) {
 	cases := []struct {
 		solver SolverKind
+		rhs    int
 		nodes  int
 		want   SolverKind
 	}{
-		{Auto, 1, DirectSparseND},
-		{Auto, 4000, DirectSparseND},
-		{Auto, 4001, PCGIC0},
-		{Auto, 200_000, PCGIC0},
-		{Auto, 200_001, PCGAMG},
-		{PCGJacobi, 1, PCGJacobi},
-		{DirectSparseND, 200_001, DirectSparseND},
-		{PCGAMG, 4000, PCGAMG},
+		{Auto, 0, 1, DirectSparseND},
+		{Auto, 0, 4000, DirectSparseND},
+		{Auto, 0, 4001, PCGIC0},
+		{Auto, 0, 200_000, PCGIC0},
+		{Auto, 0, 200_001, PCGAMG},
+		{Auto, 9, 4000, DirectSparseND},
+		{Auto, 9, 4001, PCGIC0},
+		{Auto, 10, 4001, DirectSparseND},
+		{Auto, 10, 8194, DirectSparseND},
+		{Auto, 10, 8195, PCGIC0},
+		{Auto, 99, 8194, DirectSparseND},
+		{Auto, 99, 8195, PCGIC0},
+		{Auto, 100, 8195, DirectSparseND},
+		{Auto, 100, 16_386, DirectSparseND},
+		{Auto, 100, 16_387, PCGIC0},
+		{Auto, 999, 16_386, DirectSparseND},
+		{Auto, 999, 16_387, PCGIC0},
+		{Auto, 1000, 16_387, DirectSparseND},
+		{Auto, 1000, 200_000, DirectSparseND},
+		{Auto, 1000, 200_001, PCGAMG},
+		{PCGJacobi, 0, 1, PCGJacobi},
+		{PCGIC0, 1000, 1, PCGIC0},
+		{DirectSparseND, 0, 200_001, DirectSparseND},
+		{PCGAMG, 0, 4000, PCGAMG},
 	}
 	for _, c := range cases {
-		if got, _, _ := (SolveOptions{Solver: c.solver}).resolve(c.nodes); got != c.want {
-			t.Errorf("kind %d at %d nodes resolves to %d, want %d", c.solver, c.nodes, got, c.want)
+		if got, _, _ := (SolveOptions{Solver: c.solver, RHS: c.rhs}).resolve(c.nodes); got != c.want {
+			t.Errorf("kind %d with RHS %d at %d nodes resolves to %d, want %d", c.solver, c.rhs, c.nodes, got, c.want)
 		}
 	}
 }

@@ -90,7 +90,7 @@ type TransientOptions struct {
 	// InitDC starts from the DC operating point at t=0 loads (default).
 	// When false the run starts from all-zero node voltages.
 	InitDC bool
-	Solve  SolveOptions // solver for the DC init and the step matrix
+	Solve  SolveOptions // solver for the DC init and the step matrix (RHS is set to Steps)
 }
 
 // TransientResult holds probed waveforms.
@@ -121,9 +121,9 @@ var ErrTransient = errors.New("circuit: transient analysis failed")
 // prepared engine; every step then costs one pair of triangular solves
 // (direct kinds) or one PCG solve warm-started from the previous step.
 //
-// Under Auto, systems up to amgThreshold nodes use DirectSparseND for both
-// the DC operating point and the step matrix: one nested-dissection factor
-// then serves every step. Larger systems resolve as Solve does.
+// Every step solves against the one step-matrix engine, so Transient
+// passes Steps as Solve.RHS (overriding the caller's). The DC operating
+// point resolves with the same RHS, so under Auto both pick the same kind.
 func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResult, error) {
 	if opts.DT <= 0 || opts.Steps <= 0 {
 		return nil, fmt.Errorf("%w: need positive DT and Steps", ErrTransient)
@@ -137,9 +137,7 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 	nn := n.numNodes
 	dt := opts.DT
 	so := opts.Solve
-	if so.Solver == Auto && nn <= amgThreshold {
-		so.Solver = DirectSparseND
-	}
+	so.RHS = opts.Steps
 
 	// Initial condition.
 	v := make([]float64, nn)

@@ -241,13 +241,20 @@ type VSSweepPoint struct {
 // VSSweep sweeps workload imbalance for one converter allocation on the
 // deepest stack. Each point is solved at most once per study; the points
 // missing from the memo are solved concurrently on one PDN, built on the
-// first miss (Solve never mutates it).
+// first miss (Solve never mutates it). The PDN's Solve.RHS is the sweep
+// length, so Auto may factor it once for all of them.
+//
+// A point's value depends on the solver kind RHS picks, not on RHS: the
+// memo key carries the kind, so sweeps of different lengths (Fig. 6,
+// Fig. 8, Headlines) share every point they pick the same kind for.
 func (s *Study) VSSweep(convPerCore int, imbalances []float64) ([]VSSweepPoint, error) {
 	cfg := s.vsConfig(s.MaxLayers, convPerCore, pdngrid.FewTSV(), 0.5)
 	fp := cfg.CacheFingerprint()
+	cfg.Solve.RHS = len(imbalances)
+	kind := cfg.SolverKind()
 	build := sync.OnceValues(func() (*pdngrid.PDN, error) { return pdngrid.New(cfg) })
 	return parallel.Map(context.Background(), s.pool(), imbalances, func(_ int, imb float64) (VSSweepPoint, error) {
-		return memo(s, []any{"vs-sweep-point", fp, "interleaved", imb}, func() (VSSweepPoint, error) {
+		return memo(s, []any{"vs-sweep-point", fp, kind, "interleaved", imb}, func() (VSSweepPoint, error) {
 			p, err := build()
 			if err != nil {
 				return VSSweepPoint{}, err

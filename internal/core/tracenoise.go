@@ -42,7 +42,9 @@ func (s *Study) ExtTraceNoise(steps int) (*ExtTraceNoiseResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.VoltageStackedPDN(layers, 8, pdngrid.FewTSV(), 0.5)
+	cfg := s.vsConfig(layers, 8, pdngrid.FewTSV(), 0.5)
+	cfg.Solve.RHS = steps // every trace step solves on this one PDN
+	p, err := pdngrid.New(cfg)
 	if err != nil {
 		return nil, err
 	}

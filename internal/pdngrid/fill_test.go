@@ -2,6 +2,7 @@ package pdngrid
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"voltstack/internal/sparse"
@@ -56,6 +57,32 @@ func TestNDFillPinned(t *testing.T) {
 				t.Errorf("nnz(L) = %d, want <= %d", f.NNZ(), c.max)
 			}
 		})
+	}
+}
+
+// TestFactorSparseAllocBudget holds FactorSparse's allocation on the
+// coarse V-S 16×16×8 DC matrix to twice the factor it returns (12 bytes
+// per nnz(L) entry: an int32 row index and a float64 value). The
+// ordering, the symbolic phase and the numeric phase's work arrays must fit
+// in the other half.
+func TestFactorSparseAllocBudget(t *testing.T) {
+	p, err := New(vsCfg(8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := p.assemble(nil).net.Matrix(0)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := sparse.FactorSparse(m, sparse.OrderND)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(2*12*f.NNZ())
+	t.Logf("FactorSparse allocated %.2f MB for nnz(L) = %d (budget %.2f MB)", float64(alloc)/1e6, f.NNZ(), float64(budget)/1e6)
+	if alloc > budget {
+		t.Errorf("FactorSparse allocated %d bytes, over the budget of %d (2 × 12 bytes × nnz(L) %d)", alloc, budget, f.NNZ())
 	}
 }
 

@@ -13,7 +13,7 @@ import "voltstack/internal/sc"
 // the architecture (kind, layers, chip), the electrical parameters
 // (Params, TSV topology, pad allocation), the converter model when one is
 // in the circuit, and the linear-solver options (solver kind, tolerance,
-// iteration budget).
+// iteration budget, and the right-hand-side count Auto keys on).
 //
 // Fields that cannot affect results (the prepared-engine cache state, the
 // worker count of a surrounding sweep) are deliberately absent, so cache
@@ -21,6 +21,16 @@ import "voltstack/internal/sc"
 // rescache.CanonicalJSON (or hash it via rescache.Key) — plain
 // encoding/json does not guarantee cross-version byte stability.
 func (c Config) CacheFingerprint() map[string]any {
+	solve := map[string]any{
+		"solver":   int(c.Solve.Solver),
+		"tol":      c.Solve.Tol,
+		"max_iter": c.Solve.MaxIter,
+	}
+	// RHS can change the kind Auto picks. At its zero value it is left
+	// out, so every key from before the field existed still holds.
+	if c.Solve.RHS != 0 {
+		solve["rhs"] = c.Solve.RHS
+	}
 	fp := map[string]any{
 		"kind":               c.Kind.String(),
 		"layers":             c.Layers,
@@ -28,11 +38,7 @@ func (c Config) CacheFingerprint() map[string]any {
 		"params":             c.Params,
 		"tsv":                c.TSV,
 		"pad_power_fraction": c.PadPowerFraction,
-		"solve": map[string]any{
-			"solver":   int(c.Solve.Solver),
-			"tol":      c.Solve.Tol,
-			"max_iter": c.Solve.MaxIter,
-		},
+		"solve":              solve,
 	}
 	// The converter only exists in the voltage-stacked circuit; keying the
 	// regular PDN on converter parameters would miss cache hits for no

@@ -21,9 +21,10 @@ type fuzzTuple struct {
 	FSwScale float64
 	Solver   circuit.SolverKind
 	Tol      float64
+	RHS      int
 }
 
-func deriveTuple(kindRaw, layersRaw, gridRaw, nConvRaw, solverRaw uint8, padRaw, fswRaw, tolRaw uint16) fuzzTuple {
+func deriveTuple(kindRaw, layersRaw, gridRaw, nConvRaw, solverRaw uint8, padRaw, fswRaw, tolRaw, rhsRaw uint16) fuzzTuple {
 	return fuzzTuple{
 		Kind:     Kind(int(kindRaw) % 2),
 		Layers:   1 + int(layersRaw)%8,
@@ -33,6 +34,7 @@ func deriveTuple(kindRaw, layersRaw, gridRaw, nConvRaw, solverRaw uint8, padRaw,
 		FSwScale: 0.5 + float64(fswRaw%400)/100, // [0.5, 4.5)
 		Solver:   circuit.SolverKind(int(solverRaw) % 5),
 		Tol:      1e-10 * float64(1+tolRaw%1000),
+		RHS:      int(rhsRaw % 1200), // 0 (unset) through past the last edge
 	}
 }
 
@@ -46,6 +48,7 @@ func (ft fuzzTuple) config() Config {
 	cfg.Converter.FSw *= ft.FSwScale
 	cfg.Solve.Solver = ft.Solver
 	cfg.Solve.Tol = ft.Tol
+	cfg.Solve.RHS = ft.RHS
 	return cfg
 }
 
@@ -55,7 +58,7 @@ func (ft fuzzTuple) config() Config {
 // CacheFingerprint's documented contract.
 func sameLogicalConfig(a, b fuzzTuple) bool {
 	if a.Kind != b.Kind || a.Layers != b.Layers || a.GridNx != b.GridNx ||
-		a.PadFrac != b.PadFrac || a.Solver != b.Solver || a.Tol != b.Tol {
+		a.PadFrac != b.PadFrac || a.Solver != b.Solver || a.Tol != b.Tol || a.RHS != b.RHS {
 		return false
 	}
 	if a.Kind == VoltageStacked && (a.NConv != b.NConv || a.FSwScale != b.FSwScale) {
@@ -70,17 +73,21 @@ func sameLogicalConfig(a, b fuzzTuple) bool {
 // cache's correctness rests on exactly these two properties — a collision
 // serves a wrong result, an instability misses every warm cache).
 func FuzzCacheFingerprint(f *testing.F) {
-	f.Add(uint8(1), uint8(4), uint8(0), uint8(4), uint8(0), uint16(400), uint16(100), uint16(99),
-		uint8(1), uint8(4), uint8(0), uint8(4), uint8(0), uint16(400), uint16(100), uint16(99))
-	f.Add(uint8(0), uint8(2), uint8(5), uint8(1), uint8(2), uint16(100), uint16(50), uint16(1),
-		uint8(1), uint8(2), uint8(5), uint8(1), uint8(2), uint16(100), uint16(50), uint16(1))
-	f.Add(uint8(1), uint8(7), uint8(28), uint8(7), uint8(4), uint16(899), uint16(399), uint16(999),
-		uint8(1), uint8(7), uint8(28), uint8(7), uint8(3), uint16(899), uint16(399), uint16(999))
+	f.Add(uint8(1), uint8(4), uint8(0), uint8(4), uint8(0), uint16(400), uint16(100), uint16(99), uint16(0),
+		uint8(1), uint8(4), uint8(0), uint8(4), uint8(0), uint16(400), uint16(100), uint16(99), uint16(0))
+	f.Add(uint8(0), uint8(2), uint8(5), uint8(1), uint8(2), uint16(100), uint16(50), uint16(1), uint16(11),
+		uint8(1), uint8(2), uint8(5), uint8(1), uint8(2), uint16(100), uint16(50), uint16(1), uint16(11))
+	f.Add(uint8(1), uint8(7), uint8(28), uint8(7), uint8(4), uint16(899), uint16(399), uint16(999), uint16(100),
+		uint8(1), uint8(7), uint8(28), uint8(7), uint8(3), uint16(899), uint16(399), uint16(999), uint16(100))
+	// Auto with and without RHS: both resolve to one kind on a small
+	// mesh, but the key may not assume so.
+	f.Add(uint8(1), uint8(4), uint8(0), uint8(4), uint8(0), uint16(400), uint16(100), uint16(99), uint16(0),
+		uint8(1), uint8(4), uint8(0), uint8(4), uint8(0), uint16(400), uint16(100), uint16(99), uint16(11))
 	f.Fuzz(func(t *testing.T,
-		aKind, aLayers, aGrid, aNConv, aSolver uint8, aPad, aFsw, aTol uint16,
-		bKind, bLayers, bGrid, bNConv, bSolver uint8, bPad, bFsw, bTol uint16) {
-		ta := deriveTuple(aKind, aLayers, aGrid, aNConv, aSolver, aPad, aFsw, aTol)
-		tb := deriveTuple(bKind, bLayers, bGrid, bNConv, bSolver, bPad, bFsw, bTol)
+		aKind, aLayers, aGrid, aNConv, aSolver uint8, aPad, aFsw, aTol, aRHS uint16,
+		bKind, bLayers, bGrid, bNConv, bSolver uint8, bPad, bFsw, bTol, bRHS uint16) {
+		ta := deriveTuple(aKind, aLayers, aGrid, aNConv, aSolver, aPad, aFsw, aTol, aRHS)
+		tb := deriveTuple(bKind, bLayers, bGrid, bNConv, bSolver, bPad, bFsw, bTol, bRHS)
 
 		encA1, err := rescache.CanonicalJSON(ta.config().CacheFingerprint())
 		if err != nil {

@@ -44,6 +44,7 @@ func TestCacheFingerprintSensitivity(t *testing.T) {
 		"solver":     func(c *Config) { c.Solve.Solver = circuit.DirectSparseND },
 		"tol":        func(c *Config) { c.Solve.Tol = 1e-6 },
 		"maxiter":    func(c *Config) { c.Solve.MaxIter = 7 },
+		"rhs":        func(c *Config) { c.Solve.RHS = 11 },
 		"vdd":        func(c *Config) { c.Params.Vdd = 0.9 },
 	}
 	for name, mutate := range mutations {
@@ -52,6 +53,20 @@ func TestCacheFingerprintSensitivity(t *testing.T) {
 		if reflect.DeepEqual(c.CacheFingerprint(), base.CacheFingerprint()) {
 			t.Errorf("%s: mutation did not change the fingerprint", name)
 		}
+	}
+}
+
+// RHS enters the fingerprint only when set, so every key written before
+// the field existed (RHS 0) is unchanged.
+func TestCacheFingerprintRHSOnlyWhenSet(t *testing.T) {
+	solve := func(c Config) map[string]any { return c.CacheFingerprint()["solve"].(map[string]any) }
+	c := fpConfig()
+	if _, ok := solve(c)["rhs"]; ok {
+		t.Errorf("RHS 0 fingerprints as %v, want no rhs entry", solve(c))
+	}
+	c.Solve.RHS = 100
+	if got := solve(c)["rhs"]; got != 100 {
+		t.Errorf("RHS 100 fingerprints rhs as %v, want 100", got)
 	}
 }
 

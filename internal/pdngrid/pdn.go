@@ -88,6 +88,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// SolverKind is the linear-solver kind of c's engine: Solve.Solver, or
+// for Auto the kind the DC network's node count (two meshes per layer
+// plus the two board nodes) and Solve.RHS pick.
+func (c Config) SolverKind() circuit.SolverKind {
+	return c.Solve.Kind(c.Layers*2*c.Params.GridNx*c.Params.GridNy + 2)
+}
+
 // lumpSite is a set of identical parallel conductors (pads or TSVs)
 // attached to one mesh cell: electrically a single resistor of R/count,
 // but counted as count conductors for EM statistics.

@@ -2,6 +2,7 @@ package pdngrid
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"voltstack/internal/circuit"
@@ -35,6 +36,75 @@ func TestConvergenceStatsDirect(t *testing.T) {
 	r := mustSolve(t, cfg, UniformActivities(3, 16, 1))
 	if r.SolverIterations != 0 || r.TotalSolverIterations != 0 {
 		t.Errorf("direct solve reported %d/%d iterations, want 0/0", r.SolverIterations, r.TotalSolverIterations)
+	}
+}
+
+// TestAutoKeysOnRHS: the coarse 8-layer V-S PDN (4,098 nodes) is past
+// Auto's one-solve direct edge, so alone it solves with IC(0)-PCG; with
+// the 11 right-hand sides of a Fig. 6 sweep it is factored directly.
+// Config.SolverKind must name the kind the engine used.
+func TestAutoKeysOnRHS(t *testing.T) {
+	acts := InterleavedActivities(8, 16, 0.65)
+	for _, c := range []struct {
+		rhs  int
+		want circuit.SolverKind
+	}{
+		{0, circuit.PCGIC0},
+		{11, circuit.DirectSparseND},
+	} {
+		cfg := vsCfg(8, 8)
+		cfg.Solve.RHS = c.rhs
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := p.assemble(nil).net.NumNodes(); n != 4098 {
+			t.Fatalf("DC network has %d nodes, want 4098", n)
+		}
+		if got := cfg.SolverKind(); got != c.want {
+			t.Errorf("RHS %d: SolverKind() = %d, want %d", c.rhs, got, c.want)
+		}
+		r, err := p.Solve(acts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct := r.SolverIterations == 0; direct != (c.want == circuit.DirectSparseND) {
+			t.Errorf("RHS %d: %d solver iterations, want the %d kind", c.rhs, r.SolverIterations, c.want)
+		}
+	}
+}
+
+// TestNDMatchesTightPCG is the accuracy oracle for the sweeps Auto now
+// factors directly. On the coarse 8-layer V-S PDN (8 converters per
+// core, 65% interleaved imbalance: the Headlines point), ND's cell
+// voltages must match an IC(0)-PCG solve driven to a relative residual
+// of 1e-15 within 1e-10 V, and lie closer to it than the default
+// IC(0)-PCG (Tol 1e-10) does.
+func TestNDMatchesTightPCG(t *testing.T) {
+	acts := InterleavedActivities(8, 16, 0.65)
+	solve := func(so circuit.SolveOptions) *Result {
+		cfg := vsCfg(8, 8)
+		cfg.Solve = so
+		return mustSolve(t, cfg, acts)
+	}
+	ref := solve(circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-15})
+	dist := func(r *Result) float64 {
+		d := 0.0
+		for l, layer := range r.CellVoltages {
+			for c, v := range layer {
+				d = math.Max(d, math.Abs(v-ref.CellVoltages[l][c]))
+			}
+		}
+		return d
+	}
+	nd := dist(solve(circuit.SolveOptions{Solver: circuit.DirectSparseND}))
+	pcg := dist(solve(circuit.SolveOptions{Solver: circuit.PCGIC0}))
+	t.Logf("max cell-voltage distance from the Tol 1e-15 reference: ND %.2g V, default IC(0)-PCG %.2g V", nd, pcg)
+	if nd > 1e-10 {
+		t.Errorf("ND cell voltages are %g V from the reference, want <= 1e-10 V", nd)
+	}
+	if nd >= pcg {
+		t.Errorf("ND (%g V) is no closer to the reference than default IC(0)-PCG (%g V)", nd, pcg)
 	}
 }
 

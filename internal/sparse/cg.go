@@ -113,6 +113,7 @@ func analyzeIC0(a *CSR) (*ic0Symbolic, error) {
 	// Lower-triangle structure. Builder entries are unique here, so value
 	// placement during factor is pure assignment.
 	lb := NewBuilder(n)
+	lb.Grow(lowerEntries(a))
 	for i := 0; i < n; i++ {
 		a.Row(i, func(j int, _ float64) {
 			if j <= i {
@@ -148,6 +149,7 @@ func analyzeIC0(a *CSR) (*ic0Symbolic, error) {
 	// Transpose structure for the backward sweep, plus the map that carries
 	// factor values across (assignment; entries are unique).
 	ub := NewBuilder(n)
+	ub.Grow(s.low.NNZ())
 	for i := 0; i < n; i++ {
 		s.low.Row(i, func(j int, _ float64) { ub.Add(j, i, 1) })
 	}

@@ -40,18 +40,17 @@ type SparseChol struct {
 
 // cholSymbolic is the structural phase of FactorSparse: the
 // fill-reducing permutation, the permuted lower triangle of the matrix,
-// the elimination tree, and the per-row factor patterns (including fill).
+// the elimination tree, and the factor's column pointers from its column
+// counts. It stores no row patterns: the numeric phase walks each row's
+// pattern from the tree as it goes.
 type cholSymbolic struct {
 	n    int
 	perm []int
 	inv  []int
 
-	low *CSR // permuted lower triangle; factor fills in the values
-
-	patPtr []int32 // row i's factor pattern is pattern[patPtr[i]:patPtr[i+1]]
-	patRow []int32 // concatenated patterns, topological order per row
-	colPtr []int32 // factor column structure, as in SparseChol
-	colRow []int32
+	low    *CSR  // permuted lower triangle; factor fills in the values
+	parent []int // elimination tree of low
+	colPtr []int32
 }
 
 // FactorSparse computes the sparse Cholesky factorization of the SPD
@@ -84,6 +83,7 @@ func analyzeChol(a *CSR, ord Ordering) (*cholSymbolic, error) {
 	// Permuted lower-triangle structure. Every stored entry of a keeps its
 	// slot, zeros included, so the structure does not depend on values.
 	lb := NewBuilder(n)
+	lb.Grow(lowerEntries(a))
 	for i := 0; i < n; i++ {
 		pi := perm[i]
 		a.Row(i, func(j int, _ float64) {
@@ -94,48 +94,25 @@ func analyzeChol(a *CSR, ord Ordering) (*cholSymbolic, error) {
 	}
 	s.low = lb.ToCSR()
 
-	// Elimination tree and per-row factor patterns (with fill), stored in
-	// the exact topological order the numeric phase consumes them in.
-	parent := EliminationTree(s.low)
+	// Elimination tree and factor column counts: column j holds every
+	// row i whose pattern (with fill) contains j.
+	s.parent = EliminationTree(s.low)
 	mark := make([]int, n)
 	stack := make([]int, n)
 	for i := range mark {
 		mark[i] = -1
 	}
-	s.patPtr = make([]int32, n+1)
-	counts := make([]int32, n)
+	s.colPtr = make([]int32, n+1)
+	counts := s.colPtr[1:]
 	for i := 0; i < n; i++ {
-		pattern := etreeReach(s.low, i, parent, mark, stack)
-		s.patPtr[i+1] = s.patPtr[i] + int32(len(pattern))
-		s.patRow = append(s.patRow, make([]int32, len(pattern))...)
-		copy32(s.patRow[s.patPtr[i]:s.patPtr[i+1]], pattern)
-		for _, j := range pattern {
+		for _, j := range etreeReach(s.low, i, s.parent, mark, stack) {
 			counts[j]++
 		}
 	}
-	// Factor column structure: column j holds every row i whose pattern
-	// contains j, in ascending row order (the order the numeric phase
-	// emits them).
-	s.colPtr = make([]int32, n+1)
 	for j := 0; j < n; j++ {
-		s.colPtr[j+1] = s.colPtr[j] + counts[j]
-	}
-	s.colRow = make([]int32, s.colPtr[n])
-	next := counts // reused as each column's fill cursor
-	copy(next, s.colPtr[:n])
-	for i := 0; i < n; i++ {
-		for _, j := range s.patRow[s.patPtr[i]:s.patPtr[i+1]] {
-			s.colRow[next[j]] = int32(i)
-			next[j]++
-		}
+		s.colPtr[j+1] += s.colPtr[j]
 	}
 	return s, nil
-}
-
-func copy32(dst []int32, src []int) {
-	for i, v := range src {
-		dst[i] = int32(v)
-	}
 }
 
 // entryIndex returns the val index of entry (i, j), or -1 if not stored.
@@ -156,17 +133,20 @@ func (m *CSR) entryIndex(i, j int) int {
 }
 
 // factor is the numeric phase of FactorSparse on a, the matrix the
-// symbolic phase analyzed.
+// symbolic phase analyzed. Row i's pattern comes from etreeReach in
+// topological order; each entry l_ij lands at the filled end of column
+// j, so every column's rows come out ascending.
 func (s *cholSymbolic) factor(a *CSR) (*SparseChol, error) {
 	n := s.n
+	nnz := s.colPtr[n]
 	f := &SparseChol{
 		n:      n,
 		perm:   s.perm,
 		inv:    s.inv,
 		diag:   make([]float64, n),
 		colPtr: s.colPtr,
-		colRow: s.colRow,
-		colVal: make([]float64, len(s.colRow)),
+		colRow: make([]int32, nnz),
+		colVal: make([]float64, nnz),
 	}
 	// Place a's values into the permuted lower triangle (entries are
 	// unique, so placement is assignment).
@@ -180,8 +160,13 @@ func (s *cholSymbolic) factor(a *CSR) (*SparseChol, error) {
 		})
 	}
 
-	// Up-looking numeric factorization over the symbolic patterns.
+	// Up-looking numeric factorization.
 	x := make([]float64, n)
+	mark := make([]int, n)
+	stack := make([]int, n)
+	for i := range mark {
+		mark[i] = -1
+	}
 	cnt := make([]int32, n) // filled prefix of each factor column
 	for i := 0; i < n; i++ {
 		var d float64
@@ -192,8 +177,7 @@ func (s *cholSymbolic) factor(a *CSR) (*SparseChol, error) {
 				x[j] = v
 			}
 		})
-		for _, j32 := range s.patRow[s.patPtr[i]:s.patPtr[i+1]] {
-			j := int(j32)
+		for _, j := range etreeReach(low, i, s.parent, mark, stack) {
 			lij := x[j] / f.diag[j]
 			x[j] = 0
 			lo, fill := f.colPtr[j], f.colPtr[j]+cnt[j]
@@ -203,6 +187,7 @@ func (s *cholSymbolic) factor(a *CSR) (*SparseChol, error) {
 				x[rows[k]] -= vals[k] * lij
 			}
 			d -= lij * lij
+			f.colRow[fill] = int32(i)
 			f.colVal[fill] = lij
 			cnt[j]++
 		}

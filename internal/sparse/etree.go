@@ -33,28 +33,34 @@ func EliminationTree(a *CSR) []int {
 // (j < i) toward the root, stopped at already-visited nodes. The pattern
 // is returned in topological (ascending-dependency) order in stack[top:].
 //
-// mark is a scratch array (len n) holding the last row each node was
-// visited for; stack is a scratch array (len n).
+// mark is a work array (len n) holding the last row each node was
+// visited for; stack is a work array (len n). Each path is collected
+// at the bottom of stack and then moved onto the pattern at its top, as
+// in CSparse's cs_ereach: the two parts hold distinct nodes other than i,
+// so they never meet.
 func etreeReach(a *CSR, i int, parent []int, mark []int, stack []int) []int {
 	top := len(stack)
 	mark[i] = i // never include the diagonal itself
-	a.Row(i, func(j int, _ float64) {
+	for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+		j := int(a.col[k])
 		if j >= i {
-			return
+			continue
 		}
 		// Walk up the tree collecting unvisited nodes in path order.
-		var path []int
+		n := 0
 		for j != -1 && j < i && mark[j] != i {
 			mark[j] = i
-			path = append(path, j)
+			stack[n] = j
+			n++
 			j = parent[j]
 		}
-		// Prepend the (reversed) path onto the stack so ancestors come
+		// Move the (reversed) path onto the pattern so ancestors come
 		// after descendants overall.
-		for k := len(path) - 1; k >= 0; k-- {
+		for n > 0 {
+			n--
 			top--
-			stack[top] = path[k]
+			stack[top] = stack[n]
 		}
-	})
+	}
 	return stack[top:]
 }

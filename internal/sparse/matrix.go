@@ -11,6 +11,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -37,6 +38,14 @@ func (b *Builder) N() int { return b.n }
 
 // NNZ returns the number of accumulated (possibly duplicate) entries.
 func (b *Builder) NNZ() int { return len(b.vals) }
+
+// Grow reserves room for m more entries, so that the next m Adds do not
+// reallocate.
+func (b *Builder) Grow(m int) {
+	b.rows = slices.Grow(b.rows, m)
+	b.cols = slices.Grow(b.cols, m)
+	b.vals = slices.Grow(b.vals, m)
+}
 
 // Add accumulates v into entry (i, j).
 func (b *Builder) Add(i, j int, v float64) {
@@ -181,6 +190,11 @@ func (m *CSR) Diag() []float64 {
 	}
 	return d
 }
+
+// lowerEntries is the number of entries in the lower triangle (diagonal
+// included) of a under any symmetric permutation: exact for a symmetric
+// structure with every diagonal entry stored, as an SPD matrix has.
+func lowerEntries(a *CSR) int { return (a.NNZ() + a.n) / 2 }
 
 // Lower returns the lower triangle (including diagonal) of m as a CSR.
 func (m *CSR) Lower() *CSR {

@@ -23,6 +23,7 @@ func NestedDissection(a *CSR) []int {
 		a:       a,
 		inSet:   make([]int, n),
 		level:   make([]int, n),
+		visited: make([]int, n),
 		queue:   make([]int, 0, n),
 		ordered: make([]int, 0, n),
 	}
@@ -66,6 +67,8 @@ type ndState struct {
 	inSet   []int // generation marker: inSet[v] == gen means v is active
 	gen     int
 	level   []int
+	visited []int // visited[v] == bfsGen: the last BFS reached v
+	bfsGen  int
 	queue   []int
 	ordered []int
 }
@@ -89,20 +92,23 @@ func (nd *ndState) collectComponent(start int, seen []bool) []int {
 }
 
 // bfsLevels runs a BFS restricted to the active set from start, filling
-// nd.level, and returns the vertices in visit order plus the depth.
-func (nd *ndState) bfsLevels(set []int, start int) ([]int, int) {
+// nd.level and stamping nd.visited, and returns the vertices in visit
+// order plus the depth. The order lives in nd.queue: the next call
+// overwrites it.
+func (nd *ndState) bfsLevels(start int) ([]int, int) {
 	gen := nd.gen
+	nd.bfsGen++
+	seen := nd.bfsGen
 	order := nd.queue[:0]
 	order = append(order, start)
 	nd.level[start] = 0
-	visitedGen := make(map[int]bool, len(set))
-	visitedGen[start] = true
+	nd.visited[start] = seen
 	depth := 0
 	for head := 0; head < len(order); head++ {
 		v := order[head]
 		nd.a.Row(v, func(j int, _ float64) {
-			if nd.inSet[j] == gen && !visitedGen[j] {
-				visitedGen[j] = true
+			if nd.inSet[j] == gen && nd.visited[j] != seen {
+				nd.visited[j] = seen
 				nd.level[j] = nd.level[v] + 1
 				if nd.level[j] > depth {
 					depth = nd.level[j]
@@ -112,17 +118,16 @@ func (nd *ndState) bfsLevels(set []int, start int) ([]int, int) {
 		})
 	}
 	nd.queue = order[:0]
-	out := append([]int(nil), order...)
-	return out, depth
+	return order, depth
 }
 
-// dissect recursively orders the given vertex set.
+// dissect recursively orders the given vertex set, which it owns and may
+// reorder.
 func (nd *ndState) dissect(set []int) {
 	if len(set) <= leafSize {
 		// Small base case: natural (sorted) order keeps determinism.
-		s := append([]int(nil), set...)
-		sort.Ints(s)
-		nd.ordered = append(nd.ordered, s...)
+		sort.Ints(set)
+		nd.ordered = append(nd.ordered, set...)
 		return
 	}
 
@@ -135,32 +140,27 @@ func (nd *ndState) dissect(set []int) {
 
 	// Pseudo-peripheral start: BFS twice, starting the second pass from
 	// the deepest vertex of the first.
-	order, _ := nd.bfsLevels(set, set[0])
+	order, _ := nd.bfsLevels(set[0])
 	far := order[len(order)-1]
-	order, depth := nd.bfsLevels(set, far)
+	order, depth := nd.bfsLevels(far)
 
 	if len(order) < len(set) {
 		// The set splits into disconnected pieces (can happen after
 		// separator removal): dissect the found piece and the rest.
-		found := map[int]bool{}
-		for _, v := range order {
-			found[v] = true
-		}
 		var rest []int
 		for _, v := range set {
-			if !found[v] {
+			if nd.visited[v] != nd.bfsGen {
 				rest = append(rest, v)
 			}
 		}
-		nd.dissect(order)
+		nd.dissect(append([]int(nil), order...))
 		nd.dissect(rest)
 		return
 	}
 	if depth < 2 {
 		// No useful level structure (dense blob): order directly.
-		s := append([]int(nil), set...)
-		sort.Ints(s)
-		nd.ordered = append(nd.ordered, s...)
+		sort.Ints(set)
+		nd.ordered = append(nd.ordered, set...)
 		return
 	}
 
@@ -178,7 +178,6 @@ func (nd *ndState) dissect(set []int) {
 	}
 	nd.dissect(lo)
 	nd.dissect(hi)
-	s := append([]int(nil), sep...)
-	sort.Ints(s)
-	nd.ordered = append(nd.ordered, s...)
+	sort.Ints(sep)
+	nd.ordered = append(nd.ordered, sep...)
 }
