@@ -37,8 +37,9 @@ bench-solve:
 	@cat BENCH_solve.json
 
 # bench-scaling runs only the multi-RHS node-count scaling pairs (one
-# setup reused for 8 solves vs per-RHS setup+solve at 10k/100k/1M nodes;
-# the 1M AMG point is skipped under -short).
+# setup reused for 8 solves vs per-RHS setup+solve: sparse Cholesky at
+# 10k/100k nodes, AMG-PCG at 10k/100k/1M; the 1M AMG pair is skipped
+# under -short).
 bench-scaling:
 	$(GO) test -bench '^BenchmarkSolveScale' -run '^$$' -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson
 

@@ -213,20 +213,6 @@ func solveVS8(b *testing.B, solver circuit.SolverKind, grid int) *pdngrid.Result
 	return r
 }
 
-// BenchmarkAblationSolverPCGIC0 measures IC(0)-preconditioned CG.
-func BenchmarkAblationSolverPCGIC0(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		solveVS8(b, circuit.PCGIC0, 16)
-	}
-}
-
-// BenchmarkAblationSolverPCGJacobi measures Jacobi-preconditioned CG.
-func BenchmarkAblationSolverPCGJacobi(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		solveVS8(b, circuit.PCGJacobi, 16)
-	}
-}
-
 // BenchmarkAblationSolverSparseND measures the nested-dissection sparse
 // Cholesky direct solver.
 func BenchmarkAblationSolverSparseND(b *testing.B) {

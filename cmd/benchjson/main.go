@@ -38,7 +38,7 @@ import (
 
 // benchLine matches e.g.
 //
-//	BenchmarkSolveScaleIC0PCG10kBatch-8   4   252596955 ns/op   8.00 lanes
+//	BenchmarkSolveScaleAMGPCG10kBatch-8   4   252596955 ns/op   8.00 lanes
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
 // metricPart matches trailing custom metrics: "8.00 lanes".

@@ -164,26 +164,21 @@ const (
 	// Auto picks by node count and by SolveOptions.RHS, the right-hand
 	// sides that will share the engine: DirectSparseND up to a node edge
 	// that grows with RHS (directRule: 4,000 nodes for fewer than 10, up
-	// to 200k for 1,000 or more), PCGIC0 above it up to 200k nodes, and
-	// PCGAMG beyond.
+	// to 200k for 1,000 or more), PCGAMG above it.
 	Auto SolverKind = iota
-	// PCGIC0 uses conjugate gradients with an IC(0) preconditioner.
-	PCGIC0
-	// PCGJacobi uses conjugate gradients with a Jacobi preconditioner.
-	PCGJacobi
 	// DirectSparseND uses the sparse Cholesky factorization with
 	// nested-dissection ordering.
 	DirectSparseND
 	// PCGAMG uses conjugate gradients with an aggregation-based algebraic
-	// multigrid preconditioner — near-mesh-independent iteration counts on
-	// grids where IC(0) stalls.
+	// multigrid preconditioner, whose iteration count stays nearly flat as
+	// the mesh grows.
 	PCGAMG
 )
 
 // SolveOptions tunes the linear solve. The zero value is a good default.
 type SolveOptions struct {
 	Solver  SolverKind
-	Tol     float64 // relative residual target for iterative solvers (default 1e-10)
+	Tol     float64 // relative residual target for iterative solvers (default 1e-12)
 	MaxIter int     // iteration budget (default 20*n)
 	// RHS is the number of right-hand sides the caller will solve against
 	// one compiled engine (0 means 1). Only Auto reads it: a factor shared
@@ -193,14 +188,15 @@ type SolveOptions struct {
 
 // directRule is Auto's direct-solver edge: with at least rhs right-hand
 // sides per engine, networks of up to nodes nodes are factored with
-// DirectSparseND. Against IC(0)-PCG, the factor's extra setup pays back
-// after 4–7 solves on 4k–8k-node PDN meshes and after about 8 on
-// 16k-node ones, where a warm ND solve is 10× faster (DESIGN.md §12).
+// DirectSparseND; larger ones run AMG-PCG. Against AMG-PCG, the factor's
+// extra setup pays back after 5–9 solves on most 4k–8k-node PDN meshes,
+// about 15 on 16×16×12 V-S and 13–15 on 32×32×8 (16,386 nodes), where a
+// warm ND solve is still 3–7× faster (DESIGN.md §12).
 var directRule = [...]struct{ rhs, nodes int }{
 	{1, 4_000},           // a lone solve: setup decides
 	{10, 8_194},          // 32×32×4 PDN; a Fig. 6 sweep solves 11
 	{100, 16_386},        // 32×32×8 PDN; ext-trace-noise solves 100
-	{1000, amgThreshold}, // transients: one factor serves every step
+	{1000, manyRHSNodes}, // transients: one factor serves every step
 }
 
 // directNodes is the largest network Auto factors directly when rhs
@@ -215,14 +211,12 @@ func directNodes(rhs int) int {
 	return nodes
 }
 
-// amgThreshold is the node count above which Auto switches from IC(0) to
-// AMG preconditioning, and the largest network Auto factors directly
-// (with 1,000 or more right-hand sides). IC(0)'s iteration count grows
-// with mesh diameter while the multigrid V-cycle keeps it near-constant,
-// but the threshold is not a measured crossover: on PDN meshes AMG has
-// won per warm solve at every size measured from 4,098 nodes up in one
-// measurement and lost at 6k in another (DESIGN.md §12).
-const amgThreshold = 200_000
+// manyRHSNodes is the largest network Auto factors directly with 1,000 or
+// more right-hand sides per engine. It is not a measured crossover: ND's
+// setup pays back against AMG after at most 15 solves on every PDN mesh
+// measured (up to 16,386 nodes; DESIGN.md §12), and a transient's
+// thousand steps amortize it far beyond that.
+const manyRHSNodes = 200_000
 
 // ErrFloating is returned when the network has no DC path from some node to
 // ground or a rail, which makes the conductance matrix singular.
@@ -312,18 +306,14 @@ func (o SolveOptions) Kind(nn int) SolverKind {
 func (o SolveOptions) resolve(nn int) (kind SolverKind, tol float64, maxIter int) {
 	kind = o.Solver
 	if kind == Auto {
-		switch {
-		case nn <= directNodes(o.RHS):
+		kind = PCGAMG
+		if nn <= directNodes(o.RHS) {
 			kind = DirectSparseND
-		case nn <= amgThreshold:
-			kind = PCGIC0
-		default:
-			kind = PCGAMG
 		}
 	}
 	tol = o.Tol
 	if tol == 0 {
-		tol = 1e-10
+		tol = 1e-12
 	}
 	maxIter = o.MaxIter
 	if maxIter == 0 {

@@ -16,9 +16,7 @@ import (
 // rounding error rather than against the continuous exponential. The
 // expected values here come from that recurrence alone.
 
-var allSolvers = []circuit.SolverKind{
-	circuit.Auto, circuit.PCGIC0, circuit.PCGJacobi, circuit.DirectSparseND, circuit.PCGAMG,
-}
+var allSolvers = []circuit.SolverKind{circuit.Auto, circuit.DirectSparseND, circuit.PCGAMG}
 
 // backwardEuler returns X·(1 − (1+dt/tau)^−k).
 func backwardEuler(x, dt, tau float64, k int) float64 {

@@ -163,7 +163,7 @@ func mustMatchReference(t *testing.T, name string, want, got []float64) {
 }
 
 func TestSolversMatchDenseReference(t *testing.T) {
-	kinds := []SolverKind{Auto, DirectSparseND, PCGIC0, PCGJacobi, PCGAMG}
+	kinds := []SolverKind{Auto, DirectSparseND, PCGAMG}
 	for seed := int64(1); seed <= 40; seed++ {
 		c := randomOracleCase(seed)
 		want := make([][]float64, oracleLanes)

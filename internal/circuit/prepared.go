@@ -48,10 +48,10 @@ type Prepared struct {
 	counts [7]int
 
 	a *sparse.CSR
-	// ndF is the factor of the direct kind, prec the preconditioner of
-	// the iterative kinds.
+	// ndF is the factor of the direct kind, prec the AMG preconditioner of
+	// the iterative one.
 	ndF  *sparse.SparseChol
-	prec sparse.Preconditioner
+	prec *sparse.AMGPrec
 }
 
 // Compile checks the netlist's connectivity, assembles its DC conductance
@@ -108,8 +108,8 @@ func (p *Prepared) checkTopology() error {
 // LoadID(k); the result is bit-identical to a cold engine's. The returned
 // Solution keeps loads for its power queries, so the caller must not
 // modify it afterwards. sp, if non-nil, parents a "pcg" trace span for
-// the iterative kinds; tracing adds no work when sp is nil, and the
-// result is identical either way.
+// AMG-PCG; tracing adds no work when sp is nil, and the result is
+// identical either way.
 func (p *Prepared) Solve(loads []float64, sp *telemetry.Span) (*Solution, error) {
 	mPrepSolves.Add(1)
 	if err := p.checkTopology(); err != nil {
@@ -138,9 +138,9 @@ func (p *Prepared) Solve(loads []float64, sp *telemetry.Span) (*Solution, error)
 	}, nil
 }
 
-// solve returns x with A·x = b. The iterative kinds start from x0 (nil:
-// zero) and run on scratch ws (nil: allocated per call); the direct
-// factor ignores both.
+// solve returns x with A·x = b. AMG-PCG starts from x0 (nil: zero) and
+// runs on scratch ws (nil: allocated per call); the direct factor ignores
+// both.
 func (p *Prepared) solve(sp *telemetry.Span, b, x0 []float64, ws *sparse.PCGWorkspace) ([]float64, sparse.CGResult, error) {
 	if p.ndF != nil {
 		return p.ndF.Solve(b), sparse.CGResult{}, nil
@@ -150,9 +150,9 @@ func (p *Prepared) solve(sp *telemetry.Span, b, x0 []float64, ws *sparse.PCGWork
 	return sparse.PCG(p.a, b, x0, p.prec, p.tol, p.maxIter, ws)
 }
 
-// factor builds the factor (direct kind) or preconditioner (iterative
-// kinds) inside a "factor" child span of sp (nil-safe). IC(0) and AMG
-// build failures fall back to Jacobi.
+// factor builds the factor (direct kind) or the AMG preconditioner
+// inside a "factor" child span of sp (nil-safe). A build failure on a
+// non-positive-definite matrix returns ErrFloating.
 func (p *Prepared) factor(sp *telemetry.Span) error {
 	spF := sp.Start("factor")
 	defer spF.End()
@@ -163,23 +163,14 @@ func (p *Prepared) factor(sp *telemetry.Span) error {
 			return wrapSPD(err)
 		}
 		p.ndF = f
-	case PCGIC0:
-		if ic, err := sparse.NewIC0(p.a); err == nil {
-			p.prec = ic
-		} else {
-			p.prec = sparse.NewJacobi(p.a)
-		}
 	case PCGAMG:
 		spA := spF.Start("amg-build")
-		mg, err := sparse.NewAMG(p.a, sparse.AMGOptions{})
+		mg, err := sparse.NewAMG(p.a)
 		spA.End()
-		if err == nil {
-			p.prec = mg
-		} else {
-			p.prec = sparse.NewJacobi(p.a)
+		if err != nil {
+			return wrapSPD(err)
 		}
-	case PCGJacobi:
-		p.prec = sparse.NewJacobi(p.a)
+		p.prec = mg
 	default:
 		return fmt.Errorf("circuit: unknown solver kind %d", p.kind)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // allKinds are the concrete solver kinds plus Auto.
-var allKinds = []SolverKind{Auto, DirectSparseND, PCGIC0, PCGJacobi, PCGAMG}
+var allKinds = []SolverKind{Auto, DirectSparseND, PCGAMG}
 
 // sameSolution asserts a reused engine's solution (got) is bit-identical to
 // a cold engine's (want).

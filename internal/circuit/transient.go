@@ -119,7 +119,7 @@ var ErrTransient = errors.New("circuit: transient analysis failed")
 // transient loads follow their functions; capacitors and inductors use
 // companion models. The step matrix is compiled and factored once on a
 // prepared engine; every step then costs one pair of triangular solves
-// (direct kinds) or one PCG solve warm-started from the previous step.
+// (direct kind) or one PCG solve warm-started from the previous step.
 //
 // Every step solves against the one step-matrix engine, so Transient
 // passes Steps as Solve.RHS (overriding the caller's). The DC operating

@@ -32,7 +32,7 @@ func deriveTuple(kindRaw, layersRaw, gridRaw, nConvRaw, solverRaw uint8, padRaw,
 		PadFrac:  0.1 + float64(padRaw%900)/1000, // [0.1, 1.0)
 		NConv:    1 + int(nConvRaw)%8,
 		FSwScale: 0.5 + float64(fswRaw%400)/100, // [0.5, 4.5)
-		Solver:   circuit.SolverKind(int(solverRaw) % 5),
+		Solver:   circuit.SolverKind(int(solverRaw) % 3),
 		Tol:      1e-10 * float64(1+tolRaw%1000),
 		RHS:      int(rhsRaw % 1200), // 0 (unset) through past the last edge
 	}

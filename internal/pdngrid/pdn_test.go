@@ -382,7 +382,7 @@ func TestSolverChoicesAgree(t *testing.T) {
 	cfg := vsCfg(3, 4)
 	cfg.Solve = circuit.SolveOptions{Solver: circuit.DirectSparseND}
 	rd := mustSolve(t, cfg, InterleavedActivities(3, 16, 0.5))
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-12}
+	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGAMG, Tol: 1e-12}
 	ri := mustSolve(t, cfg, InterleavedActivities(3, 16, 0.5))
 	if !units.ApproxEqual(rd.MaxIRDropFrac, ri.MaxIRDropFrac, 1e-6, 1e-4) {
 		t.Errorf("direct %g vs pcg %g", rd.MaxIRDropFrac, ri.MaxIRDropFrac)

@@ -26,7 +26,7 @@ func TestSolveFailureWritesPostmortem(t *testing.T) {
 	}()
 
 	cfg := vsCfg(3, 4)
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-16, MaxIter: 2}
+	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGAMG, Tol: 1e-16, MaxIter: 2}
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestSolvePostmortemOffByDefault(t *testing.T) {
 		t.Fatal("post-mortem machinery enabled at test entry")
 	}
 	cfg := vsCfg(3, 4)
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-16, MaxIter: 2}
+	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGAMG, Tol: 1e-16, MaxIter: 2}
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

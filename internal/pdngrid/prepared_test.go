@@ -100,9 +100,7 @@ func TestSolverKindsMatchSparseND(t *testing.T) {
 		"regular": regularCfg(3, SparseTSV()),
 		"stacked": vsCfg(3, 4),
 	}
-	kinds := []circuit.SolverKind{
-		circuit.Auto, circuit.PCGIC0, circuit.PCGJacobi, circuit.PCGAMG,
-	}
+	kinds := []circuit.SolverKind{circuit.Auto, circuit.PCGAMG}
 	acts := InterleavedActivities(3, 16, 0.5)
 	for name, cfg := range cfgs {
 		cfg.Solve = circuit.SolveOptions{Solver: circuit.DirectSparseND}
@@ -131,7 +129,7 @@ func TestSolverKindsMatchSparseND(t *testing.T) {
 
 // TestPreparedEngineReuseAcrossActivityPatterns drives one PDN through a
 // sequence of different activity patterns, for the direct kind and for
-// IC(0)-PCG. Every solve after the first hits the cached engine, whose
+// AMG-PCG. Every solve after the first hits the cached engine, whose
 // results must not depend on what was solved before: each must be
 // bit-identical to a solve on a pristine PDN.
 func TestPreparedEngineReuseAcrossActivityPatterns(t *testing.T) {
@@ -141,7 +139,7 @@ func TestPreparedEngineReuseAcrossActivityPatterns(t *testing.T) {
 		InterleavedActivities(3, 16, 0.9),
 		InterleavedActivities(3, 16, 0.5), // repeat of the first
 	}
-	for _, kind := range []circuit.SolverKind{circuit.DirectSparseND, circuit.PCGIC0} {
+	for _, kind := range []circuit.SolverKind{circuit.DirectSparseND, circuit.PCGAMG} {
 		cfg := vsCfg(3, 4)
 		cfg.Solve = circuit.SolveOptions{Solver: kind, Tol: 1e-10}
 		p, err := New(cfg)
@@ -186,7 +184,7 @@ func TestPreparedRegularReuse(t *testing.T) {
 func TestPreparedConcurrentSolves(t *testing.T) {
 	telemetry.Enable()
 	cfg := vsCfg(3, 2)
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGIC0, Tol: 1e-10}
+	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGAMG, Tol: 1e-10}
 	acts := InterleavedActivities(3, 16, 0.5)
 	want := mustSolve(t, cfg, acts)
 	p, err := New(cfg)

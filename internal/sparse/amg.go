@@ -1,14 +1,15 @@
-// Aggregation-based algebraic multigrid, used as a PCG preconditioner for
-// grids beyond the reach of IC(0). Conductance matrices of many-layer PDNs
-// are weakly diagonally dominant M-matrices, the textbook-friendly case for
-// unsmoothed pairwise aggregation: greedy strongest-neighbor pairing builds
-// the aggregates, the Galerkin triple product PᵀAP builds each coarse
-// operator (SPD whenever A is, since P has full column rank), and one
-// symmetric V-cycle — equal weighted-Jacobi pre/post sweeps around a sparse
-// Cholesky solve on the coarsest level — serves as the preconditioner
-// application. Equal sweep counts keep M⁻¹ symmetric positive definite,
-// which PCG requires; ω = 2/3 damps the upper half of the Jacobi spectrum
-// safely because λmax(D⁻¹A) ≤ 2 for weakly diagonally dominant A.
+// Aggregation-based algebraic multigrid, the PCG preconditioner for
+// networks too large to factor directly. Conductance matrices of
+// many-layer PDNs are weakly diagonally dominant M-matrices, the
+// textbook-friendly case for unsmoothed pairwise aggregation: greedy
+// strongest-neighbor pairing builds the aggregates, the Galerkin triple
+// product PᵀAP builds each coarse operator (SPD whenever A is, since P has
+// full column rank), and one symmetric V-cycle — one weighted-Jacobi sweep
+// before and one after a sparse Cholesky solve on the coarsest level —
+// serves as the preconditioner application. Equal sweep counts keep M⁻¹
+// symmetric positive definite, which PCG requires; ω = 2/3 damps the upper
+// half of the Jacobi spectrum safely because λmax(D⁻¹A) ≤ 2 for weakly
+// diagonally dominant A.
 package sparse
 
 import (
@@ -26,34 +27,13 @@ var (
 	mAMGOpComplexity = telemetry.NewGauge("sparse_amg_operator_complexity")
 )
 
-// AMGOptions tunes the multigrid hierarchy. The zero value selects the
-// defaults noted per field.
-type AMGOptions struct {
-	MaxLevels  int     // hierarchy depth cap, including the coarsest (default 25)
-	CoarseSize int     // stop coarsening at or below this many unknowns (default 64)
-	PreSmooth  int     // weighted-Jacobi sweeps before coarse correction (default 1)
-	PostSmooth int     // sweeps after; keep equal to PreSmooth for symmetry (default 1)
-	Omega      float64 // Jacobi damping factor (default 2/3)
-}
-
-func (o AMGOptions) withDefaults() AMGOptions {
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 25
-	}
-	if o.CoarseSize <= 0 {
-		o.CoarseSize = 64
-	}
-	if o.PreSmooth <= 0 {
-		o.PreSmooth = 1
-	}
-	if o.PostSmooth <= 0 {
-		o.PostSmooth = 1
-	}
-	if o.Omega <= 0 {
-		o.Omega = 2.0 / 3.0
-	}
-	return o
-}
+// Hierarchy and smoother constants; the V-cycle runs one smoothing sweep
+// on each side of the coarse correction.
+const (
+	amgMaxLevels  = 25      // hierarchy depth cap, including the coarsest
+	amgCoarseSize = 64      // stop coarsening at or below this many unknowns
+	amgOmega      = 2.0 / 3 // Jacobi damping factor
+)
 
 // amgLevel is one non-coarsest level of the hierarchy: its operator, the
 // inverse diagonal for Jacobi smoothing, and the aggregate index of every
@@ -80,7 +60,6 @@ type amgLevel struct {
 type AMGPrec struct {
 	levels []*amgLevel
 	coarse *SparseChol
-	opts   AMGOptions
 	ns     []int // unknowns per level, finest first, coarsest last
 	nnzs   []int // operator nonzeros per level, finest first
 	// V-cycle scratch, one vector per level: xs/bs carry the coarse-level
@@ -92,14 +71,13 @@ type AMGPrec struct {
 // NewAMG builds the multigrid hierarchy for the SPD matrix a. The matrix
 // is captured by reference for the finest-level smoother; mutating its
 // values afterwards invalidates the preconditioner (rebuild instead, as
-// with the other factorizations in this package).
-func NewAMG(a *CSR, opts AMGOptions) (*AMGPrec, error) {
+// with a SparseChol factor).
+func NewAMG(a *CSR) (*AMGPrec, error) {
 	t0 := telemetry.Now()
 	defer func() { mPrecondBuilds.Add(1); mPrecondSeconds.Since(t0) }()
-	opts = opts.withDefaults()
-	p := &AMGPrec{opts: opts, ns: []int{a.N()}, nnzs: []int{a.NNZ()}}
+	p := &AMGPrec{ns: []int{a.N()}, nnzs: []int{a.NNZ()}}
 	cur := a
-	for cur.N() > opts.CoarseSize && len(p.levels)+1 < opts.MaxLevels {
+	for cur.N() > amgCoarseSize && len(p.levels)+1 < amgMaxLevels {
 		lvl, coarseA, err := coarsenPairwise(cur)
 		if err != nil {
 			return nil, err
@@ -338,28 +316,6 @@ func galerkinProduct(a *CSR, lvl *amgLevel) *CSR {
 	return &CSR{n: nc, rowPtr: rowPtr, col: col, val: val}
 }
 
-// smoothFromZero performs `sweeps` weighted-Jacobi sweeps starting from the
-// zero vector: the first sweep reduces to x = ωD⁻¹b, the rest are full
-// x += ωD⁻¹(b − Ax) updates. x is fully overwritten.
-func (p *AMGPrec) smoothFromZero(lvl *amgLevel, b, x, r []float64, sweeps int) {
-	w := p.opts.Omega
-	for i := range x {
-		x[i] = w * lvl.invDiag[i] * b[i]
-	}
-	p.smooth(lvl, b, x, r, sweeps-1)
-}
-
-// smooth performs `sweeps` weighted-Jacobi sweeps on the current iterate.
-func (p *AMGPrec) smooth(lvl *amgLevel, b, x, r []float64, sweeps int) {
-	w := p.opts.Omega
-	for s := 0; s < sweeps; s++ {
-		lvl.a.MulVec(x, r)
-		for i := range x {
-			x[i] += w * lvl.invDiag[i] * (b[i] - r[i])
-		}
-	}
-}
-
 // vcycle runs one V-cycle at level ell, solving A_ell x ≈ b from a zero
 // initial guess. x is fully overwritten.
 func (p *AMGPrec) vcycle(ell int, b, x []float64) {
@@ -369,7 +325,10 @@ func (p *AMGPrec) vcycle(ell int, b, x []float64) {
 	}
 	lvl := p.levels[ell]
 	r := p.rs[ell]
-	p.smoothFromZero(lvl, b, x, r, p.opts.PreSmooth)
+	// Pre-smoothing: one weighted-Jacobi sweep from zero, x = ωD⁻¹b.
+	for i := range x {
+		x[i] = amgOmega * lvl.invDiag[i] * b[i]
+	}
 	// Coarse-grid correction: restrict the residual (Pᵀr sums each
 	// aggregate's entries, members in ascending fine order), recurse,
 	// prolongate (P copies the aggregate value to its members) and correct.
@@ -388,7 +347,11 @@ func (p *AMGPrec) vcycle(ell int, b, x []float64) {
 	for i, g := range lvl.agg {
 		x[i] += xc[g]
 	}
-	p.smooth(lvl, b, x, r, p.opts.PostSmooth)
+	// Post-smoothing: one sweep, x += ωD⁻¹(b − Ax).
+	lvl.a.MulVec(x, r)
+	for i := range x {
+		x[i] += amgOmega * lvl.invDiag[i] * (b[i] - r[i])
+	}
 }
 
 // Apply computes z = M⁻¹r as one symmetric V-cycle.

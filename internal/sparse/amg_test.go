@@ -8,7 +8,7 @@ import (
 
 func TestAMGHierarchyCoarsens(t *testing.T) {
 	a := gridLaplacian(60, 60, 1e-3)
-	p, err := NewAMG(a, AMGOptions{})
+	p, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestAMGHierarchyCoarsens(t *testing.T) {
 
 func TestAMGTinyMatrixIsDirectSolve(t *testing.T) {
 	a := gridLaplacian(4, 4, 1e-3)
-	p, err := NewAMG(a, AMGOptions{})
+	p, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAMGPreconditionedCGConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := gridLaplacian(50, 50, 1e-4)
 	b := randVec(a.N(), rng)
-	p, err := NewAMG(a, AMGOptions{})
+	p, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestAMGPreconditionedCGConverges(t *testing.T) {
 
 func TestAMGApplyIsDeterministicAndForkSafe(t *testing.T) {
 	a := gridLaplacian(30, 30, 1e-3)
-	p, err := NewAMG(a, AMGOptions{})
+	p, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAMGSymmetryForPCG(t *testing.T) {
 	// for random vectors (equal pre/post Jacobi sweeps make the V-cycle
 	// symmetric).
 	a := gridLaplacian(20, 20, 1e-3)
-	p, err := NewAMG(a, AMGOptions{})
+	p, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +124,14 @@ func TestAMGRejectsNonPositiveDiagonal(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		b.Add(i, i, -1)
 	}
-	if _, err := NewAMG(b.ToCSR(), AMGOptions{CoarseSize: 8}); err == nil {
+	if _, err := NewAMG(b.ToCSR()); err == nil {
 		t.Fatal("expected error for non-positive diagonal")
 	}
 }
 
 func TestAMGPrecNameInTrace(t *testing.T) {
 	a := gridLaplacian(10, 10, 1e-3)
-	p, err := NewAMG(a, AMGOptions{})
+	p, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}

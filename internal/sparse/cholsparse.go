@@ -7,8 +7,16 @@ import (
 )
 
 // ErrNotPositiveDefinite is returned when a Cholesky factorization
-// encounters a non-positive pivot.
+// encounters a non-positive or numerically zero pivot.
 var ErrNotPositiveDefinite = errors.New("sparse: matrix is not positive definite")
+
+// pivotFloor is the smallest pivot FactorSparse accepts, relative to the
+// original diagonal entry of its row. A pivot at or below it is rounding
+// noise: the matrix is singular, as when a converter's top and bottom
+// nodes reach the rest of the network only through the converter, and the
+// factor would return voltages of order 1e15. Successful PDN factors stay
+// above 1e-6 of their diagonal.
+const pivotFloor = 1e-12
 
 // Ordering selects the fill-reducing permutation used by SparseChol.
 type Ordering int
@@ -169,14 +177,15 @@ func (s *cholSymbolic) factor(a *CSR) (*SparseChol, error) {
 	}
 	cnt := make([]int32, n) // filled prefix of each factor column
 	for i := 0; i < n; i++ {
-		var d float64
+		var aii float64
 		low.Row(i, func(j int, v float64) {
 			if j == i {
-				d = v
+				aii = v
 			} else {
 				x[j] = v
 			}
 		})
+		d := aii
 		for _, j := range etreeReach(low, i, s.parent, mark, stack) {
 			lij := x[j] / f.diag[j]
 			x[j] = 0
@@ -191,8 +200,8 @@ func (s *cholSymbolic) factor(a *CSR) (*SparseChol, error) {
 			f.colVal[fill] = lij
 			cnt[j]++
 		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("sparse: sparse Cholesky: %w at row %d of %d (diagonal after elimination %g)", ErrNotPositiveDefinite, i, n, d)
+		if d <= pivotFloor*aii || math.IsNaN(d) {
+			return nil, fmt.Errorf("sparse: sparse Cholesky: %w at row %d of %d (diagonal %g after elimination, %g before)", ErrNotPositiveDefinite, i, n, d, aii)
 		}
 		f.diag[i] = math.Sqrt(d)
 	}

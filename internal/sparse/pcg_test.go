@@ -74,7 +74,7 @@ func TestPCGWorkspaceReuseBitIdentical(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	prec, err := NewIC0(a)
+	prec, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,18 +145,12 @@ func TestPCGBatchMatchesSerial(t *testing.T) {
 	n := a.N()
 	bs := randBatch(n, 9, rng)
 
-	ic0, err := NewIC0(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	amg, err := NewAMG(a, AMGOptions{})
+	amg, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	precs := map[string]Preconditioner{
 		"identity": IdentityPrec{},
-		"jacobi":   NewJacobi(a),
-		"ic0":      ic0,
 		"amg":      amg,
 	}
 	for name, prec := range precs {
@@ -201,7 +195,10 @@ func TestPCGBatchWarmStartsMatchSerial(t *testing.T) {
 	bs := randBatch(n, 5, rng)
 	x0s := randBatch(n, 5, rng)
 	x0s[2] = nil // nil warm-start entries must be allowed
-	prec := NewJacobi(a)
+	prec, err := NewAMG(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 8} {
 		xs := make([][]float64, len(bs))
 		results := make([]CGResult, len(bs))

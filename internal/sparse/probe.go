@@ -317,10 +317,6 @@ func precName(p Preconditioner) string {
 	switch p.(type) {
 	case IdentityPrec, *IdentityPrec:
 		return "identity"
-	case *JacobiPrec:
-		return "jacobi"
-	case *IC0Prec:
-		return "ic0"
 	case *AMGPrec:
 		return "amg"
 	default:

@@ -71,7 +71,7 @@ func TestEnrichedNonConvergenceError(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%5) - 2
 	}
-	_, res, err := PCG(a, b, nil, NewJacobi(a), 1e-14, 3, nil)
+	_, res, err := PCG(a, b, nil, nil, 1e-14, 3, nil)
 	if err == nil {
 		t.Fatal("expected non-convergence at maxIter=3")
 	}
@@ -219,7 +219,7 @@ func TestProbedAMGSolveOnStatusz(t *testing.T) {
 	defer telemetry.DisableConvergenceProbes()
 
 	a := gridLaplacian(30, 30, 1e-3)
-	prec, err := NewAMG(a, AMGOptions{})
+	prec, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}

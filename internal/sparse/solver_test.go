@@ -1,13 +1,9 @@
 package sparse
 
 import (
-	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
-
-	"voltstack/internal/telemetry"
 )
 
 // residual returns ‖b − A x‖∞.
@@ -57,60 +53,6 @@ func TestCGUnpreconditioned(t *testing.T) {
 	}
 }
 
-func TestPCGJacobiFasterOnScaledSystem(t *testing.T) {
-	// Badly diagonally scaled SPD system: Jacobi should help a lot.
-	n := 100
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		scale := math.Pow(10, float64(i%6))
-		b.Add(i, i, 2*scale)
-		if i+1 < n {
-			b.AddSym(i, i+1, -0.5*math.Sqrt(scale))
-		}
-	}
-	a := b.ToCSR()
-	rng := rand.New(rand.NewSource(11))
-	bVec := randVec(n, rng)
-
-	_, plain, errPlain := PCG(a, bVec, nil, nil, 1e-10, 5000, nil)
-	xj, jac, errJac := PCG(a, bVec, nil, NewJacobi(a), 1e-10, 5000, nil)
-	if errJac != nil {
-		t.Fatalf("jacobi: %v", errJac)
-	}
-	if r := residual(a, xj, bVec); r > 1e-5*NormInf(bVec) {
-		t.Errorf("jacobi residual = %g", r)
-	}
-	if errPlain == nil && jac.Iterations > plain.Iterations {
-		t.Errorf("Jacobi (%d iters) should not be slower than plain CG (%d)", jac.Iterations, plain.Iterations)
-	}
-}
-
-func TestPCGIC0OnLaplacian(t *testing.T) {
-	a := gridLaplacian(30, 30, 0.01)
-	rng := rand.New(rand.NewSource(17))
-	bVec := randVec(a.N(), rng)
-
-	ic, err := NewIC0(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, resIC, err := PCG(a, bVec, nil, ic, 1e-10, 5000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := residual(a, x, bVec); r > 1e-6 {
-		t.Errorf("IC0 residual = %g", r)
-	}
-	_, resCG, err := PCG(a, bVec, nil, nil, 1e-10, 20000, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resIC.Iterations >= resCG.Iterations {
-		t.Errorf("IC0 (%d iters) should beat plain CG (%d iters) on a Laplacian",
-			resIC.Iterations, resCG.Iterations)
-	}
-}
-
 func TestPCGAgreesWithCholesky(t *testing.T) {
 	a := gridLaplacian(10, 14, 0.3)
 	rng := rand.New(rand.NewSource(23))
@@ -120,11 +62,11 @@ func TestPCGAgreesWithCholesky(t *testing.T) {
 		t.Fatal(err)
 	}
 	xd := f.Solve(bVec)
-	ic, err := NewIC0(a)
+	mg, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xi, _, err := PCG(a, bVec, nil, ic, 1e-12, 5000, nil)
+	xi, _, err := PCG(a, bVec, nil, mg, 1e-12, 5000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,52 +177,11 @@ func TestDenseLURandomRoundTrip(t *testing.T) {
 }
 
 // indefinite2x2 is symmetric with eigenvalues 3 and -1: PCG breaks down on
-// it (pᵀAp < 0) and IC(0) cannot factor it at any shift in the ladder.
+// it (pᵀAp < 0).
 func indefinite2x2() *CSR {
 	b := NewBuilder(2)
 	b.Add(0, 0, 1)
 	b.Add(1, 1, 1)
 	b.AddSym(0, 1, 2)
 	return b.ToCSR()
-}
-
-func TestIC0ShiftExhaustion(t *testing.T) {
-	_, err := NewIC0(indefinite2x2())
-	if err == nil {
-		t.Fatal("IC(0) factored an indefinite matrix")
-	}
-	if !errors.Is(err, ErrNotPositiveDefinite) {
-		t.Fatalf("errors.Is(ErrNotPositiveDefinite) lost: %v", err)
-	}
-	if !strings.Contains(err.Error(), "breakdown persists after") {
-		t.Errorf("exhaustion error lacks shift count: %v", err)
-	}
-	if !strings.Contains(err.Error(), "row") {
-		t.Errorf("exhaustion error lacks the failing row: %v", err)
-	}
-}
-
-// TestIC0ShiftRecovery checks the shift ladder rescues a borderline
-// matrix and counts its attempts in sparse_ic0_shift_attempts_total.
-func TestIC0ShiftRecovery(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
-	before := mIC0Shifts.Value()
-
-	// Slightly indefinite: unit diagonal with off-diagonal 1.01; a small
-	// diagonal shift (the 1.6e-2 rung) makes it factorable.
-	b := NewBuilder(2)
-	b.Add(0, 0, 1)
-	b.Add(1, 1, 1)
-	b.AddSym(0, 1, 1.01)
-	p, err := NewIC0(b.ToCSR())
-	if err != nil {
-		t.Fatalf("shift ladder failed to rescue: %v", err)
-	}
-	if p == nil {
-		t.Fatal("nil preconditioner")
-	}
-	if n := mIC0Shifts.Value() - before; n <= 0 {
-		t.Errorf("sparse_ic0_shift_attempts_total grew by %d, want > 0", n)
-	}
 }

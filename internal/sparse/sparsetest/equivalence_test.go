@@ -1,14 +1,12 @@
 // Cross-solver equivalence properties: solves run concurrently against one
 // shared factor, preconditioner or engine must be bit-identical to their
-// serial counterparts for every solver kind and goroutine count, and the
-// AMG preconditioner must be residual-equivalent to IC(0) where both
-// converge — and still converge where IC(0)'s iteration count blows past
-// its cap.
+// serial counterparts for every solver kind and goroutine count, and
+// AMG-PCG must converge on a large mesh within an iteration cap far below
+// the mesh diameter.
 package sparsetest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -66,7 +64,7 @@ func concurrently(workers, k int, fn func(i int)) {
 // batch of right-hand sides solved by 1, 2 and 8 goroutines sharing one
 // factorization or preconditioner ≡ serial Solve/PCG of each right-hand
 // side, bitwise in x and CGResult, for the nested-dissection factor and
-// the identity, Jacobi, IC(0) and AMG preconditioners.
+// the identity and AMG preconditioners.
 func TestBatchSerialBitEqualityAcrossSolvers(t *testing.T) {
 	const k = 8
 	for label, a := range matrices() {
@@ -78,17 +76,11 @@ func TestBatchSerialBitEqualityAcrossSolvers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		ic0, err := sparse.NewIC0(a)
+		amg, err := sparse.NewAMG(a)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		amg, err := sparse.NewAMG(a, sparse.AMGOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		precs := map[string]sparse.Preconditioner{
-			"identity": sparse.IdentityPrec{}, "jacobi": sparse.NewJacobi(a), "ic0": ic0, "amg": amg,
-		}
+		precs := map[string]sparse.Preconditioner{"identity": sparse.IdentityPrec{}, "amg": amg}
 
 		for _, workers := range []int{1, 2, 8} {
 			prefix := fmt.Sprintf("%s workers=%d", label, workers)
@@ -191,8 +183,6 @@ func TestPDNSolveBatchMatchesSerialEverywhere(t *testing.T) {
 	}
 	kinds := map[string]circuit.SolverKind{
 		"sparse-chol": circuit.DirectSparseND,
-		"pcg-ic0":     circuit.PCGIC0,
-		"pcg-jacobi":  circuit.PCGJacobi,
 		"pcg-amg":     circuit.PCGAMG,
 	}
 	for kname, kind := range kinds {
@@ -260,7 +250,7 @@ func TestCircuitSolveBatchMatchesPreparedSerial(t *testing.T) {
 		return net, loads
 	}
 
-	for _, kind := range []circuit.SolverKind{circuit.DirectSparseND, circuit.PCGIC0, circuit.PCGJacobi, circuit.PCGAMG} {
+	for _, kind := range []circuit.SolverKind{circuit.DirectSparseND, circuit.PCGAMG} {
 		net, _ := build(0)
 		prep, err := net.Compile(circuit.SolveOptions{Solver: kind}, nil)
 		if err != nil {
@@ -296,52 +286,11 @@ func TestCircuitSolveBatchMatchesPreparedSerial(t *testing.T) {
 	}
 }
 
-// TestAMGvsIC0ResidualEquivalence: on systems where both preconditioners
-// converge, both must reach the same residual tolerance and agree on the
-// solution to solver accuracy.
-func TestAMGvsIC0ResidualEquivalence(t *testing.T) {
-	for label, a := range matrices() {
-		n := a.N()
-		b := RandomRHS(n, 7)
-		normB := sparse.Norm2(b)
-		tol := 1e-10
-
-		ic0, err := sparse.NewIC0(a)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		amg, err := sparse.NewAMG(a, sparse.AMGOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		xIC, resIC, err := sparse.PCG(a, b, nil, ic0, tol, 20*n, nil)
-		if err != nil {
-			t.Fatalf("%s ic0: %v", label, err)
-		}
-		xMG, resMG, err := sparse.PCG(a, b, nil, amg, tol, 20*n, nil)
-		if err != nil {
-			t.Fatalf("%s amg: %v", label, err)
-		}
-		for name, res := range map[string]sparse.CGResult{"ic0": resIC, "amg": resMG} {
-			if res.Residual > tol {
-				t.Fatalf("%s %s: residual %g above tol", label, name, res.Residual)
-			}
-		}
-		// Same linear system, same tolerance: solutions agree to solver
-		// accuracy (scaled by the RHS).
-		for i := range xIC {
-			if d := math.Abs(xIC[i] - xMG[i]); d > 1e-6*math.Max(normB, 1) {
-				t.Fatalf("%s: solutions diverge at %d: %v vs %v", label, i, xIC[i], xMG[i])
-			}
-		}
-	}
-}
-
-// TestAMGConvergesWhereIC0ExceedsCap demonstrates the AMG regime: on a
-// large low-leakage mesh with a tight iteration budget, IC(0)-PCG blows
-// its cap while AMG-PCG converges comfortably — mesh-independent
+// TestAMGConvergesWithinIterationCap demonstrates the AMG regime: on a
+// large low-leakage mesh, AMG-PCG converges well inside an iteration
+// budget of 60, about half the mesh's 120-node side — mesh-independent
 // convergence is the whole point of the hierarchy.
-func TestAMGConvergesWhereIC0ExceedsCap(t *testing.T) {
+func TestAMGConvergesWithinIterationCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large mesh")
 	}
@@ -350,21 +299,13 @@ func TestAMGConvergesWhereIC0ExceedsCap(t *testing.T) {
 	b := RandomRHS(n, 99)
 	tol, cap := 1e-10, 60
 
-	ic0, err := sparse.NewIC0(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, resIC, errIC := sparse.PCG(a, b, nil, ic0, tol, cap, nil)
-	if !errors.Is(errIC, sparse.ErrNoConvergence) {
-		t.Fatalf("expected IC(0)-PCG to exceed its %d-iteration cap, got err=%v res=%+v", cap, errIC, resIC)
-	}
-	amg, err := sparse.NewAMG(a, sparse.AMGOptions{})
+	amg, err := sparse.NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x, resMG, err := sparse.PCG(a, b, nil, amg, tol, cap, nil)
 	if err != nil {
-		t.Fatalf("AMG-PCG failed within the same cap: %v (%+v)", err, resMG)
+		t.Fatalf("AMG-PCG failed within the cap: %v (%+v)", err, resMG)
 	}
 	if resMG.Iterations >= cap {
 		t.Fatalf("AMG-PCG used the whole cap: %d", resMG.Iterations)

@@ -11,10 +11,11 @@ import (
 // FuzzConcurrentSerialEquivalence fuzzes the concurrent-equals-serial
 // bit-equality contract over the generator space: for any (seed, size,
 // right-hand-side count, goroutine count), solves run by goroutines that
-// share one nested-dissection sparse Cholesky factor, one Jacobi and one
-// IC(0) preconditioner must reproduce their serial counterparts exactly.
-// The fuzzer hunts for scheduling- or scratch-sharing-dependent divergence
-// that the fixed-case property tests might not reach.
+// share one nested-dissection sparse Cholesky factor and one AMG
+// preconditioner (the only one with per-solve V-cycle scratch forks) must
+// reproduce their serial counterparts exactly. The fuzzer hunts for
+// scheduling- or scratch-sharing-dependent divergence that the fixed-case
+// property tests might not reach.
 func FuzzConcurrentSerialEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(3), uint8(1))
 	f.Add(int64(42), uint8(60), uint8(8), uint8(2))
@@ -43,34 +44,32 @@ func FuzzConcurrentSerialEquivalence(f *testing.F) {
 			}
 		}
 
-		ic0, err := sparse.NewIC0(a)
+		amg, err := sparse.NewAMG(a)
 		if err != nil {
 			t.Fatalf("seed=%d n=%d: %v", seed, n, err)
 		}
 		tol, maxIter := 1e-9, 40*n
-		for pname, prec := range map[string]sparse.Preconditioner{"jacobi": sparse.NewJacobi(a), "ic0": ic0} {
-			results := make([]sparse.CGResult, k)
-			errs := make([]error, k)
-			concurrently(workers, k, func(i int) {
-				xs[i], results[i], errs[i] = sparse.PCG(a, bs[i], nil, prec, tol, maxIter, nil)
-			})
-			for i := range bs {
-				if errs[i] != nil {
-					t.Fatalf("%s concurrent seed=%d n=%d lane=%d: %v", pname, seed, n, i, errs[i])
-				}
-				ref, refRes, err := sparse.PCG(a, bs[i], nil, prec, tol, maxIter, nil)
-				if err != nil {
-					t.Fatalf("%s serial seed=%d n=%d lane=%d: %v", pname, seed, n, i, err)
-				}
-				if results[i] != refRes {
-					t.Fatalf("%s seed=%d n=%d lane=%d: result %+v vs serial %+v",
-						pname, seed, n, i, results[i], refRes)
-				}
-				for j := range ref {
-					if math.Float64bits(ref[j]) != math.Float64bits(xs[i][j]) {
-						t.Fatalf("%s seed=%d n=%d k=%d workers=%d lane=%d elem=%d: %v vs %v",
-							pname, seed, n, k, workers, i, j, ref[j], xs[i][j])
-					}
+		results := make([]sparse.CGResult, k)
+		errs := make([]error, k)
+		concurrently(workers, k, func(i int) {
+			xs[i], results[i], errs[i] = sparse.PCG(a, bs[i], nil, amg, tol, maxIter, nil)
+		})
+		for i := range bs {
+			if errs[i] != nil {
+				t.Fatalf("amg concurrent seed=%d n=%d lane=%d: %v", seed, n, i, errs[i])
+			}
+			ref, refRes, err := sparse.PCG(a, bs[i], nil, amg, tol, maxIter, nil)
+			if err != nil {
+				t.Fatalf("amg serial seed=%d n=%d lane=%d: %v", seed, n, i, err)
+			}
+			if results[i] != refRes {
+				t.Fatalf("amg seed=%d n=%d lane=%d: result %+v vs serial %+v",
+					seed, n, i, results[i], refRes)
+			}
+			for j := range ref {
+				if math.Float64bits(ref[j]) != math.Float64bits(xs[i][j]) {
+					t.Fatalf("amg seed=%d n=%d k=%d workers=%d lane=%d elem=%d: %v vs %v",
+						seed, n, k, workers, i, j, ref[j], xs[i][j])
 				}
 			}
 		}

@@ -21,20 +21,14 @@ import (
 func precFor(t *testing.T, kind string, a *sparse.CSR) sparse.Preconditioner {
 	t.Helper()
 	switch kind {
-	case "ic0":
-		p, err := sparse.NewIC0(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
 	case "amg":
-		p, err := sparse.NewAMG(a, sparse.AMGOptions{})
+		p, err := sparse.NewAMG(a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
-	case "jacobi":
-		return sparse.NewJacobi(a)
+	case "identity":
+		return sparse.IdentityPrec{}
 	default:
 		t.Fatalf("unknown prec kind %q", kind)
 		return nil
@@ -67,7 +61,7 @@ func TestProbesDoNotPerturbSparseSolves(t *testing.T) {
 		b := RandomRHS(n, 99)
 		bs := RandomBatch(n, k, 4242)
 		tol, maxIter := 1e-10, 20*n
-		for _, kind := range []string{"ic0", "amg", "jacobi"} {
+		for _, kind := range []string{"amg", "identity"} {
 			for _, workers := range []int{1, 2, 8} {
 				name := fmt.Sprintf("%s %s workers=%d", label, kind, workers)
 
@@ -168,7 +162,7 @@ func TestProbesDoNotPerturbSystemSolves(t *testing.T) {
 	cores := power.Example16Core().NumCores()
 	acts := pdngrid.InterleavedActivities(3, cores, 0.65)
 
-	opts := circuit.SolveOptions{Solver: circuit.PCGIC0}
+	opts := circuit.SolveOptions{Solver: circuit.PCGAMG}
 
 	var refV []float64
 	withProbes(false, func() {
@@ -191,7 +185,7 @@ func TestProbesDoNotPerturbSystemSolves(t *testing.T) {
 
 	var refPDN *pdngrid.Result
 	mkPDN := func() *pdngrid.PDN {
-		pdn, err := pdngrid.New(vsTestConfig(circuit.PCGIC0))
+		pdn, err := pdngrid.New(vsTestConfig(circuit.PCGAMG))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,10 +258,9 @@ func TestProbesZeroAllocWhenDisabled(t *testing.T) {
 	a := Grid2D(16, 16, 1e-3)
 	n := a.N()
 	b := RandomRHS(n, 3)
-	prec := sparse.NewJacobi(a)
 	ws := sparse.NewPCGWorkspace(n)
 	solve := func() {
-		if _, _, err := sparse.PCG(a, b, nil, prec, 1e-8, 10*n, ws); err != nil {
+		if _, _, err := sparse.PCG(a, b, nil, nil, 1e-8, 10*n, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +274,7 @@ func TestProbesZeroAllocWhenDisabled(t *testing.T) {
 	// solve records a report (the probe may allocate; that is the cost
 	// the gate exists to avoid).
 	withProbes(true, func() {
-		_, res, err := sparse.PCG(a, b, nil, prec, 1e-8, 10*n, ws)
+		_, res, err := sparse.PCG(a, b, nil, nil, 1e-8, 10*n, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

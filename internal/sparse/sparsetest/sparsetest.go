@@ -1,10 +1,10 @@
 // Package sparsetest provides deterministic generators of SPD test
 // systems — random diagonally-dominant conductance matrices and PDN-shaped
 // grid Laplacians in two and three dimensions — plus random right-hand-side
-// batches. The solver equivalence properties (batch-vs-serial bit-equality,
-// AMG-vs-IC(0) residual equivalence) and the node-count scaling benchmarks
-// all draw their inputs from here, so every layer of the stack is tested
-// against the same matrix population.
+// batches. The solver equivalence properties (concurrent-vs-serial
+// bit-equality for the direct factor and AMG-PCG) and the node-count
+// scaling benchmarks all draw their inputs from here, so every layer of
+// the stack is tested against the same matrix population.
 package sparsetest
 
 import (
