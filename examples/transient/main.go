@@ -8,10 +8,12 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"voltstack/internal/pdngrid"
 	"voltstack/internal/power"
 	"voltstack/internal/sc"
+	"voltstack/internal/units"
 )
 
 func main() {
@@ -39,8 +41,9 @@ func main() {
 		return p
 	}
 
+	// A 40 ns window, at the default step.
 	tc := pdngrid.DefaultTransient()
-	tc.Steps = 1600
+	tc.Steps = int(math.Round(40 * units.Nanosecond / tc.DT))
 
 	fmt.Printf("synchronized load step %.0f%% -> %.0f%% activity, 4-layer stacks\n",
 		100*tc.RestActivity, 100*tc.StepActivity)

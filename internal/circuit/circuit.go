@@ -335,7 +335,8 @@ func wrapSPD(err error) error {
 }
 
 // Matrix assembles the matrix every solve factors: the DC conductance
-// matrix for dt == 0, the backward-Euler step matrix for dt > 0.
+// matrix for dt == 0, the companion matrix with C/dt and dt/L for dt > 0.
+// A trapezoidal step of length h factors Matrix(h/2).
 func (n *Netlist) Matrix(dt float64) *sparse.CSR {
 	var m entryCount
 	n.stampMatrix(&m, dt)
@@ -363,8 +364,9 @@ func (c *entryCount) Add(_, _ int, v float64) {
 // element order (resistors, ties, converters, capacitors, inductors).
 //
 // dt == 0 stamps the DC matrix: capacitors are open circuits, inductors
-// near-ideal shorts. dt > 0 stamps the backward-Euler step matrix, with
-// the companion conductances C/dt and dt/L.
+// near-ideal shorts. dt > 0 stamps the companion conductances C/dt and
+// dt/L; at dt = h/2 these are the trapezoidal rule's 2C/h and h/2L, the
+// step matrix of a transient at step h.
 func (n *Netlist) stampMatrix(b stamper, dt float64) {
 	for _, r := range n.resistors {
 		stampConductance(b, r.a, r.b, r.g)

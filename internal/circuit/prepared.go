@@ -4,7 +4,7 @@
 // together). After that the engine never changes: each solve stamps the
 // right-hand side from the load currents it is given and solves against
 // the stored factor. Netlist.Solve is Compile plus one solve with the
-// netlist's own load currents, and Transient compiles its backward-Euler
+// netlist's own load currents, and Transient compiles its trapezoidal
 // step matrix the same way.
 //
 // Determinism contract: a solve on a shared engine is bit-identical to a
@@ -68,8 +68,9 @@ func (n *Netlist) Compile(opts SolveOptions, sp *telemetry.Span) (*Prepared, err
 // it backs the Solution's V queries.
 func (s *Solution) Voltages() []float64 { return s.v }
 
-// compile assembles the DC matrix (dt == 0) or the backward-Euler step
-// matrix (dt > 0) and factors it.
+// compile assembles Matrix(dt), the DC matrix for dt == 0, and factors
+// it. Transient passes half its step, so the factor is the trapezoidal
+// step matrix.
 func (n *Netlist) compile(opts SolveOptions, dt float64, sp *telemetry.Span) (*Prepared, error) {
 	mPrepCompiles.Add(1)
 	nn := n.numNodes

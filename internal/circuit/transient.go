@@ -52,7 +52,7 @@ func (n *Netlist) AddCapacitor(a, b int, farads float64) CapID {
 // AddInductor connects an inductor between a and b. In the DC Solve it
 // behaves as a short with a small resistance (its series companion at
 // dt→∞ is ill-defined, so DC treats it as RIndDC); in Transient analysis
-// it integrates v = L·di/dt with a backward-Euler companion model.
+// it integrates v = L·di/dt with a trapezoidal companion model.
 func (n *Netlist) AddInductor(a, b int, henries float64) IndID {
 	n.checkNode(a)
 	n.checkNode(b)
@@ -114,10 +114,12 @@ func (r *TransientResult) MinV(p int) float64 {
 // ErrTransient wraps transient-analysis failures.
 var ErrTransient = errors.New("circuit: transient analysis failed")
 
-// Transient integrates the network with backward Euler at fixed step DT,
-// recording the given probe nodes. Static loads keep their DC values;
-// transient loads follow their functions; capacitors and inductors use
-// companion models. The step matrix is compiled and factored once on a
+// Transient integrates the network with the trapezoidal rule at fixed
+// step DT, recording the given probe nodes. Static loads keep their DC
+// values; transient loads follow their functions. Each capacitor and
+// inductor becomes its trapezoidal companion: a conductance (2C/dt or
+// dt/2L) beside a history current carried from the previous step. The
+// step matrix, which is Matrix(DT/2), is compiled and factored once on a
 // prepared engine; every step then costs one pair of triangular solves
 // (direct kind) or one PCG solve warm-started from the previous step.
 //
@@ -149,9 +151,9 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		copy(v, dc.v)
 	}
 
-	// The constant step matrix (conductances + C/dt + dt/L) and the
+	// The constant step matrix (conductances + 2C/dt + dt/2L) and the
 	// constant part of the right-hand side (rail injections, DC loads).
-	eng, err := n.compile(so, dt, nil)
+	eng, err := n.compile(so, dt/2, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTransient, err)
 	}
@@ -172,17 +174,18 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		}
 	}
 
-	// Inductor current state at the operating point: solve from branch
-	// voltage is zero at a true DC point (ideal shorts), so the DC
-	// current equals whatever keeps KCL; initialize from the DC solve by
-	// treating the inductor as RIndDC in Solve()... The DC solve above
-	// already included them as resistors of RIndDC, so recover i = v/R.
-	iL := make([]float64, len(n.inductors))
-	if opts.InitDC {
-		for k, l := range n.inductors {
-			va, vb := nodeV(v, l.a), nodeV(v, l.b)
-			iL[k] = (va - vb) / RIndDC
-		}
+	// History currents. A capacitor's hC = 2C/dt·v_n + i_C,n enters node a
+	// (and leaves b); an inductor's hL = i_L,n + dt/2L·v_n flows from a to
+	// b. At t=0 no capacitor current flows, and each inductor carries
+	// v/RIndDC, its current in the DC init (v is zero on a zero start).
+	hC := make([]float64, len(n.caps))
+	for k, c := range n.caps {
+		hC[k] = 2 * c.c / dt * (nodeV(v, c.a) - nodeV(v, c.b))
+	}
+	hL := make([]float64, len(n.inductors))
+	for k, l := range n.inductors {
+		vab := nodeV(v, l.a) - nodeV(v, l.b)
+		hL[k] = vab/RIndDC + dt/(2*l.l)*vab
 	}
 
 	res := &TransientResult{Probes: append([]int(nil), probes...)}
@@ -210,23 +213,20 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 				rhs[tl.to] += i
 			}
 		}
-		for _, c := range n.caps {
-			q := c.c / dt * (nodeV(v, c.a) - nodeV(v, c.b))
+		for k, c := range n.caps {
 			if c.a != Ground {
-				rhs[c.a] += q
+				rhs[c.a] += hC[k]
 			}
 			if c.b != Ground {
-				rhs[c.b] -= q
+				rhs[c.b] -= hC[k]
 			}
 		}
 		for k, l := range n.inductors {
-			// Companion: i_new = iL + dt/L (Va-Vb); the history current
-			// iL enters as a source from a to b.
 			if l.a != Ground {
-				rhs[l.a] -= iL[k]
+				rhs[l.a] -= hL[k]
 			}
 			if l.b != Ground {
-				rhs[l.b] += iL[k]
+				rhs[l.b] += hL[k]
 			}
 		}
 
@@ -240,8 +240,14 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 			}
 			copy(v, x)
 		}
+		// With g the companion conductance, the new element current is
+		// g·v_n+1 − hC (capacitor) or g·v_n+1 + hL (inductor), so the next
+		// history term is 2g·v_n+1 − hC or 2g·v_n+1 + hL.
+		for k, c := range n.caps {
+			hC[k] = 4*c.c/dt*(nodeV(v, c.a)-nodeV(v, c.b)) - hC[k]
+		}
 		for k, l := range n.inductors {
-			iL[k] += dt / l.l * (nodeV(v, l.a) - nodeV(v, l.b))
+			hL[k] += dt / l.l * (nodeV(v, l.a) - nodeV(v, l.b))
 		}
 		record(t)
 	}

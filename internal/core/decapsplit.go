@@ -27,6 +27,29 @@ type ExtDecapSplitResult struct {
 	Rows         []DecapSplitRow
 }
 
+// decapSplitBudget is the fixed per-core regulation area, in converters:
+// the full 8-converter allocation. decapSplitConverters lists the
+// converters per core of each split.
+const decapSplitBudget = 8
+
+var decapSplitConverters = []int{8, 6, 4, 2}
+
+// decapSplitRun is the split that gives nConv converters per core their
+// share of the budget and spends the spare core area on trench decap: the
+// 4-layer V-S PDN with nConv converters, and base with that decap added.
+// spare is the decap's area per core.
+func (s *Study) decapSplitRun(nConv int, base pdngrid.TransientConfig) (run transientRun, spare float64, err error) {
+	const layers = 4
+	convArea := s.Converter.Area()
+	spare = decapSplitBudget*convArea - float64(nConv)*convArea
+	// Spare area becomes trench decap spread over the core.
+	extraDecap := spare * s.Converter.Cap.Density() / s.Chip.Core.Area // F/m² of die
+	run.tc = base
+	run.tc.DecapPerArea += extraDecap
+	run.pdn, err = s.VoltageStackedPDN(layers, nConv, pdngrid.FewTSV(), 0.5)
+	return run, spare, err
+}
+
 // ExtDecapSplit holds the V-S design's regulation area budget fixed
 // (8 converters' worth, ~24 % of a core) and sweeps how much of it goes
 // to converters versus trench decoupling capacitance, evaluating both
@@ -37,43 +60,33 @@ func (s *Study) ExtDecapSplit(steps int) (*ExtDecapSplitResult, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("core: need at least 1 transient step")
 	}
-	const layers = 4
 	const imbalance = 0.65
-	convArea := s.Converter.Area()
 	coreArea := s.Chip.Core.Area
-	budget := 8 * convArea // the full 8-converter allocation
-
 	res := &ExtDecapSplitResult{
-		BudgetPct:    100 * budget / coreArea,
+		BudgetPct:    100 * decapSplitBudget * s.Converter.Area() / coreArea,
 		ImbalancePct: 100 * imbalance,
 	}
 	base := pdngrid.DefaultTransient()
 	base.Steps = steps
 
 	// The four splits are independent runs; each row lands at its index.
-	rows, err := parallel.Map(context.Background(), s.pool(), []int{8, 6, 4, 2}, func(_ int, nConv int) (DecapSplitRow, error) {
-		spare := budget - float64(nConv)*convArea
-		// Spare area becomes trench decap spread over the core.
-		extraDecap := spare * s.Converter.Cap.Density() / coreArea // F/m² of die
-		tc := base
-		tc.DecapPerArea += extraDecap
-
-		p, err := s.VoltageStackedPDN(layers, nConv, pdngrid.FewTSV(), 0.5)
+	rows, err := parallel.Map(context.Background(), s.pool(), decapSplitConverters, func(_ int, nConv int) (DecapSplitRow, error) {
+		run, spare, err := s.decapSplitRun(nConv, base)
 		if err != nil {
 			return DecapSplitRow{}, err
 		}
-		dc, err := solveInterleaved(p, imbalance)
+		dc, err := solveInterleaved(run.pdn, imbalance)
 		if err != nil {
 			return DecapSplitRow{}, err
 		}
-		tr, err := p.SolveTransient(tc)
+		tr, err := run.pdn.SolveTransient(run.tc)
 		if err != nil {
 			return DecapSplitRow{}, err
 		}
 		return DecapSplitRow{
 			Converters:    nConv,
 			DecapAreaPct:  100 * spare / coreArea,
-			DecapPerMM2:   tc.DecapPerArea * 1e9 / 1e6,
+			DecapPerMM2:   run.tc.DecapPerArea * 1e9 / 1e6,
 			DCNoisePct:    100 * dc.MaxIRDropFrac,
 			FirstDroopPct: 100 * tr.WorstDroopFrac,
 		}, nil

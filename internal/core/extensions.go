@@ -32,14 +32,18 @@ type ExtTransientResult struct {
 	RegularDroop4xPct float64
 }
 
-// ExtTransient runs the load-step comparison on 4-layer stacks (kept
-// moderate so the run stays interactive). Its three transient runs go
-// concurrently on the study's pool.
-func (s *Study) ExtTransient() (*ExtTransientResult, error) {
-	const layers = 4
-	tc := pdngrid.DefaultTransient()
-	tc.Steps = 1200
+// transientRun is one load-step run: a PDN and the transient
+// configuration it runs under.
+type transientRun struct {
+	pdn *pdngrid.PDN
+	tc  pdngrid.TransientConfig
+}
 
+// extTransientRuns returns ext-transient's three runs on 4-layer stacks
+// (kept moderate so the run stays interactive): the regular PDN and the
+// V-S PDN under tc, and the regular PDN at 4x tc's on-die decap.
+func (s *Study) extTransientRuns(tc pdngrid.TransientConfig) ([]transientRun, error) {
+	const layers = 4
 	reg, err := s.RegularPDN(layers, pdngrid.DenseTSV(), 0.5)
 	if err != nil {
 		return nil, err
@@ -50,17 +54,24 @@ func (s *Study) ExtTransient() (*ExtTransientResult, error) {
 	}
 	big := tc
 	big.DecapPerArea *= 4
+	return []transientRun{{reg, tc}, {vs, tc}, {reg, big}}, nil
+}
 
-	// The three runs are independent; SolveTransient only reads the PDN.
-	var rr, rv, rrBig *pdngrid.TransientResult
-	err = parallel.Go(context.Background(), s.pool(),
-		func() (err error) { rr, err = reg.SolveTransient(tc); return },
-		func() (err error) { rv, err = vs.SolveTransient(tc); return },
-		func() (err error) { rrBig, err = reg.SolveTransient(big); return },
-	)
+// ExtTransient runs the load-step comparison under DefaultTransient. Its
+// three transient runs go concurrently on the study's pool.
+func (s *Study) ExtTransient() (*ExtTransientResult, error) {
+	runs, err := s.extTransientRuns(pdngrid.DefaultTransient())
 	if err != nil {
 		return nil, err
 	}
+	// The three runs are independent; SolveTransient only reads the PDN.
+	tr, err := parallel.Map(context.Background(), s.pool(), runs, func(_ int, r transientRun) (*pdngrid.TransientResult, error) {
+		return r.pdn.SolveTransient(r.tc)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rr, rv, rrBig := tr[0], tr[1], tr[2]
 
 	return &ExtTransientResult{
 		RegularFirstDroopPct: 100 * rr.WorstDroopFrac,

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"voltstack/internal/pdngrid"
 	"voltstack/internal/power"
+	"voltstack/internal/units"
 )
 
 func TestExtTransientVSAdvantage(t *testing.T) {
@@ -304,7 +307,8 @@ func TestExtDVFS(t *testing.T) {
 }
 
 func TestExtDecapSplit(t *testing.T) {
-	r, err := coarseStudy().ExtDecapSplit(400)
+	// A 10 ns window spans every split's first droop.
+	r, err := coarseStudy().ExtDecapSplit(int(math.Round(10 * units.Nanosecond / pdngrid.DefaultTransient().DT)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"voltstack/internal/pdngrid"
 	"voltstack/internal/telemetry"
 )
 
@@ -101,7 +102,7 @@ var textRunners = map[string]func(*Study) (string, error){
 		return RenderExtScheduling(r), nil
 	},
 	"ext-decap-split": func(s *Study) (string, error) {
-		r, err := s.ExtDecapSplit(1200)
+		r, err := s.ExtDecapSplit(pdngrid.DefaultTransient().Steps)
 		if err != nil {
 			return "", err
 		}

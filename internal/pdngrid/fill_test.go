@@ -9,8 +9,8 @@ import (
 )
 
 // transientNet assembles p's transient network: on-die decap at every
-// cell plus package inductance. Its step matrix,
-// net.Matrix(DefaultTransient().DT), is the one every step of
+// cell plus package inductance. Its trapezoidal step matrix,
+// net.Matrix(DefaultTransient().DT/2), is the one every step of
 // SolveTransient solves against; load currents do not enter it.
 func transientNet(p *PDN) *assembled {
 	tc := DefaultTransient()
@@ -47,7 +47,7 @@ func TestNDFillPinned(t *testing.T) {
 			}
 			m := p.assemble(nil).net.Matrix(0)
 			if c.step {
-				m = transientNet(p).net.Matrix(DefaultTransient().DT)
+				m = transientNet(p).net.Matrix(DefaultTransient().DT / 2)
 			}
 			f, err := sparse.FactorSparse(m, sparse.OrderND)
 			if err != nil {
@@ -122,7 +122,7 @@ func TestNDHubRuleSparesMeshVertices(t *testing.T) {
 							}
 							dc, tr := p.assemble(nil), transientNet(p)
 							checkMeshDegrees(t, "dc", dc.net.Matrix(0), dc.vddBoard, dc.gndBoard)
-							checkMeshDegrees(t, "step", tr.net.Matrix(DefaultTransient().DT), tr.vddBoard, tr.gndBoard)
+							checkMeshDegrees(t, "step", tr.net.Matrix(DefaultTransient().DT/2), tr.vddBoard, tr.gndBoard)
 						})
 					}
 				}

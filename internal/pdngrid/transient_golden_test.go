@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"voltstack/internal/units"
 )
 
 // Golden load-step waveforms: the transient solver's droop response for a
@@ -61,22 +63,24 @@ var transientGoldenCases = []struct {
 	},
 }
 
+// goldenTransientConfig is DefaultTransient over a 6 ns window.
 func goldenTransientConfig() TransientConfig {
 	tc := DefaultTransient()
-	tc.Steps = 240
+	tc.Steps = stepsOver(tc, 6*units.Nanosecond)
 	return tc
 }
 
 // formatWaveform renders a TransientResult as a stable text snapshot:
-// scalar summary lines plus every 8th waveform sample, all floats printed
-// with %.17g so the comparison is exact at the bit level.
+// scalar summary lines plus every 2nd waveform sample (200 ps apart at
+// DefaultTransient's step), all floats printed with %.17g so the
+// comparison is exact at the bit level.
 func formatWaveform(r *TransientResult) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "worst_droop_frac %.17g\n", r.WorstDroopFrac)
 	fmt.Fprintf(&b, "worst_layer %d\n", r.WorstLayer)
 	fmt.Fprintf(&b, "final_droop_frac %.17g\n", r.FinalDroopFrac)
 	fmt.Fprintf(&b, "samples %d\n", len(r.Times))
-	for k := 0; k < len(r.Times); k += 8 {
+	for k := 0; k < len(r.Times); k += 2 {
 		fmt.Fprintf(&b, "%.17g %.17g\n", r.Times[k], r.Droop[k])
 	}
 	return []byte(b.String())
@@ -201,7 +205,7 @@ func TestTransientConcurrentSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := goldenTransientConfig()
-	tc.Steps = 60
+	tc.Steps = stepsOver(tc, 1.5*units.Nanosecond)
 	ref, err := p.SolveTransient(tc)
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,21 @@
 package pdngrid
 
 import (
+	"math"
 	"testing"
 
 	"voltstack/internal/units"
 )
 
+// stepsOver returns the step count that spans window at tc's step.
+func stepsOver(tc TransientConfig, window float64) int {
+	return int(math.Round(window / tc.DT))
+}
+
+// fastTransient is DefaultTransient over a 12.5 ns window.
 func fastTransient() TransientConfig {
 	tc := DefaultTransient()
-	tc.Steps = 500
+	tc.Steps = stepsOver(tc, 12.5*units.Nanosecond)
 	return tc
 }
 
@@ -39,7 +46,8 @@ func TestTransientFirstDroopExceedsSettled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.SolveTransient(fastTransient())
+	tc := fastTransient()
+	r, err := p.SolveTransient(tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +58,7 @@ func TestTransientFirstDroopExceedsSettled(t *testing.T) {
 	if r.WorstDroopFrac <= 0 || r.WorstDroopFrac > 0.5 {
 		t.Errorf("implausible worst droop %g", r.WorstDroopFrac)
 	}
-	if len(r.Times) != len(r.Droop) || len(r.Times) != 501 {
+	if len(r.Times) != len(r.Droop) || len(r.Times) != tc.Steps+1 {
 		t.Errorf("waveform lengths: %d times, %d droops", len(r.Times), len(r.Droop))
 	}
 }
@@ -114,7 +122,7 @@ func TestTransientSettlesTowardDCLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := fastTransient()
-	tc.Steps = 6000
+	tc.Steps = stepsOver(tc, 150*units.Nanosecond)
 	rt, err := p.SolveTransient(tc)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +146,7 @@ func TestTransientNoEventNoDroop(t *testing.T) {
 	}
 	tc := fastTransient()
 	tc.RestActivity, tc.StepActivity = 1, 1
-	tc.Steps = 200
+	tc.Steps = stepsOver(tc, 5*units.Nanosecond)
 	r, err := p.SolveTransient(tc)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ import (
 // SchemaVersion identifies the job-request JSON layout and is folded into
 // every cache key, so a schema change can never replay results recorded
 // under different semantics. DESIGN.md §11 says what each bump changed.
-const SchemaVersion = 5
+const SchemaVersion = 6
 
 // Job kinds.
 const (

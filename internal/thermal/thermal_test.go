@@ -227,82 +227,6 @@ func TestSolveInputValidation(t *testing.T) {
 	}
 }
 
-func TestTransientConvergesToSteadyState(t *testing.T) {
-	die := power.Example16Core().Die()
-	cfg := DefaultConfig(die, 4)
-	cells := chipCells(t, cfg, 1)
-	maps := stackMaps(cells, 4)
-	ss, err := Solve(cfg, maps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := SolveTransient(cfg, maps, TransientOptions{DT: 2e-3, Duration: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !units.ApproxEqual(tr.FinalC, ss.MaxC, 0.5, 0.02) {
-		t.Errorf("transient settles at %.2f C, steady state %.2f C", tr.FinalC, ss.MaxC)
-	}
-}
-
-func TestTransientHeatingMonotone(t *testing.T) {
-	die := power.Example16Core().Die()
-	cfg := DefaultConfig(die, 2)
-	cells := chipCells(t, cfg, 1)
-	tr, err := SolveTransient(cfg, stackMaps(cells, 2), TransientOptions{DT: 2e-3, Duration: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.HotspotC[0] > cfg.AmbientC+0.5 {
-		t.Errorf("cold start at %.1f C, want ambient %.1f", tr.HotspotC[0], cfg.AmbientC)
-	}
-	for k := 1; k < len(tr.HotspotC); k++ {
-		if tr.HotspotC[k] < tr.HotspotC[k-1]-1e-9 {
-			t.Fatalf("heating curve not monotone at step %d", k)
-		}
-	}
-}
-
-func TestTransientTimeTo100C(t *testing.T) {
-	// A 10-layer stack exceeds 100 C in steady state, so the heating curve
-	// must cross the limit at a finite time; thermal capacitance buys a
-	// grace period of many milliseconds.
-	die := power.Example16Core().Die()
-	cfg := DefaultConfig(die, 10)
-	cells := chipCells(t, cfg, 1)
-	tr, err := SolveTransient(cfg, stackMaps(cells, 10), TransientOptions{DT: 2e-3, Duration: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsInf(tr.TimeTo100C, 1) {
-		t.Fatal("10-layer stack should reach 100 C")
-	}
-	if tr.TimeTo100C < 5e-3 {
-		t.Errorf("time-to-limit %.4f s implausibly short", tr.TimeTo100C)
-	}
-	// An 8-layer stack stays under the limit forever.
-	cfg8 := DefaultConfig(die, 8)
-	tr8, err := SolveTransient(cfg8, stackMaps(cells, 8), TransientOptions{DT: 4e-3, Duration: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(tr8.TimeTo100C, 1) {
-		t.Errorf("8-layer stack crossed 100 C at %.3f s, should stay under", tr8.TimeTo100C)
-	}
-}
-
-func TestTransientValidation(t *testing.T) {
-	die := power.Example16Core().Die()
-	cfg := DefaultConfig(die, 2)
-	cells := chipCells(t, cfg, 1)
-	if _, err := SolveTransient(cfg, stackMaps(cells, 2), TransientOptions{DT: 0, Duration: 1}); err == nil {
-		t.Error("zero DT not caught")
-	}
-	if _, err := SolveTransient(cfg, stackMaps(cells, 3), TransientOptions{DT: 1e-3, Duration: 1}); err == nil {
-		t.Error("wrong layer count not caught")
-	}
-}
-
 func TestMicrochannelBreaksThermalCeiling(t *testing.T) {
 	// The paper's intro: volumetric cooling removes the stack-depth limit
 	// that air cooling imposes (8 layers), leaving power delivery as the
