@@ -29,9 +29,8 @@ bench-parallel:
 	$(GO) test -bench 'Serial$$|Parallel$$' -run '^$$' .
 
 # bench-solve runs the multi-RHS scaling pairs (a factor rebuilt per
-# right-hand side vs one factor reused for all of them) and the
-# solver-health probes-off/on pairs, and renders the serial-vs-batch
-# speedups and probe overheads into BENCH_solve.json.
+# right-hand side vs one factor reused for all of them) and renders their
+# serial-vs-batch speedups into BENCH_solve.json.
 bench-solve:
 	$(GO) test -bench '^BenchmarkSolve' -run '^$$' -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson > BENCH_solve.json
 	@cat BENCH_solve.json
@@ -45,9 +44,9 @@ bench-scaling:
 
 # bench-diff runs a quick (-benchtime=1x -short) solve-bench smoke, renders
 # it with benchjson and gates its serial-vs-batch speedups (per-RHS setup
-# vs one reused factor) and the probes-off allocations against the
-# committed BENCH_solve.json baseline: any speedup more than 30% below the
-# baseline fails. This is the CI regression gate.
+# vs one reused factor) against the committed BENCH_solve.json baseline:
+# any speedup more than 30% below the baseline fails. This is the CI
+# regression gate.
 bench-diff:
 	$(GO) test -bench '^BenchmarkSolve' -benchtime=1x -short -run '^$$' -timeout 20m . | $(GO) run ./cmd/benchjson > bench-smoke.json
 	$(GO) run ./cmd/benchjson -diff BENCH_solve.json bench-smoke.json -tolerance 0.30
@@ -58,13 +57,12 @@ bench-diff:
 bench-telemetry:
 	$(GO) test -bench 'Fig5aTelemetry' -run '^$$' -count 5 .
 
-# fuzz runs every fuzz target for 30s: CSV parsing, job-request decoding,
-# the cache-fingerprint keying contract, concurrent-vs-serial solver
+# fuzz runs every fuzz target for 30s: job-request decoding, the
+# cache-fingerprint keying contract, concurrent-vs-serial solver
 # equivalence, nested dissection's dense-row (hub) rule and the EM
 # lifetime kernels against their per-conductor references. (`go test
 # -fuzz` takes one target per invocation.)
 fuzz:
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzParseCSV -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 30s
 	$(GO) test ./internal/pdngrid -run '^$$' -fuzz FuzzCacheFingerprint -fuzztime 30s
 	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzConcurrentSerialEquivalence -fuzztime 30s

@@ -1,7 +1,6 @@
 // Command benchjson turns `go test -bench` output on stdin into a JSON
-// report on stdout, pairing Serial/Batch and ProbesOff/ProbesOn benchmark
-// variants and computing their ratios. It backs the `make bench-solve`
-// target:
+// report on stdout, pairing Serial/Batch benchmark variants and computing
+// their speedups. It backs the `make bench-solve` target:
 //
 //	go test -bench '^BenchmarkSolve' -run '^$' . | go run ./cmd/benchjson > BENCH_solve.json
 //
@@ -18,12 +17,7 @@
 // status is 1 when any speedup regressed by more than the tolerance
 // fraction (default 0.30).
 // Raw ns/op is machine- and load-dependent, so only the speedup ratios —
-// which divide that noise out — gate. The ProbesOff/ProbesOn pairs gate
-// on the disabled variant's allocs/op, which is machine-independent: the
-// zero-alloc-when-disabled contract fails loudly if the disabled path
-// starts allocating. Their on/off time ratio hovers at ~1.0x and is
-// reported informationally only — single-iteration smokes are too noisy
-// to gate a ratio that close to unity.
+// which divide that noise out — gate.
 package main
 
 import (
@@ -64,20 +58,6 @@ type BatchPair struct {
 	Lanes    float64 `json:"lanes,omitempty"`
 }
 
-// ProbePair couples a ProbesOff benchmark with its ProbesOn twin (the
-// solver-health pairs): the same solve with the convergence probes
-// disabled and enabled. Overhead is on/off ns (>= 1 when the disabled
-// path is the cheap one); OffAllocs pins the zero-alloc-when-disabled
-// contract in a machine-independent number.
-type ProbePair struct {
-	Name      string  `json:"name"`
-	OffNs     float64 `json:"probes_off_ns_per_op"`
-	OnNs      float64 `json:"probes_on_ns_per_op"`
-	Overhead  float64 `json:"overhead"`
-	OffAllocs float64 `json:"probes_off_allocs_per_op,omitempty"`
-	OnAllocs  float64 `json:"probes_on_allocs_per_op,omitempty"`
-}
-
 // Report is the emitted document.
 type Report struct {
 	GoOS       string      `json:"goos,omitempty"`
@@ -85,7 +65,6 @@ type Report struct {
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Entry     `json:"benchmarks"`
 	BatchPairs []BatchPair `json:"batch_pairs,omitempty"`
-	ProbePairs []ProbePair `json:"probe_pairs,omitempty"`
 }
 
 func main() {
@@ -136,20 +115,20 @@ func main() {
 	}
 
 	// Pair suffix-twinned variants by common stem: *Serial with *Batch (the
-	// multi-RHS scaling pairs) and *ProbesOff with *ProbesOn (the
-	// solver-health pairs). When -count ran a benchmark several times, the
-	// mean ns/op of each variant is paired; scaling metrics (nodes, lanes)
-	// take the last reported value.
+	// multi-RHS scaling pairs). When -count ran a benchmark several times,
+	// the mean ns/op of each variant is paired; scaling metrics (nodes,
+	// lanes) take the last reported value.
 	type acc struct {
 		sum     float64
 		n       int
 		metrics map[string]float64
 	}
-	add := func(m map[string]*acc, order *[]string, other map[string]*acc, stem string, e Entry) {
+	var order []string
+	add := func(m, other map[string]*acc, stem string, e Entry) {
 		a := m[stem]
 		if a == nil {
 			if other[stem] == nil {
-				*order = append(*order, stem)
+				order = append(order, stem)
 			}
 			a = &acc{}
 			m[stem] = a
@@ -161,21 +140,15 @@ func main() {
 		}
 	}
 	serial, batch := map[string]*acc{}, map[string]*acc{}
-	probesOff, probesOn := map[string]*acc{}, map[string]*acc{}
-	var batchOrder, probeOrder []string
 	for _, e := range rep.Benchmarks {
 		switch {
 		case strings.HasSuffix(e.Name, "Serial"):
-			add(serial, &batchOrder, batch, strings.TrimSuffix(e.Name, "Serial"), e)
+			add(serial, batch, strings.TrimSuffix(e.Name, "Serial"), e)
 		case strings.HasSuffix(e.Name, "Batch"):
-			add(batch, &batchOrder, serial, strings.TrimSuffix(e.Name, "Batch"), e)
-		case strings.HasSuffix(e.Name, "ProbesOff"):
-			add(probesOff, &probeOrder, probesOn, strings.TrimSuffix(e.Name, "ProbesOff"), e)
-		case strings.HasSuffix(e.Name, "ProbesOn"):
-			add(probesOn, &probeOrder, probesOff, strings.TrimSuffix(e.Name, "ProbesOn"), e)
+			add(batch, serial, strings.TrimSuffix(e.Name, "Batch"), e)
 		}
 	}
-	for _, stem := range batchOrder {
+	for _, stem := range order {
 		s, bt := serial[stem], batch[stem]
 		if s == nil || bt == nil || s.n == 0 || bt.n == 0 {
 			continue
@@ -193,27 +166,6 @@ func main() {
 		}
 		rep.BatchPairs = append(rep.BatchPairs, bp)
 	}
-	for _, stem := range probeOrder {
-		off, on := probesOff[stem], probesOn[stem]
-		if off == nil || on == nil || off.n == 0 || on.n == 0 {
-			continue
-		}
-		om, nm := off.sum/float64(off.n), on.sum/float64(on.n)
-		pp := ProbePair{
-			Name:     stem,
-			OffNs:    om,
-			OnNs:     nm,
-			Overhead: nm / om,
-		}
-		if off.metrics != nil {
-			pp.OffAllocs = off.metrics["allocs/op"]
-		}
-		if on.metrics != nil {
-			pp.OnAllocs = on.metrics["allocs/op"]
-		}
-		rep.ProbePairs = append(rep.ProbePairs, pp)
-	}
-
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(&rep); err != nil {
@@ -268,14 +220,6 @@ func runDiff(args []string) int {
 	for _, p := range old.BatchPairs {
 		base[p.Name] = p.Speedup
 	}
-	// Probe pairs gate on the disabled variant's allocs/op (deterministic
-	// per toolchain); the on/off time ratio is expected to hover at ~1.0x
-	// and single-iteration CI smokes put tens of percent of noise on it,
-	// so it is reported informationally rather than gated.
-	baseProbeAllocs := map[string]float64{}
-	for _, p := range old.ProbePairs {
-		baseProbeAllocs["probes/"+p.Name] = p.OffAllocs
-	}
 	check := func(name string, now float64) bool {
 		was, ok := base[name]
 		if !ok || was <= 0 {
@@ -295,24 +239,6 @@ func runDiff(args []string) int {
 	for _, p := range cur.BatchPairs {
 		ok = check(p.Name, p.Speedup) && ok
 		compared++
-	}
-	for _, p := range cur.ProbePairs {
-		fmt.Printf("INFO   %-40s probe overhead %.2fx (not gated)\n", p.Name, p.Overhead)
-		// Zero-alloc-when-disabled: allocs/op is deterministic per
-		// toolchain, so the disabled variant may not allocate beyond the
-		// baseline plus tolerance (which absorbs Go-version inlining
-		// shifts, not feature regressions).
-		if was, okb := baseProbeAllocs["probes/"+p.Name]; okb && was > 0 && p.OffAllocs > 0 {
-			ceil := was * (1 + tol)
-			if p.OffAllocs > ceil {
-				fmt.Printf("REGRESS %-40s probes-off allocs/op %.0f -> %.0f (ceiling %.0f)\n",
-					p.Name, was, p.OffAllocs, ceil)
-				ok = false
-			} else {
-				fmt.Printf("OK     %-40s probes-off allocs/op %.0f -> %.0f\n", p.Name, was, p.OffAllocs)
-			}
-			compared++
-		}
 	}
 	if compared == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no speedup pairs in the new report — nothing compared")

@@ -337,7 +337,7 @@ func cmdHealth(ctx context.Context, c *server.Client, id string) error {
 		counter("job_pdn_solves_total"), counter("job_health_reports_total"),
 		counter("job_solver_iterations_total"))
 	if probed := counter("job_health_reports_total"); probed == 0 {
-		fmt.Fprintf(w, "health\tno probed solves recorded (run vsserved with convergence probes; older jobs predate them)\n")
+		fmt.Fprintf(w, "health\tno probed solves recorded (every solve of this job was direct; only PCG solves report convergence)\n")
 		return w.Flush()
 	}
 	if cond, ok := gauge("job_health_cond_estimate"); ok && cond > 0 {

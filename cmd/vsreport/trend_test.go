@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,9 +62,6 @@ func metric(t *testing.T, g trendGroup, name string) trendMetric {
 // different problems each form a group of their own, so a larger mesh
 // never reads as a regression of a smaller one.
 func TestTrendStateDir(t *testing.T) {
-	telemetry.EnableConvergenceProbes()
-	t.Cleanup(telemetry.DisableConvergenceProbes)
-
 	t.Run("restart", func(t *testing.T) {
 		dir := t.TempDir()
 		runJobs(t, dir, sweepJob(24, 0.5))
@@ -102,8 +100,9 @@ func TestTrendStateDir(t *testing.T) {
 }
 
 // writeManifest writes a run manifest of vsim with the given -grid, start
-// time and PCG iteration total. Each of extraFlags is recorded unset, the
-// way a manifest records every flag its binary registered.
+// time and PCG iteration total. Each of extraFlags, "name" or
+// "name=value", is recorded with that value (unset without one), the way
+// a manifest records every flag its binary registered.
 func writeManifest(t *testing.T, path, grid string, start time.Time, iterations int64, extraFlags ...string) {
 	t.Helper()
 	metrics, err := json.Marshal(telemetry.RegistrySnapshot{
@@ -115,12 +114,13 @@ func writeManifest(t *testing.T, path, grid string, start time.Time, iterations 
 	m := telemetry.Manifest{
 		Schema:    telemetry.ManifestSchemaVersion,
 		Binary:    "vsim",
-		Flags:     map[string]string{"grid": grid, "layers": "8", "manifest": path, "probes": "true"},
+		Flags:     map[string]string{"grid": grid, "layers": "8", "manifest": path},
 		StartTime: start.Format(time.RFC3339),
 		Metrics:   metrics,
 	}
-	for _, name := range extraFlags {
-		m.Flags[name] = ""
+	for _, f := range extraFlags {
+		name, value, _ := strings.Cut(f, "=")
+		m.Flags[name] = value
 	}
 	b, err := json.Marshal(&m)
 	if err != nil {
@@ -164,21 +164,24 @@ func TestTrendManifests(t *testing.T) {
 	}
 }
 
-// TestTrendRetiredFlags pins that a run recorded while -pprof and -events
-// still existed stays in the group of an otherwise equal newer run: a new
-// build still compares against old runs.
+// TestTrendRetiredFlags pins that a run recorded while -pprof, -events
+// and -probes still existed stays in the group of an otherwise equal newer
+// run, with -probes set either way: a new build still compares against
+// old runs.
 func TestTrendRetiredFlags(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	old, cur := filepath.Join(dir, "old.json"), filepath.Join(dir, "new.json")
-	writeManifest(t, old, "16", t0, 400, "pprof", "events")
 	writeManifest(t, cur, "16", t0.Add(time.Minute), 400)
-	rep, err := trend([]string{old, cur}, 1.2, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Groups) != 1 || rep.Groups[0].Records != 2 {
-		t.Fatalf("groups = %+v, want one group of 2 records", rep.Groups)
+	for _, probes := range []string{"true", "false"} {
+		writeManifest(t, old, "16", t0, 400, "pprof", "events", "probes="+probes)
+		rep, err := trend([]string{old, cur}, 1.2, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Groups) != 1 || rep.Groups[0].Records != 2 {
+			t.Fatalf("-probes=%s: groups = %+v, want one group of 2 records", probes, rep.Groups)
+		}
 	}
 }
 

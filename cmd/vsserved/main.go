@@ -64,11 +64,8 @@ func main() {
 	flag.Parse()
 
 	// A daemon always records metrics: the /metrics endpoint it exposes
-	// should never silently read zero. Convergence probes ride along: the
-	// daemon is exactly where "is the solver healthy?" must be answerable
-	// live, and the probes are guaranteed not to perturb results.
+	// should never silently read zero.
 	telemetry.Enable()
-	telemetry.EnableConvergenceProbes()
 	flush, err := tf.Init()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vsserved:", err)

@@ -231,9 +231,8 @@ type Solution struct {
 	Iterations int
 	Residual   float64
 	// Health is the solve's convergence report (residual trajectory,
-	// condition estimate, detector verdicts), populated only while
-	// convergence probes are on; nil otherwise. Voltages are
-	// byte-identical either way.
+	// condition estimate, detector verdicts), set by every AMG-PCG solve;
+	// nil for a direct solve.
 	Health *telemetry.ConvergenceReport
 }
 

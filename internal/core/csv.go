@@ -10,9 +10,7 @@ import (
 )
 
 // CSV emitters: every figure can also be exported in machine-readable form
-// for external plotting. Columns mirror the paper's axes. ParseCSV is the
-// inverse: it reads an emitted artifact (or any CSV of the same shape)
-// back into a table for regression diffing and downstream tooling.
+// for external plotting. Columns mirror the paper's axes.
 
 func writeCSV(rows [][]string) string {
 	var b strings.Builder
@@ -28,64 +26,6 @@ func f(v float64) string {
 		return ""
 	}
 	return strconv.FormatFloat(v, 'g', 6, 64)
-}
-
-// CSVTable is a parsed CSV artifact: a header row plus rectangular data
-// rows (every row has exactly len(Header) fields).
-type CSVTable struct {
-	Header []string
-	Rows   [][]string
-}
-
-// ParseCSV parses one CSV document as emitted by the CSV* renderers: a
-// header row followed by data rows of the same width. Malformed input —
-// bare quotes, ragged rows, an empty document — returns an error; the
-// parser never panics.
-func ParseCSV(s string) (*CSVTable, error) {
-	r := csv.NewReader(strings.NewReader(s))
-	r.FieldsPerRecord = 0 // first record fixes the width; ragged rows error
-	records, err := r.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("core: parse csv: %v", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("core: parse csv: empty document")
-	}
-	if len(records[0]) == 0 {
-		return nil, fmt.Errorf("core: parse csv: empty header")
-	}
-	return &CSVTable{Header: records[0], Rows: records[1:]}, nil
-}
-
-// Col returns the index of the named header column, or an error.
-func (t *CSVTable) Col(name string) (int, error) {
-	for i, h := range t.Header {
-		if h == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("core: csv: no column %q", name)
-}
-
-// Float reads the numeric value at (row, col). An empty field decodes as
-// NaN — the emitters serialize NaN that way (over-limit figure points).
-// Out-of-range indices and non-numeric or overflowing fields error.
-func (t *CSVTable) Float(row, col int) (float64, error) {
-	if row < 0 || row >= len(t.Rows) {
-		return 0, fmt.Errorf("core: csv: row %d outside [0,%d)", row, len(t.Rows))
-	}
-	if col < 0 || col >= len(t.Header) {
-		return 0, fmt.Errorf("core: csv: col %d outside [0,%d)", col, len(t.Header))
-	}
-	field := t.Rows[row][col]
-	if field == "" {
-		return math.NaN(), nil
-	}
-	v, err := strconv.ParseFloat(field, 64)
-	if err != nil {
-		return 0, fmt.Errorf("core: csv: row %d col %d: %v", row, col, err)
-	}
-	return v, nil
 }
 
 // CSVFig3 renders a converter-validation sweep.

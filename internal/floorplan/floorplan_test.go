@@ -294,45 +294,3 @@ func TestRasterMismatchedValues(t *testing.T) {
 		t.Error("length mismatch should error")
 	}
 }
-
-func TestRenderCoversGridWithBlocks(t *testing.T) {
-	die := Rect{0, 0, 1, 1}
-	blocks, err := Slice(die, coreUnits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := &Floorplan{Die: die, Blocks: blocks}
-	out := fp.Render(24, 12)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 12 || len(lines[0]) != 24 {
-		t.Fatalf("render shape %dx%d", len(lines), len(lines[0]))
-	}
-	// Every cell center lies inside some block (slicing covers the die).
-	if strings.Contains(out, ".") {
-		t.Errorf("uncovered cells in render:\n%s", out)
-	}
-	// Each unit occupies at least one cell.
-	for i := range blocks {
-		g := string("abcdefghijklmnopqrstuvwxyz"[i])
-		if !strings.Contains(out, g) {
-			t.Errorf("block %d (%s) missing from render", i, blocks[i].Name)
-		}
-	}
-}
-
-func TestRenderLegend(t *testing.T) {
-	die := Rect{0, 0, 1, 1}
-	blocks, _ := Slice(die, coreUnits())
-	fp := &Floorplan{Die: die, Blocks: blocks}
-	legend := fp.Legend()
-	if !strings.Contains(legend, "a = ifu") {
-		t.Errorf("legend = %q", legend)
-	}
-}
-
-func TestRenderDegenerate(t *testing.T) {
-	fp := &Floorplan{}
-	if out := fp.Render(4, 4); !strings.Contains(out, "nothing to render") {
-		t.Error("empty floorplan should say so")
-	}
-}

@@ -1,10 +1,9 @@
 // Solve-failure post-mortems. When a PDN solve dies — PCG breakdown,
 // non-convergence, factorization failure — the error alone ("residual
-// 3.2e-03 after 400 iterations") rarely says why. With convergence probes
-// on, the failed linear solve carries its convergence report
-// (sparse.ReportFromError); this file packages that report together with
-// the PDN's node count into a JSON artifact written through
-// telemetry.DumpPostmortem.
+// 3.2e-03 after 400 iterations") rarely says why. A failed PCG solve
+// carries its convergence report (sparse.ReportFromError); this file
+// packages that report together with the PDN's node count into a JSON
+// artifact written through telemetry.DumpPostmortem.
 package pdngrid
 
 import (
@@ -19,7 +18,7 @@ type SolvePostmortem struct {
 	Stage string `json:"stage"` // "linear-solve"
 	Nodes int    `json:"nodes"`
 	// Convergence is the failed linear solve's convergence report, present
-	// when convergence probes were on.
+	// when the solve was PCG.
 	Convergence *telemetry.ConvergenceReport `json:"convergence,omitempty"`
 	Error       string                       `json:"error"`
 }

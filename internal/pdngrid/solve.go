@@ -207,7 +207,7 @@ func recordJobSolves(scope *telemetry.Scope, sp *telemetry.Span, secs float64, s
 // job scope: the job's stats document (and through it `vsctl health`)
 // carries the last probed solve's condition estimate, reduction factor and
 // detector trips, and the exemplar carries the report's residual
-// timeline. Nil h (probes off, or a direct solve) is a no-op.
+// timeline. Nil h (a direct solve) is a no-op.
 func recordJobHealth(scope *telemetry.Scope, ex *telemetry.Exemplar, h *telemetry.ConvergenceReport) {
 	if h == nil {
 		return
@@ -540,7 +540,6 @@ func (p *PDN) extractResult(asm *assembled, sol *circuit.Solution) *Result {
 	}
 
 	// Converter state.
-	maxLoad := cfg.Converter.MaxLoad
 	for _, id := range asm.convIDs {
 		j := sol.ConverterOutputCurrent(id)
 		res.ConverterCurrents = append(res.ConverterCurrents, j)
@@ -548,9 +547,7 @@ func (p *PDN) extractResult(asm *assembled, sol *circuit.Solution) *Result {
 			res.MaxConverterCurrent = a
 		}
 	}
-	if cfg.Kind == VoltageStacked && res.MaxConverterCurrent > maxLoad*(1+1e-9) {
-		res.OverLimit = true
-	}
+	res.OverLimit = cfg.Kind == VoltageStacked && cfg.Converter.OverLimit(res.MaxConverterCurrent)
 
 	// Power accounting.
 	res.InputPower = sol.TotalInputPower()

@@ -112,14 +112,11 @@ func TestNDMatchesTightPCG(t *testing.T) {
 	}
 }
 
-// TestBatchJobAttribution: each entry of a probed 2-entry batch is its
+// TestBatchJobAttribution: each entry of a 2-entry AMG-PCG batch is its
 // own solve in the job scope, attributed in entry order once both finish.
 // Every field of an exemplar belongs to one solve: its iterations, its
 // residual, and a residual timeline numbered up to its own step count.
 func TestBatchJobAttribution(t *testing.T) {
-	telemetry.EnableConvergenceProbes()
-	defer telemetry.DisableConvergenceProbes()
-
 	cfg := vsCfg(3, 4)
 	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGAMG}
 	p, err := New(cfg)

@@ -295,32 +295,8 @@ func Evaluate(p Params, ctrl Control, vin, iLoad float64) OperatingPoint {
 }
 
 // OverLimit reports whether iLoad exceeds the converter's rated maximum.
+// The 1e-9 relative slack keeps a current that a PDN solve puts exactly
+// at the rating, up to rounding, within it.
 func (p Params) OverLimit(iLoad float64) bool {
-	return math.Abs(iLoad) > p.MaxLoad*(1+1e-12)
-}
-
-// OptimalFrequency returns the frequency that minimizes total loss for a
-// given load current by balancing conduction loss (falling with f through
-// RSSL) against parasitic loss (rising with f). Found by golden-section
-// search over a wide bracket around the nominal frequency.
-func (p Params) OptimalFrequency(vin, iLoad float64) float64 {
-	loss := func(f float64) float64 {
-		rs := p.RSeries(f)
-		return iLoad*iLoad*rs + p.ParasiticPower(f)
-	}
-	lo, hi := p.FSw/100, p.FSw*100
-	const phi = 0.6180339887498949
-	a, b := lo, hi
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
-	for i := 0; i < 200 && (b-a) > 1e-6*p.FSw; i++ {
-		if loss(c) < loss(d) {
-			b = d
-		} else {
-			a = c
-		}
-		c = b - phi*(b-a)
-		d = a + phi*(b-a)
-	}
-	return (a + b) / 2
+	return math.Abs(iLoad) > p.MaxLoad*(1+1e-9)
 }

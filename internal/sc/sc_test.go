@@ -237,20 +237,6 @@ func TestValidateCatchesBadParams(t *testing.T) {
 	}
 }
 
-func TestOptimalFrequencyIsMinimum(t *testing.T) {
-	p := Default28nm()
-	for _, il := range []float64{0.02, 0.05, 0.1} {
-		fOpt := p.OptimalFrequency(2.0, il)
-		loss := func(f float64) float64 {
-			return il*il*p.RSeries(f) + p.ParasiticPower(f)
-		}
-		l0 := loss(fOpt)
-		if loss(fOpt*1.3) < l0 || loss(fOpt/1.3) < l0 {
-			t.Errorf("f=%g is not a loss minimum for I=%g", fOpt, il)
-		}
-	}
-}
-
 func TestEvaluatePropertyEfficiencyBounds(t *testing.T) {
 	p := Default28nm()
 	f := func(ilRaw, vinRaw float64) bool {

@@ -44,10 +44,9 @@ type CGResult struct {
 	Residual   float64 // final relative residual ‖b−Ax‖₂/‖b‖₂
 
 	// Health is the convergence report (bounded residual history, Lanczos
-	// condition estimate, detector verdicts), populated on success and
-	// failure while convergence probes are enabled; nil otherwise. Probes
-	// never perturb the solve: x, Iterations and Residual are
-	// byte-identical either way.
+	// condition estimate, detector verdicts), set by every PCG solve on
+	// success and on failure. The probe behind it only copies scalars the
+	// solve computed, so it never changes x, Iterations or Residual.
 	Health *telemetry.ConvergenceReport
 }
 
@@ -132,26 +131,12 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	} else {
 		ws.resize(n)
 	}
-	// Convergence probe: one gate check per solve, a nil check per
-	// iteration, zero alloc when off. The probe only copies scalars the
-	// solve computed anyway, so results are bit-identical with the gate on
-	// or off.
-	var probe *convProbe
-	if probesOn() {
-		probe = newConvProbe(a, prec, tol, maxIter)
-	}
+	// The convergence probe only copies scalars the solve computes anyway.
+	probe := newConvProbe(a, prec, tol, maxIter)
 	// x is allocated per solve: it is returned to (and kept by) the caller.
 	x := make([]float64, n)
 	if x0 != nil {
 		copy(x, x0)
-	}
-	// sealOK attaches the sealed convergence report to a successful result
-	// when the probe is on; a no-op (and no allocation) otherwise.
-	sealOK := func(result CGResult) CGResult {
-		if probe != nil {
-			result.Health = probe.seal(result, true)
-		}
-		return result
 	}
 	// Every reduction below runs in the fixed-block order of kernels.go.
 	r := ws.r
@@ -160,7 +145,7 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	normB := math.Sqrt(blockedNormSq(b))
 	if normB == 0 {
 		// b = 0 => x = 0 (or x0 residual already 0)
-		return x, sealOK(CGResult{Iterations: 0, Residual: 0}), nil
+		return x, probe.seal(CGResult{}, true), nil
 	}
 
 	z, p, ap := ws.z, ws.p, ws.ap
@@ -169,11 +154,9 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	rz := blockedDot(r, z)
 
 	res := math.Sqrt(blockedNormSq(r)) / normB
-	if probe != nil {
-		probe.record(res)
-	}
+	probe.record(res)
 	if res <= tol {
-		return x, sealOK(CGResult{Iterations: 0, Residual: res}), nil
+		return x, probe.seal(CGResult{Residual: res}, true), nil
 	}
 	for it := 1; it <= maxIter; it++ {
 		a.MulVec(p, ap)
@@ -189,12 +172,9 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 			Sub(b, ap, ap)
 			res = Norm2(ap) / normB
 			err := fmt.Errorf("sparse: PCG: matrix not SPD (pᵀAp=%g at iter %d)", pap, it)
-			result := CGResult{Iterations: it - 1, Residual: res}
-			if probe != nil {
-				probe.record(res)
-				probe.report.BreakdownIter = it
-				result, err = probe.fail(result, err)
-			}
+			probe.record(res)
+			probe.report.BreakdownIter = it
+			result, err := probe.fail(CGResult{Iterations: it - 1, Residual: res}, err)
 			return x, result, err
 		}
 		alpha := rz / pap
@@ -203,27 +183,20 @@ func pcg(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 		// fixed-block order.
 		rr := fusedUpdateNormSq(x, p, r, ap, alpha)
 		res = math.Sqrt(rr) / normB
-		if probe != nil {
-			probe.iter(alpha, res)
-		}
+		probe.iter(alpha, res)
 		if res <= tol {
-			return x, sealOK(CGResult{Iterations: it, Residual: res}), nil
+			return x, probe.seal(CGResult{Iterations: it, Residual: res}, true), nil
 		}
 		prec.Apply(r, z)
 		rzNew := blockedDot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
-		if probe != nil {
-			probe.betaCoeff(beta)
-		}
+		probe.betaCoeff(beta)
 		for i := range p {
 			p[i] = z[i] + beta*p[i]
 		}
 	}
 	err := fmt.Errorf("%w: residual %.3e after %d iterations", ErrNoConvergence, res, maxIter)
-	result := CGResult{Iterations: maxIter, Residual: res}
-	if probe != nil {
-		result, err = probe.fail(result, err)
-	}
+	result, err := probe.fail(CGResult{Iterations: maxIter, Residual: res}, err)
 	return x, result, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"voltstack/internal/parallel"
@@ -64,6 +65,12 @@ func sameFloats(t *testing.T, name string, a, b []float64) {
 			t.Fatalf("%s: entry %d differs bitwise: %v vs %v", name, i, a[i], b[i])
 		}
 	}
+}
+
+// sameResult reports whether two solves agree in iteration count and
+// residual and produced equal convergence reports.
+func sameResult(a, b CGResult) bool {
+	return a.Iterations == b.Iterations && a.Residual == b.Residual && reflect.DeepEqual(a.Health, b.Health)
 }
 
 func TestPCGWorkspaceReuseBitIdentical(t *testing.T) {
@@ -176,7 +183,7 @@ func TestPCGBatchMatchesSerial(t *testing.T) {
 					t.Fatalf("%s workers=%d lane %d: %v", name, workers, i, errs[i])
 				}
 				sameFloats(t, name+" lane", ref[i], xs[i])
-				if results[i] != refRes[i] {
+				if !sameResult(results[i], refRes[i]) {
 					t.Fatalf("%s workers=%d lane %d: result %+v vs serial %+v",
 						name, workers, i, results[i], refRes[i])
 				}
@@ -215,7 +222,7 @@ func TestPCGBatchWarmStartsMatchSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameFloats(t, "warm lane", ref, xs[i])
-			if results[i] != refRes {
+			if !sameResult(results[i], refRes) {
 				t.Fatalf("workers=%d lane %d: result %+v vs serial %+v", workers, i, results[i], refRes)
 			}
 		}

@@ -1,23 +1,17 @@
-// Convergence probes: opt-in per-solve analytics that turn the PCG
-// iteration stream into a telemetry.ConvergenceReport — the bounded
-// residual history, extreme-eigenvalue and condition-number estimates
-// from the CG Lanczos tridiagonal (zero extra matvecs), per-cycle AMG
-// reduction factors, and detectors for stagnation, plateau and
-// preconditioner degradation. A failed probed solve returns its report
-// attached to the error (ProbeError), so the caller — typically pdngrid —
-// can dump a post-mortem artifact of exactly the solve that failed.
+// Convergence probes: per-solve analytics that turn every PCG iteration
+// stream into a telemetry.ConvergenceReport — the bounded residual
+// history, extreme-eigenvalue and condition-number estimates from the CG
+// Lanczos tridiagonal (zero extra matvecs), per-cycle AMG reduction
+// factors, and detectors for stagnation, plateau and preconditioner
+// degradation. A failed solve returns its report attached to the error
+// (ProbeError), so the caller — typically pdngrid — can dump a post-mortem
+// artifact of exactly the solve that failed.
 //
-// The probe also does numerics of its own at seal time, so its contract
-// is strict:
-//
-//   - Probes never perturb solver arithmetic. They only *read* scalars the
-//     solver already computed (α, β, the relative residual); every
-//     estimate is derived after the fact from those copies. Results are
-//     byte-identical with probes on or off — sparsetest pins this at the
-//     sparse, circuit and pdngrid levels, and across batch lanes.
-//
-//   - Zero-alloc when disabled: one telemetry.ProbesEnabled() load per
-//     solve, a nil check per iteration, no allocation on any path.
+// The probe is always on, and it never perturbs solver arithmetic: it
+// only *reads* scalars the solver already computed (α, β, the relative
+// residual), and every estimate is derived after the fact from those
+// copies. sparsetest checks that concurrent and serial solves return
+// bit-identical solutions and equal reports.
 //
 // The Lanczos connection: PCG's scalars implicitly build the Lanczos
 // tridiagonal T_m of M⁻¹A,
@@ -71,11 +65,8 @@ const (
 	degradationFactor = 0.95
 )
 
-// probesOn is a local alias so the hot path reads naturally.
-func probesOn() bool { return telemetry.ProbesEnabled() }
-
-// convProbe accumulates one solve's convergence stream. Created only when
-// the probe gate is on at solve entry; all methods are cheap appends.
+// convProbe accumulates one solve's convergence stream. All methods but
+// seal are cheap appends.
 type convProbe struct {
 	report telemetry.ConvergenceReport
 	prec   Preconditioner
@@ -152,10 +143,15 @@ func (p *convProbe) residuals() ([]float64, int) {
 
 // seal finalizes the probe into its report: spectral estimates, reduction
 // factor, detector verdicts, AMG diagnostics; then publishes the report
-// to telemetry (metrics, /statusz state).
-// Call exactly once per solve, on every exit path.
-func (p *convProbe) seal(res CGResult, converged bool) *telemetry.ConvergenceReport {
-	r := &p.report
+// to telemetry (metrics, /statusz state) and returns res with the report
+// as its Health. Call exactly once per solve, on every exit path.
+//
+// The report is a copy, not a pointer into the probe: a caller that keeps
+// the result must not keep the probe's buffers and the solve's forked
+// V-cycle scratch alive with it.
+func (p *convProbe) seal(res CGResult, converged bool) CGResult {
+	r := new(telemetry.ConvergenceReport)
+	*r = p.report
 	r.Iterations = res.Iterations
 	r.FinalResidual = res.Residual
 	r.Converged = converged
@@ -197,7 +193,8 @@ func (p *convProbe) seal(res CGResult, converged bool) *telemetry.ConvergenceRep
 		r.AMG = amg
 	}
 	p.publish(r)
-	return r
+	res.Health = r
+	return res
 }
 
 // detect runs the convergence detectors over the recorded trajectory.
@@ -267,11 +264,11 @@ func (p *convProbe) publish(r *telemetry.ConvergenceReport) {
 // fail seals the probe of a failed solve and attaches its report to both
 // the result and the error.
 func (p *convProbe) fail(res CGResult, err error) (CGResult, error) {
-	res.Health = p.seal(res, false)
+	res = p.seal(res, false)
 	return res, &ProbeError{Err: err, Report: res.Health}
 }
 
-// ProbeError is the error of a failed probed solve: the solver error plus
+// ProbeError is the error of a failed PCG solve: the solver error plus
 // the solve's convergence report. Its message appends the recent
 // residuals and the condition estimate, so the first log line carries the
 // evidence; Unwrap keeps errors.Is/As working against the cause
@@ -303,7 +300,7 @@ func (e *ProbeError) Error() string {
 func (e *ProbeError) Unwrap() error { return e.Err }
 
 // ReportFromError returns the convergence report attached to err, or nil
-// when err carries none (probes off, or not a solver error).
+// when err carries none (not a PCG error).
 func ReportFromError(err error) *telemetry.ConvergenceReport {
 	var pe *ProbeError
 	if errors.As(err, &pe) {

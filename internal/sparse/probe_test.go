@@ -60,12 +60,10 @@ func TestLanczosExtremesRejectsBadCoefficients(t *testing.T) {
 	}
 }
 
-// TestEnrichedNonConvergenceError: with probes on, a capped solve's error
-// carries the recent residuals and the condition estimate, and still
-// unwraps to ErrNoConvergence for programmatic handling.
+// TestEnrichedNonConvergenceError: a capped solve's error carries the
+// recent residuals and the condition estimate, and still unwraps to
+// ErrNoConvergence for programmatic handling.
 func TestEnrichedNonConvergenceError(t *testing.T) {
-	telemetry.EnableConvergenceProbes()
-	defer telemetry.DisableConvergenceProbes()
 	a := gridLaplacian(12, 12, 1e-6)
 	b := make([]float64, a.N())
 	for i := range b {
@@ -123,10 +121,18 @@ func TestProbeResidualRing(t *testing.T) {
 	}
 }
 
-func TestPCGNonConvergenceAttachesReport(t *testing.T) {
-	telemetry.EnableConvergenceProbes()
-	defer telemetry.DisableConvergenceProbes()
+// TestSealedReportIsDetached: the report a solve returns is its own
+// allocation, not a pointer into the probe, so a caller that keeps the
+// result does not keep the probe's buffers and V-cycle scratch alive.
+func TestSealedReportIsDetached(t *testing.T) {
+	p := newConvProbe(gridLaplacian(2, 2, 1), IdentityPrec{}, 1e-9, 10)
+	p.record(1)
+	if res := p.seal(CGResult{}, true); res.Health == &p.report {
+		t.Fatal("sealed report points into the probe")
+	}
+}
 
+func TestPCGNonConvergenceAttachesReport(t *testing.T) {
 	a := gridLaplacian(20, 20, 1e-6)
 	b := make([]float64, a.N())
 	for i := range b {
@@ -166,10 +172,10 @@ func TestPCGNonConvergenceAttachesReport(t *testing.T) {
 	}
 }
 
-func TestPCGReportOffByDefault(t *testing.T) {
-	if telemetry.ProbesEnabled() {
-		t.Fatal("convergence probes enabled at test entry")
-	}
+// TestPCGReportOnByDefault: with no telemetry set up, a forced
+// non-convergence still returns its report on the result and on the
+// error, and the error message carries the probe's evidence.
+func TestPCGReportOnByDefault(t *testing.T) {
 	a := gridLaplacian(20, 20, 1e-6)
 	b := make([]float64, a.N())
 	for i := range b {
@@ -179,18 +185,18 @@ func TestPCGReportOffByDefault(t *testing.T) {
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("want non-convergence, got %v", err)
 	}
-	if r := ReportFromError(err); r != nil || res.Health != nil {
-		t.Errorf("report recorded with the gate off: %+v", r)
+	if res.Health == nil {
+		t.Error("no report on the result")
 	}
-	if strings.Contains(err.Error(), "probe:") {
-		t.Errorf("probe suffix with the gate off: %v", err)
+	if r := ReportFromError(err); r == nil || r != res.Health {
+		t.Errorf("error report %p, result report %p", r, res.Health)
+	}
+	if !strings.Contains(err.Error(), "[probe:") {
+		t.Errorf("no probe suffix: %v", err)
 	}
 }
 
 func TestPCGBreakdownReport(t *testing.T) {
-	telemetry.EnableConvergenceProbes()
-	defer telemetry.DisableConvergenceProbes()
-
 	// b chosen so pᵀAp = bᵀAb = -2 < 0 on the very first iteration.
 	_, _, err := PCG(indefinite2x2(), []float64{1, -1}, nil, IdentityPrec{}, 1e-12, 50, nil)
 	if err == nil {
@@ -215,9 +221,6 @@ func TestPCGBreakdownReport(t *testing.T) {
 // hierarchy shape through /statusz's convergence report, which leaves the
 // residual trajectory out.
 func TestProbedAMGSolveOnStatusz(t *testing.T) {
-	telemetry.EnableConvergenceProbes()
-	defer telemetry.DisableConvergenceProbes()
-
 	a := gridLaplacian(30, 30, 1e-3)
 	prec, err := NewAMG(a)
 	if err != nil {

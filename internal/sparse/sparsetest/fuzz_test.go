@@ -62,7 +62,7 @@ func FuzzConcurrentSerialEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatalf("amg serial seed=%d n=%d lane=%d: %v", seed, n, i, err)
 			}
-			if results[i] != refRes {
+			if !sameResult(results[i], refRes) {
 				t.Fatalf("amg seed=%d n=%d lane=%d: result %+v vs serial %+v",
 					seed, n, i, results[i], refRes)
 			}

@@ -22,8 +22,7 @@ type Flags struct {
 	Serve      string // -serve:      observability listen address (pprof + /metrics /healthz /statusz); enables live metrics collection
 	CPUProfile string // -cpuprofile: pprof CPU profile path, captured for the whole run
 	Manifest   string // -manifest:   run provenance manifest JSON path on exit
-	Postmortem string // -postmortem: directory for solver post-mortem artifacts (enables convergence probes)
-	Probes     bool   // -probes:     per-solve convergence analytics (condition estimates, detectors)
+	Postmortem string // -postmortem: directory for solver post-mortem artifacts
 	Progress   bool   // -progress:   periodic stderr progress lines for long runs
 
 	manifest *Manifest
@@ -41,8 +40,7 @@ func registerFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Serve, "serve", "", "serve the live observability endpoint (pprof, /metrics, /healthz, /statusz) on this address (e.g. localhost:6060) and collect metrics for mid-run scraping")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
 	fs.StringVar(&f.Manifest, "manifest", "", "write a run provenance manifest (flags, seeds, VCS stamp, output hashes) to this path on exit")
-	fs.StringVar(&f.Postmortem, "postmortem", "", "write solver post-mortem JSON artifacts into this directory on failures (enables convergence probes)")
-	fs.BoolVar(&f.Probes, "probes", false, "enable per-solve convergence probes (condition estimates, stagnation/plateau detectors); results are byte-identical either way")
+	fs.StringVar(&f.Postmortem, "postmortem", "", "write solver post-mortem JSON artifacts into this directory on failures")
 	fs.BoolVar(&f.Progress, "progress", true, "print periodic stderr progress lines for long sweeps and Monte Carlo runs")
 	return f
 }
@@ -56,11 +54,12 @@ var observabilityFlags = sync.OnceValue(func() *flag.FlagSet {
 })
 
 // IsObservabilityFlag reports whether name is one of the flags
-// RegisterFlags registers, or the retired -pprof or -events, which older
-// manifests still record. None changes solver work, so the rest of a
-// manifest's Flags names the work a run did, and old runs group with new.
+// RegisterFlags registers, or the retired -pprof, -events or -probes,
+// which older manifests still record. None changes solver work, so the
+// rest of a manifest's Flags names the work a run did, and old runs group
+// with new.
 func IsObservabilityFlag(name string) bool {
-	return name == "pprof" || name == "events" || observabilityFlags().Lookup(name) != nil
+	return name == "pprof" || name == "events" || name == "probes" || observabilityFlags().Lookup(name) != nil
 }
 
 // RunManifest returns the provenance manifest of the current run, or nil
@@ -73,7 +72,7 @@ func (f *Flags) RunManifest() *Manifest { return f.manifest }
 func (f *Flags) ServeAddr() string { return f.server.Addr() }
 
 // Init applies the parsed flags: enables the metric registry, tracer,
-// progress reporter and convergence probes as requested, starts
+// progress reporter and post-mortem directory as requested, starts
 // the observability server, the CPU profile and the provenance manifest.
 // It returns a flush function that must run before the process exits to
 // stop profiling, shut the server down and write every dump;
@@ -96,9 +95,6 @@ func (f *Flags) Init() (flush func() error, err error) {
 	}
 	if f.Postmortem != "" {
 		SetPostmortemDir(f.Postmortem)
-	}
-	if f.Probes {
-		EnableConvergenceProbes()
 	}
 
 	// Failure unwinding: every started resource pushes an undo.

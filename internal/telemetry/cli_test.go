@@ -19,7 +19,6 @@ func cleanupGlobals(t *testing.T) {
 		DisableTracing()
 		DisableProgress()
 		SetPostmortemDir("")
-		DisableConvergenceProbes()
 		statusOn.Store(false)
 	})
 }

@@ -1,33 +1,13 @@
-// Solver-health plumbing: the process-wide gate for the convergence
-// probes that live next to the numerics in internal/sparse, the
-// ConvergenceReport record each probed solve produces, and the
+// Solver-health plumbing: the ConvergenceReport record the convergence
+// probe in internal/sparse builds for every PCG solve, and the
 // most-recent-report slot behind /statusz's convergence section.
 //
-// The probes are off by default and cost one atomic load per solve when
-// disabled. Because they only *read* values the solver already computed,
-// they never perturb solver arithmetic: results are byte-identical with
-// the gate on or off, and sparsetest pins that contract at the sparse,
-// circuit and pdngrid levels.
+// The probe is always on. It only copies scalars the solver already
+// computed, so it never perturbs solver arithmetic, and sparsetest checks
+// that the reports of concurrent and serial solves agree.
 package telemetry
 
 import "sync/atomic"
-
-var probesOn atomic.Bool
-
-// EnableConvergenceProbes turns on per-solve convergence analytics in the
-// numerical core: residual/α/β history rings, Lanczos-based condition
-// estimates, and the stagnation/plateau/degradation detectors. Purely
-// additive — solver results are byte-identical either way.
-func EnableConvergenceProbes() { probesOn.Store(true) }
-
-// DisableConvergenceProbes turns convergence analytics back off. Solves
-// already in flight keep recording into their own probes.
-func DisableConvergenceProbes() { probesOn.Store(false) }
-
-// ProbesEnabled reports whether convergence probes are on. Solver entry
-// points check this once per solve; when false the per-iteration cost is
-// a nil check and no allocation happens.
-func ProbesEnabled() bool { return probesOn.Load() }
 
 // Residual ring bounds of a ConvergenceReport: the first ResidualHeadLen
 // residuals are always kept (the early trajectory shows the

@@ -1,7 +1,6 @@
 // Post-mortem plumbing: the artifact writer that turns a failed solve's
 // convergence report into a JSON file a human (or vsreport) can open after
-// the process is gone. Configuring a directory also turns on the
-// convergence probes, whose report is the artifact's payload.
+// the process is gone.
 package telemetry
 
 import (
@@ -20,15 +19,12 @@ var (
 // SetPostmortemDir configures (dir != "") or clears (dir == "") the
 // directory DumpPostmortem writes artifacts into. The directory is created
 // on the first dump, not here, so configuring a dir is side-effect free.
-// Setting a directory also enables the convergence probes — an artifact
-// without a trajectory is pointless.
 func SetPostmortemDir(dir string) {
 	if dir == "" {
 		postmortemDir.Store(nil)
 		return
 	}
 	postmortemDir.Store(&dir)
-	EnableConvergenceProbes()
 }
 
 // PostmortemEnabled reports whether a post-mortem directory is configured.

@@ -96,9 +96,8 @@ func ScopeFrom(ctx context.Context) *Scope {
 // Exemplar links one extreme observation (a slow solve, a long queue wait)
 // to the exact trace span that produced it, with enough solver evidence
 // attached to diagnose it without re-running: iteration count, final
-// residual, and — when convergence probes were on — one solve's residual
-// timeline, copied with its dropped count from that solve's
-// ConvergenceReport.
+// residual, and — for an iterative solve — its residual timeline, copied
+// with its dropped count from that solve's ConvergenceReport.
 type Exemplar struct {
 	Metric           string    `json:"metric"`
 	Value            float64   `json:"value"`

@@ -92,8 +92,8 @@ type StatusSnapshot struct {
 
 	// Solver health: cumulative probe reports and detector trips from the
 	// solver_health_* instruments, plus the most recently probed solve's
-	// convergence report without its residual trajectory. Populated only
-	// while convergence probes are on.
+	// convergence report without its residual trajectory. Empty until the
+	// process has run a PCG solve.
 	HealthReports      int64              `json:"solver_health_reports,omitempty"`
 	HealthStagnations  int64              `json:"solver_health_stagnations,omitempty"`
 	HealthPlateaus     int64              `json:"solver_health_plateaus,omitempty"`

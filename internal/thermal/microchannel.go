@@ -150,26 +150,3 @@ func SolveMicrochannel(cfg Config, mc Microchannel, powerMaps [][]float64) (*Res
 	}
 	return res, nil
 }
-
-// MaxLayersUnderMicrochannel is MaxLayersUnder with volumetric cooling.
-func MaxLayersUnderMicrochannel(cfg Config, mc Microchannel, layerPower []float64, maxC float64, limit int) (int, error) {
-	best := 0
-	for n := 1; n <= limit; n++ {
-		c := cfg
-		c.Layers = n
-		maps := make([][]float64, n)
-		for i := range maps {
-			maps[i] = layerPower
-		}
-		r, err := SolveMicrochannel(c, mc, maps)
-		if err != nil {
-			return 0, err
-		}
-		if r.MaxC < maxC {
-			best = n
-		} else {
-			break
-		}
-	}
-	return best, nil
-}

@@ -227,30 +227,6 @@ func TestSolveInputValidation(t *testing.T) {
 	}
 }
 
-func TestMicrochannelBreaksThermalCeiling(t *testing.T) {
-	// The paper's intro: volumetric cooling removes the stack-depth limit
-	// that air cooling imposes (8 layers), leaving power delivery as the
-	// binding constraint.
-	die := power.Example16Core().Die()
-	cfg := DefaultConfig(die, 8)
-	cells := chipCells(t, cfg, 1)
-	mc := DefaultMicrochannel()
-	nAir, err := MaxLayersUnder(cfg, cells, 100, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nMC, err := MaxLayersUnderMicrochannel(cfg, mc, cells, 100, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nAir != 8 {
-		t.Errorf("air-cooled limit = %d, want 8", nAir)
-	}
-	if nMC < 3*nAir {
-		t.Errorf("microchannel limit = %d, want far beyond the air-cooled %d", nMC, nAir)
-	}
-}
-
 func TestMicrochannelCoolsEveryLayer(t *testing.T) {
 	die := power.Example16Core().Die()
 	cfg := DefaultConfig(die, 8)
