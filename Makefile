@@ -133,11 +133,12 @@ trace-demo: build
 
 # health-demo exercises the solver-health observability path end to end:
 # the daemon (convergence probes always on) runs a PCG-sized sweep, vsctl
-# renders the finished job's health report (condition estimate, residual
-# curve, detector verdicts) and /statusz serves the live convergence
-# section. A restarted daemon on the same state dir runs the same sweep
-# again, and vsreport trend reads both jobs' frozen stats from the journal
-# and compares their iterations and conditioning.
+# renders the finished job's health report (condition estimate and
+# residual curve of its hardest probed solve) and the demo prints the
+# convergence record of the job's stats document. A restarted daemon on
+# the same state dir runs the same sweep again, and vsreport trend reads
+# both jobs' frozen stats from the journal and compares their iterations
+# and conditioning.
 health-demo: build
 	$(GO) build -o bin/vsserved ./cmd/vsserved
 	$(GO) build -o bin/vsctl ./cmd/vsctl
@@ -151,8 +152,7 @@ health-demo: build
 		if [ $$run = 1 ]; then \
 			id=$$(./bin/vsctl list | grep -o '"id": "[^"]*"' | head -1 | cut -d'"' -f4); \
 			./bin/vsctl health $$id; \
-			echo "statusz convergence:"; \
-			curl -s http://localhost:18326/statusz | sed -n '/"convergence"/,/}/p'; \
+			./bin/vsctl stats $$id | python3 -c 'import json, sys; c = json.load(sys.stdin)["convergence"]; print("stats convergence record: %d iterations, cond %.4g" % (c["iterations"], c["cond_estimate"]))'; \
 		fi; \
 		kill -TERM $$pid; wait $$pid; \
 	done

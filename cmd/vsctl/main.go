@@ -148,7 +148,7 @@ commands:
   evaluate [flags]      evaluate one design synchronously
   stats  <id>           print a job's resource-attribution JSON
   health <id>           render a job's solver-health report (condition
-                        estimate, residual curve, detector verdicts)
+                        estimate, residual curve of its hardest solve)
   top                   rank all jobs by attributed CPU time
 
 job flags (submit/run):
@@ -311,11 +311,11 @@ func cmdEvaluate(ctx context.Context, c *server.Client, args []string) error {
 }
 
 // cmdHealth renders a job's solver-health report from its stats document:
-// the job-scoped convergence instruments (condition estimate, per-iteration
-// reduction factor, detector trip counts) and the residual curve of the
-// slowest probed solve, drawn on a log scale. It needs nothing beyond what
-// GET /v1/jobs/{id}/stats already serves, so it works on frozen terminal
-// documents across daemon restarts too.
+// the job's solve counters, then its convergence record — the whole report
+// of its hardest probed solve: condition estimate, per-iteration reduction
+// factor and residual curve, drawn on a log scale, all of one solve. It
+// needs nothing beyond what GET /v1/jobs/{id}/stats already serves, so it
+// works on frozen terminal documents across daemon restarts too.
 func cmdHealth(ctx context.Context, c *server.Client, id string) error {
 	b, err := c.Stats(ctx, id)
 	if err != nil {
@@ -326,65 +326,48 @@ func cmdHealth(ctx context.Context, c *server.Client, id string) error {
 		return fmt.Errorf("stats %s: %v", id, err)
 	}
 	counter := func(name string) int64 { return st.Registry.Counters[name] }
-	gauge := func(name string) (float64, bool) {
-		v, ok := st.Registry.Gauges[name]
-		return v, ok
-	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintf(w, "job\t%s (%s, %s)\n", st.ID, st.Kind, st.State)
+	solves := counter("job_pdn_solves_total")
 	fmt.Fprintf(w, "solves\t%d PDN solves, %d probed, %d total iterations\n",
-		counter("job_pdn_solves_total"), counter("job_health_reports_total"),
-		counter("job_solver_iterations_total"))
-	if probed := counter("job_health_reports_total"); probed == 0 {
+		solves, counter("job_health_reports_total"), counter("job_solver_iterations_total"))
+	h := st.Convergence
+	switch {
+	case solves == 0:
+		fmt.Fprintf(w, "health\tno PDN solves are attributed to this job (experiment and EM Monte Carlo jobs run Study drivers that take no context)\n")
+		return w.Flush()
+	case h == nil:
 		fmt.Fprintf(w, "health\tno probed solves recorded (every solve of this job was direct; only PCG solves report convergence)\n")
 		return w.Flush()
 	}
-	if cond, ok := gauge("job_health_cond_estimate"); ok && cond > 0 {
-		lmin, _ := gauge("job_health_lambda_min")
-		lmax, _ := gauge("job_health_lambda_max")
-		fmt.Fprintf(w, "conditioning\tcond(M^-1 A) ~ %.4g  (lambda in [%.4g, %.4g], last probed solve)\n", cond, lmin, lmax)
+	if h.CondEstimate > 0 {
+		fmt.Fprintf(w, "conditioning\tcond(M^-1 A) ~ %.4g  (lambda in [%.4g, %.4g], hardest probed solve: %d iterations)\n",
+			h.CondEstimate, h.LambdaMin, h.LambdaMax, h.Iterations)
 	} else {
-		fmt.Fprintf(w, "conditioning\tno estimate (solves converged before the Lanczos window filled)\n")
+		fmt.Fprintf(w, "conditioning\tno estimate (the hardest probed solve converged in %d iterations, before the Lanczos window filled)\n", h.Iterations)
 	}
-	if rf, ok := gauge("job_health_reduction_factor"); ok && rf > 0 {
-		fmt.Fprintf(w, "reduction\tresidual x%.4g per iteration (geometric mean, last probed solve)\n", rf)
+	if h.ReductionFactor > 0 {
+		fmt.Fprintf(w, "reduction\tresidual x%.4g per iteration (geometric mean, hardest probed solve: %d iterations)\n",
+			h.ReductionFactor, h.Iterations)
 	}
-	verdict := func(name string) string {
-		if n := counter(name); n > 0 {
-			return fmt.Sprintf("TRIPPED x%d", n)
-		}
-		return "ok"
-	}
-	fmt.Fprintf(w, "detectors\tstagnation %s\tplateau %s\tprecond-degradation %s\n",
-		verdict("job_health_stagnation_total"), verdict("job_health_plateau_total"),
-		verdict("job_health_degradation_total"))
 	if err := w.Flush(); err != nil {
 		return err
 	}
-
-	// Residual curve: the slowest probed solve's exemplar carries its
-	// residual timeline (head + tail; long solves elide the middle, which
-	// the step numbering makes visible).
-	for _, ex := range st.Exemplars {
-		if len(ex.Residuals) == 0 {
-			continue
-		}
-		fmt.Printf("\nresidual curve (slowest probed solve: %d iterations, %.3fs):\n",
-			ex.Iterations, ex.Value)
-		printResidualCurve(ex)
-		break
+	if len(h.Residuals) > 0 {
+		fmt.Printf("\nresidual curve (hardest probed solve: %d iterations):\n", h.Iterations)
+		printResidualCurve(h)
 	}
 	return nil
 }
 
-// printResidualCurve draws an exemplar's residuals on a log10 scale, one
-// bar per sampled step, at most 24 rows. Rows carry the solver step of
-// each residual, so the middle the probe elided from a long solve shows
-// as a gap in the numbering.
-func printResidualCurve(ex telemetry.Exemplar) {
+// printResidualCurve draws a report's residuals on a log10 scale, one bar
+// per sampled step, at most 24 rows. Rows carry the solver step of each
+// residual, so the middle the probe elided from a long solve shows as a
+// gap in the numbering.
+func printResidualCurve(h *telemetry.ConvergenceReport) {
 	const maxRows, width = 24, 40
-	res := ex.Residuals
+	res := h.Residuals
 	step := 1
 	if len(res) > maxRows {
 		step = (len(res) + maxRows - 1) / maxRows
@@ -411,10 +394,10 @@ func printResidualCurve(ex telemetry.Exemplar) {
 			frac = 1
 		}
 		n := int(frac*float64(width) + 0.5)
-		fmt.Printf("  iter %6d  %10.3e  |%s\n", ex.ResidualIteration(i), res[i], strings.Repeat("#", n))
+		fmt.Printf("  iter %6d  %10.3e  |%s\n", h.ResidualIteration(i), res[i], strings.Repeat("#", n))
 	}
 	if last := len(res) - 1; (len(res)-1)%step != 0 {
-		fmt.Printf("  iter %6d  %10.3e  |\n", ex.ResidualIteration(last), res[last])
+		fmt.Printf("  iter %6d  %10.3e  |\n", h.ResidualIteration(last), res[last])
 	}
 }
 

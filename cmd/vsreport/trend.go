@@ -14,11 +14,11 @@ import (
 )
 
 // trackedMetric is one solver-health quantity the trend report follows.
-// A job's stats registry and a run manifest's metrics carry it under
-// different names, so lookup takes the first key present.
 type trackedMetric struct {
 	name string
-	keys []string
+	// value reads the metric from one record; 0 when the record carries
+	// none.
+	value func(trendRecord) float64
 	// threshold flags a regression when latest/median-of-prior exceeds it;
 	// zero means informational only (never gates the exit status).
 	threshold float64
@@ -50,11 +50,13 @@ type trendReport struct {
 
 // trendRecord is one finished unit of work: a daemon job or a CLI run.
 // Records of one group did the same work, so their solver effort is
-// comparable.
+// comparable. conv is the unit's convergence record, nil when it made no
+// PCG solve or was written before the record existed.
 type trendRecord struct {
 	group string
 	t     time.Time
 	reg   telemetry.RegistrySnapshot
+	conv  *telemetry.ConvergenceReport
 }
 
 // cmdTrend reads solver-health records from vsserved state directories
@@ -126,7 +128,7 @@ func jobRecords(stateDir string) ([]trendRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = trendRecord{group: "job " + string(req), t: j.FinishedAt, reg: j.Stats.Registry}
+		out[i] = trendRecord{group: "job " + string(req), t: j.FinishedAt, reg: j.Stats.Registry, conv: j.Stats.Convergence}
 	}
 	return out, nil
 }
@@ -158,19 +160,30 @@ func runRecord(path string) ([]trendRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []trendRecord{{group: m.Binary + " " + string(flags), t: t, reg: reg}}, nil
+	return []trendRecord{{group: m.Binary + " " + string(flags), t: t, reg: reg, conv: m.Convergence}}, nil
 }
 
-func pickValue(reg telemetry.RegistrySnapshot, keys []string) (float64, bool) {
-	for _, k := range keys {
-		if v, ok := reg.Counters[k]; ok {
-			return float64(v), true
-		}
-		if v, ok := reg.Gauges[k]; ok {
-			return v, true
-		}
+// iterations is a record's total solver iterations: a job's stats
+// registry and a run manifest's metrics count them under different names.
+func iterations(r trendRecord) float64 {
+	if v, ok := r.reg.Counters["job_solver_iterations_total"]; ok {
+		return float64(v)
 	}
-	return 0, false
+	return float64(r.reg.Counters["sparse_pcg_iterations_total"])
+}
+
+func condEstimate(r trendRecord) float64 {
+	if r.conv == nil {
+		return 0
+	}
+	return r.conv.CondEstimate
+}
+
+func reductionFactor(r trendRecord) float64 {
+	if r.conv == nil {
+		return 0
+	}
+	return r.conv.ReductionFactor
 }
 
 // buildTrend orders recs by time (ties keep their input order), groups
@@ -187,9 +200,9 @@ func buildTrend(sources []string, recs []trendRecord, iterThresh, condThresh flo
 		byGroup[r.group] = append(byGroup[r.group], r)
 	}
 	tracked := []trackedMetric{
-		{"iterations", []string{"job_solver_iterations_total", "sparse_pcg_iterations_total"}, iterThresh},
-		{"cond_estimate", []string{"job_health_cond_estimate", "solver_health_cond_estimate"}, condThresh},
-		{"reduction_factor", []string{"job_health_reduction_factor", "solver_health_reduction_factor"}, 0},
+		{"iterations", iterations, iterThresh},
+		{"cond_estimate", condEstimate, condThresh},
+		{"reduction_factor", reductionFactor, 0},
 	}
 	rep := &trendReport{Sources: sources, Records: len(recs)}
 	for _, k := range order {
@@ -197,7 +210,7 @@ func buildTrend(sources []string, recs []trendRecord, iterThresh, condThresh flo
 		for _, tm := range tracked {
 			var series []float64
 			for _, r := range byGroup[k] {
-				if v, ok := pickValue(r.reg, tm.keys); ok && v > 0 {
+				if v := tm.value(r); v > 0 {
 					series = append(series, v)
 				}
 			}

@@ -58,9 +58,11 @@ func metric(t *testing.T, g trendGroup, name string) trendMetric {
 
 // TestTrendStateDir reads trends from a state dir written by a real job
 // manager. The same sweep before and after a manager restart is one group
-// whose iterations and condition estimate repeat exactly; sweeps of
-// different problems each form a group of their own, so a larger mesh
-// never reads as a regression of a smaller one.
+// whose iterations and convergence record repeat exactly; a stats document
+// journaled before jobs carried a convergence record counts toward
+// iterations only; sweeps of different problems each form a group of
+// their own, so a larger mesh never reads as a regression of a smaller
+// one.
 func TestTrendStateDir(t *testing.T) {
 	t.Run("restart", func(t *testing.T) {
 		dir := t.TempDir()
@@ -73,13 +75,37 @@ func TestTrendStateDir(t *testing.T) {
 		if len(rep.Groups) != 1 || rep.Groups[0].Records != 2 {
 			t.Fatalf("groups = %+v, want one group of 2 records", rep.Groups)
 		}
-		for _, name := range []string{"iterations", "cond_estimate"} {
+		for _, name := range []string{"iterations", "cond_estimate", "reduction_factor"} {
 			if m := metric(t, rep.Groups[0], name); m.Ratio != 1 {
 				t.Errorf("%s ratio = %g (%g → %g), want 1", name, m.Ratio, m.Median, m.Latest)
 			}
 		}
 		if rep.Regressed {
 			t.Error("identical work flagged as a regression")
+		}
+	})
+
+	t.Run("record without convergence", func(t *testing.T) {
+		dir := t.TempDir()
+		for range 3 {
+			runJobs(t, dir, sweepJob(24, 0.5))
+		}
+		jobs, err := server.ReadJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripConvergence(t, filepath.Join(dir, "jobs", jobs[0].ID+".stats.json"))
+		rep, err := trend([]string{dir}, 1.2, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Groups) != 1 || rep.Groups[0].Records != 3 {
+			t.Fatalf("groups = %+v, want one group of 3 records", rep.Groups)
+		}
+		for name, records := range map[string]int{"iterations": 3, "cond_estimate": 2} {
+			if m := metric(t, rep.Groups[0], name); m.Records != records || m.Ratio != 1 {
+				t.Errorf("%s: %d records at ratio %g, want %d at 1", name, m.Records, m.Ratio, records)
+			}
 		}
 	})
 
@@ -97,6 +123,30 @@ func TestTrendStateDir(t *testing.T) {
 			t.Error("a larger mesh flagged as a regression of a smaller one")
 		}
 	})
+}
+
+// stripConvergence rewrites a journaled stats document without its
+// convergence record, as a build before the record wrote it.
+func stripConvergence(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc["convergence"]; !ok {
+		t.Fatalf("%s carries no convergence record to strip", path)
+	}
+	delete(doc, "convergence")
+	if b, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // writeManifest writes a run manifest of vsim with the given -grid, start

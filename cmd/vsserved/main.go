@@ -11,8 +11,9 @@
 //	         [-metrics PATH] [-trace PATH] [-manifest PATH] ...
 //
 // The API listener also serves the observability endpoints (/metrics,
-// /healthz, /statusz, /debug/pprof), so the daemon's server_* and
-// rescache_* metrics are always one curl away. With -state-dir, job
+// /healthz, /debug/pprof), so the daemon's server_* and rescache_*
+// metrics are always one curl away; each job's convergence record is in
+// its stats document (vsctl stats, vsctl health). With -state-dir, job
 // state is journaled: completed results survive a restart and jobs
 // interrupted mid-run resume from their checkpoints, replaying finished
 // sweep points bit-identically instead of recomputing them. A journal

@@ -79,7 +79,7 @@ func (s *Study) ExtDecapSplit(steps int) (*ExtDecapSplitResult, error) {
 		if err != nil {
 			return DecapSplitRow{}, err
 		}
-		tr, err := run.pdn.SolveTransient(run.tc)
+		tr, err := s.droops(run)
 		if err != nil {
 			return DecapSplitRow{}, err
 		}
@@ -88,7 +88,7 @@ func (s *Study) ExtDecapSplit(steps int) (*ExtDecapSplitResult, error) {
 			DecapAreaPct:  100 * spare / coreArea,
 			DecapPerMM2:   run.tc.DecapPerArea * 1e9 / 1e6,
 			DCNoisePct:    100 * dc.MaxIRDropFrac,
-			FirstDroopPct: 100 * tr.WorstDroopFrac,
+			FirstDroopPct: 100 * tr.first,
 		}, nil
 	})
 	if err != nil {

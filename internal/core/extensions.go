@@ -39,6 +39,23 @@ type transientRun struct {
 	tc  pdngrid.TransientConfig
 }
 
+// transientDroops is what the transient drivers print of one run: the
+// worst first droop and the droop at the window end, as fractions of Vdd.
+type transientDroops struct{ first, final float64 }
+
+// droops steps r at most once per study. ext-decap-split's 8-converter
+// row spends no area on decap, so it is ext-transient's V-S run; the memo
+// keeps only the two droops, not the waveform.
+func (s *Study) droops(r transientRun) (transientDroops, error) {
+	return memo(s, []any{"transient", r.pdn.Cfg.CacheFingerprint(), r.tc}, func() (transientDroops, error) {
+		tr, err := r.pdn.SolveTransient(r.tc)
+		if err != nil {
+			return transientDroops{}, err
+		}
+		return transientDroops{tr.WorstDroopFrac, tr.FinalDroopFrac}, nil
+	})
+}
+
 // extTransientRuns returns ext-transient's three runs on 4-layer stacks
 // (kept moderate so the run stays interactive): the regular PDN and the
 // V-S PDN under tc, and the regular PDN at 4x tc's on-die decap.
@@ -65,8 +82,8 @@ func (s *Study) ExtTransient() (*ExtTransientResult, error) {
 		return nil, err
 	}
 	// The three runs are independent; SolveTransient only reads the PDN.
-	tr, err := parallel.Map(context.Background(), s.pool(), runs, func(_ int, r transientRun) (*pdngrid.TransientResult, error) {
-		return r.pdn.SolveTransient(r.tc)
+	tr, err := parallel.Map(context.Background(), s.pool(), runs, func(_ int, r transientRun) (transientDroops, error) {
+		return s.droops(r)
 	})
 	if err != nil {
 		return nil, err
@@ -74,12 +91,12 @@ func (s *Study) ExtTransient() (*ExtTransientResult, error) {
 	rr, rv, rrBig := tr[0], tr[1], tr[2]
 
 	return &ExtTransientResult{
-		RegularFirstDroopPct: 100 * rr.WorstDroopFrac,
-		VSFirstDroopPct:      100 * rv.WorstDroopFrac,
-		RegularSettledPct:    100 * rr.FinalDroopFrac,
-		VSSettledPct:         100 * rv.FinalDroopFrac,
-		RegularDroop1xPct:    100 * rr.WorstDroopFrac,
-		RegularDroop4xPct:    100 * rrBig.WorstDroopFrac,
+		RegularFirstDroopPct: 100 * rr.first,
+		VSFirstDroopPct:      100 * rv.first,
+		RegularSettledPct:    100 * rr.final,
+		VSSettledPct:         100 * rv.final,
+		RegularDroop1xPct:    100 * rr.first,
+		RegularDroop4xPct:    100 * rrBig.first,
 	}, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"voltstack/internal/parallel"
+	"voltstack/internal/pdngrid"
 	"voltstack/internal/telemetry"
 )
 
@@ -81,6 +82,56 @@ func TestMemoSharedSolves(t *testing.T) {
 		}
 		if want := fresh(t, tc.name, nil); !sameBits(got, want) {
 			t.Errorf("%s differs from a fresh study's:\n got %#v\nwant %#v", tc.name, got, want)
+		}
+	}
+}
+
+// TestMemoSharedTransient checks that ext-decap-split's 8-converter row,
+// which spends no area on decap and so is ext-transient's V-S run, reuses
+// that run: after ext-transient, ext-decap-split compiles one transient
+// run fewer than on a fresh study. Both still render as a fresh study's
+// do.
+func TestMemoSharedTransient(t *testing.T) {
+	telemetry.Enable()
+	compiles := telemetry.NewCounter("circuit_prepared_compiles_total")
+	run := func(s *Study, name string) (string, int64) {
+		t.Helper()
+		before := compiles.Value()
+		out, err := RunExperiment(s, name, false)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return out, compiles.Value() - before
+	}
+
+	vs, err := tinyStudy().VoltageStackedPDN(4, 8, pdngrid.FewTSV(), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := compiles.Value()
+	if _, err := vs.SolveTransient(pdngrid.DefaultTransient()); err != nil {
+		t.Fatal(err)
+	}
+	perRun := compiles.Value() - before
+	if perRun == 0 {
+		t.Fatal("a transient run compiled no engine")
+	}
+
+	s := tinyStudy()
+	names := []string{"ext-transient", "ext-decap-split"}
+	shared := map[string]string{}
+	var sharedCompiles int64
+	for _, name := range names {
+		shared[name], sharedCompiles = run(s, name)
+	}
+	for _, name := range names {
+		out, n := run(tinyStudy(), name)
+		if out != shared[name] {
+			t.Errorf("%s after the other driver differs from a fresh study's:\n%s\nwant\n%s", name, shared[name], out)
+		}
+		if name == "ext-decap-split" && sharedCompiles != n-perRun {
+			t.Errorf("ext-decap-split after ext-transient compiled %d engines, want %d (fresh %d, less one transient run's %d)",
+				sharedCompiles, n-perRun, n, perRun)
 		}
 	}
 }

@@ -264,9 +264,7 @@ func RunExperiment(s *Study, name string, csv bool) (string, error) {
 	}
 	sp := telemetry.StartSpanTrace("core."+name, s.Trace)
 	t0 := telemetry.Now()
-	telemetry.TaskStart("core." + name)
 	defer func() {
-		telemetry.TaskEnd("core." + name)
 		mExperiments.Add(1)
 		mExperimentSeconds.Since(t0)
 		sp.End()

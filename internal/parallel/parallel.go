@@ -96,7 +96,7 @@ func DefaultWorkers() int {
 }
 
 // Pool is a bounded worker pool. Pools hold no state between calls, so
-// one pool may be reused for any number of Map/ForEach invocations,
+// one pool may be reused for any number of Map/ForEachN invocations,
 // including concurrent ones. A nil *Pool and the zero Pool are valid and
 // size themselves with DefaultWorkers.
 type Pool struct {
@@ -184,12 +184,6 @@ func (p *Pool) ForEachN(ctx context.Context, n int, fn func(i int) error) error 
 	return ctx.Err()
 }
 
-// ForEach runs fn over every element of items on p's workers. A nil pool
-// uses DefaultWorkers. Error semantics are those of ForEachN.
-func ForEach[T any](ctx context.Context, p *Pool, items []T, fn func(i int, item T) error) error {
-	return p.ForEachN(ctx, len(items), func(i int) error { return fn(i, items[i]) })
-}
-
 // Map evaluates fn over items on p's workers and returns the results in
 // input order: out[i] is fn(i, items[i]) regardless of which worker ran
 // it or when. On error the partial results are discarded and the
@@ -211,7 +205,7 @@ func Map[T, R any](ctx context.Context, p *Pool, items []T, fn func(i int, item 
 }
 
 // Go runs every task concurrently on p's workers and waits for all of
-// them — the "futures" form of ForEach for heterogeneous phases (e.g.
+// them — the "futures" form of ForEachN for heterogeneous phases (e.g.
 // the independent figures behind Study.Headlines). Each task typically
 // writes its result into a variable it owns.
 func Go(ctx context.Context, p *Pool, tasks ...func() error) error {

@@ -268,22 +268,6 @@ func TestGoRunsAllTasks(t *testing.T) {
 	}
 }
 
-func TestForEachSlice(t *testing.T) {
-	items := []string{"a", "b", "c", "d"}
-	out := make([]string, len(items))
-	if err := ForEach(context.Background(), NewPool(2), items, func(i int, s string) error {
-		out[i] = s + s
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range items {
-		if out[i] != s+s {
-			t.Errorf("out[%d] = %q", i, out[i])
-		}
-	}
-}
-
 func TestTimeoutContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()

@@ -182,14 +182,18 @@ func (p *PDN) solve(ctx context.Context, activities [][]float64) (*solved, error
 }
 
 // recordJobSolves attributes one linear solve to the job scope: per-job
-// counters, the latency histogram, the residual gauge, and one exemplar
-// keyed to the solve's trace span with its convergence evidence. Every
-// field of the exemplar belongs to this one solve.
+// counters, the latency histogram, one exemplar keyed to the solve's trace
+// span, and an offer of the solve's convergence report to the job's
+// record, which keeps the hardest probed solve's report. A direct solve
+// carries no report.
 func recordJobSolves(scope *telemetry.Scope, sp *telemetry.Span, secs float64, sol *circuit.Solution) {
 	scope.Counter("job_pdn_solves_total").Add(1)
 	scope.Counter("job_solver_iterations_total").Add(int64(sol.Iterations))
 	scope.Histogram("job_linear_solve_seconds").Observe(secs)
-	scope.Gauge("job_solver_residual_last").Set(sol.Residual)
+	if sol.Health != nil {
+		scope.Counter("job_health_reports_total").Add(1)
+		scope.Health().Offer(sol.Health)
+	}
 	ex := telemetry.Exemplar{
 		Metric:     "job_linear_solve_seconds",
 		Value:      secs,
@@ -199,38 +203,7 @@ func recordJobSolves(scope *telemetry.Scope, sp *telemetry.Span, secs float64, s
 	if tc := sp.TraceContext(); tc.Valid() {
 		ex.TraceID, ex.SpanID = tc.TraceIDString(), tc.SpanIDString()
 	}
-	recordJobHealth(scope, &ex, sol.Health)
 	scope.RecordExemplar(ex)
-}
-
-// recordJobHealth attributes one probed solve's convergence report to the
-// job scope: the job's stats document (and through it `vsctl health`)
-// carries the last probed solve's condition estimate, reduction factor and
-// detector trips, and the exemplar carries the report's residual
-// timeline. Nil h (a direct solve) is a no-op.
-func recordJobHealth(scope *telemetry.Scope, ex *telemetry.Exemplar, h *telemetry.ConvergenceReport) {
-	if h == nil {
-		return
-	}
-	scope.Counter("job_health_reports_total").Add(1)
-	if h.CondEstimate > 0 {
-		scope.Gauge("job_health_cond_estimate").Set(h.CondEstimate)
-		scope.Gauge("job_health_lambda_min").Set(h.LambdaMin)
-		scope.Gauge("job_health_lambda_max").Set(h.LambdaMax)
-	}
-	if h.ReductionFactor > 0 {
-		scope.Gauge("job_health_reduction_factor").Set(h.ReductionFactor)
-	}
-	if h.Stagnation {
-		scope.Counter("job_health_stagnation_total").Add(1)
-	}
-	if h.Plateau {
-		scope.Counter("job_health_plateau_total").Add(1)
-	}
-	if h.Degradation {
-		scope.Counter("job_health_degradation_total").Add(1)
-	}
-	ex.Residuals, ex.ResidualsDropped = h.Residuals, h.ResidualsDropped
 }
 
 // rasterizeLoads converts per-layer, per-core activity factors into the

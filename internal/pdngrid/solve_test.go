@@ -112,31 +112,44 @@ func TestNDMatchesTightPCG(t *testing.T) {
 	}
 }
 
-// TestBatchJobAttribution: each entry of a 2-entry AMG-PCG batch is its
-// own solve in the job scope, attributed in entry order once both finish.
-// Every field of an exemplar belongs to one solve: its iterations, its
-// residual, and a residual timeline numbered up to its own step count.
+// TestBatchJobAttribution: each entry of a 2-entry batch on a PDN above
+// the direct edge (so Auto picks AMG-PCG) is its own solve in the job
+// scope. Every field of an exemplar belongs to one solve, and the scope's
+// convergence record is the whole report of an entry with the most
+// iterations.
 func TestBatchJobAttribution(t *testing.T) {
-	cfg := vsCfg(3, 4)
-	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGAMG}
+	cfg := vsCfg(8, 4)
+	cfg.Params.GridNx, cfg.Params.GridNy = 24, 24
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scope := telemetry.NewScope(telemetry.NewTrace())
 	out, err := p.SolveBatchContext(telemetry.WithScope(context.Background(), scope),
-		[][][]float64{InterleavedActivities(3, 16, 0.5), UniformActivities(3, 16, 1)})
+		[][][]float64{InterleavedActivities(8, 16, 0.5), UniformActivities(8, 16, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := scope.Counter("job_pdn_solves_total").Value(); got != 2 {
 		t.Errorf("job_pdn_solves_total = %d, want 2", got)
 	}
+	if got := scope.Counter("job_health_reports_total").Value(); got != 2 {
+		t.Errorf("job_health_reports_total = %d, want 2 (both entries probed)", got)
+	}
 	if got := scope.Histogram("job_linear_solve_seconds").Count(); got != 2 {
 		t.Errorf("job_linear_solve_seconds has %d observations, want 2", got)
 	}
-	if got := scope.Gauge("job_solver_residual_last").Value(); got != out[1].SolverResidual {
-		t.Errorf("job_solver_residual_last = %g, want entry 1's %g", got, out[1].SolverResidual)
+	rec := scope.Health().Load()
+	if rec == nil || rec.Iterations != max(out[0].SolverIterations, out[1].SolverIterations) {
+		t.Fatalf("scope record = %+v, want the iterations of the entry with the most (%d, %d)",
+			rec, out[0].SolverIterations, out[1].SolverIterations)
+	}
+	if rec.FinalResidual != out[0].SolverResidual && rec.FinalResidual != out[1].SolverResidual {
+		t.Errorf("scope record's residual %g is neither entry's (%g, %g)",
+			rec.FinalResidual, out[0].SolverResidual, out[1].SolverResidual)
+	}
+	if len(rec.Residuals) == 0 || rec.ResidualIteration(len(rec.Residuals)-1) != rec.Iterations {
+		t.Errorf("record's residual curve does not end at its own %d iterations", rec.Iterations)
 	}
 	exs := scope.Exemplars().Snapshot()
 	if len(exs) != 2 {
@@ -152,14 +165,8 @@ func TestBatchJobAttribution(t *testing.T) {
 			t.Fatalf("exemplar residual %g matches no unclaimed entry", ex.Residual)
 		}
 		seen[i] = true
-		if ex.Iterations != out[i].SolverIterations {
-			t.Errorf("entry %d exemplar iterations = %d, want %d", i, ex.Iterations, out[i].SolverIterations)
-		}
-		if len(ex.Residuals) == 0 {
-			t.Fatalf("entry %d exemplar carries no residual timeline", i)
-		}
-		if got := ex.ResidualIteration(len(ex.Residuals) - 1); got != out[i].SolverIterations {
-			t.Errorf("entry %d timeline ends at step %d, want %d", i, got, out[i].SolverIterations)
+		if ex.Iterations != out[i].SolverIterations || ex.Iterations == 0 {
+			t.Errorf("entry %d exemplar iterations = %d, want %d > 0", i, ex.Iterations, out[i].SolverIterations)
 		}
 	}
 }

@@ -122,11 +122,6 @@ func (c CoreSpec) LeakAt(vdd, tempC float64) float64 {
 	return c.Leak(vdd) * math.Exp((tempC-LeakTNomC)/LeakT0C)
 }
 
-// TotalAt returns dynamic plus temperature-dependent leakage.
-func (c CoreSpec) TotalAt(activity, vdd, f, tempC float64) float64 {
-	return c.Dynamic(activity, vdd, f) + c.LeakAt(vdd, tempC)
-}
-
 // Total returns dynamic plus leakage at the given operating point.
 func (c CoreSpec) Total(activity, vdd, f float64) float64 {
 	return c.Dynamic(activity, vdd, f) + c.Leak(vdd)

@@ -249,11 +249,3 @@ func TestLeakageTemperatureModel(t *testing.T) {
 		t.Error("leakage must grow with temperature")
 	}
 }
-
-func TestTotalAtCombines(t *testing.T) {
-	c := CortexA9Like()
-	want := c.Dynamic(0.7, c.Vdd, c.FClk) + c.LeakAt(c.Vdd, 95)
-	if got := c.TotalAt(0.7, c.Vdd, c.FClk, 95); !units.WithinRel(got, want, 1e-12) {
-		t.Errorf("TotalAt = %g, want %g", got, want)
-	}
-}

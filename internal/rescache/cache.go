@@ -13,7 +13,7 @@ import (
 // Cache instrumentation. No-ops unless telemetry is enabled. The
 // rescache_mem_* / rescache_disk_* counters break every lookup down by
 // tier, so the memory hit ratio, the disk tier's contribution and the
-// spill rate are each readable on their own (and in /statusz);
+// spill rate are each readable on their own on /metrics;
 // rescache_misses_total counts the lookups that missed both tiers.
 var (
 	mMisses      = telemetry.NewCounter("rescache_misses_total")

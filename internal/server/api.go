@@ -14,7 +14,7 @@
 //	DELETE /v1/jobs/{id}          cancel              → 200 JobStatus, 404
 //	GET    /v1/designs:evaluate   one design, synchronously → 200 explore.Metrics
 //
-// plus the telemetry observability endpoints (/metrics /healthz /statusz
+// plus the telemetry observability endpoints (/metrics /healthz
 // /debug/pprof) on the same listener.
 package server
 

@@ -515,9 +515,6 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 // Draining reports whether the manager has stopped admitting jobs.
 func (m *Manager) Draining() bool { return m.draining.Load() }
 
-// QueueDepth returns (queued, capacity).
-func (m *Manager) QueueDepth() (int, int) { return len(m.queue), cap(m.queue) }
-
 // Drain stops admission, finishes every queued and running job, and
 // returns when the runners are idle. If ctx expires first, in-flight
 // jobs are hard-cancelled (their journal state stays resumable) and

@@ -21,7 +21,7 @@ var (
 )
 
 // NewHandler mounts the v1 API and the telemetry observability endpoints
-// (/metrics /healthz /statusz /debug/pprof) on one mux.
+// (/metrics /healthz /debug/pprof) on one mux.
 func NewHandler(m *Manager) *http.ServeMux {
 	mux := telemetry.NewObservabilityMux()
 	mux.HandleFunc("POST /v1/jobs", instrument(m, "submit", handleSubmit))

@@ -12,8 +12,8 @@ import (
 // JobStats is the per-job resource-attribution document served by
 // GET /v1/jobs/{id}/stats: wall/CPU time and allocations charged to the
 // job, queue wait, the job-scoped instrument registry (solver iterations,
-// residuals, point cache hits, …) and the exemplars linking the job's
-// slowest solves back to (trace ID, span ID) evidence.
+// point cache hits, …), the exemplars linking the job's slowest solves
+// back to (trace ID, span ID) evidence, and the job's convergence record.
 //
 // While the job runs the document is a live snapshot (Final=false); once
 // the job reaches a terminal state the document is frozen, journaled next
@@ -42,6 +42,10 @@ type JobStats struct {
 
 	Registry  telemetry.RegistrySnapshot `json:"registry"`
 	Exemplars []telemetry.Exemplar       `json:"exemplars,omitempty"`
+	// Convergence is the whole report of the job's hardest probed solve
+	// (most iterations, then largest condition estimate, then largest
+	// final residual); absent when no PCG solve was attributed to the job.
+	Convergence *telemetry.ConvergenceReport `json:"convergence,omitempty"`
 }
 
 // statsDoc assembles the job's stats document. Callers hold no lock; the
@@ -79,6 +83,7 @@ func (m *Manager) statsDoc(j *Job, final bool) JobStats {
 	}
 	doc.Registry = scope.Registry().Snapshot()
 	doc.Exemplars = scope.Exemplars().Snapshot()
+	doc.Convergence = scope.Health().Load()
 	return doc
 }
 

@@ -202,3 +202,54 @@ func TestSubmitWithoutTraceparentMints(t *testing.T) {
 		t.Errorf("status trace ID %q, want 32 hex chars", st.TraceID)
 	}
 }
+
+// TestStatsConvergenceRecord runs the same two-design sweep on two fresh
+// managers at two workers, so the designs' PCG solves finish in either
+// order. Each job's convergence record is the whole report of its hardest
+// solve: the same bytes in both, and converged.
+func TestStatsConvergenceRecord(t *testing.T) {
+	req := JobRequest{
+		Kind: KindSweep,
+		Sweep: &SweepSpec{
+			Layers:         8,
+			PadFractions:   []float64{0.5},
+			ConverterCount: []int{2, 4},
+			TSVs:           []string{"dense"},
+			GridNx:         24,
+		},
+		Workers: 2,
+	}
+	var recs [2][]byte
+	for i := range recs {
+		mgr, err := NewManager(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := mgr.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if st := j.Status(); st.State != StateDone {
+			t.Fatalf("run %d: %s %s", i, st.State, st.Error)
+		}
+		b, err := mgr.Stats(j)
+		mgr.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc JobStats
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Convergence == nil || !doc.Convergence.Converged {
+			t.Fatalf("run %d: convergence record = %+v, want a converged report", i, doc.Convergence)
+		}
+		if recs[i], err = json.Marshal(doc.Convergence); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(recs[0], recs[1]) {
+		t.Errorf("convergence records differ:\n%s\n%s", recs[0], recs[1])
+	}
+}

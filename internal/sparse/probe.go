@@ -34,16 +34,9 @@ import (
 	"voltstack/internal/telemetry"
 )
 
-// Solver-health instrumentation. Counters/gauges are process-registry
-// no-ops unless telemetry is enabled.
-var (
-	mHealthReports     = telemetry.NewCounter("solver_health_reports_total")
-	mHealthStagnation  = telemetry.NewCounter("solver_health_stagnation_total")
-	mHealthPlateau     = telemetry.NewCounter("solver_health_plateau_total")
-	mHealthDegradation = telemetry.NewCounter("solver_health_precond_degradation_total")
-	mHealthCond        = telemetry.NewGauge("solver_health_cond_estimate")
-	mHealthReduction   = telemetry.NewGauge("solver_health_reduction_factor")
-)
+// mHealthReports counts probed solves; a process-registry no-op unless
+// telemetry is enabled.
+var mHealthReports = telemetry.NewCounter("solver_health_reports_total")
 
 // Probe bounds. The residual ring keeps telemetry.ResidualHeadLen leading
 // and telemetry.ResidualTailLen trailing residuals; the Lanczos
@@ -143,8 +136,9 @@ func (p *convProbe) residuals() ([]float64, int) {
 
 // seal finalizes the probe into its report: spectral estimates, reduction
 // factor, detector verdicts, AMG diagnostics; then publishes the report
-// to telemetry (metrics, /statusz state) and returns res with the report
-// as its Health. Call exactly once per solve, on every exit path.
+// to telemetry (the report counter and the process record) and returns
+// res with the report as its Health. Call exactly once per solve, on
+// every exit path.
 //
 // The report is a copy, not a pointer into the probe: a caller that keeps
 // the result must not keep the probe's buffers and the solve's forked
@@ -238,26 +232,10 @@ func (p *convProbe) detect(r *telemetry.ConvergenceReport) {
 	}
 }
 
-// publish pushes the sealed report into the telemetry surfaces: the
-// solver_health_* instruments and the most-recent-report slot behind
-// /statusz.
+// publish counts the sealed report and offers it to the process record,
+// which keeps the hardest report of the run, failed solves included.
 func (p *convProbe) publish(r *telemetry.ConvergenceReport) {
 	mHealthReports.Add(1)
-	if r.CondEstimate > 0 {
-		mHealthCond.Set(r.CondEstimate)
-	}
-	if r.ReductionFactor > 0 {
-		mHealthReduction.Set(r.ReductionFactor)
-	}
-	if r.Stagnation {
-		mHealthStagnation.Add(1)
-	}
-	if r.Plateau {
-		mHealthPlateau.Add(1)
-	}
-	if r.Degradation {
-		mHealthDegradation.Add(1)
-	}
 	telemetry.RecordSolverHealth(r)
 }
 

@@ -217,10 +217,11 @@ func TestPCGBreakdownReport(t *testing.T) {
 	}
 }
 
-// TestProbedAMGSolveOnStatusz: a probed PCG-AMG solve publishes its
-// hierarchy shape through /statusz's convergence report, which leaves the
-// residual trajectory out.
-func TestProbedAMGSolveOnStatusz(t *testing.T) {
+// TestProbedAMGSolveOnProcessRecord: a probed AMG-PCG solve offers its
+// whole report to the process record, which then holds the harder of that
+// report and the one it held before: never an easier one. The report
+// offered carries its residual trajectory and the hierarchy shape.
+func TestProbedAMGSolveOnProcessRecord(t *testing.T) {
 	a := gridLaplacian(30, 30, 1e-3)
 	prec, err := NewAMG(a)
 	if err != nil {
@@ -230,21 +231,36 @@ func TestProbedAMGSolveOnStatusz(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%5) - 2
 	}
+	before := telemetry.SolverHealth()
 	_, res, err := PCG(a, b, nil, prec, 1e-10, 200, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := telemetry.Status().Convergence
-	if c == nil || c.AMG == nil || c.AMG.Levels < 2 {
-		t.Fatalf("statusz convergence = %+v, want an AMG report with >= 2 levels", c)
+	h := res.Health
+	if len(h.Residuals) == 0 || h.AMG == nil || h.AMG.Levels < 2 || h.AMG.Levels != prec.Levels() {
+		t.Fatalf("solve report = %+v, want residuals and an AMG section of %d >= 2 levels", h, prec.Levels())
 	}
-	if c.AMG.Levels != prec.Levels() || c.AMG.OperatorComplexity != res.Health.AMG.OperatorComplexity {
-		t.Errorf("statusz AMG %+v does not match the solve's %+v", c.AMG, res.Health.AMG)
+	got := telemetry.SolverHealth()
+	if got == nil {
+		t.Fatal("the solve left no process record")
 	}
-	if c.Residuals != nil {
-		t.Error("statusz carries the residual trajectory")
+	if got != h && got != before {
+		t.Fatalf("process record = %+v, neither the solve's report nor the record before it", got)
 	}
-	if len(res.Health.Residuals) == 0 {
-		t.Error("statusz cleared the solve's own trajectory")
+	if !atLeastAsHard(got, h) || before != nil && !atLeastAsHard(got, before) {
+		t.Errorf("process record = %+v, easier than the solve's %+v or the record before it %+v", got, h, before)
 	}
+}
+
+// atLeastAsHard reports whether a is at least as hard as b: more
+// iterations, then a larger condition estimate, then a larger final
+// residual.
+func atLeastAsHard(a, b *telemetry.ConvergenceReport) bool {
+	if a.Iterations != b.Iterations {
+		return a.Iterations > b.Iterations
+	}
+	if a.CondEstimate != b.CondEstimate {
+		return a.CondEstimate > b.CondEstimate
+	}
+	return a.FinalResidual >= b.FinalResidual
 }

@@ -19,7 +19,7 @@ import (
 type Flags struct {
 	Metrics    string // -metrics:    JSON dump path (+ ".prom" Prometheus dump) on exit
 	Trace      string // -trace:      Chrome trace_event JSON path on exit
-	Serve      string // -serve:      observability listen address (pprof + /metrics /healthz /statusz); enables live metrics collection
+	Serve      string // -serve:      observability listen address (pprof + /metrics /healthz); enables live metrics collection
 	CPUProfile string // -cpuprofile: pprof CPU profile path, captured for the whole run
 	Manifest   string // -manifest:   run provenance manifest JSON path on exit
 	Postmortem string // -postmortem: directory for solver post-mortem artifacts
@@ -37,7 +37,7 @@ func registerFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Metrics, "metrics", "", "write a metrics dump on exit: JSON at this path, Prometheus text at path+\".prom\"")
 	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace_event JSON timing trace on exit (load in chrome://tracing or Perfetto)")
-	fs.StringVar(&f.Serve, "serve", "", "serve the live observability endpoint (pprof, /metrics, /healthz, /statusz) on this address (e.g. localhost:6060) and collect metrics for mid-run scraping")
+	fs.StringVar(&f.Serve, "serve", "", "serve the live observability endpoint (pprof, /metrics, /healthz) on this address (e.g. localhost:6060) and collect metrics for mid-run scraping")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
 	fs.StringVar(&f.Manifest, "manifest", "", "write a run provenance manifest (flags, seeds, VCS stamp, output hashes) to this path on exit")
 	fs.StringVar(&f.Postmortem, "postmortem", "", "write solver post-mortem JSON artifacts into this directory on failures")
@@ -129,7 +129,7 @@ func (f *Flags) Init() (flush func() error, err error) {
 		}
 		f.server = srv
 		undo = append(undo, func() { srv.Close(); f.server = nil })
-		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (/metrics /healthz /statusz /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (/metrics /healthz /debug/pprof)\n", srv.Addr())
 	}
 
 	if f.Manifest != "" {

@@ -1,12 +1,13 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,6 @@ func cleanupGlobals(t *testing.T) {
 		DisableTracing()
 		DisableProgress()
 		SetPostmortemDir("")
-		statusOn.Store(false)
 	})
 }
 
@@ -98,7 +98,8 @@ func TestInitAddressInUse(t *testing.T) {
 // TestInitServeEndpoints drives the live endpoints end to end, twice in the
 // same process: the second Init pins that pprof handlers live on a private
 // mux (a DefaultServeMux registration would panic on the second round) and
-// that flush really released the first listener.
+// that flush really released the first listener. /statusz is gone: the
+// run's convergence record is in its manifest.
 func TestInitServeEndpoints(t *testing.T) {
 	cleanupGlobals(t)
 	if _, err := net.Listen("tcp", "127.0.0.1:0"); err != nil {
@@ -116,7 +117,6 @@ func TestInitServeEndpoints(t *testing.T) {
 		}
 
 		NewCounter("cli_test_probe_total").Add(1)
-		TaskStart("cli_test.live")
 
 		body := httpGet(t, "http://"+addr+"/metrics")
 		if !strings.Contains(body, "cli_test_probe_total") {
@@ -126,18 +126,14 @@ func TestInitServeEndpoints(t *testing.T) {
 		if !strings.Contains(body, `"status":"ok"`) {
 			t.Errorf("round %d: /healthz = %q", round, body)
 		}
-		var snap StatusSnapshot
-		if err := json.Unmarshal([]byte(httpGet(t, "http://"+addr+"/statusz")), &snap); err != nil {
-			t.Fatalf("round %d: /statusz is not JSON: %v", round, err)
+		resp, err := http.Get("http://" + addr + "/statusz")
+		if err != nil {
+			t.Fatalf("round %d: GET /statusz: %v", round, err)
 		}
-		found := false
-		for _, name := range snap.Active {
-			found = found || name == "cli_test.live"
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("round %d: /statusz answered %d, want 404", round, resp.StatusCode)
 		}
-		if !found {
-			t.Errorf("round %d: /statusz active = %v, want cli_test.live", round, snap.Active)
-		}
-		TaskEnd("cli_test.live")
 
 		if err := flush(); err != nil {
 			t.Fatalf("round %d: flush: %v", round, err)
@@ -163,6 +159,10 @@ func TestInitDumpsAndManifest(t *testing.T) {
 		t.Fatal("RunManifest nil with -manifest set")
 	}
 	f.RunManifest().AddSeed("study", 42)
+	// The manifest carries the process's convergence record; this report
+	// is harder than any a solve in this process can offer.
+	rec := &ConvergenceReport{Kind: "pcg", Iterations: math.MaxInt32, Converged: true}
+	RecordSolverHealth(rec)
 	if err := flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +177,9 @@ func TestInitDumpsAndManifest(t *testing.T) {
 	}
 	if m.Seeds["study"] != 42 {
 		t.Errorf("seed = %d, want 42", m.Seeds["study"])
+	}
+	if m.Convergence == nil || !reflect.DeepEqual(*m.Convergence, *rec) {
+		t.Errorf("manifest convergence = %+v, want the process record %+v", m.Convergence, rec)
 	}
 	// The metrics dumps are registered outputs and must carry hashes.
 	for _, out := range m.Outputs {

@@ -1,6 +1,6 @@
 // Solver-health plumbing: the ConvergenceReport record the convergence
-// probe in internal/sparse builds for every PCG solve, and the
-// most-recent-report slot behind /statusz's convergence section.
+// probe in internal/sparse builds for every PCG solve, and the holders
+// that keep the hardest of those reports for a job and for the process.
 //
 // The probe is always on. It only copies scalars the solver already
 // computed, so it never perturbs solver arithmetic, and sparsetest checks
@@ -35,10 +35,10 @@ type AMGReport struct {
 
 // ConvergenceReport is the convergence record of one probed iterative
 // solve, built by the sparse probe and read by every surface: the solve
-// result, job-scope instruments and exemplars, /statusz, post-mortem
-// artifacts and the solver error. It lives here, not
-// in sparse, because telemetry cannot import sparse (which imports
-// telemetry).
+// result, the job stats document and the run manifest (each through a
+// HardestReport), post-mortem artifacts and the solver error. It lives
+// here, not in sparse, because telemetry cannot import sparse (which
+// imports telemetry).
 type ConvergenceReport struct {
 	Kind           string  `json:"kind"` // "pcg"
 	N              int     `json:"n"`
@@ -78,14 +78,72 @@ type ConvergenceReport struct {
 	AMG *AMGReport `json:"amg,omitempty"`
 }
 
-// lastHealth is the most recently probed solve's report, behind /statusz.
-// Reports are never mutated once published.
-var lastHealth atomic.Pointer[ConvergenceReport]
+// ResidualIteration returns the solver step of Residuals[i]. The head of
+// the ring holds steps 0…ResidualHeadLen−1; past it, the ResidualsDropped
+// elided steps shift the numbering.
+func (r *ConvergenceReport) ResidualIteration(i int) int {
+	if i < ResidualHeadLen {
+		return i
+	}
+	return i + r.ResidualsDropped
+}
 
-// RecordSolverHealth stores the report of the most recently probed solve.
-// Called by the sparse convergence probe once per solve.
-func RecordSolverHealth(r *ConvergenceReport) { lastHealth.Store(r) }
+// harder reports whether a is strictly harder than b: more iterations,
+// then on a tie a larger condition estimate, then a larger final
+// residual.
+func harder(a, b *ConvergenceReport) bool {
+	if a.Iterations != b.Iterations {
+		return a.Iterations > b.Iterations
+	}
+	if a.CondEstimate != b.CondEstimate {
+		return a.CondEstimate > b.CondEstimate
+	}
+	return a.FinalResidual > b.FinalResidual
+}
 
-// LastSolverHealth returns the most recently recorded report, or nil when
-// no solve has been probed in this process.
-func LastSolverHealth() *ConvergenceReport { return lastHealth.Load() }
+// HardestReport keeps the hardest ConvergenceReport offered to it. Which
+// report it keeps does not depend on the order of the offers, so the
+// record of concurrent solves is deterministic: only a full tie keeps the
+// report offered first. Safe for concurrent use; the zero value is empty
+// and a nil holder ignores offers.
+type HardestReport struct {
+	p atomic.Pointer[ConvergenceReport]
+}
+
+// Offer keeps r when it is harder than the held report. A nil r is
+// ignored. Reports are never mutated once offered.
+func (h *HardestReport) Offer(r *ConvergenceReport) {
+	if h == nil || r == nil {
+		return
+	}
+	for {
+		cur := h.p.Load()
+		if cur != nil && !harder(r, cur) {
+			return
+		}
+		if h.p.CompareAndSwap(cur, r) {
+			return
+		}
+	}
+}
+
+// Load returns the held report, or nil when nothing was offered.
+func (h *HardestReport) Load() *ConvergenceReport {
+	if h == nil {
+		return nil
+	}
+	return h.p.Load()
+}
+
+// processHealth is the process's record: the hardest report of every
+// probed solve this process ran, failed ones included. The run manifest
+// carries it.
+var processHealth HardestReport
+
+// RecordSolverHealth offers one probed solve's report to the process
+// record. Called by the sparse convergence probe once per solve.
+func RecordSolverHealth(r *ConvergenceReport) { processHealth.Offer(r) }
+
+// SolverHealth returns the process record: the report of the hardest
+// probed solve so far, or nil when no solve has been probed.
+func SolverHealth() *ConvergenceReport { return processHealth.Load() }

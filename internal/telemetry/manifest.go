@@ -73,6 +73,11 @@ type Manifest struct {
 	// when the metric registry recorded anything.
 	Metrics json.RawMessage `json:"metrics,omitempty"`
 
+	// Convergence is the process's convergence record: the report of the
+	// run's hardest probed solve (see SolverHealth), absent when the run
+	// made no PCG solve.
+	Convergence *ConvergenceReport `json:"convergence,omitempty"`
+
 	// Output artifacts with content hashes.
 	Outputs []ManifestOutput `json:"outputs"`
 
@@ -251,7 +256,7 @@ func hashFile(path string) (string, int64, error) {
 }
 
 // finalize fills the write-time fields: flag values, wall clock, metrics
-// snapshot, and the hashes of all registered outputs.
+// snapshot, convergence record, and the hashes of all registered outputs.
 func (m *Manifest) finalize() {
 	m.ReleaseStdout()
 	m.WallSeconds = time.Since(m.start).Seconds()
@@ -265,6 +270,7 @@ func (m *Manifest) finalize() {
 			m.Metrics = json.RawMessage(buf.Bytes())
 		}
 	}
+	m.Convergence = SolverHealth()
 	for _, name := range m.fileOrder {
 		path := m.filePaths[name]
 		out := ManifestOutput{Name: name, Path: path}

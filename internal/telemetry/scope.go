@@ -9,14 +9,17 @@ import (
 // Scope is per-request (per-job) telemetry: its own enabled Registry layered
 // over the process registry — every instrument write lands in the job scope
 // AND in a same-named process-global aggregate — plus a bounded exemplar
-// store linking extreme observations back to (trace ID, span ID) evidence.
+// store linking extreme observations back to (trace ID, span ID) evidence,
+// and the job's convergence record: the report of its hardest probed
+// solve.
 //
 // A nil *Scope is a valid no-op receiver everywhere, so instrumented code
 // can call ScopeFrom(ctx) once and use the result unconditionally.
 type Scope struct {
-	tc  TraceContext
-	reg *Registry
-	ex  *ExemplarStore
+	tc     TraceContext
+	reg    *Registry
+	ex     *ExemplarStore
+	health HardestReport
 }
 
 // scopeExemplarCap bounds the per-metric exemplar list in one job scope.
@@ -49,9 +52,6 @@ func (s *Scope) Registry() *Registry {
 // Counter returns the scope's named counter (nil-safe).
 func (s *Scope) Counter(name string) *Counter { return s.Registry().Counter(name) }
 
-// Gauge returns the scope's named gauge (nil-safe).
-func (s *Scope) Gauge(name string) *Gauge { return s.Registry().Gauge(name) }
-
 // Histogram returns the scope's named histogram (nil-safe).
 func (s *Scope) Histogram(name string) *Histogram { return s.Registry().Histogram(name) }
 
@@ -61,6 +61,15 @@ func (s *Scope) Exemplars() *ExemplarStore {
 		return nil
 	}
 	return s.ex
+}
+
+// Health returns the scope's convergence record (nil for a nil scope —
+// still a valid holder that ignores offers and loads nil).
+func (s *Scope) Health() *HardestReport {
+	if s == nil {
+		return nil
+	}
+	return &s.health
 }
 
 // RecordExemplar stores e in the scope (top-K by value per metric). Empty
@@ -95,28 +104,16 @@ func ScopeFrom(ctx context.Context) *Scope {
 
 // Exemplar links one extreme observation (a slow solve, a long queue wait)
 // to the exact trace span that produced it, with enough solver evidence
-// attached to diagnose it without re-running: iteration count, final
-// residual, and — for an iterative solve — its residual timeline, copied
-// with its dropped count from that solve's ConvergenceReport.
+// attached to diagnose it without re-running: iteration count and final
+// residual. The convergence detail of the job's hardest probed solve is
+// the scope's Health record, not an exemplar's.
 type Exemplar struct {
-	Metric           string    `json:"metric"`
-	Value            float64   `json:"value"`
-	TraceID          string    `json:"trace_id,omitempty"`
-	SpanID           string    `json:"span_id,omitempty"`
-	Iterations       int       `json:"iterations,omitempty"`
-	Residual         float64   `json:"residual,omitempty"`
-	Residuals        []float64 `json:"residuals,omitempty"`
-	ResidualsDropped int       `json:"residuals_dropped,omitempty"`
-}
-
-// ResidualIteration returns the solver step of Residuals[i]. The head of
-// the ring holds steps 0…ResidualHeadLen−1; past it, the ResidualsDropped
-// elided steps shift the numbering.
-func (e Exemplar) ResidualIteration(i int) int {
-	if i < ResidualHeadLen {
-		return i
-	}
-	return i + e.ResidualsDropped
+	Metric     string  `json:"metric"`
+	Value      float64 `json:"value"`
+	TraceID    string  `json:"trace_id,omitempty"`
+	SpanID     string  `json:"span_id,omitempty"`
+	Iterations int     `json:"iterations,omitempty"`
+	Residual   float64 `json:"residual,omitempty"`
 }
 
 // ExemplarStore keeps, per metric, the top-K exemplars by Value. Safe for

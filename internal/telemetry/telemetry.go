@@ -437,10 +437,10 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for n, c := range r.counters {
-		out.Counters[n] = c.v.Load()
+		out.Counters[n] = c.Value()
 	}
 	for n, g := range r.gauges {
-		out.Gauges[n] = finite(math.Float64frombits(g.bits.Load()))
+		out.Gauges[n] = finite(g.Value())
 	}
 	for n, h := range r.hists {
 		out.Histograms[n] = h.snapshot()
@@ -480,12 +480,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, n := range sortedNames(r.counters) {
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, r.counters[n].v.Load()); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, r.counters[n].Value()); err != nil {
 			return err
 		}
 	}
 	for _, n := range sortedNames(r.gauges) {
-		v := finite(math.Float64frombits(r.gauges[n].bits.Load()))
+		v := finite(r.gauges[n].Value())
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", n, n, v); err != nil {
 			return err
 		}

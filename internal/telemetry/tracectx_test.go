@@ -248,28 +248,3 @@ func BenchmarkParseTraceparent(b *testing.B) {
 		}
 	}
 }
-
-// TestExemplarResidualIteration numbers a residual timeline by solver
-// step: verbatim when nothing was dropped, and past the ring's head
-// shifted by the dropped count when the middle was elided.
-func TestExemplarResidualIteration(t *testing.T) {
-	full := Exemplar{Residuals: make([]float64, 203)}
-	for i := range full.Residuals {
-		if got := full.ResidualIteration(i); got != i {
-			t.Fatalf("nothing dropped: entry %d numbered %d", i, got)
-		}
-	}
-	const dropped = 700
-	ring := Exemplar{Residuals: make([]float64, 288), ResidualsDropped: dropped}
-	for i, want := range map[int]int{
-		0:                   0,
-		ResidualHeadLen - 1: ResidualHeadLen - 1,
-		ResidualHeadLen:     ResidualHeadLen + dropped,
-		143:                 143 + dropped,
-		287:                 287 + dropped,
-	} {
-		if got := ring.ResidualIteration(i); got != want {
-			t.Errorf("middle dropped: entry %d numbered %d, want %d", i, got, want)
-		}
-	}
-}

@@ -62,9 +62,6 @@ const (
 // CelsiusToKelvin converts a temperature in degrees Celsius to kelvin.
 func CelsiusToKelvin(c float64) float64 { return c + ZeroCelsius }
 
-// KelvinToCelsius converts a temperature in kelvin to degrees Celsius.
-func KelvinToCelsius(k float64) float64 { return k - ZeroCelsius }
-
 // ApproxEqual reports whether a and b are equal within both an absolute
 // tolerance absTol and a relative tolerance relTol (relative to the larger
 // magnitude). Either tolerance alone is sufficient.
@@ -100,18 +97,3 @@ func Clamp(x, lo, hi float64) float64 {
 
 // Lerp linearly interpolates between a (t=0) and b (t=1).
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// ParallelR returns the equivalent resistance of n identical resistors of
-// value r in parallel. n must be >= 1.
-func ParallelR(r float64, n int) float64 {
-	if n < 1 {
-		panic("units: ParallelR requires n >= 1")
-	}
-	return r / float64(n)
-}
-
-// Percent converts a fraction (0..1) to percent.
-func Percent(frac float64) float64 { return frac * 100 }
-
-// Fraction converts a percentage to a fraction (0..1).
-func Fraction(pct float64) float64 { return pct / 100 }

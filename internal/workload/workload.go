@@ -16,7 +16,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -143,16 +142,6 @@ func DefaultSuite(seed int64) Suite {
 		out[i] = a.Sample(SamplesPerApp, seed)
 	}
 	return out
-}
-
-// ByName returns the population for the named application.
-func (s Suite) ByName(name string) (Samples, error) {
-	for _, p := range s {
-		if p.App.Name == name {
-			return p, nil
-		}
-	}
-	return Samples{}, fmt.Errorf("workload: unknown application %q", name)
 }
 
 // AverageMaxImbalance returns the mean over applications of each

@@ -176,17 +176,6 @@ func TestMaxImbalanceConsistentWithDesign(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	suite := DefaultSuite(1)
-	p, err := suite.ByName("ferret")
-	if err != nil || p.App.Name != "ferret" {
-		t.Errorf("ByName failed: %v", err)
-	}
-	if _, err := suite.ByName("doom"); err == nil {
-		t.Error("unknown app should error")
-	}
-}
-
 func TestSuiteSize(t *testing.T) {
 	suite := DefaultSuite(1)
 	if len(suite) != 13 {
