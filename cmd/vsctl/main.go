@@ -335,7 +335,14 @@ func cmdHealth(ctx context.Context, c *server.Client, id string) error {
 	h := st.Convergence
 	switch {
 	case solves == 0:
-		fmt.Fprintf(w, "health\tno PDN solves are attributed to this job (experiment and EM Monte Carlo jobs run Study drivers that take no context)\n")
+		why := "its experiments solve no PDN, as table1 and fig7 do"
+		switch {
+		case st.CacheHit:
+			why = "it was served from the result cache"
+		case st.Kind == server.KindSweep:
+			why = "all its design points were replayed"
+		}
+		fmt.Fprintf(w, "health\tno PDN solve ran for this job (%s)\n", why)
 		return w.Flush()
 	case h == nil:
 		fmt.Fprintf(w, "health\tno probed solves recorded (every solve of this job was direct; only PCG solves report convergence)\n")

@@ -75,7 +75,7 @@ func (s *Study) ExtDecapSplit(steps int) (*ExtDecapSplitResult, error) {
 		if err != nil {
 			return DecapSplitRow{}, err
 		}
-		dc, err := solveInterleaved(run.pdn, imbalance)
+		dc, err := s.solveInterleaved(run.pdn, imbalance)
 		if err != nil {
 			return DecapSplitRow{}, err
 		}

@@ -64,13 +64,13 @@ func (s *Study) ExtDVFS() (*ExtDVFSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rImb, err := solveInterleaved(lean, imbalance)
+	rImb, err := s.solveInterleaved(lean, imbalance)
 	if err != nil {
 		return nil, err
 	}
 	res.ImbalancedIRPct = 100 * rImb.MaxIRDropFrac
 	// Balanced: every layer at the slow level.
-	rBal, err := lean.Solve(pdngrid.UniformActivities(s.MaxLayers, s.Chip.NumCores(), 1-imbalance))
+	rBal, err := s.solve(lean, pdngrid.UniformActivities(s.MaxLayers, s.Chip.NumCores(), 1-imbalance))
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +81,7 @@ func (s *Study) ExtDVFS() (*ExtDVFSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rRich, err := solveInterleaved(rich, imbalance)
+	rRich, err := s.solveInterleaved(rich, imbalance)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func (s *Study) ExtEMMonteCarlo(ctx context.Context, trials int) (*ExtEMMonteCar
 	if err != nil {
 		return nil, err
 	}
-	r, err := solveUniform(p)
+	r, err := s.solveUniform(p)
 	if err != nil {
 		return nil, err
 	}

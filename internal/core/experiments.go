@@ -259,7 +259,7 @@ func (s *Study) VSSweep(convPerCore int, imbalances []float64) ([]VSSweepPoint, 
 			if err != nil {
 				return VSSweepPoint{}, err
 			}
-			r, err := solveInterleaved(p, imb)
+			r, err := s.solveInterleaved(p, imb)
 			if err != nil {
 				return VSSweepPoint{}, err
 			}

@@ -190,7 +190,7 @@ func (s *Study) ExtScheduling() (*ExtSchedulingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := p.Solve(a.Activities())
+		r, err := s.solve(p, a.Activities())
 		if err != nil {
 			return nil, err
 		}

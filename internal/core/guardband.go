@@ -51,7 +51,7 @@ func (s *Study) ExtGuardband() (*ExtGuardbandResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rr, err := solveUniform(reg) // the regular PDN's worst case
+	rr, err := s.solveUniform(reg) // the regular PDN's worst case
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func (s *Study) ExtGuardband() (*ExtGuardbandResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rv, err := solveInterleaved(vs, imbalance)
+	rv, err := s.solveInterleaved(vs, imbalance)
 	if err != nil {
 		return nil, err
 	}

@@ -248,7 +248,7 @@ func CSVExperimentNames() []string {
 
 // RunExperiment runs one named experiment driver on s and returns its
 // rendered output — the exact bytes vsexplore prints for it. Each run
-// opens one core.<name> span (annotated with s.Trace) and task, and
+// opens one core.<name> span (annotated with the trace of s.Scope), and
 // counts once in core_experiments_total.
 func RunExperiment(s *Study, name string, csv bool) (string, error) {
 	runners := textRunners
@@ -262,7 +262,7 @@ func RunExperiment(s *Study, name string, csv bool) (string, error) {
 		}
 		return "", fmt.Errorf("core: unknown experiment %q", name)
 	}
-	sp := telemetry.StartSpanTrace("core."+name, s.Trace)
+	sp := telemetry.StartSpanTrace("core."+name, s.Scope.Trace())
 	t0 := telemetry.Now()
 	defer func() {
 		mExperiments.Add(1)

@@ -90,7 +90,7 @@ func (s *Study) ExtScaling() (*ExtScalingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rr, err := solveUniform(reg)
+		rr, err := s.solveUniform(reg)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +107,7 @@ func (s *Study) ExtScaling() (*ExtScalingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rv, err := solveUniform(vs)
+		rv, err := s.solveUniform(vs)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,7 @@ func (s *Study) tsvLifeAt(kind pdngrid.Kind, layers int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r, err := solveUniform(p)
+	r, err := s.solveUniform(p)
 	if err != nil {
 		return 0, err
 	}

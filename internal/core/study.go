@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -41,11 +42,12 @@ type Study struct {
 	// same values for every worker count.
 	Workers int
 
-	// Trace, when valid, annotates each experiment driver's trace span
-	// with the request's W3C trace context, so a served job's driver spans
-	// join the submitter's trace. The zero value (the default) leaves the
-	// spans unannotated; results are identical either way.
-	Trace telemetry.TraceContext
+	// Scope, when set, is a served job's telemetry scope: every PDN solve
+	// of the drivers counts in it and offers its convergence report to the
+	// job's record, and the experiment and solve spans join the scope's
+	// trace. Nil (the default) attributes nothing; results are identical
+	// either way.
+	Scope *telemetry.Scope
 
 	// memo holds the small records derived from PDN solves, so that each
 	// distinct point is solved once per study (see memo).
@@ -183,7 +185,7 @@ func (s *Study) uniformPoint(cfg pdngrid.Config, tag string, in any, derive func
 		if err != nil {
 			return 0, err
 		}
-		r, err := solveUniform(p)
+		r, err := s.solveUniform(p)
 		if err != nil {
 			return 0, err
 		}
@@ -263,15 +265,25 @@ func (s *Study) Workloads() workload.Suite {
 	return workload.DefaultSuite(s.Seed)
 }
 
+// solve runs one PDN solve, attributed to the study's job scope when it
+// has one.
+func (s *Study) solve(p *pdngrid.PDN, acts [][]float64) (*pdngrid.Result, error) {
+	ctx := context.Background()
+	if s.Scope != nil {
+		ctx = telemetry.WithScope(ctx, s.Scope)
+	}
+	return p.SolveContext(ctx, acts)
+}
+
 // solveUniform runs a scenario with every layer fully active (the regular
 // PDN's worst case and the EM-study operating point).
-func solveUniform(p *pdngrid.PDN) (*pdngrid.Result, error) {
-	return p.Solve(pdngrid.UniformActivities(p.Cfg.Layers, p.Cfg.Chip.NumCores(), 1))
+func (s *Study) solveUniform(p *pdngrid.PDN) (*pdngrid.Result, error) {
+	return s.solve(p, pdngrid.UniformActivities(p.Cfg.Layers, p.Cfg.Chip.NumCores(), 1))
 }
 
 // solveInterleaved runs a scenario with the Fig. 6 high/low layer pattern.
-func solveInterleaved(p *pdngrid.PDN, imbalance float64) (*pdngrid.Result, error) {
-	return p.Solve(pdngrid.InterleavedActivities(p.Cfg.Layers, p.Cfg.Chip.NumCores(), imbalance))
+func (s *Study) solveInterleaved(p *pdngrid.PDN, imbalance float64) (*pdngrid.Result, error) {
+	return s.solve(p, pdngrid.InterleavedActivities(p.Cfg.Layers, p.Cfg.Chip.NumCores(), imbalance))
 }
 
 // scanLayers is the layer-count axis of Fig. 5.

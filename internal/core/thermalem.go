@@ -85,7 +85,7 @@ func (s *Study) ExtThermalEM() (*ExtThermalEMResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		r, err := solveUniform(p)
+		r, err := s.solveUniform(p)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -52,7 +52,7 @@ func (s *Study) ExtTraceNoise(steps int) (*ExtTraceNoiseResult, error) {
 	res := &ExtTraceNoiseResult{Steps: steps}
 	droops := make([]float64, 0, steps)
 	for _, acts := range traces {
-		r, err := p.Solve(acts)
+		r, err := s.solve(p, acts)
 		if err != nil {
 			return nil, err
 		}

@@ -5,20 +5,17 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"voltstack/internal/parallel"
 	"voltstack/internal/telemetry"
 )
 
-// Monte Carlo instrumentation: trial counts and throughput (trials/sec)
-// size the sampling budget against wall-clock. No-ops unless telemetry is
-// enabled.
+// Monte Carlo instrumentation: trial counts and run times size the
+// sampling budget against wall-clock. No-ops unless telemetry is enabled.
 var (
 	mMCRuns       = telemetry.NewCounter("em_mc_runs_total")
 	mMCTrials     = telemetry.NewCounter("em_mc_trials_total")
 	mMCRunSeconds = telemetry.NewHistogram("em_mc_run_seconds")
-	mMCRate       = telemetry.NewGauge("em_mc_trials_per_second")
 )
 
 // SimulateMedianLifetime estimates the group's expected EM-damage-free
@@ -88,11 +85,6 @@ func (g *Group) simulate(ctx context.Context, trials int, seed int64, workers in
 	mMCRuns.Add(1)
 	mMCTrials.Add(int64(trials))
 	mMCRunSeconds.Since(t0)
-	if !t0.IsZero() {
-		if dt := time.Since(t0).Seconds(); dt > 0 {
-			mMCRate.Set(float64(trials) / dt)
-		}
-	}
 	sort.Float64s(minima)
 	mid := len(minima) / 2
 	med := minima[mid]

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"voltstack/internal/em"
 	"voltstack/internal/parallel"
@@ -21,12 +20,11 @@ import (
 	"voltstack/internal/units"
 )
 
-// Sweep instrumentation: design points evaluated and sweep throughput.
+// Sweep instrumentation: design points evaluated and the time each took.
 // No-ops unless telemetry is enabled.
 var (
 	mPoints      = telemetry.NewCounter("explore_points_total")
 	mEvalSeconds = telemetry.NewHistogram("explore_eval_seconds")
-	mSweepRate   = telemetry.NewGauge("explore_points_per_second")
 )
 
 // Design is one point in the PDN design space.
@@ -245,7 +243,6 @@ func (s Space) Run(ctx context.Context) (*Result, error) {
 	defer sp.End()
 	scope := telemetry.ScopeFrom(ctx)
 	designs := s.Designs()
-	tRun := telemetry.Now()
 	prog := telemetry.NewProgress("explore", len(designs))
 	pool := parallel.NewPool(s.Workers)
 	metrics, err := parallel.Map(ctx, pool, designs, func(i int, d Design) (*Metrics, error) {
@@ -258,20 +255,13 @@ func (s Space) Run(ctx context.Context) (*Result, error) {
 			return m, nil
 		}
 		t0 := telemetry.Now()
-		var tJob time.Time
-		if scope != nil {
-			tJob = time.Now()
-		}
 		m, err := s.Evaluate(ctx, d)
 		if err != nil {
 			return nil, fmt.Errorf("explore: %s: %v", d.Name(), err)
 		}
 		mPoints.Add(1)
 		mEvalSeconds.Since(t0)
-		if scope != nil {
-			scope.Counter("job_points_total").Add(1)
-			scope.Histogram("job_point_seconds").Observe(time.Since(tJob).Seconds())
-		}
+		scope.Counter("job_points_total").Add(1)
 		prog.Add(1)
 		if s.OnPoint != nil {
 			s.OnPoint(i, m)
@@ -282,11 +272,6 @@ func (s Space) Run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	prog.Finish()
-	if !tRun.IsZero() {
-		if dt := time.Since(tRun).Seconds(); dt > 0 {
-			mSweepRate.Set(float64(len(designs)) / dt)
-		}
-	}
 	res := &Result{}
 	var maxTSV, maxC4 float64
 	for _, m := range metrics {

@@ -32,7 +32,6 @@ var (
 	mTaskSeconds = telemetry.NewHistogram("parallel_task_seconds")
 	mQueueWait   = telemetry.NewHistogram("parallel_queue_wait_seconds")
 	mOccupancy   = telemetry.NewHistogram("parallel_batch_occupancy")
-	mLastOccup   = telemetry.NewGauge("parallel_last_occupancy")
 )
 
 // batchStats accumulates one ForEachN invocation's busy time.
@@ -76,7 +75,6 @@ func (b *batchStats) finish(workers int) {
 	}
 	occ := float64(b.busy.Load()) / float64(time.Second) / (wall * float64(workers))
 	mOccupancy.Observe(occ)
-	mLastOccup.Set(occ)
 }
 
 // EnvWorkers is the environment variable that overrides the default

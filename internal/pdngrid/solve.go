@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"voltstack/internal/circuit"
 	"voltstack/internal/sc"
@@ -126,27 +125,6 @@ func (p *PDN) Solve(activities [][]float64) (*Result, error) {
 // trace or scope attached. Converters run open loop at their configured
 // switching frequency, so every solve is one linear solve.
 func (p *PDN) SolveContext(ctx context.Context, activities [][]float64) (*Result, error) {
-	s, err := p.solve(ctx, activities)
-	if err != nil {
-		return nil, err
-	}
-	if scope := telemetry.ScopeFrom(ctx); scope != nil {
-		recordJobSolves(scope, s.sp, s.secs, s.sol)
-	}
-	return s.res, nil
-}
-
-// solved is one finished PDN solve plus what its job-scope attribution
-// needs.
-type solved struct {
-	res  *Result
-	sol  *circuit.Solution
-	sp   *telemetry.Span // the linear-solve span
-	secs float64         // linear-solve wall time, measured under a job scope only
-}
-
-// solve rasterizes one activity matrix and solves it on the PDN's engine.
-func (p *PDN) solve(ctx context.Context, activities [][]float64) (*solved, error) {
 	loads, err := p.rasterizeLoads(activities)
 	if err != nil {
 		return nil, err
@@ -160,11 +138,6 @@ func (p *PDN) solve(ctx context.Context, activities [][]float64) (*solved, error
 	}
 
 	spS := sp.Start("linear-solve")
-	var tJob time.Time
-	scoped := telemetry.ScopeFrom(ctx) != nil
-	if scoped {
-		tJob = time.Now()
-	}
 	tS := telemetry.Now()
 	sol, err := eng.prep.Solve(loads, spS)
 	mSolveSeconds.Since(tS)
@@ -174,36 +147,23 @@ func (p *PDN) solve(ctx context.Context, activities [][]float64) (*solved, error
 	}
 	mSolves.Add(1)
 	mNodesHist.Observe(float64(eng.asm.net.NumNodes()))
-	s := &solved{res: p.extractResult(eng.asm, sol), sol: sol, sp: spS}
-	if scoped {
-		s.secs = time.Since(tJob).Seconds()
+	if scope := telemetry.ScopeFrom(ctx); scope != nil {
+		recordJobSolve(scope, sol)
 	}
-	return s, nil
+	return p.extractResult(eng.asm, sol), nil
 }
 
-// recordJobSolves attributes one linear solve to the job scope: per-job
-// counters, the latency histogram, one exemplar keyed to the solve's trace
-// span, and an offer of the solve's convergence report to the job's
+// recordJobSolve attributes one linear solve to the job scope: the per-job
+// counters, and an offer of the solve's convergence report to the job's
 // record, which keeps the hardest probed solve's report. A direct solve
 // carries no report.
-func recordJobSolves(scope *telemetry.Scope, sp *telemetry.Span, secs float64, sol *circuit.Solution) {
+func recordJobSolve(scope *telemetry.Scope, sol *circuit.Solution) {
 	scope.Counter("job_pdn_solves_total").Add(1)
 	scope.Counter("job_solver_iterations_total").Add(int64(sol.Iterations))
-	scope.Histogram("job_linear_solve_seconds").Observe(secs)
 	if sol.Health != nil {
 		scope.Counter("job_health_reports_total").Add(1)
 		scope.Health().Offer(sol.Health)
 	}
-	ex := telemetry.Exemplar{
-		Metric:     "job_linear_solve_seconds",
-		Value:      secs,
-		Iterations: sol.Iterations,
-		Residual:   sol.Residual,
-	}
-	if tc := sp.TraceContext(); tc.Valid() {
-		ex.TraceID, ex.SpanID = tc.TraceIDString(), tc.SpanIDString()
-	}
-	scope.RecordExemplar(ex)
 }
 
 // rasterizeLoads converts per-layer, per-core activity factors into the

@@ -114,9 +114,8 @@ func TestNDMatchesTightPCG(t *testing.T) {
 
 // TestBatchJobAttribution: each entry of a 2-entry batch on a PDN above
 // the direct edge (so Auto picks AMG-PCG) is its own solve in the job
-// scope. Every field of an exemplar belongs to one solve, and the scope's
-// convergence record is the whole report of an entry with the most
-// iterations.
+// scope, and the scope's convergence record is the whole report of an
+// entry with the most iterations.
 func TestBatchJobAttribution(t *testing.T) {
 	cfg := vsCfg(8, 4)
 	cfg.Params.GridNx, cfg.Params.GridNy = 24, 24
@@ -136,9 +135,6 @@ func TestBatchJobAttribution(t *testing.T) {
 	if got := scope.Counter("job_health_reports_total").Value(); got != 2 {
 		t.Errorf("job_health_reports_total = %d, want 2 (both entries probed)", got)
 	}
-	if got := scope.Histogram("job_linear_solve_seconds").Count(); got != 2 {
-		t.Errorf("job_linear_solve_seconds has %d observations, want 2", got)
-	}
 	rec := scope.Health().Load()
 	if rec == nil || rec.Iterations != max(out[0].SolverIterations, out[1].SolverIterations) {
 		t.Fatalf("scope record = %+v, want the iterations of the entry with the most (%d, %d)",
@@ -150,23 +146,5 @@ func TestBatchJobAttribution(t *testing.T) {
 	}
 	if len(rec.Residuals) == 0 || rec.ResidualIteration(len(rec.Residuals)-1) != rec.Iterations {
 		t.Errorf("record's residual curve does not end at its own %d iterations", rec.Iterations)
-	}
-	exs := scope.Exemplars().Snapshot()
-	if len(exs) != 2 {
-		t.Fatalf("got %d exemplars, want one per entry", len(exs))
-	}
-	seen := map[int]bool{}
-	for _, ex := range exs {
-		i := 0
-		if ex.Residual == out[1].SolverResidual {
-			i = 1
-		}
-		if seen[i] || ex.Residual != out[i].SolverResidual {
-			t.Fatalf("exemplar residual %g matches no unclaimed entry", ex.Residual)
-		}
-		seen[i] = true
-		if ex.Iterations != out[i].SolverIterations || ex.Iterations == 0 {
-			t.Errorf("entry %d exemplar iterations = %d, want %d > 0", i, ex.Iterations, out[i].SolverIterations)
-		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"voltstack/internal/parallel"
-	"voltstack/internal/telemetry"
 )
 
 // SolveBatch solves the PDN once per activity matrix in the batch and
@@ -25,31 +24,17 @@ func (p *PDN) SolveBatch(batch [][][]float64) ([]*Result, error) {
 // job-scope propagation (see SolveContext).
 //
 // The entries run concurrently on a pool of parallel.DefaultWorkers, each
-// one an ordinary solve on the PDN's engine, so each Result is
-// bit-identical to a serial Solve of its entry for any worker count. The
-// job scope attributes every entry as its own solve, in entry order, once
-// all have finished. On failure the lowest-index failed entry's error is
-// returned.
+// one an ordinary SolveContext on the PDN's engine, so each Result is
+// bit-identical to a serial Solve of its entry for any worker count, and
+// the job scope attributes every entry as its own solve as it finishes.
+// On failure the lowest-index failed entry's error is returned; the
+// entries that did solve stay attributed.
 func (p *PDN) SolveBatchContext(ctx context.Context, batch [][][]float64) ([]*Result, error) {
-	done := make([]*solved, len(batch))
-	err := parallel.NewPool(0).ForEachN(ctx, len(batch), func(i int) error {
-		s, err := p.solve(ctx, batch[i])
+	return parallel.Map(ctx, parallel.NewPool(0), batch, func(i int, acts [][]float64) (*Result, error) {
+		r, err := p.SolveContext(ctx, acts)
 		if err != nil {
-			return fmt.Errorf("pdngrid: batch entry %d: %w", i, err)
+			return nil, fmt.Errorf("pdngrid: batch entry %d: %w", i, err)
 		}
-		done[i] = s
-		return nil
+		return r, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(batch))
-	scope := telemetry.ScopeFrom(ctx)
-	for i, s := range done {
-		if scope != nil {
-			recordJobSolves(scope, s.sp, s.secs, s.sol)
-		}
-		out[i] = s.res
-	}
-	return out, nil
 }

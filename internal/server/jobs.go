@@ -101,9 +101,9 @@ type Job struct {
 	// Request tracing and per-job attribution. trace is minted at Submit
 	// when the caller sent no (or an invalid) traceparent; queueSpan
 	// covers Submit→run on the process tracer; scope is the job's own
-	// telemetry registry + exemplar store, layered over the process
-	// registry; stats holds the frozen terminal stats document; cpu0 and
-	// alloc0 anchor the run's CPU/allocation deltas.
+	// telemetry registry, layered over the process registry, and its
+	// convergence record; stats holds the frozen terminal stats document;
+	// cpu0 and alloc0 anchor the run's CPU/allocation deltas.
 	trace     telemetry.TraceContext
 	queueSpan *telemetry.Span
 	scope     *telemetry.Scope
@@ -721,7 +721,7 @@ func (m *Manager) compute(ctx context.Context, j *Job) ([]byte, error) {
 // is honored between drivers.
 func (m *Manager) computeExperiments(ctx context.Context, j *Job) ([]byte, error) {
 	s := newStudy(j.req)
-	s.Trace = telemetry.TraceContextFrom(ctx)
+	s.Scope = telemetry.ScopeFrom(ctx)
 	var buf bytes.Buffer
 	for _, name := range j.req.Experiments {
 		if err := ctx.Err(); err != nil {
@@ -746,7 +746,7 @@ func (m *Manager) computeEMMC(ctx context.Context, j *Job) ([]byte, error) {
 		return nil, err
 	}
 	s := newStudy(j.req)
-	s.Trace = telemetry.TraceContextFrom(ctx)
+	s.Scope = telemetry.ScopeFrom(ctx)
 	r, err := s.ExtEMMonteCarlo(ctx, j.req.Trials)
 	if err != nil {
 		return nil, err

@@ -11,9 +11,8 @@ import (
 
 // JobStats is the per-job resource-attribution document served by
 // GET /v1/jobs/{id}/stats: wall/CPU time and allocations charged to the
-// job, queue wait, the job-scoped instrument registry (solver iterations,
-// point cache hits, …), the exemplars linking the job's slowest solves
-// back to (trace ID, span ID) evidence, and the job's convergence record.
+// job, queue wait, the job-scoped instrument registry (PDN solves, solver
+// iterations, point cache hits, …) and the job's convergence record.
 //
 // While the job runs the document is a live snapshot (Final=false); once
 // the job reaches a terminal state the document is frozen, journaled next
@@ -40,8 +39,7 @@ type JobStats struct {
 	// with the same concurrency caveat as CPUSeconds.
 	AllocBytes uint64 `json:"alloc_bytes"`
 
-	Registry  telemetry.RegistrySnapshot `json:"registry"`
-	Exemplars []telemetry.Exemplar       `json:"exemplars,omitempty"`
+	Registry telemetry.RegistrySnapshot `json:"registry"`
 	// Convergence is the whole report of the job's hardest probed solve
 	// (most iterations, then largest condition estimate, then largest
 	// final residual); absent when no PCG solve was attributed to the job.
@@ -82,7 +80,6 @@ func (m *Manager) statsDoc(j *Job, final bool) JobStats {
 		doc.AllocBytes = allocSince(alloc0)
 	}
 	doc.Registry = scope.Registry().Snapshot()
-	doc.Exemplars = scope.Exemplars().Snapshot()
 	doc.Convergence = scope.Health().Load()
 	return doc
 }

@@ -253,3 +253,61 @@ func TestStatsConvergenceRecord(t *testing.T) {
 		t.Errorf("convergence records differ:\n%s\n%s", recs[0], recs[1])
 	}
 }
+
+// TestStudyJobsAttributeSolves: experiment and em-mc jobs run Study
+// drivers, and each of their PDN solves counts in the job's scope, offers
+// its report to the job's convergence record, and opens its span under
+// the job's trace.
+func TestStudyJobsAttributeSolves(t *testing.T) {
+	tr := telemetry.EnableTracing()
+	defer telemetry.DisableTracing()
+	mgr, err := NewManager(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	run := func(req JobRequest) (*Job, JobStats) {
+		t.Helper()
+		j, err := mgr.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if st := j.Status(); st.State != StateDone {
+			t.Fatalf("%s job: %s %s", req.Kind, st.State, st.Error)
+		}
+		b, err := mgr.Stats(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc JobStats
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return j, doc
+	}
+
+	j, doc := run(JobRequest{Kind: KindExperiment, Experiments: []string{"fig5a"}, Coarse: true})
+	c := doc.Registry.Counters
+	if c["job_pdn_solves_total"] != 16 || c["job_health_reports_total"] != 4 {
+		t.Errorf("fig5a job counted %d PDN solves, %d probed; want 16, 4",
+			c["job_pdn_solves_total"], c["job_health_reports_total"])
+	}
+	if doc.Convergence == nil || !doc.Convergence.Converged {
+		t.Errorf("fig5a job's convergence record = %+v, want a converged report", doc.Convergence)
+	}
+	spans := 0
+	for _, e := range tr.Events() {
+		if e.Name == "pdngrid.solve" && e.TraceID == j.Trace().TraceIDString() {
+			spans++
+		}
+	}
+	if spans != 16 {
+		t.Errorf("%d pdngrid.solve spans carry the fig5a job's trace ID, want 16", spans)
+	}
+
+	_, doc = run(JobRequest{Kind: KindEMMC, Trials: 50, Coarse: true})
+	if got := doc.Registry.Counters["job_pdn_solves_total"]; got != 1 || doc.Convergence == nil {
+		t.Errorf("em-mc job counted %d PDN solves with record %+v, want 1 with a record", got, doc.Convergence)
+	}
+}

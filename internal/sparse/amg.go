@@ -20,11 +20,8 @@ import (
 )
 
 var (
-	mAMGBuilds       = telemetry.NewCounter("sparse_amg_builds_total")
-	mAMGLevels       = telemetry.NewHistogram("sparse_amg_levels")
-	mAMGLastLevels   = telemetry.NewGauge("sparse_amg_last_levels")
-	mAMGLastCoarseN  = telemetry.NewGauge("sparse_amg_last_coarse_n")
-	mAMGOpComplexity = telemetry.NewGauge("sparse_amg_operator_complexity")
+	mAMGBuilds = telemetry.NewCounter("sparse_amg_builds_total")
+	mAMGLevels = telemetry.NewHistogram("sparse_amg_levels")
 )
 
 // Hierarchy and smoother constants; the V-cycle runs one smoothing sweep
@@ -96,12 +93,8 @@ func NewAMG(a *CSR) (*AMGPrec, error) {
 	}
 	p.coarse = f
 	p.allocScratch()
-	st := p.Stats()
 	mAMGBuilds.Add(1)
 	mAMGLevels.Observe(float64(len(p.ns)))
-	mAMGLastLevels.Set(float64(st.Levels))
-	mAMGLastCoarseN.Set(float64(st.CoarseN))
-	mAMGOpComplexity.Set(st.OperatorComplexity)
 	return p, nil
 }
 

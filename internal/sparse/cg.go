@@ -9,18 +9,17 @@ import (
 	"voltstack/internal/telemetry"
 )
 
-// Solver instrumentation: iteration counts and residuals are the
-// convergence-effort signal of the whole toolchain (every PDN solve funnels
-// through PCG on large meshes), so they are recorded whenever telemetry is
-// enabled. All handles are no-ops when it is not.
+// Solver instrumentation: iteration counts are the convergence-effort
+// signal of the whole toolchain (every PDN solve funnels through PCG on
+// large meshes), so they are recorded whenever telemetry is enabled. All
+// handles are no-ops when it is not.
 var (
-	mPCGSolves       = telemetry.NewCounter("sparse_pcg_solves_total")
-	mPCGIterations   = telemetry.NewCounter("sparse_pcg_iterations_total")
-	mPCGNoConverge   = telemetry.NewCounter("sparse_pcg_nonconverged_total")
-	mPCGIterHist     = telemetry.NewHistogram("sparse_pcg_iterations")
-	mPCGLastResidual = telemetry.NewGauge("sparse_pcg_last_residual")
-	mPrecondBuilds   = telemetry.NewCounter("sparse_precond_builds_total")
-	mPrecondSeconds  = telemetry.NewHistogram("sparse_precond_build_seconds")
+	mPCGSolves      = telemetry.NewCounter("sparse_pcg_solves_total")
+	mPCGIterations  = telemetry.NewCounter("sparse_pcg_iterations_total")
+	mPCGNoConverge  = telemetry.NewCounter("sparse_pcg_nonconverged_total")
+	mPCGIterHist    = telemetry.NewHistogram("sparse_pcg_iterations")
+	mPrecondBuilds  = telemetry.NewCounter("sparse_precond_builds_total")
+	mPrecondSeconds = telemetry.NewHistogram("sparse_precond_build_seconds")
 )
 
 // ErrNoConvergence is returned when an iterative solver fails to reach the
@@ -108,7 +107,6 @@ func PCG(a *CSR, b, x0 []float64, prec Preconditioner, tol float64, maxIter int,
 	mPCGSolves.Add(1)
 	mPCGIterations.Add(int64(res.Iterations))
 	mPCGIterHist.Observe(float64(res.Iterations))
-	mPCGLastResidual.Set(res.Residual)
 	if errors.Is(err, ErrNoConvergence) {
 		mPCGNoConverge.Add(1)
 	}

@@ -137,15 +137,6 @@ func (s *Span) Start(name string) *Span {
 	return child
 }
 
-// TraceContext returns the span's own trace identity (zero for a nil or
-// unannotated span). Use it to key exemplars to the exact span.
-func (s *Span) TraceContext() TraceContext {
-	if s == nil {
-		return TraceContext{}
-	}
-	return s.tc
-}
-
 // End closes the span and records it. Nil-safe and idempotent.
 func (s *Span) End() {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {

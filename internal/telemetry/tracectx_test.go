@@ -178,19 +178,12 @@ func TestScopeLayering(t *testing.T) {
 		t.Error("histogram write did not propagate to the process registry")
 	}
 
-	// Exemplars inherit the scope's trace identity.
-	scope.RecordExemplar(Exemplar{Metric: hname, Value: 0.25, Iterations: 7})
-	exs := scope.Exemplars().Snapshot()
-	if len(exs) != 1 || exs[0].TraceID != tc.TraceIDString() || exs[0].Iterations != 7 {
-		t.Fatalf("scope exemplar = %+v", exs)
-	}
-
 	// Nil scope: every path is a no-op.
 	var ns *Scope
 	ns.Counter(name).Add(1)
 	ns.Histogram(hname).Observe(1)
-	ns.RecordExemplar(Exemplar{Metric: "x", Value: 1})
-	if ns.Registry() != nil || ns.Exemplars() != nil || ns.Trace().Valid() {
+	ns.Health().Offer(&ConvergenceReport{Iterations: 7})
+	if ns.Registry() != nil || ns.Health().Load() != nil || ns.Trace().Valid() {
 		t.Error("nil scope leaked state")
 	}
 }
