@@ -3,7 +3,6 @@ package em
 import (
 	"context"
 	"math"
-	"math/rand"
 	"sort"
 
 	"voltstack/internal/parallel"
@@ -145,15 +144,25 @@ func (g *Group) trialMinimum(seed, tr int64, floor float64) float64 {
 // trialPass runs trial tr, evaluating the products of the conductors whose
 // key is within slack of the reference key, and returns the smallest
 // product evaluated and the last reference key (+Inf if none was set).
+//
+// Each Z is rand.New(stream).NormFloat64(), drawn here without the Rand:
+// the ziggurat's fast path (ziggurat.go) is written into the loop on the
+// stream's Uint64, and the draws that miss it finish in normalMiss.
 func (g *Group) trialPass(seed, tr int64, slack float64) (first, ref float64) {
-	rng := rand.New(newTrialSource(seed, tr))
+	src := newTrialSource(seed, tr)
 	first, ref = math.Inf(1), math.Inf(1)
 	cut := math.Inf(1)
 	for _, r := range g.runs {
 		for k := 0; k < r.n; k++ {
+			j := int32(src.Uint64() >> 32)
+			i := j & 0x7F
+			z := float64(j) * float64(wn[i])
+			if absInt32(j) >= kn[i] {
+				z = src.normalMiss(j)
+			}
 			// The conversion keeps σZ rounded exactly as exp receives it
 			// (no fused multiply-add into the key).
-			a := float64(g.sigma * rng.NormFloat64())
+			a := float64(g.sigma * z)
 			key := r.logT50 + a
 			if key > cut {
 				continue
@@ -170,20 +179,20 @@ func (g *Group) trialPass(seed, tr int64, slack float64) (first, ref float64) {
 }
 
 // splitmix is a SplitMix64 generator (Steele et al., "Fast splittable
-// pseudorandom number generators"). One instance per Monte Carlo trial
-// gives each trial an independent, cheaply-constructed stream: unlike
+// pseudorandom number generators"). One value per Monte Carlo trial gives
+// each trial an independent, cheaply-constructed stream: unlike
 // rand.NewSource there is no expensive seeding step, so deriving one
-// source per trial costs a few arithmetic ops.
+// stream per trial costs a few arithmetic ops and no allocation.
 type splitmix struct{ state uint64 }
 
 // newTrialSource derives the stream for one (seed, trial) pair. Both
 // inputs are finalizer-hashed so adjacent seeds and adjacent trials land
 // at unrelated points of the SplitMix64 cycle (a plain seed+trial start
 // would make trial t+1 an offset-by-one replay of trial t).
-func newTrialSource(seed, trial int64) *splitmix {
+func newTrialSource(seed, trial int64) splitmix {
 	z := mix64(uint64(seed))
 	z = mix64(z ^ mix64(uint64(trial)+0x9e3779b97f4a7c15))
-	return &splitmix{state: z}
+	return splitmix{state: z}
 }
 
 // mix64 is the SplitMix64 output finalizer, a strong 64-bit bijection.
@@ -197,8 +206,3 @@ func (s *splitmix) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
 	return mix64(s.state)
 }
-
-func (s *splitmix) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// Seed is a no-op: a trial stream is fixed at construction.
-func (s *splitmix) Seed(int64) {}

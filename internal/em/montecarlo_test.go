@@ -3,6 +3,7 @@ package em
 import (
 	"context"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -206,4 +207,47 @@ func TestMonteCarloTrialMinimaPlausible(t *testing.T) {
 				c.name, worst, math.Log(med/worst)/sigma, med)
 		}
 	}
+}
+
+// TestTrialAllocatesNothing pins a trial's stream to a value: a trial
+// derives its stream and draws every normal without allocating.
+func TestTrialAllocatesNothing(t *testing.T) {
+	g := NewGroup(0.4)
+	for i := 0; i < 1000; i++ {
+		g.AddT50(500 + float64(i))
+	}
+	floor := g.fastFloor()
+	tr := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		g.trialMinimum(1, tr, floor)
+		tr++
+	})
+	if allocs != 0 {
+		t.Errorf("a trial over %d conductors allocates %v times, want 0", g.Len(), allocs)
+	}
+}
+
+var sinkMinimum float64
+
+// BenchmarkTrialMinimum times one Monte Carlo trial on the shape of the
+// 32×32 regular Few-TSV group that emlife and the em-mc benchmark
+// simulate: 12,320 conductors at σ = 0.4, one per run, so a trial costs a
+// normal draw and a key per conductor. It reports ns per conductor.
+func BenchmarkTrialMinimum(b *testing.B) {
+	const conductors = 12320
+	rng := rand.New(rand.NewSource(5))
+	g := NewGroup(0.4)
+	for g.Len() < conductors {
+		g.AddT50(1e11 * math.Exp(rng.NormFloat64()))
+	}
+	if len(g.runs) != conductors {
+		b.Fatalf("%d runs, want one per conductor", len(g.runs))
+	}
+	floor := g.fastFloor()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkMinimum = g.trialMinimum(1, int64(i), floor)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/conductors, "ns/conductor")
 }
