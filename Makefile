@@ -92,8 +92,8 @@ profile: build
 	@echo "wrote vsexplore.prof and emlife.prof; inspect with: $(GO) tool pprof ./bin/vsexplore vsexplore.prof"
 
 # metrics-demo runs a small sweep with full telemetry and prints the JSON
-# metrics dump (the Prometheus rendering lands next to it as
-# /tmp/voltstack-metrics.json.prom).
+# metrics dump (a live daemon serves the same registry as Prometheus text
+# on its /metrics).
 metrics-demo: build
 	$(GO) run ./cmd/vsexplore -coarse -exp fig5a,ext-em-mc \
 		-metrics /tmp/voltstack-metrics.json -trace /tmp/voltstack-trace.json > /dev/null

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	emlife [-layers N] [-tsv dense|sparse|few] [-padfrac F] [-grid N] [-workers N]
-//	       [-mc-trials N] [-metrics PATH] [-trace PATH] [-serve ADDR]
-//	       [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR] [-progress]
+//	       [-mc-trials N] [-metrics PATH] [-trace PATH]
+//	       [-cpuprofile PATH] [-manifest PATH] [-progress]
 //
 // The regular and voltage-stacked scenarios are solved concurrently.
 // -mc-trials additionally cross-checks each analytic lifetime with the
@@ -43,7 +43,7 @@ func main() {
 		os.Exit(1)
 	}
 	// fail routes error exits through flush: os.Exit skips deferred calls,
-	// and flush is what restores stdout, stops the server and writes the
+	// and flush is what restores stdout, stops the CPU profile and writes the
 	// manifest with the failure recorded.
 	fail := func(code int, err error) {
 		tf.RunManifest().SetExitError(err)

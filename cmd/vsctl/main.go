@@ -312,10 +312,11 @@ func cmdEvaluate(ctx context.Context, c *server.Client, args []string) error {
 
 // cmdHealth renders a job's solver-health report from its stats document:
 // the job's solve counters, then its convergence record — the whole report
-// of its hardest probed solve: condition estimate, per-iteration reduction
-// factor and residual curve, drawn on a log scale, all of one solve. It
-// needs nothing beyond what GET /v1/jobs/{id}/stats already serves, so it
-// works on frozen terminal documents across daemon restarts too.
+// of its hardest probed solve (a failed one, if any failed): condition
+// estimate, per-iteration reduction factor and residual curve, drawn on a
+// log scale, all of one solve. It needs nothing beyond what
+// GET /v1/jobs/{id}/stats already serves, so it works on frozen terminal
+// documents across daemon restarts too.
 func cmdHealth(ctx context.Context, c *server.Client, id string) error {
 	b, err := c.Stats(ctx, id)
 	if err != nil {
@@ -332,9 +333,11 @@ func cmdHealth(ctx context.Context, c *server.Client, id string) error {
 	solves := counter("job_pdn_solves_total")
 	fmt.Fprintf(w, "solves\t%d PDN solves, %d probed, %d total iterations\n",
 		solves, counter("job_health_reports_total"), counter("job_solver_iterations_total"))
+	// The record comes first: a failed solve is in the record but not in
+	// the counters, which count only the solves that succeeded.
 	h := st.Convergence
 	switch {
-	case solves == 0:
+	case h == nil && solves == 0:
 		why := "its experiments solve no PDN, as table1 and fig7 do"
 		switch {
 		case st.CacheHit:
@@ -348,11 +351,17 @@ func cmdHealth(ctx context.Context, c *server.Client, id string) error {
 		fmt.Fprintf(w, "health\tno probed solves recorded (every solve of this job was direct; only PCG solves report convergence)\n")
 		return w.Flush()
 	}
+	ended := "converged in"
+	if !h.Converged {
+		ended = "stopped after"
+		fmt.Fprintf(w, "health\tdid not converge: residual %.3e after %d of %d iterations (tol %.3g)\n",
+			h.FinalResidual, h.Iterations, h.MaxIter, h.Tol)
+	}
 	if h.CondEstimate > 0 {
 		fmt.Fprintf(w, "conditioning\tcond(M^-1 A) ~ %.4g  (lambda in [%.4g, %.4g], hardest probed solve: %d iterations)\n",
 			h.CondEstimate, h.LambdaMin, h.LambdaMax, h.Iterations)
 	} else {
-		fmt.Fprintf(w, "conditioning\tno estimate (the hardest probed solve converged in %d iterations, before the Lanczos window filled)\n", h.Iterations)
+		fmt.Fprintf(w, "conditioning\tno estimate (the hardest probed solve %s %d iterations, before the Lanczos window filled)\n", ended, h.Iterations)
 	}
 	if h.ReductionFactor > 0 {
 		fmt.Fprintf(w, "reduction\tresidual x%.4g per iteration (geometric mean, hardest probed solve: %d iterations)\n",

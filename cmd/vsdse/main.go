@@ -6,8 +6,8 @@
 // Usage:
 //
 //	vsdse [-layers N] [-imbalance F] [-grid N] [-all]
-//	      [-metrics PATH] [-trace PATH] [-serve ADDR]
-//	      [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR] [-progress]
+//	      [-metrics PATH] [-trace PATH]
+//	      [-cpuprofile PATH] [-manifest PATH] [-progress]
 package main
 
 import (
@@ -36,7 +36,7 @@ func main() {
 		os.Exit(1)
 	}
 	// fail routes error exits through flush: os.Exit skips deferred calls,
-	// and flush is what restores stdout, stops the server and writes the
+	// and flush is what restores stdout, stops the CPU profile and writes the
 	// manifest with the failure recorded.
 	fail := func(code int, err error) {
 		tf.RunManifest().SetExitError(err)

@@ -5,8 +5,8 @@
 //
 //	vsim [-kind regular|vs] [-layers N] [-tsv dense|sparse|few]
 //	     [-conv N] [-padfrac F] [-imbalance F] [-grid N]
-//	     [-metrics PATH] [-trace PATH] [-serve ADDR]
-//	     [-cpuprofile PATH] [-manifest PATH] [-postmortem DIR]
+//	     [-metrics PATH] [-trace PATH]
+//	     [-cpuprofile PATH] [-manifest PATH] [-progress]
 package main
 
 import (
@@ -48,7 +48,7 @@ func main() {
 		}
 	}()
 	// fail routes error exits through flush: os.Exit skips deferred calls,
-	// and flush is what restores stdout, stops the server and writes the
+	// and flush is what restores stdout, stops the CPU profile and writes the
 	// manifest with the failure recorded.
 	fail := func(code int, err error) {
 		tf.RunManifest().SetExitError(err)

@@ -214,23 +214,29 @@ func TestTrendManifests(t *testing.T) {
 	}
 }
 
-// TestTrendRetiredFlags pins that a run recorded while -pprof, -events
-// and -probes still existed stays in the group of an otherwise equal newer
-// run, with -probes set either way: a new build still compares against
-// old runs.
+// TestTrendRetiredFlags pins that a run recorded while -pprof, -events,
+// -probes, -serve and -postmortem still existed stays in the group of an
+// otherwise equal newer run, whatever their values: a new build still
+// compares against old runs. Every manifest records every registered
+// flag, so a run that never set -serve still recorded "serve".
 func TestTrendRetiredFlags(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	old, cur := filepath.Join(dir, "old.json"), filepath.Join(dir, "new.json")
 	writeManifest(t, cur, "16", t0.Add(time.Minute), 400)
-	for _, probes := range []string{"true", "false"} {
-		writeManifest(t, old, "16", t0, 400, "pprof", "events", "probes="+probes)
+	for _, retired := range [][]string{
+		{"pprof", "events", "probes=true"},
+		{"pprof", "events", "probes=false"},
+		{"serve", "postmortem"},
+		{"serve=localhost:6060", "postmortem=pm"},
+	} {
+		writeManifest(t, old, "16", t0, 400, retired...)
 		rep, err := trend([]string{old, cur}, 1.2, 1.5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rep.Groups) != 1 || rep.Groups[0].Records != 2 {
-			t.Fatalf("-probes=%s: groups = %+v, want one group of 2 records", probes, rep.Groups)
+			t.Fatalf("%v: groups = %+v, want one group of 2 records", retired, rep.Groups)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"voltstack/internal/telemetry"
 )
 
 // The canonical order must cover every registered driver exactly once,
@@ -51,5 +53,32 @@ func TestRunExperimentMatchesDirect(t *testing.T) {
 	}
 	if want := RenderTable1(s.Table1()); got != want {
 		t.Errorf("registry table1 differs from direct render:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestNoCacheInstruments: core imports rescache only to key results and
+// builds no cache, so an experiment run's metrics carry no rescache_
+// instrument.
+func TestNoCacheInstruments(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	if _, err := RunExperiment(NewStudy().Coarse(), "table1", false); err != nil {
+		t.Fatal(err)
+	}
+	snap := telemetry.Default().Snapshot()
+	var names []string
+	for n := range snap.Counters {
+		names = append(names, n)
+	}
+	for n := range snap.Gauges {
+		names = append(names, n)
+	}
+	for n := range snap.Histograms {
+		names = append(names, n)
+	}
+	for _, n := range names {
+		if strings.HasPrefix(n, "rescache_") {
+			t.Errorf("metrics carry %s, but no cache was built", n)
+		}
 	}
 }

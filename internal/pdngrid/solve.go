@@ -7,6 +7,7 @@ import (
 
 	"voltstack/internal/circuit"
 	"voltstack/internal/sc"
+	"voltstack/internal/sparse"
 	"voltstack/internal/telemetry"
 )
 
@@ -143,7 +144,11 @@ func (p *PDN) SolveContext(ctx context.Context, activities [][]float64) (*Result
 	mSolveSeconds.Since(tS)
 	spS.End()
 	if err != nil {
-		return nil, solveFailure(eng.asm.net.NumNodes(), err)
+		// A failed PCG solve's report joins the job's record, where a
+		// failed solve outranks every converged one; the job's counters
+		// count only the solves that succeeded.
+		telemetry.ScopeFrom(ctx).Health().Offer(sparse.ReportFromError(err))
+		return nil, fmt.Errorf("pdngrid: %d-node linear solve: %w", eng.asm.net.NumNodes(), err)
 	}
 	mSolves.Add(1)
 	mNodesHist.Observe(float64(eng.asm.net.NumNodes()))

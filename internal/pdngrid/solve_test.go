@@ -2,10 +2,14 @@ package pdngrid
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"voltstack/internal/circuit"
+	"voltstack/internal/sparse"
 	"voltstack/internal/telemetry"
 )
 
@@ -146,5 +150,60 @@ func TestBatchJobAttribution(t *testing.T) {
 	}
 	if len(rec.Residuals) == 0 || rec.ResidualIteration(len(rec.Residuals)-1) != rec.Iterations {
 		t.Errorf("record's residual curve does not end at its own %d iterations", rec.Iterations)
+	}
+}
+
+// TestSolveFailureCarriesReport forces a PCG non-convergence (two
+// iterations against a 1e-16 target) and checks where the failed solve's
+// evidence lands: the error still matches ErrNoConvergence, names the
+// node count and carries the probe's residuals; ReportFromError gives the
+// report of exactly the failed solve; and the job scope the solve ran
+// under holds that report, though its counters count no solve.
+func TestSolveFailureCarriesReport(t *testing.T) {
+	cfg := vsCfg(3, 4)
+	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGAMG, Tol: 1e-16, MaxIter: 2}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope := telemetry.NewScope(telemetry.NewTrace())
+	_, err = p.SolveContext(telemetry.WithScope(context.Background(), scope), InterleavedActivities(3, 16, 0.5))
+	if err == nil {
+		t.Fatal("2-iteration budget converged; cannot exercise the failure path")
+	}
+	if !errors.Is(err, sparse.ErrNoConvergence) {
+		t.Fatalf("errors.Is(ErrNoConvergence) lost through pdngrid's wrapping: %v", err)
+	}
+	nodes := p.assemble(nil).net.NumNodes()
+	if want := fmt.Sprintf("pdngrid: %d-node linear solve: ", nodes); !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q does not start with %q", err, want)
+	}
+	if !strings.Contains(err.Error(), "[probe:") {
+		t.Errorf("error lacks the probe's evidence: %v", err)
+	}
+
+	c := sparse.ReportFromError(err)
+	if c == nil {
+		t.Fatal("no convergence report attached to the error")
+	}
+	if c.Kind != "pcg" || c.MaxIter != 2 || c.Converged {
+		t.Errorf("report kind=%q max_iter=%d converged=%v, want pcg/2/false", c.Kind, c.MaxIter, c.Converged)
+	}
+	// Iteration 0 plus both budgeted iterations.
+	if len(c.Residuals) != 3 {
+		t.Errorf("trajectory has %d points, want 3", len(c.Residuals))
+	}
+	if c.FinalResidual <= 1e-16 {
+		t.Errorf("final residual %g claims convergence", c.FinalResidual)
+	}
+	if c.CondEstimate <= 0 {
+		t.Errorf("cond_estimate = %g, want the Lanczos estimate of the two steps", c.CondEstimate)
+	}
+
+	if got := scope.Health().Load(); got != c {
+		t.Errorf("scope record = %+v, want the failed solve's report", got)
+	}
+	if got := scope.Counter("job_pdn_solves_total").Value(); got != 0 {
+		t.Errorf("job_pdn_solves_total = %d, want 0: a failed solve is in the record only", got)
 	}
 }

@@ -10,29 +10,42 @@ import (
 	"voltstack/internal/telemetry"
 )
 
-// Cache instrumentation. No-ops unless telemetry is enabled. The
-// rescache_mem_* / rescache_disk_* counters break every lookup down by
-// tier, so the memory hit ratio, the disk tier's contribution and the
-// spill rate are each readable on their own on /metrics;
-// rescache_misses_total counts the lookups that missed both tiers.
-var (
-	mMisses      = telemetry.NewCounter("rescache_misses_total")
-	mDiskErrors  = telemetry.NewCounter("rescache_disk_errors_total")
-	mShared      = telemetry.NewCounter("rescache_singleflight_shared_total")
-	mMemBytes    = telemetry.NewGauge("rescache_mem_bytes")
-	mMemEntries  = telemetry.NewGauge("rescache_mem_entries")
-	mComputeSecs = telemetry.NewHistogram("rescache_compute_seconds")
+// cacheMetrics is the cache instrumentation. No-ops unless telemetry is
+// enabled. The mem* / disk* counters break every lookup down by tier, so
+// the memory hit ratio, the disk tier's contribution and the spill rate
+// are each readable on their own on /metrics; misses counts the lookups
+// that missed both tiers. New creates the instruments, so a process that
+// builds no cache carries none of them.
+type cacheMetrics struct {
+	misses, diskErrors, shared *telemetry.Counter
+	memBytes, memEntries       *telemetry.Gauge
+	computeSecs                *telemetry.Histogram
 
 	// Per-tier breakdown. Memory: hits, lookups falling past the LRU,
 	// LRU evictions. Disk: hits, lookups that consulted the disk tier and
 	// missed, spills (values written through to disk).
-	mMemHits    = telemetry.NewCounter("rescache_mem_hits_total")
-	mMemMisses  = telemetry.NewCounter("rescache_mem_misses_total")
-	mMemEvicts  = telemetry.NewCounter("rescache_mem_evictions_total")
-	mDiskHits   = telemetry.NewCounter("rescache_disk_hits_total")
-	mDiskMisses = telemetry.NewCounter("rescache_disk_misses_total")
-	mDiskSpills = telemetry.NewCounter("rescache_disk_spills_total")
-)
+	memHits, memMisses, memEvicts    *telemetry.Counter
+	diskHits, diskMisses, diskSpills *telemetry.Counter
+}
+
+// newCacheMetrics returns the process registry's rescache_* instruments,
+// creating them on first use; every cache of a process shares them.
+func newCacheMetrics() *cacheMetrics {
+	return &cacheMetrics{
+		misses:      telemetry.NewCounter("rescache_misses_total"),
+		diskErrors:  telemetry.NewCounter("rescache_disk_errors_total"),
+		shared:      telemetry.NewCounter("rescache_singleflight_shared_total"),
+		memBytes:    telemetry.NewGauge("rescache_mem_bytes"),
+		memEntries:  telemetry.NewGauge("rescache_mem_entries"),
+		computeSecs: telemetry.NewHistogram("rescache_compute_seconds"),
+		memHits:     telemetry.NewCounter("rescache_mem_hits_total"),
+		memMisses:   telemetry.NewCounter("rescache_mem_misses_total"),
+		memEvicts:   telemetry.NewCounter("rescache_mem_evictions_total"),
+		diskHits:    telemetry.NewCounter("rescache_disk_hits_total"),
+		diskMisses:  telemetry.NewCounter("rescache_disk_misses_total"),
+		diskSpills:  telemetry.NewCounter("rescache_disk_spills_total"),
+	}
+}
 
 // Config bounds a cache.
 type Config struct {
@@ -71,6 +84,7 @@ func (c Config) maxBytes() int64 {
 // Returned byte slices are shared and must be treated as read-only.
 type Cache struct {
 	cfg Config
+	m   *cacheMetrics
 
 	mu    sync.Mutex
 	ll    *list.List // front = most recently used
@@ -102,6 +116,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	return &Cache{
 		cfg:    cfg,
+		m:      newCacheMetrics(),
 		ll:     list.New(),
 		items:  map[string]*list.Element{},
 		flight: map[string]*flightCall{},
@@ -116,20 +131,20 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.ll.MoveToFront(el)
 		val := el.Value.(*entry).val
 		c.mu.Unlock()
-		mMemHits.Add(1)
+		c.m.memHits.Add(1)
 		return val, true
 	}
 	c.mu.Unlock()
-	mMemMisses.Add(1)
+	c.m.memMisses.Add(1)
 	if c.cfg.Dir != "" {
 		if val, err := os.ReadFile(c.diskPath(key)); err == nil {
-			mDiskHits.Add(1)
+			c.m.diskHits.Add(1)
 			c.putMem(key, val)
 			return val, true
 		}
-		mDiskMisses.Add(1)
+		c.m.diskMisses.Add(1)
 	}
-	mMisses.Add(1)
+	c.m.misses.Add(1)
 	return nil, false
 }
 
@@ -138,9 +153,9 @@ func (c *Cache) Put(key string, val []byte) {
 	c.putMem(key, val)
 	if c.cfg.Dir != "" {
 		if err := c.writeDisk(key, val); err != nil {
-			mDiskErrors.Add(1)
+			c.m.diskErrors.Add(1)
 		} else {
-			mDiskSpills.Add(1)
+			c.m.diskSpills.Add(1)
 		}
 	}
 }
@@ -163,10 +178,10 @@ func (c *Cache) putMem(key string, val []byte) {
 		c.ll.Remove(back)
 		delete(c.items, e.key)
 		c.bytes -= int64(len(e.val))
-		mMemEvicts.Add(1)
+		c.m.memEvicts.Add(1)
 	}
-	mMemBytes.Set(float64(c.bytes))
-	mMemEntries.Set(float64(c.ll.Len()))
+	c.m.memBytes.Set(float64(c.bytes))
+	c.m.memEntries.Set(float64(c.ll.Len()))
 }
 
 // Len returns the number of in-memory entries.
@@ -193,7 +208,7 @@ func (c *Cache) Do(key string, compute func() ([]byte, error)) (val []byte, hit 
 		if call.err != nil {
 			return nil, false, call.err
 		}
-		mShared.Add(1)
+		c.m.shared.Add(1)
 		return call.val, true, nil
 	}
 	call := &flightCall{done: make(chan struct{})}
@@ -209,7 +224,7 @@ func (c *Cache) Do(key string, compute func() ([]byte, error)) (val []byte, hit 
 		computed = true
 		t0 := telemetry.Now()
 		call.val, call.err = compute()
-		mComputeSecs.Since(t0)
+		c.m.computeSecs.Since(t0)
 		if call.err == nil {
 			c.Put(key, call.val)
 		}

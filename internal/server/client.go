@@ -20,16 +20,14 @@ import (
 // Client-side retry instrumentation. No-op unless telemetry is enabled.
 var mClientRetries = telemetry.NewCounter("client_retries_total")
 
-// Backoff is an exponential polling/retry schedule with jitter. The zero
-// value selects the defaults: 100ms initial, 5s cap, ×2 growth, ±20%
-// jitter.
+// Backoff is an exponential polling/retry schedule with jitter: each
+// delay doubles the one before, up to Max. The zero value selects the
+// defaults: 100ms initial, 5s cap, ±20% jitter.
 type Backoff struct {
 	// Initial is the first delay; 0 selects 100ms.
 	Initial time.Duration
 	// Max caps the grown delay; 0 selects 5s.
 	Max time.Duration
-	// Factor multiplies the delay after each attempt; values <= 1 select 2.
-	Factor float64
 	// Jitter spreads each delay uniformly over ±Jitter×delay. 0 selects
 	// 0.2; negative disables jitter entirely (deterministic schedule).
 	Jitter float64
@@ -42,9 +40,6 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Max <= 0 {
 		b.Max = 5 * time.Second
 	}
-	if b.Factor <= 1 {
-		b.Factor = 2
-	}
 	if b.Jitter == 0 {
 		b.Jitter = 0.2
 	}
@@ -53,7 +48,7 @@ func (b Backoff) withDefaults() Backoff {
 
 // next returns the delay after d on the schedule.
 func (b Backoff) next(d time.Duration) time.Duration {
-	if d = time.Duration(float64(d) * b.Factor); d > b.Max {
+	if d *= 2; d > b.Max {
 		d = b.Max
 	}
 	return d
@@ -74,9 +69,6 @@ type Client struct {
 	Base string
 	// HTTP is the underlying client; nil uses http.DefaultClient.
 	HTTP *http.Client
-	// Poll is the legacy fixed Wait interval; when set it becomes the
-	// backoff's initial delay (Backoff wins if both are set).
-	Poll time.Duration
 	// Backoff shapes Wait's polling and transient-error retries:
 	// exponential with jitter, except that a server Retry-After hint (429
 	// overload, 503 drain) overrides the computed delay for that attempt.
@@ -113,16 +105,6 @@ func (c *Client) rndFn() func() float64 {
 		return c.rnd
 	}
 	return rand.Float64
-}
-
-// backoff returns the effective Wait schedule: Backoff with defaults
-// applied, the legacy Poll standing in for an unset initial delay.
-func (c *Client) backoff() Backoff {
-	b := c.Backoff
-	if b.Initial <= 0 && c.Poll > 0 {
-		b.Initial = c.Poll
-	}
-	return b.withDefaults()
 }
 
 func (c *Client) http() *http.Client {
@@ -282,7 +264,7 @@ func retryableWait(err error) bool {
 // failing the wait. A Retry-After hint from the server overrides the
 // computed delay for that attempt.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	b := c.backoff()
+	b := c.Backoff.withDefaults()
 	sleep, rnd := c.sleepFn(), c.rndFn()
 	delay := b.Initial
 	var last JobStatus

@@ -41,7 +41,7 @@ func TestE2EExperimentParityAndCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := &Client{Base: srv.URL(), Poll: 20 * time.Millisecond}
+	c := &Client{Base: srv.URL(), Backoff: Backoff{Initial: 20 * time.Millisecond}}
 	ctx := context.Background()
 
 	req := JobRequest{Kind: KindExperiment, Experiments: []string{"fig5a"}, CSV: true, Coarse: true}
@@ -127,7 +127,7 @@ func TestE2ESweepResumeAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := &Client{Base: srv1.URL(), Poll: 20 * time.Millisecond}
+	c1 := &Client{Base: srv1.URL(), Backoff: Backoff{Initial: 20 * time.Millisecond}}
 	st, err := c1.Submit(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestE2ESweepResumeAfterKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	c2 := &Client{Base: srv2.URL(), Poll: 20 * time.Millisecond}
+	c2 := &Client{Base: srv2.URL(), Backoff: Backoff{Initial: 20 * time.Millisecond}}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"voltstack/internal/explore"
 	"voltstack/internal/pdngrid"
 	"voltstack/internal/rescache"
+	"voltstack/internal/telemetry"
 )
 
 func sweepRequest() JobRequest {
@@ -194,7 +196,7 @@ func TestAdmissionControlAndDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := &Client{Base: srv.URL(), Poll: 10 * time.Millisecond}
+	c := &Client{Base: srv.URL(), Backoff: Backoff{Initial: 10 * time.Millisecond}}
 	ctx := context.Background()
 
 	// Distinct seeds make distinct jobs (no job-level dedup).
@@ -328,6 +330,8 @@ func TestCancelRunningEMMC(t *testing.T) {
 }
 
 func TestHTTPStatusCodes(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
 	mgr, err := NewManager(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -360,14 +364,40 @@ func TestHTTPStatusCodes(t *testing.T) {
 		t.Errorf("result of unknown job: %v, want 404", err)
 	}
 
-	// The observability endpoints share the listener.
-	hresp, err := http.Get(srv.URL() + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	// The observability endpoints share the listener: /metrics serves the
+	// daemon's live counters (here, the requests above), /healthz and
+	// pprof answer, and /statusz is gone.
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: read: %v", path, err)
+		}
+		return resp.StatusCode, string(b)
 	}
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		t.Errorf("/healthz status %d", hresp.StatusCode)
+	code, body := get("/metrics")
+	var requests int64
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, "server_requests_total "); ok {
+			requests, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
+	if code != http.StatusOK || requests < 3 {
+		t.Errorf("/metrics: status %d, server_requests_total %d, want 200 and the 3 requests above counted:\n%s", code, requests, body)
+	}
+	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, `"status":"ok"`) {
+		t.Errorf("/healthz: status %d, body %q", code, body)
+	}
+	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("/debug/pprof/: status %d, want 200", code)
+	}
+	if code, _ := get("/statusz"); code != http.StatusNotFound {
+		t.Errorf("/statusz: status %d, want 404", code)
 	}
 }
 
@@ -391,7 +421,7 @@ func TestResultConflictBeforeDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := &Client{Base: srv.URL(), Poll: 10 * time.Millisecond}
+	c := &Client{Base: srv.URL(), Backoff: Backoff{Initial: 10 * time.Millisecond}}
 	ctx := context.Background()
 
 	st, err := c.Submit(ctx, JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}})

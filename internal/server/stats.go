@@ -41,8 +41,9 @@ type JobStats struct {
 
 	Registry telemetry.RegistrySnapshot `json:"registry"`
 	// Convergence is the whole report of the job's hardest probed solve
-	// (most iterations, then largest condition estimate, then largest
-	// final residual); absent when no PCG solve was attributed to the job.
+	// (a failed one first, then most iterations, then largest condition
+	// estimate, then largest final residual); absent when no PCG solve was
+	// attributed to the job.
 	Convergence *telemetry.ConvergenceReport `json:"convergence,omitempty"`
 }
 

@@ -37,7 +37,7 @@ func TestStatsLiveThenFinal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := &Client{Base: srv.URL(), Poll: 10 * time.Millisecond, Trace: telemetry.NewTrace()}
+	c := &Client{Base: srv.URL(), Backoff: Backoff{Initial: 10 * time.Millisecond}, Trace: telemetry.NewTrace()}
 	ctx := context.Background()
 
 	st, err := c.Submit(ctx, JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}})

@@ -4,8 +4,8 @@
 // Lanczos tridiagonal (zero extra matvecs), per-cycle AMG reduction
 // factors, and detectors for stagnation, plateau and preconditioner
 // degradation. A failed solve returns its report attached to the error
-// (ProbeError), so the caller — typically pdngrid — can dump a post-mortem
-// artifact of exactly the solve that failed.
+// (ProbeError), so the caller — typically pdngrid — can hand exactly the
+// solve that failed to its job's convergence record.
 //
 // The probe is always on, and it never perturbs solver arithmetic: it
 // only *reads* scalars the solver already computed (α, β, the relative

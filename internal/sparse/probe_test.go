@@ -166,7 +166,7 @@ func TestPCGNonConvergenceAttachesReport(t *testing.T) {
 	if r.FinalResidual != res.Residual {
 		t.Errorf("final residual %g != result %g", r.FinalResidual, res.Residual)
 	}
-	// The report must serialize: it is the post-mortem artifact payload.
+	// The report must serialize: the manifest and the job stats carry it.
 	if _, err := json.Marshal(r); err != nil {
 		t.Fatalf("report not serializable: %v", err)
 	}
@@ -252,10 +252,13 @@ func TestProbedAMGSolveOnProcessRecord(t *testing.T) {
 	}
 }
 
-// atLeastAsHard reports whether a is at least as hard as b: more
-// iterations, then a larger condition estimate, then a larger final
-// residual.
+// atLeastAsHard reports whether a is at least as hard as b: a failed
+// solve before a converged one, then more iterations, then a larger
+// condition estimate, then a larger final residual.
 func atLeastAsHard(a, b *telemetry.ConvergenceReport) bool {
+	if a.Converged != b.Converged {
+		return !a.Converged
+	}
 	if a.Iterations != b.Iterations {
 		return a.Iterations > b.Iterations
 	}

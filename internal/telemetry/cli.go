@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -14,19 +13,15 @@ import (
 
 // Flags is the shared observability flag set of the cmd/ binaries. Every
 // binary registers the same flags so a user can attach metrics, tracing,
-// profiling, provenance recording and live introspection to any entry
-// point the same way.
+// profiling and provenance recording to any entry point the same way.
 type Flags struct {
-	Metrics    string // -metrics:    JSON dump path (+ ".prom" Prometheus dump) on exit
+	Metrics    string // -metrics:    JSON metrics dump path on exit
 	Trace      string // -trace:      Chrome trace_event JSON path on exit
-	Serve      string // -serve:      observability listen address (pprof + /metrics /healthz); enables live metrics collection
 	CPUProfile string // -cpuprofile: pprof CPU profile path, captured for the whole run
 	Manifest   string // -manifest:   run provenance manifest JSON path on exit
-	Postmortem string // -postmortem: directory for solver post-mortem artifacts
 	Progress   bool   // -progress:   periodic stderr progress lines for long runs
 
 	manifest *Manifest
-	server   *Server
 }
 
 // RegisterFlags registers the observability flags on the default flag set.
@@ -35,12 +30,10 @@ func RegisterFlags() *Flags { return registerFlags(flag.CommandLine) }
 
 func registerFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.Metrics, "metrics", "", "write a metrics dump on exit: JSON at this path, Prometheus text at path+\".prom\"")
+	fs.StringVar(&f.Metrics, "metrics", "", "write a JSON metrics dump to this path on exit")
 	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace_event JSON timing trace on exit (load in chrome://tracing or Perfetto)")
-	fs.StringVar(&f.Serve, "serve", "", "serve the live observability endpoint (pprof, /metrics, /healthz) on this address (e.g. localhost:6060) and collect metrics for mid-run scraping")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
 	fs.StringVar(&f.Manifest, "manifest", "", "write a run provenance manifest (flags, seeds, VCS stamp, output hashes) to this path on exit")
-	fs.StringVar(&f.Postmortem, "postmortem", "", "write solver post-mortem JSON artifacts into this directory on failures")
 	fs.BoolVar(&f.Progress, "progress", true, "print periodic stderr progress lines for long sweeps and Monte Carlo runs")
 	return f
 }
@@ -54,12 +47,16 @@ var observabilityFlags = sync.OnceValue(func() *flag.FlagSet {
 })
 
 // IsObservabilityFlag reports whether name is one of the flags
-// RegisterFlags registers, or the retired -pprof, -events or -probes,
-// which older manifests still record. None changes solver work, so the
-// rest of a manifest's Flags names the work a run did, and old runs group
-// with new.
+// RegisterFlags registers, or a retired one (-pprof, -events, -probes,
+// -serve, -postmortem) that older manifests still record. None changes
+// solver work, so the rest of a manifest's Flags names the work a run did,
+// and old runs group with new.
 func IsObservabilityFlag(name string) bool {
-	return name == "pprof" || name == "events" || name == "probes" || observabilityFlags().Lookup(name) != nil
+	switch name {
+	case "pprof", "events", "probes", "serve", "postmortem":
+		return true
+	}
+	return observabilityFlags().Lookup(name) != nil
 }
 
 // RunManifest returns the provenance manifest of the current run, or nil
@@ -67,24 +64,18 @@ func IsObservabilityFlag(name string) bool {
 // all Manifest methods are nil-safe, so no call site needs a conditional.
 func (f *Flags) RunManifest() *Manifest { return f.manifest }
 
-// ServeAddr returns the bound address of the observability server (useful
-// when -serve was given ":0"), or "" when none is running.
-func (f *Flags) ServeAddr() string { return f.server.Addr() }
-
-// Init applies the parsed flags: enables the metric registry, tracer,
-// progress reporter and post-mortem directory as requested, starts
-// the observability server, the CPU profile and the provenance manifest.
-// It returns a flush function that must run before the process exits to
-// stop profiling, shut the server down and write every dump;
-// flush is never nil, idempotent (the second call is a no-op returning
-// nil), and safe to call when nothing was enabled.
+// Init applies the parsed flags: enables the metric registry, tracer and
+// progress reporter as requested, and starts the provenance manifest's
+// stdout capture and the CPU profile. It returns a flush function that
+// must run before the process exits to stop profiling and write every
+// dump; flush is never nil, idempotent (the second call is a no-op
+// returning nil), and safe to call when nothing was enabled.
 //
-// On error, everything partially started is torn down before returning,
-// so a failed Init leaks no listener, goroutine or profile.
+// On error, everything partially started is torn down before returning:
+// a failed -cpuprofile releases the manifest's stdout capture.
 func (f *Flags) Init() (flush func() error, err error) {
-	if f.Metrics != "" || f.Serve != "" || f.Manifest != "" {
-		// -serve needs live counters to scrape; a manifest embeds the final
-		// snapshot.
+	if f.Metrics != "" || f.Manifest != "" {
+		// A manifest embeds the final snapshot.
 		Enable()
 	}
 	if f.Trace != "" {
@@ -93,58 +84,35 @@ func (f *Flags) Init() (flush func() error, err error) {
 	if f.Progress {
 		EnableProgress(0)
 	}
-	if f.Postmortem != "" {
-		SetPostmortemDir(f.Postmortem)
-	}
-
-	// Failure unwinding: every started resource pushes an undo.
-	var undo []func()
-	fail := func(err error) (func() error, error) {
-		for i := len(undo) - 1; i >= 0; i-- {
-			undo[i]()
-		}
-		return noopFlush, err
-	}
-
-	var cpuFile *os.File
-	if f.CPUProfile != "" {
-		cpuFile, err = os.Create(f.CPUProfile)
-		if err != nil {
-			return fail(fmt.Errorf("telemetry: cpuprofile: %w", err))
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return fail(fmt.Errorf("telemetry: cpuprofile: %w", err))
-		}
-		undo = append(undo, func() { pprof.StopCPUProfile(); cpuFile.Close() })
-	}
-
-	// Handlers live on a private mux (never http.DefaultServeMux) and the
-	// listener is closed by flush, so repeated Init calls in one process
-	// neither panic on duplicate pprof registration nor leak sockets.
-	if f.Serve != "" {
-		srv, err := StartServer(f.Serve)
-		if err != nil {
-			return fail(err)
-		}
-		f.server = srv
-		undo = append(undo, func() { srv.Close(); f.server = nil })
-		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (/metrics /healthz /debug/pprof)\n", srv.Addr())
-	}
 
 	if f.Manifest != "" {
 		f.manifest = NewManifest(binaryName())
 		if err := f.manifest.CaptureStdout(); err != nil {
-			return fail(err)
+			f.manifest = nil
+			return noopFlush, err
 		}
 		// Register the sibling dumps; they are hashed at manifest-write
 		// time, after flush has produced them.
 		if f.Metrics != "" {
 			f.manifest.AddOutputFile("metrics", f.Metrics)
-			f.manifest.AddOutputFile("metrics.prom", f.Metrics+".prom")
 		}
 		if f.Trace != "" {
 			f.manifest.AddOutputFile("trace", f.Trace)
+		}
+	}
+
+	var cpuFile *os.File
+	if f.CPUProfile != "" {
+		cpuFile, err = os.Create(f.CPUProfile)
+		if err == nil {
+			if err = pprof.StartCPUProfile(cpuFile); err != nil {
+				cpuFile.Close()
+			}
+		}
+		if err != nil {
+			f.manifest.ReleaseStdout()
+			f.manifest = nil
+			return noopFlush, fmt.Errorf("telemetry: cpuprofile: %w", err)
 		}
 	}
 
@@ -159,7 +127,7 @@ func (f *Flags) Init() (flush func() error, err error) {
 				}
 			}
 			if f.Metrics != "" {
-				if err := dumpMetrics(f.Metrics); err != nil {
+				if err := writeFileWith(f.Metrics, std.WriteJSON); err != nil {
 					errs = append(errs, err)
 				}
 			}
@@ -168,10 +136,6 @@ func (f *Flags) Init() (flush func() error, err error) {
 					errs = append(errs, err)
 				}
 			}
-			if err := f.server.Close(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				errs = append(errs, err)
-			}
-			f.server = nil
 			if f.manifest != nil {
 				if err := f.manifest.WriteFile(f.Manifest); err != nil {
 					errs = append(errs, err)
@@ -192,15 +156,6 @@ func binaryName() string {
 }
 
 func noopFlush() error { return nil }
-
-// dumpMetrics writes the process registry as JSON at path and in the
-// Prometheus text format at path+".prom".
-func dumpMetrics(path string) error {
-	if err := writeFileWith(path, std.WriteJSON); err != nil {
-		return err
-	}
-	return writeFileWith(path+".prom", std.WritePrometheus)
-}
 
 // writeFileWith writes the dump to a temp file in the destination
 // directory and renames it into place, so an interrupted shutdown (a

@@ -36,7 +36,7 @@ type AMGReport struct {
 // ConvergenceReport is the convergence record of one probed iterative
 // solve, built by the sparse probe and read by every surface: the solve
 // result, the job stats document and the run manifest (each through a
-// HardestReport), post-mortem artifacts and the solver error. It lives
+// HardestReport) and the solver error. It lives
 // here, not in sparse, because telemetry cannot import sparse (which
 // imports telemetry).
 type ConvergenceReport struct {
@@ -88,10 +88,13 @@ func (r *ConvergenceReport) ResidualIteration(i int) int {
 	return i + r.ResidualsDropped
 }
 
-// harder reports whether a is strictly harder than b: more iterations,
-// then on a tie a larger condition estimate, then a larger final
-// residual.
+// harder reports whether a is strictly harder than b: a failed solve
+// before a converged one, then more iterations, then on a tie a larger
+// condition estimate, then a larger final residual.
 func harder(a, b *ConvergenceReport) bool {
+	if a.Converged != b.Converged {
+		return !a.Converged
+	}
 	if a.Iterations != b.Iterations {
 		return a.Iterations > b.Iterations
 	}

@@ -49,7 +49,8 @@ func permutations(xs []*ConvergenceReport, f func([]*ConvergenceReport)) {
 
 // TestHardestReportOrderIndependent offers the same five reports in every
 // order: two tie on iterations and are split by the condition estimate,
-// and one offer is nil. The holder keeps the same report every time.
+// and one offer is nil. The holder keeps the same report every time, and
+// a failed report beats a converged one whichever comes first.
 func TestHardestReportOrderIndependent(t *testing.T) {
 	hardest := &ConvergenceReport{Iterations: 55, CondEstimate: 650, FinalResidual: 8e-13}
 	offers := []*ConvergenceReport{
@@ -83,6 +84,20 @@ func TestHardestReportOrderIndependent(t *testing.T) {
 	h.Offer(&ConvergenceReport{Iterations: 55, CondEstimate: 650, FinalResidual: 9e-13})
 	if got := h.Load(); got != first {
 		t.Errorf("kept %+v, want the first of the two reports with the larger final residual", got)
+	}
+
+	// A failed solve outranks every converged one, however many more
+	// iterations the converged one took, in either offer order.
+	failed := &ConvergenceReport{Iterations: 2, FinalResidual: 1e-3}
+	converged := &ConvergenceReport{Iterations: 400, CondEstimate: 1e4, FinalResidual: 1e-13, Converged: true}
+	for _, order := range [][]*ConvergenceReport{{failed, converged}, {converged, failed}} {
+		var h HardestReport
+		for _, r := range order {
+			h.Offer(r)
+		}
+		if got := h.Load(); got != failed {
+			t.Errorf("offers %+v, %+v kept %+v, want the failed report", order[0], order[1], got)
+		}
 	}
 
 	var empty *HardestReport
