@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race bench bench-parallel bench-telemetry bench-solve bench-scaling bench-diff fuzz golden loc profile metrics-demo provenance-demo serve-demo trace-demo health-demo
+.PHONY: build vet test test-short test-race bench bench-parallel bench-solve bench-scaling bench-diff fuzz golden loc profile metrics-demo provenance-demo serve-demo trace-demo health-demo
 
 build:
 	$(GO) build ./...
@@ -50,12 +50,6 @@ bench-scaling:
 bench-diff:
 	$(GO) test -bench '^BenchmarkSolve' -benchtime=1x -short -run '^$$' -timeout 20m . | $(GO) run ./cmd/benchjson > bench-smoke.json
 	$(GO) run ./cmd/benchjson -diff BENCH_solve.json bench-smoke.json -tolerance 0.30
-
-# bench-telemetry compares the instrumented Fig. 5a driver with the metrics
-# registry disabled vs. enabled; the Off case bounds the always-on cost of
-# the instrumentation hooks.
-bench-telemetry:
-	$(GO) test -bench 'Fig5aTelemetry' -run '^$$' -count 5 .
 
 # fuzz runs every fuzz target for 30s: job-request decoding, the
 # cache-fingerprint keying contract, concurrent-vs-serial solver

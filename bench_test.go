@@ -20,7 +20,6 @@ import (
 	"voltstack/internal/pdngrid"
 	"voltstack/internal/sc"
 	"voltstack/internal/spice"
-	"voltstack/internal/telemetry"
 )
 
 // coarse returns a study on the 16x16 mesh. Benchmarks of drivers that
@@ -482,36 +481,3 @@ func BenchmarkAblationTSVAllocation(b *testing.B) {
 	}
 	b.ReportMetric(spread, "few-minus-dense-ir-%Vdd")
 }
-
-// --- telemetry overhead ---------------------------------------------------
-//
-// BenchmarkFig5aTelemetryOff / BenchmarkFig5aTelemetryOn run the fully
-// instrumented Fig. 5a driver with the process telemetry registry in its
-// default disabled state and with metrics collection enabled. The disabled
-// path costs one atomic load per instrument call, so TelemetryOff must stay
-// within 2% of the pre-instrumentation baseline — compare with
-//
-//	go test -bench 'Fig5aTelemetry' -run '^$' -count 5
-//
-// (representative run on a 2.70GHz Xeon: Off 1.40-1.50 s/op vs On
-// 1.38-1.39 s/op — the pair is statistically indistinguishable; the
-// instrumentation cost is lost in run-to-run noise).
-
-func benchFig5aTelemetry(b *testing.B, enable bool) {
-	if enable {
-		telemetry.Enable()
-		b.Cleanup(func() {
-			telemetry.Disable()
-			telemetry.Default().Reset()
-		})
-	}
-	benchFig5a(b, 0)
-}
-
-// BenchmarkFig5aTelemetryOff measures the instrumented driver with the
-// registry disabled (the default for library use).
-func BenchmarkFig5aTelemetryOff(b *testing.B) { benchFig5aTelemetry(b, false) }
-
-// BenchmarkFig5aTelemetryOn measures the same run with metrics recording
-// enabled, bounding the full collection overhead.
-func BenchmarkFig5aTelemetryOn(b *testing.B) { benchFig5aTelemetry(b, true) }

@@ -14,8 +14,8 @@
 // fan-out (scenario grids, imbalance sweeps, Monte Carlo trials) is
 // parallel too; -workers (or VOLTSTACK_WORKERS) bounds the concurrency.
 // Every number printed is identical for any worker count, and identical
-// with telemetry on or off (metrics, traces and progress go to files and
-// stderr, never stdout).
+// with any observability flag on or off (metrics, traces and progress go
+// to files and stderr, never stdout).
 //
 // The experiment drivers live in the internal/core registry, which the
 // evaluation service (cmd/vsserved) shares — a job submitted through

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -34,7 +35,7 @@ func runJobs(t *testing.T, stateDir string, reqs ...server.JobRequest) {
 	}
 	defer mgr.Close()
 	for _, req := range reqs {
-		j, err := mgr.Submit(req)
+		j, err := mgr.Submit(req, telemetry.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +212,34 @@ func TestTrendManifests(t *testing.T) {
 	}
 	if m := metric(t, rep.Groups[0], "iterations"); !m.Regression || !rep.Regressed {
 		t.Errorf("iterations 400 → 600 not flagged: %+v", m)
+	}
+
+	// Manifests whose convergence record still carries the retired
+	// detector verdicts and AMG section load, and their records count.
+	const oldConvergence = `,"convergence":{"kind":"pcg","n":900,"preconditioner":"amg",` +
+		`"tol":1e-10,"max_iter":200,"iterations":40,"final_residual":1e-11,"converged":true,` +
+		`"cond_estimate":12,"stagnation":true,"plateau":true,"precond_degradation":true,` +
+		`"amg":{"levels":3,"operator_complexity":1.6,"grid_complexity":1.4,"cycle_reductions":[0.2,0.3]}}}`
+	for i, name := range []string{"e.json", "f.json"} {
+		writeManifest(t, path(name), "16", t0.Add(time.Duration(4+i)*time.Minute), 400)
+		b, err := os.ReadFile(path(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(bytes.TrimSuffix(bytes.TrimSpace(b), []byte("}")), oldConvergence...)
+		if err := os.WriteFile(path(name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err = trend([]string{path("a.json"), path("e.json"), path("f.json")}, 1.2, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Groups) != 1 || rep.Groups[0].Records != 3 {
+		t.Fatalf("groups = %+v, want one group of 3 records", rep.Groups)
+	}
+	if m := metric(t, rep.Groups[0], "cond_estimate"); m.Records != 2 || m.Latest != 12 || m.Ratio != 1 {
+		t.Errorf("cond_estimate of the old records = %+v, want 2 records at 12", m)
 	}
 }
 

@@ -64,9 +64,6 @@ func main() {
 	tf := telemetry.RegisterFlags()
 	flag.Parse()
 
-	// A daemon always records metrics: the /metrics endpoint it exposes
-	// should never silently read zero.
-	telemetry.Enable()
 	flush, err := tf.Init()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vsserved:", err)

@@ -231,7 +231,7 @@ type Solution struct {
 	Iterations int
 	Residual   float64
 	// Health is the solve's convergence report (residual trajectory,
-	// condition estimate, detector verdicts), set by every AMG-PCG solve;
+	// condition estimate, reduction factor), set by every AMG-PCG solve;
 	// nil for a direct solve.
 	Health *telemetry.ConvergenceReport
 }

@@ -61,7 +61,6 @@ func fresh(t *testing.T, name string, edit func(*Study)) any {
 // Fig. 6's imbalance axis, and Fig. 8 (a subset of Fig. 6) solves
 // nothing. Every result still equals a fresh study's, bit for bit.
 func TestMemoSharedSolves(t *testing.T) {
-	telemetry.Enable()
 	solves := telemetry.NewCounter("pdngrid_solves_total")
 	s := tinyStudy()
 	for _, tc := range []struct {
@@ -92,7 +91,6 @@ func TestMemoSharedSolves(t *testing.T) {
 // run fewer than on a fresh study. Both still render as a fresh study's
 // do.
 func TestMemoSharedTransient(t *testing.T) {
-	telemetry.Enable()
 	compiles := telemetry.NewCounter("circuit_prepared_compiles_total")
 	run := func(s *Study, name string) (string, int64) {
 		t.Helper()
@@ -299,7 +297,6 @@ func TestRunExperimentCountsEach(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all experiments")
 	}
-	telemetry.Enable()
 	done := telemetry.NewCounter("core_experiments_total")
 	before := done.Value()
 	s := tinyStudy()

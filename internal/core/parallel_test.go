@@ -43,7 +43,6 @@ func TestHeadlinesWorkerEquivalence(t *testing.T) {
 // however many workers solve it, so Fig. 6 and Headlines build as many
 // engines at workers 2 and 8 as at 1.
 func TestEngineBuildsWorkerEquivalence(t *testing.T) {
-	telemetry.Enable()
 	builds := telemetry.NewCounter("pdngrid_engine_builds_total")
 	for _, name := range []string{"fig6", "headlines"} {
 		var ref int64

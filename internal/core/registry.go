@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"voltstack/internal/pdngrid"
 	"voltstack/internal/telemetry"
@@ -211,8 +212,7 @@ var csvRunners = map[string]func(*Study) (string, error){
 }
 
 // Experiment instrumentation: how many experiments ran and how long each
-// took, with one core.<name> trace span per experiment. No-ops unless
-// telemetry is enabled.
+// took, with one core.<name> trace span per experiment.
 var (
 	mExperiments       = telemetry.NewCounter("core_experiments_total")
 	mExperimentSeconds = telemetry.NewHistogram("core_experiment_seconds")
@@ -263,7 +263,7 @@ func RunExperiment(s *Study, name string, csv bool) (string, error) {
 		return "", fmt.Errorf("core: unknown experiment %q", name)
 	}
 	sp := telemetry.StartSpanTrace("core."+name, s.Scope.Trace())
-	t0 := telemetry.Now()
+	t0 := time.Now()
 	defer func() {
 		mExperiments.Add(1)
 		mExperimentSeconds.Since(t0)

@@ -60,8 +60,6 @@ func TestRunExperimentMatchesDirect(t *testing.T) {
 // builds no cache, so an experiment run's metrics carry no rescache_
 // instrument.
 func TestNoCacheInstruments(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
 	if _, err := RunExperiment(NewStudy().Coarse(), "table1", false); err != nil {
 		t.Fatal(err)
 	}

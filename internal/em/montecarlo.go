@@ -4,13 +4,14 @@ import (
 	"context"
 	"math"
 	"sort"
+	"time"
 
 	"voltstack/internal/parallel"
 	"voltstack/internal/telemetry"
 )
 
 // Monte Carlo instrumentation: trial counts and run times size the
-// sampling budget against wall-clock. No-ops unless telemetry is enabled.
+// sampling budget against wall-clock.
 var (
 	mMCRuns       = telemetry.NewCounter("em_mc_runs_total")
 	mMCTrials     = telemetry.NewCounter("em_mc_trials_total")
@@ -54,7 +55,7 @@ func (g *Group) simulate(ctx context.Context, trials int, seed int64, workers in
 		trials = 1
 	}
 	floor := g.fastFloor()
-	t0 := telemetry.Now()
+	t0 := time.Now()
 	prog := telemetry.NewProgress("em-montecarlo", trials)
 	minima := make([]float64, trials)
 	// Trials are dispatched to the pool in batches rather than one by one:

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"voltstack/internal/em"
 	"voltstack/internal/parallel"
@@ -21,7 +22,6 @@ import (
 )
 
 // Sweep instrumentation: design points evaluated and the time each took.
-// No-ops unless telemetry is enabled.
 var (
 	mPoints      = telemetry.NewCounter("explore_points_total")
 	mEvalSeconds = telemetry.NewHistogram("explore_eval_seconds")
@@ -254,7 +254,7 @@ func (s Space) Run(ctx context.Context) (*Result, error) {
 			}
 			return m, nil
 		}
-		t0 := telemetry.Now()
+		t0 := time.Now()
 		m, err := s.Evaluate(ctx, d)
 		if err != nil {
 			return nil, fmt.Errorf("explore: %s: %v", d.Name(), err)

@@ -23,9 +23,7 @@ import (
 
 // Pool instrumentation: per-task queue wait and run time, plus per-batch
 // worker occupancy (busy time / (wall × workers)) — the signal that tells
-// a sweep whether it is solver-bound or scheduling-bound. Everything here
-// is a no-op unless telemetry is enabled; the disabled cost per task is a
-// single atomic load.
+// a sweep whether it is solver-bound or scheduling-bound.
 var (
 	mBatches     = telemetry.NewCounter("parallel_batches_total")
 	mTasks       = telemetry.NewCounter("parallel_tasks_total")
@@ -40,19 +38,8 @@ type batchStats struct {
 	busy  atomic.Int64 // nanoseconds
 }
 
-// newBatchStats returns nil (a no-op) when telemetry is disabled.
-func newBatchStats() *batchStats {
-	if !telemetry.Enabled() {
-		return nil
-	}
-	return &batchStats{start: time.Now()}
-}
-
-// task wraps one fn(i) call with wait/run accounting. Nil-safe.
+// task wraps one fn(i) call with wait/run accounting.
 func (b *batchStats) task(i int, fn func(i int) error) error {
-	if b == nil {
-		return fn(i)
-	}
 	t0 := time.Now()
 	mQueueWait.Observe(t0.Sub(b.start).Seconds())
 	err := fn(i)
@@ -63,11 +50,8 @@ func (b *batchStats) task(i int, fn func(i int) error) error {
 	return err
 }
 
-// finish records the batch-level occupancy metrics. Nil-safe.
+// finish records the batch-level occupancy metrics.
 func (b *batchStats) finish(workers int) {
-	if b == nil {
-		return
-	}
 	mBatches.Add(1)
 	wall := time.Since(b.start).Seconds()
 	if wall <= 0 || workers < 1 {
@@ -130,7 +114,7 @@ func (p *Pool) ForEachN(ctx context.Context, n int, fn func(i int) error) error 
 	if workers > n {
 		workers = n
 	}
-	stats := newBatchStats()
+	stats := &batchStats{start: time.Now()}
 	if workers == 1 {
 		defer stats.finish(1)
 		for i := 0; i < n; i++ {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"voltstack/internal/circuit"
-	"voltstack/internal/telemetry"
 )
 
 // bitsEq compares floats bitwise, so even a sign-of-zero or last-ulp drift
@@ -182,7 +181,6 @@ func TestPreparedRegularReuse(t *testing.T) {
 // a serial reference and that the PDN built exactly one engine. Run under
 // -race this also proves the shared engine is data-race free.
 func TestPreparedConcurrentSolves(t *testing.T) {
-	telemetry.Enable()
 	cfg := vsCfg(3, 2)
 	cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGAMG, Tol: 1e-10}
 	acts := InterleavedActivities(3, 16, 0.5)

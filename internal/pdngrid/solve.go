@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"voltstack/internal/circuit"
 	"voltstack/internal/sc"
@@ -13,7 +14,7 @@ import (
 
 // PDN-solve instrumentation: the assemble-vs-linear-solve wall-clock split
 // and per-solve node counts are what any further solver optimisation will
-// be measured against. No-ops unless telemetry is enabled.
+// be measured against.
 var (
 	mSolves          = telemetry.NewCounter("pdngrid_solves_total")
 	mAssembleSeconds = telemetry.NewHistogram("pdngrid_assemble_seconds")
@@ -139,7 +140,7 @@ func (p *PDN) SolveContext(ctx context.Context, activities [][]float64) (*Result
 	}
 
 	spS := sp.Start("linear-solve")
-	tS := telemetry.Now()
+	tS := time.Now()
 	sol, err := eng.prep.Solve(loads, spS)
 	mSolveSeconds.Since(tS)
 	spS.End()
@@ -217,7 +218,7 @@ func (p *PDN) engine(sp *telemetry.Span) (*engine, error) {
 // assembly and, in the "factor" child span, the factor or preconditioner
 // build.
 func (p *PDN) buildEngine(sp *telemetry.Span) (*engine, error) {
-	tA := telemetry.Now()
+	tA := time.Now()
 	spA := sp.Start("assemble")
 	defer spA.End()
 	asm := p.assemble(nil)

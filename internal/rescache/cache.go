@@ -6,15 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"voltstack/internal/telemetry"
 )
 
-// cacheMetrics is the cache instrumentation. No-ops unless telemetry is
-// enabled. The mem* / disk* counters break every lookup down by tier, so
-// the memory hit ratio, the disk tier's contribution and the spill rate
-// are each readable on their own on /metrics; misses counts the lookups
-// that missed both tiers. New creates the instruments, so a process that
+// cacheMetrics is the cache instrumentation. The mem* / disk* counters
+// break every lookup down by tier, so the memory hit ratio, the disk
+// tier's contribution and the spill rate are each readable on their own
+// on /metrics; misses counts the lookups that missed both tiers. New creates the instruments, so a process that
 // builds no cache carries none of them.
 type cacheMetrics struct {
 	misses, diskErrors, shared *telemetry.Counter
@@ -222,7 +222,7 @@ func (c *Cache) Do(key string, compute func() ([]byte, error)) (val []byte, hit 
 		call.val = v
 	} else {
 		computed = true
-		t0 := telemetry.Now()
+		t0 := time.Now()
 		call.val, call.err = compute()
 		c.m.computeSecs.Since(t0)
 		if call.err == nil {

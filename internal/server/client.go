@@ -17,7 +17,7 @@ import (
 	"voltstack/internal/telemetry"
 )
 
-// Client-side retry instrumentation. No-op unless telemetry is enabled.
+// Client-side retry instrumentation.
 var mClientRetries = telemetry.NewCounter("client_retries_total")
 
 // Backoff is an exponential polling/retry schedule with jitter: each

@@ -26,7 +26,6 @@ var (
 // bytes the CLI pipeline produces, and an identical resubmission is
 // served from the result cache with zero new solver work.
 func TestE2EExperimentParityAndCacheHit(t *testing.T) {
-	telemetry.Enable()
 	cache, err := rescache.New(rescache.Config{Dir: filepath.Join(t.TempDir(), "cache")})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +98,6 @@ func TestE2EExperimentParityAndCacheHit(t *testing.T) {
 // — evaluating only the missing points — with output identical to an
 // uninterrupted run.
 func TestE2ESweepResumeAfterKill(t *testing.T) {
-	telemetry.Enable()
 	stateDir := t.TempDir()
 	req := sweepRequest() // 3 designs, workers=1 → strict index order
 
@@ -200,13 +198,33 @@ func TestE2ESweepResumeAfterKill(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("resumed sweep result differs from an uninterrupted run:\n got %s\nwant %s", got, want)
 	}
+
+	// A third manager on the same journal reports the finished job as the
+	// second did: started, resumed and all. Only result_bytes reads 0
+	// until the result is loaded again.
+	j2, _ := mgr2.Get(st.ID)
+	before := j2.Status()
+	mgr2.Close()
+	mgr3, err := NewManager(Config{Cache: cache2, StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr3.Close()
+	j3, ok := mgr3.Get(st.ID)
+	if !ok {
+		t.Fatal("restarted manager lost the finished job")
+	}
+	after := j3.Status()
+	before.ResultBytes, after.ResultBytes = 0, 0
+	if after != before || after.StartedAt == "" || !after.Resumed {
+		t.Errorf("finished job's status changed across restart:\nbefore: %+v\nafter:  %+v", before, after)
+	}
 }
 
 // A second manager sharing only the disk cache (not the journal) replays
 // every point from the content-addressed cache: same bytes, no PDN
 // solves.
 func TestE2ESweepPointCacheSharedAcrossDaemons(t *testing.T) {
-	telemetry.Enable()
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 	req := sweepRequest()
 
@@ -218,7 +236,7 @@ func TestE2ESweepPointCacheSharedAcrossDaemons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := mgr1.Submit(req)
+	j1, err := mgr1.Submit(req, telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +263,7 @@ func TestE2ESweepPointCacheSharedAcrossDaemons(t *testing.T) {
 	solves0 := cSolves.Value()
 	req2 := req
 	req2.Seed = 5
-	j2, err := mgr2.Submit(req2)
+	j2, err := mgr2.Submit(req2, telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,6 @@ import (
 // together under the old Set(Value()-1) could leave the gauge stuck above
 // zero forever.
 func TestOccupancyGaugesDrainToZero(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
 	mgr, err := NewManager(Config{
 		MaxInFlight: 3,
 		QueueDepth:  16,
@@ -35,7 +33,7 @@ func TestOccupancyGaugesDrainToZero(t *testing.T) {
 	done := make([]<-chan struct{}, 0, jobs)
 	for i := 0; i < jobs; i++ {
 		// Distinct seeds defeat the result cache so every job truly runs.
-		j, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}, Seed: int64(100 + i)})
+		j, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}, Seed: int64(100 + i)}, telemetry.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,8 +63,6 @@ func TestOccupancyGaugesDrainToZero(t *testing.T) {
 // TestGaugeAddAtomicity pins the telemetry primitive the occupancy
 // gauges rely on: concurrent Add calls must never lose an update.
 func TestGaugeAddAtomicity(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
 	g := telemetry.NewGauge(fmt.Sprintf("test_gauge_add_%d", time.Now().UnixNano()))
 	const workers, per = 8, 1000
 	doneCh := make(chan struct{})

@@ -20,7 +20,7 @@ import (
 	"voltstack/internal/telemetry"
 )
 
-// Service metrics. No-ops unless telemetry is enabled.
+// Service metrics.
 var (
 	mSubmitted  = telemetry.NewCounter("server_jobs_submitted_total")
 	mRejected   = telemetry.NewCounter("server_jobs_rejected_total")
@@ -32,6 +32,7 @@ var (
 	mReplayed   = telemetry.NewCounter("server_points_replayed_total")
 	mRunning    = telemetry.NewGauge("server_jobs_running")
 	mQueueDepth = telemetry.NewGauge("server_queue_depth")
+	mQueueWait  = telemetry.NewHistogram("job_queue_wait_seconds")
 
 	mJournalWriteErrors = telemetry.NewCounter("server_journal_write_errors_total")
 )
@@ -100,10 +101,10 @@ type Job struct {
 
 	// Request tracing and per-job attribution. trace is minted at Submit
 	// when the caller sent no (or an invalid) traceparent; queueSpan
-	// covers Submit→run on the process tracer; scope is the job's own
-	// telemetry registry, layered over the process registry, and its
-	// convergence record; stats holds the frozen terminal stats document;
-	// cpu0 and alloc0 anchor the run's CPU/allocation deltas.
+	// covers Submit→run on the process tracer; scope holds the job's own
+	// telemetry registry and its convergence record; stats holds the
+	// frozen terminal stats document; cpu0 and alloc0 anchor the run's
+	// CPU/allocation deltas.
 	trace     telemetry.TraceContext
 	queueSpan *telemetry.Span
 	scope     *telemetry.Scope
@@ -157,22 +158,11 @@ func (j *Job) userCancelled() bool {
 }
 
 func (j *Job) persisted() persistedJob {
-	st := j.Status()
 	return persistedJob{
-		Cancelled:   j.userCancelled(),
-		ID:          st.ID,
+		JobStatus:   j.Status(),
 		Seq:         j.seq,
 		Request:     j.req,
-		State:       st.State,
-		Key:         st.Key,
-		Total:       st.Total,
-		Completed:   st.Completed,
-		CacheHit:    st.CacheHit,
-		Resumed:     st.Resumed,
-		Error:       st.Error,
-		CreatedAt:   st.CreatedAt,
-		StartedAt:   st.StartedAt,
-		FinishedAt:  st.FinishedAt,
+		Cancelled:   j.userCancelled(),
 		Traceparent: j.trace.Traceparent(),
 	}
 }
@@ -280,11 +270,13 @@ func (m *Manager) adoptPersisted(p persistedJob) *Job {
 		state:    p.State,
 		total:    p.Total,
 		cacheHit: p.CacheHit,
+		resumed:  p.Resumed,
 		errMsg:   p.Error,
+		created:  parseRFC3339(p.CreatedAt),
+		started:  parseRFC3339(p.StartedAt),
+		finished: parseRFC3339(p.FinishedAt),
 		done:     make(chan struct{}),
 	}
-	j.created = parseRFC3339(p.CreatedAt)
-	j.finished = parseRFC3339(p.FinishedAt)
 	if tc, err := telemetry.ParseTraceparent(p.Traceparent); err == nil {
 		j.trace = tc
 	}
@@ -301,6 +293,7 @@ func (m *Manager) adoptPersisted(p persistedJob) *Job {
 		if j.errMsg == "" {
 			j.errMsg = "cancelled"
 		}
+		j.finished = time.Now()
 		close(j.done)
 		defer m.saveMeta(j)
 	default:
@@ -359,17 +352,11 @@ func totalFor(req JobRequest) int {
 
 // Submit normalizes, validates, admits and enqueues a request. It
 // returns ErrDraining during shutdown, an *OverloadError when the queue
-// is full, or the queued job. The job gets a freshly minted trace
-// context; use SubmitTrace to continue a caller's trace instead.
-func (m *Manager) Submit(req JobRequest) (*Job, error) {
-	return m.SubmitTrace(req, telemetry.TraceContext{})
-}
-
-// SubmitTrace is Submit under the caller's trace context (from a
-// traceparent header, say): the job's spans join tc's trace with tc's
-// span as parent. An invalid tc mints a fresh trace, so every job ends
-// up with a trace ID either way.
-func (m *Manager) SubmitTrace(req JobRequest, tc telemetry.TraceContext) (*Job, error) {
+// is full, or the queued job. The job runs under the caller's trace
+// context tc (from a traceparent header, say): its spans join tc's trace
+// with tc's span as parent. An invalid tc, such as the zero value, mints
+// a fresh trace, so every job ends up with a trace ID either way.
+func (m *Manager) Submit(req JobRequest, tc telemetry.TraceContext) (*Job, error) {
 	req.Normalize()
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -613,7 +600,7 @@ func (m *Manager) runJob(j *Job) {
 	queueWait := j.started.Sub(j.created).Seconds()
 	j.mu.Unlock()
 	qs.End()
-	scope.Histogram("job_queue_wait_seconds").Observe(queueWait)
+	mQueueWait.Observe(queueWait)
 	jobCtx = telemetry.WithScope(jobCtx, scope)
 	sp := telemetry.StartSpanTrace("server.job."+j.req.Kind, tc)
 	m.saveMeta(j)

@@ -28,23 +28,16 @@ import (
 // the terminal jobs back without a Manager.
 
 type persistedJob struct {
-	ID        string     `json:"id"`
-	Seq       int64      `json:"seq"` // submission order, preserved across resume
-	Request   JobRequest `json:"request"`
-	State     JobState   `json:"state"`
-	Key       string     `json:"key"`
-	Total     int        `json:"total"`
-	Completed int        `json:"completed"`
-	CacheHit  bool       `json:"cache_hit,omitempty"`
-	Resumed   bool       `json:"resumed,omitempty"`
+	// JobStatus is the job's status as Job.Status reports it; a job
+	// adopted after a restart reports the same, except ResultBytes, which
+	// reads 0 until the result is loaded.
+	JobStatus
+	Seq     int64      `json:"seq"` // submission order, preserved across resume
+	Request JobRequest `json:"request"`
 	// Cancelled records the user's cancel intent independently of State:
 	// it is persisted before the runner's context is tripped, so a crash
 	// inside the cancellation window cannot resurrect the job on restart.
-	Cancelled  bool   `json:"cancelled,omitempty"`
-	Error      string `json:"error,omitempty"`
-	CreatedAt  string `json:"created_at,omitempty"`
-	StartedAt  string `json:"started_at,omitempty"`
-	FinishedAt string `json:"finished_at,omitempty"`
+	Cancelled bool `json:"cancelled,omitempty"`
 	// Traceparent is the job's trace context in W3C wire form, so a
 	// resumed job keeps its original trace ID across restarts.
 	Traceparent string `json:"traceparent,omitempty"`

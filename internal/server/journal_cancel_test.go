@@ -52,7 +52,6 @@ func copySnapshot(t *testing.T, src, dst string) {
 // must adopt as cancelled — it must neither resume (no fresh solver work)
 // nor report a second terminal state.
 func TestJournalCancelCrashRecovery(t *testing.T) {
-	telemetry.Enable()
 	stateDir := t.TempDir()
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -73,7 +72,7 @@ func TestJournalCancelCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := mgr1.Submit(sweepRequest())
+	j, err := mgr1.Submit(sweepRequest(), telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

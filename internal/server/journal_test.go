@@ -29,7 +29,7 @@ func TestReadJournal(t *testing.T) {
 	req.Normalize()
 	write := func(id string, seq int64, state JobState, finished string, withStats bool) {
 		t.Helper()
-		p := persistedJob{ID: id, Seq: seq, Request: req, State: state, FinishedAt: finished}
+		p := persistedJob{JobStatus: JobStatus{ID: id, State: state, FinishedAt: finished}, Seq: seq, Request: req}
 		if err := jn.saveMeta(p); err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,6 @@ func TestReadJournal(t *testing.T) {
 // server_journal_write_errors_total and logs a line naming the job and
 // the file it lost.
 func TestJournalWriteFailuresReported(t *testing.T) {
-	telemetry.Enable()
 	stateDir := t.TempDir()
 	cache, err := rescache.New(rescache.Config{})
 	if err != nil {
@@ -113,7 +112,7 @@ func TestJournalWriteFailuresReported(t *testing.T) {
 	log.SetOutput(&buf)
 	t.Cleanup(func() { log.SetOutput(prev) })
 	before := mJournalWriteErrors.Value()
-	j, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}, Coarse: true})
+	j, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}, Coarse: true}, telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

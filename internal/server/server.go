@@ -42,7 +42,7 @@ func NewHandler(m *Manager) *http.ServeMux {
 // without the header — or with tracing disabled — pay nothing.
 func instrument(m *Manager, name string, h func(*Manager, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := telemetry.Now()
+		t0 := time.Now()
 		mHTTPRequests.Add(1)
 		if tp := r.Header.Get("traceparent"); tp != "" {
 			if tc, err := telemetry.ParseTraceparent(tp); err == nil {
@@ -75,7 +75,7 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%s", err)
 		return
 	}
-	j, err := m.SubmitTrace(*req, telemetry.TraceContextFrom(r.Context()))
+	j, err := m.Submit(*req, telemetry.TraceContextFrom(r.Context()))
 	if err != nil {
 		var overload *OverloadError
 		switch {

@@ -263,12 +263,12 @@ func TestCancel(t *testing.T) {
 	}
 	defer mgr.Close()
 
-	running, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}, Seed: 2})
+	running, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}, Seed: 2}, telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	queued, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}, Seed: 3})
+	queued, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}, Seed: 3}, telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestCancelRunningEMMC(t *testing.T) {
 	}
 	defer mgr.Close()
 
-	j, err := mgr.Submit(JobRequest{Kind: KindEMMC, Trials: 1_000_000, Coarse: true})
+	j, err := mgr.Submit(JobRequest{Kind: KindEMMC, Trials: 1_000_000, Coarse: true}, telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +330,6 @@ func TestCancelRunningEMMC(t *testing.T) {
 }
 
 func TestHTTPStatusCodes(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
 	mgr, err := NewManager(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -363,10 +361,18 @@ func TestHTTPStatusCodes(t *testing.T) {
 	if _, err := c.Result(ctx, "jX-missing"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
 		t.Errorf("result of unknown job: %v, want 404", err)
 	}
+	st, err := c.Submit(ctx, sweepRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil || st.State != StateDone {
+		t.Fatalf("wait: %v (state %s)", err, st.State)
+	}
 
 	// The observability endpoints share the listener: /metrics serves the
 	// daemon's live counters (here, the requests above), /healthz and
-	// pprof answer, and /statusz is gone.
+	// pprof answer, and /statusz is gone. The job's counters stay in its
+	// stats document: /metrics lists no job_ counter.
 	get := func(path string) (int, string) {
 		t.Helper()
 		resp, err := http.Get(srv.URL() + path)
@@ -389,6 +395,11 @@ func TestHTTPStatusCodes(t *testing.T) {
 	}
 	if code != http.StatusOK || requests < 3 {
 		t.Errorf("/metrics: status %d, server_requests_total %d, want 200 and the 3 requests above counted:\n%s", code, requests, body)
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "# TYPE job_") && strings.HasSuffix(line, " counter") {
+			t.Errorf("/metrics lists a job counter: %q", line)
+		}
 	}
 	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, `"status":"ok"`) {
 		t.Errorf("/healthz: status %d, body %q", code, body)
@@ -527,7 +538,7 @@ func TestSweepProgressCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	j, err := mgr.Submit(sweepRequest())
+	j, err := mgr.Submit(sweepRequest(), telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,12 @@ import (
 
 // TestStatsLiveThenFinal drives a job through running → done over HTTP and
 // checks the stats document in both phases: a live snapshot while the job
-// runs, then a frozen Final document whose bytes never change again.
+// runs, then a frozen Final document whose bytes never change again. The
+// job's queue wait lands once in the process histogram /metrics serves and
+// in the document's queue_wait_seconds, not in the job's registry.
 func TestStatsLiveThenFinal(t *testing.T) {
+	queueWait := telemetry.NewHistogram("job_queue_wait_seconds")
+	waits := queueWait.Count()
 	release := make(chan struct{})
 	started := make(chan struct{})
 	mgr, err := NewManager(Config{
@@ -45,6 +49,9 @@ func TestStatsLiveThenFinal(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
+	if got := queueWait.Count() - waits; got != 1 {
+		t.Errorf("job_queue_wait_seconds grew by %d when the job started, want 1", got)
+	}
 
 	var live JobStats
 	b, err := c.Stats(ctx, st.ID)
@@ -92,8 +99,11 @@ func TestStatsLiveThenFinal(t *testing.T) {
 	if fin.QueueWaitSeconds < 0 {
 		t.Errorf("negative queue wait %g", fin.QueueWaitSeconds)
 	}
-	if _, ok := fin.Registry.Histograms["job_queue_wait_seconds"]; !ok {
-		t.Error("final registry missing job_queue_wait_seconds")
+	if len(fin.Registry.Histograms) != 0 {
+		t.Errorf("final registry carries histograms %v, want none", fin.Registry.Histograms)
+	}
+	if got := queueWait.Count() - waits; got != 1 {
+		t.Errorf("job_queue_wait_seconds grew by %d over one job, want 1", got)
 	}
 	if st.TraceID != c.Trace.TraceIDString() {
 		t.Errorf("status trace ID = %q, want %q", st.TraceID, c.Trace.TraceIDString())
@@ -128,7 +138,7 @@ func TestStatsSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := mgr.SubmitTrace(sweepRequest(), telemetry.NewTrace())
+	j, err := mgr.Submit(sweepRequest(), telemetry.NewTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +200,7 @@ func TestSubmitWithoutTraceparentMints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
-	j, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}})
+	j, err := mgr.Submit(JobRequest{Kind: KindExperiment, Experiments: []string{"table1"}}, telemetry.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +235,7 @@ func TestStatsConvergenceRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := mgr.Submit(req)
+		j, err := mgr.Submit(req, telemetry.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +278,7 @@ func TestStudyJobsAttributeSolves(t *testing.T) {
 	defer mgr.Close()
 	run := func(req JobRequest) (*Job, JobStats) {
 		t.Helper()
-		j, err := mgr.Submit(req)
+		j, err := mgr.Submit(req, telemetry.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}

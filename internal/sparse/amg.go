@@ -15,6 +15,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"voltstack/internal/telemetry"
 )
@@ -58,7 +59,6 @@ type AMGPrec struct {
 	levels []*amgLevel
 	coarse *SparseChol
 	ns     []int // unknowns per level, finest first, coarsest last
-	nnzs   []int // operator nonzeros per level, finest first
 	// V-cycle scratch, one vector per level: xs/bs carry the coarse-level
 	// iterate and right-hand side (index 0 unused — the finest-level pair
 	// is the caller's r/z), rs the smoothing/restriction residual.
@@ -70,9 +70,9 @@ type AMGPrec struct {
 // values afterwards invalidates the preconditioner (rebuild instead, as
 // with a SparseChol factor).
 func NewAMG(a *CSR) (*AMGPrec, error) {
-	t0 := telemetry.Now()
+	t0 := time.Now()
 	defer func() { mPrecondBuilds.Add(1); mPrecondSeconds.Since(t0) }()
-	p := &AMGPrec{ns: []int{a.N()}, nnzs: []int{a.NNZ()}}
+	p := &AMGPrec{ns: []int{a.N()}}
 	cur := a
 	for cur.N() > amgCoarseSize && len(p.levels)+1 < amgMaxLevels {
 		lvl, coarseA, err := coarsenPairwise(cur)
@@ -84,7 +84,6 @@ func NewAMG(a *CSR) (*AMGPrec, error) {
 		}
 		p.levels = append(p.levels, lvl)
 		p.ns = append(p.ns, lvl.nc)
-		p.nnzs = append(p.nnzs, coarseA.NNZ())
 		cur = coarseA
 	}
 	f, err := FactorSparse(cur, OrderND)
@@ -96,45 +95,6 @@ func NewAMG(a *CSR) (*AMGPrec, error) {
 	mAMGBuilds.Add(1)
 	mAMGLevels.Observe(float64(len(p.ns)))
 	return p, nil
-}
-
-// AMGStats describes a built hierarchy: depth, per-level sizes, and the
-// operator-complexity ratio Σ level nnz / finest nnz (a grid-independent
-// memory/work overhead figure; ~2 is typical for pairwise aggregation).
-type AMGStats struct {
-	Levels             int     `json:"levels"`
-	LevelUnknowns      []int   `json:"level_unknowns"`
-	LevelNNZ           []int   `json:"level_nnz"`
-	OperatorComplexity float64 `json:"operator_complexity"`
-	// GridComplexity is Σ level unknowns / finest unknowns — with
-	// OperatorComplexity, the standard pair of hierarchy-cost ratios.
-	GridComplexity float64 `json:"grid_complexity"`
-	CoarseN        int     `json:"coarse_n"`
-}
-
-// Stats returns the hierarchy shape of a built preconditioner.
-func (p *AMGPrec) Stats() AMGStats {
-	st := AMGStats{
-		Levels:        len(p.ns),
-		LevelUnknowns: append([]int(nil), p.ns...),
-		LevelNNZ:      append([]int(nil), p.nnzs...),
-		CoarseN:       p.CoarseN(),
-	}
-	total := 0
-	for _, nnz := range p.nnzs {
-		total += nnz
-	}
-	if len(p.nnzs) > 0 && p.nnzs[0] > 0 {
-		st.OperatorComplexity = float64(total) / float64(p.nnzs[0])
-	}
-	unknowns := 0
-	for _, n := range p.ns {
-		unknowns += n
-	}
-	if len(p.ns) > 0 && p.ns[0] > 0 {
-		st.GridComplexity = float64(unknowns) / float64(p.ns[0])
-	}
-	return st
 }
 
 // Levels returns the hierarchy depth, counting the coarsest level.

@@ -11,8 +11,7 @@ import (
 
 // Solver instrumentation: iteration counts are the convergence-effort
 // signal of the whole toolchain (every PDN solve funnels through PCG on
-// large meshes), so they are recorded whenever telemetry is enabled. All
-// handles are no-ops when it is not.
+// large meshes).
 var (
 	mPCGSolves      = telemetry.NewCounter("sparse_pcg_solves_total")
 	mPCGIterations  = telemetry.NewCounter("sparse_pcg_iterations_total")
@@ -43,7 +42,7 @@ type CGResult struct {
 	Residual   float64 // final relative residual ‖b−Ax‖₂/‖b‖₂
 
 	// Health is the convergence report (bounded residual history, Lanczos
-	// condition estimate, detector verdicts), set by every PCG solve on
+	// condition estimate, reduction factor), set by every PCG solve on
 	// success and on failure. The probe behind it only copies scalars the
 	// solve computed, so it never changes x, Iterations or Residual.
 	Health *telemetry.ConvergenceReport

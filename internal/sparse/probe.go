@@ -1,11 +1,10 @@
 // Convergence probes: per-solve analytics that turn every PCG iteration
 // stream into a telemetry.ConvergenceReport — the bounded residual
 // history, extreme-eigenvalue and condition-number estimates from the CG
-// Lanczos tridiagonal (zero extra matvecs), per-cycle AMG reduction
-// factors, and detectors for stagnation, plateau and preconditioner
-// degradation. A failed solve returns its report attached to the error
-// (ProbeError), so the caller — typically pdngrid — can hand exactly the
-// solve that failed to its job's convergence record.
+// Lanczos tridiagonal (zero extra matvecs) and the mean per-iteration
+// residual reduction. A failed solve returns its report attached to the
+// error (ProbeError), so the caller — typically pdngrid — can hand
+// exactly the solve that failed to its job's convergence record.
 //
 // The probe is always on, and it never perturbs solver arithmetic: it
 // only *reads* scalars the solver already computed (α, β, the relative
@@ -34,8 +33,7 @@ import (
 	"voltstack/internal/telemetry"
 )
 
-// mHealthReports counts probed solves; a process-registry no-op unless
-// telemetry is enabled.
+// mHealthReports counts probed solves.
 var mHealthReports = telemetry.NewCounter("solver_health_reports_total")
 
 // Probe bounds. The residual ring keeps telemetry.ResidualHeadLen leading
@@ -43,26 +41,12 @@ var mHealthReports = telemetry.NewCounter("solver_health_reports_total")
 // coefficient buffer keeps the first probeLanczosCap (α, β) pairs — Ritz
 // extremes are driven by the leading coefficients, so a prefix estimates
 // κ without unbounded growth.
-const (
-	probeLanczosCap = 512
-
-	// Detector windows/thresholds (see detect): trailing window length,
-	// the per-iteration reduction factor above which the trailing window
-	// counts as a plateau, the near-1 factor that counts as stagnation,
-	// and the early-window factor that must have been "healthy" before a
-	// slow tail counts as preconditioner degradation.
-	probeWindow       = 16
-	plateauThreshold  = 0.98
-	stagnationFactor  = 0.999
-	degradationEarly  = 0.90
-	degradationFactor = 0.95
-)
+const probeLanczosCap = 512
 
 // convProbe accumulates one solve's convergence stream. All methods but
 // seal are cheap appends.
 type convProbe struct {
 	report telemetry.ConvergenceReport
-	prec   Preconditioner
 
 	head []float64
 	tail []float64 // circular once the head is full
@@ -82,7 +66,6 @@ func newConvProbe(a *CSR, prec Preconditioner, tol float64, maxIter int) *convPr
 			Tol:            tol,
 			MaxIter:        maxIter,
 		},
-		prec: prec,
 		head: make([]float64, 0, telemetry.ResidualHeadLen),
 	}
 }
@@ -134,11 +117,10 @@ func (p *convProbe) residuals() ([]float64, int) {
 	return out, dropped
 }
 
-// seal finalizes the probe into its report: spectral estimates, reduction
-// factor, detector verdicts, AMG diagnostics; then publishes the report
-// to telemetry (the report counter and the process record) and returns
-// res with the report as its Health. Call exactly once per solve, on
-// every exit path.
+// seal finalizes the probe into its report: spectral estimates and
+// reduction factor; then publishes the report to telemetry (the report
+// counter and the process record) and returns res with the report as its
+// Health. Call exactly once per solve, on every exit path.
 //
 // The report is a copy, not a pointer into the probe: a caller that keeps
 // the result must not keep the probe's buffers and the solve's forked
@@ -166,70 +148,9 @@ func (p *convProbe) seal(res CGResult, converged bool) CGResult {
 			r.ReductionFactor = math.Pow(r.FinalResidual/r.Residuals[0], 1/float64(k))
 		}
 	}
-	p.detect(r)
-	if mg, ok := p.prec.(*AMGPrec); ok {
-		st := mg.Stats()
-		amg := &telemetry.AMGReport{
-			Levels:             st.Levels,
-			OperatorComplexity: st.OperatorComplexity,
-			GridComplexity:     st.GridComplexity,
-		}
-		rs := r.Residuals
-		lo := len(rs) - 2*probeWindow
-		if lo < 0 {
-			lo = 0
-		}
-		for i := lo + 1; i < len(rs); i++ {
-			if rs[i-1] > 0 {
-				amg.CycleReductions = append(amg.CycleReductions, rs[i]/rs[i-1])
-			}
-		}
-		r.AMG = amg
-	}
 	p.publish(r)
 	res.Health = r
 	return res
-}
-
-// detect runs the convergence detectors over the recorded trajectory.
-// All three look at geometric reduction factors, so they are scale-free:
-//
-//   - stagnation: the trailing window made essentially no net progress
-//     (per-iteration factor ≥ stagnationFactor) and the solve did not
-//     converge — the iteration is stuck.
-//   - plateau: the trailing factor is above plateauThreshold while the
-//     residual is still above tolerance — progress, but far slower than
-//     the budget assumes.
-//   - preconditioner degradation: the leading window converged fast
-//     (early factor < degradationEarly) but the trailing window is slow
-//     (late factor > degradationFactor) — the preconditioner matched the
-//     easy part of the spectrum and lost effectiveness.
-func (p *convProbe) detect(r *telemetry.ConvergenceReport) {
-	rs := r.Residuals
-	if len(rs) < probeWindow+1 || r.Converged {
-		return
-	}
-	last := rs[len(rs)-1]
-	wStart := rs[len(rs)-1-probeWindow]
-	if wStart <= 0 || last <= 0 {
-		return
-	}
-	late := math.Pow(last/wStart, 1/float64(probeWindow))
-	if late >= stagnationFactor {
-		r.Stagnation = true
-	} else if late >= plateauThreshold {
-		r.Plateau = true
-	}
-	ew := probeWindow
-	if ew > len(p.head)-1 {
-		ew = len(p.head) - 1
-	}
-	if ew >= 2 && p.head[0] > 0 && p.head[ew] > 0 {
-		early := math.Pow(p.head[ew]/p.head[0], 1/float64(ew))
-		if early < degradationEarly && late > degradationFactor {
-			r.Degradation = true
-		}
-	}
 }
 
 // publish counts the sealed report and offers it to the process record,

@@ -220,7 +220,7 @@ func TestPCGBreakdownReport(t *testing.T) {
 // TestProbedAMGSolveOnProcessRecord: a probed AMG-PCG solve offers its
 // whole report to the process record, which then holds the harder of that
 // report and the one it held before: never an easier one. The report
-// offered carries its residual trajectory and the hierarchy shape.
+// offered carries its residual trajectory and names its preconditioner.
 func TestProbedAMGSolveOnProcessRecord(t *testing.T) {
 	a := gridLaplacian(30, 30, 1e-3)
 	prec, err := NewAMG(a)
@@ -237,8 +237,8 @@ func TestProbedAMGSolveOnProcessRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := res.Health
-	if len(h.Residuals) == 0 || h.AMG == nil || h.AMG.Levels < 2 || h.AMG.Levels != prec.Levels() {
-		t.Fatalf("solve report = %+v, want residuals and an AMG section of %d >= 2 levels", h, prec.Levels())
+	if len(h.Residuals) == 0 || h.Preconditioner != "amg" {
+		t.Fatalf("solve report = %+v, want residuals and preconditioner amg", h)
 	}
 	got := telemetry.SolverHealth()
 	if got == nil {

@@ -16,6 +16,7 @@ package spice
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"voltstack/internal/sc"
 	"voltstack/internal/sparse"
@@ -24,7 +25,7 @@ import (
 
 // Switch-level simulator instrumentation: backward-Euler step counts and
 // the periods-to-PSS distribution show how hard each operating point works
-// the reference simulator. No-ops unless telemetry is enabled.
+// the reference simulator.
 var (
 	mSims      = telemetry.NewCounter("spice_simulations_total")
 	mBESteps   = telemetry.NewCounter("spice_be_steps_total")
@@ -117,7 +118,7 @@ func (c Cell) Simulate(iLoad float64, opts SimOptions) (Result, error) {
 		return Result{}, fmt.Errorf("spice: invalid cell %+v", c)
 	}
 	opts = opts.withDefaults()
-	tSim := telemetry.Now()
+	tSim := time.Now()
 	period := 1 / c.FSw
 	dt := period / float64(2*opts.StepsPerPhase)
 

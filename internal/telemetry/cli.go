@@ -64,20 +64,16 @@ func IsObservabilityFlag(name string) bool {
 // all Manifest methods are nil-safe, so no call site needs a conditional.
 func (f *Flags) RunManifest() *Manifest { return f.manifest }
 
-// Init applies the parsed flags: enables the metric registry, tracer and
-// progress reporter as requested, and starts the provenance manifest's
-// stdout capture and the CPU profile. It returns a flush function that
-// must run before the process exits to stop profiling and write every
-// dump; flush is never nil, idempotent (the second call is a no-op
-// returning nil), and safe to call when nothing was enabled.
+// Init applies the parsed flags: enables the tracer and progress reporter
+// as requested, and starts the provenance manifest's stdout capture and
+// the CPU profile. It returns a flush function that must run before the
+// process exits to stop profiling and write every dump; flush is never
+// nil, idempotent (the second call is a no-op returning nil), and safe to
+// call when nothing was enabled.
 //
 // On error, everything partially started is torn down before returning:
 // a failed -cpuprofile releases the manifest's stdout capture.
 func (f *Flags) Init() (flush func() error, err error) {
-	if f.Metrics != "" || f.Manifest != "" {
-		// A manifest embeds the final snapshot.
-		Enable()
-	}
 	if f.Trace != "" {
 		EnableTracing()
 	}

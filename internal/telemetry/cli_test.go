@@ -10,10 +10,9 @@ import (
 )
 
 // cleanupGlobals undoes the process-wide gates Flags.Init flips so later
-// tests (and TestGlobalDisabledByDefault in particular) see the boot state.
+// tests see the boot state.
 func cleanupGlobals(t *testing.T) {
 	t.Cleanup(func() {
-		Disable()
 		DisableTracing()
 		DisableProgress()
 	})
@@ -26,8 +25,8 @@ func TestInitNoFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Enabled() {
-		t.Error("registry enabled with no flags set")
+	if stdTracer.Load() != nil {
+		t.Error("tracer enabled with no flags set")
 	}
 	if err := flush(); err != nil {
 		t.Errorf("flush: %v", err)

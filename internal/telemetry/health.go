@@ -20,19 +20,6 @@ const (
 	ResidualTailLen = 256
 )
 
-// AMGReport is the per-hierarchy slice of a convergence report, present
-// when the solve ran under an AMG preconditioner: the hierarchy shape
-// complexities plus the trailing per-cycle residual reduction factors
-// (each PCG iteration applies exactly one V-cycle).
-type AMGReport struct {
-	Levels             int     `json:"levels"`
-	OperatorComplexity float64 `json:"operator_complexity"`
-	GridComplexity     float64 `json:"grid_complexity"`
-	// CycleReductions holds ‖r_k‖/‖r_{k-1}‖ for the trailing iterations
-	// of the recorded trajectory (at most 31).
-	CycleReductions []float64 `json:"cycle_reductions,omitempty"`
-}
-
 // ConvergenceReport is the convergence record of one probed iterative
 // solve, built by the sparse probe and read by every surface: the solve
 // result, the job stats document and the run manifest (each through a
@@ -69,13 +56,6 @@ type ConvergenceReport struct {
 	// middle iterations elided between head and tail.
 	Residuals        []float64 `json:"residuals,omitempty"`
 	ResidualsDropped int       `json:"residuals_dropped,omitempty"`
-
-	// Detector verdicts over the recorded trajectory.
-	Stagnation  bool `json:"stagnation,omitempty"`
-	Plateau     bool `json:"plateau,omitempty"`
-	Degradation bool `json:"precond_degradation,omitempty"`
-
-	AMG *AMGReport `json:"amg,omitempty"`
 }
 
 // ResidualIteration returns the solver step of Residuals[i]. The head of

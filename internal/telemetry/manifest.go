@@ -69,8 +69,7 @@ type Manifest struct {
 	StartTime   string  `json:"start_time"` // RFC 3339
 	WallSeconds float64 `json:"wall_seconds"`
 
-	// Final metrics snapshot (the same object `-metrics` dumps), present
-	// when the metric registry recorded anything.
+	// Final metrics snapshot: the same object `-metrics` dumps.
 	Metrics json.RawMessage `json:"metrics,omitempty"`
 
 	// Convergence is the process's convergence record: the report of the
@@ -264,7 +263,7 @@ func (m *Manifest) finalize() {
 		m.Flags = map[string]string{}
 		flag.VisitAll(func(f *flag.Flag) { m.Flags[f.Name] = f.Value.String() })
 	}
-	if m.Metrics == nil && std.on.Load() {
+	if m.Metrics == nil {
 		var buf bytes.Buffer
 		if err := std.WriteJSON(&buf); err == nil {
 			m.Metrics = json.RawMessage(buf.Bytes())

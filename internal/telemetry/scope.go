@@ -2,11 +2,9 @@ package telemetry
 
 import "context"
 
-// Scope is per-request (per-job) telemetry: its own enabled Registry layered
-// over the process registry — every instrument write lands in the job scope
-// AND in a same-named process-global aggregate — plus the job's trace
-// context and its convergence record: the report of its hardest probed
-// solve.
+// Scope is per-request (per-job) telemetry: the job's own Registry, whose
+// writes stay in the job, plus the job's trace context and its convergence
+// record: the report of its hardest probed solve.
 //
 // A nil *Scope is a valid no-op receiver everywhere, so instrumented code
 // can call ScopeFrom(ctx) once and use the result unconditionally.
@@ -16,11 +14,9 @@ type Scope struct {
 	health HardestReport
 }
 
-// NewScope returns a scope recording under tc, layered over the process
-// registry (scope writes propagate to same-named process instruments,
-// which record only while process telemetry is enabled).
+// NewScope returns a scope recording under tc into a registry of its own.
 func NewScope(tc TraceContext) *Scope {
-	return &Scope{tc: tc, reg: NewScopedRegistry(std)}
+	return &Scope{tc: tc, reg: NewRegistry()}
 }
 
 // Trace returns the scope's trace context (zero for nil).
@@ -42,9 +38,6 @@ func (s *Scope) Registry() *Registry {
 
 // Counter returns the scope's named counter (nil-safe).
 func (s *Scope) Counter(name string) *Counter { return s.Registry().Counter(name) }
-
-// Histogram returns the scope's named histogram (nil-safe).
-func (s *Scope) Histogram(name string) *Histogram { return s.Registry().Histogram(name) }
 
 // Health returns the scope's convergence record (nil for a nil scope —
 // still a valid holder that ignores offers and loads nil).

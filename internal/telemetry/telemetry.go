@@ -4,14 +4,13 @@
 // trace_event JSON, and a rate-limited stderr progress reporter for long
 // sweeps and Monte Carlo runs.
 //
-// Everything is off by default and every handle is nil-safe, so
-// instrumented hot paths (the PCG loop, the BE stepper, the worker pool)
-// pay a single atomic load per call site when telemetry is disabled and
-// nothing at all when a handle is nil. Instruments are created once at
-// package init against the process registry; enabling telemetry
-// (Enable / EnableTracing / EnableProgress, or the CLI helper in cli.go)
-// only flips gates — it never changes what the instrumented code computes,
-// so program outputs are byte-identical with telemetry on or off.
+// The metrics registry always records: instruments are created against
+// the process registry (at package init, or when the subsystem they
+// describe is built) and every write is one atomic update. Tracing and
+// progress are off by default (EnableTracing / EnableProgress, or the CLI
+// helper in cli.go). Every handle is nil-safe, and no instrument, span or
+// progress line changes what the instrumented code computes, so program
+// outputs are byte-identical with or without any observability flag.
 package telemetry
 
 import (
@@ -32,39 +31,17 @@ import (
 const histBuckets = 64
 
 // Registry holds named instruments. The zero value is not usable; call
-// NewRegistry (standalone registries start enabled — handy for tests) or
-// use the package-level process registry, which starts disabled and is
-// toggled with Enable/Disable. A nil *Registry is a valid no-op receiver
-// for every method.
+// NewRegistry or use the package-level process registry. A nil *Registry
+// is a valid no-op receiver for every method.
 type Registry struct {
-	on     atomic.Bool
-	parent *Registry // layered registry: writes forward to same-named parent instruments
-
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
-// NewRegistry returns an empty, enabled registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := newRegistry()
-	r.on.Store(true)
-	return r
-}
-
-// NewScopedRegistry returns an enabled registry layered over parent: every
-// write to one of its instruments also writes the same-named instrument of
-// parent (which applies its own gate, so a disabled parent records
-// nothing). This is how per-job scopes feed process-global aggregates.
-func NewScopedRegistry(parent *Registry) *Registry {
-	r := newRegistry()
-	r.parent = parent
-	r.on.Store(true)
-	return r
-}
-
-func newRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
@@ -72,36 +49,12 @@ func newRegistry() *Registry {
 	}
 }
 
-// std is the process registry behind the package-level constructors.
-// It exists from init (so instruments can bind to it at package load)
-// but records nothing until Enable.
-var std = newRegistry()
-
-// Enable turns on metrics recording for the process registry.
-func Enable() { std.on.Store(true) }
-
-// Disable turns metrics recording back off. Recorded values are kept.
-func Disable() { std.on.Store(false) }
-
-// Enabled reports whether the process registry is recording.
-func Enabled() bool { return std.on.Load() }
+// std is the process registry behind the package-level constructors. It
+// exists from init, so instruments can bind to it at package load.
+var std = NewRegistry()
 
 // Default returns the process registry (for dumping; it is never nil).
 func Default() *Registry { return std }
-
-// Now returns the current time when the process registry is enabled and
-// the zero time otherwise. Pair it with Histogram.Since to time a region
-// without paying for the clock when telemetry is off:
-//
-//	t0 := telemetry.Now()
-//	... work ...
-//	solveSeconds.Since(t0)
-func Now() time.Time {
-	if !std.on.Load() {
-		return time.Time{}
-	}
-	return time.Now()
-}
 
 // NewCounter returns the named counter of the process registry, creating
 // it if needed. Safe to call from package init.
@@ -122,10 +75,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name, on: &r.on}
-		if r.parent != nil {
-			c.parent = r.parent.Counter(name)
-		}
+		c = new(Counter)
 		r.counters[name] = c
 	}
 	return c
@@ -140,10 +90,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{name: name, on: &r.on}
-		if r.parent != nil {
-			g.parent = r.parent.Gauge(name)
-		}
+		g = new(Gauge)
 		r.gauges[name] = g
 	}
 	return g
@@ -158,12 +105,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{name: name, on: &r.on}
+		h = new(Histogram)
 		h.minBits.Store(math.Float64bits(math.Inf(1)))
 		h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-		if r.parent != nil {
-			h.parent = r.parent.Histogram(name)
-		}
 		r.hists[name] = h
 	}
 	return h
@@ -196,21 +140,15 @@ func (r *Registry) Reset() {
 
 // Counter is a monotonically increasing int64 metric.
 type Counter struct {
-	name   string
-	on     *atomic.Bool
-	parent *Counter // same-named instrument of the registry's parent, if layered
-	v      atomic.Int64
+	v atomic.Int64
 }
 
-// Add increments the counter by n. No-op on a nil counter or a disabled
-// registry. In a layered registry the write also forwards to the parent's
-// same-named counter (subject to the parent's own gate).
+// Add increments the counter by n. No-op on a nil counter.
 func (c *Counter) Add(n int64) {
-	if c == nil || !c.on.Load() {
+	if c == nil {
 		return
 	}
 	c.v.Add(n)
-	c.parent.Add(n)
 }
 
 // Value returns the current count (0 for a nil counter).
@@ -223,28 +161,22 @@ func (c *Counter) Value() int64 {
 
 // Gauge is a float64 metric that holds the most recently set value.
 type Gauge struct {
-	name   string
-	on     *atomic.Bool
-	parent *Gauge
-	bits   atomic.Uint64
+	bits atomic.Uint64
 }
 
-// Set stores v. No-op on a nil gauge or a disabled registry. Forwards to
-// the layered parent's same-named gauge, if any.
+// Set stores v. No-op on a nil gauge.
 func (g *Gauge) Set(v float64) {
-	if g == nil || !g.on.Load() {
+	if g == nil {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-	g.parent.Set(v)
 }
 
 // Add atomically adds delta to the gauge (CAS loop, safe for concurrent
 // up/down counting — a Set(Value()+1) from two goroutines can lose an
-// update and leave the gauge stale forever). No-op on a nil gauge or a
-// disabled registry; forwards to the layered parent's same-named gauge.
+// update and leave the gauge stale forever). No-op on a nil gauge.
 func (g *Gauge) Add(delta float64) {
-	if g == nil || !g.on.Load() {
+	if g == nil {
 		return
 	}
 	for {
@@ -254,7 +186,6 @@ func (g *Gauge) Add(delta float64) {
 			break
 		}
 	}
-	g.parent.Add(delta)
 }
 
 // Value returns the last set value (0 for a nil gauge).
@@ -269,9 +200,6 @@ func (g *Gauge) Value() float64 {
 // observations with exact count/sum/min/max side stats. All methods are
 // safe for concurrent use and lock-free.
 type Histogram struct {
-	name    string
-	on      *atomic.Bool
-	parent  *Histogram
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
 	minBits atomic.Uint64
@@ -301,10 +229,9 @@ func bucketIndex(v float64) int {
 
 // Observe records one sample. Negative or NaN samples are clamped to 0 and
 // +Inf to MaxFloat64, so the side stats stay finite and JSON-encodable.
-// No-op on a nil histogram or a disabled registry. Forwards to the layered
-// parent's same-named histogram, if any.
+// No-op on a nil histogram.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !h.on.Load() {
+	if h == nil {
 		return
 	}
 	if v < 0 || math.IsNaN(v) {
@@ -312,7 +239,6 @@ func (h *Histogram) Observe(v float64) {
 	} else if math.IsInf(v, 1) {
 		v = math.MaxFloat64
 	}
-	h.parent.Observe(v)
 	h.buckets[bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	for {
@@ -336,10 +262,9 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Since observes the elapsed seconds from t0, obtained from Now. A zero
-// t0 (telemetry was disabled at the start of the region) records nothing.
+// Since observes the elapsed seconds from t0.
 func (h *Histogram) Since(t0 time.Time) {
-	if h == nil || t0.IsZero() || !h.on.Load() {
+	if h == nil {
 		return
 	}
 	h.Observe(time.Since(t0).Seconds())

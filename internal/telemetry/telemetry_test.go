@@ -55,27 +55,8 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 }
 
-// TestDisabledNoOp verifies that a disabled registry records nothing and
-// that nil handles are safe everywhere.
-func TestDisabledNoOp(t *testing.T) {
-	r := newRegistry() // off
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h")
-	c.Add(5)
-	g.Set(3.14)
-	h.Observe(1)
-	h.Since(time.Now().Add(-time.Second))
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Errorf("disabled registry recorded: c=%d g=%g h=%d", c.Value(), g.Value(), h.Count())
-	}
-	r.on.Store(true)
-	c.Add(5)
-	if c.Value() != 5 {
-		t.Errorf("enable did not take effect: c=%d", c.Value())
-	}
-
-	// Nil handles: every method must be a safe no-op.
+// TestNilHandlesNoOp verifies that nil handles are safe everywhere.
+func TestNilHandlesNoOp(t *testing.T) {
 	var nc *Counter
 	var ng *Gauge
 	var nh *Histogram
@@ -97,18 +78,6 @@ func TestDisabledNoOp(t *testing.T) {
 	}
 	if err := nr.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestGlobalDisabledByDefault pins the contract the hot paths rely on: the
-// process registry must start disabled so un-flagged runs pay (almost)
-// nothing.
-func TestGlobalDisabledByDefault(t *testing.T) {
-	if Enabled() {
-		t.Fatal("process registry enabled at init")
-	}
-	if !Now().IsZero() {
-		t.Fatal("Now() returned wall time while disabled")
 	}
 }
 

@@ -52,21 +52,20 @@ func TestSpanNesting(t *testing.T) {
 func TestConcurrentRootLanes(t *testing.T) {
 	tr := NewTracer()
 	const n = 16
-	var wg sync.WaitGroup
-	start := make(chan struct{})
+	var wg, live sync.WaitGroup
+	live.Add(n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-start
 			sp := tr.Start("work")
 			child := sp.Start("inner")
-			time.Sleep(2 * time.Millisecond)
+			live.Done()
+			live.Wait() // every root is open before any ends
 			child.End()
 			sp.End()
 		}()
 	}
-	close(start)
 	wg.Wait()
 	if got := tr.Len(); got != 2*n {
 		t.Fatalf("got %d events, want %d", got, 2*n)

@@ -145,43 +145,23 @@ func TestTracerSpanAnnotation(t *testing.T) {
 	}
 }
 
-// TestScopeLayering checks the two-level registry contract: a scope write
-// lands in the job scope always and in the same-named process instrument
-// only while process telemetry is enabled.
+// TestScopeLayering checks that a job scope is a registry of its own: its
+// writes land in the scope and never in the same-named process instrument.
 func TestScopeLayering(t *testing.T) {
-	tc := NewTrace()
-	scope := NewScope(tc)
+	scope := NewScope(NewTrace())
 	name := "test_scope_layering_total"
-
-	std.on.Store(false)
 	scope.Counter(name).Add(2)
-	if got := scope.Counter(name).Value(); got != 2 {
-		t.Fatalf("scope counter = %d, want 2", got)
-	}
-	if got := std.Counter(name).Value(); got != 0 {
-		t.Fatalf("disabled process counter recorded %d", got)
-	}
-
-	std.on.Store(true)
-	defer std.on.Store(false)
 	scope.Counter(name).Add(3)
 	if got := scope.Counter(name).Value(); got != 5 {
 		t.Fatalf("scope counter = %d, want 5", got)
 	}
-	if got := std.Counter(name).Value(); got != 3 {
-		t.Fatalf("process counter = %d, want 3", got)
-	}
-
-	hname := "test_scope_layering_seconds"
-	scope.Histogram(hname).Observe(0.25)
-	if std.Histogram(hname).Count() != 1 {
-		t.Error("histogram write did not propagate to the process registry")
+	if _, ok := std.Snapshot().Counters[name]; ok {
+		t.Fatalf("scope write created process counter %s", name)
 	}
 
 	// Nil scope: every path is a no-op.
 	var ns *Scope
 	ns.Counter(name).Add(1)
-	ns.Histogram(hname).Observe(1)
 	ns.Health().Offer(&ConvergenceReport{Iterations: 7})
 	if ns.Registry() != nil || ns.Health().Load() != nil || ns.Trace().Valid() {
 		t.Error("nil scope leaked state")
